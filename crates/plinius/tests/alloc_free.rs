@@ -2,8 +2,9 @@
 //! `mirror_out` — plaintext staging, per-tensor sealing, and the durable PM write —
 //! performs **zero heap allocations**. The plaintext staging buffer, sealed-blob
 //! arena, per-tensor AADs and IV batch, and the cached AES-GCM context all live in
-//! the mirror's reusable scratch; the Romulus redo log, its copy scratch, and the
-//! pmem dirty-line map retain their capacity across iterations.
+//! the mirror's reusable scratch; the Romulus redo log and its copy scratch retain
+//! their capacity across iterations, and the PM pool keeps no per-line state on the
+//! heap (its dirty lines are a bitset sized with the pool).
 //!
 //! Thread fan-out (`threads > 1`) additionally allocates only the O(#tensors)
 //! fork/join dispatch buffers, which is asserted with a loose bound.
@@ -23,6 +24,7 @@ use std::cell::Cell;
 use plinius::{MirrorModel, PliniusContext};
 use plinius_crypto::Key;
 use plinius_darknet::config::{build_network, mnist_cnn_config};
+use plinius_pmem::{CrashMode, PmemPool, CACHE_LINE};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -74,8 +76,8 @@ fn mirror_fixture() -> (PliniusContext, plinius_darknet::Network, MirrorModel) {
 fn steady_state_serial_mirror_out_performs_zero_heap_allocations() {
     let (ctx, net, mirror) = mirror_fixture();
     // Warm-up: the first call builds the scratch (staging buffer, arena, GCM tables),
-    // creates the stats counters, and grows the pmem dirty-line map and Romulus
-    // scratch to their steady-state capacity; the second catches any one-off growth.
+    // creates the stats counters, and grows the Romulus scratch to its steady-state
+    // capacity; the second catches any one-off growth.
     mirror.mirror_out_with_threads(&ctx, &net, 1).unwrap();
     mirror.mirror_out_with_threads(&ctx, &net, 1).unwrap();
     let before = thread_allocs();
@@ -158,8 +160,8 @@ fn steady_state_overlapped_cycle_performs_zero_heap_allocations_on_the_training_
     // scratch, exactly as in the threaded sync variant; the training thread itself
     // must stay off the heap.
     let (ctx, net, mirror) = mirror_fixture();
-    // Warm-up: three cycles cover both A/B slots' pmem cache lines, the Romulus
-    // copy scratch and every stats counter.
+    // Warm-up: three cycles cover both A/B slots, the Romulus copy scratch and every
+    // stats counter.
     for _ in 0..3 {
         mirror.snapshot_out(&ctx, &net).unwrap();
         mirror.drain(&ctx).unwrap();
@@ -196,6 +198,34 @@ fn steady_state_vfs_sealed_reads_perform_zero_heap_allocations() {
         allocs, 0,
         "steady-state VFS sealed reads must not touch the heap"
     );
+}
+
+#[test]
+fn pm_pool_persist_and_crash_perform_zero_heap_allocations() {
+    // The pool's data path has no per-line heap state: a persist copies straight into
+    // the media and a crash walks the dirty-line bitset in place.
+    const POOL: usize = 4 << 20;
+    let pool = PmemPool::new(POOL).unwrap();
+    let data = vec![0x5Au8; 1 << 20];
+    let mut rng = StdRng::seed_from_u64(9);
+    // Warm-up: create the pool's stats counters.
+    pool.persist(0, &data[..1]).unwrap();
+    pool.crash(&mut rng, CrashMode::ArbitraryEviction);
+
+    let before = thread_allocs();
+    pool.persist(1 << 20, &data).unwrap();
+    let allocs = thread_allocs() - before;
+    assert_eq!(allocs, 0, "a 1 MiB persist must not touch the heap");
+
+    for i in 0..300 {
+        pool.write(i * 7919 * CACHE_LINE % (POOL - 3), &[i as u8; 3])
+            .unwrap();
+    }
+    let before = thread_allocs();
+    pool.crash(&mut rng, CrashMode::ArbitraryEviction);
+    let allocs = thread_allocs() - before;
+    assert_eq!(allocs, 0, "a crash must not touch the heap");
+    assert_eq!(pool.dirty_lines(), 0);
 }
 
 #[test]

@@ -12,17 +12,31 @@
 //! either lost or (because a CPU cache may evict lines at any time) prematurely persisted.
 //! This is exactly the failure model a persistent transactional memory such as Romulus
 //! must tolerate, and it is what the crash-injection property tests exercise.
+//!
+//! # Data path
+//!
+//! Both views are byte arrays the size of the pool, and a bitset with one bit per cache
+//! line marks the lines whose newest contents sit in the cache view. Only a bare
+//! [`PmemPool::write`] dirties lines. [`PmemPool::persist`] — the fused store +
+//! write-back through which Romulus, and so every PM store of Plinius, writes — first
+//! writes back the dirty lines in its range and then copies the data straight into the
+//! media, like PMDK's `pmem_memcpy_persist`. Reads copy from the media and overlay the
+//! dirty lines. The cache view is allocated zeroed and written only by bare writes, so
+//! a pool that is only ever persisted to never makes its pages resident.
 
 use crate::{PmemError, PwbKind};
 use parking_lot::Mutex;
 use rand::Rng;
 use sim_clock::{ClockHandle, CostModel, StatsHandle};
-use std::collections::HashMap;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Cache-line size in bytes, the granularity of persistence on PM hardware.
 pub const CACHE_LINE: usize = 64;
+
+/// Lines per word of the dirty-line bitset.
+const WORD_LINES: usize = u64::BITS as usize;
 
 /// How a simulated crash treats dirty (not yet flushed) cache lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +52,7 @@ pub enum CrashMode {
 /// Statistics snapshot of a pool's activity since creation (or the last reset).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Bytes passed to [`PmemPool::write`].
+    /// Bytes passed to [`PmemPool::write`] and [`PmemPool::persist`].
     pub bytes_written: u64,
     /// Bytes returned by [`PmemPool::read`]/[`PmemPool::read_vec`].
     pub bytes_read: u64,
@@ -51,15 +65,128 @@ pub struct PoolStats {
 }
 
 struct Inner {
+    /// Durable contents, indexed by pool offset.
     media: Vec<u8>,
-    /// Dirty cache lines: line index -> pending contents. A `HashMap` rather than an
-    /// ordered map: `remove` keeps the allocated capacity, so the steady-state
-    /// write→flush cycle of the mirror path performs no heap allocation once the map
-    /// has grown to the largest transaction's working set. Everything that iterates
-    /// the map sorts the keys first, so behaviour stays deterministic.
-    cache: HashMap<usize, [u8; CACHE_LINE]>,
+    /// Newest contents of the dirty lines, at their pool offsets. The bytes of clean
+    /// lines are stale and never read.
+    cache: Vec<u8>,
+    /// The lines whose newest contents are in `cache` rather than `media`.
+    dirty: DirtyLines,
     stats: PoolStats,
     backing: Option<PathBuf>,
+}
+
+impl Inner {
+    /// The one write-back path, shared by flush, persist, crash and `flush_all`: visits
+    /// the dirty lines among `lines` in ascending order, copies each to the media when
+    /// `reaches_media()` says so, and leaves every one of them clean. Returns how many
+    /// lines were dirty. The ascending order fixes the order in which a crash consumes
+    /// its RNG.
+    fn write_back(&mut self, lines: Range<usize>, mut reaches_media: impl FnMut() -> bool) -> u64 {
+        let mut visited = 0;
+        for line in self.dirty.drain(lines) {
+            if reaches_media() {
+                let span = line_span(line, self.media.len());
+                self.media[span.clone()].copy_from_slice(&self.cache[span]);
+            }
+            visited += 1;
+        }
+        visited
+    }
+}
+
+/// A set of line indices: one bit per cache line of the pool.
+struct DirtyLines {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl DirtyLines {
+    fn new(lines: usize) -> Self {
+        DirtyLines {
+            words: vec![0; lines.div_ceil(WORD_LINES)],
+            len: 0,
+        }
+    }
+
+    fn contains(&self, line: usize) -> bool {
+        self.words[line / WORD_LINES] >> (line % WORD_LINES) & 1 == 1
+    }
+
+    fn insert(&mut self, lines: Range<usize>) {
+        for (w, mask) in word_masks(lines) {
+            self.len += (mask & !self.words[w]).count_ones() as usize;
+            self.words[w] |= mask;
+        }
+    }
+
+    /// The members among `lines`, ascending.
+    fn iter(&self, lines: Range<usize>) -> impl Iterator<Item = usize> + '_ {
+        let words = &self.words;
+        word_masks(self.unless_empty(lines)).flat_map(move |(w, mask)| set_bits(w, words[w] & mask))
+    }
+
+    /// Removes the members among `lines` and yields them, ascending.
+    fn drain(&mut self, lines: Range<usize>) -> impl Iterator<Item = usize> + '_ {
+        let lines = self.unless_empty(lines);
+        let DirtyLines { words, len } = self;
+        word_masks(lines).flat_map(move |(w, mask)| {
+            let bits = words[w] & mask;
+            words[w] &= !bits;
+            *len -= bits.count_ones() as usize;
+            set_bits(w, bits)
+        })
+    }
+
+    /// `lines`, or none while the set is empty. Every store of the program is a
+    /// `persist`, so this is the common case, and it spares a crash the walk over all
+    /// of a large pool's words.
+    fn unless_empty(&self, lines: Range<usize>) -> Range<usize> {
+        if self.len == 0 {
+            0..0
+        } else {
+            lines
+        }
+    }
+}
+
+/// The bitset words that `lines` covers, each with the mask of its bits inside `lines`
+/// (an empty range yields at most one word, with an empty mask).
+fn word_masks(lines: Range<usize>) -> impl Iterator<Item = (usize, u64)> {
+    (lines.start / WORD_LINES..lines.end.div_ceil(WORD_LINES)).map(move |w| {
+        // Every word yielded starts below `lines.end`, so `hi >= 1` and `lo < 64`.
+        let base = w * WORD_LINES;
+        let lo = lines.start.max(base) - base;
+        let hi = lines.end.min(base + WORD_LINES) - base;
+        (w, (u64::MAX >> (WORD_LINES - hi)) & (u64::MAX << lo))
+    })
+}
+
+/// The line indices of the set bits of bitset word `w`, ascending.
+fn set_bits(w: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let bit = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            w * WORD_LINES + bit
+        })
+    })
+}
+
+/// The lines that the bytes `[offset, offset + len)` overlap; empty when `len` is 0.
+fn line_range(offset: usize, len: usize) -> Range<usize> {
+    let first = offset / CACHE_LINE;
+    if len == 0 {
+        first..first
+    } else {
+        first..(offset + len - 1) / CACHE_LINE + 1
+    }
+}
+
+/// The bytes of line `line` in a pool of `pool_len` bytes (the last line may be short).
+fn line_span(line: usize, pool_len: usize) -> Range<usize> {
+    let start = line * CACHE_LINE;
+    start..(start + CACHE_LINE).min(pool_len)
 }
 
 /// A simulated byte-addressable persistent-memory region.
@@ -81,7 +208,7 @@ impl std::fmt::Debug for PmemPool {
         let inner = self.inner.lock();
         f.debug_struct("PmemPool")
             .field("len", &inner.media.len())
-            .field("dirty_lines", &inner.cache.len())
+            .field("dirty_lines", &inner.dirty.len)
             .field("pwb", &self.pwb)
             .finish()
     }
@@ -163,7 +290,8 @@ impl PmemPoolBuilder {
         Ok(PmemPool {
             inner: Arc::new(Mutex::new(Inner {
                 media,
-                cache: HashMap::new(),
+                cache: vec![0u8; self.len],
+                dirty: DirtyLines::new(self.len.div_ceil(CACHE_LINE)),
                 stats: PoolStats::default(),
                 backing: self.backing,
             })),
@@ -227,36 +355,24 @@ impl PmemPool {
     ///
     /// Returns [`PmemError::OutOfBounds`] if the range does not fit in the pool.
     pub fn write(&self, offset: usize, data: &[u8]) -> Result<(), PmemError> {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         check_range(inner.media.len(), offset, data.len())?;
-        inner.stats.bytes_written += data.len() as u64;
-        // One cache lookup and one bulk copy per overlapped line (the mirror path
-        // pushes megabytes through here every iteration; a per-byte map lookup would
-        // dominate the simulated write).
-        let inner = &mut *inner;
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let addr = offset + pos;
-            let line = addr / CACHE_LINE;
-            let line_start = line * CACHE_LINE;
-            let in_line = addr - line_start;
-            let take = (CACHE_LINE - in_line).min(data.len() - pos);
-            // Load the line from media on first touch so untouched bytes stay intact.
-            let media = &inner.media;
-            let entry = inner.cache.entry(line).or_insert_with(|| {
-                let mut buf = [0u8; CACHE_LINE];
-                let end = (line_start + CACHE_LINE).min(media.len());
-                buf[..end - line_start].copy_from_slice(&media[line_start..end]);
-                buf
-            });
-            entry[in_line..in_line + take].copy_from_slice(&data[pos..pos + take]);
-            pos += take;
+        let lines = line_range(offset, data.len());
+        if !lines.is_empty() {
+            // Only the end lines can be covered in part; a clean one is loaded from the
+            // media first so that its other bytes stay intact.
+            for line in [lines.start, lines.end - 1] {
+                if !inner.dirty.contains(line) {
+                    let span = line_span(line, inner.media.len());
+                    inner.cache[span.clone()].copy_from_slice(&inner.media[span]);
+                }
+            }
+            inner.dirty.insert(lines);
+            inner.cache[offset..offset + data.len()].copy_from_slice(data);
         }
-        self.clock
-            .advance_ns(self.cost.pm_write_ns(data.len() as u64));
-        self.stats
-            .counter("pm.bytes_written")
-            .add(data.len() as u64);
+        inner.stats.bytes_written += data.len() as u64;
+        self.charge_write(data.len());
         Ok(())
     }
 
@@ -267,22 +383,15 @@ impl PmemPool {
     ///
     /// Returns [`PmemError::OutOfBounds`] if the range does not fit in the pool.
     pub fn read(&self, offset: usize, buf: &mut [u8]) -> Result<(), PmemError> {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         check_range(inner.media.len(), offset, buf.len())?;
-        // Line-granular: one cache lookup and one bulk copy per overlapped line.
-        let mut pos = 0usize;
-        while pos < buf.len() {
-            let addr = offset + pos;
-            let line = addr / CACHE_LINE;
-            let in_line = addr % CACHE_LINE;
-            let take = (CACHE_LINE - in_line).min(buf.len() - pos);
-            match inner.cache.get(&line) {
-                Some(cached) => {
-                    buf[pos..pos + take].copy_from_slice(&cached[in_line..in_line + take])
-                }
-                None => buf[pos..pos + take].copy_from_slice(&inner.media[addr..addr + take]),
-            }
-            pos += take;
+        let end = offset + buf.len();
+        buf.copy_from_slice(&inner.media[offset..end]);
+        for line in inner.dirty.iter(line_range(offset, buf.len())) {
+            let span = line_span(line, inner.media.len());
+            let (from, to) = (span.start.max(offset), span.end.min(end));
+            buf[from - offset..to - offset].copy_from_slice(&inner.cache[from..to]);
         }
         inner.stats.bytes_read += buf.len() as u64;
         self.stats.counter("pm.bytes_read").add(buf.len() as u64);
@@ -312,33 +421,40 @@ impl PmemPool {
         }
         let mut inner = self.inner.lock();
         check_range(inner.media.len(), offset, len)?;
-        let first = offset / CACHE_LINE;
-        let last = (offset + len - 1) / CACHE_LINE;
-        let mut flushed_lines = 0u64;
-        for line in first..=last {
-            if let Some(contents) = inner.cache.remove(&line) {
-                let start = line * CACHE_LINE;
-                let end = (start + CACHE_LINE).min(inner.media.len());
-                inner.media[start..end].copy_from_slice(&contents[..end - start]);
-                flushed_lines += 1;
-            }
-        }
-        inner.stats.flushes += flushed_lines;
-        self.stats.counter("pm.flushes").add(flushed_lines);
-        self.clock
-            .advance_ns(flushed_lines * self.effective_flush_ns());
+        let flushed = inner.write_back(line_range(offset, len), || true);
+        inner.stats.flushes += flushed;
+        self.charge_flushes(flushed);
         Ok(())
     }
 
     /// Store + flush in one call: the persistent write-back (`PWB`) pattern the
     /// `persist<>` annotation of Romulus generates for every store.
     ///
+    /// Leaves the media, the cache view, [`PoolStats`], the `pm.*` counters and the clock
+    /// exactly as [`PmemPool::write`] followed by [`PmemPool::flush`] of the same range
+    /// would, but in one locked pass that copies `data` straight into the media.
+    ///
     /// # Errors
     ///
     /// Returns [`PmemError::OutOfBounds`] if the range does not fit in the pool.
     pub fn persist(&self, offset: usize, data: &[u8]) -> Result<(), PmemError> {
-        self.write(offset, data)?;
-        self.flush(offset, data.len())
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        check_range(inner.media.len(), offset, data.len())?;
+        let lines = line_range(offset, data.len());
+        // A dirty line the range covers only in part takes its other bytes along.
+        inner.write_back(lines.clone(), || true);
+        inner.media[offset..offset + data.len()].copy_from_slice(data);
+        inner.stats.bytes_written += data.len() as u64;
+        self.charge_write(data.len());
+        // `write` leaves every line of the range dirty and `flush` writes each one
+        // back; for empty data, `flush` returns before charging anything.
+        if !lines.is_empty() {
+            let flushed = lines.len() as u64;
+            inner.stats.flushes += flushed;
+            self.charge_flushes(flushed);
+        }
+        Ok(())
     }
 
     /// Issues a persistence fence (SFENCE), ordering previously issued write-backs.
@@ -351,22 +467,9 @@ impl PmemPool {
 
     /// Flushes every dirty line in the pool and fences — used on clean shutdown.
     pub fn flush_all(&self) {
-        let mut inner = self.inner.lock();
-        // Sorted like every other cache iteration: the lines are disjoint so order is
-        // currently unobservable, but keeping the documented determinism invariant
-        // protects anyone adding per-line effects later.
-        let mut lines: Vec<usize> = inner.cache.keys().copied().collect();
-        lines.sort_unstable();
-        let media_len = inner.media.len();
-        for line in lines {
-            if let Some(contents) = inner.cache.remove(&line) {
-                let start = line * CACHE_LINE;
-                let end = (start + CACHE_LINE).min(media_len);
-                inner.media[start..end].copy_from_slice(&contents[..end - start]);
-                inner.stats.flushes += 1;
-            }
-        }
-        inner.stats.fences += 1;
+        self.flush(0, self.len())
+            .expect("the whole pool is a valid range");
+        self.fence();
     }
 
     /// Simulates a power failure / process kill.
@@ -375,23 +478,11 @@ impl PmemPool {
     /// afterwards, so the next reads observe exactly what survived on the media.
     pub fn crash<R: Rng>(&self, rng: &mut R, mode: CrashMode) {
         let mut inner = self.inner.lock();
-        // Sorted so that the per-line eviction coin flips consume the RNG in a
-        // deterministic order regardless of the hash map's internal layout.
-        let mut lines: Vec<usize> = inner.cache.keys().copied().collect();
-        lines.sort_unstable();
-        let media_len = inner.media.len();
-        for line in lines {
-            let persist_anyway = match mode {
-                CrashMode::DropUnflushed => false,
-                CrashMode::ArbitraryEviction => rng.gen_bool(0.5),
-            };
-            let contents = inner.cache.remove(&line).expect("line listed above");
-            if persist_anyway {
-                let start = line * CACHE_LINE;
-                let end = (start + CACHE_LINE).min(media_len);
-                inner.media[start..end].copy_from_slice(&contents[..end - start]);
-            }
-        }
+        let all = line_range(0, inner.media.len());
+        inner.write_back(all, || match mode {
+            CrashMode::DropUnflushed => false,
+            CrashMode::ArbitraryEviction => rng.gen_bool(0.5),
+        });
         inner.stats.crashes += 1;
         self.stats.counter("pm.crashes").incr();
     }
@@ -404,7 +495,7 @@ impl PmemPool {
 
     /// Number of dirty (not yet flushed) cache lines.
     pub fn dirty_lines(&self) -> usize {
-        self.inner.lock().cache.len()
+        self.inner.lock().dirty.len
     }
 
     /// Activity statistics since creation.
@@ -426,6 +517,19 @@ impl PmemPool {
             }
             None => Err(PmemError::NoBackingFile),
         }
+    }
+
+    /// Charges a store of `len` bytes: its media write time and the `pm.bytes_written`
+    /// counter.
+    fn charge_write(&self, len: usize) {
+        self.clock.advance_ns(self.cost.pm_write_ns(len as u64));
+        self.stats.counter("pm.bytes_written").add(len as u64);
+    }
+
+    /// Charges `lines` cache-line write-backs: one per line, as the hardware issues them.
+    fn charge_flushes(&self, lines: u64) {
+        self.stats.counter("pm.flushes").add(lines);
+        self.clock.advance_ns(lines * self.effective_flush_ns());
     }
 
     fn effective_flush_ns(&self) -> u64 {
@@ -495,6 +599,7 @@ mod tests {
         assert!(matches!(err, PmemError::OutOfBounds { capacity: 128, .. }));
         assert!(pool.read_vec(129, 1).is_err());
         assert!(pool.flush(120, 64).is_err());
+        assert!(pool.persist(100, &[0u8; 64]).is_err());
     }
 
     #[test]
@@ -623,14 +728,56 @@ mod tests {
 
     #[test]
     fn flush_all_persists_everything() {
-        let pool = PmemPool::new(8192).unwrap();
+        let clock = SimClock::new();
+        let pool = PmemPool::builder(8192)
+            .clock(Arc::clone(&clock))
+            .cost_model(CostModel::eml_sgx_pm())
+            .build()
+            .unwrap();
         pool.write(0, &[7u8; 300]).unwrap();
         pool.write(4000, &[8u8; 300]).unwrap();
+        let before = clock.now_ns();
         pool.flush_all();
         assert_eq!(pool.dirty_lines(), 0);
         let media = pool.media_snapshot();
         assert_eq!(&media[..300], &[7u8; 300]);
         assert_eq!(&media[4000..4300], &[8u8; 300]);
+        // The write-backs and the fence are charged like any others: both counter views
+        // agree and the clock moves.
+        let stats = pool.pool_stats();
+        assert_eq!(stats.flushes, pool.stats_registry().value("pm.flushes"));
+        assert_eq!(stats.fences, pool.stats_registry().value("pm.fences"));
+        assert!(clock.now_ns() > before);
+    }
+
+    #[test]
+    fn crash_draws_its_rng_over_dirty_lines_in_ascending_order() {
+        // 200 lines span four 64-line bitset words; storing them in a scrambled order
+        // with gaps must not change which coin flip decides which line.
+        const LINES: usize = 200;
+        let tag = |line: usize| line as u8 + 1;
+        let dirty: Vec<usize> = (0..LINES)
+            .map(|i| i * 37 % LINES)
+            .filter(|line| line % 5 != 2)
+            .collect();
+        let pool = PmemPool::new(LINES * CACHE_LINE).unwrap();
+        for &line in &dirty {
+            pool.write(line * CACHE_LINE, &[tag(line); CACHE_LINE])
+                .unwrap();
+        }
+        pool.crash(&mut StdRng::seed_from_u64(7), CrashMode::ArbitraryEviction);
+
+        let mut reference = StdRng::seed_from_u64(7);
+        let mut sorted = dirty.clone();
+        sorted.sort_unstable();
+        let mut expected = vec![0u8; LINES * CACHE_LINE];
+        for line in sorted {
+            if reference.gen_bool(0.5) {
+                expected[line * CACHE_LINE..(line + 1) * CACHE_LINE].fill(tag(line));
+            }
+        }
+        assert_eq!(pool.media_snapshot(), expected);
+        assert_eq!(pool.dirty_lines(), 0);
     }
 
     #[test]

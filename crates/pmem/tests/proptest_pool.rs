@@ -6,14 +6,26 @@ use plinius_pmem::{CrashMode, PmemPool, CACHE_LINE};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sim_clock::CostModel;
 
 const POOL_SIZE: usize = 64 * 1024;
+/// The persist-equivalence twins' size: not a multiple of the line size.
+const TWIN_POOL: usize = 8 * 1024 + 40;
 
 #[derive(Debug, Clone)]
 struct WriteOp {
     offset: usize,
     data: Vec<u8>,
     flushed: bool,
+}
+
+/// A pool with its own clock and counters, charging the emlSGX-PM costs (every store,
+/// write-back and fence takes simulated time).
+fn twin() -> PmemPool {
+    PmemPool::builder(TWIN_POOL)
+        .cost_model(CostModel::eml_sgx_pm())
+        .build()
+        .unwrap()
 }
 
 fn write_ops() -> impl Strategy<Value = Vec<WriteOp>> {
@@ -97,15 +109,69 @@ proptest! {
         }
     }
 
-    /// persist() (write + flush) is equivalent to write() followed by flush().
+    /// persist() (write + flush) is equivalent to write() followed by flush(): from the
+    /// same unflushed stores, the twins end with the same media, reads, dirty lines,
+    /// statistics, `pm.*` counters, clock and crash outcome. The stores may dirty the
+    /// persisted range's end lines, whose bytes outside the range must reach the media
+    /// too, and the pool's last line is short.
     #[test]
-    fn persist_equals_write_plus_flush(offset in 0usize..POOL_SIZE - 512, data in proptest::collection::vec(any::<u8>(), 1..512)) {
-        let a = PmemPool::new(POOL_SIZE).unwrap();
-        let b = PmemPool::new(POOL_SIZE).unwrap();
-        a.persist(offset, &data).unwrap();
-        b.write(offset, &data).unwrap();
-        b.flush(offset, data.len()).unwrap();
-        prop_assert_eq!(a.media_snapshot(), b.media_snapshot());
-        prop_assert_eq!(a.dirty_lines(), 0);
+    fn persist_equals_write_plus_flush(
+        stores in proptest::collection::vec(
+            (0usize..TWIN_POOL, proptest::collection::vec(any::<u8>(), 0..200)),
+            0..8,
+        ),
+        offset in 0usize..=TWIN_POOL,
+        mut data in proptest::collection::vec(any::<u8>(), 0..512),
+        empty in 0u8..4,
+        dirty_first in 0usize..=CACHE_LINE,
+        dirty_last in 0usize..=CACHE_LINE,
+        seed in any::<u64>(),
+    ) {
+        // A quarter of the cases persist nothing.
+        data.truncate(if empty == 0 { 0 } else { TWIN_POOL - offset });
+        let first_line_start = offset / CACHE_LINE * CACHE_LINE;
+        let last_line_end = ((offset + data.len()).div_ceil(CACHE_LINE) * CACHE_LINE)
+            .min(TWIN_POOL);
+        let mut prior: Vec<(usize, Vec<u8>)> = stores
+            .into_iter()
+            .map(|(at, mut bytes)| {
+                bytes.truncate(TWIN_POOL - at);
+                (at, bytes)
+            })
+            .collect();
+        // Dirty the head of the range's first line and the tail of its last line (a
+        // store of zero bytes dirties nothing).
+        let head = dirty_first.min(TWIN_POOL - first_line_start);
+        let tail = dirty_last.min(last_line_end);
+        prior.push((first_line_start, vec![0xF1; head]));
+        prior.push((last_line_end - tail, vec![0xF2; tail]));
+
+        let twins = [twin(), twin()];
+        for pool in &twins {
+            for (at, bytes) in &prior {
+                pool.write(*at, bytes).unwrap();
+            }
+        }
+        let [fused, split] = twins;
+        fused.persist(offset, &data).unwrap();
+        split.write(offset, &data).unwrap();
+        split.flush(offset, data.len()).unwrap();
+
+        prop_assert_eq!(fused.media_snapshot(), split.media_snapshot());
+        prop_assert_eq!(
+            fused.read_vec(0, TWIN_POOL).unwrap(),
+            split.read_vec(0, TWIN_POOL).unwrap()
+        );
+        prop_assert_eq!(fused.dirty_lines(), split.dirty_lines());
+        prop_assert_eq!(fused.pool_stats(), split.pool_stats());
+        prop_assert_eq!(
+            fused.stats_registry().snapshot(),
+            split.stats_registry().snapshot()
+        );
+        prop_assert_eq!(fused.clock().now_ns(), split.clock().now_ns());
+        // Same dirty lines with the same contents: the same crash leaves the same media.
+        fused.crash(&mut StdRng::seed_from_u64(seed), CrashMode::ArbitraryEviction);
+        split.crash(&mut StdRng::seed_from_u64(seed), CrashMode::ArbitraryEviction);
+        prop_assert_eq!(fused.media_snapshot(), split.media_snapshot());
     }
 }
