@@ -2,10 +2,10 @@
 //! (loss curve + instance state curve), with and without crash resilience.
 
 use plinius::{
-    spot_crash_schedule, train_with_crash_schedule, PersistenceBackend, PipelineMode,
-    TrainerConfig, TrainingSetup,
+    spot_crash_schedule, train_with_crash_schedule, PersistenceBackend, TrainerConfig,
+    TrainingSetup,
 };
-use plinius_bench::{cli, RunMode};
+use plinius_bench::{cli, BenchArgs, RunMode};
 use plinius_darknet::{mnist_cnn_config, synthetic_mnist};
 use plinius_spot::{SpotSimulator, SpotTrace};
 use rand::rngs::StdRng;
@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use sim_clock::CostModel;
 
 fn main() {
-    let (mode, trace_path) = cli::parse_args_single_input();
+    let BenchArgs { mode, inputs, .. } = cli::init(1);
     let (iters, conv_layers, batch, samples) = match mode {
         RunMode::Smoke => (12, 1, 8, 64),
         RunMode::Full => (500, 12, 128, 4096),
@@ -22,7 +22,8 @@ fn main() {
     let max_bid = 0.0955;
     let mut rng = StdRng::seed_from_u64(38);
     // Spot trace: use a real CSV passed as the argument, otherwise synthesize one.
-    let trace = trace_path
+    let trace = inputs
+        .first()
         .and_then(|path| std::fs::read_to_string(path).ok())
         .and_then(|text| SpotTrace::parse_csv(&text).ok())
         .unwrap_or_else(|| SpotTrace::synthetic(160, 0.0912, &mut rng));
@@ -48,13 +49,8 @@ fn main() {
         trainer: TrainerConfig {
             batch,
             max_iterations: iters,
-            mirror_frequency: 1,
-            encrypted_data: true,
             seed: 4,
-            pipeline: PipelineMode::from_env(),
-            ring_depth: plinius::ring_depth_from_env(),
-            crypto: plinius::EnginePolicy::from_env(),
-            gemm: plinius::GemmPolicy::from_env(),
+            ..TrainerConfig::default()
         },
         backend: PersistenceBackend::PmMirror,
         model_seed: 6,

@@ -6,7 +6,7 @@ use plinius_pmem::figure2_sweep;
 fn main() {
     // The sweep is fixed-size; parsing still validates the command line (`--smoke` is
     // accepted for the smoke-test harness, unknown flags are an error).
-    plinius_bench::cli::parse_args_mode_only();
+    plinius_bench::cli::init(0);
     println!("Figure 2 — storage characterization (throughput in GB/s)");
     println!(
         "{:<10} {:<12} {:<7} {:>8} {:>12}",

@@ -15,7 +15,7 @@ use sim_clock::CostModel;
 use std::time::Instant;
 
 fn main() {
-    let mode = cli::parse_args_mode_only();
+    let mode = cli::init(0).mode;
     let transactions = match mode {
         RunMode::Smoke => 2,
         RunMode::Quick => 8,

@@ -5,7 +5,7 @@ use plinius_bench::{cli, iteration_sweep, RunMode};
 use sim_clock::CostModel;
 
 fn main() {
-    let mode = cli::parse_args_mode_only();
+    let mode = cli::init(0).mode;
     let batches: Vec<usize> = match mode {
         RunMode::Smoke => vec![8],
         RunMode::Quick => vec![16, 128, 512],

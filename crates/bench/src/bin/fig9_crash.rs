@@ -5,9 +5,7 @@
 //! 500 iterations) so the run completes quickly on a laptop; pass --full for the
 //! paper-scale run.
 
-use plinius::{
-    train_with_crash_schedule, PersistenceBackend, PipelineMode, TrainerConfig, TrainingSetup,
-};
+use plinius::{train_with_crash_schedule, PersistenceBackend, TrainerConfig, TrainingSetup};
 use plinius_bench::{cli, RunMode};
 use plinius_darknet::{mnist_cnn_config, synthetic_mnist};
 use rand::rngs::StdRng;
@@ -15,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use sim_clock::CostModel;
 
 fn main() {
-    let (iters, conv_layers, batch, samples, crashes) = match cli::parse_args_mode_only() {
+    let (iters, conv_layers, batch, samples, crashes) = match cli::init(0).mode {
         RunMode::Smoke => (12, 1, 8, 64, 1),
         RunMode::Full => (500, 5, 128, 4096, 9),
         _ => (100, 3, 16, 512, 4),
@@ -29,13 +27,8 @@ fn main() {
         trainer: TrainerConfig {
             batch,
             max_iterations: iters,
-            mirror_frequency: 1,
-            encrypted_data: true,
             seed: 9,
-            pipeline: PipelineMode::from_env(),
-            ring_depth: plinius::ring_depth_from_env(),
-            crypto: plinius::EnginePolicy::from_env(),
-            gemm: plinius::GemmPolicy::from_env(),
+            ..TrainerConfig::default()
         },
         backend: PersistenceBackend::PmMirror,
         model_seed: 5,

@@ -15,7 +15,7 @@
 //! every `PLINIUS_THREADS` value. `--tenants N` (or `PLINIUS_TENANTS`) replaces
 //! the sweep with the single given tenant count.
 
-use plinius::{tenants_from_env, Fleet, FleetConfig, PliniusError, TrainingSetup};
+use plinius::{Fleet, FleetConfig, Knobs, PliniusError, TrainingSetup};
 use plinius_bench::{cli, RunMode};
 use plinius_darknet::{mnist_cnn_config, synthetic_mnist};
 use rand::rngs::StdRng;
@@ -112,12 +112,12 @@ fn sweep_point(scale: &Scale, cost: &CostModel, tenants: usize) -> Result<(), Pl
 }
 
 fn main() {
-    let mode = cli::parse_args_mode_only();
+    let mode = cli::init(0).mode;
     let scale = scale(mode);
     // A --tenants/PLINIUS_TENANTS override pins the sweep to that single count.
-    let tenant_counts = match std::env::var(plinius::TENANTS_ENV) {
-        Ok(_) => vec![tenants_from_env(1)],
-        Err(_) => scale.tenant_counts.clone(),
+    let tenant_counts = match Knobs::from_env().tenants {
+        Some(tenants) => vec![tenants],
+        None => scale.tenant_counts.clone(),
     };
     println!(
         "Fleet benchmark ({mode} scale): {} iterations/job, mirror every {}, batch {}",

@@ -3,7 +3,7 @@
 //! The paper reports 98.52% on real MNIST with a 12-layer model; the synthetic dataset
 //! and the scaled-down default model reach a comparable high accuracy.
 
-use plinius::{run_full_workflow, PersistenceBackend, PipelineMode, TrainerConfig, TrainingSetup};
+use plinius::{run_full_workflow, PersistenceBackend, TrainerConfig, TrainingSetup};
 use plinius_bench::{cli, RunMode};
 use plinius_darknet::{mnist_cnn_config, synthetic_mnist};
 use rand::rngs::StdRng;
@@ -11,7 +11,7 @@ use rand::SeedableRng;
 use sim_clock::CostModel;
 
 fn main() {
-    let (iters, conv_layers, batch, samples) = match cli::parse_args_mode_only() {
+    let (iters, conv_layers, batch, samples) = match cli::init(0).mode {
         RunMode::Smoke => (10, 1, 8, 120),
         RunMode::Full => (500, 12, 128, 12_000),
         _ => (200, 2, 32, 2400),
@@ -26,12 +26,8 @@ fn main() {
             batch,
             max_iterations: iters,
             mirror_frequency: 10,
-            encrypted_data: true,
             seed: 77,
-            pipeline: PipelineMode::from_env(),
-            ring_depth: plinius::ring_depth_from_env(),
-            crypto: plinius::EnginePolicy::from_env(),
-            gemm: plinius::GemmPolicy::from_env(),
+            ..TrainerConfig::default()
         },
         backend: PersistenceBackend::PmMirror,
         model_seed: 11,

@@ -75,12 +75,9 @@ fn setup_for(scale: &Scale, pipeline: PipelineMode) -> TrainingSetup {
             batch: scale.batch,
             max_iterations: scale.train_iterations,
             mirror_frequency: scale.train_iterations.min(5),
-            encrypted_data: true,
             seed: 33,
             pipeline,
-            ring_depth: plinius::ring_depth_from_env(),
-            crypto: plinius::EnginePolicy::from_env(),
-            gemm: plinius::GemmPolicy::from_env(),
+            ..TrainerConfig::default()
         },
         backend: PersistenceBackend::PmMirror,
         model_seed: 8,
@@ -181,7 +178,7 @@ fn serve_while_training(scale: &Scale, pipeline: PipelineMode) -> Result<(), Pli
 }
 
 fn main() {
-    let mode = cli::parse_args_mode_only();
+    let mode = cli::init(0).mode;
     let scale = scale(mode);
     println!(
         "Serving benchmark ({mode} scale): {} requests per rate, batch {}, profile {}",

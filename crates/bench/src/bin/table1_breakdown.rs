@@ -9,7 +9,7 @@ use plinius_bench::{
 use sim_clock::CostModel;
 
 fn main() {
-    let mode = cli::parse_args_mode_only();
+    let mode = cli::init(0).mode;
     let sizes: &[usize] = match mode {
         RunMode::Smoke => &FIG7_SIZES_SMOKE_MB,
         RunMode::Quick => &FIG7_SIZES_QUICK_MB,

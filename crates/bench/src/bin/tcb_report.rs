@@ -6,7 +6,7 @@ use std::path::PathBuf;
 
 fn main() {
     // The accounting has no scale knob; parsing still validates the command line.
-    plinius_bench::cli::parse_args_mode_only();
+    plinius_bench::cli::init(0);
     let crates_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..");
     let report = tcb_report(&crates_dir);
     println!("TCB accounting (non-empty lines of Rust)");

@@ -83,7 +83,7 @@ fn ring_point(cost: &CostModel, ring: usize, publishes: u64) -> Result<RingPoint
 }
 
 fn main() {
-    let mode = cli::parse_args_mode_only();
+    let mode = cli::init(0).mode;
     let rings: &[usize] = match mode {
         RunMode::Smoke => &[2, 4],
         RunMode::Quick => &[2, 4, 8],

@@ -1,17 +1,16 @@
 //! Shared command-line handling for the figure-reproduction binaries.
 //!
 //! Every `src/bin/*` binary accepts the same three scale flags (`--smoke`, `--quick`,
-//! `--full`), a worker-thread override (`--threads N`, the CLI face of the
-//! `PLINIUS_THREADS` environment variable), an epoch-ring-depth override (`--ring N`,
-//! the CLI face of `PLINIUS_RING`), a tenant-count override (`--tenants N`, the CLI
-//! face of `PLINIUS_TENANTS`), a crypto-engine override (`--crypto
-//! {auto|scalar|reference}`, the CLI face of `PLINIUS_CRYPTO`), a GEMM-engine
-//! override (`--gemm {auto|scalar|reference|fma}`, the CLI face of `PLINIUS_GEMM`)
-//! plus optional positional inputs (e.g. a spot-price CSV for `fig10_spot`).
+//! `--full`), one flag per runtime knob of [`plinius::KNOBS`] that has one
+//! (`--threads`, `--ring`, `--tenants`, `--crypto`, `--gemm`, each as `--flag VALUE`
+//! or `--flag=VALUE`), plus optional positional inputs (e.g. a spot-price CSV for
+//! `fig10_spot`). A knob flag accepts exactly what its `PLINIUS_*` variable accepts,
+//! checked by the same parser, and the binary's entry call ([`init`]) writes it
+//! to that variable, so a knob reaches the program the same way from either source.
 //! Unknown flags and malformed values are an error: a typo like `--smokee` aborts
 //! the run instead of being silently ignored and launching a paper-scale sweep.
 
-use plinius::{EnginePolicy, GemmPolicy};
+use plinius::{Knob, KNOBS};
 use std::fmt;
 
 /// Scale of a figure-reproduction run, shared by every `src/bin/*` binary.
@@ -44,22 +43,9 @@ impl fmt::Display for RunMode {
 pub struct BenchArgs {
     /// The selected run scale.
     pub mode: RunMode,
-    /// Worker-thread override from `--threads N` (applied to the parallel kernels
-    /// via the `PLINIUS_THREADS` mechanism), if given.
-    pub threads: Option<usize>,
-    /// Epoch-ring-depth override from `--ring N` (applied to freshly allocated PM
-    /// mirrors via the `PLINIUS_RING` mechanism), if given.
-    pub ring: Option<usize>,
-    /// Tenant-count override from `--tenants N` (applied to fleet deployments via
-    /// the `PLINIUS_TENANTS` mechanism), if given.
-    pub tenants: Option<usize>,
-    /// Crypto-engine override from `--crypto {auto|scalar|reference}` (applied to
-    /// every AES-GCM context via the `PLINIUS_CRYPTO` mechanism), if given.
-    pub crypto: Option<EnginePolicy>,
-    /// GEMM-engine override from `--gemm {auto|scalar|reference|fma}` (applied to
-    /// every network's training hot path via the `PLINIUS_GEMM` mechanism), if
-    /// given.
-    pub gemm: Option<GemmPolicy>,
+    /// Validated knob flags in command-line order, as `(environment variable,
+    /// trimmed value)`.
+    pub overrides: Vec<(&'static str, String)>,
     /// Positional (non-flag) arguments, in order.
     pub inputs: Vec<String>,
 }
@@ -69,11 +55,11 @@ pub struct BenchArgs {
 pub enum CliError {
     /// An argument starting with `-` that is not one of the known flags.
     UnknownFlag(String),
-    /// A positional argument given to a binary that does not take any.
+    /// A positional argument beyond what the binary takes.
     UnexpectedArgument(String),
-    /// A flag that requires a value was given none (e.g. a bare `--threads`).
+    /// A knob flag given no value (e.g. a bare `--threads`).
     MissingValue(String),
-    /// A flag value that does not parse (e.g. `--threads zero` or `--threads 0`).
+    /// A knob flag value its parser rejects (e.g. `--threads 0`).
     InvalidValue {
         /// The flag the value belongs to.
         flag: String,
@@ -89,17 +75,7 @@ impl fmt::Display for CliError {
             CliError::UnexpectedArgument(arg) => write!(f, "unexpected argument `{arg}`"),
             CliError::MissingValue(flag) => write!(f, "flag `{flag}` requires a value"),
             CliError::InvalidValue { flag, value } => {
-                let expected = if flag == "--ring" {
-                    "an integer >= 2"
-                } else if flag == "--tenants" {
-                    "an integer in 1..=MAX_TENANTS"
-                } else if flag == "--crypto" {
-                    "one of `auto`, `scalar`, `reference`"
-                } else if flag == "--gemm" {
-                    "one of `auto`, `scalar`, `reference`, `fma`"
-                } else {
-                    "a positive integer"
-                };
+                let expected = knob_of(flag).map_or("a valid value", |k| k.accepts);
                 write!(
                     f,
                     "invalid value `{value}` for `{flag}` (expected {expected})"
@@ -111,114 +87,54 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// The usage string printed on `--help` and after a [`CliError`]; `[FILE...]` is shown
-/// only for binaries that actually accept positional inputs.
+/// The knob whose bench flag is `flag`.
+fn knob_of(flag: &str) -> Option<&'static Knob> {
+    KNOBS.iter().find(|k| k.flag == Some(flag))
+}
+
+/// The usage string printed on `--help` and after a [`CliError`]; `[FILE]` is shown
+/// only for binaries that accept a positional input.
 fn usage(accepts_inputs: bool) -> String {
+    let (mut synopsis, mut options) = (String::new(), String::new());
+    for (knob, flag) in KNOBS.iter().filter_map(|k| k.flag.map(|f| (k, f))) {
+        let spec = format!("{flag} V");
+        synopsis.push_str(&format!(" [{spec}]"));
+        options.push_str(&format!("  {spec:<13}{} ({})\n", knob.about, knob.env));
+        let (accepts, default) = (knob.accepts, knob.default);
+        options.push_str(&format!("{:15}{accepts}; default {default}\n", ""));
+    }
     let files = if accepts_inputs { " [FILE]" } else { "" };
     format!(
-        "usage: <binary> [--smoke | --quick | --full] [--threads N] [--ring N] [--tenants N] \
-         [--crypto E] [--gemm E]{files}\n\
+        "usage: <binary> [--smoke | --quick | --full]{synopsis}{files}\n\
         \n\
-        --smoke      tiny bitrot-guard configuration (used by the smoke tests)\n\
-        --quick      reduced sweep for interactive runs\n\
-        --full       paper-scale run\n\
-        --threads N  worker-thread count for the parallel kernels (N >= 1; the\n\
-        \u{20}            same override as the PLINIUS_THREADS environment variable)\n\
-        --ring N     epoch-ring depth of freshly allocated PM mirrors (N >= 2; the\n\
-        \u{20}            same override as the PLINIUS_RING environment variable)\n\
-        --tenants N  tenant count for fleet deployments (1 <= N <= {max_tenants}; the\n\
-        \u{20}            same override as the PLINIUS_TENANTS environment variable)\n\
-        --crypto E   AES-GCM engine: auto (hardware when detected), scalar, or\n\
-        \u{20}            reference (the same override as the PLINIUS_CRYPTO variable)\n\
-        --gemm E     GEMM engine: auto (widest vector kernel detected), scalar,\n\
-        \u{20}            reference, or fma (the same override as the PLINIUS_GEMM\n\
-        \u{20}            variable)\n\
+        \x20 --smoke      tiny bitrot-guard configuration (used by the smoke tests)\n\
+        \x20 --quick      reduced sweep for interactive runs\n\
+        \x20 --full       paper-scale run\n\
+        {options}\
         \n\
-        With none of the flags the binary runs at its default scale. `--smoke` wins\n\
-        over `--quick`, which wins over `--full`.",
-        max_tenants = plinius::MAX_TENANTS
+        With none of the scale flags the binary runs at its default scale. `--smoke`\n\
+        wins over `--quick`, which wins over `--full`."
     )
 }
 
-/// Parses a `--threads` value: a positive integer.
-fn parse_threads(flag: &str, value: Option<String>) -> Result<usize, CliError> {
-    parse_at_least(flag, value, 1)
-}
-
-/// Parses a `--ring` value: an integer `>= 2` (a one-deep ring could not separate the
-/// committing epoch from the last complete one).
-fn parse_ring(flag: &str, value: Option<String>) -> Result<usize, CliError> {
-    parse_at_least(flag, value, 2)
-}
-
-/// Parses a `--tenants` value: an integer in `1..=MAX_TENANTS` (each tenant consumes
-/// one Romulus root pair, bounding the count per PM module).
-fn parse_tenants(flag: &str, value: Option<String>) -> Result<usize, CliError> {
-    let n = parse_at_least(flag, value.clone(), 1)?;
-    if n > plinius::MAX_TENANTS {
-        return Err(CliError::InvalidValue {
-            flag: flag.to_owned(),
-            value: value.unwrap_or_default(),
-        });
-    }
-    Ok(n)
-}
-
-/// Parses a `--crypto` value strictly: exactly one of `auto`, `scalar`, `reference`.
-/// (The `PLINIUS_CRYPTO` env knob itself is lenient; the CLI aborts on typos so a
-/// mistyped engine never silently benchmarks the wrong kernels.)
-fn parse_crypto(flag: &str, value: Option<String>) -> Result<EnginePolicy, CliError> {
-    let value = value.ok_or_else(|| CliError::MissingValue(flag.to_owned()))?;
-    EnginePolicy::parse(value.trim()).ok_or_else(|| CliError::InvalidValue {
-        flag: flag.to_owned(),
-        value,
-    })
-}
-
-/// Parses a `--gemm` value strictly: exactly one of `auto`, `scalar`, `reference`,
-/// `fma`. (The `PLINIUS_GEMM` env knob itself is lenient; the CLI aborts on typos so
-/// a mistyped engine never silently benchmarks the wrong kernels.)
-fn parse_gemm(flag: &str, value: Option<String>) -> Result<GemmPolicy, CliError> {
-    let value = value.ok_or_else(|| CliError::MissingValue(flag.to_owned()))?;
-    GemmPolicy::parse(value.trim()).ok_or_else(|| CliError::InvalidValue {
-        flag: flag.to_owned(),
-        value,
-    })
-}
-
-fn parse_at_least(flag: &str, value: Option<String>, min: usize) -> Result<usize, CliError> {
-    let value = value.ok_or_else(|| CliError::MissingValue(flag.to_owned()))?;
-    match value.trim().parse::<usize>() {
-        Ok(n) if n >= min => Ok(n),
-        _ => Err(CliError::InvalidValue {
-            flag: flag.to_owned(),
-            value,
-        }),
-    }
-}
-
-/// Parses the arguments of a bench binary (without the program name).
+/// Parses the arguments of a bench binary (without the program name) that takes at
+/// most `max_inputs` positional inputs.
 ///
-/// `--smoke` wins over `--quick`, which wins over `--full`; with none of the flags
-/// present the binary runs at its default scale. `--threads N` (or `--threads=N`)
-/// takes a positive integer. Anything else starting with `-` is an error; remaining
-/// arguments are collected as positional inputs.
+/// `--smoke` wins over `--quick`, which wins over `--full`; with none of them the
+/// binary runs at its default scale.
 ///
 /// # Errors
 ///
 /// Returns [`CliError::UnknownFlag`] for any unrecognised flag,
-/// [`CliError::MissingValue`]/[`CliError::InvalidValue`] for a malformed `--threads`.
-pub fn parse<I>(args: I) -> Result<BenchArgs, CliError>
+/// [`CliError::MissingValue`]/[`CliError::InvalidValue`] for a malformed knob flag
+/// and [`CliError::UnexpectedArgument`] for a positional beyond `max_inputs`.
+pub fn parse<I>(args: I, max_inputs: usize) -> Result<BenchArgs, CliError>
 where
     I: IntoIterator,
     I::Item: Into<String>,
 {
     let (mut smoke, mut quick, mut full) = (false, false, false);
-    let mut threads = None;
-    let mut ring = None;
-    let mut tenants = None;
-    let mut crypto = None;
-    let mut gemm = None;
+    let mut overrides = Vec::new();
     let mut inputs = Vec::new();
     let mut iter = args.into_iter().map(Into::into);
     while let Some(arg) = iter.next() {
@@ -226,205 +142,109 @@ where
             "--smoke" => smoke = true,
             "--quick" => quick = true,
             "--full" => full = true,
-            "--threads" => threads = Some(parse_threads("--threads", iter.next())?),
-            s if s.starts_with("--threads=") => {
-                let value = s["--threads=".len()..].to_owned();
-                threads = Some(parse_threads("--threads", Some(value))?);
+            s if s.starts_with('-') => {
+                let (name, inline) = match s.split_once('=') {
+                    Some((name, value)) => (name, Some(value.to_owned())),
+                    None => (s, None),
+                };
+                let knob = knob_of(name).ok_or_else(|| CliError::UnknownFlag(arg.clone()))?;
+                let flag = name.to_owned();
+                let Some(value) = inline.or_else(|| iter.next()) else {
+                    return Err(CliError::MissingValue(flag));
+                };
+                if !knob.is_valid(&value) {
+                    return Err(CliError::InvalidValue { flag, value });
+                }
+                overrides.push((knob.env, value.trim().to_owned()));
             }
-            "--ring" => ring = Some(parse_ring("--ring", iter.next())?),
-            s if s.starts_with("--ring=") => {
-                let value = s["--ring=".len()..].to_owned();
-                ring = Some(parse_ring("--ring", Some(value))?);
-            }
-            "--tenants" => tenants = Some(parse_tenants("--tenants", iter.next())?),
-            s if s.starts_with("--tenants=") => {
-                let value = s["--tenants=".len()..].to_owned();
-                tenants = Some(parse_tenants("--tenants", Some(value))?);
-            }
-            "--crypto" => crypto = Some(parse_crypto("--crypto", iter.next())?),
-            s if s.starts_with("--crypto=") => {
-                let value = s["--crypto=".len()..].to_owned();
-                crypto = Some(parse_crypto("--crypto", Some(value))?);
-            }
-            "--gemm" => gemm = Some(parse_gemm("--gemm", iter.next())?),
-            s if s.starts_with("--gemm=") => {
-                let value = s["--gemm=".len()..].to_owned();
-                gemm = Some(parse_gemm("--gemm", Some(value))?);
-            }
-            s if s.starts_with('-') => return Err(CliError::UnknownFlag(arg)),
             _ => inputs.push(arg),
         }
     }
-    let mode = if smoke {
-        RunMode::Smoke
-    } else if quick {
-        RunMode::Quick
-    } else if full {
-        RunMode::Full
-    } else {
-        RunMode::Default
+    if let Some(stray) = inputs.get(max_inputs) {
+        return Err(CliError::UnexpectedArgument(stray.clone()));
+    }
+    let mode = match (smoke, quick, full) {
+        (true, _, _) => RunMode::Smoke,
+        (_, true, _) => RunMode::Quick,
+        (_, _, true) => RunMode::Full,
+        _ => RunMode::Default,
     };
     Ok(BenchArgs {
         mode,
-        threads,
-        ring,
-        tenants,
-        crypto,
-        gemm,
+        overrides,
         inputs,
     })
 }
 
-/// Like [`parse`], for binaries that take no positional inputs: a stray argument (e.g.
-/// `smoke` with its dashes forgotten) is an error instead of being silently dropped.
-/// Returns the run scale and the `--threads` override, if any.
-///
-/// # Errors
-///
-/// Returns [`CliError::UnknownFlag`], [`CliError::UnexpectedArgument`], or a
-/// `--threads` value error.
-pub fn parse_mode<I>(args: I) -> Result<(RunMode, Option<usize>), CliError>
-where
-    I: IntoIterator,
-    I::Item: Into<String>,
-{
-    let parsed = reject_stray(parse(args)?, 0)?;
-    Ok((parsed.mode, parsed.threads))
-}
-
-/// Like [`parse`], for binaries with at most one positional input (`fig10_spot`'s CSV
-/// path): a second positional is an error instead of being silently dropped.
-///
-/// # Errors
-///
-/// Returns [`CliError::UnknownFlag`], [`CliError::UnexpectedArgument`], or a
-/// `--threads` value error.
-pub fn parse_single_input<I>(args: I) -> Result<(RunMode, Option<usize>, Option<String>), CliError>
-where
-    I: IntoIterator,
-    I::Item: Into<String>,
-{
-    let mut parsed = reject_stray(parse(args)?, 1)?;
-    let first = parsed.inputs.pop();
-    Ok((parsed.mode, parsed.threads, first))
-}
-
-/// Errors on the first positional argument beyond `max_inputs`.
-fn reject_stray(parsed: BenchArgs, max_inputs: usize) -> Result<BenchArgs, CliError> {
-    match parsed.inputs.get(max_inputs) {
-        Some(stray) => Err(CliError::UnexpectedArgument(stray.clone())),
-        None => Ok(parsed),
-    }
-}
-
-/// Applies a `--threads` override to this process: the parallel kernels read their
-/// worker budget from the `PLINIUS_THREADS` environment variable, so the flag simply
-/// sets it before any kernel runs (the binaries are single-threaded at startup).
-fn apply_thread_override(threads: Option<usize>) {
-    if let Some(n) = threads {
-        std::env::set_var(plinius_parallel::THREADS_ENV, n.to_string());
-    }
-}
-
-/// Applies a `--ring` override to this process: freshly allocated PM mirrors read
-/// their epoch-ring depth from the `PLINIUS_RING` environment variable, so the flag
-/// simply sets it before any mirror is constructed.
-fn apply_ring_override(ring: Option<usize>) {
-    if let Some(n) = ring {
-        std::env::set_var(plinius::RING_ENV, n.to_string());
-    }
-}
-
-/// Applies a `--tenants` override to this process: fleet deployments read their
-/// tenant count from the `PLINIUS_TENANTS` environment variable, so the flag simply
-/// sets it before any fleet is deployed.
-fn apply_tenants_override(tenants: Option<usize>) {
-    if let Some(n) = tenants {
-        std::env::set_var(plinius::TENANTS_ENV, n.to_string());
-    }
-}
-
-/// Applies a `--crypto` override to this process: every AES-GCM context reads its
-/// engine policy from the `PLINIUS_CRYPTO` environment variable at construction, so
-/// the flag simply sets it before any cipher context is built.
-fn apply_crypto_override(crypto: Option<EnginePolicy>) {
-    if let Some(policy) = crypto {
-        std::env::set_var(plinius::CRYPTO_ENV, policy.as_str());
-    }
-}
-
-/// Applies a `--gemm` override to this process: every network resolves its GEMM
-/// policy from the `PLINIUS_GEMM` environment variable at construction, so the flag
-/// simply sets it before any network is built.
-fn apply_gemm_override(gemm: Option<GemmPolicy>) {
-    if let Some(policy) = gemm {
-        std::env::set_var(plinius::GEMM_ENV, policy.as_str());
-    }
-}
-
-/// Parses `std::env::args()` for a binary taking one optional positional input,
-/// printing usage and exiting on `--help`/`-h` (status 0), an unknown flag, a bad
-/// `--threads`/`--ring` value or a second positional (status 2). The `--threads` and
-/// `--ring` overrides are applied to the process before returning.
-pub fn parse_args_single_input() -> (RunMode, Option<String>) {
-    let mut parsed = exit_on_error(
-        parse(help_checked_args(true)).and_then(|p| reject_stray(p, 1)),
-        true,
-    );
-    apply_thread_override(parsed.threads);
-    apply_ring_override(parsed.ring);
-    apply_tenants_override(parsed.tenants);
-    apply_crypto_override(parsed.crypto);
-    apply_gemm_override(parsed.gemm);
-    (parsed.mode, parsed.inputs.pop())
-}
-
-/// Parses `std::env::args()` for a binary that takes no positional inputs, rejecting
-/// stray arguments as well as unknown flags (status 2). The `--threads` and `--ring`
-/// overrides are applied to the process before returning.
-pub fn parse_args_mode_only() -> RunMode {
-    let parsed = exit_on_error(
-        parse(help_checked_args(false)).and_then(|p| reject_stray(p, 0)),
-        false,
-    );
-    apply_thread_override(parsed.threads);
-    apply_ring_override(parsed.ring);
-    apply_tenants_override(parsed.tenants);
-    apply_crypto_override(parsed.crypto);
-    apply_gemm_override(parsed.gemm);
-    parsed.mode
-}
-
-/// `std::env::args()` minus the program name, after handling `--help`/`-h`.
-fn help_checked_args(accepts_inputs: bool) -> Vec<String> {
+/// The entry call of every bench binary, made first in `main`: parses
+/// `std::env::args()` for a binary taking at most `max_inputs` positional inputs and
+/// writes each knob flag to its environment variable. No other thread exists yet,
+/// so nothing reads the environment while it is written. Prints usage and exits on
+/// `--help`/`-h` (status 0) and on a rejected command line (status 2).
+pub fn init(max_inputs: usize) -> BenchArgs {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let accepts_inputs = max_inputs > 0;
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!("{}", usage(accepts_inputs));
         std::process::exit(0);
     }
-    args
-}
-
-fn exit_on_error<T>(result: Result<T, CliError>, accepts_inputs: bool) -> T {
-    result.unwrap_or_else(|e| {
+    let parsed = parse(args, max_inputs).unwrap_or_else(|e| {
         eprintln!("error: {e}\n{}", usage(accepts_inputs));
         std::process::exit(2);
-    })
+    });
+    for (var, value) in &parsed.overrides {
+        std::env::set_var(var, value);
+    }
+    parsed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plinius::{CRYPTO_ENV, GEMM_ENV, RING_ENV, TENANTS_ENV};
+    use plinius_parallel::THREADS_ENV;
 
     fn parse_strs(args: &[&str]) -> Result<BenchArgs, CliError> {
-        parse(args.iter().copied())
+        parse(args.iter().copied(), usize::MAX)
+    }
+
+    fn overrides(args: &[&str]) -> Vec<(&'static str, String)> {
+        parse_strs(args).unwrap().overrides
+    }
+
+    /// `flag` takes each of `values` in both spellings, trimmed, for `var`.
+    fn accepts(flag: &str, var: &str, values: &[&str]) {
+        for value in values {
+            let want = vec![(var, value.trim().to_owned())];
+            assert_eq!(overrides(&[flag, value]), want, "{flag} {value:?}");
+            assert_eq!(overrides(&[&format!("{flag}={value}")]), want);
+        }
+        assert!(overrides(&["--smoke"]).is_empty());
+    }
+
+    /// `flag` without a value, and with each of `bad`, is rejected naming the flag
+    /// and what it accepts.
+    fn rejects(flag: &str, bad: &[&str]) {
+        let missing = parse_strs(&[flag]);
+        assert_eq!(missing, Err(CliError::MissingValue(flag.to_owned())));
+        assert!(missing.unwrap_err().to_string().contains(flag));
+        for value in bad {
+            let invalid = Err(CliError::InvalidValue {
+                flag: flag.to_owned(),
+                value: value.to_string(),
+            });
+            assert_eq!(parse_strs(&[flag, value]), invalid, "{flag} {value:?}");
+            assert_eq!(parse_strs(&[&format!("{flag}={value}")]), invalid);
+        }
+        let msg = parse_strs(&[flag, bad[0]]).unwrap_err().to_string();
+        assert!(msg.contains(flag) && msg.contains(knob_of(flag).unwrap().accepts));
     }
 
     #[test]
     fn defaults_to_default_mode_with_no_args() {
         let parsed = parse_strs(&[]).unwrap();
         assert_eq!(parsed.mode, RunMode::Default);
-        assert!(parsed.inputs.is_empty());
+        assert!(parsed.inputs.is_empty() && parsed.overrides.is_empty());
     }
 
     #[test]
@@ -436,14 +256,9 @@ mod tests {
 
     #[test]
     fn smoke_wins_over_quick_wins_over_full() {
-        assert_eq!(
-            parse_strs(&["--full", "--quick", "--smoke"]).unwrap().mode,
-            RunMode::Smoke
-        );
-        assert_eq!(
-            parse_strs(&["--full", "--quick"]).unwrap().mode,
-            RunMode::Quick
-        );
+        let mode = |args: &[&str]| parse_strs(args).unwrap().mode;
+        assert_eq!(mode(&["--full", "--quick", "--smoke"]), RunMode::Smoke);
+        assert_eq!(mode(&["--full", "--quick"]), RunMode::Quick);
     }
 
     #[test]
@@ -455,270 +270,96 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected() {
-        assert_eq!(
-            parse_strs(&["--smokee"]),
-            Err(CliError::UnknownFlag("--smokee".to_owned()))
-        );
-        assert_eq!(
-            parse_strs(&["-x"]),
-            Err(CliError::UnknownFlag("-x".to_owned()))
-        );
-        // The error names the offending flag.
-        let msg = parse_strs(&["--bogus"]).unwrap_err().to_string();
-        assert!(msg.contains("--bogus"));
+        for flag in ["--smokee", "-x", "--smoke=1", "--threadsx=2", "--pipeline"] {
+            let err = parse_strs(&[flag]).unwrap_err();
+            assert_eq!(err, CliError::UnknownFlag(flag.to_owned()));
+            assert!(err.to_string().contains(flag));
+        }
     }
 
     #[test]
     fn mode_only_parsing_rejects_stray_positionals() {
-        assert_eq!(parse_mode(["--smoke"]).unwrap(), (RunMode::Smoke, None));
-        assert_eq!(
-            parse_mode(["smoke"]),
-            Err(CliError::UnexpectedArgument("smoke".to_owned()))
-        );
-        assert_eq!(
-            parse_mode(["--quick", "trace.csv"]),
-            Err(CliError::UnexpectedArgument("trace.csv".to_owned()))
-        );
+        assert_eq!(parse(["--smoke"], 0).unwrap().mode, RunMode::Smoke);
+        for args in [&["smoke"][..], &["--quick", "trace.csv"]] {
+            let stray = args.last().unwrap().to_string();
+            assert_eq!(
+                parse(args.iter().copied(), 0),
+                Err(CliError::UnexpectedArgument(stray))
+            );
+        }
     }
 
     #[test]
     fn single_input_parsing_allows_one_positional_at_most() {
+        assert!(parse(["--smoke"], 1).unwrap().inputs.is_empty());
+        let parsed = parse(["trace.csv", "--full"], 1).unwrap();
         assert_eq!(
-            parse_single_input(["--smoke"]).unwrap(),
-            (RunMode::Smoke, None, None)
+            (parsed.mode, &parsed.inputs[..]),
+            (RunMode::Full, &["trace.csv".into()][..])
         );
         assert_eq!(
-            parse_single_input(["trace.csv", "--full"]).unwrap(),
-            (RunMode::Full, None, Some("trace.csv".to_owned()))
-        );
-        assert_eq!(
-            parse_single_input(["trace.csv", "smoke"]),
+            parse(["trace.csv", "smoke"], 1),
             Err(CliError::UnexpectedArgument("smoke".to_owned()))
         );
     }
 
     #[test]
     fn threads_flag_parses_space_and_equals_forms() {
-        assert_eq!(parse_strs(&["--threads", "4"]).unwrap().threads, Some(4));
-        assert_eq!(parse_strs(&["--threads=2"]).unwrap().threads, Some(2));
-        assert_eq!(parse_strs(&["--smoke"]).unwrap().threads, None);
-        assert_eq!(
-            parse_mode(["--smoke", "--threads", "8"]).unwrap(),
-            (RunMode::Smoke, Some(8))
-        );
-        assert_eq!(
-            parse_single_input(["--threads", "3", "trace.csv"]).unwrap(),
-            (RunMode::Default, Some(3), Some("trace.csv".to_owned()))
-        );
+        accepts("--threads", THREADS_ENV, &["4", "1", " 2 ", "4096"]);
     }
 
     #[test]
     fn threads_flag_rejects_missing_and_invalid_values() {
-        assert_eq!(
-            parse_strs(&["--threads"]),
-            Err(CliError::MissingValue("--threads".to_owned()))
-        );
-        assert_eq!(
-            parse_strs(&["--threads", "0"]),
-            Err(CliError::InvalidValue {
-                flag: "--threads".to_owned(),
-                value: "0".to_owned()
-            })
-        );
-        assert_eq!(
-            parse_strs(&["--threads", "many"]),
-            Err(CliError::InvalidValue {
-                flag: "--threads".to_owned(),
-                value: "many".to_owned()
-            })
-        );
-        assert_eq!(
-            parse_strs(&["--threads="]),
-            Err(CliError::InvalidValue {
-                flag: "--threads".to_owned(),
-                value: String::new()
-            })
-        );
-        // The error messages name the flag.
-        let msg = parse_strs(&["--threads"]).unwrap_err().to_string();
-        assert!(msg.contains("--threads"));
-        let msg = parse_strs(&["--threads", "-1"]).unwrap_err().to_string();
-        assert!(msg.contains("--threads"), "{msg}");
+        rejects("--threads", &["0", "many", "", "-1", "--smoke"]);
     }
 
     #[test]
     fn ring_flag_parses_space_and_equals_forms() {
-        assert_eq!(parse_strs(&["--ring", "4"]).unwrap().ring, Some(4));
-        assert_eq!(parse_strs(&["--ring=2"]).unwrap().ring, Some(2));
-        assert_eq!(parse_strs(&["--smoke"]).unwrap().ring, None);
+        accepts("--ring", RING_ENV, &["4", "2"]);
         let parsed = parse_strs(&["--smoke", "--ring", "8", "--threads", "2"]).unwrap();
         assert_eq!(parsed.mode, RunMode::Smoke);
-        assert_eq!(parsed.ring, Some(8));
-        assert_eq!(parsed.threads, Some(2));
+        let want = [(RING_ENV, "8".to_owned()), (THREADS_ENV, "2".to_owned())];
+        assert_eq!(parsed.overrides, want);
     }
 
     #[test]
     fn ring_flag_rejects_missing_and_invalid_values() {
-        assert_eq!(
-            parse_strs(&["--ring"]),
-            Err(CliError::MissingValue("--ring".to_owned()))
-        );
         // A one-deep ring is rejected, not just zero and garbage.
-        for bad in ["0", "1", "two", "-3", ""] {
-            assert_eq!(
-                parse_strs(&["--ring", bad]),
-                Err(CliError::InvalidValue {
-                    flag: "--ring".to_owned(),
-                    value: bad.to_owned()
-                }),
-                "--ring {bad:?} should be rejected"
-            );
-        }
-        assert_eq!(
-            parse_strs(&["--ring="]),
-            Err(CliError::InvalidValue {
-                flag: "--ring".to_owned(),
-                value: String::new()
-            })
-        );
-        let msg = parse_strs(&["--ring", "1"]).unwrap_err().to_string();
-        assert!(msg.contains("--ring") && msg.contains(">= 2"), "{msg}");
+        rejects("--ring", &["1", "0", "two", "-3", ""]);
     }
 
     #[test]
     fn tenants_flag_parses_space_and_equals_forms() {
-        assert_eq!(parse_strs(&["--tenants", "4"]).unwrap().tenants, Some(4));
-        assert_eq!(parse_strs(&["--tenants=1"]).unwrap().tenants, Some(1));
-        assert_eq!(parse_strs(&["--smoke"]).unwrap().tenants, None);
-        let parsed = parse_strs(&["--smoke", "--tenants", "8", "--ring", "4"]).unwrap();
-        assert_eq!(parsed.mode, RunMode::Smoke);
-        assert_eq!(parsed.tenants, Some(8));
-        assert_eq!(parsed.ring, Some(4));
+        accepts("--tenants", TENANTS_ENV, &["4", "1", "32"]);
     }
 
     #[test]
     fn tenants_flag_rejects_missing_invalid_and_oversized_values() {
-        assert_eq!(
-            parse_strs(&["--tenants"]),
-            Err(CliError::MissingValue("--tenants".to_owned()))
-        );
-        let too_many = (plinius::MAX_TENANTS + 1).to_string();
-        for bad in ["0", "many", "-2", "", too_many.as_str()] {
-            assert_eq!(
-                parse_strs(&["--tenants", bad]),
-                Err(CliError::InvalidValue {
-                    flag: "--tenants".to_owned(),
-                    value: bad.to_owned()
-                }),
-                "--tenants {bad:?} should be rejected"
-            );
-        }
-        assert_eq!(
-            parse_strs(&["--tenants="]),
-            Err(CliError::InvalidValue {
-                flag: "--tenants".to_owned(),
-                value: String::new()
-            })
-        );
-        let msg = parse_strs(&["--tenants", "0"]).unwrap_err().to_string();
-        assert!(msg.contains("--tenants"), "{msg}");
+        rejects("--tenants", &["0", "many", "-2", "", "33"]);
     }
 
     #[test]
     fn crypto_flag_parses_space_and_equals_forms() {
-        assert_eq!(
-            parse_strs(&["--crypto", "scalar"]).unwrap().crypto,
-            Some(EnginePolicy::Scalar)
-        );
-        assert_eq!(
-            parse_strs(&["--crypto=reference"]).unwrap().crypto,
-            Some(EnginePolicy::Reference)
-        );
-        assert_eq!(
-            parse_strs(&["--crypto", "auto"]).unwrap().crypto,
-            Some(EnginePolicy::Auto)
-        );
-        assert_eq!(parse_strs(&["--smoke"]).unwrap().crypto, None);
-        let parsed = parse_strs(&["--smoke", "--crypto", "scalar", "--ring", "4"]).unwrap();
-        assert_eq!(parsed.mode, RunMode::Smoke);
-        assert_eq!(parsed.crypto, Some(EnginePolicy::Scalar));
-        assert_eq!(parsed.ring, Some(4));
+        accepts("--crypto", CRYPTO_ENV, &["scalar", "auto", " scalar"]);
     }
 
     #[test]
     fn crypto_flag_rejects_missing_and_invalid_values() {
-        assert_eq!(
-            parse_strs(&["--crypto"]),
-            Err(CliError::MissingValue("--crypto".to_owned()))
-        );
-        for bad in ["", "hw", "SCALAR", "aesni"] {
-            assert_eq!(
-                parse_strs(&["--crypto", bad]),
-                Err(CliError::InvalidValue {
-                    flag: "--crypto".to_owned(),
-                    value: bad.to_owned()
-                }),
-                "--crypto {bad:?} should be rejected"
-            );
-        }
-        let msg = parse_strs(&["--crypto", "hw"]).unwrap_err().to_string();
-        assert!(
-            msg.contains("--crypto") && msg.contains("scalar") && msg.contains("reference"),
-            "{msg}"
-        );
+        // An explicit engine must be exact: no aliases, no case folding, and the
+        // test-only reference kernels are not an engine.
+        rejects("--crypto", &["hw", "", "SCALAR", "aesni", "reference"]);
     }
 
     #[test]
     fn gemm_flag_parses_space_and_equals_forms() {
-        assert_eq!(
-            parse_strs(&["--gemm", "scalar"]).unwrap().gemm,
-            Some(GemmPolicy::Scalar)
-        );
-        assert_eq!(
-            parse_strs(&["--gemm=reference"]).unwrap().gemm,
-            Some(GemmPolicy::Reference)
-        );
-        assert_eq!(
-            parse_strs(&["--gemm", "auto"]).unwrap().gemm,
-            Some(GemmPolicy::Auto)
-        );
-        assert_eq!(
-            parse_strs(&["--gemm=fma"]).unwrap().gemm,
-            Some(GemmPolicy::Fma)
-        );
-        assert_eq!(parse_strs(&["--smoke"]).unwrap().gemm, None);
-        let parsed = parse_strs(&["--smoke", "--gemm", "scalar", "--crypto", "scalar"]).unwrap();
-        assert_eq!(parsed.mode, RunMode::Smoke);
-        assert_eq!(parsed.gemm, Some(GemmPolicy::Scalar));
-        assert_eq!(parsed.crypto, Some(EnginePolicy::Scalar));
+        accepts("--gemm", GEMM_ENV, &["scalar", "auto", "fma"]);
     }
 
     #[test]
     fn gemm_flag_rejects_missing_and_invalid_values() {
-        assert_eq!(
-            parse_strs(&["--gemm"]),
-            Err(CliError::MissingValue("--gemm".to_owned()))
-        );
-        // Engine *names* (avx2, avx512) are not policies: the policy vocabulary is
-        // the four documented words, so a pasted engine label fails loudly.
-        for bad in ["", "FMA", "avx2", "avx512", "vector", "simd"] {
-            assert_eq!(
-                parse_strs(&["--gemm", bad]),
-                Err(CliError::InvalidValue {
-                    flag: "--gemm".to_owned(),
-                    value: bad.to_owned()
-                }),
-                "--gemm {bad:?} should be rejected"
-            );
-        }
-        let msg = parse_strs(&["--gemm", "avx2"]).unwrap_err().to_string();
-        assert!(
-            msg.contains("--gemm")
-                && msg.contains("scalar")
-                && msg.contains("reference")
-                && msg.contains("fma"),
-            "{msg}"
-        );
+        // Engine *names* (avx2, avx512) are not policies: a pasted engine label
+        // fails loudly.
+        rejects("--gemm", &["avx2", "", "FMA", "avx512", "reference"]);
     }
 
     #[test]
@@ -726,11 +367,13 @@ mod tests {
         assert!(usage(true).contains("[FILE]"));
         assert!(!usage(false).contains("FILE"));
         assert!(usage(false).starts_with("usage:"));
-        assert!(usage(false).contains("--threads"));
-        assert!(usage(false).contains("--ring"));
-        assert!(usage(false).contains("--tenants"));
-        assert!(usage(false).contains("--crypto"));
-        assert!(usage(false).contains("--gemm"));
+        let knob_flags = KNOBS.iter().filter_map(|k| k.flag);
+        for flag in ["--smoke", "--quick", "--full"]
+            .into_iter()
+            .chain(knob_flags)
+        {
+            assert!(usage(false).contains(flag), "{flag}");
+        }
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub fn mirror_point(cost: &CostModel, target_mb: usize) -> Result<MirrorPoint, P
     let model_bytes = network.model_bytes();
     // PM pool: twin Romulus regions, each holding the mirror's R epoch-ring slots of
     // the sealed model plus slack (R = 2 unless overridden via --ring/PLINIUS_RING).
-    let ring = plinius::ring_depth_from_env();
+    let ring = plinius::Knobs::from_env().ring;
     let pool_bytes = model_bytes * (2 * ring + 1) + (4 << 20);
     let ctx = PliniusContext::create(cost.clone(), pool_bytes)?;
     ctx.provision_key_directly(Key::generate_128(&mut rng));
@@ -79,7 +79,7 @@ pub fn mirror_point(cost: &CostModel, target_mb: usize) -> Result<MirrorPoint, P
     ctx.enclave()
         .alloc_trusted((model_bytes * 2) as u64)
         .map_err(PliniusError::from)?;
-    let mirror = MirrorModel::allocate(&ctx, &network)?;
+    let mirror = MirrorModel::allocate_with_ring(&ctx, &network, ring)?;
     let out = mirror.mirror_out(&ctx, &network)?;
     let mut restored = build_network(&sized_model_config(target_mb, 2), &mut rng)?;
     let inr = mirror.mirror_in(&ctx, &mut restored)?;
@@ -353,26 +353,21 @@ pub fn pipeline_point(
     let model_bytes = build_network(&model_config, &mut rng)?.model_bytes();
     let dataset = synthetic_mnist(192, &mut rng);
     let dataset_bytes = dataset.len() * (dataset.inputs() + dataset.classes() + 16) * 4;
+    let trainer = TrainerConfig {
+        batch,
+        max_iterations: iterations,
+        seed: 5,
+        pipeline: PipelineMode::Sync,
+        ..TrainerConfig::default()
+    };
     let setup = TrainingSetup {
         cost: cost.clone(),
         // Twin Romulus regions, each holding the PM dataset, the R epoch-ring slots
         // of the sealed model, and slack.
-        pm_bytes: dataset_bytes * 3
-            + model_bytes * (2 * plinius::ring_depth_from_env() + 1)
-            + (8 << 20),
+        pm_bytes: dataset_bytes * 3 + model_bytes * (2 * trainer.ring_depth + 1) + (8 << 20),
         model_config,
         dataset,
-        trainer: TrainerConfig {
-            batch,
-            max_iterations: iterations,
-            mirror_frequency: 1,
-            encrypted_data: true,
-            seed: 5,
-            pipeline: PipelineMode::Sync,
-            ring_depth: plinius::ring_depth_from_env(),
-            crypto: plinius::EnginePolicy::from_env(),
-            gemm: plinius::GemmPolicy::from_env(),
-        },
+        trainer,
         backend: PersistenceBackend::PmMirror,
         model_seed: 12,
     };
@@ -590,8 +585,7 @@ pub fn tcb_report(crates_dir: &std::path::Path) -> TcbReport {
     // Plinius core run inside the enclave; PM mapping helpers, secondary storage, the
     // spot simulator and the harnesses are untrusted-runtime components. Of the offline
     // dependency shims, `rand` and `parking_lot` are linked into the enclave-side crates
-    // and therefore count toward the TCB; `bytes` serves the untrusted SSD baseline and
-    // `proptest`/`criterion` are test/bench-only.
+    // and therefore count toward the TCB; `proptest`/`criterion` are test/bench-only.
     let trusted_crates = [
         "crypto",
         "darknet",

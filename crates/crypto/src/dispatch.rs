@@ -1,24 +1,24 @@
 //! Runtime selection of the AES-GCM engine.
 //!
-//! Three byte-for-byte identical implementations back [`crate::AesGcm`]:
+//! Two byte-for-byte identical engines back [`crate::AesGcm`]:
 //!
 //! * **hardware** ([`EngineKind::Hw`]) — AES-NI CTR + PCLMUL GHASH, available on
 //!   `x86_64` hosts whose CPU reports the `aes` and `pclmulqdq` features at runtime;
 //! * **scalar** ([`EngineKind::Scalar`]) — the T-table AES + byte-indexed Shoup GHASH
-//!   engine, compiled and tested everywhere;
-//! * **reference** ([`EngineKind::Reference`]) — the byte-wise AES + bit-serial GHASH
-//!   kernels, the easy-to-audit ground truth for differential testing.
+//!   engine, compiled and tested everywhere.
+//!
+//! The byte-wise AES + bit-serial GHASH kernels behind
+//! [`crate::AesGcm::encrypt_reference`] are the ground truth both engines are tested
+//! against; they are not a runtime choice.
 //!
 //! The policy defaults to [`EnginePolicy::Auto`] (hardware when detected, scalar
-//! otherwise) and can be overridden with the `PLINIUS_CRYPTO` environment variable —
-//! the same knob shape as `PLINIUS_RING`/`PLINIUS_THREADS`. An unset or unparsable
-//! value falls back to `auto`; strict validation (exit 2) lives in the bench CLI,
-//! which writes this variable from its `--crypto` flag.
+//! otherwise) and can be overridden with the `PLINIUS_CRYPTO` environment variable.
+//! An unset or unparsable value falls back to `auto`; the bench binaries' `--crypto`
+//! flag takes the same values through the same parser and rejects invalid ones.
 
 use std::fmt;
 
-/// Environment variable overriding the crypto-engine policy
-/// (`auto` | `scalar` | `reference`).
+/// Environment variable overriding the crypto-engine policy (`auto` | `scalar`).
 pub const CRYPTO_ENV: &str = "PLINIUS_CRYPTO";
 
 /// Which engine the caller *requests*. Resolved to an [`EngineKind`] at
@@ -30,37 +30,21 @@ pub enum EnginePolicy {
     Auto,
     /// Force the scalar T-table/Shoup engine even on AES-NI-capable hosts.
     Scalar,
-    /// Force the bit-serial reference kernels (orders of magnitude slower; for
-    /// differential testing and auditing only).
-    Reference,
 }
 
 impl EnginePolicy {
-    /// The accepted spellings, in the order shown by help text.
-    pub const NAMES: [&'static str; 3] = ["auto", "scalar", "reference"];
-
-    /// Parses a policy name as used by `PLINIUS_CRYPTO` and `--crypto`.
+    /// Parses a policy name as `PLINIUS_CRYPTO` and `--crypto` take it; surrounding
+    /// whitespace is ignored, case is not.
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
+        match s.trim() {
             "auto" => Some(EnginePolicy::Auto),
             "scalar" => Some(EnginePolicy::Scalar),
-            "reference" => Some(EnginePolicy::Reference),
             _ => None,
         }
     }
 
-    /// The canonical name of this policy.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EnginePolicy::Auto => "auto",
-            EnginePolicy::Scalar => "scalar",
-            EnginePolicy::Reference => "reference",
-        }
-    }
-
-    /// Reads the policy from `PLINIUS_CRYPTO`. Unset, empty or unparsable values
-    /// fall back to [`EnginePolicy::Auto`] (the lenient env-knob contract shared
-    /// with `PLINIUS_RING`; the bench CLI validates strictly before setting it).
+    /// Reads the policy from `PLINIUS_CRYPTO`. Unset or unparsable values fall back
+    /// to [`EnginePolicy::Auto`].
     pub fn from_env() -> Self {
         std::env::var(CRYPTO_ENV)
             .ok()
@@ -71,22 +55,18 @@ impl EnginePolicy {
     /// Resolves the policy against the running CPU.
     pub fn select(self) -> EngineKind {
         match self {
-            EnginePolicy::Auto => {
-                if hw_available() {
-                    EngineKind::Hw
-                } else {
-                    EngineKind::Scalar
-                }
-            }
-            EnginePolicy::Scalar => EngineKind::Scalar,
-            EnginePolicy::Reference => EngineKind::Reference,
+            EnginePolicy::Auto if hw_available() => EngineKind::Hw,
+            EnginePolicy::Auto | EnginePolicy::Scalar => EngineKind::Scalar,
         }
     }
 }
 
 impl fmt::Display for EnginePolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
+        f.write_str(match self {
+            EnginePolicy::Auto => "auto",
+            EnginePolicy::Scalar => "scalar",
+        })
     }
 }
 
@@ -97,8 +77,6 @@ pub enum EngineKind {
     Hw,
     /// T-table AES + byte-indexed Shoup GHASH.
     Scalar,
-    /// Byte-wise AES + bit-serial GHASH.
-    Reference,
 }
 
 impl EngineKind {
@@ -107,7 +85,6 @@ impl EngineKind {
         match self {
             EngineKind::Hw => "aesni+pclmul",
             EngineKind::Scalar => "scalar",
-            EngineKind::Reference => "reference",
         }
     }
 }
@@ -141,52 +118,23 @@ pub fn selected_engine() -> EngineKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Serializes the tests that mutate `PLINIUS_CRYPTO` (the variable is
-    /// process-global; every other test in this crate pins engines explicitly
-    /// through `with_policy`, so only these tests race on it).
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-    struct EnvGuard(Option<String>);
-
-    impl EnvGuard {
-        fn set(value: &str) -> Self {
-            let prev = std::env::var(CRYPTO_ENV).ok();
-            std::env::set_var(CRYPTO_ENV, value);
-            EnvGuard(prev)
-        }
-    }
-
-    impl Drop for EnvGuard {
-        fn drop(&mut self) {
-            match &self.0 {
-                Some(v) => std::env::set_var(CRYPTO_ENV, v),
-                None => std::env::remove_var(CRYPTO_ENV),
-            }
-        }
-    }
 
     #[test]
-    fn parse_accepts_exactly_the_three_policies() {
+    fn parse_accepts_exactly_the_two_policies() {
         assert_eq!(EnginePolicy::parse("auto"), Some(EnginePolicy::Auto));
         assert_eq!(EnginePolicy::parse("scalar"), Some(EnginePolicy::Scalar));
-        assert_eq!(
-            EnginePolicy::parse("reference"),
-            Some(EnginePolicy::Reference)
-        );
-        for bad in ["", "AUTO", "hw", "aesni", "fast", " scalar"] {
+        assert_eq!(EnginePolicy::parse(" scalar\n"), Some(EnginePolicy::Scalar));
+        for bad in ["", "AUTO", "hw", "aesni", "fast", "reference"] {
             assert_eq!(EnginePolicy::parse(bad), None, "{bad:?} must not parse");
         }
-        for name in EnginePolicy::NAMES {
-            assert_eq!(EnginePolicy::parse(name).unwrap().as_str(), name);
+        for policy in [EnginePolicy::Auto, EnginePolicy::Scalar] {
+            assert_eq!(EnginePolicy::parse(&policy.to_string()), Some(policy));
         }
     }
 
     #[test]
     fn explicit_policies_ignore_hardware_detection() {
         assert_eq!(EnginePolicy::Scalar.select(), EngineKind::Scalar);
-        assert_eq!(EnginePolicy::Reference.select(), EngineKind::Reference);
         let auto = EnginePolicy::Auto.select();
         if hw_available() {
             assert_eq!(auto, EngineKind::Hw);
@@ -195,40 +143,33 @@ mod tests {
         }
     }
 
-    /// The satellite contract: `PLINIUS_CRYPTO=scalar` forces the scalar engine on a
-    /// context built through the default constructor, even when the CPU reports
-    /// hardware support.
+    /// `PLINIUS_CRYPTO=scalar` forces the scalar engine, even when the CPU reports
+    /// hardware support. (The environment path itself is covered by the workspace's
+    /// `knobs_env` tests, which own every write to the process environment.)
     #[test]
     fn env_scalar_forces_the_scalar_engine_even_when_hw_is_detected() {
-        let _lock = ENV_LOCK.lock().unwrap();
-        let _guard = EnvGuard::set("scalar");
-        assert_eq!(EnginePolicy::from_env(), EnginePolicy::Scalar);
-        assert_eq!(selected_engine(), EngineKind::Scalar);
-        let gcm = crate::AesGcm::from_key(&[0x42u8; 16]);
+        let policy = EnginePolicy::parse("scalar").unwrap();
+        assert_eq!(policy.select(), EngineKind::Scalar);
+        let gcm = crate::AesGcm::with_policy(crate::Aes::new(&[0x42u8; 16]), policy);
         assert_eq!(gcm.engine_kind(), EngineKind::Scalar);
         // The override is about *selection*, not behavior: output is unchanged.
-        let hw_or_auto =
-            crate::AesGcm::with_policy(crate::Aes::new(&[0x42u8; 16]), EnginePolicy::Auto);
+        let auto = crate::AesGcm::with_policy(crate::Aes::new(&[0x42u8; 16]), EnginePolicy::Auto);
         assert_eq!(
             gcm.encrypt(&[1u8; 12], b"aad", b"payload").unwrap(),
-            hw_or_auto.encrypt(&[1u8; 12], b"aad", b"payload").unwrap()
+            auto.encrypt(&[1u8; 12], b"aad", b"payload").unwrap()
         );
     }
 
     #[test]
     fn env_reference_and_garbage_behave_as_documented() {
-        let _lock = ENV_LOCK.lock().unwrap();
-        {
-            let _guard = EnvGuard::set("reference");
-            assert_eq!(EnginePolicy::from_env(), EnginePolicy::Reference);
-            let gcm = crate::AesGcm::from_key(&[7u8; 16]);
-            assert_eq!(gcm.engine_kind(), EngineKind::Reference);
-        }
-        {
-            // Lenient env contract: garbage falls back to auto instead of erroring
-            // (strict validation happens in the bench CLI before the env is set).
-            let _guard = EnvGuard::set("not-an-engine");
-            assert_eq!(EnginePolicy::from_env(), EnginePolicy::Auto);
+        // `reference` is not an engine: like any garbage it does not parse, so
+        // the lenient environment path falls back to auto.
+        for value in ["reference", "not-an-engine"] {
+            assert_eq!(EnginePolicy::parse(value), None);
+            assert_eq!(
+                EnginePolicy::parse(value).unwrap_or_default(),
+                EnginePolicy::Auto
+            );
         }
     }
 }

@@ -59,7 +59,6 @@ enum Engine {
         ghash: ClmulGhash,
     },
     Scalar,
-    Reference,
 }
 
 impl Engine {
@@ -68,7 +67,6 @@ impl Engine {
             #[cfg(target_arch = "x86_64")]
             Engine::Hw { .. } => EngineKind::Hw,
             Engine::Scalar => EngineKind::Scalar,
-            Engine::Reference => EngineKind::Reference,
         }
     }
 }
@@ -136,7 +134,6 @@ impl AesGcm {
     /// and construction both re-check the CPUID features).
     fn build_engine(policy: EnginePolicy, cipher: &Aes, h_powers: [u128; 4]) -> Engine {
         match policy.select() {
-            EngineKind::Reference => Engine::Reference,
             EngineKind::Scalar => Engine::Scalar,
             #[cfg(target_arch = "x86_64")]
             EngineKind::Hw => match (AesNi::try_new(cipher), ClmulGhash::try_new(h_powers)) {
@@ -162,8 +159,8 @@ impl AesGcm {
         self.engine.kind()
     }
 
-    /// Short label of the selected engine (`"aesni+pclmul"`, `"scalar"` or
-    /// `"reference"`), for stats and bench reports.
+    /// Short label of the selected engine (`"aesni+pclmul"` or `"scalar"`), for
+    /// stats and bench reports.
     pub fn engine_name(&self) -> &'static str {
         self.engine.kind().name()
     }
@@ -353,15 +350,14 @@ impl AesGcm {
     }
 
     /// CTR keystream application from `counter` into `dst`, engine-dispatched; no
-    /// allocation on any engine. The three kernels produce identical bytes; only
-    /// the block-group width differs (8 for AES-NI, 4 for the T-tables, 1 for the
-    /// reference core), which is invisible because CTR blocks are independent.
+    /// allocation on any engine. Both kernels produce identical bytes; only the
+    /// block-group width differs (8 for AES-NI, 4 for the T-tables), which is
+    /// invisible because CTR blocks are independent.
     fn ctr_xor_into(&self, counter: [u8; BLOCK_SIZE], src: &[u8], dst: &mut [u8]) {
         match &self.engine {
             #[cfg(target_arch = "x86_64")]
             Engine::Hw { aes, .. } => aes.ctr_xor(counter, src, dst),
             Engine::Scalar => self.ctr_xor_into_scalar(counter, src, dst),
-            Engine::Reference => self.ctr_xor_into_reference(counter, src, dst),
         }
     }
 
@@ -429,12 +425,10 @@ impl AesGcm {
         });
     }
 
-    /// Block-at-a-time reference CTR over the byte-wise AES core, writing into a
-    /// caller buffer — allocation-free, so even `PLINIUS_CRYPTO=reference` keeps
-    /// the zero-alloc `seal_into`/`open_into` contract.
-    fn ctr_xor_into_reference(&self, mut counter: [u8; BLOCK_SIZE], src: &[u8], dst: &mut [u8]) {
-        debug_assert_eq!(src.len(), dst.len());
-        for (s, d) in src.chunks(BLOCK_SIZE).zip(dst.chunks_mut(BLOCK_SIZE)) {
+    /// Block-at-a-time reference CTR over the byte-wise AES core.
+    fn ctr_reference(&self, mut counter: [u8; BLOCK_SIZE], data: &[u8]) -> Vec<u8> {
+        let mut out = vec![0u8; data.len()];
+        for (s, d) in data.chunks(BLOCK_SIZE).zip(out.chunks_mut(BLOCK_SIZE)) {
             let mut keystream = counter;
             self.cipher.encrypt_block_reference(&mut keystream);
             for (i, (sb, db)) in s.iter().zip(d.iter_mut()).enumerate() {
@@ -442,12 +436,6 @@ impl AesGcm {
             }
             counter = inc32(counter);
         }
-    }
-
-    /// Byte-at-a-time reference CTR over the byte-wise AES core.
-    fn ctr_reference(&self, counter: [u8; BLOCK_SIZE], data: &[u8]) -> Vec<u8> {
-        let mut out = vec![0u8; data.len()];
-        self.ctr_xor_into_reference(counter, data, &mut out);
         out
     }
 
@@ -458,7 +446,6 @@ impl AesGcm {
             #[cfg(target_arch = "x86_64")]
             Engine::Hw { ghash, .. } => ghash.ghash_block(y, block),
             Engine::Scalar => self.ghash_block_scalar(y, block),
-            Engine::Reference => *y = gf_mult(*y ^ u128::from_be_bytes(*block), self.h),
         }
     }
 
@@ -476,7 +463,6 @@ impl AesGcm {
             #[cfg(target_arch = "x86_64")]
             Engine::Hw { ghash, .. } => ghash.ghash_padded(y, data),
             Engine::Scalar => self.ghash_padded_scalar(y, data),
-            Engine::Reference => ghash_padded_reference(self.h, y, data),
         }
     }
 

@@ -10,7 +10,7 @@
 //!
 //! * **hardware kernels** ([`dispatch`]): AES-NI CTR and carry-less-multiply GHASH,
 //!   selected at [`AesGcm`] construction when the `x86_64` CPU reports the `aes` and
-//!   `pclmulqdq` features (override with `PLINIUS_CRYPTO={auto,scalar,reference}`);
+//!   `pclmulqdq` features (override with `PLINIUS_CRYPTO={auto,scalar}`);
 //! * **T-table AES** ([`aes`]): four 256-entry fused SubBytes/ShiftRows/MixColumns
 //!   tables, an order of magnitude faster than the byte-wise reference kernel (which is
 //!   retained for differential testing) — the always-compiled scalar fallback;

@@ -4,9 +4,9 @@
 //! adds the harder shapes the engines must get right: multi-block messages with
 //! AAD and a partial final block, **non-96-bit IVs** (8-byte and 60-byte, which take
 //! the GHASH-based J0 derivation), and the AES-192/AES-256 key sizes. Every vector is
-//! checked on **every engine** (hardware when the host supports it, scalar, and the
-//! retained reference kernels), on the explicit `encrypt_reference` entry point, and
-//! through cross-engine decrypt round-trips (sealed on one engine, opened on another).
+//! checked on **every engine** (hardware when the host supports it, and scalar), on
+//! the explicit `encrypt_reference` entry point, and through cross-engine decrypt
+//! round-trips (sealed on one engine, opened on another).
 
 use plinius_crypto::{Aes, AesGcm, EnginePolicy};
 
@@ -17,18 +17,14 @@ fn hex(s: &str) -> Vec<u8> {
         .collect()
 }
 
-/// Every engine constructible on this host: auto (= hardware on AES-NI machines),
-/// scalar, and reference. On a non-x86_64 host auto degrades to scalar, so the
-/// suite still pins scalar-vs-reference there.
+/// Every engine constructible on this host: auto (= hardware on AES-NI machines) and
+/// scalar. On a non-x86_64 host auto degrades to scalar; `check` still pins it to the
+/// reference kernels there.
 fn engines(key: &[u8]) -> Vec<AesGcm> {
-    [
-        EnginePolicy::Auto,
-        EnginePolicy::Scalar,
-        EnginePolicy::Reference,
-    ]
-    .into_iter()
-    .map(|p| AesGcm::with_policy(Aes::new(key), p))
-    .collect()
+    [EnginePolicy::Auto, EnginePolicy::Scalar]
+        .into_iter()
+        .map(|p| AesGcm::with_policy(Aes::new(key), p))
+        .collect()
 }
 
 /// The 60-byte plaintext shared by cases 4-6, 10 and 16 (3 full blocks + 12 bytes).

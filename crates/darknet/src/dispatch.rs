@@ -15,15 +15,16 @@
 //!   fused rounding changes last-bit results (differential tests bound the
 //!   drift, see `tests/proptest_gemm.rs`);
 //! * **scalar** ([`GemmKind::Scalar`]) — the blocked, cache-aware portable kernel,
-//!   compiled and tested everywhere;
-//! * **reference** ([`GemmKind::Reference`]) — the naive triple-loop kernel, the
-//!   easy-to-audit ground truth for differential testing.
+//!   compiled and tested everywhere.
 //!
-//! The policy defaults to [`GemmPolicy::Auto`] (AVX2 when detected, scalar
-//! otherwise) and can be overridden with the `PLINIUS_GEMM` environment variable —
-//! the same knob shape as `PLINIUS_CRYPTO`/`PLINIUS_THREADS`. An unset or
-//! unparsable value falls back to `auto`; strict validation (exit 2) lives in the
-//! bench CLI, which writes this variable from its `--gemm` flag.
+//! The naive triple-loop [`crate::matrix::gemm_reference`] is the ground truth every
+//! engine is tested against; it is not a runtime choice.
+//!
+//! The policy defaults to [`GemmPolicy::Auto`] (AVX-512, then AVX2 when detected,
+//! scalar otherwise) and can be overridden with the `PLINIUS_GEMM` environment
+//! variable. An unset or unparsable value falls back to `auto`; the bench binaries'
+//! `--gemm` flag takes the same values through the same parser and rejects invalid
+//! ones.
 //!
 //! The engine-specific tuning constants live here too: the register-tile width and
 //! the minimum work product before [`crate::matrix::gemm`] fans out across threads
@@ -32,8 +33,7 @@
 
 use std::fmt;
 
-/// Environment variable overriding the GEMM-engine policy
-/// (`auto` | `scalar` | `reference` | `fma`).
+/// Environment variable overriding the GEMM-engine policy (`auto` | `scalar` | `fma`).
 pub const GEMM_ENV: &str = "PLINIUS_GEMM";
 
 /// Which engine the caller *requests*. Resolved to a [`GemmKind`] against the
@@ -46,9 +46,6 @@ pub enum GemmPolicy {
     Auto,
     /// Force the blocked portable kernel even on AVX2-capable hosts.
     Scalar,
-    /// Force the naive triple-loop kernel (much slower; for differential testing
-    /// and auditing only).
-    Reference,
     /// Opt into fused multiply-adds at the widest width the CPU has (falling back
     /// through the bit-identical vector kernels to scalar). Fastest, but trades
     /// the last-bit identity contract for ULP-bounded agreement.
@@ -56,34 +53,19 @@ pub enum GemmPolicy {
 }
 
 impl GemmPolicy {
-    /// The accepted spellings, in the order shown by help text.
-    pub const NAMES: [&'static str; 4] = ["auto", "scalar", "reference", "fma"];
-
-    /// Parses a policy name as used by `PLINIUS_GEMM` and `--gemm`.
+    /// Parses a policy name as `PLINIUS_GEMM` and `--gemm` take it; surrounding
+    /// whitespace is ignored, case is not.
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
+        match s.trim() {
             "auto" => Some(GemmPolicy::Auto),
             "scalar" => Some(GemmPolicy::Scalar),
-            "reference" => Some(GemmPolicy::Reference),
             "fma" => Some(GemmPolicy::Fma),
             _ => None,
         }
     }
 
-    /// The canonical name of this policy.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            GemmPolicy::Auto => "auto",
-            GemmPolicy::Scalar => "scalar",
-            GemmPolicy::Reference => "reference",
-            GemmPolicy::Fma => "fma",
-        }
-    }
-
-    /// Reads the policy from `PLINIUS_GEMM`. Unset, empty or unparsable values fall
-    /// back to [`GemmPolicy::Auto`] (the lenient env-knob contract shared with
-    /// `PLINIUS_CRYPTO`/`PLINIUS_RING`; the bench CLI validates strictly before
-    /// setting it).
+    /// Reads the policy from `PLINIUS_GEMM`. Unset or unparsable values fall back
+    /// to [`GemmPolicy::Auto`].
     pub fn from_env() -> Self {
         std::env::var(GEMM_ENV)
             .ok()
@@ -97,35 +79,23 @@ impl GemmPolicy {
     /// kernels down to scalar — so an opted-in binary still runs everywhere.
     pub fn select(self) -> GemmKind {
         match self {
-            GemmPolicy::Auto => {
-                if avx512_available() {
-                    GemmKind::Avx512
-                } else if avx2_available() {
-                    GemmKind::Avx2
-                } else {
-                    GemmKind::Scalar
-                }
-            }
             GemmPolicy::Scalar => GemmKind::Scalar,
-            GemmPolicy::Reference => GemmKind::Reference,
-            GemmPolicy::Fma => {
-                if avx512_available() {
-                    GemmKind::Avx512Fma
-                } else if fma_available() {
-                    GemmKind::Avx2Fma
-                } else if avx2_available() {
-                    GemmKind::Avx2
-                } else {
-                    GemmKind::Scalar
-                }
-            }
+            GemmPolicy::Auto if avx512_available() => GemmKind::Avx512,
+            GemmPolicy::Fma if avx512_available() => GemmKind::Avx512Fma,
+            GemmPolicy::Fma if fma_available() => GemmKind::Avx2Fma,
+            _ if avx2_available() => GemmKind::Avx2,
+            _ => GemmKind::Scalar,
         }
     }
 }
 
 impl fmt::Display for GemmPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
+        f.write_str(match self {
+            GemmPolicy::Auto => "auto",
+            GemmPolicy::Scalar => "scalar",
+            GemmPolicy::Fma => "fma",
+        })
     }
 }
 
@@ -142,8 +112,6 @@ pub enum GemmKind {
     Avx2Fma,
     /// Blocked, cache-aware portable kernel.
     Scalar,
-    /// Naive triple-loop reference kernel.
-    Reference,
 }
 
 impl GemmKind {
@@ -155,7 +123,6 @@ impl GemmKind {
             GemmKind::Avx2 => "avx2",
             GemmKind::Avx2Fma => "avx2+fma",
             GemmKind::Scalar => "scalar",
-            GemmKind::Reference => "reference",
         }
     }
 
@@ -167,8 +134,7 @@ impl GemmKind {
     pub const fn tile_width(self) -> usize {
         match self {
             GemmKind::Avx2 | GemmKind::Avx2Fma => 16,
-            GemmKind::Avx512 | GemmKind::Avx512Fma => 32,
-            GemmKind::Scalar | GemmKind::Reference => 32,
+            GemmKind::Avx512 | GemmKind::Avx512Fma | GemmKind::Scalar => 32,
         }
     }
 
@@ -179,7 +145,7 @@ impl GemmKind {
     pub const fn par_min_work(self) -> usize {
         match self {
             GemmKind::Avx512 | GemmKind::Avx512Fma | GemmKind::Avx2 | GemmKind::Avx2Fma => 1 << 21,
-            GemmKind::Scalar | GemmKind::Reference => 1 << 20,
+            GemmKind::Scalar => 1 << 20,
         }
     }
 }
@@ -239,50 +205,24 @@ pub fn selected_gemm() -> GemmKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Serializes the tests that mutate `PLINIUS_GEMM` (the variable is
-    /// process-global; every other test in this crate pins engines explicitly
-    /// through the `*_with_engine` entry points, so only these tests race on it).
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-    struct EnvGuard(Option<String>);
-
-    impl EnvGuard {
-        fn set(value: &str) -> Self {
-            let prev = std::env::var(GEMM_ENV).ok();
-            std::env::set_var(GEMM_ENV, value);
-            EnvGuard(prev)
-        }
-    }
-
-    impl Drop for EnvGuard {
-        fn drop(&mut self) {
-            match &self.0 {
-                Some(v) => std::env::set_var(GEMM_ENV, v),
-                None => std::env::remove_var(GEMM_ENV),
-            }
-        }
-    }
 
     #[test]
-    fn parse_accepts_exactly_the_four_policies() {
+    fn parse_accepts_exactly_the_three_policies() {
         assert_eq!(GemmPolicy::parse("auto"), Some(GemmPolicy::Auto));
         assert_eq!(GemmPolicy::parse("scalar"), Some(GemmPolicy::Scalar));
-        assert_eq!(GemmPolicy::parse("reference"), Some(GemmPolicy::Reference));
         assert_eq!(GemmPolicy::parse("fma"), Some(GemmPolicy::Fma));
-        for bad in ["", "AUTO", "avx2", "simd", "fast", " scalar", "FMA"] {
+        assert_eq!(GemmPolicy::parse("\tfma "), Some(GemmPolicy::Fma));
+        for bad in ["", "AUTO", "avx2", "simd", "fast", "FMA", "reference"] {
             assert_eq!(GemmPolicy::parse(bad), None, "{bad:?} must not parse");
         }
-        for name in GemmPolicy::NAMES {
-            assert_eq!(GemmPolicy::parse(name).unwrap().as_str(), name);
+        for policy in [GemmPolicy::Auto, GemmPolicy::Scalar, GemmPolicy::Fma] {
+            assert_eq!(GemmPolicy::parse(&policy.to_string()), Some(policy));
         }
     }
 
     #[test]
     fn explicit_policies_ignore_hardware_detection() {
         assert_eq!(GemmPolicy::Scalar.select(), GemmKind::Scalar);
-        assert_eq!(GemmPolicy::Reference.select(), GemmKind::Reference);
         let auto = GemmPolicy::Auto.select();
         if avx512_available() {
             assert_eq!(auto, GemmKind::Avx512);
@@ -309,7 +249,6 @@ mod tests {
         // the register-tiled kernels their own (see the satellite contract: tile
         // shape is a property of the kernel, not the call site).
         assert_eq!(GemmKind::Scalar.tile_width(), 32);
-        assert_eq!(GemmKind::Reference.tile_width(), 32);
         assert_eq!(GemmKind::Scalar.par_min_work(), 1 << 20);
         assert_eq!(GemmKind::Avx2.tile_width(), 16);
         assert_eq!(GemmKind::Avx2Fma.tile_width(), 16);
@@ -319,30 +258,30 @@ mod tests {
         assert!(GemmKind::Avx512.par_min_work() > GemmKind::Scalar.par_min_work());
     }
 
+    /// `PLINIUS_GEMM=scalar` forces the scalar engine, even when the CPU reports
+    /// vector units. (The environment path itself is covered by the workspace's
+    /// `knobs_env` tests, which own every write to the process environment.)
     #[test]
     fn env_scalar_forces_the_scalar_engine_even_when_avx2_is_detected() {
-        let _lock = ENV_LOCK.lock().unwrap();
-        let _guard = EnvGuard::set("scalar");
-        assert_eq!(GemmPolicy::from_env(), GemmPolicy::Scalar);
-        assert_eq!(selected_gemm(), GemmKind::Scalar);
+        assert_eq!(
+            GemmPolicy::parse("scalar").unwrap().select(),
+            GemmKind::Scalar
+        );
     }
 
     #[test]
     fn env_fma_reference_and_garbage_behave_as_documented() {
-        let _lock = ENV_LOCK.lock().unwrap();
-        {
-            let _guard = EnvGuard::set("reference");
-            assert_eq!(selected_gemm(), GemmKind::Reference);
-        }
-        {
-            let _guard = EnvGuard::set("fma");
-            assert_eq!(selected_gemm(), GemmPolicy::Fma.select());
-        }
-        {
-            // Lenient env contract: garbage falls back to auto instead of erroring
-            // (strict validation happens in the bench CLI before the env is set).
-            let _guard = EnvGuard::set("not-an-engine");
-            assert_eq!(GemmPolicy::from_env(), GemmPolicy::Auto);
+        assert_eq!(
+            GemmPolicy::parse("fma").unwrap().select(),
+            GemmPolicy::Fma.select()
+        );
+        // `reference` is not an engine: like any garbage it does not parse, so
+        // the lenient environment path falls back to auto.
+        for value in ["reference", "not-an-engine"] {
+            assert_eq!(
+                GemmPolicy::parse(value).unwrap_or_default(),
+                GemmPolicy::Auto
+            );
         }
     }
 

@@ -166,7 +166,7 @@ pub fn axpy_with_engine(engine: GemmKind, alpha: f32, x: &[f32], y: &mut [f32]) 
         GemmKind::Avx512Fma => return crate::simd::axpy_avx512_fma(alpha, x, y),
         GemmKind::Avx2 => return crate::simd::axpy_avx2(alpha, x, y),
         GemmKind::Avx2Fma => return crate::simd::axpy_avx2_fma(alpha, x, y),
-        GemmKind::Scalar | GemmKind::Reference => {}
+        GemmKind::Scalar => {}
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = engine;
@@ -187,7 +187,7 @@ pub fn scal_with_engine(engine: GemmKind, alpha: f32, x: &mut [f32]) {
     match engine {
         GemmKind::Avx512 | GemmKind::Avx512Fma => return crate::simd::scal_avx512(alpha, x),
         GemmKind::Avx2 | GemmKind::Avx2Fma => return crate::simd::scal_avx2(alpha, x),
-        GemmKind::Scalar | GemmKind::Reference => {}
+        GemmKind::Scalar => {}
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = engine;
@@ -219,7 +219,7 @@ pub fn dot_with_engine(engine: GemmKind, x: &[f32], y: &[f32]) -> f32 {
     match engine {
         GemmKind::Avx512Fma => return crate::simd::dot_avx512_fma(x, y),
         GemmKind::Avx2Fma => return crate::simd::dot_avx2_fma(x, y),
-        GemmKind::Avx512 | GemmKind::Avx2 | GemmKind::Scalar | GemmKind::Reference => {}
+        GemmKind::Avx512 | GemmKind::Avx2 | GemmKind::Scalar => {}
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = engine;
@@ -392,18 +392,17 @@ pub fn gemm_tuned(
 /// pinned by the caller. This is what the env-dispatching wrappers above resolve to,
 /// and what the differential tests drive directly.
 ///
-/// [`GemmKind::Reference`] routes to [`gemm_reference`] (single-threaded, unblocked:
-/// `threads` and `kc` are ignored — the naive kernel is the ground truth, not a tuning
-/// target). All other engines share the pack + row-band path; only the inner band
-/// kernel differs. On non-`x86_64` targets the vector engines fall back to the scalar
-/// band kernel (the dispatcher never selects them there — this arm is belt and braces
-/// for callers pinning an engine explicitly).
+/// Every engine shares the pack + row-band path; only the inner band kernel differs.
+/// The naive [`gemm_reference`] they are tested against is called directly. On
+/// non-`x86_64` targets the vector engines fall back to the scalar band kernel (the
+/// dispatcher never selects them there — this arm is belt and braces for callers
+/// pinning an engine explicitly).
 ///
 /// # Panics
 ///
 /// Panics if any buffer is too small for the requested shape, or `kc` is zero (with
-/// `k > 0` and a non-reference engine), or a vector engine is pinned on an `x86_64`
-/// CPU that does not report the matching feature.
+/// `k > 0`), or a vector engine is pinned on an `x86_64` CPU that does not report
+/// the matching feature.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_with_engine(
     engine: GemmKind,
@@ -423,14 +422,10 @@ pub fn gemm_with_engine(
     c: &mut [f32],
     ldc: usize,
 ) {
-    if engine == GemmKind::Reference {
-        gemm_reference(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-        return;
-    }
     // Inner band kernel: (ap, bp, k, n, kc, c_band, ldc) over packed panels.
     type BandKernel = fn(&[f32], &[f32], usize, usize, usize, &mut [f32], usize);
     let band: BandKernel = match engine {
-        GemmKind::Scalar | GemmKind::Reference => gemm_packed_band,
+        GemmKind::Scalar => gemm_packed_band,
         #[cfg(target_arch = "x86_64")]
         GemmKind::Avx512 => crate::simd::gemm_packed_band_avx512,
         #[cfg(target_arch = "x86_64")]

@@ -348,7 +348,7 @@ mod tests {
     use crate::data::Dataset;
     use crate::layers::{ConnectedLayer, ConvLayer, MaxPoolLayer, SoftmaxLayer};
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
 
     fn tiny_mlp(inputs: usize, classes: usize, batch: usize, seed: u64) -> Network {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -550,85 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn training_is_bit_identical_across_thread_counts() {
-        // A network large enough that conv forward fans out across the batch and the
-        // conv GEMMs cross the parallel-dispatch threshold; losses and weights must be
-        // bit-identical under PLINIUS_THREADS=1 and a multi-threaded run.
-        let run = |threads: &str| -> (Vec<u32>, Vec<u32>) {
-            std::env::set_var("PLINIUS_THREADS", threads);
-            let mut rng = StdRng::seed_from_u64(77);
-            let config = NetworkConfig {
-                height: 28,
-                width: 28,
-                channels: 1,
-                batch: 2,
-                learning_rate: 0.05,
-                momentum: 0.9,
-                decay: 0.0001,
-                max_iterations: 10,
-            };
-            let layers = vec![
-                Layer::Convolutional(ConvLayer::new(
-                    28,
-                    28,
-                    1,
-                    16,
-                    3,
-                    1,
-                    1,
-                    Activation::Leaky,
-                    2,
-                    &mut rng,
-                )),
-                Layer::Convolutional(ConvLayer::new(
-                    28,
-                    28,
-                    16,
-                    32,
-                    3,
-                    1,
-                    1,
-                    Activation::Leaky,
-                    2,
-                    &mut rng,
-                )),
-                Layer::MaxPool(MaxPoolLayer::new(28, 28, 32, 2, 2, 2)),
-                Layer::Connected(ConnectedLayer::new(
-                    32 * 14 * 14,
-                    3,
-                    Activation::Linear,
-                    2,
-                    &mut rng,
-                )),
-                Layer::Softmax(SoftmaxLayer::new(3, 2)),
-            ];
-            let mut net = Network::new(config, layers).unwrap();
-            let mut rng = StdRng::seed_from_u64(5);
-            let images: Vec<f32> = (0..2 * 28 * 28).map(|_| rng.gen_range(0.0..1.0)).collect();
-            let labels = vec![1.0, 0.0, 0.0, 0.0, 0.0, 1.0];
-            let mut losses = Vec::new();
-            for _ in 0..2 {
-                losses.push(net.train_batch(&images, &labels, 2).unwrap().to_bits());
-            }
-            let weights: Vec<u32> = net
-                .layers()
-                .iter()
-                .flat_map(|l| l.params())
-                .flat_map(|p| p.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
-                .collect();
-            (losses, weights)
-        };
-        let serial = run("1");
-        let parallel = run("4");
-        std::env::remove_var("PLINIUS_THREADS");
-        assert_eq!(serial.0, parallel.0, "losses diverged across thread counts");
-        assert_eq!(
-            serial.1, parallel.1,
-            "weights diverged across thread counts"
-        );
-    }
-
-    #[test]
     fn set_gemm_policy_pins_every_layer() {
         let mut net = tiny_cnn(1, 5);
         net.set_gemm_policy(GemmPolicy::Scalar);
@@ -639,9 +560,6 @@ mod tests {
                 None => assert!(!layer.is_trainable()),
             }
         }
-        // Reference is always selectable too — it never falls back.
-        net.set_gemm_policy(GemmPolicy::Reference);
-        assert_eq!(net.gemm_engine(), GemmKind::Reference);
         // Training still works on the pinned engine.
         let mut images = vec![0.3f32; 64];
         images[..16].iter_mut().for_each(|v| *v = 1.0);

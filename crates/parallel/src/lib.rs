@@ -34,19 +34,20 @@ pub const THREADS_ENV: &str = "PLINIUS_THREADS";
 /// an absurd number of scoped threads per kernel call.
 const MAX_THREAD_CAP: usize = 64;
 
+/// Parses a worker-thread count as `PLINIUS_THREADS` and `--threads` take it: a
+/// positive integer, surrounding whitespace ignored.
+pub fn parse_threads(value: &str) -> Option<usize> {
+    value.trim().parse().ok().filter(|&n| n >= 1)
+}
+
 /// The worker-thread budget for parallel kernels: `PLINIUS_THREADS` when set to a
 /// positive integer, otherwise the machine's available parallelism (both capped at 64).
 pub fn max_threads() -> usize {
-    if let Ok(raw) = std::env::var(THREADS_ENV) {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            if n >= 1 {
-                return n.min(MAX_THREAD_CAP);
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    let detected = || std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    std::env::var(THREADS_ENV)
+        .ok()
+        .and_then(|v| parse_threads(&v))
+        .unwrap_or_else(detected)
         .min(MAX_THREAD_CAP)
 }
 
@@ -578,16 +579,14 @@ mod tests {
 
     #[test]
     fn max_threads_honours_the_env_override() {
-        // `PLINIUS_THREADS` is process-global; this is the only test that mutates it.
-        std::env::set_var(THREADS_ENV, "3");
-        assert_eq!(max_threads(), 3);
-        std::env::set_var(THREADS_ENV, "0"); // invalid: falls back to auto-detect
-        assert!(max_threads() >= 1);
-        std::env::set_var(THREADS_ENV, "not-a-number");
-        assert!(max_threads() >= 1);
-        std::env::set_var(THREADS_ENV, "4096"); // capped
-        assert_eq!(max_threads(), 64);
-        std::env::remove_var(THREADS_ENV);
-        assert!(max_threads() >= 1);
+        // The variable's parser; `knobs_env` in the workspace tests covers the
+        // environment path and the cap at 64.
+        assert_eq!(parse_threads("3"), Some(3));
+        assert_eq!(parse_threads(" 2\n"), Some(2));
+        assert_eq!(parse_threads("4096"), Some(4096));
+        for bad in ["0", "not-a-number", "", "-1"] {
+            assert_eq!(parse_threads(bad), None, "{bad:?}");
+        }
+        assert!((1..=MAX_THREAD_CAP).contains(&max_threads()));
     }
 }

@@ -26,6 +26,7 @@
 //!   tree to `/tenant/{id}/epoch/{n}/...`, preserving the zero-copy sealed-read
 //!   lane of the underlying VFS.
 
+use crate::knobs::Knobs;
 use crate::persist::PersistStats;
 use crate::pmdata::PmDataset;
 use crate::trainer::{PliniusBuilder, PliniusTrainer, TrainingSetup};
@@ -34,21 +35,11 @@ use crate::{PliniusContext, PliniusError, TenantId, MAX_TENANTS};
 use sim_clock::latency::{LatencyHistogram, LatencySummary};
 
 /// Environment variable selecting the default tenant count; unset, unparsable or
-/// out-of-range values mean [`DEFAULT_TENANTS`].
+/// out-of-range values mean [`DEFAULT_TENANTS`] (see [`crate::knobs`]).
 pub const TENANTS_ENV: &str = "PLINIUS_TENANTS";
 
 /// Default number of tenants admitted when [`TENANTS_ENV`] is unset.
 pub const DEFAULT_TENANTS: usize = 1;
-
-/// The tenant count selected by the `PLINIUS_TENANTS` environment variable, or
-/// `default` when unset or out of range (`1..=MAX_TENANTS`).
-pub fn tenants_from_env(default: usize) -> usize {
-    std::env::var(TENANTS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| (1..=MAX_TENANTS).contains(&n))
-        .unwrap_or(default)
-}
 
 /// Fleet deployment parameters.
 #[derive(Debug, Clone)]
@@ -68,7 +59,7 @@ impl Default for FleetConfig {
     /// feeds the mirror's default ring depth.
     fn default() -> Self {
         FleetConfig {
-            tenants: tenants_from_env(DEFAULT_TENANTS),
+            tenants: Knobs::from_env().tenants.unwrap_or(DEFAULT_TENANTS),
             max_concurrent: 0,
         }
     }
@@ -511,14 +502,16 @@ mod tests {
 
     #[test]
     fn tenants_from_env_parses_and_bounds() {
-        // This test must not race others over the process env: use the raw parse
-        // path via explicit values only when the variable is unset.
-        if std::env::var(TENANTS_ENV).is_err() {
-            assert_eq!(tenants_from_env(3), 3);
-        } else {
-            let n = tenants_from_env(3);
-            assert!((1..=MAX_TENANTS).contains(&n));
+        let tenants = |value: &str| {
+            Knobs::from_lookup(|name| (name == TENANTS_ENV).then(|| value.to_owned())).tenants
+        };
+        assert_eq!(tenants(" 3\n"), Some(3));
+        assert_eq!(tenants(&MAX_TENANTS.to_string()), Some(MAX_TENANTS));
+        for bad in ["0", "lots", "", "-2", &(MAX_TENANTS + 1).to_string()] {
+            assert_eq!(tenants(bad), None, "{bad:?}");
         }
+        let row = crate::knobs::KNOBS.iter().find(|k| k.env == TENANTS_ENV);
+        assert!(row.unwrap().accepts.contains(&MAX_TENANTS.to_string()));
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! * [`trainer`] — Algorithm 2 (train + persist loop), the fluent [`PliniusBuilder`],
 //!   crash/resume orchestration, and the spot-instance training driver;
 //! * [`workflow`] — the full Fig. 5 workflow: remote attestation, key provisioning,
-//!   data import, training, inference.
+//!   data import, training, inference;
+//! * [`knobs`] — the six `PLINIUS_*` runtime knobs in one table.
 //!
 //! # Example
 //!
@@ -61,6 +62,7 @@ use std::fmt;
 use std::sync::Arc;
 
 pub mod fleet;
+pub mod knobs;
 pub mod mirror;
 pub mod persist;
 pub mod pmdata;
@@ -71,13 +73,13 @@ pub mod vfs;
 pub mod workflow;
 
 pub use fleet::{
-    tenants_from_env, Fleet, FleetConfig, FleetReport, FleetVfs, TenantReport, DEFAULT_TENANTS,
-    TENANTS_ENV,
+    Fleet, FleetConfig, FleetReport, FleetVfs, TenantReport, DEFAULT_TENANTS, TENANTS_ENV,
 };
+pub use knobs::{Knob, Knobs, KNOBS};
 
 pub use mirror::{
-    ring_depth_from_env, MirrorInReport, MirrorModel, MirrorOutReport, PublishReport,
-    SnapshotReport, DEFAULT_RING_DEPTH, RING_ENV,
+    MirrorInReport, MirrorModel, MirrorOutReport, PublishReport, SnapshotReport,
+    DEFAULT_RING_DEPTH, RING_ENV,
 };
 pub use persist::{
     shared_ssd, FaultInjectingBackend, HybridTieredBackend, ModelPersistence, NoOpBackend,
@@ -93,7 +95,7 @@ pub use trainer::{
 pub use vfs::{EpochDiff, MirrorVfs, SealedEpoch, TensorDiff, Vfs, VfsEntry, VfsKind};
 pub use workflow::{run_full_workflow, WorkflowReport};
 
-// Crypto engine selection (`PLINIUS_CRYPTO={auto,scalar,reference}`), re-exported so
+// Crypto engine selection (`PLINIUS_CRYPTO={auto,scalar}`), re-exported so
 // deployments can pin the sealing engine without depending on `plinius-crypto`.
 pub use plinius_crypto::{hw_available, selected_engine, EngineKind, EnginePolicy, CRYPTO_ENV};
 pub use plinius_darknet::{
@@ -500,8 +502,8 @@ impl PliniusContext {
             .ok_or(PliniusError::KeyNotProvisioned)
     }
 
-    /// The name of the AES-GCM engine sealing runs on for this context (e.g.
-    /// `"aesni+pclmul"`, `"scalar"`, `"reference"`), resolved from the enclave's
+    /// The name of the AES-GCM engine sealing runs on for this context
+    /// (`"aesni+pclmul"` or `"scalar"`), resolved from the enclave's
     /// crypto policy without requiring a provisioned key.
     pub fn engine_name(&self) -> &'static str {
         self.enclave.crypto_policy().select().name()

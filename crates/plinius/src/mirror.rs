@@ -64,6 +64,7 @@
 //! reaching the active slot again requires at least one more epoch flip. Retries are
 //! counted in the `mirror.torn_read_retries` statistic.
 
+use crate::knobs::Knobs;
 use crate::{bytes_to_f32s, f32s_to_bytes_into, PliniusContext, PliniusError};
 use parking_lot::Mutex;
 use plinius_crypto::{
@@ -109,22 +110,11 @@ const META_INVALID: [u8; META_ENTRY_BYTES as usize] = [0u8; META_ENTRY_BYTES as 
 
 /// Environment variable selecting the mirror's ring depth (`R >= 2`) for
 /// [`MirrorModel::allocate`]; invalid or missing values fall back to
-/// [`DEFAULT_RING_DEPTH`].
+/// [`DEFAULT_RING_DEPTH`] (see [`crate::knobs`]).
 pub const RING_ENV: &str = "PLINIUS_RING";
 
 /// Default number of ring slots per tensor: the classic A/B double buffer.
 pub const DEFAULT_RING_DEPTH: usize = 2;
-
-/// The ring depth selected by the `PLINIUS_RING` environment variable, or
-/// [`DEFAULT_RING_DEPTH`] when unset or out of range (the ring needs at least two
-/// slots to publish without touching the committed epoch).
-pub fn ring_depth_from_env() -> usize {
-    std::env::var(RING_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 2)
-        .unwrap_or(DEFAULT_RING_DEPTH)
-}
 
 /// Byte size of one persistent layer node for ring depth `ring`:
 /// `[next_ptr][num_tensors]` + `TENSORS_PER_LAYER x [R slot ptrs][sealed_len]`.
@@ -447,7 +437,7 @@ impl MirrorModel {
     ///
     /// Propagates Romulus errors (e.g. out of persistent memory).
     pub fn allocate(ctx: &PliniusContext, network: &Network) -> Result<Self, PliniusError> {
-        Self::allocate_with_ring(ctx, network, ring_depth_from_env())
+        Self::allocate_with_ring(ctx, network, Knobs::from_env().ring)
     }
 
     /// Allocates the persistent mirror for `network` with an explicit ring depth

@@ -52,8 +52,8 @@ pub struct PersistStats {
     /// hidden behind compute. Zero in synchronous mode and when compute fully
     /// covers the mirror cost.
     pub overlap_wait_ns: u64,
-    /// Name of the AES-GCM engine the sealing ran on (`"aesni+pclmul"`, `"scalar"`,
-    /// `"reference"`). Empty until the backend has touched the crypto path;
+    /// Name of the AES-GCM engine the sealing ran on (`"aesni+pclmul"` or
+    /// `"scalar"`). Empty until the backend has touched the crypto path;
     /// `"mixed"` when a composite backend merged tiers on different engines.
     pub engine: &'static str,
 }
@@ -291,18 +291,20 @@ pub fn shared_ssd(ctx: &PliniusContext) -> SimFileSystem {
     fs
 }
 
-/// Declarative persistence spec, kept as a thin shim over the [`ModelPersistence`]
-/// trait for one release.
+/// Declarative persistence spec: a `Clone`able, comparable description of a
+/// [`ModelPersistence`] backend.
 ///
-/// New code should pass a backend straight to
-/// [`PliniusBuilder::backend`](crate::PliniusBuilder::backend); this enum remains so
-/// that [`TrainingSetup`](crate::TrainingSetup) stays `Clone`-able and declarative, and
-/// maps onto trait objects via [`PersistenceBackend::instantiate`].
+/// [`TrainingSetup::backend`](crate::TrainingSetup::backend) holds one, so a setup can
+/// be cloned for every restart, fleet tenant or benchmark run and still name its
+/// medium; the crash drivers and the benchmark harnesses build their setups this way.
+/// [`PersistenceBackend::instantiate`] turns the spec into a fresh backend. A backend
+/// object passed to [`PliniusBuilder::backend`](crate::PliniusBuilder::backend)
+/// replaces the spec.
 ///
 /// SSD-backed variants lazily bind to the deployment's durable [`shared_ssd`], which —
 /// like a real disk — survives simulated process restarts: a trainer rebuilt from the
 /// same declarative spec over the re-opened context finds the earlier checkpoint and
-/// resumes. Use [`PersistenceBackend::instantiate_on`] or the backends'
+/// resumes. Pass a device to [`PersistenceBackend::instantiate`] or use the backends'
 /// `on_filesystem` constructors to target an explicitly separate device.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PersistenceBackend {
@@ -327,30 +329,12 @@ pub enum PersistenceBackend {
 }
 
 impl PersistenceBackend {
-    /// Maps the spec onto a fresh trait object. SSD-backed specs bind (lazily, on first
-    /// use) to the deployment's durable [`shared_ssd`], so their checkpoints survive
-    /// simulated process restarts; use [`PersistenceBackend::instantiate_on`] to target
-    /// a specific device instead.
-    pub fn instantiate(&self) -> Box<dyn ModelPersistence> {
-        self.instantiate_on(None)
-    }
-
-    /// Like [`PersistenceBackend::instantiate`], but with an explicit epoch-ring depth
-    /// for the mirror-backed variants (ignored by SSD-only and no-op specs).
-    pub fn instantiate_with_ring(&self, ring: usize) -> Box<dyn ModelPersistence> {
-        self.instantiate_on_with_ring(None, ring)
-    }
-
-    /// Maps the spec onto a trait object, placing SSD-backed checkpoints on `ssd` when
-    /// one is given. The crash/spot drivers use this so checkpoints written before a
-    /// simulated process kill are still on the device afterwards.
-    pub fn instantiate_on(&self, ssd: Option<&SimFileSystem>) -> Box<dyn ModelPersistence> {
-        self.instantiate_on_with_ring(ssd, crate::mirror::ring_depth_from_env())
-    }
-
-    /// [`PersistenceBackend::instantiate_on`] with an explicit epoch-ring depth for the
-    /// mirror-backed variants.
-    pub fn instantiate_on_with_ring(
+    /// Maps the spec onto a fresh backend. Mirror-backed variants allocate `ring`-deep
+    /// epoch rings (ignored by SSD-only and no-op specs). SSD-backed variants write
+    /// to `ssd` when given, and otherwise bind (lazily, on first use) to the
+    /// deployment's durable [`shared_ssd`], so their checkpoints survive simulated
+    /// process restarts either way.
+    pub fn instantiate(
         &self,
         ssd: Option<&SimFileSystem>,
         ring: usize,
@@ -378,15 +362,6 @@ impl PersistenceBackend {
             PersistenceBackend::None => Box::new(NoOpBackend),
         }
     }
-
-    /// Whether this spec writes to secondary storage (and therefore needs a durable
-    /// simulated SSD across restarts).
-    pub fn uses_ssd(&self) -> bool {
-        matches!(
-            self,
-            PersistenceBackend::SsdCheckpoint(_) | PersistenceBackend::HybridTiered { .. }
-        )
-    }
 }
 
 /// Plinius' mirroring mechanism as a [`ModelPersistence`] backend: encrypted mirror
@@ -408,7 +383,7 @@ impl PmMirrorBackend {
     /// Creates an unbound backend; the mirror is opened or allocated on first use, with
     /// the epoch-ring depth taken from `PLINIUS_RING` (default 2).
     pub fn new() -> Self {
-        Self::with_ring(crate::mirror::ring_depth_from_env())
+        Self::with_ring(crate::knobs::Knobs::from_env().ring)
     }
 
     /// Creates an unbound backend whose freshly allocated mirrors retain the `ring`
@@ -981,10 +956,8 @@ mod tests {
             (PersistenceBackend::None, "none"),
         ];
         for (spec, label) in specs {
-            assert_eq!(spec.instantiate().label(), label);
+            assert_eq!(spec.instantiate(None, 2).label(), label);
         }
-        assert!(!PersistenceBackend::PmMirror.uses_ssd());
-        assert!(PersistenceBackend::SsdCheckpoint("c".into()).uses_ssd());
     }
 
     #[test]
@@ -1262,7 +1235,7 @@ mod tests {
         assert_eq!(on("scalar").merged(on("")).engine, "scalar");
         assert_eq!(on("").merged(on("aesni+pclmul")).engine, "aesni+pclmul");
         assert_eq!(on("scalar").merged(on("scalar")).engine, "scalar");
-        assert_eq!(on("scalar").merged(on("reference")).engine, "mixed");
+        assert_eq!(on("scalar").merged(on("aesni+pclmul")).engine, "mixed");
     }
 
     #[test]

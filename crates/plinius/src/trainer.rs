@@ -4,7 +4,8 @@
 //! Trainers are constructed through the fluent [`PliniusBuilder`]; the persistence
 //! medium is any [`ModelPersistence`] implementation (see [`crate::persist`]).
 
-use crate::mirror::{ring_depth_from_env, MirrorModel};
+use crate::knobs::Knobs;
+use crate::mirror::MirrorModel;
 use crate::persist::{ModelPersistence, NoOpBackend, PersistStats, PersistenceBackend};
 use crate::pmdata::PmDataset;
 use crate::{PliniusContext, PliniusError, TenantId};
@@ -42,11 +43,13 @@ impl PipelineMode {
     /// CI uses this to run the whole suite in both modes.
     pub const ENV: &'static str = "PLINIUS_PIPELINE";
 
-    /// The mode selected by the [`PipelineMode::ENV`] environment variable.
-    pub fn from_env() -> Self {
-        match std::env::var(Self::ENV) {
-            Ok(v) if v.trim().eq_ignore_ascii_case("overlapped") => PipelineMode::Overlapped,
-            _ => PipelineMode::Sync,
+    /// Parses a mode name as `PLINIUS_PIPELINE` takes it; surrounding whitespace and
+    /// case are ignored.
+    pub fn parse(s: &str) -> Option<Self> {
+        match s.trim().to_ascii_lowercase().as_str() {
+            "sync" => Some(PipelineMode::Sync),
+            "overlapped" => Some(PipelineMode::Overlapped),
+            _ => None,
         }
     }
 }
@@ -80,36 +83,36 @@ pub struct TrainerConfig {
     /// next iteration's compute ([`PipelineMode::Overlapped`]).
     pub pipeline: PipelineMode,
     /// How many committed epochs the PM mirror's ring retains (`>= 2`); only the
-    /// mirror-backed persistence specs use it. Defaults to the `PLINIUS_RING`
-    /// environment variable (2 when unset).
+    /// mirror-backed persistence specs use it.
     pub ring_depth: usize,
-    /// Which AES-GCM engine seals the model (hardware AES-NI + PCLMUL, scalar
-    /// tables, or the reference kernels). Applies when the trainer deploys its own
-    /// context; a context passed to [`PliniusBuilder::context`] keeps its enclave's
-    /// policy. Defaults to the `PLINIUS_CRYPTO` environment variable (auto when
-    /// unset). Sealed bytes are identical on every engine; only speed differs.
+    /// Which AES-GCM engine seals the model (hardware AES-NI + PCLMUL or scalar
+    /// tables). Applies when the trainer deploys its own context; a context passed
+    /// to [`PliniusBuilder::context`] keeps its enclave's policy. Sealed bytes are
+    /// identical on every engine; only speed differs.
     pub crypto: EnginePolicy,
     /// Which GEMM engine the training hot path runs on (AVX-512/AVX2 vector
-    /// kernels, the portable scalar kernel, the naive reference kernel, or the
-    /// opt-in FMA variants; see [`GemmPolicy`]). Resolved against the host CPU and
-    /// pinned on every layer when the trainer builds its network. Defaults to the
-    /// `PLINIUS_GEMM` environment variable (auto when unset). Every engine except
-    /// the opt-in `fma` one trains bit-identically.
+    /// kernels, the portable scalar kernel, or the opt-in FMA variants; see
+    /// [`GemmPolicy`]). Resolved against the host CPU and pinned on every layer
+    /// when the trainer builds its network. Every engine except the opt-in `fma`
+    /// one trains bit-identically.
     pub gemm: GemmPolicy,
 }
 
 impl Default for TrainerConfig {
+    /// The paper's numeric defaults, with the pipeline mode, ring depth and engines
+    /// taken from the runtime knobs ([`Knobs::from_env`]).
     fn default() -> Self {
+        let knobs = Knobs::from_env();
         TrainerConfig {
             batch: 128,
             max_iterations: 500,
             mirror_frequency: 1,
             encrypted_data: true,
             seed: 0xBEEF,
-            pipeline: PipelineMode::from_env(),
-            ring_depth: ring_depth_from_env(),
-            crypto: EnginePolicy::from_env(),
-            gemm: GemmPolicy::from_env(),
+            pipeline: knobs.pipeline,
+            ring_depth: knobs.ring,
+            crypto: knobs.crypto,
+            gemm: knobs.gemm,
         }
     }
 }
@@ -362,13 +365,8 @@ impl TrainingSetup {
             trainer: TrainerConfig {
                 batch: 8,
                 max_iterations: 12,
-                mirror_frequency: 1,
-                encrypted_data: true,
                 seed: 1,
-                pipeline: PipelineMode::from_env(),
-                ring_depth: ring_depth_from_env(),
-                crypto: EnginePolicy::from_env(),
-                gemm: GemmPolicy::from_env(),
+                ..TrainerConfig::default()
             },
             backend: PersistenceBackend::PmMirror,
             model_seed: 3,
@@ -510,8 +508,8 @@ impl PliniusBuilder {
         self
     }
 
-    /// Pins the AES-GCM engine the deployment seals with (hardware, scalar or
-    /// reference; see [`EnginePolicy`]). Applies when this builder deploys its own
+    /// Pins the AES-GCM engine the deployment seals with (hardware or scalar; see
+    /// [`EnginePolicy`]). Applies when this builder deploys its own
     /// context; an explicit [`PliniusBuilder::context`] keeps its enclave's policy.
     /// Sealed bytes are engine-independent, so persisted models stay portable.
     pub fn crypto_engine(mut self, policy: EnginePolicy) -> Self {
@@ -519,8 +517,8 @@ impl PliniusBuilder {
         self
     }
 
-    /// Pins the GEMM engine the training hot path runs on (vector, scalar,
-    /// reference or FMA; see [`GemmPolicy`]). The policy is resolved against the
+    /// Pins the GEMM engine the training hot path runs on (vector, scalar or FMA;
+    /// see [`GemmPolicy`]). The policy is resolved against the
     /// host CPU in `build()` and pinned on every layer of the enclave model. Every
     /// policy except the opt-in `fma` one trains bit-identically, so persisted
     /// models stay portable across engines.
@@ -603,7 +601,7 @@ impl PliniusBuilder {
             .alloc_trusted((network.model_bytes() * 2) as u64)
             .map_err(PliniusError::from)?;
         let mut backend =
-            backend.unwrap_or_else(|| setup.backend.instantiate_with_ring(config.ring_depth));
+            backend.unwrap_or_else(|| setup.backend.instantiate(None, config.ring_depth));
         if backend.exists(&ctx) {
             backend.restore(&ctx, &mut network)?;
         } else {
@@ -687,9 +685,7 @@ pub fn train_with_crash_schedule(
         // real disk — outlives every simulated process kill (a crash wipes volatile
         // state and unflushed PM lines, not the disk).
         let backend: Box<dyn ModelPersistence> = if resilient {
-            setup
-                .backend
-                .instantiate_with_ring(setup.trainer.ring_depth)
+            setup.backend.instantiate(None, setup.trainer.ring_depth)
         } else {
             Box::new(NoOpBackend)
         };

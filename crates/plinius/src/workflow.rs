@@ -42,11 +42,11 @@ pub struct WorkflowReport {
     /// `mirror.torn_read_retries` statistic. Non-zero values mean concurrent
     /// serve-vs-train races were detected (and resolved) by the seqlock protocol.
     pub torn_read_retries: u64,
-    /// Name of the AES-GCM engine the deployment sealed with (`"aesni+pclmul"`,
-    /// `"scalar"` or `"reference"`), as resolved from the enclave's crypto policy.
+    /// Name of the AES-GCM engine the deployment sealed with (`"aesni+pclmul"` or
+    /// `"scalar"`), as resolved from the enclave's crypto policy.
     pub engine: &'static str,
     /// Name of the GEMM engine the training hot path ran on (`"avx512"`, `"avx2"`,
-    /// `"avx512+fma"`, `"avx2+fma"`, `"scalar"` or `"reference"`), as resolved from
+    /// `"avx512+fma"`, `"avx2+fma"` or `"scalar"`), as resolved from
     /// the trainer's GEMM policy against the host CPU.
     pub gemm_engine: &'static str,
 }
@@ -157,16 +157,10 @@ mod tests {
         // observes a torn snapshot — the plumbed counter must read zero.
         assert_eq!(report.torn_read_retries, 0);
         // Engine labels come from the resolved policies — one of the known names each.
-        assert!(["aesni+pclmul", "scalar", "reference"].contains(&report.engine));
-        assert!([
-            "avx512",
-            "avx512+fma",
-            "avx2",
-            "avx2+fma",
-            "scalar",
-            "reference"
-        ]
-        .contains(&report.gemm_engine));
+        assert!(["aesni+pclmul", "scalar"].contains(&report.engine));
+        assert!(
+            ["avx512", "avx512+fma", "avx2", "avx2+fma", "scalar"].contains(&report.gemm_engine)
+        );
     }
 
     #[test]

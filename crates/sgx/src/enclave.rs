@@ -723,11 +723,11 @@ mod tests {
     #[test]
     fn explicit_crypto_policy_pins_the_engine() {
         let enclave = Enclave::builder(b"bin".to_vec())
-            .crypto_policy(EnginePolicy::Reference)
+            .crypto_policy(EnginePolicy::Scalar)
             .build();
         enclave.store_key("model", Key::new(&[1u8; 16]).unwrap());
         let gcm = enclave.gcm_for_key("model").unwrap();
-        assert_eq!(gcm.engine_name(), "reference");
+        assert_eq!(gcm.engine_name(), "scalar");
     }
 
     #[test]

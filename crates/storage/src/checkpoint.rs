@@ -8,7 +8,6 @@
 //! reverse.
 
 use crate::StorageError;
-use bytes::{Buf, BufMut, BytesMut};
 
 /// Magic number identifying a checkpoint blob.
 const MAGIC: u32 = 0x504c_434b; // "PLCK"
@@ -46,62 +45,71 @@ pub struct CheckpointCodec;
 impl CheckpointCodec {
     /// Serialises a checkpoint into its on-disk representation.
     pub fn encode(blob: &CheckpointBlob) -> Vec<u8> {
-        let mut out = BytesMut::with_capacity(blob.payload_bytes() + 64);
-        out.put_u32_le(MAGIC);
-        out.put_u64_le(blob.iteration);
-        out.put_u32_le(blob.layers.len() as u32);
+        let mut out = Vec::with_capacity(blob.payload_bytes() + 64);
+        out.extend_from_slice(&MAGIC.to_le_bytes());
+        out.extend_from_slice(&blob.iteration.to_le_bytes());
+        out.extend_from_slice(&(blob.layers.len() as u32).to_le_bytes());
         for layer in &blob.layers {
-            out.put_u32_le(layer.len() as u32);
+            out.extend_from_slice(&(layer.len() as u32).to_le_bytes());
             for tensor in layer {
-                out.put_u64_le(tensor.len() as u64);
-                out.put_slice(tensor);
+                out.extend_from_slice(&(tensor.len() as u64).to_le_bytes());
+                out.extend_from_slice(tensor);
             }
         }
-        out.to_vec()
+        out
     }
 
-    /// Parses an on-disk checkpoint.
+    /// Parses an on-disk checkpoint. The blob comes from the host-owned SSD, so the
+    /// counts it declares reserve no more entries than its remaining bytes can hold.
     ///
     /// # Errors
     ///
     /// Returns [`StorageError::MalformedCheckpoint`] on a bad magic number or truncation.
     pub fn decode(mut bytes: &[u8]) -> Result<CheckpointBlob, StorageError> {
         let malformed = |msg: &str| StorageError::MalformedCheckpoint(msg.to_owned());
-        if bytes.remaining() < 16 {
+        if bytes.len() < 16 {
             return Err(malformed("blob shorter than header"));
         }
-        if bytes.get_u32_le() != MAGIC {
+        if take(&mut bytes).map(u32::from_le_bytes) != Some(MAGIC) {
             return Err(malformed("bad magic number"));
         }
-        let iteration = bytes.get_u64_le();
-        let num_layers = bytes.get_u32_le() as usize;
-        if num_layers > 1_000_000 {
-            return Err(malformed("implausible layer count"));
-        }
-        let mut layers = Vec::with_capacity(num_layers);
+        let truncated = || malformed("truncated checkpoint");
+        let iteration = take(&mut bytes)
+            .map(u64::from_le_bytes)
+            .ok_or_else(truncated)?;
+        let num_layers = take(&mut bytes)
+            .map(u32::from_le_bytes)
+            .ok_or_else(truncated)?;
+        // Every layer starts with a 4-byte tensor count.
+        let mut layers = Vec::with_capacity((num_layers as usize).min(bytes.len() / 4));
         for _ in 0..num_layers {
-            if bytes.remaining() < 4 {
-                return Err(malformed("truncated layer header"));
-            }
-            let num_tensors = bytes.get_u32_le() as usize;
-            if num_tensors > 1_000_000 {
-                return Err(malformed("implausible tensor count"));
-            }
-            let mut tensors = Vec::with_capacity(num_tensors);
+            let num_tensors = take(&mut bytes)
+                .map(u32::from_le_bytes)
+                .ok_or_else(truncated)?;
+            // Every tensor starts with an 8-byte length.
+            let mut tensors = Vec::with_capacity((num_tensors as usize).min(bytes.len() / 8));
             for _ in 0..num_tensors {
-                if bytes.remaining() < 8 {
-                    return Err(malformed("truncated tensor header"));
-                }
-                let len = bytes.get_u64_le() as usize;
-                if bytes.remaining() < len {
-                    return Err(malformed("truncated tensor payload"));
-                }
-                tensors.push(bytes.copy_to_bytes(len).to_vec());
+                let len = take(&mut bytes)
+                    .map(u64::from_le_bytes)
+                    .ok_or_else(truncated)?;
+                let (tensor, rest) = usize::try_from(len)
+                    .ok()
+                    .and_then(|len| bytes.split_at_checked(len))
+                    .ok_or_else(truncated)?;
+                tensors.push(tensor.to_vec());
+                bytes = rest;
             }
             layers.push(tensors);
         }
         Ok(CheckpointBlob { iteration, layers })
     }
+}
+
+/// Consumes `N` bytes from the front of `bytes`, or `None` if fewer remain.
+fn take<const N: usize>(bytes: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = bytes.split_first_chunk()?;
+    *bytes = rest;
+    Some(*head)
 }
 
 #[cfg(test)]

@@ -13,8 +13,8 @@
 //! Run with: `cargo run --example hybrid_tiered_training`
 
 use plinius::{
-    shared_ssd, HybridTieredBackend, PersistenceBackend, PipelineMode, PliniusBuilder,
-    PliniusContext, PmDataset, TrainerConfig, TrainingSetup,
+    shared_ssd, HybridTieredBackend, PersistenceBackend, PliniusBuilder, PliniusContext, PmDataset,
+    TrainerConfig, TrainingSetup,
 };
 use plinius_crypto::Key;
 use rand::rngs::StdRng;
@@ -33,13 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trainer: TrainerConfig {
             batch: 16,
             max_iterations: 30,
-            mirror_frequency: 1,
-            encrypted_data: true,
             seed: 6,
-            pipeline: PipelineMode::from_env(),
-            ring_depth: plinius::ring_depth_from_env(),
-            crypto: plinius::EnginePolicy::from_env(),
-            gemm: plinius::GemmPolicy::from_env(),
+            ..TrainerConfig::default()
         },
         backend: PersistenceBackend::HybridTiered {
             ssd_path: "tier.ckpt".into(),

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use plinius::{run_full_workflow, PersistenceBackend, PipelineMode, TrainerConfig, TrainingSetup};
+use plinius::{run_full_workflow, PersistenceBackend, TrainerConfig, TrainingSetup};
 use plinius_darknet::{mnist_cnn_config, synthetic_mnist};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,13 +20,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trainer: TrainerConfig {
             batch: 32,
             max_iterations: 60,
-            mirror_frequency: 1,
-            encrypted_data: true,
             seed: 7,
-            pipeline: PipelineMode::from_env(),
-            ring_depth: plinius::ring_depth_from_env(),
-            crypto: plinius::EnginePolicy::from_env(),
-            gemm: plinius::GemmPolicy::from_env(),
+            ..TrainerConfig::default()
         },
         backend: PersistenceBackend::PmMirror,
         model_seed: 3,

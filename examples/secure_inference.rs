@@ -11,8 +11,8 @@
 //! Run with: `cargo run --release --example secure_inference`
 
 use plinius::{
-    InferenceServer, PersistenceBackend, PipelineMode, PliniusBuilder, ServeConfig, ServeSession,
-    TrainerConfig, TrainingSetup,
+    InferenceServer, PersistenceBackend, PliniusBuilder, ServeConfig, ServeSession, TrainerConfig,
+    TrainingSetup,
 };
 use plinius_darknet::{mnist_cnn_config, synthetic_mnist};
 use rand::rngs::StdRng;
@@ -32,12 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             batch: 32,
             max_iterations: 150,
             mirror_frequency: 10,
-            encrypted_data: true,
             seed: 33,
-            pipeline: PipelineMode::from_env(),
-            ring_depth: plinius::ring_depth_from_env(),
-            crypto: plinius::EnginePolicy::from_env(),
-            gemm: plinius::GemmPolicy::from_env(),
+            ..TrainerConfig::default()
         },
         backend: PersistenceBackend::PmMirror,
         model_seed: 8,
