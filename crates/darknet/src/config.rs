@@ -38,6 +38,18 @@ impl Section {
             }),
         }
     }
+
+    /// Like [`Section::parse`] for a count that must be at least 1: a zero-sized layer
+    /// or input is a configuration error, not a panic in the layer constructor.
+    fn parse_count(&self, key: &str, default: usize) -> Result<usize, DarknetError> {
+        match self.parse(key, default)? {
+            0 => Err(DarknetError::Config(format!(
+                "'{key}' in section [{}] must be at least 1",
+                self.name
+            ))),
+            count => Ok(count),
+        }
+    }
 }
 
 /// Parses the text of a `.cfg` file into sections.
@@ -97,9 +109,9 @@ pub fn build_network<R: Rng>(text: &str, rng: &mut R) -> Result<Network, Darknet
         )));
     }
     let config = NetworkConfig {
-        height: net_section.parse("height", 28usize)?,
-        width: net_section.parse("width", 28usize)?,
-        channels: net_section.parse("channels", 1usize)?,
+        height: net_section.parse_count("height", 28)?,
+        width: net_section.parse_count("width", 28)?,
+        channels: net_section.parse_count("channels", 1)?,
         batch: net_section.parse("batch", 128usize)?,
         learning_rate: net_section.parse("learning_rate", 0.1f32)?,
         momentum: net_section.parse("momentum", 0.9f32)?,
@@ -114,7 +126,7 @@ pub fn build_network<R: Rng>(text: &str, rng: &mut R) -> Result<Network, Darknet
     for section in layer_sections {
         match section.name.as_str() {
             "convolutional" | "conv" => {
-                let filters = section.parse("filters", 16usize)?;
+                let filters = section.parse_count("filters", 16)?;
                 let size = section.parse("size", 3usize)?;
                 let stride = section.parse("stride", 1usize)?;
                 let pad = section.parse("pad", 1usize)?;
@@ -158,7 +170,7 @@ pub fn build_network<R: Rng>(text: &str, rng: &mut R) -> Result<Network, Darknet
                 w = ow;
             }
             "connected" | "fc" => {
-                let outputs = section.parse("output", 10usize)?;
+                let outputs = section.parse_count("output", 10)?;
                 let activation: Activation = section
                     .get("activation")
                     .unwrap_or("linear")
@@ -337,6 +349,18 @@ activation=linear
             build_network(zero, &mut rng),
             Err(DarknetError::Config(_))
         ));
+        // So are zero-sized layers and inputs, which used to panic in the layer
+        // constructors.
+        for empty in [
+            "[net]\nheight=4\nwidth=4\n\n[convolutional]\nfilters=0\n",
+            "[net]\nheight=4\nwidth=4\n\n[connected]\noutput=0\n",
+            "[net]\nheight=4\nwidth=4\nchannels=0\n\n[connected]\noutput=2\n",
+        ] {
+            match build_network(empty, &mut rng) {
+                Err(DarknetError::Config(msg)) => assert!(msg.contains("at least 1"), "{msg}"),
+                other => panic!("expected a config error for {empty:?}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

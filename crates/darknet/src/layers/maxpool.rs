@@ -92,6 +92,12 @@ impl MaxPoolLayer {
 
     /// Forward pass.
     ///
+    /// Every window that lies wholly inside the input is pooled with a branch-free
+    /// select: its first cell seeds the maximum, and a later cell replaces it only when
+    /// strictly greater, so a tie keeps the first cell and a NaN never wins (a NaN first
+    /// cell stays). The trailing windows that hang over the edge pool their valid cells
+    /// one at a time with the same rule.
+    ///
     /// # Panics
     ///
     /// Panics if `input` is shorter than `batch * inputs()`.
@@ -101,32 +107,57 @@ impl MaxPoolLayer {
             "maxpool input too small"
         );
         self.ensure_batch(batch);
-        for b in 0..batch {
-            let sample = &input[b * self.inputs()..(b + 1) * self.inputs()];
-            for c in 0..self.in_c {
-                for oh in 0..self.out_h {
-                    for ow in 0..self.out_w {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = NO_WINNER;
-                        for kh in 0..self.size {
-                            for kw in 0..self.size {
-                                let ih = oh * self.stride + kh;
-                                let iw = ow * self.stride + kw;
-                                if ih < self.in_h && iw < self.in_w {
-                                    let idx = (c * self.in_h + ih) * self.in_w + iw;
-                                    if best_idx == NO_WINNER || sample[idx] > best {
-                                        best = sample[idx];
-                                        best_idx = idx;
-                                    }
+        let (in_h, in_w, size, stride) = (self.in_h, self.in_w, self.size, self.stride);
+        let (out_h, out_w) = (self.out_h, self.out_w);
+        // Windows wholly inside the input; `new` guarantees `size <= in_h, in_w`.
+        let full_h = (in_h - size) / stride + 1;
+        let full_w = (in_w - size) / stride + 1;
+        let plane_in = in_h * in_w;
+        let plane_out = out_h * out_w;
+        let planes = batch * self.in_c;
+        let outputs = self.output[..planes * plane_out].chunks_exact_mut(plane_out);
+        let indexes = self.indexes[..planes * plane_out].chunks_exact_mut(plane_out);
+        for (p, (out, idx)) in outputs.zip(indexes).enumerate() {
+            let plane = &input[p * plane_in..][..plane_in];
+            // Winner indexes are relative to the sample, so they include the channel.
+            let base = (p % self.in_c) * plane_in;
+            for oh in 0..out_h {
+                let out = &mut out[oh * out_w..][..out_w];
+                let idx = &mut idx[oh * out_w..][..out_w];
+                let edge_from = if oh < full_h {
+                    let top = oh * stride * in_w;
+                    let band = &plane[top..][..(size - 1) * in_w + (full_w - 1) * stride + size];
+                    let (out, idx) = (&mut out[..full_w], &mut idx[..full_w]);
+                    // The literal 2 lets the compiler unroll the common 2x2 window.
+                    if size == 2 {
+                        pool_inner_row(band, in_w, 2, stride, base + top, out, idx);
+                    } else {
+                        pool_inner_row(band, in_w, size, stride, base + top, out, idx);
+                    }
+                    full_w
+                } else {
+                    0
+                };
+                for ow in edge_from..out_w {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = NO_WINNER;
+                    for kh in 0..size {
+                        for kw in 0..size {
+                            let ih = oh * stride + kh;
+                            let iw = ow * stride + kw;
+                            if ih < in_h && iw < in_w {
+                                let cell = ih * in_w + iw;
+                                if best_idx == NO_WINNER || plane[cell] > best {
+                                    best = plane[cell];
+                                    best_idx = base + cell;
                                 }
                             }
                         }
-                        let out_idx = b * self.outputs() + (c * self.out_h + oh) * self.out_w + ow;
-                        // An empty window (no valid cell) outputs 0.0, not -inf, and
-                        // keeps the sentinel so backward routes nothing.
-                        self.output[out_idx] = if best_idx == NO_WINNER { 0.0 } else { best };
-                        self.indexes[out_idx] = best_idx;
                     }
+                    // An empty window (no valid cell) outputs 0.0, not -inf, and keeps the
+                    // sentinel so backward routes nothing.
+                    out[ow] = if best_idx == NO_WINNER { 0.0 } else { best };
+                    idx[ow] = best_idx;
                 }
             }
         }
@@ -166,6 +197,38 @@ impl MaxPoolLayer {
     /// Approximate FLOPs per sample (comparisons counted as one op each).
     pub fn flops_per_sample(&self) -> u64 {
         (self.outputs() * self.size * self.size) as u64
+    }
+}
+
+/// Pools one output row of windows that lie wholly inside the input. `band` starts at
+/// the window row's first input cell, and `offset` is that cell's index within the
+/// sample. Always inlined, so that a call with a literal `size` unrolls the cell loop
+/// into selects.
+#[inline(always)]
+fn pool_inner_row(
+    band: &[f32],
+    in_w: usize,
+    size: usize,
+    stride: usize,
+    offset: usize,
+    out: &mut [f32],
+    idx: &mut [usize],
+) {
+    for (ow, (out, idx)) in out.iter_mut().zip(idx).enumerate() {
+        let left = ow * stride;
+        let mut best = (band[left], left);
+        for kh in 0..size {
+            let row = kh * in_w + left;
+            for (kw, &value) in band[row..row + size].iter().enumerate() {
+                // Strictly greater: a tie keeps the earlier cell, and a NaN neither wins
+                // nor is displaced.
+                let greater = value > best.0;
+                best.0 = if greater { value } else { best.0 };
+                best.1 = if greater { row + kw } else { best.1 };
+            }
+        }
+        *out = best.0;
+        *idx = offset + best.1;
     }
 }
 
