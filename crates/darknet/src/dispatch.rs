@@ -1,15 +1,15 @@
 //! Runtime selection of the GEMM / vector-kernel engine.
 //!
 //! A family of register-tiled vector kernels backs [`crate::matrix::gemm`] and the
-//! AXPY/SCAL/DOT helpers, all consuming the same packed op(A)/op(B) panels:
+//! AXPY/SCAL/DOT helpers, all consuming the same op(A) blocks and op(B) panels:
 //!
-//! * **avx512** ([`GemmKind::Avx512`]) — a 6×32 C tile held in ZMM accumulators,
+//! * **avx512** ([`GemmKind::Avx512`]) — an 8×32 C tile held in ZMM accumulators,
 //!   on `x86_64` hosts whose CPU reports `avx512f` at runtime. The lanes run
 //!   `mul` + `add` separately — the same IEEE rounding per element as the scalar
 //!   kernel — so its output is **bit-identical** to `scalar` by construction;
-//! * **avx2** ([`GemmKind::Avx2`]) — the same microkernel shape at YMM width
-//!   (6×16 C tile), for CPUs with `avx2` but not AVX-512; also `mul`+`add`
-//!   lanes, also bit-identical;
+//! * **avx2** ([`GemmKind::Avx2`]) — the same microkernel at YMM width (a 6×16 C
+//!   tile, as the YMM file is half the size), for CPUs with `avx2` but not
+//!   AVX-512; also `mul`+`add` lanes, also bit-identical;
 //! * **avx512+fma** / **avx2+fma** ([`GemmKind::Avx512Fma`] / [`GemmKind::Avx2Fma`])
 //!   — the same tiles with fused multiply-adds (`vfmadd`), opt-in because the
 //!   fused rounding changes last-bit results (differential tests bound the
@@ -26,10 +26,10 @@
 //! `--gemm` flag takes the same values through the same parser and rejects invalid
 //! ones.
 //!
-//! The engine-specific tuning constants live here too: the register-tile width and
-//! the minimum work product before [`crate::matrix::gemm`] fans out across threads
-//! are properties of the *kernel*, not of the call site (the vector kernels chew
-//! through small products so fast that forking threads pays off later).
+//! The minimum work product before [`crate::matrix::gemm`] fans out across threads
+//! lives here too: it is a property of the *kernel*, not of the call site (the
+//! vector kernels chew through small products so fast that forking threads pays off
+//! later). The register-tile shapes stay with the kernels that use them.
 
 use std::fmt;
 
@@ -123,18 +123,6 @@ impl GemmKind {
             GemmKind::Avx2 => "avx2",
             GemmKind::Avx2Fma => "avx2+fma",
             GemmKind::Scalar => "scalar",
-        }
-    }
-
-    /// Width (in `f32` lanes) of the register-resident C tile of this engine's
-    /// inner kernel. The scalar kernel streams 32-wide accumulator strips (eight
-    /// SSE-width chains, enough to hide FP-add latency without spilling); the AVX2
-    /// microkernels hold a 6×16 tile in twelve YMM accumulators, the AVX-512 ones
-    /// a 6×32 tile in twelve ZMM accumulators.
-    pub const fn tile_width(self) -> usize {
-        match self {
-            GemmKind::Avx2 | GemmKind::Avx2Fma => 16,
-            GemmKind::Avx512 | GemmKind::Avx512Fma | GemmKind::Scalar => 32,
         }
     }
 
@@ -245,15 +233,9 @@ mod tests {
 
     #[test]
     fn engine_tuning_constants_are_engine_specific() {
-        // The hoisted constants keep the scalar kernel's historical values and give
-        // the register-tiled kernels their own (see the satellite contract: tile
-        // shape is a property of the kernel, not the call site).
-        assert_eq!(GemmKind::Scalar.tile_width(), 32);
+        // The scalar kernel keeps its historical threshold and the register-tiled
+        // kernels get their own.
         assert_eq!(GemmKind::Scalar.par_min_work(), 1 << 20);
-        assert_eq!(GemmKind::Avx2.tile_width(), 16);
-        assert_eq!(GemmKind::Avx2Fma.tile_width(), 16);
-        assert_eq!(GemmKind::Avx512.tile_width(), 32);
-        assert_eq!(GemmKind::Avx512Fma.tile_width(), 32);
         assert!(GemmKind::Avx2.par_min_work() > GemmKind::Scalar.par_min_work());
         assert!(GemmKind::Avx512.par_min_work() > GemmKind::Scalar.par_min_work());
     }

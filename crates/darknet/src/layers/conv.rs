@@ -3,9 +3,12 @@
 //! paper's experiments.
 //!
 //! The forward pass over a batch runs sample-parallel across scoped threads (each
-//! sample's im2col + GEMM + bias + activation writes a disjoint output band), and the
-//! backward pass parallelises inside its GEMM calls; both produce bit-identical results
-//! for every thread count.
+//! sample's im2col + GEMM + bias + activation writes a disjoint output band). The
+//! backward pass walks the samples on the calling thread: its per-sample GEMMs would
+//! fan out only past the engine's parallel cutoff ([`GemmKind::par_min_work`], `2^20`
+//! or `2^21` multiply-adds), which no conv layer of the benchmark models reaches, so in
+//! practice it runs on one core. Both produce bit-identical results for every thread
+//! count.
 
 use crate::activation::Activation;
 use crate::dispatch::{selected_gemm, GemmKind};
@@ -295,7 +298,6 @@ impl ConvLayer {
         let k = self.in_c * self.ksize * self.ksize;
         let n = self.out_h * self.out_w;
         let in_size = self.inputs();
-        let mut col_delta = vec![0.0f32; k * n];
         for b in 0..batch {
             let out = &self.output[b * m * n..(b + 1) * m * n];
             let delta = &mut self.delta[b * m * n..(b + 1) * m * n];
@@ -332,8 +334,10 @@ impl ConvLayer {
                 k,
             );
             if let Some(prev) = prev_delta.as_deref_mut() {
-                // col_delta = W^T * delta, then scatter back to image space.
-                col_delta.iter_mut().for_each(|v| *v = 0.0);
+                // col_delta = W^T * delta, then scatter back to image space. It reuses
+                // the column buffer, which the weight gradient above has finished with.
+                let col_delta = &mut self.col_buffer;
+                col_delta.fill(0.0);
                 layer_gemm(
                     self.engine,
                     true,
@@ -347,12 +351,12 @@ impl ConvLayer {
                     delta,
                     n,
                     0.0,
-                    &mut col_delta,
+                    col_delta,
                     n,
                 );
                 let prev_sample = &mut prev[b * in_size..(b + 1) * in_size];
                 col2im(
-                    &col_delta,
+                    col_delta,
                     self.in_c,
                     self.in_h,
                     self.in_w,

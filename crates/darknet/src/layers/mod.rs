@@ -14,14 +14,14 @@ pub use maxpool::MaxPoolLayer;
 pub use softmax::SoftmaxLayer;
 
 use crate::dispatch::GemmKind;
-use crate::matrix::{gemm_with_engine, GEMM_DEFAULT_KC};
+use crate::matrix::{gemm_threads, gemm_with_engine, GEMM_DEFAULT_KC};
 use std::fmt;
 
 /// [`crate::matrix::gemm`] with the engine pinned instead of re-resolved from the
 /// environment: the layer hot paths capture the engine once at construction (or via
 /// [`Layer::set_gemm_engine`]) so a mid-training env change cannot mix kernels within
-/// one iteration. Threading mirrors `gemm`: fan out only past the engine's
-/// [`GemmKind::par_min_work`] product.
+/// one iteration. Threading is `gemm`'s: fan out only past the engine's
+/// [`GemmKind::par_min_work`] product per fork.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn layer_gemm(
     engine: GemmKind,
@@ -39,15 +39,9 @@ pub(crate) fn layer_gemm(
     c: &mut [f32],
     ldc: usize,
 ) {
-    let work = m.saturating_mul(n).saturating_mul(k);
-    let threads = if work < engine.par_min_work() {
-        1
-    } else {
-        plinius_parallel::max_threads()
-    };
     gemm_with_engine(
         engine,
-        threads,
+        gemm_threads(engine, tb, m, n, k),
         GEMM_DEFAULT_KC,
         ta,
         tb,

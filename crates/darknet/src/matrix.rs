@@ -5,6 +5,7 @@
 
 use crate::dispatch::{selected_gemm, GemmKind};
 use rand::Rng;
+use std::cell::RefCell;
 use std::fmt;
 use std::ops::Range;
 
@@ -227,26 +228,48 @@ pub fn dot_with_engine(engine: GemmKind, x: &[f32], y: &[f32]) -> f32 {
     x.iter().zip(y.iter()).map(|(a, b)| a * b).sum()
 }
 
-/// Default k-block size of the blocked GEMM kernel: one `KC x n` panel of `op(B)` stays
-/// hot in cache while every row of the band streams over it. Tunable through
-/// [`gemm_tuned`]; the block size never changes the result (the per-element accumulation
-/// order over `p` is preserved across block boundaries).
+/// Default k-block size of the blocked GEMM kernel: the depth of one panel of `op(B)`
+/// (`KC x` [`GEMM_NC`]), which stays in L2 while every row block of the band streams
+/// over it. Tunable through [`gemm_tuned`]; the block size never changes the result (the
+/// per-element accumulation order over `p` is preserved across block boundaries).
 pub const GEMM_DEFAULT_KC: usize = 128;
+
+/// Width of one panel of `op(B)`. With the default k-block a panel is 256 KiB, small
+/// enough to stay in L2. A property of the kernel, not a knob: like the k-block, it
+/// never changes the result.
+pub const GEMM_NC: usize = 512;
+
+/// Rows of `alpha * op(A)` packed at a time: a multiple of both vector microtiles' row
+/// counts (six and eight), so that only a band's last block can be short, and small
+/// enough that a packed block (48 KiB at the default k-block) sits beside the panel in
+/// L2.
+const GEMM_MC: usize = 96;
+
+thread_local! {
+    /// This thread's packed panel of a transposed `B`, reused across calls.
+    static B_PANEL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// This thread's packed block of `alpha * op(A)`, reused across calls.
+    static A_BLOCK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
 
 /// General matrix multiply: `C = alpha * op(A) * op(B) + beta * C`, where `op` optionally
 /// transposes its argument. `A` is `m x k` (after `op`), `B` is `k x n`, `C` is `m x n`,
 /// all row-major with the given leading dimensions.
 ///
-/// This is the blocked, cache-aware kernel: the `op(A)`/`op(B)` panels are packed into
-/// contiguous buffers once (with `alpha` folded into the `A` panel), then an `ikj`-order
-/// loop runs over `KC`-sized k-blocks with the engine's inner kernel — the register-tiled
-/// AVX2 microkernel when the `PLINIUS_GEMM` policy resolves to it (see
-/// [`crate::dispatch`]), the portable 32-wide-strip kernel otherwise. Large products are
-/// dispatched across row bands on scoped threads (worker count from
+/// This is the blocked, cache-aware kernel. It walks `op(B)` in panels of `KC` rows by
+/// [`GEMM_NC`] columns: a non-transposed `B` is read in place through its row stride, a
+/// transposed one is packed panel by panel with a cache-blocked transpose. `op(A)` is
+/// read in place too unless it is transposed or `alpha != 1`, when it is packed as
+/// `alpha * op(A)` in small row blocks. Each row block times each panel runs through the
+/// engine's band kernel: the register-tiled AVX-512 or AVX2 microkernel when the
+/// `PLINIUS_GEMM` policy resolves to one (see [`crate::dispatch`]), whose last strip of
+/// every row is one masked vector, or the portable 32-wide-strip kernel. The pack buffers
+/// are per thread, sized by the block constants and reused across calls. Large products
+/// are dispatched across row bands on scoped threads (worker count from
 /// [`plinius_parallel::max_threads`], override with `PLINIUS_THREADS`; the minimum work
-/// product before fanning out is engine-specific, [`GemmKind::par_min_work`]). The
+/// of one fork is engine-specific, [`GemmKind::par_min_work`]). The
 /// result is **bit-identical for every thread count, block size, and every engine except
-/// the opt-in `fma` one** — the `avx2` lanes run the same `mul`-then-`add` roundings in
+/// the opt-in `fma` ones** — the vector lanes run the same `mul`-then-`add` roundings in
 /// the same ascending-`p` order as the scalar kernel — and matches [`gemm_reference`]
 /// exactly for all finite results: every `C[i][j]` accumulates the same terms in the
 /// same order with no reassociation (and no FMA contraction outside `fma`). The one
@@ -275,15 +298,9 @@ pub fn gemm(
     ldc: usize,
 ) {
     let engine = selected_gemm();
-    let work = m.saturating_mul(n).saturating_mul(k);
-    let threads = if work < engine.par_min_work() {
-        1
-    } else {
-        plinius_parallel::max_threads()
-    };
     gemm_with_engine(
         engine,
-        threads,
+        gemm_threads(engine, tb, m, n, k),
         GEMM_DEFAULT_KC,
         ta,
         tb,
@@ -299,6 +316,23 @@ pub fn gemm(
         c,
         ldc,
     );
+}
+
+/// The worker-thread count [`gemm`] picks: one below the engine's
+/// [`GemmKind::par_min_work`], [`plinius_parallel::max_threads`] from there. The work
+/// counted is what one fork of the row bands covers: the whole product, or one panel of
+/// it when `B` is transposed, as the bands then fork once per packed panel.
+pub(crate) fn gemm_threads(engine: GemmKind, tb: bool, m: usize, n: usize, k: usize) -> usize {
+    let (kb, nb) = if tb {
+        (k.min(GEMM_DEFAULT_KC), n.min(GEMM_NC))
+    } else {
+        (k, n)
+    };
+    if m.saturating_mul(nb).saturating_mul(kb) < engine.par_min_work() {
+        1
+    } else {
+        plinius_parallel::max_threads()
+    }
 }
 
 /// [`gemm`] with an explicit worker-thread count (1 forces the single-threaded blocked
@@ -393,11 +427,11 @@ pub fn gemm_tuned(
 /// pinned by the caller. This is what the env-dispatching wrappers above resolve to,
 /// and what the differential tests drive directly.
 ///
-/// Every engine shares the pack + row-band path; only the inner band kernel differs.
-/// The naive [`gemm_reference`] they are tested against is called directly. On
-/// non-`x86_64` targets the vector engines fall back to the scalar band kernel (the
-/// dispatcher never selects them there — this arm is belt and braces for callers
-/// pinning an engine explicitly).
+/// Every engine shares one loop over the panels of `op(B)`; only the inner
+/// band kernel differs. The naive [`gemm_reference`] they are tested against is called
+/// directly. On non-`x86_64` targets the vector engines fall back to the scalar band
+/// kernel (the dispatcher never selects them there — this arm is belt and braces for
+/// callers pinning an engine explicitly).
 ///
 /// # Panics
 ///
@@ -423,8 +457,9 @@ pub fn gemm_with_engine(
     c: &mut [f32],
     ldc: usize,
 ) {
-    // Inner band kernel: (ap, bp, k, n, kc, c_band, ldc) over packed panels.
-    type BandKernel = fn(&[f32], &[f32], usize, usize, usize, &mut [f32], usize);
+    // Inner band kernel: (a_block, lda, panel, ld_panel, kb, nb, c_block, ldc), one
+    // k-block.
+    type BandKernel = fn(&[f32], usize, &[f32], usize, usize, usize, &mut [f32], usize);
     let band: BandKernel = match engine {
         GemmKind::Scalar => gemm_packed_band,
         #[cfg(target_arch = "x86_64")]
@@ -439,6 +474,15 @@ pub fn gemm_with_engine(
         GemmKind::Avx512 | GemmKind::Avx512Fma | GemmKind::Avx2 | GemmKind::Avx2Fma => {
             gemm_packed_band
         }
+    };
+    // The vector engines pack through the AVX register transpose: through the portable
+    // one, a transposed 8x2674x392 product runs about 3x slower.
+    let transpose: Transpose = match engine {
+        #[cfg(target_arch = "x86_64")]
+        GemmKind::Avx512 | GemmKind::Avx512Fma | GemmKind::Avx2 | GemmKind::Avx2Fma => {
+            crate::simd::transpose_scaled_avx
+        }
+        _ => transpose_scaled,
     };
     assert!(
         c.len() >= (m.saturating_sub(1)) * ldc + n,
@@ -460,135 +504,235 @@ pub fn gemm_with_engine(
         return;
     }
     assert!(kc > 0, "k-block size must be non-zero");
-    // Pack the operand panels once: `ap` is op(A) row-major (m x k) with alpha folded
-    // in — the same `alpha * a[i][p]` product the reference kernel forms — and `bp` is
-    // op(B) row-major (k x n). Packing removes the per-element transpose branch and the
-    // `ldb`-strided walk of a transposed B from the inner loop.
-    let ap = pack_op_a(ta, m, k, alpha, a, lda);
-    let packed_b;
-    let bp: &[f32] = if !tb && ldb == n {
-        // op(B) is already contiguous row-major: borrow it directly.
-        &b[..k * n]
-    } else {
-        packed_b = pack_op_b(tb, k, n, b, ldb);
-        &packed_b
-    };
     let c_rows = &mut c[..(m - 1) * ldc + n];
     let threads = threads.clamp(1, m);
-    if threads == 1 {
-        band(&ap, bp, k, n, kc, c_rows, ldc);
-        return;
-    }
     let rows_per_band = m.div_ceil(threads);
-    let ap = &ap;
-    plinius_parallel::par_chunks_mut(c_rows, rows_per_band * ldc, threads, |band_idx, c_band| {
-        let first_row = band_idx * rows_per_band;
+    // One row band of C times one panel, in blocks of `GEMM_MC` rows through the band
+    // kernel. op(A) is read in place when there is nothing to transpose or fold in;
+    // otherwise the block packs `alpha * op(A)`, the same `alpha * a[i][p]` product the
+    // reference kernel forms.
+    let run = |first_row: usize, c_band: &mut [f32], panel: Panel<'_>| {
         let rows = c_band.len().div_ceil(ldc);
-        let ap_band = &ap[first_row * k..(first_row + rows) * k];
-        band(ap_band, bp, k, n, kc, c_band, ldc);
-    });
+        A_BLOCK.with_borrow_mut(|buf| {
+            for ic in (0..rows).step_by(GEMM_MC) {
+                let (mb, row) = (GEMM_MC.min(rows - ic), first_row + ic);
+                let (ap, ld): (&[f32], usize) = if ta || alpha != 1.0 {
+                    let ap = grow(buf, mb * panel.kb);
+                    pack_a(transpose, ta, alpha, a, lda, row, panel.pc, ap, panel.kb);
+                    (ap, panel.kb)
+                } else {
+                    (&a[row * lda + panel.pc..], lda)
+                };
+                let c_block = &mut c_band[ic * ldc + panel.jc..][..(mb - 1) * ldc + panel.nb];
+                band(
+                    ap, ld, panel.data, panel.ld, panel.kb, panel.nb, c_block, ldc,
+                );
+            }
+        });
+    };
+    if threads == 1 || !tb {
+        // Nothing to share: each band walks every panel itself, in one dispatch.
+        plinius_parallel::par_chunks_mut(c_rows, rows_per_band * ldc, threads, |i, c_band| {
+            for_each_panel(transpose, tb, k, n, kc, b, ldb, |panel| {
+                run(i * rows_per_band, c_band, panel)
+            });
+        });
+    } else {
+        // A transposed B is packed once per panel, on this thread, and the bands share
+        // it: they fork once per panel.
+        for_each_panel(transpose, tb, k, n, kc, b, ldb, |panel| {
+            plinius_parallel::par_chunks_mut(
+                &mut *c_rows,
+                rows_per_band * ldc,
+                threads,
+                |i, c_band| run(i * rows_per_band, c_band, panel),
+            );
+        });
+    }
 }
 
-/// Packs `alpha * op(A)` into a contiguous row-major `m x k` panel. Out-of-range reads
-/// panic exactly as they would in the reference kernel.
-fn pack_op_a(ta: bool, m: usize, k: usize, alpha: f32, a: &[f32], lda: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * k];
-    if ta {
-        // A is stored k x m; gather column i of the storage as row i of the panel.
-        for p in 0..k {
-            let a_row = &a[p * lda..][..m];
-            for (i, &v) in a_row.iter().enumerate() {
-                out[i * k + p] = alpha * v;
+/// One `kb x nb` block of `op(B)` at `(pc, jc)`: `data[p * ld + j]` is
+/// `op(B)[pc + p][jc + j]`.
+#[derive(Clone, Copy)]
+struct Panel<'a> {
+    pc: usize,
+    kb: usize,
+    jc: usize,
+    nb: usize,
+    data: &'a [f32],
+    ld: usize,
+}
+
+/// Calls `f` on every panel of `op(B)`: k-blocks of `kc` in ascending order, each in
+/// panels of [`GEMM_NC`] columns. A non-transposed `B` is borrowed in place; a transposed
+/// one is packed into this thread's panel buffer. Out-of-range reads panic exactly as
+/// they would in the reference kernel.
+#[allow(clippy::too_many_arguments)]
+fn for_each_panel(
+    transpose: Transpose,
+    tb: bool,
+    k: usize,
+    n: usize,
+    kc: usize,
+    b: &[f32],
+    ldb: usize,
+    mut f: impl FnMut(Panel<'_>),
+) {
+    let mut walk = |mut buf: Option<&mut Vec<f32>>| {
+        for pc in (0..k).step_by(kc) {
+            let kb = kc.min(k - pc);
+            for jc in (0..n).step_by(GEMM_NC) {
+                let nb = GEMM_NC.min(n - jc);
+                let (data, ld) = match buf.as_deref_mut() {
+                    Some(buf) => {
+                        let packed = grow(buf, kb * nb);
+                        transpose(&b[jc * ldb + pc..], ldb, nb, kb, 1.0, packed, nb);
+                        (&*packed, nb)
+                    }
+                    None => (&b[pc * ldb + jc..], ldb),
+                };
+                f(Panel {
+                    pc,
+                    kb,
+                    jc,
+                    nb,
+                    data,
+                    ld,
+                });
             }
         }
+    };
+    if tb {
+        B_PANEL.with_borrow_mut(|buf| walk(Some(buf)));
     } else {
-        for (i, out_row) in out.chunks_mut(k).enumerate() {
-            let a_row = &a[i * lda..][..k];
-            for (o, &v) in out_row.iter_mut().zip(a_row.iter()) {
+        walk(None);
+    }
+}
+
+/// The first `len` elements of a reused pack buffer, growing it only when it is short.
+fn grow(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
+/// Packs `alpha * op(A)` into `out`: `mb` rows from `i0`, `kb` columns from `p0`,
+/// row-major and `kb` apart, where `out` holds `mb * kb` values. Out-of-range reads
+/// panic exactly as they would in the reference kernel.
+#[allow(clippy::too_many_arguments)]
+fn pack_a(
+    transpose: Transpose,
+    ta: bool,
+    alpha: f32,
+    a: &[f32],
+    lda: usize,
+    i0: usize,
+    p0: usize,
+    out: &mut [f32],
+    kb: usize,
+) {
+    let mb = out.len() / kb;
+    if ta {
+        // A is stored k x m: its rows `p0..` hold the block's columns.
+        transpose(&a[p0 * lda + i0..], lda, kb, mb, alpha, out, kb);
+    } else {
+        for (i, out_row) in out.chunks_exact_mut(kb).enumerate() {
+            for (o, &v) in out_row.iter_mut().zip(&a[(i0 + i) * lda + p0..][..kb]) {
                 *o = alpha * v;
             }
         }
     }
-    out
 }
 
-/// Packs `op(B)` into a contiguous row-major `k x n` panel. Out-of-range reads panic
-/// exactly as they would in the reference kernel.
-fn pack_op_b(tb: bool, k: usize, n: usize, b: &[f32], ldb: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; k * n];
-    if tb {
-        // B is stored n x k; gather column p of the storage as row p of the panel.
-        for j in 0..n {
-            let b_row = &b[j * ldb..][..k];
-            for (p, &v) in b_row.iter().enumerate() {
-                out[p * n + j] = v;
+/// A transposing copy, `(src, lds, rows, cols, scale, dst, ldd)`: writes
+/// `scale * src[r * lds + c]` to `dst[c * ldd + r]` for every `r < rows`, `c < cols`.
+type Transpose = fn(&[f32], usize, usize, usize, f32, &mut [f32], usize);
+
+/// The portable [`Transpose`], through an 8x8 tile buffer: eight short row copies in,
+/// eight short row writes out, with the column tiles outermost so that each pass
+/// writes eight destination rows front to back.
+fn transpose_scaled(
+    src: &[f32],
+    lds: usize,
+    rows: usize,
+    cols: usize,
+    scale: f32,
+    dst: &mut [f32],
+    ldd: usize,
+) {
+    const T: usize = 8;
+    for c0 in (0..cols).step_by(T) {
+        let cn = T.min(cols - c0);
+        for r0 in (0..rows).step_by(T) {
+            let rn = T.min(rows - r0);
+            let mut tile = [[0.0f32; T]; T];
+            for (r, row) in tile.iter_mut().enumerate().take(rn) {
+                row[..cn].copy_from_slice(&src[(r0 + r) * lds + c0..][..cn]);
+            }
+            for c in 0..cn {
+                for (r, o) in dst[(c0 + c) * ldd + r0..][..rn].iter_mut().enumerate() {
+                    *o = scale * tile[r][c];
+                }
             }
         }
-    } else {
-        for (p, out_row) in out.chunks_mut(n).enumerate() {
-            out_row.copy_from_slice(&b[p * ldb..][..n]);
-        }
     }
-    out
 }
 
-/// Width of the register-resident C tile of the scalar inner kernel (in `f32` lanes):
+/// Width of the register-resident C strip of the scalar inner kernel (in `f32` lanes):
 /// enough independent accumulator vectors to hide FP-add latency without spilling.
-/// Hoisted into the dispatch layer so each engine declares its own tile shape (the
-/// AVX2 microkernels use [`GemmKind::tile_width`] = 16).
-const GEMM_TILE_W: usize = GemmKind::Scalar.tile_width();
+const GEMM_TILE_W: usize = 32;
 
-/// The blocked inner kernel over one band of C rows: `kb`-blocked `i / j-tile / p`
-/// order with a register-resident accumulator tile. Each `GEMM_TILE_W`-wide strip of a
-/// C row is loaded once per k-block, accumulates every `p` of the block in registers,
-/// and is stored once — instead of a C-row load/store per rank-1 update.
+/// The scalar band kernel: one k-block (`kb` deep) of a band of C rows, whose op(A) rows
+/// sit `lda` apart in `ap`, against one panel (`nb` wide, rows `ldb` apart), in
+/// `i / j-strip / p` order with a register-resident
+/// accumulator strip. Each `GEMM_TILE_W`-wide strip of a C row is loaded once, accumulates
+/// every `p` of the block in registers, and is stored once — instead of a C-row
+/// load/store per rank-1 update.
 ///
 /// For every `C[i][j]` the terms still accumulate in ascending-`p` order with one `+=`
 /// per term — exactly the reference kernel's association, hence bit-identical results
 /// (no FMA contraction, no reassociation).
+#[allow(clippy::too_many_arguments)]
 fn gemm_packed_band(
     ap: &[f32],
+    lda: usize,
     bp: &[f32],
-    k: usize,
-    n: usize,
-    kc: usize,
+    ldb: usize,
+    kb: usize,
+    nb: usize,
     c: &mut [f32],
     ldc: usize,
 ) {
     let rows = c.len().div_ceil(ldc);
-    let mut kb = 0;
-    while kb < k {
-        let kend = (kb + kc).min(k);
-        for r in 0..rows {
-            let a_row = &ap[r * k + kb..r * k + kend];
-            let c_row = &mut c[r * ldc..r * ldc + n];
-            let mut jt = 0;
-            // Full-width tiles: fixed-size accumulator array the compiler keeps in
-            // vector registers.
-            while jt + GEMM_TILE_W <= n {
-                let tile = &mut c_row[jt..jt + GEMM_TILE_W];
-                let mut acc: [f32; GEMM_TILE_W] = tile.try_into().expect("full tile");
-                for (p, &a_ip) in a_row.iter().enumerate() {
-                    let b_strip = &bp[(kb + p) * n + jt..(kb + p) * n + jt + GEMM_TILE_W];
-                    for (x, &b_v) in b_strip.iter().enumerate() {
-                        acc[x] += a_ip * b_v;
-                    }
+    for r in 0..rows {
+        let a_row = &ap[r * lda..][..kb];
+        let c_row = &mut c[r * ldc..r * ldc + nb];
+        let mut jt = 0;
+        // Full-width strips: fixed-size accumulator array the compiler keeps in
+        // vector registers.
+        while jt + GEMM_TILE_W <= nb {
+            let tile = &mut c_row[jt..jt + GEMM_TILE_W];
+            let mut acc: [f32; GEMM_TILE_W] = tile.try_into().expect("full tile");
+            for (p, &a_ip) in a_row.iter().enumerate() {
+                let b_strip = &bp[p * ldb + jt..][..GEMM_TILE_W];
+                for (x, &b_v) in b_strip.iter().enumerate() {
+                    acc[x] += a_ip * b_v;
                 }
-                tile.copy_from_slice(&acc);
-                jt += GEMM_TILE_W;
             }
-            // Remainder strip narrower than a tile.
-            if jt < n {
-                let tile = &mut c_row[jt..];
-                for (p, &a_ip) in a_row.iter().enumerate() {
-                    let b_strip = &bp[(kb + p) * n + jt..(kb + p + 1) * n];
-                    for (cv, &b_v) in tile.iter_mut().zip(b_strip.iter()) {
-                        *cv += a_ip * b_v;
-                    }
+            tile.copy_from_slice(&acc);
+            jt += GEMM_TILE_W;
+        }
+        // Remainder strip narrower than a tile.
+        if jt < nb {
+            let tile = &mut c_row[jt..];
+            for (p, &a_ip) in a_row.iter().enumerate() {
+                let b_strip = &bp[p * ldb + jt..][..nb - jt];
+                for (cv, &b_v) in tile.iter_mut().zip(b_strip) {
+                    *cv += a_ip * b_v;
                 }
             }
         }
-        kb = kend;
     }
 }
 

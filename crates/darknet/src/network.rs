@@ -231,11 +231,10 @@ impl Network {
         }
         self.forward(images, batch);
         // Cross-entropy loss and its (negative) gradient on the softmax output.
-        let predictions = self.layers.last().expect("non-empty").output().to_vec();
         let mut loss = 0.0f32;
         {
             let last = self.layers.last_mut().expect("non-empty");
-            let delta = last.delta_mut();
+            let (predictions, delta) = last.output_and_delta_mut();
             for i in 0..batch * outputs {
                 let t = labels[i];
                 let p = predictions[i];

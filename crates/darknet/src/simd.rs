@@ -16,7 +16,16 @@
 //!   computes in-bounds. The kernels themselves never grow an index past what the
 //!   wrapper checked.
 //! * All vector loads and stores go through the unaligned intrinsics
-//!   (`loadu`/`storeu`); no alignment is assumed anywhere.
+//!   (`loadu`/`storeu`, and their masked forms); no alignment is assumed anywhere.
+//! * A masked load or store (AVX-512 `maskz_loadu`/`mask_storeu`, AVX2
+//!   `maskload`/`maskstore`) touches only the memory of its enabled lanes, and the
+//!   kernels enable exactly the lanes whose indices the wrapper checked. The
+//!   disabled lanes of the last strip of a row may lie past the end of the slice
+//!   (or in the `ldc` gutter): the hardware neither reads nor writes them, and
+//!   faults on them are suppressed.
+//! * A band's last row block may be shorter than the microtile: its missing rows
+//!   point at the last live row, so they load only checked memory, and they are
+//!   never stored.
 //! * No raw pointer escapes the slice it was derived from, and no pointer is held
 //!   across a reallocation (the kernels allocate nothing).
 //!
@@ -27,21 +36,27 @@
 //! `mul`-then-`add` roundings, in the same ascending-`p` order — lane width only
 //! changes how many *elements* are in flight, never the per-element arithmetic —
 //! so their results are bit-identical to the scalar kernels by construction
-//! (proptests pin this). The `*+fma` kernels fuse the multiply-add with a single
-//! rounding, which changes last-bit results; they are opt-in via
-//! `PLINIUS_GEMM=fma` and covered by ULP-bounded differential tests instead.
+//! (proptests pin this). The `*+fma` kernels fuse every multiply-add, the masked
+//! strip at the end of each row included, with a single rounding, which changes
+//! last-bit results; they are opt-in via `PLINIUS_GEMM=fma` and covered by
+//! ULP-bounded differential tests instead.
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
-    _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps,
-    _mm256_setzero_ps, _mm256_storeu_ps, _mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps,
-    _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
+    __mmask16, _mm256_add_ps, _mm256_cmpgt_epi32, _mm256_fmadd_ps, _mm256_loadu_ps,
+    _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_mul_ps, _mm256_permute2f128_ps,
+    _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps, _mm256_shuffle_ps,
+    _mm256_storeu_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm512_add_ps, _mm512_fmadd_ps,
+    _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_ps,
+    _mm512_setzero_ps, _mm512_storeu_ps,
 };
 
-/// Rows of the register-resident C microtile. Six rows of two accumulator vectors
-/// leave headroom for the B strips and the broadcast A element in both the
-/// 16-register YMM file and the 32-register ZMM file.
-const MR: usize = 6;
+/// Rows of the register-resident C microtile, per register file. Each row holds two
+/// accumulator vectors: eight rows fill 16 of the 32 ZMM registers, six rows 12 of
+/// the 16 YMM registers, which leaves room for the B strips and the broadcast A
+/// element.
+const MR_ZMM: usize = 8;
+const MR_YMM: usize = 6;
 
 // Width-tagged wrappers over the per-ISA intrinsics, so one `band_kernel!` body
 // expands to both the 8-lane (YMM) and 16-lane (ZMM) kernels.
@@ -78,6 +93,36 @@ macro_rules! vset1 {
     };
 }
 
+/// The mask of a strip's first `$n` lanes (`1..=L`). Masked loads and stores touch
+/// only those lanes' memory; the others read as zero and are never written.
+macro_rules! vmask {
+    (w8, $n:expr) => {
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32($n as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
+    };
+    (w16, $n:expr) => {
+        ((1u32 << $n) - 1) as __mmask16
+    };
+}
+macro_rules! vmaskload {
+    (w8, $p:expr, $m:expr) => {
+        _mm256_maskload_ps($p, $m)
+    };
+    (w16, $p:expr, $m:expr) => {
+        _mm512_maskz_loadu_ps($m, $p)
+    };
+}
+macro_rules! vmaskstore {
+    (w8, $p:expr, $m:expr, $v:expr) => {
+        _mm256_maskstore_ps($p, $m, $v)
+    };
+    (w16, $p:expr, $m:expr, $v:expr) => {
+        _mm512_mask_storeu_ps($p, $m, $v)
+    };
+}
+
 macro_rules! vmul {
     (w8, $a:expr, $b:expr) => {
         _mm256_mul_ps($a, $b)
@@ -105,139 +150,133 @@ macro_rules! vmadd {
     };
 }
 
-/// Generates one packed-panel band kernel. The signature and accumulation order
-/// mirror `matrix::gemm_packed_band` exactly: `ap` is the band's packed
-/// row-major `rows x k` op(A) panel (alpha already folded in), `bp` the packed
-/// `k x n` op(B) panel, and `c` the band's rows of C (`ldc` apart, last row `n`
-/// wide). Each C element accumulates its `k` products in ascending-`p` order —
-/// blocking and tiling only reorder *which element* is worked on, never the
-/// per-element order — which is what makes the `mul_add` expansion bit-identical
-/// to the scalar kernel.
+/// Generates one band kernel over one k-block. The signature and accumulation order
+/// mirror `matrix::gemm_packed_band` exactly: `ap` is the band's `rows x kb` block of
+/// op(A) with rows `lda` apart (alpha already folded in), `bp` the `kb x nb` panel of
+/// op(B) with rows `ldb` apart, and `c` the band's rows of C from the panel's first
+/// column (`ldc` apart, last row `nb` wide). Each C element accumulates its `kb`
+/// products in ascending-`p` order — tiling only reorders *which element* is worked
+/// on, never the per-element order — which is what makes the `mul_add` expansion
+/// bit-identical to the scalar kernel.
+///
+/// Every row ends with one masked strip, whose masked-off lanes are never loaded or
+/// stored, so the `ldc` gutter stays untouched.
 macro_rules! band_kernel {
-    ($name:ident, $feat:literal, $w:tt, $mode:tt, $lanes:expr) => {
+    ($name:ident, $feat:literal, $w:tt, $mode:tt, $lanes:expr, $mr:expr) => {
         #[target_feature(enable = $feat)]
+        #[allow(clippy::too_many_arguments)]
         unsafe fn $name(
             ap: &[f32],
+            lda: usize,
             bp: &[f32],
-            k: usize,
-            n: usize,
-            kc: usize,
+            ldb: usize,
+            kb: usize,
+            nb: usize,
             c: &mut [f32],
             ldc: usize,
         ) {
             const L: usize = $lanes;
             const NR: usize = 2 * $lanes;
+            const MR: usize = $mr;
+
+            /// One block of `R` rows of C, from `cr` (rows `ldc` apart) and `ar` (rows
+            /// `lda` apart), of which the first `live` exist: the others repeat the
+            /// last live row's loads and are never stored.
+            ///
+            /// # Safety
+            ///
+            /// The `live` rows at `ar` and `cr` and the panel at `b` must be in bounds
+            /// for every index the band kernel checks.
+            #[target_feature(enable = $feat)]
+            #[allow(clippy::too_many_arguments)]
+            unsafe fn block<const R: usize>(
+                ar: *const f32,
+                lda: usize,
+                cr: *mut f32,
+                live: usize,
+                b: *const f32,
+                ldb: usize,
+                kb: usize,
+                nb: usize,
+                ldc: usize,
+            ) {
+                let a_rows: [*const f32; R] =
+                    core::array::from_fn(|i| ar.add(i.min(live - 1) * lda));
+                let c_rows: [*mut f32; R] = core::array::from_fn(|i| cr.add(i.min(live - 1) * ldc));
+                let mut jt = 0usize;
+                while jt + NR <= nb {
+                    let mut acc = [[vzero!($w); 2]; R];
+                    for (acc, cr) in acc.iter_mut().zip(c_rows) {
+                        *acc = [vload!($w, cr.add(jt)), vload!($w, cr.add(jt + L))];
+                    }
+                    for p in 0..kb {
+                        let bptr = b.add(p * ldb + jt);
+                        let b0 = vload!($w, bptr);
+                        let b1 = vload!($w, bptr.add(L));
+                        for (acc, ar) in acc.iter_mut().zip(a_rows) {
+                            let av = vset1!($w, *ar.add(p));
+                            acc[0] = vmadd!($w, $mode, av, b0, acc[0]);
+                            acc[1] = vmadd!($w, $mode, av, b1, acc[1]);
+                        }
+                    }
+                    for (acc, cr) in acc.iter().zip(c_rows).take(live) {
+                        vstore!($w, cr.add(jt), acc[0]);
+                        vstore!($w, cr.add(jt + L), acc[1]);
+                    }
+                    jt += NR;
+                }
+                while jt < nb {
+                    let mask = vmask!($w, (nb - jt).min(L));
+                    let mut acc = [vzero!($w); R];
+                    for (acc, cr) in acc.iter_mut().zip(c_rows) {
+                        *acc = vmaskload!($w, cr.add(jt), mask);
+                    }
+                    for p in 0..kb {
+                        let b0 = vmaskload!($w, b.add(p * ldb + jt), mask);
+                        for (acc, ar) in acc.iter_mut().zip(a_rows) {
+                            *acc = vmadd!($w, $mode, vset1!($w, *ar.add(p)), b0, *acc);
+                        }
+                    }
+                    for (acc, cr) in acc.iter().zip(c_rows).take(live) {
+                        vmaskstore!($w, cr.add(jt), mask, *acc);
+                    }
+                    jt += L;
+                }
+            }
+
             let rows = c.len().div_ceil(ldc);
-            let mut kb = 0usize;
-            while kb < k {
-                let kend = (kb + kc).min(k);
-                // Full MR-row blocks: constant-bound inner loops so the tile
-                // stays in registers.
-                let mut r0 = 0usize;
-                while r0 + MR <= rows {
-                    let mut jt = 0usize;
-                    while jt + NR <= n {
-                        let mut acc = [[vzero!($w); 2]; MR];
-                        for i in 0..MR {
-                            let base = (r0 + i) * ldc + jt;
-                            acc[i][0] = vload!($w, c.as_ptr().add(base));
-                            acc[i][1] = vload!($w, c.as_ptr().add(base + L));
-                        }
-                        for p in kb..kend {
-                            let bptr = bp.as_ptr().add(p * n + jt);
-                            let b0 = vload!($w, bptr);
-                            let b1 = vload!($w, bptr.add(L));
-                            for i in 0..MR {
-                                let a = vset1!($w, *ap.get_unchecked((r0 + i) * k + p));
-                                acc[i][0] = vmadd!($w, $mode, a, b0, acc[i][0]);
-                                acc[i][1] = vmadd!($w, $mode, a, b1, acc[i][1]);
-                            }
-                        }
-                        for i in 0..MR {
-                            let base = (r0 + i) * ldc + jt;
-                            vstore!($w, c.as_mut_ptr().add(base), acc[i][0]);
-                            vstore!($w, c.as_mut_ptr().add(base + L), acc[i][1]);
-                        }
-                        jt += NR;
+            for r0 in (0..rows).step_by(MR) {
+                let live = (rows - r0).min(MR);
+                let (ar, cr) = (ap.as_ptr().add(r0 * lda), c.as_mut_ptr().add(r0 * ldc));
+                if 2 * live < MR {
+                    // A short last block runs a row at a time: one row's two
+                    // accumulator chains beat a tile whose idle rows still
+                    // compute (about 3x faster on a one-row product).
+                    for i in 0..live {
+                        block::<1>(
+                            ar.add(i * lda),
+                            lda,
+                            cr.add(i * ldc),
+                            1,
+                            bp.as_ptr(),
+                            ldb,
+                            kb,
+                            nb,
+                            ldc,
+                        );
                     }
-                    if jt + L <= n {
-                        for i in 0..MR {
-                            let base = (r0 + i) * ldc + jt;
-                            let mut acc = vload!($w, c.as_ptr().add(base));
-                            for p in kb..kend {
-                                let b0 = vload!($w, bp.as_ptr().add(p * n + jt));
-                                let a = vset1!($w, *ap.get_unchecked((r0 + i) * k + p));
-                                acc = vmadd!($w, $mode, a, b0, acc);
-                            }
-                            vstore!($w, c.as_mut_ptr().add(base), acc);
-                        }
-                        jt += L;
-                    }
-                    if jt < n {
-                        // Scalar column tail: plain mul+add in *both* expansions,
-                        // keeping the tail columns exactly scalar-identical (and
-                        // comfortably inside the fma engines' ULP contract).
-                        for i in 0..MR {
-                            let row = r0 + i;
-                            for p in kb..kend {
-                                let a_ip = *ap.get_unchecked(row * k + p);
-                                for j in jt..n {
-                                    let cj = c.get_unchecked_mut(row * ldc + j);
-                                    *cj += a_ip * *bp.get_unchecked(p * n + j);
-                                }
-                            }
-                        }
-                    }
-                    r0 += MR;
+                } else {
+                    block::<MR>(ar, lda, cr, live, bp.as_ptr(), ldb, kb, nb, ldc);
                 }
-                // Remainder rows: one-row microkernel.
-                for row in r0..rows {
-                    let mut jt = 0usize;
-                    while jt + NR <= n {
-                        let base = row * ldc + jt;
-                        let mut acc0 = vload!($w, c.as_ptr().add(base));
-                        let mut acc1 = vload!($w, c.as_ptr().add(base + L));
-                        for p in kb..kend {
-                            let bptr = bp.as_ptr().add(p * n + jt);
-                            let a = vset1!($w, *ap.get_unchecked(row * k + p));
-                            acc0 = vmadd!($w, $mode, a, vload!($w, bptr), acc0);
-                            acc1 = vmadd!($w, $mode, a, vload!($w, bptr.add(L)), acc1);
-                        }
-                        vstore!($w, c.as_mut_ptr().add(base), acc0);
-                        vstore!($w, c.as_mut_ptr().add(base + L), acc1);
-                        jt += NR;
-                    }
-                    if jt + L <= n {
-                        let base = row * ldc + jt;
-                        let mut acc = vload!($w, c.as_ptr().add(base));
-                        for p in kb..kend {
-                            let a = vset1!($w, *ap.get_unchecked(row * k + p));
-                            acc =
-                                vmadd!($w, $mode, a, vload!($w, bp.as_ptr().add(p * n + jt)), acc);
-                        }
-                        vstore!($w, c.as_mut_ptr().add(base), acc);
-                        jt += L;
-                    }
-                    if jt < n {
-                        for p in kb..kend {
-                            let a_ip = *ap.get_unchecked(row * k + p);
-                            for j in jt..n {
-                                let cj = c.get_unchecked_mut(row * ldc + j);
-                                *cj += a_ip * *bp.get_unchecked(p * n + j);
-                            }
-                        }
-                    }
-                }
-                kb = kend;
             }
         }
     };
 }
 
-band_kernel!(band_avx2, "avx2", w8, mul_add, 8);
-band_kernel!(band_avx2_fma, "avx2,fma", w8, fused, 8);
-band_kernel!(band_avx512, "avx512f", w16, mul_add, 16);
-band_kernel!(band_avx512_fma, "avx512f", w16, fused, 16);
+band_kernel!(band_avx2, "avx2", w8, mul_add, 8, MR_YMM);
+band_kernel!(band_avx2_fma, "avx2,fma", w8, fused, 8, MR_YMM);
+band_kernel!(band_avx512, "avx512f", w16, mul_add, 16, MR_ZMM);
+band_kernel!(band_avx512_fma, "avx512f", w16, fused, 16, MR_ZMM);
 
 /// Generates an AXPY kernel (`y[i] += alpha * x[i]`): elementwise, so the
 /// `mul_add` expansions are exactly the scalar loop per lane.
@@ -339,20 +378,107 @@ macro_rules! dot_kernel {
 dot_kernel!(dot_kernel_avx2_fma, "avx2,fma", w8, 8);
 dot_kernel!(dot_kernel_avx512_fma, "avx512f", w16, 16);
 
+/// `dst[c * ldd + r] = scale * src[r * lds + c]` for every `r < rows`, `c < cols`,
+/// both multiples of 8: each 8x8 tile is transposed in registers (eight row loads,
+/// 24 shuffles, eight column stores).
+///
+/// # Safety
+///
+/// The CPU must support AVX, and every index `r * lds + c` of `src` and `c * ldd + r`
+/// of `dst` must be in bounds.
+#[target_feature(enable = "avx")]
+unsafe fn transpose_tiles_avx(
+    src: &[f32],
+    lds: usize,
+    rows: usize,
+    cols: usize,
+    scale: f32,
+    dst: &mut [f32],
+    ldd: usize,
+) {
+    let (s, d) = (src.as_ptr(), dst.as_mut_ptr());
+    let sv = _mm256_set1_ps(scale);
+    // Column tiles outermost: each pass writes eight destination rows front to back.
+    for c0 in (0..cols).step_by(8) {
+        for r0 in (0..rows).step_by(8) {
+            let p = s.add(r0 * lds + c0);
+            let mut r = [_mm256_setzero_ps(); 8];
+            for (i, row) in r.iter_mut().enumerate() {
+                *row = _mm256_loadu_ps(p.add(i * lds));
+            }
+            // Interleave row pairs, then row quads, then swap the 128-bit halves.
+            let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+            let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+            let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+            let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+            let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+            let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+            let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+            let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+            let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+            let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+            let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+            let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+            let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+            let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+            let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+            let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+            let columns = [
+                _mm256_permute2f128_ps::<0x20>(u0, u4),
+                _mm256_permute2f128_ps::<0x20>(u1, u5),
+                _mm256_permute2f128_ps::<0x20>(u2, u6),
+                _mm256_permute2f128_ps::<0x20>(u3, u7),
+                _mm256_permute2f128_ps::<0x31>(u0, u4),
+                _mm256_permute2f128_ps::<0x31>(u1, u5),
+                _mm256_permute2f128_ps::<0x31>(u2, u6),
+                _mm256_permute2f128_ps::<0x31>(u3, u7),
+            ];
+            let q = d.add(c0 * ldd + r0);
+            for (c, column) in columns.into_iter().enumerate() {
+                _mm256_storeu_ps(q.add(c * ldd), _mm256_mul_ps(sv, column));
+            }
+        }
+    }
+}
+
 /// Asserts the slice-length preconditions shared by all band kernels: every
-/// index they compute stays inside its source slice.
-fn check_band(ap: &[f32], bp: &[f32], k: usize, n: usize, kc: usize, c: &[f32], ldc: usize) {
-    assert!(kc > 0, "kc must be positive");
-    assert!(ldc >= n, "ldc must cover a full row of C");
+/// index they compute stays inside its source slice, which also bounds every
+/// enabled lane of a masked strip.
+#[allow(clippy::too_many_arguments)]
+fn check_band(
+    ap: &[f32],
+    lda: usize,
+    bp: &[f32],
+    ldb: usize,
+    kb: usize,
+    nb: usize,
+    c: &[f32],
+    ldc: usize,
+) {
+    assert!(ldc >= nb, "ldc must cover a panel row of C");
     let rows = c.len().div_ceil(ldc);
     if rows > 0 {
         assert!(
-            (rows - 1) * ldc + n <= c.len(),
+            (rows - 1) * ldc + nb <= c.len(),
             "C band too short for its last row"
         );
+        let a_len = (rows - 1)
+            .checked_mul(lda)
+            .and_then(|len| len.checked_add(kb));
+        assert!(
+            a_len.is_some_and(|len| len <= ap.len()),
+            "A block too short"
+        );
     }
-    assert!(ap.len() >= rows * k, "packed A band too short");
-    assert!(bp.len() >= k * n, "packed B panel too short");
+    if kb > 0 {
+        let b_len = (kb - 1)
+            .checked_mul(ldb)
+            .and_then(|len| len.checked_add(nb));
+        assert!(
+            b_len.is_some_and(|len| len <= bp.len()),
+            "B panel too short"
+        );
+    }
 }
 
 /// Generates the safe band-kernel entry: availability assert + bounds asserts,
@@ -361,12 +487,14 @@ macro_rules! band_wrapper {
     ($name:ident, $kernel:ident, $avail:ident, $label:literal) => {
         #[doc = concat!("Safe entry to the ", $label, " band kernel; panics if")]
         #[doc = "dispatched on a CPU without the feature."]
+        #[allow(clippy::too_many_arguments)]
         pub(crate) fn $name(
             ap: &[f32],
+            lda: usize,
             bp: &[f32],
-            k: usize,
-            n: usize,
-            kc: usize,
+            ldb: usize,
+            kb: usize,
+            nb: usize,
             c: &mut [f32],
             ldc: usize,
         ) {
@@ -374,13 +502,14 @@ macro_rules! band_wrapper {
                 crate::dispatch::$avail(),
                 concat!($label, " GEMM kernel dispatched on a CPU without it")
             );
-            if c.is_empty() || n == 0 {
+            if c.is_empty() || nb == 0 {
                 return;
             }
-            check_band(ap, bp, k, n, kc, c, ldc);
+            check_band(ap, lda, bp, ldb, kb, nb, c, ldc);
             // SAFETY: the assert above proves the CPU supports the kernel's target
-            // features; `check_band` proves every index it computes is in bounds.
-            unsafe { $kernel(ap, bp, k, n, kc, c, ldc) }
+            // features; `check_band` proves every index it computes, and so every
+            // enabled lane of a masked strip, is in bounds.
+            unsafe { $kernel(ap, lda, bp, ldb, kb, nb, c, ldc) }
         }
     };
 }
@@ -468,6 +597,50 @@ pub(crate) fn dot_avx2_fma(x: &[f32], y: &[f32]) -> f32 {
     unsafe { dot_kernel_avx2_fma(x, y) }
 }
 
+/// Safe AVX transpose: `dst[c * ldd + r] = scale * src[r * lds + c]` for every
+/// `r < rows`, `c < cols`. Panics without AVX or when either slice is too short.
+pub(crate) fn transpose_scaled_avx(
+    src: &[f32],
+    lds: usize,
+    rows: usize,
+    cols: usize,
+    scale: f32,
+    dst: &mut [f32],
+    ldd: usize,
+) {
+    assert!(
+        std::arch::is_x86_feature_detected!("avx"),
+        "avx transpose dispatched on a CPU without it"
+    );
+    if rows == 0 || cols == 0 {
+        return;
+    }
+    let end = |count: usize, ld: usize, run: usize| {
+        (count - 1)
+            .checked_mul(ld)
+            .and_then(|len| len.checked_add(run))
+    };
+    assert!(
+        end(rows, lds, cols).is_some_and(|len| len <= src.len()),
+        "transpose source too short"
+    );
+    assert!(
+        end(cols, ldd, rows).is_some_and(|len| len <= dst.len()),
+        "transpose destination too short"
+    );
+    let (rows8, cols8) = (rows - rows % 8, cols - cols % 8);
+    // SAFETY: the CPU reports AVX; the asserts above bound every index
+    // the kernel computes, `r * lds + c` and `c * ldd + r` for `r < rows8 <= rows`,
+    // `c < cols8 <= cols`.
+    unsafe { transpose_tiles_avx(src, lds, rows8, cols8, scale, dst, ldd) }
+    // The ragged edges, element by element.
+    for r in 0..rows {
+        for c in if r < rows8 { cols8 } else { 0 }..cols {
+            dst[c * ldd + r] = scale * src[r * lds + c];
+        }
+    }
+}
+
 /// Safe fused AVX-512 DOT (deterministic sixteen-partial reduction; fma engine only).
 pub(crate) fn dot_avx512_fma(x: &[f32], y: &[f32]) -> f32 {
     assert!(
@@ -483,19 +656,29 @@ pub(crate) fn dot_avx512_fma(x: &[f32], y: &[f32]) -> f32 {
 mod tests {
     use super::*;
 
-    /// Packed band kernel: `(ap, bp, k, n, kc, c_band, ldc)`.
-    type BandFn = fn(&[f32], &[f32], usize, usize, usize, &mut [f32], usize);
+    /// Band kernel over one k-block: `(ap, lda, bp, ldb, kb, nb, c_band, ldc)`.
+    type BandFn = fn(&[f32], usize, &[f32], usize, usize, usize, &mut [f32], usize);
     type AxpyFn = fn(f32, &[f32], &mut [f32]);
     type ScalFn = fn(f32, &mut [f32]);
     type DotFn = fn(&[f32], &[f32]) -> f32;
 
-    fn scalar_band(ap: &[f32], bp: &[f32], k: usize, n: usize, c: &mut [f32], ldc: usize) {
+    #[allow(clippy::too_many_arguments)]
+    fn scalar_band(
+        ap: &[f32],
+        lda: usize,
+        bp: &[f32],
+        ldb: usize,
+        k: usize,
+        n: usize,
+        c: &mut [f32],
+        ldc: usize,
+    ) {
         let rows = c.len().div_ceil(ldc);
         for r in 0..rows {
             for p in 0..k {
-                let a = ap[r * k + p];
+                let a = ap[r * lda + p];
                 for j in 0..n {
-                    c[r * ldc + j] += a * bp[p * n + j];
+                    c[r * ldc + j] += a * bp[p * ldb + j];
                 }
             }
         }
@@ -510,8 +693,9 @@ mod tests {
             .collect()
     }
 
-    // Ragged shapes exercise the wide/narrow/scalar column tails and the row
-    // remainder path of every kernel; kc=5 exercises the k-blocking.
+    // Ragged shapes exercise the full and masked strips and the short row blocks of
+    // every kernel; A and panel rows sit `k + 2` and `n + 3` apart, as when both are
+    // read in place.
     const SHAPES: [(usize, usize, usize, usize); 5] = [
         (1, 1, 3, 2),
         (6, 16, 8, 16),
@@ -522,12 +706,13 @@ mod tests {
 
     fn assert_band_bit_identical(vec_band: BandFn, label: &str) {
         for (rows, n, k, ldc) in SHAPES {
-            let ap = fill(rows * k, 1);
-            let bp = fill(k * n, 2);
+            let (lda, ldb) = (k + 2, n + 3);
+            let ap = fill((rows - 1) * lda + k, 1);
+            let bp = fill((k - 1) * ldb + n, 2);
             let mut c_ref = fill((rows - 1) * ldc + n, 3);
             let mut c_vec = c_ref.clone();
-            scalar_band(&ap, &bp, k, n, &mut c_ref, ldc);
-            vec_band(&ap, &bp, k, n, 5, &mut c_vec, ldc);
+            scalar_band(&ap, lda, &bp, ldb, k, n, &mut c_ref, ldc);
+            vec_band(&ap, lda, &bp, ldb, k, n, &mut c_vec, ldc);
             let same = c_ref
                 .iter()
                 .zip(&c_vec)
@@ -569,8 +754,8 @@ mod tests {
             let bp = fill(k * n, 8);
             let mut c_ref = fill((rows - 1) * ldc + n, 9);
             let mut c_vec = c_ref.clone();
-            scalar_band(&ap, &bp, k, n, &mut c_ref, ldc);
-            band(&ap, &bp, k, n, 4, &mut c_vec, ldc);
+            scalar_band(&ap, k, &bp, n, k, n, &mut c_ref, ldc);
+            band(&ap, k, &bp, n, k, n, &mut c_vec, ldc);
             for (a, b) in c_ref.iter().zip(&c_vec) {
                 assert!(
                     (a - b).abs() <= 1e-4 * (1.0 + a.abs()),

@@ -3,7 +3,7 @@
 //! strided leading dimensions, k-block sizes and thread counts.
 
 use plinius_darknet::matrix::{
-    gemm, gemm_reference, gemm_tuned, gemm_with_engine, GEMM_DEFAULT_KC,
+    gemm, gemm_reference, gemm_tuned, gemm_with_engine, GEMM_DEFAULT_KC, GEMM_NC,
 };
 use plinius_darknet::{avx2_available, avx512_available, fma_available, GemmKind};
 use proptest::prelude::*;
@@ -282,6 +282,83 @@ proptest! {
                 bits(&c0[row * ldc + n..(row + 1) * ldc]),
                 bits(&c[row * ldc + n..(row + 1) * ldc])
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn panel_edges_match_scalar_and_reference(
+        m in 1usize..14,
+        full_panels in 0usize..3,
+        tail_from_end in any::<bool>(),
+        tail in 1usize..24,
+        k_past_block in any::<bool>(),
+        k_short in 1usize..24,
+        ta in any::<bool>(),
+        tb in any::<bool>(),
+        ldb_pad in 0usize..3,
+        specials in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        // `n` lands just past or just short of a panel edge, after zero to two full
+        // panels, so the last panel is ragged or exactly full; `k` is either short or
+        // crosses the default k-block edge (and every edge of the small k-blocks).
+        let n = full_panels * GEMM_NC + if tail_from_end { GEMM_NC + 1 - tail } else { tail };
+        let k = if k_past_block { GEMM_DEFAULT_KC - 4 + k_short } else { k_short };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let alpha = rng.gen_range(-2.0..2.0f32);
+        let beta = *[0.0f32, 1.0, rng.gen_range(-1.5..1.5)]
+            .get((seed % 3) as usize)
+            .unwrap();
+        let lda = if ta { m } else { k };
+        let ldb = if tb { k + ldb_pad } else { n + ldb_pad };
+        // One gutter column per row: masked-off lanes must never write it.
+        let ldc = n + 1;
+        let a = fill(&mut rng, (if ta { k } else { m }) * lda, specials);
+        let b = fill(&mut rng, (if tb { n } else { k }) * ldb, specials);
+        let c0 = fill(&mut rng, m * ldc, false);
+
+        let mut c_ref = c0.clone();
+        gemm_reference(ta, tb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c_ref, ldc);
+        let mut c_scalar = c0.clone();
+        gemm_with_engine(
+            GemmKind::Scalar, 1, GEMM_DEFAULT_KC,
+            ta, tb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c_scalar, ldc,
+        );
+        prop_assert_eq!(canon_bits(&c_ref), canon_bits(&c_scalar));
+
+        for engine in mul_add_engines() {
+            for threads in [1usize, 2, 5] {
+                for kc in [1usize, 3, GEMM_DEFAULT_KC] {
+                    let mut c = c0.clone();
+                    gemm_with_engine(
+                        engine, threads, kc,
+                        ta, tb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c, ldc,
+                    );
+                    prop_assert_eq!(
+                        canon_bits(&c_ref),
+                        canon_bits(&c),
+                        "vs reference: engine={} threads={} kc={} m={} n={} k={} ta={} tb={}",
+                        engine, threads, kc, m, n, k, ta, tb
+                    );
+                    // With NaN/Inf specials the engines may propagate different NaN
+                    // payload bits; everything else compares strictly.
+                    let (want, got) = if specials {
+                        (canon_bits(&c_scalar), canon_bits(&c))
+                    } else {
+                        (bits(&c_scalar), bits(&c))
+                    };
+                    prop_assert_eq!(
+                        want,
+                        got,
+                        "vs scalar: engine={} threads={} kc={} m={} n={} k={} ta={} tb={}",
+                        engine, threads, kc, m, n, k, ta, tb
+                    );
+                }
+            }
         }
     }
 }

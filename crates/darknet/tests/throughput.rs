@@ -2,7 +2,9 @@
 //! builds and loaded CI workers make wall-clock numbers meaningless — CI runs them
 //! in the release job (`cargo test --release -p plinius-darknet -- --ignored`).
 
-use plinius_darknet::dispatch::{avx2_available, avx512_available, fma_available, GemmKind};
+use plinius_darknet::dispatch::{
+    avx2_available, avx512_available, fma_available, selected_gemm, GemmKind,
+};
 use plinius_darknet::matrix::{gemm_with_engine, GEMM_DEFAULT_KC};
 use std::time::Instant;
 
@@ -121,4 +123,91 @@ fn vector_gemm_beats_scalar_on_the_gate_shape() {
              ({fastest_vector:.2} vs {scalar:.2} GFLOP/s)"
         );
     }
+}
+
+/// Best-of-`reps` wall-clock seconds of `calls` back-to-back single-threaded GEMMs
+/// `C = A * op(B)` per shape `(tb, m, n, k)`, with the shapes timed interleaved so that
+/// clock drift on a shared host hits each alike.
+fn best_seconds(
+    engine: GemmKind,
+    shapes: &[(bool, usize, usize, usize)],
+    calls: usize,
+) -> Vec<f64> {
+    let operands: Vec<_> = shapes
+        .iter()
+        .map(|&(_, m, n, k)| (fill(m * k, 1), fill(k * n, 2), vec![0.0f32; m * n]))
+        .collect();
+    let mut operands = operands;
+    let mut best = vec![f64::INFINITY; shapes.len()];
+    for _ in 0..15 {
+        for ((&(tb, m, n, k), (a, b, c)), best) in shapes.iter().zip(&mut operands).zip(&mut best) {
+            let ldb = if tb { k } else { n };
+            let start = Instant::now();
+            for _ in 0..calls {
+                gemm_with_engine(
+                    engine,
+                    1,
+                    GEMM_DEFAULT_KC,
+                    false,
+                    tb,
+                    m,
+                    n,
+                    k,
+                    1.0,
+                    a,
+                    k,
+                    b,
+                    ldb,
+                    1.0,
+                    c,
+                    n,
+                );
+            }
+            *best = best.min(start.elapsed().as_secs_f64());
+        }
+    }
+    best
+}
+
+/// Operand packing and column tails must not cost more than the product itself:
+/// - the `persist-recover` benchmark's FC forward (8x2674x392 against the stored,
+///   transposed weights) runs within 1.4x of the same product with `B` untransposed;
+/// - the 9-column conv1 weight gradient of the `train` benchmark (16x9x784,
+///   transposed `B`) runs within 2x of a 16-column product of equal FLOPs
+///   (16x16x441), 64 calls each, as in a batch of 64.
+///
+/// Before panel packing and masked tails one release run read 2.84x and 4.95x on a
+/// 2-vCPU 2.1 GHz Xeon host (avx512 engine).
+#[test]
+#[ignore = "wall-clock throughput gate; run with --release (see CI release job)"]
+fn transposed_packing_and_column_tails_run_near_the_plain_product() {
+    let engine = selected_gemm();
+    if engine == GemmKind::Scalar {
+        eprintln!("skipping: the dispatched GEMM engine is scalar");
+        return;
+    }
+    let fc = best_seconds(engine, &[(true, 8, 2674, 392), (false, 8, 2674, 392)], 1);
+    let fc_ratio = fc[0] / fc[1];
+    eprintln!(
+        "gemm 8x2674x392 1t {}: tb {:.3} ms, nn {:.3} ms ({fc_ratio:.2}x)",
+        engine.name(),
+        fc[0] * 1e3,
+        fc[1] * 1e3
+    );
+    let tail = best_seconds(engine, &[(true, 16, 9, 784), (true, 16, 16, 441)], 64);
+    let tail_ratio = tail[0] / tail[1];
+    eprintln!(
+        "gemm x64 1t {}: 16x9x784 {:.3} ms, 16x16x441 {:.3} ms ({tail_ratio:.2}x)",
+        engine.name(),
+        tail[0] * 1e3,
+        tail[1] * 1e3
+    );
+    assert!(
+        fc_ratio <= 1.4,
+        "transposed FC forward {fc_ratio:.2}x the untransposed one (limit 1.4x)"
+    );
+    assert!(
+        tail_ratio <= 2.0,
+        "9-column product {tail_ratio:.2}x the 16-column one at equal FLOPs (limit 2x)"
+    );
 }

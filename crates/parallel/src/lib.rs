@@ -23,7 +23,7 @@
 
 use std::fmt;
 use std::num::NonZeroUsize;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 /// Environment variable overriding the worker-thread count (`1` forces serial
@@ -42,8 +42,14 @@ pub fn parse_threads(value: &str) -> Option<usize> {
 
 /// The worker-thread budget for parallel kernels: `PLINIUS_THREADS` when set to a
 /// positive integer, otherwise the machine's available parallelism (both capped at 64).
+///
+/// The variable is read on every call; the machine's parallelism is detected once per
+/// process, because detecting it reads the cgroup files on Linux (tens of microseconds).
 pub fn max_threads() -> usize {
-    let detected = || std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    static DETECTED: OnceLock<usize> = OnceLock::new();
+    let detected = || {
+        *DETECTED.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+    };
     std::env::var(THREADS_ENV)
         .ok()
         .and_then(|v| parse_threads(&v))

@@ -9,6 +9,10 @@
 //! Thread fan-out (`threads > 1`) additionally allocates only the O(#tensors)
 //! fork/join dispatch buffers, which is asserted with a loose bound.
 //!
+//! The training step itself is held to the same standard: a warm
+//! `Network::train_batch` and a warm `Network::forward` perform zero heap
+//! allocations (the GEMM pack buffers are per thread and reused across calls).
+//!
 //! The counting allocator is thread-local, so the serial assertions are exact even
 //! though the test binary runs tests on multiple threads.
 
@@ -226,6 +230,54 @@ fn pm_pool_persist_and_crash_perform_zero_heap_allocations() {
     let allocs = thread_allocs() - before;
     assert_eq!(allocs, 0, "a crash must not touch the heap");
     assert_eq!(pool.dirty_lines(), 0);
+}
+
+/// A model whose every kernel stays on the calling thread at any `PLINIUS_THREADS`: its
+/// conv work (4 filters x 9 taps x 64 pixels) is below the conv forward's fan-out
+/// threshold, and every GEMM is far below the parallel cutoff, so nothing spawns and
+/// `max_threads()` (which reads the environment) is never reached.
+const TINY_CNN: &str = "[net]\nheight=8\nwidth=8\nchannels=1\nbatch=4\n\
+    learning_rate=0.1\nmomentum=0.9\ndecay=0.0001\n\n\
+    [convolutional]\nfilters=4\nsize=3\nstride=1\npad=1\nactivation=leaky\n\n\
+    [maxpool]\nsize=2\nstride=2\n\n\
+    [connected]\noutput=10\nactivation=linear\n\n[softmax]\n";
+
+fn tiny_batch() -> (plinius_darknet::Network, Vec<f32>, Vec<f32>) {
+    let mut rng = StdRng::seed_from_u64(77);
+    let net = plinius_darknet::config::build_network(TINY_CNN, &mut rng).unwrap();
+    let images: Vec<f32> = (0..4 * 64).map(|i| (i % 13) as f32 / 13.0).collect();
+    let mut labels = vec![0.0f32; 4 * 10];
+    for sample in 0..4 {
+        labels[sample * 10 + sample * 3] = 1.0;
+    }
+    (net, images, labels)
+}
+
+#[test]
+fn steady_state_train_batch_performs_zero_heap_allocations() {
+    // The GEMM pack buffers are per thread and reused across calls, the conv backward
+    // computes its column gradient in the layer's own column buffer, and the loss reads
+    // the predictions in place: a warm training step never touches the heap.
+    let (mut net, images, labels) = tiny_batch();
+    net.train_batch(&images, &labels, 4).unwrap();
+    net.train_batch(&images, &labels, 4).unwrap();
+    let before = thread_allocs();
+    let loss = net.train_batch(&images, &labels, 4).unwrap();
+    let allocs = thread_allocs() - before;
+    assert!(loss.is_finite());
+    assert_eq!(allocs, 0, "a warm train_batch must not touch the heap");
+}
+
+#[test]
+fn steady_state_forward_performs_zero_heap_allocations() {
+    let (mut net, images, _) = tiny_batch();
+    net.forward(&images, 4);
+    net.forward(&images, 4);
+    let before = thread_allocs();
+    let out_len = net.forward(&images, 4).len();
+    let allocs = thread_allocs() - before;
+    assert_eq!(out_len, 4 * 10);
+    assert_eq!(allocs, 0, "a warm forward pass must not touch the heap");
 }
 
 #[test]
