@@ -1,6 +1,5 @@
 //! Shared harness code for regenerating the tables and figures of the Plinius paper.
-//! Each `src/bin/*` binary prints one figure/table; the Criterion benches under
-//! `benches/` exercise the same code paths with wall-clock measurement.
+//! Each `src/bin/*` binary prints one figure/table.
 
 pub mod cli;
 
@@ -83,7 +82,7 @@ pub fn mirror_point(cost: &CostModel, target_mb: usize) -> Result<MirrorPoint, P
     let out = mirror.mirror_out(&ctx, &network)?;
     let mut restored = build_network(&sized_model_config(target_mb, 2), &mut rng)?;
     let inr = mirror.mirror_in(&ctx, &mut restored)?;
-    let ssd = SsdCheckpointer::on_shared_clock(&ctx, "checkpoint.bin");
+    let ssd = SsdCheckpointer::new("checkpoint.bin");
     let save = ssd.save(&ctx, &network)?;
     let restore = ssd.restore(&ctx, &mut restored)?;
     Ok(MirrorPoint {
@@ -585,7 +584,7 @@ pub fn tcb_report(crates_dir: &std::path::Path) -> TcbReport {
     // Plinius core run inside the enclave; PM mapping helpers, secondary storage, the
     // spot simulator and the harnesses are untrusted-runtime components. Of the offline
     // dependency shims, `rand` and `parking_lot` are linked into the enclave-side crates
-    // and therefore count toward the TCB; `proptest`/`criterion` are test/bench-only.
+    // and therefore count toward the TCB; `proptest` is test-only.
     let trusted_crates = [
         "crypto",
         "darknet",
@@ -610,9 +609,9 @@ pub fn tcb_report(crates_dir: &std::path::Path) -> TcbReport {
             };
             for shim in shims.flatten() {
                 let shim_name = shim.file_name().to_string_lossy().to_string();
-                // proptest/criterion are dev-dependencies only — never linked
-                // into the deployed system, so they belong in neither column.
-                if shim_name == "proptest" || shim_name == "criterion" {
+                // proptest is a dev-dependency only — never linked into the
+                // deployed system, so it belongs in neither column.
+                if shim_name == "proptest" {
                     continue;
                 }
                 components.push((format!("shims/{shim_name}"), shim.path()));

@@ -70,16 +70,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutable borrow of the row-major backing storage.
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
-    /// Consumes the matrix and returns its backing storage.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrow of row `r`.
     ///
     /// # Panics

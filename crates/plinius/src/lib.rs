@@ -53,7 +53,7 @@ use plinius_darknet::DarknetError;
 use plinius_pmem::{PmemError, PmemPool};
 use plinius_romulus::{Flavor, Romulus, RomulusError};
 use plinius_sgx::{AttestationService, DataOwner, Enclave, SgxError};
-use plinius_storage::StorageError;
+use plinius_storage::{SimFileSystem, StorageError, StorageProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim_clock::{ClockHandle, CostModel, SimClock, StatsHandle, StatsRegistry};
@@ -82,8 +82,8 @@ pub use mirror::{
     DEFAULT_RING_DEPTH, RING_ENV,
 };
 pub use persist::{
-    shared_ssd, FaultInjectingBackend, HybridTieredBackend, ModelPersistence, NoOpBackend,
-    PersistStats, PersistenceBackend, PmMirrorBackend, SsdCheckpointBackend,
+    FaultInjectingBackend, HybridTieredBackend, ModelPersistence, NoOpBackend, PersistStats,
+    PersistenceBackend, PmMirrorBackend, SsdCheckpointBackend,
 };
 pub use pmdata::PmDataset;
 pub use serve::{InferenceServer, ServeConfig, ServeReport, ServeSession};
@@ -297,7 +297,8 @@ impl From<StorageError> for PliniusError {
 }
 
 /// Everything one Plinius deployment needs: the enclave, the Romulus engine over the PM
-/// pool (running in the `sgx-romulus` flavour), and the shared clock/statistics.
+/// pool (running in the `sgx-romulus` flavour), the simulated SSD, and the shared
+/// clock/statistics.
 ///
 /// Creating a context corresponds to Algorithm 1: the untrusted helper maps the PM file
 /// into the address space and the enclave validates and initialises the persistent
@@ -308,6 +309,7 @@ pub struct PliniusContext {
     enclave: Enclave,
     romulus: Romulus,
     pool: PmemPool,
+    ssd: SimFileSystem,
     cost: CostModel,
     tenant: TenantId,
     /// The tenant-scoped enclave key-store name, precomputed once so steady-state
@@ -316,8 +318,8 @@ pub struct PliniusContext {
 }
 
 impl PliniusContext {
-    /// Creates a fresh context: a new PM pool of `pm_bytes`, a new enclave, and a
-    /// formatted Romulus instance, all wired to one simulation clock.
+    /// Creates a fresh context: a new PM pool of `pm_bytes`, a new enclave, a formatted
+    /// Romulus instance and a blank SSD, all wired to one simulation clock.
     ///
     /// # Errors
     ///
@@ -350,6 +352,9 @@ impl PliniusContext {
     /// Opens a context over an existing PM pool (Algorithm 1 after a restart): a *new*
     /// enclave instance is created and Romulus recovery runs over the pool contents.
     ///
+    /// The context starts with a blank SSD. To keep the checkpoints of the disk that
+    /// survived the restart, carry it over with [`PliniusContext::with_ssd`].
+    ///
     /// # Errors
     ///
     /// Propagates Romulus recovery errors.
@@ -370,6 +375,12 @@ impl PliniusContext {
     ) -> Result<Self, PliniusError> {
         let clock = pool.clock();
         let stats = pool.stats_registry();
+        let ssd = SimFileSystem::with_settings(
+            cost.clone(),
+            StorageProfile::Ssd,
+            clock.clone(),
+            stats.clone(),
+        );
         let enclave = Enclave::builder(b"plinius-enclave-v1".to_vec())
             .cost_model(cost.clone())
             .clock(clock)
@@ -383,15 +394,27 @@ impl PliniusContext {
             enclave,
             romulus,
             pool,
+            ssd,
             cost,
             tenant: TenantId::DEFAULT,
             key_name: Arc::from(MODEL_KEY_NAME),
         })
     }
 
+    /// Attaches `disk` as this deployment's SSD in place of the one it was created or
+    /// opened with: how a restart, or a replaced PM module, keeps a disk that survived.
+    /// The returned context shares `disk`'s files and charges their device costs to
+    /// its own clock and statistics.
+    #[must_use]
+    pub fn with_ssd(mut self, disk: &SimFileSystem) -> Self {
+        self.ssd = disk.rebound(self.clock(), self.stats());
+        self
+    }
+
     /// A view of the same deployment scoped to `tenant`: shares the enclave, the
-    /// Romulus engine, the PM pool, the clock and the statistics, but reads and
-    /// writes only the tenant's own root pair and key-store slot.
+    /// Romulus engine, the PM pool, the SSD, the clock and the statistics, but reads
+    /// and writes only the tenant's own root pair, key-store slot and checkpoint
+    /// paths.
     pub fn for_tenant(&self, tenant: TenantId) -> PliniusContext {
         let mut ctx = self.clone();
         ctx.tenant = tenant;
@@ -438,6 +461,13 @@ impl PliniusContext {
     /// The underlying persistent-memory pool (kept to reopen the context after a crash).
     pub fn pool(&self) -> &PmemPool {
         &self.pool
+    }
+
+    /// The deployment's simulated SSD, which the checkpoint backends write to (kept, like
+    /// the pool, to carry it across a restart with [`PliniusContext::with_ssd`]). Its
+    /// device costs are charged to this context's clock and statistics.
+    pub fn ssd(&self) -> &SimFileSystem {
+        &self.ssd
     }
 
     /// The hardware cost model in effect.

@@ -70,7 +70,7 @@ use parking_lot::Mutex;
 use plinius_crypto::{
     seal_into_with_threads, AesGcm, CryptoError, IvSequence, SealedView, IV_LEN, SEAL_OVERHEAD,
 };
-use plinius_darknet::Network;
+use plinius_darknet::{Layer, Network};
 use plinius_parallel::Pipeline;
 use plinius_romulus::PmPtr;
 use sim_clock::SimSpan;
@@ -192,14 +192,6 @@ pub struct PublishReport {
     pub write: SimSpan,
     /// Plaintext model bytes published.
     pub model_bytes: usize,
-}
-
-impl PublishReport {
-    /// Simulated mirroring overhead this publish added to the training timeline, in
-    /// milliseconds: the non-overlapped sealing residual plus the durable write.
-    pub fn overhead_ms(&self) -> f64 {
-        self.seal_join.millis() + self.write.millis()
-    }
 }
 
 /// Position of one parameter tensor inside the mirror's reusable staging buffers, plus
@@ -391,6 +383,26 @@ fn par_slot_slices(
     for task in tasks {
         task.result?;
     }
+    Ok(())
+}
+
+/// Installs the decrypted `tensors` of trainable layer `node_idx` into `layer`. A
+/// tensor count or size the layer does not expect is a [`PliniusError::MirrorMismatch`]
+/// (on which [`Layer::set_params`] would panic): the host controls the persisted bytes,
+/// and authenticated tensors can still be dropped or come from a model of another shape.
+pub(crate) fn set_layer_params(
+    layer: &mut Layer,
+    node_idx: usize,
+    tensors: &[Vec<f32>],
+) -> Result<(), PliniusError> {
+    let expected: Vec<usize> = layer.params().iter().map(|p| p.data.len()).collect();
+    let got: Vec<usize> = tensors.iter().map(Vec::len).collect();
+    if expected != got {
+        return Err(PliniusError::MirrorMismatch(format!(
+            "layer {node_idx}: expected tensor sizes {expected:?}, persisted model holds {got:?}"
+        )));
+    }
+    layer.set_params(tensors);
     Ok(())
 }
 
@@ -1273,14 +1285,7 @@ impl MirrorModel {
                 model_bytes += tensor.len() * 4;
                 tensors.push(tensor);
             }
-            let expected: Vec<usize> = layer.params().iter().map(|p| p.data.len()).collect();
-            let got: Vec<usize> = tensors.iter().map(|t| t.len()).collect();
-            if expected != got {
-                return Err(PliniusError::MirrorMismatch(format!(
-                    "layer {node_idx}: expected tensor sizes {expected:?}, mirror holds {got:?}"
-                )));
-            }
-            layer.set_params(&tensors);
+            set_layer_params(layer, node_idx, &tensors)?;
             node_idx += 1;
         }
         if node_idx != self.layer_nodes.len() {

@@ -25,9 +25,6 @@ use crate::mirror::{MirrorModel, PublishReport};
 use crate::ssd::SsdCheckpointer;
 use crate::{PliniusContext, PliniusError};
 use plinius_darknet::Network;
-use plinius_storage::{SimFileSystem, StorageProfile};
-use sim_clock::{SimClock, StatsRegistry};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 /// Cumulative activity counters of one [`ModelPersistence`] backend.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -234,63 +231,6 @@ pub trait ModelPersistence: std::fmt::Debug {
 // `ModelPersistence` must stay object-safe: the trainer owns a `Box<dyn ModelPersistence>`.
 const _OBJECT_SAFE: fn(&dyn ModelPersistence) = |_| {};
 
-/// One durable-SSD registry entry: the owning deployment's clock (weak), the tenant
-/// the disk belongs to, and the disk itself.
-type SsdEntry = (Weak<SimClock>, u64, SimFileSystem);
-
-/// The per-deployment durable SSD registry, keyed by (simulation-clock identity,
-/// tenant id). Every deployment — PM pool + enclave + clock — has exactly one clock
-/// `Arc`, which survives simulated process restarts because the pool holds it; within
-/// one deployment each tenant gets its own disk, so two tenants' declarative
-/// `SsdCheckpoint`/`HybridTiered` specs never collide on checkpoint file names.
-/// Entries are weak so a finished deployment's disks are reclaimed once its clock is
-/// gone.
-static SSD_REGISTRY: OnceLock<Mutex<Vec<SsdEntry>>> = OnceLock::new();
-
-/// The simulated SSD of the context's deployment and tenant, charging its device
-/// costs to the context's clock and statistics — the device every checkpoint-on-disk
-/// backend writes to unless given one explicitly.
-///
-/// Like a real disk, the device is *durable across simulated process restarts*:
-/// re-opening a context over the same PM pool (same simulation clock) returns the same
-/// file system, so checkpoints written before a crash are still there afterwards. Two
-/// independent deployments (different pools/clocks) get independent disks, and so do
-/// two tenants of one deployment. To model separate devices within one tenant,
-/// construct `SimFileSystem`s directly and use the backends' `on_filesystem`
-/// constructors.
-pub fn shared_ssd(ctx: &PliniusContext) -> SimFileSystem {
-    let clock = ctx.clock();
-    let tenant = ctx.tenant().raw();
-    let registry = SSD_REGISTRY.get_or_init(|| Mutex::new(Vec::new()));
-    let mut entries = registry.lock().expect("ssd registry poisoned");
-    entries.retain(|(weak, _, _)| weak.strong_count() > 0);
-    for (weak, entry_tenant, fs) in entries.iter() {
-        if *entry_tenant != tenant {
-            continue;
-        }
-        if let Some(existing) = weak.upgrade() {
-            if Arc::ptr_eq(&existing, &clock) {
-                return fs.rebound(clock, ctx.stats());
-            }
-        }
-    }
-    let fs = SimFileSystem::with_settings(
-        ctx.cost_model().clone(),
-        StorageProfile::Ssd,
-        clock.clone(),
-        ctx.stats(),
-    );
-    // The registry keeps only a *detached* handle (rebound onto a private clock), so it
-    // holds no strong reference to the deployment clock and the eviction above really
-    // fires once the deployment drops its pool/context/backends.
-    entries.push((
-        Arc::downgrade(&clock),
-        tenant,
-        fs.rebound(SimClock::new(), StatsRegistry::new()),
-    ));
-    fs
-}
-
 /// Declarative persistence spec: a `Clone`able, comparable description of a
 /// [`ModelPersistence`] backend.
 ///
@@ -301,11 +241,9 @@ pub fn shared_ssd(ctx: &PliniusContext) -> SimFileSystem {
 /// object passed to [`PliniusBuilder::backend`](crate::PliniusBuilder::backend)
 /// replaces the spec.
 ///
-/// SSD-backed variants lazily bind to the deployment's durable [`shared_ssd`], which —
-/// like a real disk — survives simulated process restarts: a trainer rebuilt from the
-/// same declarative spec over the re-opened context finds the earlier checkpoint and
-/// resumes. Pass a device to [`PersistenceBackend::instantiate`] or use the backends'
-/// `on_filesystem` constructors to target an explicitly separate device.
+/// SSD-backed variants write to the deployment's SSD ([`PliniusContext::ssd`]). A
+/// trainer rebuilt from the same declarative spec over a re-opened context that carries
+/// the disk ([`PliniusContext::with_ssd`]) finds the earlier checkpoint and resumes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PersistenceBackend {
     /// Plinius' mirroring mechanism: encrypted mirror copies on PM
@@ -330,35 +268,19 @@ pub enum PersistenceBackend {
 
 impl PersistenceBackend {
     /// Maps the spec onto a fresh backend. Mirror-backed variants allocate `ring`-deep
-    /// epoch rings (ignored by SSD-only and no-op specs). SSD-backed variants write
-    /// to `ssd` when given, and otherwise bind (lazily, on first use) to the
-    /// deployment's durable [`shared_ssd`], so their checkpoints survive simulated
-    /// process restarts either way.
-    pub fn instantiate(
-        &self,
-        ssd: Option<&SimFileSystem>,
-        ring: usize,
-    ) -> Box<dyn ModelPersistence> {
+    /// epoch rings (ignored by SSD-only and no-op specs).
+    pub fn instantiate(&self, ring: usize) -> Box<dyn ModelPersistence> {
         match self {
             PersistenceBackend::PmMirror => Box::new(PmMirrorBackend::with_ring(ring)),
-            PersistenceBackend::SsdCheckpoint(path) => Box::new(match ssd {
-                Some(fs) => SsdCheckpointBackend::on_filesystem(fs.clone(), path.clone()),
-                None => SsdCheckpointBackend::new(path.clone()),
-            }),
+            PersistenceBackend::SsdCheckpoint(path) => {
+                Box::new(SsdCheckpointBackend::new(path.clone()))
+            }
             PersistenceBackend::HybridTiered {
                 ssd_path,
                 demote_every,
-            } => Box::new(
-                match ssd {
-                    Some(fs) => HybridTieredBackend::on_filesystem(
-                        fs.clone(),
-                        ssd_path.clone(),
-                        *demote_every,
-                    ),
-                    None => HybridTieredBackend::new(ssd_path.clone(), *demote_every),
-                }
-                .with_ring(ring),
-            ),
+            } => {
+                Box::new(HybridTieredBackend::new(ssd_path.clone(), *demote_every).with_ring(ring))
+            }
             PersistenceBackend::None => Box::new(NoOpBackend),
         }
     }
@@ -502,46 +424,23 @@ impl ModelPersistence for PmMirrorBackend {
     }
 }
 
-/// The baseline as a [`ModelPersistence`] backend: encrypted model checkpoints on a
-/// (simulated) SSD, written through `fwrite`/`fsync` ocalls.
+/// The baseline as a [`ModelPersistence`] backend: encrypted model checkpoints on the
+/// deployment's (simulated) SSD, written through `fwrite`/`fsync` ocalls.
 #[derive(Debug)]
 pub struct SsdCheckpointBackend {
-    path: String,
-    fs: Option<SimFileSystem>,
+    checkpointer: SsdCheckpointer,
     stats: PersistStats,
 }
 
 impl SsdCheckpointBackend {
-    /// Creates a backend writing to `path` on the deployment's durable [`shared_ssd`]
-    /// (bound lazily on first use; survives simulated process restarts).
+    /// Creates a backend writing to `path` on the deployment's SSD
+    /// ([`PliniusContext::ssd`]); tenants other than 0 write under their own prefix
+    /// (see [`SsdCheckpointer`]).
     pub fn new(path: impl Into<String>) -> Self {
         SsdCheckpointBackend {
-            path: path.into(),
-            fs: None,
+            checkpointer: SsdCheckpointer::new(path),
             stats: PersistStats::default(),
         }
-    }
-
-    /// Creates a backend writing to `path` on an existing simulated SSD. Use this when
-    /// the device must outlive one trainer (e.g. crash/resume across processes).
-    pub fn on_filesystem(fs: SimFileSystem, path: impl Into<String>) -> Self {
-        SsdCheckpointBackend {
-            path: path.into(),
-            fs: Some(fs),
-            stats: PersistStats::default(),
-        }
-    }
-
-    /// The simulated SSD this backend writes to, if it has been bound yet.
-    pub fn filesystem(&self) -> Option<&SimFileSystem> {
-        self.fs.as_ref()
-    }
-
-    /// A checkpointer over this backend's file system, binding the deployment's
-    /// durable shared SSD if none was supplied.
-    fn checkpointer(&mut self, ctx: &PliniusContext) -> SsdCheckpointer {
-        let fs = self.fs.get_or_insert_with(|| shared_ssd(ctx)).clone();
-        SsdCheckpointer::new(fs, self.path.clone())
     }
 }
 
@@ -551,12 +450,7 @@ impl ModelPersistence for SsdCheckpointBackend {
     }
 
     fn exists(&self, ctx: &PliniusContext) -> bool {
-        // An unbound backend sits on the deployment's durable shared SSD, which may
-        // already hold a checkpoint from before a simulated restart.
-        match &self.fs {
-            Some(fs) => fs.exists(&self.path),
-            None => shared_ssd(ctx).exists(&self.path),
-        }
+        self.checkpointer.exists(ctx)
     }
 
     fn restore(
@@ -564,7 +458,7 @@ impl ModelPersistence for SsdCheckpointBackend {
         ctx: &PliniusContext,
         network: &mut Network,
     ) -> Result<u64, PliniusError> {
-        let report = self.checkpointer(ctx).restore(ctx, network)?;
+        let report = self.checkpointer.restore(ctx, network)?;
         self.stats.restores += 1;
         self.stats.restored_bytes += report.model_bytes as u64;
         self.stats.engine = ctx.engine_name();
@@ -577,7 +471,7 @@ impl ModelPersistence for SsdCheckpointBackend {
         network: &Network,
         _iteration: u64,
     ) -> Result<(), PliniusError> {
-        let report = self.checkpointer(ctx).save(ctx, network)?;
+        let report = self.checkpointer.save(ctx, network)?;
         self.stats.persists += 1;
         self.stats.persisted_bytes += report.model_bytes as u64;
         self.stats.engine = ctx.engine_name();
@@ -614,30 +508,13 @@ pub struct HybridTieredBackend {
 }
 
 impl HybridTieredBackend {
-    /// Creates a hybrid backend demoting to `ssd_path` on the deployment's durable
-    /// [`shared_ssd`] every `demote_every` iterations (`0` disables demotion, making
-    /// this equivalent to [`PmMirrorBackend`]).
+    /// Creates a hybrid backend demoting to `ssd_path` on the deployment's SSD
+    /// ([`PliniusContext::ssd`]) every `demote_every` iterations (`0` disables
+    /// demotion, making this equivalent to [`PmMirrorBackend`]).
     pub fn new(ssd_path: impl Into<String>, demote_every: u64) -> Self {
-        Self::with_ssd(SsdCheckpointBackend::new(ssd_path), demote_every)
-    }
-
-    /// Creates a hybrid backend demoting onto an existing simulated SSD (one that must
-    /// survive process restarts).
-    pub fn on_filesystem(
-        fs: SimFileSystem,
-        ssd_path: impl Into<String>,
-        demote_every: u64,
-    ) -> Self {
-        Self::with_ssd(
-            SsdCheckpointBackend::on_filesystem(fs, ssd_path),
-            demote_every,
-        )
-    }
-
-    fn with_ssd(ssd: SsdCheckpointBackend, demote_every: u64) -> Self {
         HybridTieredBackend {
             mirror: PmMirrorBackend::new(),
-            ssd,
+            ssd: SsdCheckpointBackend::new(ssd_path),
             demote_every,
             demotions: 0,
             last_demoted: 0,
@@ -654,11 +531,6 @@ impl HybridTieredBackend {
     /// Number of checkpoints demoted to the SSD so far.
     pub fn demotions(&self) -> u64 {
         self.demotions
-    }
-
-    /// The simulated SSD the demoted checkpoints land on, if bound yet.
-    pub fn filesystem(&self) -> Option<&SimFileSystem> {
-        self.ssd.filesystem()
     }
 
     /// Demotes an encrypted checkpoint to the SSD if the demotion interval elapsed.
@@ -956,7 +828,7 @@ mod tests {
             (PersistenceBackend::None, "none"),
         ];
         for (spec, label) in specs {
-            assert_eq!(spec.instantiate(None, 2).label(), label);
+            assert_eq!(spec.instantiate(2).label(), label);
         }
     }
 
@@ -964,9 +836,8 @@ mod tests {
     fn hybrid_mirrors_every_persist_and_demotes_every_kth() {
         let key = test_key(1);
         let ctx = context_with_key(&key);
-        let fs = shared_ssd(&ctx);
         let mut net = small_network(2);
-        let mut backend = HybridTieredBackend::on_filesystem(fs.clone(), "tier.ckpt", 2);
+        let mut backend = HybridTieredBackend::new("tier.ckpt", 2);
         assert!(!backend.exists(&ctx));
         backend.prepare(&ctx, &net).unwrap();
         for i in 1..=5u64 {
@@ -977,7 +848,7 @@ mod tests {
         assert_eq!(backend.demotions(), 2);
         assert_eq!(backend.persist_stats().persists, 7);
         assert!(MirrorModel::exists(&ctx));
-        assert!(fs.exists("tier.ckpt"));
+        assert!(ctx.ssd().exists("tier.ckpt"));
     }
 
     #[test]
@@ -987,9 +858,8 @@ mod tests {
         // would double the PM-loss exposure window) — every persist demotes.
         let key = test_key(30);
         let ctx = context_with_key(&key);
-        let fs = shared_ssd(&ctx);
         let mut net = small_network(31);
-        let mut backend = HybridTieredBackend::on_filesystem(fs, "tier.ckpt", 5);
+        let mut backend = HybridTieredBackend::new("tier.ckpt", 5);
         backend.prepare(&ctx, &net).unwrap();
         for iteration in [10u64, 20, 30] {
             net.set_iteration(iteration);
@@ -1002,9 +872,8 @@ mod tests {
     fn hybrid_restore_prefers_the_pm_mirror() {
         let key = test_key(3);
         let ctx = context_with_key(&key);
-        let fs = shared_ssd(&ctx);
         let mut net = small_network(4);
-        let mut backend = HybridTieredBackend::on_filesystem(fs.clone(), "tier.ckpt", 3);
+        let mut backend = HybridTieredBackend::new("tier.ckpt", 3);
         backend.prepare(&ctx, &net).unwrap();
         // Mirror is at iteration 4; the last demoted checkpoint is at 3.
         for i in 1..=4u64 {
@@ -1012,7 +881,7 @@ mod tests {
             backend.persist(&ctx, &net, i).unwrap();
         }
         let mut restored = small_network(5);
-        let mut backend2 = HybridTieredBackend::on_filesystem(fs, "tier.ckpt", 3);
+        let mut backend2 = HybridTieredBackend::new("tier.ckpt", 3);
         assert!(backend2.exists(&ctx));
         let iteration = backend2.restore(&ctx, &mut restored).unwrap();
         assert_eq!(
@@ -1026,18 +895,17 @@ mod tests {
     fn hybrid_recovers_from_ssd_when_pm_is_lost() {
         let key = test_key(6);
         let ctx = context_with_key(&key);
-        let fs = shared_ssd(&ctx);
         let mut net = small_network(7);
-        let mut backend = HybridTieredBackend::on_filesystem(fs.clone(), "tier.ckpt", 2);
+        let mut backend = HybridTieredBackend::new("tier.ckpt", 2);
         backend.prepare(&ctx, &net).unwrap();
         for i in 1..=4u64 {
             net.set_iteration(i);
             backend.persist(&ctx, &net, i).unwrap();
         }
         // The PM module is replaced: a brand-new pool has no mirror, but the SSD —
-        // a separate device — still holds the iteration-4 checkpoint.
-        let ctx2 = context_with_key(&key);
-        let mut backend2 = HybridTieredBackend::on_filesystem(fs, "tier.ckpt", 2);
+        // a separate device, carried over — still holds the iteration-4 checkpoint.
+        let ctx2 = context_with_key(&key).with_ssd(ctx.ssd());
+        let mut backend2 = HybridTieredBackend::new("tier.ckpt", 2);
         assert!(backend2.exists(&ctx2));
         let mut restored = small_network(8);
         let iteration = backend2.restore(&ctx2, &mut restored).unwrap();
@@ -1055,10 +923,9 @@ mod tests {
 
     #[test]
     fn declarative_ssd_specs_survive_restarts_through_the_shared_device() {
-        // Regression for the documented fresh-simulated-SSD-per-instantiate caveat:
-        // a trainer rebuilt from the same declarative spec after a simulated process
-        // restart must find the earlier checkpoint on the deployment's durable SSD
-        // and resume, exactly like a builder-constructed `on_filesystem` backend.
+        // A trainer rebuilt from the same declarative spec after a simulated process
+        // restart that carries the deployment's SSD must find the earlier checkpoint
+        // and resume.
         for backend in [
             PersistenceBackend::SsdCheckpoint("declarative.ckpt".into()),
             PersistenceBackend::HybridTiered {
@@ -1072,6 +939,7 @@ mod tests {
             let key = test_key(41);
             let ctx = deploy(&setup, &key);
             let pool = ctx.pool().clone();
+            let ssd = ctx.ssd().clone();
             let mut trainer = PliniusBuilder::new(setup.clone())
                 .context(ctx)
                 .build()
@@ -1079,10 +947,12 @@ mod tests {
             trainer.run_at_most(5).unwrap();
             let weights_before = weights(trainer.network());
             drop(trainer);
-            // Simulated process restart over the surviving pool. The pure SSD spec has
-            // no PM mirror at all, so resuming at iteration 5 proves the declarative
-            // checkpoint genuinely survived on the shared device.
-            let ctx2 = PliniusContext::open(pool, setup.cost.clone()).unwrap();
+            // Simulated process restart over the surviving pool and disk. The pure SSD
+            // spec has no PM mirror at all, so resuming at iteration 5 proves the
+            // declarative checkpoint genuinely survived on the shared device.
+            let ctx2 = PliniusContext::open(pool, setup.cost.clone())
+                .unwrap()
+                .with_ssd(&ssd);
             ctx2.provision_key_directly(key);
             let resumed = PliniusBuilder::new(setup.clone())
                 .context(ctx2)
@@ -1098,23 +968,21 @@ mod tests {
     }
 
     #[test]
-    fn ssd_registry_holds_no_strong_reference_to_dead_deployments() {
-        // Regression: the registry must keep only a detached handle, otherwise every
-        // deployment's clock (and its entry, and its checkpoint bytes) would leak for
-        // the process lifetime.
+    fn ssd_holds_no_strong_reference_to_dead_deployments() {
+        // A disk carried to a new deployment must not keep the old deployment's clock
+        // (and with it the old timeline) alive.
         let key = test_key(60);
         let ctx = context_with_key(&key);
-        let fs = shared_ssd(&ctx);
-        fs.write("leak-probe", b"1");
-        // Same deployment -> same disk.
-        assert!(shared_ssd(&ctx).exists("leak-probe"));
+        ctx.ssd().write("leak-probe", b"1");
+        let next = context_with_key(&key).with_ssd(ctx.ssd());
         let weak_clock = std::sync::Arc::downgrade(&ctx.clock());
-        drop((fs, ctx));
+        drop(ctx);
         assert_eq!(
             weak_clock.strong_count(),
             0,
-            "the SSD registry leaked a strong reference to the deployment clock"
+            "the carried SSD leaked a strong reference to the dead deployment's clock"
         );
+        assert!(next.ssd().exists("leak-probe"));
     }
 
     #[test]
@@ -1189,9 +1057,8 @@ mod tests {
         // Overlapped mode via the default sync fallback.
         let key = test_key(78);
         let ctx = context_with_key(&key);
-        let fs = shared_ssd(&ctx);
         let mut net = small_network(79);
-        let mut backend = SsdCheckpointBackend::on_filesystem(fs.clone(), "fallback.ckpt");
+        let mut backend = SsdCheckpointBackend::new("fallback.ckpt");
         net.set_iteration(3);
         backend.persist_async(&ctx, &net, 3).unwrap();
         backend.drain(&ctx).unwrap();
@@ -1199,7 +1066,7 @@ mod tests {
         assert_eq!(stats.persists, 1);
         assert_eq!(stats.snapshots, 0);
         assert_eq!(stats.publishes, 0);
-        assert!(fs.exists("fallback.ckpt"));
+        assert!(ctx.ssd().exists("fallback.ckpt"));
     }
 
     #[test]
@@ -1242,9 +1109,8 @@ mod tests {
     fn hybrid_pipelines_the_mirror_and_demotes_synchronously() {
         let key = test_key(80);
         let ctx = context_with_key(&key);
-        let fs = shared_ssd(&ctx);
         let mut net = small_network(81);
-        let mut backend = HybridTieredBackend::on_filesystem(fs.clone(), "tier-async.ckpt", 2);
+        let mut backend = HybridTieredBackend::new("tier-async.ckpt", 2);
         backend.prepare(&ctx, &net).unwrap();
         for i in 1..=4u64 {
             net.set_iteration(i);
@@ -1257,7 +1123,7 @@ mod tests {
         // 4 pipelined mirror publishes + 2 synchronous SSD demotions.
         assert_eq!(stats.persists, 6);
         assert_eq!(stats.publishes, 4);
-        assert!(fs.exists("tier-async.ckpt"));
+        assert!(ctx.ssd().exists("tier-async.ckpt"));
         assert!(MirrorModel::exists(&ctx));
     }
 

@@ -23,7 +23,6 @@ const HEADER_BYTES: usize = 40;
 /// Handle to the encrypted training dataset resident in PM.
 #[derive(Debug, Clone)]
 pub struct PmDataset {
-    header: PmPtr,
     block: PmPtr,
     samples: usize,
     inputs: usize,
@@ -94,7 +93,6 @@ impl PmDataset {
         ctx.romulus()
             .transaction(|tx| tx.set_root(ctx.dataset_root(), header))?;
         Ok(PmDataset {
-            header,
             block,
             samples,
             inputs: dataset.inputs(),
@@ -115,18 +113,12 @@ impl PmDataset {
         }
         let rom = ctx.romulus();
         Ok(PmDataset {
-            header,
             block: PmPtr::from_offset(rom.read_u64(header.add(32))?),
             samples: rom.read_u64(header)? as usize,
             inputs: rom.read_u64(header.add(8))? as usize,
             classes: rom.read_u64(header.add(16))? as usize,
             sealed_len: rom.read_u64(header.add(24))? as usize,
         })
-    }
-
-    /// Persistent location of the dataset header in PM.
-    pub fn header_ptr(&self) -> PmPtr {
-        self.header
     }
 
     /// Number of samples resident in PM.

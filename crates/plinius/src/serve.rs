@@ -223,17 +223,6 @@ pub struct ServeConfig {
     pub seed: u64,
 }
 
-impl ServeConfig {
-    /// Arrival rate in requests per simulated second.
-    pub fn rate_rps(&self) -> f64 {
-        if self.arrival_ns == 0 {
-            f64::INFINITY
-        } else {
-            1e9 / self.arrival_ns as f64
-        }
-    }
-}
-
 /// One pending simulated request: when it arrived and which sample its user sent.
 #[derive(Debug, Clone, Copy)]
 struct Request {

@@ -5,9 +5,10 @@
 use crate::{bytes_to_f32s, f32s_to_bytes, PliniusContext, PliniusError};
 use plinius_crypto::SealedView;
 use plinius_darknet::Network;
-use plinius_storage::{CheckpointBlob, CheckpointCodec, SimFileSystem};
+use plinius_storage::{CheckpointBlob, CheckpointCodec};
 use rand::RngCore;
 use sim_clock::SimSpan;
+use std::borrow::Cow;
 
 /// Report of one SSD checkpoint save (encrypt + write-to-SSD).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,37 +48,35 @@ impl SsdRestoreReport {
     }
 }
 
-/// Encrypted model checkpointing on a (simulated) SSD.
+/// Encrypted model checkpointing on the deployment's (simulated) SSD,
+/// [`PliniusContext::ssd`].
+///
+/// Tenants share the disk and are kept apart by path: tenant 0 writes the checkpoint
+/// at the path itself, and tenant `t` at `tenant{t}/` followed by the path, as
+/// [`tenant_key_name`](crate::tenant_key_name) keeps tenant 0's historic key name.
 #[derive(Debug, Clone)]
 pub struct SsdCheckpointer {
-    fs: SimFileSystem,
     path: String,
 }
 
 impl SsdCheckpointer {
-    /// Creates a checkpointer writing to `path` on the given file system. The file system
-    /// should share the context's clock (see [`SsdCheckpointer::on_shared_clock`]).
-    pub fn new(fs: SimFileSystem, path: impl Into<String>) -> Self {
-        SsdCheckpointer {
-            fs,
-            path: path.into(),
+    /// Creates a checkpointer writing to `path` on the SSD of the context it is used
+    /// with.
+    pub fn new(path: impl Into<String>) -> Self {
+        SsdCheckpointer { path: path.into() }
+    }
+
+    /// The checkpoint's file on the SSD for `ctx`'s tenant.
+    fn file(&self, ctx: &PliniusContext) -> Cow<'_, str> {
+        match ctx.tenant().raw() {
+            0 => Cow::Borrowed(&self.path),
+            t => Cow::Owned(format!("tenant{t}/{}", self.path)),
         }
     }
 
-    /// Convenience: creates a checkpointer whose simulated SSD charges costs to the same
-    /// clock as `ctx`, which is what the Fig. 7 comparison requires.
-    pub fn on_shared_clock(ctx: &PliniusContext, path: impl Into<String>) -> Self {
-        Self::new(crate::persist::shared_ssd(ctx), path)
-    }
-
-    /// The underlying simulated file system.
-    pub fn filesystem(&self) -> &SimFileSystem {
-        &self.fs
-    }
-
-    /// Whether a checkpoint file exists.
-    pub fn exists(&self) -> bool {
-        self.fs.exists(&self.path)
+    /// Whether a checkpoint file exists for `ctx`'s tenant.
+    pub fn exists(&self, ctx: &PliniusContext) -> bool {
+        ctx.ssd().exists(&self.file(ctx))
     }
 
     /// Saves an encrypted checkpoint of `network` to the SSD: encrypt every parameter
@@ -137,18 +136,19 @@ impl SsdCheckpointer {
             });
         let blob = blob?;
         // Phase 2: serialisation + fwrite ocalls + fsync.
+        let (fs, path) = (ctx.ssd(), self.file(ctx));
         let ((), write) = SimSpan::record(&clock, || {
             let encoded = CheckpointCodec::encode(&blob);
-            self.fs.create(&self.path);
+            fs.create(&path);
             // The baseline writes layer by layer, each through an ocall, flushing libc
             // buffers and issuing an fsync after the writes (as described in §VI).
             let _ = ctx.enclave().ocall("fwrite_checkpoint", || {
                 for chunk in encoded.chunks(1 << 20) {
-                    self.fs.write(&self.path, chunk);
+                    fs.write(&path, chunk);
                 }
             });
             let _ = ctx.enclave().ocall("fsync_checkpoint", || {
-                let _ = self.fs.fsync(&self.path);
+                let _ = fs.fsync(&path);
             });
         });
         Ok(SsdSaveReport {
@@ -170,7 +170,8 @@ impl SsdCheckpointer {
         ctx: &PliniusContext,
         network: &mut Network,
     ) -> Result<SsdRestoreReport, PliniusError> {
-        if !self.exists() {
+        let path = self.file(ctx);
+        if !ctx.ssd().exists(&path) {
             return Err(PliniusError::NoMirrorModel);
         }
         // One warm GCM context (from the enclave's per-key cache) for the whole restore.
@@ -180,7 +181,7 @@ impl SsdCheckpointer {
         let (encoded, read) = SimSpan::record(&clock, || -> Result<Vec<u8>, PliniusError> {
             let bytes = ctx
                 .enclave()
-                .ocall("fread_checkpoint", || self.fs.read_all(&self.path))??;
+                .ocall("fread_checkpoint", || ctx.ssd().read_all(&path))??;
             // Copying the checkpoint into the enclave pays the EPC paging penalty when
             // the model does not fit in the EPC (same mechanism as PM reads).
             let penalty = ctx
@@ -217,7 +218,7 @@ impl SsdCheckpointer {
                     model_bytes += plaintext.len();
                     tensors.push(bytes_to_f32s(&plaintext)?);
                 }
-                layer.set_params(&tensors);
+                crate::mirror::set_layer_params(layer, node_idx, &tensors)?;
                 node_idx += 1;
             }
             if node_idx != blob.num_layers() {
@@ -270,12 +271,12 @@ mod tests {
     #[test]
     fn save_restore_round_trip() {
         let ctx = ctx_with_key();
-        let ckpt = SsdCheckpointer::on_shared_clock(&ctx, "model.ckpt");
+        let ckpt = SsdCheckpointer::new("model.ckpt");
         let mut net = network(1);
         net.set_iteration(99);
-        assert!(!ckpt.exists());
+        assert!(!ckpt.exists(&ctx));
         let save = ckpt.save(&ctx, &net).unwrap();
-        assert!(ckpt.exists());
+        assert!(ckpt.exists(&ctx));
         assert!(save.total_ms() > 0.0);
         let mut restored = network(2);
         let report = ckpt.restore(&ctx, &mut restored).unwrap();
@@ -290,7 +291,7 @@ mod tests {
     #[test]
     fn restore_without_checkpoint_errors() {
         let ctx = ctx_with_key();
-        let ckpt = SsdCheckpointer::on_shared_clock(&ctx, "missing.ckpt");
+        let ckpt = SsdCheckpointer::new("missing.ckpt");
         let mut net = network(3);
         assert!(matches!(
             ckpt.restore(&ctx, &mut net).unwrap_err(),
@@ -305,7 +306,7 @@ mod tests {
         let net = network(4);
         let mirror = MirrorModel::allocate(&ctx, &net).unwrap();
         let pm_save = mirror.mirror_out(&ctx, &net).unwrap();
-        let ckpt = SsdCheckpointer::on_shared_clock(&ctx, "model.ckpt");
+        let ckpt = SsdCheckpointer::new("model.ckpt");
         let ssd_save = ckpt.save(&ctx, &net).unwrap();
         assert!(
             ssd_save.total_ms() > pm_save.total_ms(),
@@ -324,16 +325,16 @@ mod tests {
     #[test]
     fn tampered_checkpoint_is_rejected() {
         let ctx = ctx_with_key();
-        let ckpt = SsdCheckpointer::on_shared_clock(&ctx, "model.ckpt");
+        let ckpt = SsdCheckpointer::new("model.ckpt");
         let net = network(7);
         ckpt.save(&ctx, &net).unwrap();
         // Corrupt a byte in the middle of the stored file (inside some tensor payload).
-        let raw = ckpt.filesystem().read_all("model.ckpt").unwrap();
+        let raw = ctx.ssd().read_all("model.ckpt").unwrap();
         let mut corrupted = raw.clone();
         let idx = raw.len() / 2;
         corrupted[idx] ^= 0x01;
-        ckpt.filesystem().create("model.ckpt");
-        ckpt.filesystem().write("model.ckpt", &corrupted);
+        ctx.ssd().create("model.ckpt");
+        ctx.ssd().write("model.ckpt", &corrupted);
         let mut restored = network(8);
         assert!(ckpt.restore(&ctx, &mut restored).is_err());
     }

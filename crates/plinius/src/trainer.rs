@@ -600,8 +600,7 @@ impl PliniusBuilder {
         ctx.enclave()
             .alloc_trusted((network.model_bytes() * 2) as u64)
             .map_err(PliniusError::from)?;
-        let mut backend =
-            backend.unwrap_or_else(|| setup.backend.instantiate(None, config.ring_depth));
+        let mut backend = backend.unwrap_or_else(|| setup.backend.instantiate(config.ring_depth));
         if backend.exists(&ctx) {
             backend.restore(&ctx, &mut network)?;
         } else {
@@ -651,8 +650,8 @@ pub struct CrashRunReport {
 /// left off; with `resilient = false` nothing is persisted and every restart begins
 /// from freshly initialised weights (the paper's non-crash-resilient comparison).
 ///
-/// SSD-backed specs write to one durable simulated SSD that — like a real disk —
-/// survives every simulated process kill.
+/// Every segment's context carries the first deployment's SSD, so SSD-backed specs
+/// find their checkpoints after a kill, as on a real disk.
 ///
 /// # Errors
 ///
@@ -669,6 +668,7 @@ pub fn train_with_crash_schedule(
     ctx.provision_key_directly(key.clone());
     PmDataset::load(&ctx, &setup.dataset)?;
     let pool = ctx.pool().clone();
+    let ssd = ctx.ssd().clone();
     drop(ctx);
 
     let mut losses = Vec::new();
@@ -678,14 +678,12 @@ pub fn train_with_crash_schedule(
     crash_points.sort_unstable();
     let mut completed_iteration;
     loop {
-        // (Re)open the deployment over the surviving PM pool.
-        let ctx = PliniusContext::open(pool.clone(), setup.cost.clone())?;
+        // (Re)open the deployment over the surviving PM pool and SSD (a crash wipes
+        // volatile state and unflushed PM lines, not the disk).
+        let ctx = PliniusContext::open(pool.clone(), setup.cost.clone())?.with_ssd(&ssd);
         ctx.provision_key_directly(key.clone());
-        // SSD-backed specs bind to the deployment's durable shared SSD, which — like a
-        // real disk — outlives every simulated process kill (a crash wipes volatile
-        // state and unflushed PM lines, not the disk).
         let backend: Box<dyn ModelPersistence> = if resilient {
-            setup.backend.instantiate(None, setup.trainer.ring_depth)
+            setup.backend.instantiate(setup.trainer.ring_depth)
         } else {
             Box::new(NoOpBackend)
         };
@@ -935,30 +933,27 @@ mod tests {
 
     #[test]
     fn ssd_backend_also_resumes_across_restarts() {
-        // Unlike the PM pool, the simulated SSD lives in the backend's file system:
-        // carry it across the restart, exactly as a disk would survive a process kill.
+        // Like the PM pool, the simulated SSD belongs to the deployment: carry it
+        // across the restart, exactly as a disk would survive a process kill.
         let mut setup = setup();
         setup.trainer.max_iterations = 8;
         let (ctx, key) = deploy(&setup);
-        let fs = crate::persist::shared_ssd(&ctx);
         let mut trainer = PliniusBuilder::new(setup.clone())
             .context(ctx)
-            .backend(crate::persist::SsdCheckpointBackend::on_filesystem(
-                fs.clone(),
-                "ckpt.bin",
-            ))
+            .backend(crate::persist::SsdCheckpointBackend::new("ckpt.bin"))
             .build()
             .unwrap();
         trainer.run_at_most(5).unwrap();
         let pool = trainer.context().pool().clone();
+        let ssd = trainer.context().ssd().clone();
         drop(trainer);
-        let ctx2 = PliniusContext::open(pool, setup.cost.clone()).unwrap();
+        let ctx2 = PliniusContext::open(pool, setup.cost.clone())
+            .unwrap()
+            .with_ssd(&ssd);
         ctx2.provision_key_directly(key);
         let mut resumed = PliniusBuilder::new(setup)
             .context(ctx2)
-            .backend(crate::persist::SsdCheckpointBackend::on_filesystem(
-                fs, "ckpt.bin",
-            ))
+            .backend(crate::persist::SsdCheckpointBackend::new("ckpt.bin"))
             .build()
             .unwrap();
         assert_eq!(resumed.iteration(), 5);

@@ -1,10 +1,10 @@
 //! Multi-tenant isolation guarantees, end to end: sealed epochs are rejected
 //! wholesale across tenant key boundaries, a mid-publish crash of one tenant
 //! leaves every bystander tenant's epoch listing and restored weights bit-exact
-//! (fail-point sweep over the whole publish), and per-tenant SSD disks within one
-//! deployment never collide on checkpoint file names.
+//! (fail-point sweep over the whole publish), and tenants sharing a deployment's SSD
+//! never collide on checkpoint file names.
 
-use plinius::{shared_ssd, MirrorModel, MirrorVfs, PliniusContext, PliniusError, TenantId};
+use plinius::{MirrorModel, MirrorVfs, PersistenceBackend, PliniusContext, PliniusError, TenantId};
 use plinius_crypto::Key;
 use plinius_darknet::config::{build_network, mnist_cnn_config};
 use plinius_darknet::Network;
@@ -201,37 +201,47 @@ fn mid_publish_crash_of_one_tenant_leaves_bystanders_bit_exact() {
     }
 }
 
-/// The durable-SSD registry is keyed by (deployment clock, tenant): two tenants
-/// of one deployment writing the same checkpoint path get independent disks,
-/// while re-requesting a tenant's disk returns the same durable files.
+/// Tenants share their deployment's SSD and are kept apart by path: two tenants
+/// whose specs name the same checkpoint path each resume their own weights after a
+/// restart that carries the disk, and another deployment sees neither file.
 #[test]
-fn tenant_ssd_disks_are_independent_within_one_deployment() {
+fn tenants_sharing_one_ssd_resume_their_own_checkpoints() {
+    let spec = PersistenceBackend::SsdCheckpoint("model.ckpt".into());
     let ctx = PliniusContext::small_test(16 * 1024 * 1024);
-    let ctx_a = ctx.for_tenant(TenantId::new(0).unwrap());
-    let ctx_b = ctx.for_tenant(TenantId::new(1).unwrap());
+    let tenants = [TenantId::new(0).unwrap(), TenantId::new(1).unwrap()];
+    let mut saved = Vec::new();
+    for &tenant in &tenants {
+        let tctx = ctx.for_tenant(tenant);
+        tctx.provision_key_directly(tctx.enclave().tenant_sealing_key(tenant.raw()));
+        let mut net = seeded_network(100 + tenant.raw());
+        net.set_iteration(10 + tenant.raw());
+        spec.instantiate(2)
+            .persist(&tctx, &net, net.iteration())
+            .unwrap();
+        saved.push(weights(&net));
+    }
+    assert_eq!(ctx.ssd().list(), ["model.ckpt", "tenant1/model.ckpt"]);
 
-    let disk_a = shared_ssd(&ctx_a);
-    disk_a.write("model.ckpt", b"tenant-a-bytes");
-
-    // Same path, same deployment, different tenant: a different disk.
-    let disk_b = shared_ssd(&ctx_b);
-    assert!(
-        !disk_b.exists("model.ckpt"),
-        "tenant B must not see tenant A's checkpoint"
-    );
-    disk_b.write("model.ckpt", b"tenant-b-bytes");
-
-    // Re-requesting each tenant's disk is durable and still isolated.
-    assert_eq!(
-        shared_ssd(&ctx_a).read_all("model.ckpt").unwrap(),
-        b"tenant-a-bytes"
-    );
-    assert_eq!(
-        shared_ssd(&ctx_b).read_all("model.ckpt").unwrap(),
-        b"tenant-b-bytes"
-    );
-
-    // A different deployment's tenant 0 is yet another disk.
+    // Restart over the surviving pool, carrying the disk.
+    let (pool, ssd) = (ctx.pool().clone(), ctx.ssd().clone());
+    drop(ctx);
+    let ctx2 = PliniusContext::open(pool, sim_clock::CostModel::sgx_eml_pm())
+        .unwrap()
+        .with_ssd(&ssd);
     let other = PliniusContext::small_test(16 * 1024 * 1024);
-    assert!(!shared_ssd(&other).exists("model.ckpt"));
+    for (&tenant, saved) in tenants.iter().zip(&saved) {
+        let tctx = ctx2.for_tenant(tenant);
+        tctx.provision_key_directly(tctx.enclave().tenant_sealing_key(tenant.raw()));
+        let mut backend = spec.instantiate(2);
+        assert!(backend.exists(&tctx), "tenant {tenant} lost its checkpoint");
+        let mut net = seeded_network(7);
+        assert_eq!(backend.restore(&tctx, &mut net).unwrap(), 10 + tenant.raw());
+        assert_eq!(
+            &weights(&net),
+            saved,
+            "tenant {tenant} resumed foreign weights"
+        );
+        assert!(!backend.exists(&other.for_tenant(tenant)));
+    }
+    assert!(other.ssd().list().is_empty());
 }

@@ -343,11 +343,6 @@ impl PmemPool {
         &self.cost
     }
 
-    /// The persistent write-back flavour in effect.
-    pub fn pwb_kind(&self) -> PwbKind {
-        self.pwb
-    }
-
     /// Stores `data` at `offset`. The stores land in the (volatile) cache view and are
     /// not durable until the affected lines are flushed.
     ///

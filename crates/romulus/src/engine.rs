@@ -25,7 +25,7 @@
 
 use crate::{Flavor, RomulusError};
 use parking_lot::Mutex;
-use plinius_pmem::{PmemPool, PwbKind};
+use plinius_pmem::PmemPool;
 use std::sync::Arc;
 
 /// Magic number identifying an initialised Romulus pool.
@@ -722,16 +722,6 @@ impl<'a> Tx<'a> {
         let off = self.read_u64(PmPtr::from_offset((ROOTS_OFFSET + index * 8) as u64))?;
         Ok(PmPtr::from_offset(off))
     }
-
-    /// Number of interposed stores performed so far in this transaction.
-    pub fn store_count(&self) -> usize {
-        self.stores
-    }
-}
-
-/// Convenience: the default PWB/fence flavour Plinius runs Romulus with.
-pub fn default_pwb() -> PwbKind {
-    PwbKind::ClflushOptSfence
 }
 
 #[cfg(test)]

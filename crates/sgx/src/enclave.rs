@@ -369,28 +369,6 @@ impl Enclave {
         self.inner.stats.counter("sgx.pm_write_bytes").add(bytes);
     }
 
-    /// Charges the cost of writing `bytes` of checkpoint data to the SSD (via ocalls).
-    pub fn charge_ssd_write(&self, bytes: u64) {
-        let ns = self.inner.cost.ssd_write_ns(bytes);
-        self.inner.clock.advance_ns(ns);
-        self.inner.stats.counter("sgx.ssd_write_bytes").add(bytes);
-    }
-
-    /// Charges the cost of reading `bytes` of checkpoint data from the SSD into the
-    /// enclave.
-    pub fn charge_ssd_read(&self, bytes: u64) {
-        let ns = self.inner.cost.ssd_read_ns(bytes, self.working_set());
-        self.inner.clock.advance_ns(ns);
-        self.inner.stats.counter("sgx.ssd_read_bytes").add(bytes);
-        self.maybe_count_paging(bytes);
-    }
-
-    /// Charges the cost of an fsync issued on behalf of the enclave.
-    pub fn charge_fsync(&self) {
-        self.inner.clock.advance_ns(self.inner.cost.ssd_fsync());
-        self.inner.stats.counter("sgx.fsyncs").incr();
-    }
-
     /// Charges `flops` floating-point operations of in-enclave training compute.
     pub fn charge_compute(&self, flops: u64) {
         self.inner

@@ -87,8 +87,6 @@ pub struct CostModel {
     pub ssd_read_ns_per_byte: f64,
     /// Fixed cost of an fsync on the SSD, in ns.
     pub ssd_fsync_ns: u64,
-    /// DRAM copy bandwidth, ns per byte.
-    pub dram_ns_per_byte: f64,
     /// Sequential SSD device bandwidth used by the FIO experiment, bytes/s.
     pub ssd_seq_bw_bytes_per_s: f64,
     /// Random-access SSD device bandwidth used by the FIO experiment, bytes/s.
@@ -136,7 +134,6 @@ impl CostModel {
             ssd_write_ns_per_byte: 2.00,
             ssd_read_ns_per_byte: 4.50,
             ssd_fsync_ns: 1_000_000,
-            dram_ns_per_byte: 0.10,
             ssd_seq_bw_bytes_per_s: 0.52e9,
             ssd_rand_bw_bytes_per_s: 0.30e9,
             pm_dax_bw_bytes_per_s: 2.2e9,
@@ -169,7 +166,6 @@ impl CostModel {
             ssd_write_ns_per_byte: 3.00,
             ssd_read_ns_per_byte: 1.05,
             ssd_fsync_ns: 1_200_000,
-            dram_ns_per_byte: 0.08,
             ssd_seq_bw_bytes_per_s: 0.50e9,
             ssd_rand_bw_bytes_per_s: 0.28e9,
             pm_dax_bw_bytes_per_s: 1.8e9,
@@ -261,11 +257,6 @@ impl CostModel {
     /// Cost of one fsync to the SSD.
     pub fn ssd_fsync(&self) -> u64 {
         self.ssd_fsync_ns
-    }
-
-    /// Cost of copying `bytes` within DRAM (untrusted memory).
-    pub fn dram_copy_ns(&self, bytes: u64) -> u64 {
-        (bytes as f64 * self.dram_ns_per_byte).round() as u64
     }
 
     /// Cost of executing `flops` floating-point operations inside the enclave.

@@ -13,8 +13,7 @@
 //! Run with: `cargo run --example hybrid_tiered_training`
 
 use plinius::{
-    shared_ssd, HybridTieredBackend, PersistenceBackend, PliniusBuilder, PliniusContext, PmDataset,
-    TrainerConfig, TrainingSetup,
+    PersistenceBackend, PliniusBuilder, PliniusContext, PmDataset, TrainerConfig, TrainingSetup,
 };
 use plinius_crypto::Key;
 use rand::rngs::StdRng;
@@ -48,16 +47,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ctx = PliniusContext::create(setup.cost.clone(), setup.pm_bytes)?;
     ctx.provision_key_directly(key.clone());
     PmDataset::load(&ctx, &setup.dataset)?;
-    let ssd = shared_ssd(&ctx);
+    let ssd = ctx.ssd().clone();
     let pool = ctx.pool().clone();
-    let mut trainer = PliniusBuilder::new(setup.clone())
-        .context(ctx)
-        .backend(HybridTieredBackend::on_filesystem(
-            ssd.clone(),
-            "tier.ckpt",
-            DEMOTE_EVERY,
-        ))
-        .build()?;
+    let mut trainer = PliniusBuilder::new(setup.clone()).context(ctx).build()?;
     trainer.run_at_most(12)?;
     println!(
         "life 1: trained to iteration {} with '{}' (demotions every {DEMOTE_EVERY} iters)",
@@ -70,16 +62,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // survives — the mirror restores the model with zero lost iterations.
     let mut crash_rng = StdRng::seed_from_u64(1);
     pool.crash(&mut crash_rng, plinius_pmem::CrashMode::DropUnflushed);
-    let ctx2 = PliniusContext::open(pool, setup.cost.clone())?;
+    let ctx2 = PliniusContext::open(pool, setup.cost.clone())?.with_ssd(&ssd);
     ctx2.provision_key_directly(key.clone());
-    let mut trainer = PliniusBuilder::new(setup.clone())
-        .context(ctx2)
-        .backend(HybridTieredBackend::on_filesystem(
-            ssd.clone(),
-            "tier.ckpt",
-            DEMOTE_EVERY,
-        ))
-        .build()?;
+    let mut trainer = PliniusBuilder::new(setup.clone()).context(ctx2).build()?;
     println!(
         "life 2: process crash -> PM mirror restored iteration {}",
         trainer.iteration()
@@ -90,20 +75,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Life 3: the PM module itself is replaced — a brand-new pool holds neither the
     // mirror nor the dataset. Only the demoted SSD checkpoint survives; the new
-    // deployment reopens it rebound to its own clock so I/O costs land on ctx3's
-    // timeline, not the discarded one.
-    let ctx3 = PliniusContext::create(setup.cost.clone(), setup.pm_bytes)?;
+    // deployment attaches the disk, so its I/O costs land on ctx3's timeline, not the
+    // discarded one.
+    let ctx3 = PliniusContext::create(setup.cost.clone(), setup.pm_bytes)?.with_ssd(&ssd);
     ctx3.provision_key_directly(key);
     PmDataset::load(&ctx3, &setup.dataset)?;
-    let ssd = ssd.rebound(ctx3.clock(), ctx3.stats());
-    let mut trainer = PliniusBuilder::new(setup)
-        .context(ctx3)
-        .backend(HybridTieredBackend::on_filesystem(
-            ssd,
-            "tier.ckpt",
-            DEMOTE_EVERY,
-        ))
-        .build()?;
+    let mut trainer = PliniusBuilder::new(setup).context(ctx3).build()?;
     println!(
         "life 3: PM module lost at iteration {before_pm_loss} -> SSD checkpoint restored \
          iteration {} ({} iterations lost, bounded by the demotion interval)",

@@ -3,12 +3,13 @@
 //! PM-resident training data, and attestation-gated key provisioning.
 
 use plinius::{
-    shared_ssd, HybridTieredBackend, MirrorModel, PliniusBuilder, PliniusContext, PliniusError,
-    PmDataset, TrainingSetup,
+    HybridTieredBackend, MirrorModel, ModelPersistence, PliniusBuilder, PliniusContext,
+    PliniusError, PmDataset, SsdCheckpointBackend, TrainingSetup,
 };
 use plinius_crypto::{CryptoError, Key};
 use plinius_darknet::{mnist_cnn_config, synthetic_mnist};
 use plinius_sgx::{AttestationService, DataOwner};
+use plinius_storage::CheckpointCodec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim_clock::CostModel;
@@ -103,14 +104,10 @@ fn demoted_ssd_checkpoints_are_not_stored_in_plaintext() {
     let ctx = PliniusContext::create(setup.cost.clone(), setup.pm_bytes).unwrap();
     ctx.provision_key_directly(key);
     PmDataset::load(&ctx, &setup.dataset).unwrap();
-    let ssd = shared_ssd(&ctx);
+    let ssd = ctx.ssd().clone();
     let mut trainer = PliniusBuilder::new(setup)
         .context(ctx)
-        .backend(HybridTieredBackend::on_filesystem(
-            ssd.clone(),
-            "tier.ckpt",
-            2,
-        ))
+        .backend(HybridTieredBackend::new("tier.ckpt", 2))
         .max_iterations(4)
         .build()
         .unwrap();
@@ -133,6 +130,34 @@ fn demoted_ssd_checkpoints_are_not_stored_in_plaintext() {
     let media = ssd.read_all("tier.ckpt").unwrap();
     let found = media.windows(needle.len()).any(|w| w == needle.as_slice());
     assert!(!found, "plaintext weights leaked onto the SSD checkpoint");
+}
+
+#[test]
+fn ssd_restore_rejects_dropped_tensors_and_foreign_shapes_without_panicking() {
+    // The host owns the SSD. Each sealed tensor's AAD binds only its layer and tensor
+    // index, so both checkpoints below still authenticate; the restore itself must
+    // refuse to install tensors the enclave model cannot hold.
+    let (ctx, _key) = ctx_with_key(9);
+    let mut rng = StdRng::seed_from_u64(10);
+    let net = plinius_darknet::build_network(&mnist_cnn_config(2, 4, 4), &mut rng).unwrap();
+    let mut backend = SsdCheckpointBackend::new("model.ckpt");
+    backend.persist(&ctx, &net, 1).unwrap();
+
+    // A checkpoint written for a model of another shape (wider convolutions).
+    let mut wider = plinius_darknet::build_network(&mnist_cnn_config(2, 8, 4), &mut rng).unwrap();
+    let err = backend.restore(&ctx, &mut wider).unwrap_err();
+    assert!(matches!(err, PliniusError::MirrorMismatch(_)), "{err}");
+
+    // The host drops one sealed tensor of the first layer.
+    let mut blob = CheckpointCodec::decode(&ctx.ssd().read_all("model.ckpt").unwrap()).unwrap();
+    blob.layers[0].pop();
+    ctx.ssd().create("model.ckpt");
+    ctx.ssd()
+        .write("model.ckpt", &CheckpointCodec::encode(&blob));
+    let mut same_shape =
+        plinius_darknet::build_network(&mnist_cnn_config(2, 4, 4), &mut rng).unwrap();
+    let err = backend.restore(&ctx, &mut same_shape).unwrap_err();
+    assert!(matches!(err, PliniusError::MirrorMismatch(_)), "{err}");
 }
 
 #[test]
