@@ -91,13 +91,25 @@ pub fn parse_config(text: &str) -> Result<Vec<Section>, DarknetError> {
 }
 
 /// Parses a configuration file and builds the corresponding [`Network`], initialising
-/// weights from `rng`.
+/// weights from `rng` ([`Network::init_weights`] over [`build_zeroed_network`]).
 ///
 /// # Errors
 ///
 /// Returns [`DarknetError::Config`] for malformed or unsupported configurations and the
 /// usual network-construction errors for inconsistent shapes.
 pub fn build_network<R: Rng>(text: &str, rng: &mut R) -> Result<Network, DarknetError> {
+    let mut network = build_zeroed_network(text)?;
+    network.init_weights(rng);
+    Ok(network)
+}
+
+/// Parses a configuration file and builds the corresponding [`Network`] with every
+/// weight zero: the shape a restore overwrites, which needs no random draw.
+///
+/// # Errors
+///
+/// Same as [`build_network`].
+pub fn build_zeroed_network(text: &str) -> Result<Network, DarknetError> {
     let sections = parse_config(text)?;
     let Some((net_section, layer_sections)) = sections.split_first() else {
         return Err(DarknetError::Config("configuration file is empty".into()));
@@ -146,8 +158,7 @@ pub fn build_network<R: Rng>(text: &str, rng: &mut R) -> Result<Network, Darknet
                          fit the {h}x{w} input"
                     )));
                 }
-                let layer =
-                    ConvLayer::new(h, w, c, filters, size, stride, pad, activation, batch, rng);
+                let layer = ConvLayer::new(h, w, c, filters, size, stride, pad, activation, batch);
                 let (oc, oh, ow) = layer.out_shape();
                 layers.push(Layer::Convolutional(layer));
                 c = oc;
@@ -181,7 +192,6 @@ pub fn build_network<R: Rng>(text: &str, rng: &mut R) -> Result<Network, Darknet
                     outputs,
                     activation,
                     batch,
-                    rng,
                 )));
                 c = outputs;
                 h = 1;

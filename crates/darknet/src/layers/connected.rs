@@ -2,7 +2,7 @@
 
 use crate::activation::Activation;
 use crate::dispatch::{selected_gemm, GemmKind};
-use crate::layers::{layer_gemm, ParamView, UpdateArgs, PARAM_TENSOR_NAMES};
+use crate::layers::{draw_weights, layer_gemm, ParamView, UpdateArgs, PARAM_TENSOR_NAMES};
 use crate::matrix::{axpy_with_engine, scal_with_engine};
 use rand::Rng;
 
@@ -28,31 +28,22 @@ pub struct ConnectedLayer {
 }
 
 impl ConnectedLayer {
-    /// Creates a fully connected layer.
+    /// Creates a fully connected layer with zero weights
+    /// ([`ConnectedLayer::init_weights`] draws a fresh model's).
     ///
     /// # Panics
     ///
     /// Panics if `inputs` or `outputs` is zero.
-    pub fn new<R: Rng>(
-        inputs: usize,
-        outputs: usize,
-        activation: Activation,
-        batch: usize,
-        rng: &mut R,
-    ) -> Self {
+    pub fn new(inputs: usize, outputs: usize, activation: Activation, batch: usize) -> Self {
         assert!(
             inputs > 0 && outputs > 0,
             "connected layer needs non-zero dimensions"
         );
-        let scale = (2.0 / inputs as f32).sqrt();
-        let weights = (0..inputs * outputs)
-            .map(|_| rng.gen_range(-1.0f32..1.0) * scale)
-            .collect();
         ConnectedLayer {
             inputs,
             outputs,
             activation,
-            weights,
+            weights: vec![0.0; inputs * outputs],
             weight_updates: vec![0.0; inputs * outputs],
             biases: vec![0.0; outputs],
             bias_updates: vec![0.0; outputs],
@@ -63,6 +54,11 @@ impl ConnectedLayer {
             delta: vec![0.0; outputs * batch],
             engine: selected_gemm(),
         }
+    }
+
+    /// Draws the initial weights from `rng`, Kaiming-style over the `inputs` fan-in.
+    pub fn init_weights<R: Rng>(&mut self, rng: &mut R) {
+        draw_weights(&mut self.weights, self.inputs, rng);
     }
 
     /// The GEMM engine this layer's kernels run on.
@@ -266,28 +262,15 @@ impl ConnectedLayer {
         ]
     }
 
-    /// Overwrites the parameter tensors (mirror-in path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor count or any length differs from this layer's.
-    pub fn set_params(&mut self, tensors: &[Vec<f32>]) {
-        assert_eq!(tensors.len(), 5, "connected layer expects 5 tensors");
-        let targets: [&mut Vec<f32>; 5] = [
+    /// The same five tensors as [`Self::param_views`], mutable.
+    pub fn params_mut(&mut self) -> [&mut [f32]; crate::PARAM_TENSORS_PER_LAYER] {
+        [
             &mut self.weights,
             &mut self.biases,
             &mut self.scales,
             &mut self.rolling_mean,
             &mut self.rolling_variance,
-        ];
-        for (target, source) in targets.into_iter().zip(tensors.iter()) {
-            assert_eq!(
-                target.len(),
-                source.len(),
-                "parameter tensor length mismatch"
-            );
-            target.copy_from_slice(source);
-        }
+        ]
     }
 
     /// Approximate FLOPs per sample (forward + backward).
@@ -304,24 +287,19 @@ mod tests {
 
     #[test]
     fn forward_matches_hand_computation() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut l = ConnectedLayer::new(2, 2, Activation::Linear, 1, &mut rng);
+        let mut l = ConnectedLayer::new(2, 2, Activation::Linear, 1);
         // W = [[1,2],[3,4]], b = [0.5, -0.5]
-        l.set_params(&[
-            vec![1.0, 2.0, 3.0, 4.0],
-            vec![0.5, -0.5],
-            vec![1.0, 1.0],
-            vec![0.0, 0.0],
-            vec![1.0, 1.0],
-        ]);
+        let [weights, biases, ..] = l.params_mut();
+        weights.copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
+        biases.copy_from_slice(&[0.5, -0.5]);
         l.forward(&[1.0, 1.0], 1);
         assert_eq!(l.output(), &[3.5, 6.5]);
     }
 
     #[test]
     fn gradient_check_weights_and_input() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut layer = ConnectedLayer::new(5, 3, Activation::Logistic, 1, &mut rng);
+        let mut layer = ConnectedLayer::new(5, 3, Activation::Logistic, 1);
+        layer.init_weights(&mut StdRng::seed_from_u64(2));
         let input: Vec<f32> = (0..5).map(|i| i as f32 * 0.2 - 0.5).collect();
         layer.forward(&input, 1);
         layer.delta_mut().iter_mut().for_each(|d| *d = 1.0);
@@ -365,8 +343,7 @@ mod tests {
 
     #[test]
     fn params_and_flops() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let l = ConnectedLayer::new(10, 4, Activation::Leaky, 1, &mut rng);
+        let l = ConnectedLayer::new(10, 4, Activation::Leaky, 1);
         assert_eq!(l.inputs(), 10);
         assert_eq!(l.outputs(), 4);
         assert_eq!(l.activation(), Activation::Leaky);
@@ -377,9 +354,8 @@ mod tests {
 
     #[test]
     fn update_changes_weights_in_delta_direction() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut l = ConnectedLayer::new(2, 1, Activation::Linear, 1, &mut rng);
-        l.set_params(&[vec![0.0, 0.0], vec![0.0], vec![1.0], vec![0.0], vec![1.0]]);
+        // Zero weights and biases, as built.
+        let mut l = ConnectedLayer::new(2, 1, Activation::Linear, 1);
         l.forward(&[1.0, -1.0], 1);
         l.delta_mut()[0] = 1.0; // "increase the output"
         l.backward(&[1.0, -1.0], None, 1);
@@ -397,7 +373,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-zero dimensions")]
     fn zero_dimension_rejected() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let _ = ConnectedLayer::new(0, 3, Activation::Linear, 1, &mut rng);
+        let _ = ConnectedLayer::new(0, 3, Activation::Linear, 1);
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::activation::Activation;
 use crate::dispatch::{selected_gemm, GemmKind};
-use crate::layers::{layer_gemm, ParamView, UpdateArgs, PARAM_TENSOR_NAMES};
+use crate::layers::{draw_weights, layer_gemm, ParamView, UpdateArgs, PARAM_TENSOR_NAMES};
 use crate::matrix::{
     axpy_with_engine, col2im, conv_out_dim, gemm_with_engine, im2col, scal_with_engine,
     GEMM_DEFAULT_KC,
@@ -76,13 +76,14 @@ pub struct ConvLayer {
 }
 
 impl ConvLayer {
-    /// Creates a convolutional layer for inputs of shape `(in_c, in_h, in_w)`.
+    /// Creates a convolutional layer for inputs of shape `(in_c, in_h, in_w)`, with
+    /// zero weights ([`ConvLayer::init_weights`] draws a fresh model's).
     ///
     /// # Panics
     ///
     /// Panics if the geometry produces an empty output.
     #[allow(clippy::too_many_arguments)]
-    pub fn new<R: Rng>(
+    pub fn new(
         in_h: usize,
         in_w: usize,
         in_c: usize,
@@ -92,7 +93,6 @@ impl ConvLayer {
         pad: usize,
         activation: Activation,
         batch: usize,
-        rng: &mut R,
     ) -> Self {
         assert!(
             filters > 0 && ksize > 0 && stride > 0,
@@ -102,11 +102,6 @@ impl ConvLayer {
         let out_w = conv_out_dim(in_w, ksize, stride, pad);
         assert!(out_h > 0 && out_w > 0, "convolution output is empty");
         let weight_count = filters * in_c * ksize * ksize;
-        // Kaiming-style initialisation, matching Darknet's scale choice.
-        let scale = (2.0 / (in_c * ksize * ksize) as f32).sqrt();
-        let weights = (0..weight_count)
-            .map(|_| rng.gen_range(-1.0f32..1.0) * scale)
-            .collect();
         let outputs = filters * out_h * out_w;
         ConvLayer {
             in_h,
@@ -119,7 +114,7 @@ impl ConvLayer {
             out_h,
             out_w,
             activation,
-            weights,
+            weights: vec![0.0; weight_count],
             weight_updates: vec![0.0; weight_count],
             biases: vec![0.0; filters],
             bias_updates: vec![0.0; filters],
@@ -131,6 +126,12 @@ impl ConvLayer {
             col_buffer: vec![0.0; in_c * ksize * ksize * out_h * out_w],
             engine: selected_gemm(),
         }
+    }
+
+    /// Draws the initial weights from `rng`, Kaiming-style over the `in_c * ksize^2`
+    /// fan-in, as Darknet does.
+    pub fn init_weights<R: Rng>(&mut self, rng: &mut R) {
+        draw_weights(&mut self.weights, self.in_c * self.ksize * self.ksize, rng);
     }
 
     /// The GEMM engine this layer's kernels run on.
@@ -442,28 +443,15 @@ impl ConvLayer {
         ]
     }
 
-    /// Overwrites the parameter tensors (mirror-in path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor count or any length differs from this layer's.
-    pub fn set_params(&mut self, tensors: &[Vec<f32>]) {
-        assert_eq!(tensors.len(), 5, "convolutional layer expects 5 tensors");
-        let targets: [&mut Vec<f32>; 5] = [
+    /// The same five tensors as [`Self::param_views`], mutable.
+    pub fn params_mut(&mut self) -> [&mut [f32]; crate::PARAM_TENSORS_PER_LAYER] {
+        [
             &mut self.weights,
             &mut self.biases,
             &mut self.scales,
             &mut self.rolling_mean,
             &mut self.rolling_variance,
-        ];
-        for (target, source) in targets.into_iter().zip(tensors.iter()) {
-            assert_eq!(
-                target.len(),
-                source.len(),
-                "parameter tensor length mismatch"
-            );
-            target.copy_from_slice(source);
-        }
+        ]
     }
 
     /// Approximate FLOPs per sample (forward + backward ≈ 3x the forward GEMM).
@@ -480,8 +468,9 @@ mod tests {
     use rand::SeedableRng;
 
     fn small_layer(batch: usize) -> ConvLayer {
-        let mut rng = StdRng::seed_from_u64(7);
-        ConvLayer::new(5, 5, 1, 2, 3, 1, 1, Activation::Leaky, batch, &mut rng)
+        let mut layer = ConvLayer::new(5, 5, 1, 2, 3, 1, 1, Activation::Leaky, batch);
+        layer.init_weights(&mut StdRng::seed_from_u64(7));
+        layer
     }
 
     #[test]
@@ -502,9 +491,8 @@ mod tests {
     #[test]
     fn identity_kernel_reproduces_input() {
         // A single 1x1 filter with weight 1 and linear activation copies the input.
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut l = ConvLayer::new(4, 4, 1, 1, 1, 1, 0, Activation::Linear, 1, &mut rng);
-        l.set_params(&[vec![1.0], vec![0.0], vec![1.0], vec![0.0], vec![1.0]]);
+        let mut l = ConvLayer::new(4, 4, 1, 1, 1, 1, 0, Activation::Linear, 1);
+        l.params_mut()[0].fill(1.0);
         let input: Vec<f32> = (0..16).map(|v| v as f32).collect();
         l.forward(&input, 1);
         assert_eq!(l.output(), &input[..]);
@@ -513,9 +501,10 @@ mod tests {
     #[test]
     fn known_convolution_value() {
         // One 2x2 filter of all ones over a 2x2 image equals the sum of the image.
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut l = ConvLayer::new(2, 2, 1, 1, 2, 1, 0, Activation::Linear, 1, &mut rng);
-        l.set_params(&[vec![1.0; 4], vec![0.5], vec![1.0], vec![0.0], vec![1.0]]);
+        let mut l = ConvLayer::new(2, 2, 1, 1, 2, 1, 0, Activation::Linear, 1);
+        let [weights, biases, ..] = l.params_mut();
+        weights.fill(1.0);
+        biases.fill(0.5);
         l.forward(&[1.0, 2.0, 3.0, 4.0], 1);
         assert_eq!(l.output(), &[10.5]);
     }
@@ -523,8 +512,8 @@ mod tests {
     #[test]
     fn gradient_check_weights() {
         // Finite-difference check of dL/dw where L = sum(output) on a tiny layer.
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut layer = ConvLayer::new(4, 4, 1, 2, 3, 1, 0, Activation::Leaky, 1, &mut rng);
+        let mut layer = ConvLayer::new(4, 4, 1, 2, 3, 1, 0, Activation::Leaky, 1);
+        layer.init_weights(&mut StdRng::seed_from_u64(3));
         let input: Vec<f32> = (0..16).map(|i| (i as f32) / 7.5 - 1.0).collect();
 
         // Analytic gradient: delta = dL/dy = 1 everywhere (L = sum of outputs), so the
@@ -556,8 +545,8 @@ mod tests {
 
     #[test]
     fn gradient_check_input() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut layer = ConvLayer::new(4, 4, 1, 2, 3, 1, 1, Activation::Linear, 1, &mut rng);
+        let mut layer = ConvLayer::new(4, 4, 1, 2, 3, 1, 1, Activation::Linear, 1);
+        layer.init_weights(&mut StdRng::seed_from_u64(4));
         let input: Vec<f32> = (0..16).map(|i| (i as f32) * 0.1 - 0.8).collect();
         layer.forward(&input, 1);
         layer.delta_mut().iter_mut().for_each(|d| *d = 1.0);
@@ -614,9 +603,7 @@ mod tests {
     #[test]
     fn flops_are_positive_and_scale_with_filters() {
         let small = small_layer(1).flops_per_sample();
-        let mut rng = StdRng::seed_from_u64(7);
-        let big =
-            ConvLayer::new(5, 5, 1, 8, 3, 1, 1, Activation::Leaky, 1, &mut rng).flops_per_sample();
+        let big = ConvLayer::new(5, 5, 1, 8, 3, 1, 1, Activation::Leaky, 1).flops_per_sample();
         assert!(small > 0);
         assert_eq!(big, small * 4);
     }
@@ -624,7 +611,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "expects 5 tensors")]
     fn set_params_validates_count() {
-        let mut layer = small_layer(1);
-        layer.set_params(&[vec![0.0]]);
+        crate::Layer::Convolutional(small_layer(1)).set_params(&[vec![0.0]]);
     }
 }

@@ -15,6 +15,7 @@ pub use softmax::SoftmaxLayer;
 
 use crate::dispatch::GemmKind;
 use crate::matrix::{gemm_threads, gemm_with_engine, GEMM_DEFAULT_KC};
+use rand::Rng;
 use std::fmt;
 
 /// [`crate::matrix::gemm`] with the engine pinned instead of re-resolved from the
@@ -57,6 +58,15 @@ pub(crate) fn layer_gemm(
         c,
         ldc,
     );
+}
+
+/// Darknet's initial weight draw, in order: uniform in `[-1, 1)` scaled by
+/// `sqrt(2 / fan_in)` (Kaiming-style).
+fn draw_weights<R: Rng>(weights: &mut [f32], fan_in: usize, rng: &mut R) {
+    let scale = (2.0 / fan_in as f32).sqrt();
+    for w in weights {
+        *w = rng.gen_range(-1.0f32..1.0) * scale;
+    }
 }
 
 /// Hyper-parameters used when applying accumulated gradients.
@@ -259,22 +269,54 @@ impl Layer {
         }
     }
 
-    /// Overwrites the layer's parameter tensors with the provided values (used by the
-    /// Plinius mirror-in path).
+    /// The parameter tensors as mutable slices, in [`PARAM_TENSOR_NAMES`] order,
+    /// `None` for non-trainable layers — the mutable sibling of
+    /// [`Layer::param_views`], which a restore decodes into.
+    pub fn params_mut(&mut self) -> Option<[&mut [f32]; PARAM_TENSORS_PER_LAYER]> {
+        match self {
+            Layer::Convolutional(l) => Some(l.params_mut()),
+            Layer::Connected(l) => Some(l.params_mut()),
+            Layer::MaxPool(_) | Layer::Softmax(_) => None,
+        }
+    }
+
+    /// Overwrites the layer's parameter tensors with the provided values.
     ///
     /// # Panics
     ///
     /// Panics if the number of tensors or any tensor length does not match the layer.
     pub fn set_params(&mut self, tensors: &[Vec<f32>]) {
+        let kind = self.kind();
+        let Some(targets) = self.params_mut() else {
+            assert!(
+                tensors.is_empty(),
+                "non-trainable layer received parameters"
+            );
+            return;
+        };
+        assert_eq!(
+            tensors.len(),
+            PARAM_TENSORS_PER_LAYER,
+            "{kind} layer expects {PARAM_TENSORS_PER_LAYER} tensors"
+        );
+        for (target, source) in targets.into_iter().zip(tensors) {
+            assert_eq!(
+                target.len(),
+                source.len(),
+                "parameter tensor length mismatch"
+            );
+            target.copy_from_slice(source);
+        }
+    }
+
+    /// Draws a fresh model's initial weights from `rng` (no-op for layers without
+    /// weights). Layers are built with zero weights; see
+    /// [`crate::Network::init_weights`].
+    pub fn init_weights<R: Rng>(&mut self, rng: &mut R) {
         match self {
-            Layer::Convolutional(l) => l.set_params(tensors),
-            Layer::Connected(l) => l.set_params(tensors),
-            Layer::MaxPool(_) | Layer::Softmax(_) => {
-                assert!(
-                    tensors.is_empty(),
-                    "non-trainable layer received parameters"
-                );
-            }
+            Layer::Convolutional(l) => l.init_weights(rng),
+            Layer::Connected(l) => l.init_weights(rng),
+            Layer::MaxPool(_) | Layer::Softmax(_) => {}
         }
     }
 
@@ -338,39 +380,41 @@ mod tests {
 
     #[test]
     fn trainable_layers_expose_five_param_tensors() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let conv = Layer::Convolutional(ConvLayer::new(
-            8,
-            8,
-            1,
-            4,
-            3,
-            1,
-            1,
-            Activation::Leaky,
-            2,
-            &mut rng,
-        ));
-        let fc = Layer::Connected(ConnectedLayer::new(16, 10, Activation::Linear, 2, &mut rng));
-        for layer in [&conv, &fc] {
+        let conv = Layer::Convolutional(ConvLayer::new(8, 8, 1, 4, 3, 1, 1, Activation::Leaky, 2));
+        let fc = Layer::Connected(ConnectedLayer::new(16, 10, Activation::Linear, 2));
+        for mut layer in [conv, fc] {
             let params = layer.params();
             assert_eq!(params.len(), PARAM_TENSORS_PER_LAYER);
             for (p, name) in params.iter().zip(PARAM_TENSOR_NAMES.iter()) {
                 assert_eq!(p.name, *name);
             }
+            let lens: Vec<usize> = params.iter().map(|p| p.data.len()).collect();
+            let mutable = layer.params_mut().expect("trainable");
+            assert_eq!(mutable.map(|t| t.len()).to_vec(), lens);
             assert!(layer.is_trainable());
             assert!(layer.param_bytes() > 0);
         }
-        let pool = Layer::MaxPool(MaxPoolLayer::new(8, 8, 4, 2, 2, 2));
+        let mut pool = Layer::MaxPool(MaxPoolLayer::new(8, 8, 4, 2, 2, 2));
         assert!(pool.params().is_empty());
+        assert!(pool.params_mut().is_none());
         assert!(!pool.is_trainable());
     }
 
     #[test]
+    fn layers_are_built_with_zero_weights_and_init_draws_them() {
+        let mut layer = Layer::Connected(ConnectedLayer::new(4, 3, Activation::Linear, 1));
+        assert!(layer.params()[0].data.iter().all(|&w| w == 0.0));
+        layer.init_weights(&mut StdRng::seed_from_u64(2));
+        let scale = (2.0f32 / 4.0).sqrt();
+        let weights = layer.params()[0].data.to_vec();
+        assert!(weights.iter().all(|w| w.abs() <= scale));
+        assert!(weights.iter().any(|&w| w != 0.0));
+    }
+
+    #[test]
     fn set_params_round_trips() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut layer =
-            Layer::Connected(ConnectedLayer::new(4, 3, Activation::Linear, 1, &mut rng));
+        let mut layer = Layer::Connected(ConnectedLayer::new(4, 3, Activation::Linear, 1));
+        layer.init_weights(&mut StdRng::seed_from_u64(2));
         let snapshot: Vec<Vec<f32>> = layer.params().iter().map(|p| p.data.to_vec()).collect();
         let modified: Vec<Vec<f32>> = snapshot
             .iter()

@@ -52,8 +52,8 @@ mod simd;
 
 pub use activation::Activation;
 pub use config::{
-    build_network, mnist_cnn_config, mnist_cnn_config_with_momentum, parse_config,
-    sized_model_config,
+    build_network, build_zeroed_network, mnist_cnn_config, mnist_cnn_config_with_momentum,
+    parse_config, sized_model_config,
 };
 pub use data::{synthetic_images, synthetic_mnist, Dataset};
 pub use dispatch::{

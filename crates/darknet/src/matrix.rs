@@ -1190,9 +1190,26 @@ mod tests {
             gemm_reference(
                 ta, tb, m, n, k, 0.75, &a, lda, &b, ldb, 0.5, &mut c_ref, ldc,
             );
+            // The engine of the `auto` policy, whatever `PLINIUS_GEMM` selects: the
+            // fused engines are only ULP-close to the reference.
             let mut c = c0.clone();
-            gemm_tuned(
-                3, 2, ta, tb, m, n, k, 0.75, &a, lda, &b, ldb, 0.5, &mut c, ldc,
+            gemm_with_engine(
+                crate::GemmPolicy::Auto.select(),
+                3,
+                2,
+                ta,
+                tb,
+                m,
+                n,
+                k,
+                0.75,
+                &a,
+                lda,
+                &b,
+                ldb,
+                0.5,
+                &mut c,
+                ldc,
             );
             assert_eq!(bits(&c_ref), bits(&c), "ta={ta} tb={tb}");
         }

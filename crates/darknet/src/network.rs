@@ -5,6 +5,7 @@ use crate::data::Dataset;
 use crate::dispatch::{GemmKind, GemmPolicy};
 use crate::layers::{Layer, UpdateArgs};
 use crate::DarknetError;
+use rand::Rng;
 use std::fmt;
 
 /// Training hyper-parameters and the input geometry, i.e. the `[net]` section of a
@@ -104,6 +105,15 @@ impl Network {
             last_loss: f32::NAN,
             gemm: crate::dispatch::selected_gemm(),
         })
+    }
+
+    /// Draws every trainable layer's initial weights from `rng`, in layer order. The
+    /// layers are built with zero weights: [`crate::config::build_network`] runs this
+    /// pass on a fresh model, and a model about to be restored skips it.
+    pub fn init_weights<R: Rng>(&mut self, rng: &mut R) {
+        for layer in &mut self.layers {
+            layer.init_weights(rng);
+        }
     }
 
     /// The GEMM engine the network's layer kernels run on.
@@ -362,23 +372,13 @@ mod tests {
             max_iterations: 100,
         };
         let layers = vec![
-            Layer::Connected(ConnectedLayer::new(
-                inputs,
-                16,
-                Activation::Leaky,
-                batch,
-                &mut rng,
-            )),
-            Layer::Connected(ConnectedLayer::new(
-                16,
-                classes,
-                Activation::Linear,
-                batch,
-                &mut rng,
-            )),
+            Layer::Connected(ConnectedLayer::new(inputs, 16, Activation::Leaky, batch)),
+            Layer::Connected(ConnectedLayer::new(16, classes, Activation::Linear, batch)),
             Layer::Softmax(SoftmaxLayer::new(classes, batch)),
         ];
-        Network::new(config, layers).unwrap()
+        let mut net = Network::new(config, layers).unwrap();
+        net.init_weights(&mut rng);
+        net
     }
 
     fn tiny_cnn(batch: usize, seed: u64) -> Network {
@@ -393,9 +393,9 @@ mod tests {
             decay: 0.0,
             max_iterations: 100,
         };
-        let conv = ConvLayer::new(8, 8, 1, 4, 3, 1, 1, Activation::Leaky, batch, &mut rng);
+        let conv = ConvLayer::new(8, 8, 1, 4, 3, 1, 1, Activation::Leaky, batch);
         let pool = MaxPoolLayer::new(8, 8, 4, 2, 2, batch);
-        let fc = ConnectedLayer::new(4 * 4 * 4, 3, Activation::Linear, batch, &mut rng);
+        let fc = ConnectedLayer::new(4 * 4 * 4, 3, Activation::Linear, batch);
         let sm = SoftmaxLayer::new(3, batch);
         let layers = vec![
             Layer::Convolutional(conv),
@@ -403,7 +403,9 @@ mod tests {
             Layer::Connected(fc),
             Layer::Softmax(sm),
         ];
-        Network::new(config, layers).unwrap()
+        let mut net = Network::new(config, layers).unwrap();
+        net.init_weights(&mut rng);
+        net
     }
 
     #[test]
@@ -416,7 +418,6 @@ mod tests {
 
     #[test]
     fn shape_mismatch_is_detected() {
-        let mut rng = StdRng::seed_from_u64(1);
         let config = NetworkConfig {
             height: 10,
             width: 1,
@@ -428,7 +429,6 @@ mod tests {
             3,
             Activation::Linear,
             1,
-            &mut rng,
         ))];
         assert!(matches!(
             Network::new(config, layers).unwrap_err(),

@@ -3,9 +3,9 @@
 //! strided leading dimensions, k-block sizes and thread counts.
 
 use plinius_darknet::matrix::{
-    gemm, gemm_reference, gemm_tuned, gemm_with_engine, GEMM_DEFAULT_KC, GEMM_NC,
+    gemm_reference, gemm_tuned, gemm_with_engine, GEMM_DEFAULT_KC, GEMM_NC,
 };
-use plinius_darknet::{avx2_available, avx512_available, fma_available, GemmKind};
+use plinius_darknet::{avx2_available, avx512_available, fma_available, GemmKind, GemmPolicy};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -107,19 +107,27 @@ proptest! {
         let mut c_ref = c0.clone();
         gemm_reference(ta, tb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c_ref, ldc);
 
-        // The public dispatching entry point matches the reference bit-for-bit (modulo
-        // NaN payload canonicalisation, see `canon_bits`).
+        // The engine the `auto` policy dispatches to (what `gemm` runs unless
+        // `PLINIUS_GEMM` opts into the fused engines) matches the reference bit-for-bit
+        // (modulo NaN payload canonicalisation, see `canon_bits`).
+        let engine = GemmPolicy::Auto.select();
         let mut c_auto = c0.clone();
-        gemm(ta, tb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c_auto, ldc);
+        gemm_with_engine(
+            engine, 1, GEMM_DEFAULT_KC,
+            ta, tb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c_auto, ldc,
+        );
         prop_assert_eq!(canon_bits(&c_ref), canon_bits(&c_auto));
 
         // Every explicit thread count and block size — including degenerate kc=1 and a
-        // block larger than k — matches the reference numerically and the dispatcher's
+        // block larger than k — matches the reference numerically and the single-thread
         // output *strictly* bit-for-bit (same kernel code for every configuration).
         for threads in [1usize, 2, 5] {
             for kc in [1usize, 3, GEMM_DEFAULT_KC] {
                 let mut c = c0.clone();
-                gemm_tuned(threads, kc, ta, tb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c, ldc);
+                gemm_with_engine(
+                    engine, threads, kc,
+                    ta, tb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c, ldc,
+                );
                 prop_assert_eq!(
                     canon_bits(&c_ref),
                     canon_bits(&c),
@@ -129,7 +137,7 @@ proptest! {
                 prop_assert_eq!(
                     bits(&c_auto),
                     bits(&c),
-                    "vs dispatcher: threads={} kc={} m={} n={} k={} ta={} tb={}",
+                    "vs single thread: threads={} kc={} m={} n={} k={} ta={} tb={}",
                     threads, kc, m, n, k, ta, tb
                 );
             }

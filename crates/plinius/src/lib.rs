@@ -190,7 +190,7 @@ pub enum PliniusError {
     NoMirrorModel,
     /// The mirror exists but no epoch has been committed yet (the active slot holds
     /// uninitialised bytes until the first mirror-out flips to it), so there is
-    /// nothing consistent to serve.
+    /// nothing consistent to serve or restore.
     NoCommittedEpoch,
     /// No training dataset has been loaded into PM.
     NoPmDataset,
@@ -569,22 +569,18 @@ pub fn f32s_to_bytes_into(values: &[f32], out: &mut [u8]) {
     }
 }
 
-/// Inverse of [`f32s_to_bytes`].
+/// Decodes the little-endian bytes of `values.len()` `f32`s from `bytes` into
+/// `values` in place: the inverse of [`f32s_to_bytes_into`], with which every restore
+/// fills the model's parameter slices.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Returns [`PliniusError::MirrorMismatch`] if the byte length is not a multiple of 4.
-pub fn bytes_to_f32s(bytes: &[u8]) -> Result<Vec<f32>, PliniusError> {
-    if !bytes.len().is_multiple_of(4) {
-        return Err(PliniusError::MirrorMismatch(format!(
-            "tensor byte length {} is not a multiple of 4",
-            bytes.len()
-        )));
+/// Panics unless `bytes.len() == values.len() * 4`.
+pub(crate) fn f32s_from_bytes_into(bytes: &[u8], values: &mut [f32]) {
+    assert_eq!(bytes.len(), values.len() * 4, "staging slice size mismatch");
+    for (v, chunk) in values.iter_mut().zip(bytes.chunks_exact(4)) {
+        *v = f32::from_le_bytes(chunk.try_into().expect("4 bytes"));
     }
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-        .collect())
 }
 
 #[cfg(test)]
@@ -643,8 +639,9 @@ mod tests {
         let values = vec![0.0f32, -1.5, 3.25, f32::MAX];
         let bytes = f32s_to_bytes(&values);
         assert_eq!(bytes.len(), 16);
-        assert_eq!(bytes_to_f32s(&bytes).unwrap(), values);
-        assert!(bytes_to_f32s(&bytes[..7]).is_err());
+        let mut decoded = [1.0f32; 4];
+        f32s_from_bytes_into(&bytes, &mut decoded);
+        assert_eq!(decoded.to_vec(), values);
     }
 
     #[test]

@@ -65,7 +65,7 @@
 //! counted in the `mirror.torn_read_retries` statistic.
 
 use crate::knobs::Knobs;
-use crate::{bytes_to_f32s, f32s_to_bytes_into, PliniusContext, PliniusError};
+use crate::{f32s_from_bytes_into, f32s_to_bytes_into, PliniusContext, PliniusError};
 use parking_lot::Mutex;
 use plinius_crypto::{
     seal_into_with_threads, AesGcm, CryptoError, IvSequence, SealedView, IV_LEN, SEAL_OVERHEAD,
@@ -74,6 +74,7 @@ use plinius_darknet::{Layer, Network};
 use plinius_parallel::Pipeline;
 use plinius_romulus::PmPtr;
 use sim_clock::SimSpan;
+use std::mem;
 use std::sync::Arc;
 
 /// Root-directory slot holding tenant 0's mirror-model header. Other tenants use
@@ -234,6 +235,17 @@ struct MirrorScratch {
     ivs: Vec<[u8; IV_LEN]>,
 }
 
+/// The staging buffers of the last dropped mirror scratch, for the next scratch of that
+/// layout: a model restarted in-process then stages into pages that are still mapped.
+/// Every use writes a slot before reading it, so the buffers are not cleared.
+static SPARE_STAGING: Mutex<Option<(Vec<u8>, Vec<u8>)>> = Mutex::new(None);
+
+impl Drop for MirrorScratch {
+    fn drop(&mut self) {
+        *SPARE_STAGING.lock() = Some((mem::take(&mut self.plain), mem::take(&mut self.arena)));
+    }
+}
+
 /// One set of pre-allocated staging buffers of the pipelined mirror-out: the snapshot
 /// phase fills `plain` + `ivs`, the background worker seals into `arena`. Two sets
 /// rotate (one possibly in flight, one spare), so the steady state allocates nothing.
@@ -297,6 +309,29 @@ struct HeaderSnapshot {
 /// only fault injection can sustain.
 const MAX_TORN_READ_RETRIES: u64 = 64;
 
+/// The seqlock read shared by every PM read of sealed tensors: `read(&fence, attempt)`
+/// runs between two loads of `fence`, and runs again while they differ, each retry
+/// counted in `mirror.torn_read_retries`. Returns the fence value that brackets the
+/// read; `what` names the fence in the error after [`MAX_TORN_READ_RETRIES`] retries.
+fn seqlock_read<F: PartialEq>(
+    ctx: &PliniusContext,
+    what: std::fmt::Arguments<'_>,
+    mut fence: impl FnMut() -> Result<F, PliniusError>,
+    mut read: impl FnMut(&F, u64) -> Result<(), PliniusError>,
+) -> Result<F, PliniusError> {
+    for attempt in 0..=MAX_TORN_READ_RETRIES {
+        let before = fence()?;
+        read(&before, attempt)?;
+        if fence()? == before {
+            return Ok(before);
+        }
+        ctx.stats().counter("mirror.torn_read_retries").incr();
+    }
+    Err(PliniusError::MirrorMismatch(format!(
+        "{what} kept moving during {MAX_TORN_READ_RETRIES} snapshot-read retries"
+    )))
+}
+
 /// Handle to the persistent mirror of one enclave model.
 pub struct MirrorModel {
     header: PmPtr,
@@ -305,8 +340,6 @@ pub struct MirrorModel {
     /// Number of ring slots per tensor (`>= 2`), fixed at allocation time.
     ring_depth: usize,
     layer_nodes: Vec<PmPtr>,
-    /// Sealed length of every tensor of every layer, in layer order.
-    sealed_lens: Vec<Vec<usize>>,
     /// Flat per-tensor layout (layer-major), fixed at allocate/open time.
     slots: Vec<TensorSlot>,
     /// The `ring_depth` PM buffers of every tensor, in `slots` order.
@@ -340,7 +373,6 @@ impl Clone for MirrorModel {
             meta: self.meta,
             ring_depth: self.ring_depth,
             layer_nodes: self.layer_nodes.clone(),
-            sealed_lens: self.sealed_lens.clone(),
             slots: self.slots.clone(),
             tensor_ptrs: self.tensor_ptrs.clone(),
             scratch: Mutex::new(None),
@@ -386,24 +418,33 @@ fn par_slot_slices(
     Ok(())
 }
 
-/// Installs the decrypted `tensors` of trainable layer `node_idx` into `layer`. A
-/// tensor count or size the layer does not expect is a [`PliniusError::MirrorMismatch`]
-/// (on which [`Layer::set_params`] would panic): the host controls the persisted bytes,
-/// and authenticated tensors can still be dropped or come from a model of another shape.
-pub(crate) fn set_layer_params(
+/// The parameter slices of trainable layer `node_idx`, once they are known to take
+/// persisted tensors of exactly `plain_lens` bytes: every restore checks a layer here,
+/// then decodes each tensor straight into its slice ([`f32s_from_bytes_into`]). A
+/// tensor count or size the layer does not expect is a [`PliniusError::MirrorMismatch`]:
+/// the host controls the persisted bytes, and authenticated tensors can still be dropped
+/// or come from a model of another shape.
+pub(crate) fn param_targets(
     layer: &mut Layer,
     node_idx: usize,
-    tensors: &[Vec<f32>],
-) -> Result<(), PliniusError> {
-    let expected: Vec<usize> = layer.params().iter().map(|p| p.data.len()).collect();
-    let got: Vec<usize> = tensors.iter().map(Vec::len).collect();
-    if expected != got {
+    plain_lens: impl ExactSizeIterator<Item = usize> + Clone,
+) -> Result<[&mut [f32]; TENSORS_PER_LAYER], PliniusError> {
+    let targets = layer
+        .params_mut()
+        .expect("restores decode into trainable layers only");
+    let fits = plain_lens.len() == targets.len()
+        && plain_lens
+            .clone()
+            .zip(&targets)
+            .all(|(len, target)| len == target.len() * 4);
+    if !fits {
+        let expected: Vec<usize> = targets.iter().map(|t| t.len() * 4).collect();
+        let got: Vec<usize> = plain_lens.collect();
         return Err(PliniusError::MirrorMismatch(format!(
-            "layer {node_idx}: expected tensor sizes {expected:?}, persisted model holds {got:?}"
+            "layer {node_idx}: expected tensors of {expected:?} bytes, persisted model holds {got:?}"
         )));
     }
-    layer.set_params(tensors);
-    Ok(())
+    Ok(targets)
 }
 
 /// Builds the flat tensor layout (and precomputes every AAD) from the per-layer sealed
@@ -540,7 +581,6 @@ impl MirrorModel {
             meta,
             ring_depth: ring,
             layer_nodes,
-            sealed_lens: layer_tensor_lens,
             slots,
             tensor_ptrs,
             scratch: Mutex::new(None),
@@ -606,7 +646,6 @@ impl MirrorModel {
             meta,
             ring_depth: ring,
             layer_nodes,
-            sealed_lens,
             slots,
             tensor_ptrs,
             scratch: Mutex::new(None),
@@ -634,24 +673,21 @@ impl MirrorModel {
         if stale {
             let key = ctx.key()?;
             let gcm = ctx.gcm()?;
-            match guard.as_mut() {
-                Some(s) => {
-                    s.gcm = gcm;
-                    s.key_bytes.clear();
-                    s.key_bytes.extend_from_slice(key.as_bytes());
-                }
-                None => {
-                    let plain_total = self.slots.iter().map(|s| s.plain_len).sum();
-                    let sealed_total = self.slots.iter().map(|s| s.sealed_len).sum();
-                    *guard = Some(MirrorScratch {
-                        key_bytes: key.as_bytes().to_vec(),
-                        gcm,
-                        plain: vec![0u8; plain_total],
-                        arena: vec![0u8; sealed_total],
-                        ivs: vec![[0u8; IV_LEN]; self.slots.len()],
-                    });
-                }
-            }
+            // A re-keyed scratch is rebuilt over the staging buffers it leaves behind.
+            *guard = None;
+            let plain_total = self.slots.iter().map(|s| s.plain_len).sum();
+            let sealed_total = self.slots.iter().map(|s| s.sealed_len).sum();
+            let spare = SPARE_STAGING.lock().take();
+            let (plain, arena) = spare
+                .filter(|(p, a)| p.len() == plain_total && a.len() == sealed_total)
+                .unwrap_or_else(|| (vec![0u8; plain_total], vec![0u8; sealed_total]));
+            *guard = Some(MirrorScratch {
+                key_bytes: key.as_bytes().to_vec(),
+                gcm,
+                plain,
+                arena,
+                ivs: vec![[0u8; IV_LEN]; self.slots.len()],
+            });
         }
         Ok(guard.as_mut().expect("scratch built above"))
     }
@@ -664,10 +700,7 @@ impl MirrorModel {
     /// Bytes of per-layer encryption metadata stored on PM (28 B per tensor, 140 B per
     /// layer with five tensors), as accounted in §VI of the paper.
     pub fn metadata_bytes(&self) -> usize {
-        self.sealed_lens
-            .iter()
-            .map(|l| l.len() * SEAL_OVERHEAD)
-            .sum()
+        self.slots.len() * SEAL_OVERHEAD
     }
 
     /// The iteration counter currently stored in the mirror header.
@@ -1030,63 +1063,32 @@ impl MirrorModel {
     ///
     /// # Errors
     ///
-    /// Returns [`PliniusError::KeyNotProvisioned`] without a model key, authentication
-    /// failures if the mirror was tampered with, or a mismatch error if the model shape
-    /// differs.
+    /// Returns [`PliniusError::NoCommittedEpoch`] (with `network` untouched) before the
+    /// first publish, [`PliniusError::KeyNotProvisioned`] without a model key,
+    /// authentication failures if the mirror was tampered with, or a mismatch error if
+    /// the model shape differs.
     pub fn mirror_in(
         &self,
         ctx: &PliniusContext,
         network: &mut Network,
     ) -> Result<MirrorInReport, PliniusError> {
-        let clock = ctx.clock();
-        let rom = ctx.romulus();
-        let mut guard = self.scratch.lock();
-        let scratch = self.ensure_scratch(ctx, &mut guard)?;
-        // Phase 1: seqlock read of the active slot's encrypted buffers from PM
-        // straight into the reusable arena — no per-tensor vectors, no blob clones.
-        let (read_out, read) =
-            SimSpan::record(&clock, || -> Result<HeaderSnapshot, PliniusError> {
-                let mut attempt = 0u64;
-                loop {
-                    let before = self.header_snapshot(ctx)?;
+        self.restore_with(ctx, network, |arena| {
+            let header = seqlock_read(
+                ctx,
+                format_args!("mirror header"),
+                || self.header_snapshot(ctx),
+                |before, attempt| {
+                    // Before the first publish the active slot holds no sealed bytes.
+                    if before.epoch == 0 {
+                        return Err(PliniusError::NoCommittedEpoch);
+                    }
                     if let Some(hook) = self.torn_read_hook.lock().as_mut() {
                         hook(attempt);
                     }
-                    for (idx, slot) in self.slots.iter().enumerate() {
-                        rom.read_bytes_into(
-                            self.tensor_ptrs[idx][before.active],
-                            &mut scratch.arena[slot.sealed_off..slot.sealed_off + slot.sealed_len],
-                        )?;
-                    }
-                    if self.header_snapshot(ctx)? == before {
-                        return Ok(before);
-                    }
-                    ctx.stats().counter("mirror.torn_read_retries").incr();
-                    attempt += 1;
-                    if attempt > MAX_TORN_READ_RETRIES {
-                        return Err(PliniusError::MirrorMismatch(format!(
-                            "mirror header kept moving during {MAX_TORN_READ_RETRIES} \
-                             snapshot-read retries"
-                        )));
-                    }
-                }
-            });
-        let header = read_out?;
-        let iteration = header.iteration;
-        // Phase 2: in-enclave decryption (across threads — each tensor is an
-        // independent AES-GCM open on a borrowed [`SealedView`]) and serial
-        // installation into the enclave model.
-        let (decrypt_result, decrypt) = SimSpan::record(&clock, || {
-            self.decrypt_arena_into_network(ctx, scratch, network)
-        });
-        let model_bytes = decrypt_result?;
-        network.set_iteration(iteration);
-        Ok(MirrorInReport {
-            read,
-            decrypt,
-            iteration,
-            epoch: header.epoch,
-            model_bytes,
+                    self.read_slot_into(ctx, before.active, arena)
+                },
+            )?;
+            Ok((header.iteration, header.epoch))
         })
     }
 
@@ -1113,40 +1115,76 @@ impl MirrorModel {
         if epoch == 0 {
             return Err(PliniusError::EpochNotRetained(epoch));
         }
-        let clock = ctx.clock();
-        let rom = ctx.romulus();
         let slot_idx = (epoch % self.ring_depth as u64) as usize;
+        self.restore_with(ctx, network, |arena| {
+            let (_, iteration) = seqlock_read(
+                ctx,
+                format_args!("ring slot {slot_idx}"),
+                || self.meta_entry(ctx, slot_idx),
+                |before, _| {
+                    if before.0 != epoch {
+                        return Err(PliniusError::EpochNotRetained(epoch));
+                    }
+                    self.read_slot_into(ctx, slot_idx, arena)
+                },
+            )?;
+            Ok((iteration, epoch))
+        })
+    }
+
+    /// The two timed phases of a restore. Phase 1: `read` fills the reusable arena
+    /// with sealed tensors from PM (no per-tensor vectors, no blob clones) and
+    /// returns the `(iteration, epoch)` they belong to. Phase 2: every tensor is
+    /// authenticated and decrypted into the plaintext staging buffer (across
+    /// threads), then decoded layer by layer straight into the enclave model's
+    /// parameter slices. The modeled crypto cost is charged serially in slot order,
+    /// so the simulated time matches the serial path for every thread count.
+    fn restore_with(
+        &self,
+        ctx: &PliniusContext,
+        network: &mut Network,
+        read: impl FnOnce(&mut [u8]) -> Result<(u64, u64), PliniusError>,
+    ) -> Result<MirrorInReport, PliniusError> {
+        let clock = ctx.clock();
         let mut guard = self.scratch.lock();
         let scratch = self.ensure_scratch(ctx, &mut guard)?;
-        let (read_out, read) = SimSpan::record(&clock, || -> Result<u64, PliniusError> {
-            let mut attempt = 0u64;
-            loop {
-                let before = self.meta_entry(ctx, slot_idx)?;
-                if before.0 != epoch {
-                    return Err(PliniusError::EpochNotRetained(epoch));
-                }
-                for (idx, slot) in self.slots.iter().enumerate() {
-                    rom.read_bytes_into(
-                        self.tensor_ptrs[idx][slot_idx],
-                        &mut scratch.arena[slot.sealed_off..slot.sealed_off + slot.sealed_len],
-                    )?;
-                }
-                if self.meta_entry(ctx, slot_idx)? == before {
-                    return Ok(before.1);
-                }
-                ctx.stats().counter("mirror.torn_read_retries").incr();
-                attempt += 1;
-                if attempt > MAX_TORN_READ_RETRIES {
-                    return Err(PliniusError::MirrorMismatch(format!(
-                        "ring slot {slot_idx} kept moving during {MAX_TORN_READ_RETRIES} \
-                         snapshot-read retries"
-                    )));
-                }
-            }
-        });
-        let iteration = read_out?;
+        let (read_out, read) = SimSpan::record(&clock, || read(&mut scratch.arena));
+        let (iteration, epoch) = read_out?;
         let (decrypt_result, decrypt) = SimSpan::record(&clock, || {
-            self.decrypt_arena_into_network(ctx, scratch, network)
+            for slot in &self.slots {
+                ctx.enclave().charge_crypto(slot.sealed_len as u64);
+            }
+            Self::open_arena(&self.slots, scratch, plinius_parallel::max_threads())?;
+            // Decode layer by layer in mirror order, surfacing errors exactly as the
+            // serial loop would (layer 0's failures before layer 1's).
+            let mut rest = &self.slots[..];
+            let mut model_bytes = 0usize;
+            let mut node_idx = 0usize;
+            for layer in network.layers_mut().iter_mut() {
+                if !layer.is_trainable() {
+                    continue;
+                }
+                if node_idx == self.layer_nodes.len() {
+                    return Err(PliniusError::MirrorMismatch(
+                        "enclave model has more trainable layers than the mirror".into(),
+                    ));
+                }
+                let (slots, tail) = rest.split_at(rest.partition_point(|s| s.layer == node_idx));
+                rest = tail;
+                let targets = param_targets(layer, node_idx, slots.iter().map(|s| s.plain_len))?;
+                for (slot, target) in slots.iter().zip(targets) {
+                    let plain = &scratch.plain[slot.plain_off..slot.plain_off + slot.plain_len];
+                    f32s_from_bytes_into(plain, target);
+                    model_bytes += slot.plain_len;
+                }
+                node_idx += 1;
+            }
+            if node_idx != self.layer_nodes.len() {
+                return Err(PliniusError::MirrorMismatch(
+                    "mirror holds more layers than the enclave model".into(),
+                ));
+            }
+            Ok(model_bytes)
         });
         let model_bytes = decrypt_result?;
         network.set_iteration(iteration);
@@ -1191,30 +1229,39 @@ impl MirrorModel {
                 slot.sealed_len
             )));
         }
-        let rom = ctx.romulus();
         let slot_idx = (epoch % self.ring_depth as u64) as usize;
-        let mut attempt = 0u64;
-        loop {
-            let before = self.meta_entry(ctx, slot_idx)?;
-            if before.0 != epoch {
-                return Err(PliniusError::EpochNotRetained(epoch));
-            }
-            rom.read_bytes_into(
-                self.tensor_ptrs[flat][slot_idx],
-                &mut out[..slot.sealed_len],
+        seqlock_read(
+            ctx,
+            format_args!("ring slot {slot_idx}"),
+            || self.meta_entry(ctx, slot_idx),
+            |before, _| {
+                if before.0 != epoch {
+                    return Err(PliniusError::EpochNotRetained(epoch));
+                }
+                Ok(ctx.romulus().read_bytes_into(
+                    self.tensor_ptrs[flat][slot_idx],
+                    &mut out[..slot.sealed_len],
+                )?)
+            },
+        )?;
+        Ok(slot.sealed_len)
+    }
+
+    /// Bulk-reads every tensor's sealed blob of ring slot `slot_idx` from PM into
+    /// `arena`, in slot order.
+    fn read_slot_into(
+        &self,
+        ctx: &PliniusContext,
+        slot_idx: usize,
+        arena: &mut [u8],
+    ) -> Result<(), PliniusError> {
+        for (idx, slot) in self.slots.iter().enumerate() {
+            ctx.romulus().read_bytes_into(
+                self.tensor_ptrs[idx][slot_idx],
+                &mut arena[slot.sealed_off..slot.sealed_off + slot.sealed_len],
             )?;
-            if self.meta_entry(ctx, slot_idx)? == before {
-                return Ok(slot.sealed_len);
-            }
-            ctx.stats().counter("mirror.torn_read_retries").incr();
-            attempt += 1;
-            if attempt > MAX_TORN_READ_RETRIES {
-                return Err(PliniusError::MirrorMismatch(format!(
-                    "ring slot {slot_idx} kept moving during {MAX_TORN_READ_RETRIES} \
-                     snapshot-read retries"
-                )));
-            }
         }
+        Ok(())
     }
 
     /// The flat per-tensor layout (layer-major): the VFS's view of what is sealed.
@@ -1245,55 +1292,6 @@ impl MirrorModel {
             )));
         }
         self.commit_arena(ctx, arena, iteration)
-    }
-
-    /// Phase 2 of a restore: authenticates and decrypts the staged arena (across
-    /// threads) and installs the parameters into the enclave model, charging the
-    /// modeled crypto cost serially in slot order so the simulated-time total
-    /// matches the serial path for every thread count. Returns the plaintext model
-    /// bytes installed.
-    fn decrypt_arena_into_network(
-        &self,
-        ctx: &PliniusContext,
-        scratch: &mut MirrorScratch,
-        network: &mut Network,
-    ) -> Result<usize, PliniusError> {
-        for slot in &self.slots {
-            ctx.enclave().charge_crypto(slot.sealed_len as u64);
-        }
-        let threads = plinius_parallel::max_threads();
-        Self::open_arena(&self.slots, scratch, threads)?;
-        // Install layer by layer in mirror order, surfacing errors exactly as
-        // the serial loop would (layer 0's failures before layer 1's).
-        let mut slot_iter = self.slots.iter();
-        let mut model_bytes = 0usize;
-        let mut node_idx = 0usize;
-        for layer in network.layers_mut().iter_mut() {
-            if !layer.is_trainable() {
-                continue;
-            }
-            if node_idx >= self.layer_nodes.len() {
-                return Err(PliniusError::MirrorMismatch(
-                    "enclave model has more trainable layers than the mirror".into(),
-                ));
-            }
-            let mut tensors = Vec::with_capacity(TENSORS_PER_LAYER);
-            for _ in 0..self.sealed_lens[node_idx].len() {
-                let slot = slot_iter.next().expect("one slot per tensor");
-                let tensor =
-                    bytes_to_f32s(&scratch.plain[slot.plain_off..slot.plain_off + slot.plain_len])?;
-                model_bytes += tensor.len() * 4;
-                tensors.push(tensor);
-            }
-            set_layer_params(layer, node_idx, &tensors)?;
-            node_idx += 1;
-        }
-        if node_idx != self.layer_nodes.len() {
-            return Err(PliniusError::MirrorMismatch(
-                "mirror holds more layers than the enclave model".into(),
-            ));
-        }
-        Ok(model_bytes)
     }
 
     /// Phase-2 worker of mirror-in: authenticates and decrypts every sealed tensor of
@@ -1599,20 +1597,11 @@ mod tests {
     /// Reads every sealed tensor blob of the committed (active) slot back out of PM,
     /// in layer/tensor order.
     fn sealed_tensor_bytes(ctx: &PliniusContext, mirror: &MirrorModel) -> Vec<Vec<Vec<u8>>> {
-        let rom = ctx.romulus();
         let active = mirror.active_slot(ctx).unwrap();
-        let mut out = Vec::new();
-        let mut flat = 0usize;
-        for lens in &mirror.sealed_lens {
-            let mut layer = Vec::new();
-            for len in lens {
-                layer.push(
-                    rom.read_bytes(mirror.tensor_ptrs[flat][active], *len)
-                        .unwrap(),
-                );
-                flat += 1;
-            }
-            out.push(layer);
+        let mut out = vec![Vec::new(); mirror.num_layers()];
+        for (flat, slot) in mirror.slots.iter().enumerate() {
+            let ptr = mirror.tensor_ptrs[flat][active];
+            out[slot.layer].push(ctx.romulus().read_bytes(ptr, slot.sealed_len).unwrap());
         }
         out
     }

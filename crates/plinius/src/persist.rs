@@ -148,7 +148,9 @@ pub trait ModelPersistence: std::fmt::Debug {
     /// Short human-readable name of the backend (used in reports and logs).
     fn label(&self) -> &str;
 
-    /// Whether a persisted model this backend could restore already exists.
+    /// Whether this backend holds a committed model it can restore. A PM mirror allocated
+    /// before its first publish answers `true`, and its `restore` then returns
+    /// [`PliniusError::NoCommittedEpoch`], which the builder treats as `false`.
     fn exists(&self, ctx: &PliniusContext) -> bool;
 
     /// One-time setup when training starts from scratch (no persisted model found).
@@ -162,11 +164,15 @@ pub trait ModelPersistence: std::fmt::Debug {
     }
 
     /// Restores the persisted model into `network` (including its iteration counter) and
-    /// returns the restored iteration.
+    /// returns the restored iteration. An `Ok` has overwritten every parameter tensor:
+    /// the builder restores into a network whose weights are still zero and draws
+    /// initial weights only when nothing was restored.
     ///
     /// # Errors
     ///
-    /// Propagates decryption/authentication, shape-mismatch and media errors.
+    /// Returns [`PliniusError::NoCommittedEpoch`] when nothing was committed yet (the
+    /// builder then starts a fresh model), and propagates decryption/authentication,
+    /// shape-mismatch and media errors.
     fn restore(&mut self, ctx: &PliniusContext, network: &mut Network)
         -> Result<u64, PliniusError>;
 
@@ -569,11 +575,15 @@ impl ModelPersistence for HybridTieredBackend {
         network: &mut Network,
     ) -> Result<u64, PliniusError> {
         if self.mirror.exists(ctx) {
-            return self.mirror.restore(ctx, network);
+            match self.mirror.restore(ctx, network) {
+                Err(PliniusError::NoCommittedEpoch) if self.ssd.exists(ctx) => {}
+                result => return result,
+            }
         }
-        // PM is gone but the demoted checkpoint survived on the SSD: recover from it,
-        // then immediately re-establish the PM mirror so the fast tier is valid again
-        // even if the very next crash hits before the first post-recovery persist.
+        // PM is gone (or its mirror never committed an epoch) but the demoted
+        // checkpoint survived on the SSD: recover from it, then immediately
+        // re-establish the PM mirror so the fast tier is valid again even if the very
+        // next crash hits before the first post-recovery persist.
         let iteration = self.ssd.restore(ctx, network)?;
         self.mirror.prepare(ctx, network)?;
         self.mirror.persist(ctx, network, iteration)?;

@@ -2,7 +2,8 @@
 //! checkpoints on secondary storage (SSD), written through `fwrite`/`fsync` ocalls and
 //! read back with `fread` ocalls — "the state-of-the-art method for fault tolerance".
 
-use crate::{bytes_to_f32s, f32s_to_bytes, PliniusContext, PliniusError};
+use crate::mirror::param_targets;
+use crate::{f32s_from_bytes_into, f32s_to_bytes, PliniusContext, PliniusError};
 use plinius_crypto::SealedView;
 use plinius_darknet::Network;
 use plinius_storage::{CheckpointBlob, CheckpointCodec};
@@ -194,6 +195,8 @@ impl SsdCheckpointer {
         // Phase 2: decrypt and install.
         let (out, decrypt) = SimSpan::record(&clock, || -> Result<(u64, usize), PliniusError> {
             let blob = CheckpointCodec::decode(&encoded)?;
+            // One staging buffer for every tensor's plaintext, decoded in place.
+            let mut plain = Vec::new();
             let mut model_bytes = 0usize;
             let mut node_idx = 0usize;
             for layer in network.layers_mut().iter_mut() {
@@ -205,20 +208,22 @@ impl SsdCheckpointer {
                         "checkpoint has fewer layers than the enclave model".into(),
                     ));
                 };
-                let mut tensors = Vec::with_capacity(tensors_enc.len());
-                for (j, enc) in tensors_enc.iter().enumerate() {
-                    ctx.enclave().charge_crypto(enc.len() as u64);
+                // Borrowed views: decrypt straight out of the checkpoint blob without
+                // cloning the sealed bytes.
+                let views = tensors_enc
+                    .iter()
+                    .map(|enc| SealedView::parse(enc))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let targets =
+                    param_targets(layer, node_idx, views.iter().map(SealedView::plaintext_len))?;
+                for (j, (view, target)) in views.iter().zip(targets).enumerate() {
+                    ctx.enclave().charge_crypto(tensors_enc[j].len() as u64);
                     let aad = format!("layer{node_idx}-tensor{j}");
-                    // Borrowed view: decrypt straight out of the checkpoint blob
-                    // without cloning the sealed bytes, into a buffer of exactly the
-                    // plaintext size.
-                    let view = SealedView::parse(enc)?;
-                    let mut plaintext = vec![0u8; view.plaintext_len()];
-                    view.open_into(&gcm, aad.as_bytes(), &mut plaintext)?;
-                    model_bytes += plaintext.len();
-                    tensors.push(bytes_to_f32s(&plaintext)?);
+                    plain.resize(view.plaintext_len(), 0);
+                    view.open_into(&gcm, aad.as_bytes(), &mut plain)?;
+                    f32s_from_bytes_into(&plain, target);
+                    model_bytes += plain.len();
                 }
-                crate::mirror::set_layer_params(layer, node_idx, &tensors)?;
                 node_idx += 1;
             }
             if node_idx != blob.num_layers() {

@@ -10,7 +10,7 @@ use crate::persist::{ModelPersistence, NoOpBackend, PersistStats, PersistenceBac
 use crate::pmdata::PmDataset;
 use crate::{PliniusContext, PliniusError, TenantId};
 use plinius_crypto::{EnginePolicy, Key};
-use plinius_darknet::config::build_network;
+use plinius_darknet::config::{build_network, build_zeroed_network};
 use plinius_darknet::{Dataset, GemmPolicy, Network};
 use plinius_pmem::CrashMode;
 use plinius_spot::SpotSimulator;
@@ -393,8 +393,8 @@ const LOCAL_KEY_SALT: u64 = 0x6c6f_6361_6c00;
 /// The builder starts from a [`TrainingSetup`], lets individual knobs and the
 /// persistence backend be overridden, and wires everything together in `build()`:
 /// register the enclave model's memory, open the PM dataset, and either restore the
-/// model from the backend (if a persisted copy exists) or let the backend prepare
-/// fresh state.
+/// model from the backend (if it holds a committed model) or draw fresh initial
+/// weights and let the backend prepare fresh state.
 ///
 /// ```
 /// use plinius::{PliniusBuilder, TrainingSetup};
@@ -535,7 +535,8 @@ impl PliniusBuilder {
 
     /// Builds the trainer: validates the configuration, deploys a local context if none
     /// was supplied, registers the enclave model's memory, opens the PM dataset, and
-    /// restores from the persistence backend when a persisted model exists.
+    /// restores from the persistence backend when it holds a committed model; only
+    /// without one does it draw initial weights (from `model_seed`) and prepare it.
     ///
     /// # Errors
     ///
@@ -591,7 +592,8 @@ impl PliniusBuilder {
             }
         };
         let pm_data = PmDataset::open(&ctx)?;
-        let mut network = setup.build_network()?;
+        // Zero weights: a restore overwrites them, a fresh model draws them below.
+        let mut network = build_zeroed_network(&setup.model_config)?;
         // Resolve the configured GEMM policy once and pin the engine across the layer
         // stack, so the hot path ignores later env changes.
         network.set_gemm_policy(config.gemm);
@@ -601,9 +603,14 @@ impl PliniusBuilder {
             .alloc_trusted((network.model_bytes() * 2) as u64)
             .map_err(PliniusError::from)?;
         let mut backend = backend.unwrap_or_else(|| setup.backend.instantiate(config.ring_depth));
-        if backend.exists(&ctx) {
-            backend.restore(&ctx, &mut network)?;
-        } else {
+        let restored = backend.exists(&ctx)
+            && match backend.restore(&ctx, &mut network) {
+                Ok(_) => true,
+                Err(PliniusError::NoCommittedEpoch) => false,
+                Err(e) => return Err(e),
+            };
+        if !restored {
+            network.init_weights(&mut StdRng::seed_from_u64(setup.model_seed));
             backend.prepare(&ctx, &network)?;
         }
         let plain_data =

@@ -9,6 +9,11 @@
 //! Thread fan-out (`threads > 1`) additionally allocates only the O(#tensors)
 //! fork/join dispatch buffers, which is asserted with a loose bound.
 //!
+//! The restore is held to the same standard: a warm serial `mirror_in` reads the
+//! sealed tensors into the mirror's arena, opens them into its staging buffer and
+//! decodes each one straight into the model's parameter slices, with zero heap
+//! allocations.
+//!
 //! The training step itself is held to the same standard: a warm
 //! `Network::train_batch` and a warm `Network::forward` perform zero heap
 //! allocations (the GEMM pack buffers are per thread and reused across calls).
@@ -132,6 +137,44 @@ fn steady_state_threaded_mirror_out_allocates_only_dispatch_buffers() {
         allocs < 50,
         "threaded mirror_out should only allocate fork/join dispatch state, got {allocs}"
     );
+}
+
+#[test]
+fn warm_mirror_in_decodes_in_place_without_heap_allocations() {
+    // `mirror_in` opens on `max_threads()` workers: serial (the single-threaded CI
+    // leg) it must not touch the heap; threaded it allocates only the O(tensors)
+    // fork/join dispatch state, under the threaded `mirror_out` bound.
+    let (ctx, net, mirror) = mirror_fixture();
+    mirror.mirror_out_with_threads(&ctx, &net, 1).unwrap();
+    let mut restored =
+        build_network(&mnist_cnn_config(2, 4, 4), &mut StdRng::seed_from_u64(5)).unwrap();
+    mirror.mirror_in(&ctx, &mut restored).unwrap();
+    mirror.mirror_in(&ctx, &mut restored).unwrap();
+    let before = thread_allocs();
+    let report = mirror.mirror_in(&ctx, &mut restored).unwrap();
+    let allocs = thread_allocs() - before;
+    // Reading the thread knob returns an owned string when `PLINIUS_THREADS` is set:
+    // the one allocation of a restore that is not its own.
+    let before = thread_allocs();
+    let threads = plinius_parallel::max_threads();
+    let knob_read = thread_allocs() - before;
+    assert_eq!(report.iteration, 1);
+    for (got, want) in restored.layers().iter().zip(net.layers()) {
+        for (g, w) in got.params().iter().zip(want.params()) {
+            assert_eq!(g.data, w.data, "{} was not restored", g.name);
+        }
+    }
+    if threads == 1 {
+        assert_eq!(
+            allocs, knob_read,
+            "a warm serial mirror_in must not touch the heap beyond reading the thread knob"
+        );
+    } else {
+        assert!(
+            allocs < 50,
+            "a warm threaded mirror_in should only allocate fork/join dispatch state, got {allocs}"
+        );
+    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 
 use plinius::{
     train_with_crash_schedule, MirrorModel, PersistenceBackend, PliniusBuilder, PliniusContext,
-    PmDataset, TrainerConfig, TrainingSetup,
+    PmDataset, PmMirrorBackend, TrainerConfig, TrainingSetup,
 };
 use plinius_crypto::Key;
 use plinius_darknet::{mnist_cnn_config, synthetic_mnist};
@@ -45,6 +45,80 @@ fn training_survives_repeated_crashes_without_losing_progress() {
         .cloned()
         .fold(f32::MIN, f32::max);
     assert!(after_crash_max <= initial * 1.25 + 0.5);
+}
+
+#[test]
+fn a_crash_before_the_first_publish_restarts_from_fresh_weights() {
+    // The first build allocates the mirror, but a mirror frequency of 5 publishes
+    // nothing before the crash at iteration 2. The restart finds a mirror without a
+    // committed epoch: it must draw the same fresh weights, reuse that mirror and
+    // then train exactly as an uninterrupted run does.
+    let mut setup = small_setup(8);
+    setup.trainer.mirror_frequency = 5;
+    let crashed = train_with_crash_schedule(&setup, &[2], true).unwrap();
+    assert_eq!(crashed.crashes, 1);
+    assert_eq!(crashed.completed_iteration, 8);
+    assert_eq!(
+        crashed.total_iterations_executed, 10,
+        "the restart begins again at iteration 0"
+    );
+    let clean = train_with_crash_schedule(&setup, &[], true).unwrap();
+    assert_eq!(crashed.losses[..2], clean.losses[..2]);
+    assert_eq!(crashed.losses[2..], clean.losses[..]);
+}
+
+#[test]
+fn hybrid_recovery_falls_through_to_the_ssd_when_the_mirror_never_committed() {
+    // The PM module is replaced and the first build on the new one allocates a
+    // mirror, then dies before its first publish. The next build must recover from
+    // the demoted SSD checkpoint, not fail on the empty mirror.
+    let mut setup = small_setup(4);
+    setup.backend = PersistenceBackend::HybridTiered {
+        ssd_path: "tier.ckpt".into(),
+        demote_every: 2,
+    };
+    let key = Key::generate_128(&mut StdRng::seed_from_u64(21));
+    let deploy = || {
+        let ctx = PliniusContext::create(setup.cost.clone(), setup.pm_bytes).unwrap();
+        ctx.provision_key_directly(key.clone());
+        PmDataset::load(&ctx, &setup.dataset).unwrap();
+        ctx
+    };
+    let ctx = deploy();
+    let ssd = ctx.ssd().clone();
+    let mut trainer = PliniusBuilder::new(setup.clone())
+        .context(ctx)
+        .build()
+        .unwrap();
+    trainer.run().unwrap();
+    let trained = trainer.network().clone();
+    drop(trainer);
+
+    let ctx = deploy().with_ssd(&ssd);
+    drop(
+        PliniusBuilder::new(setup.clone())
+            .context(ctx.clone())
+            .backend(PmMirrorBackend::new())
+            .build()
+            .unwrap(),
+    );
+    let mirror = MirrorModel::open(&ctx).unwrap();
+    assert_eq!(mirror.epoch(&ctx).unwrap(), 0);
+    let recovered = PliniusBuilder::new(setup)
+        .context(ctx.clone())
+        .build()
+        .unwrap();
+    assert_eq!(recovered.iteration(), 4);
+    for (got, want) in recovered.network().layers().iter().zip(trained.layers()) {
+        for (g, w) in got.params().iter().zip(want.params()) {
+            assert_eq!(g.data, w.data, "{} was not recovered", g.name);
+        }
+    }
+    assert_eq!(
+        mirror.epoch(&ctx).unwrap(),
+        1,
+        "the recovery re-established the PM mirror"
+    );
 }
 
 #[test]

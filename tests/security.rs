@@ -3,8 +3,8 @@
 //! PM-resident training data, and attestation-gated key provisioning.
 
 use plinius::{
-    HybridTieredBackend, MirrorModel, ModelPersistence, PliniusBuilder, PliniusContext,
-    PliniusError, PmDataset, SsdCheckpointBackend, TrainingSetup,
+    HybridTieredBackend, MirrorModel, MirrorVfs, ModelPersistence, PliniusBuilder, PliniusContext,
+    PliniusError, PmDataset, SsdCheckpointBackend, TrainingSetup, Vfs,
 };
 use plinius_crypto::{CryptoError, Key};
 use plinius_darknet::{mnist_cnn_config, synthetic_mnist};
@@ -70,6 +70,65 @@ fn tampering_with_the_pm_mirror_is_detected_on_restore() {
         // The flipped bytes may fall outside the sealed tensors (allocator slack); in
         // that case restoration legitimately succeeds.
         Ok(_) => {}
+    }
+}
+
+#[test]
+fn a_restart_over_a_tampered_or_foreign_mirror_fails_the_build() {
+    // The builder restores into a network whose weights are still zero, so a restore
+    // that fails must fail the build: no trainer may run on unrestored weights.
+    let setup = TrainingSetup::small_test();
+    let (ctx, key) = ctx_with_key(11);
+    PmDataset::load(&ctx, &setup.dataset).unwrap();
+    let mut trainer = PliniusBuilder::new(setup.clone())
+        .context(ctx)
+        .max_iterations(3)
+        .build()
+        .unwrap();
+    trainer.run().unwrap();
+    let ctx = trainer.context().clone();
+    let mirror = trainer.mirror_handle().unwrap();
+    drop(trainer);
+    let restart = |model_config: String| {
+        let ctx = PliniusContext::open(ctx.pool().clone(), setup.cost.clone()).unwrap();
+        ctx.provision_key_directly(key.clone());
+        let setup = TrainingSetup {
+            model_config,
+            ..setup.clone()
+        };
+        PliniusBuilder::new(setup).context(ctx).build().map(|_| ())
+    };
+
+    // A mirror of another shape: wider convolutions than the committed model.
+    match restart(mnist_cnn_config(2, 8, 8)) {
+        Err(PliniusError::MirrorMismatch(_)) => {}
+        other => panic!("expected a mirror mismatch, got {other:?}"),
+    }
+
+    // The host flips one byte inside the committed epoch's first sealed tensor. Find
+    // the tensor's bytes as the VFS reads them; Romulus keeps a twin of every publish,
+    // so flip each copy on the media.
+    let epoch = mirror.epoch(&ctx).unwrap();
+    let vfs = MirrorVfs::new(&ctx, &mirror);
+    let path = format!("/epoch/{epoch}/layer0-tensor0.sealed");
+    let mut sealed = vec![0u8; vfs.stat(&path).unwrap().len];
+    vfs.read_into(&path, &mut sealed).unwrap();
+    let media = ctx.pool().media_snapshot();
+    let copies: Vec<usize> = media
+        .windows(sealed.len())
+        .enumerate()
+        .filter(|(_, window)| *window == sealed.as_slice())
+        .map(|(offset, _)| offset)
+        .collect();
+    assert!(!copies.is_empty(), "the sealed tensor is not on the media");
+    for offset in copies {
+        let target = offset + sealed.len() / 2;
+        let flipped = [media[target] ^ 0x01];
+        ctx.pool().persist(target, &flipped).unwrap();
+    }
+    match restart(setup.model_config.clone()) {
+        Err(PliniusError::Crypto(CryptoError::AuthenticationFailed)) => {}
+        other => panic!("expected an authentication failure, got {other:?}"),
     }
 }
 
