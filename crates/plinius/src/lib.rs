@@ -66,6 +66,7 @@ pub mod knobs;
 pub mod mirror;
 pub mod persist;
 pub mod pmdata;
+mod sealed;
 pub mod serve;
 pub mod ssd;
 pub mod trainer;

@@ -34,8 +34,8 @@
 //!
 //! A mirror-out splits into two phases:
 //!
-//! * **snapshot** — cheap: copy the parameters (and draw the per-tensor IVs) into one
-//!   of two pre-allocated staging slots;
+//! * **snapshot** — cheap: copy the parameters (and draw the per-tensor IVs) into the
+//!   pipeline's pre-allocated staging buffers;
 //! * **publish** — expensive: AES-GCM-seal the staged plaintext and commit it to the
 //!   inactive PM slot.
 //!
@@ -65,12 +65,11 @@
 //! counted in the `mirror.torn_read_retries` statistic.
 
 use crate::knobs::Knobs;
-use crate::{f32s_from_bytes_into, f32s_to_bytes_into, PliniusContext, PliniusError};
+use crate::sealed::{build_slots, check_shape, open_and_decode, sealed_lens, Staging, TensorSlot};
+use crate::{PliniusContext, PliniusError};
 use parking_lot::Mutex;
-use plinius_crypto::{
-    seal_into_with_threads, AesGcm, CryptoError, IvSequence, SealedView, IV_LEN, SEAL_OVERHEAD,
-};
-use plinius_darknet::{Layer, Network};
+use plinius_crypto::{AesGcm, SEAL_OVERHEAD};
+use plinius_darknet::Network;
 use plinius_parallel::Pipeline;
 use plinius_romulus::PmPtr;
 use sim_clock::SimSpan;
@@ -123,12 +122,14 @@ fn node_bytes(ring: usize) -> usize {
     16 + TENSORS_PER_LAYER * (ring * 8 + 8)
 }
 
-/// Report of one mirror-out (model save): the Fig. 7 "Save" breakdown.
+/// Report of one model save, a mirror-out or an SSD checkpoint
+/// ([`crate::SsdCheckpointer::save`]): the Fig. 7 "Save" breakdown.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MirrorOutReport {
     /// Simulated time spent encrypting parameters inside the enclave.
     pub encrypt: SimSpan,
-    /// Simulated time spent writing the encrypted buffers to PM (durable transaction).
+    /// Simulated time spent writing the encrypted buffers out: the PM publish and
+    /// epoch flip (durable transaction), or the SSD's `fwrite` and `fsync` ocalls.
     pub write: SimSpan,
     /// Plaintext model bytes mirrored.
     pub model_bytes: usize,
@@ -143,17 +144,21 @@ impl MirrorOutReport {
     }
 }
 
-/// Report of one mirror-in (model restore): the Fig. 7 "Restore" breakdown.
+/// Report of one model restore, a mirror-in or an SSD checkpoint restore
+/// ([`crate::SsdCheckpointer::restore`]): the Fig. 7 "Restore" breakdown.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MirrorInReport {
-    /// Simulated time spent reading encrypted buffers from PM into the enclave.
+    /// Simulated time spent reading encrypted buffers from PM or the SSD into the
+    /// enclave.
     pub read: SimSpan,
     /// Simulated time spent decrypting inside the enclave.
     pub decrypt: SimSpan,
-    /// Training iteration recovered from the mirror.
+    /// Training iteration recovered from the mirror or checkpoint.
     pub iteration: u64,
-    /// Committed epoch the restored tensors belong to (0 before the first
-    /// mirror-out).
+    /// Committed epoch the restored tensors belong to. An SSD restore reports the
+    /// checkpoint file's epoch field ([`crate::SealedEpoch::epoch`]): 0 for a
+    /// checkpoint the SSD checkpointer wrote, the source epoch for an exported
+    /// mirror epoch.
     pub epoch: u64,
     /// Plaintext model bytes restored.
     pub model_bytes: usize,
@@ -195,27 +200,6 @@ pub struct PublishReport {
     pub model_bytes: usize,
 }
 
-/// Position of one parameter tensor inside the mirror's reusable staging buffers, plus
-/// everything that is constant per tensor across iterations (the AAD in particular,
-/// which the seed code re-`format!`ted for every tensor of every iteration).
-#[derive(Debug, Clone)]
-pub(crate) struct TensorSlot {
-    /// Trainable-layer index this tensor belongs to.
-    pub(crate) layer: usize,
-    /// Tensor index within its layer.
-    pub(crate) tensor: usize,
-    /// Byte offset of the plaintext in the staging buffer.
-    pub(crate) plain_off: usize,
-    /// Plaintext length in bytes.
-    pub(crate) plain_len: usize,
-    /// Byte offset of the sealed blob (ciphertext ‖ IV ‖ MAC) in the arena.
-    pub(crate) sealed_off: usize,
-    /// Sealed length in bytes (`plain_len + SEAL_OVERHEAD`).
-    pub(crate) sealed_len: usize,
-    /// Precomputed additional authenticated data (`layer{i}-tensor{j}`).
-    pub(crate) aad: Vec<u8>,
-}
-
 /// Reusable cryptographic scratch of one mirror: everything the steady-state
 /// mirror-out/mirror-in loop needs so that the encryption phase performs **no heap
 /// allocation after warm-up** (with serial sealing; thread fan-out adds only the
@@ -227,44 +211,32 @@ struct MirrorScratch {
     /// Cached AES-GCM context (key schedule + GHASH tables + selected engine), shared
     /// with the enclave's per-key cache (expensive to rebuild per tensor).
     gcm: Arc<AesGcm>,
-    /// Plaintext staging buffer: all tensors contiguous in slot order.
-    plain: Vec<u8>,
-    /// Sealed-blob arena: all sealed tensors contiguous in slot order.
-    arena: Vec<u8>,
-    /// Per-tensor IVs of the current sealing batch.
-    ivs: Vec<[u8; IV_LEN]>,
+    /// Staging buffers of every save and restore through this handle.
+    staging: Staging,
 }
 
 /// The staging buffers of the last dropped mirror scratch, for the next scratch of that
 /// layout: a model restarted in-process then stages into pages that are still mapped.
 /// Every use writes a slot before reading it, so the buffers are not cleared.
-static SPARE_STAGING: Mutex<Option<(Vec<u8>, Vec<u8>)>> = Mutex::new(None);
+static SPARE_STAGING: Mutex<Option<Staging>> = Mutex::new(None);
 
 impl Drop for MirrorScratch {
     fn drop(&mut self) {
-        *SPARE_STAGING.lock() = Some((mem::take(&mut self.plain), mem::take(&mut self.arena)));
+        *SPARE_STAGING.lock() = Some(mem::take(&mut self.staging));
     }
 }
 
-/// One set of pre-allocated staging buffers of the pipelined mirror-out: the snapshot
-/// phase fills `plain` + `ivs`, the background worker seals into `arena`. Two sets
-/// rotate (one possibly in flight, one spare), so the steady state allocates nothing.
-struct SealBuffers {
-    plain: Vec<u8>,
-    arena: Vec<u8>,
-    ivs: Vec<[u8; IV_LEN]>,
-}
-
-/// A staged snapshot travelling to the background sealing worker.
-struct SealJob {
-    bufs: SealBuffers,
-}
-
-/// A sealed snapshot travelling back: the buffers are always returned (even on error)
-/// so they can be reused as the next spare set.
-struct SealDone {
-    bufs: SealBuffers,
-    result: Result<(), CryptoError>,
+/// Whether a cache built for the key bytes `cached` (`None`: not built) must be
+/// rebuilt because the enclave's model key changed since: the check the scratch and
+/// the publish pipeline share. Borrows the stored key
+/// ([`plinius_sgx::Enclave::with_key`]), so the steady-state path clones nothing.
+fn needs_rebuild(ctx: &PliniusContext, cached: Option<&[u8]>) -> Result<bool, PliniusError> {
+    let Some(cached) = cached else {
+        return Ok(true);
+    };
+    ctx.enclave()
+        .with_key(ctx.key_name(), |k| k.as_bytes() != cached)
+        .ok_or(PliniusError::KeyNotProvisioned)
 }
 
 /// Bookkeeping of one enqueued-but-not-yet-committed publish.
@@ -281,12 +253,15 @@ struct InflightPublish {
 
 /// The lazily built background-publish machinery of one mirror handle.
 struct MirrorPipeline {
-    /// Single background worker sealing staged snapshots.
-    worker: Pipeline<SealJob, SealDone>,
+    /// Single background worker sealing staged snapshots. The buffers travel to it and
+    /// always come back, with the seal's result, so they are reused even on error.
+    worker: Pipeline<Staging, (Staging, Result<(), PliniusError>)>,
     /// Raw bytes of the key the worker's GCM context was built for.
     key_bytes: Vec<u8>,
-    /// The staging-buffer set not currently in flight.
-    spare: Option<SealBuffers>,
+    /// The pipeline's staging buffers while no publish is in flight: the snapshot
+    /// phase stages into them and the worker seals them, so the steady state
+    /// allocates nothing.
+    spare: Option<Staging>,
     /// The publish currently in flight, if any (the pipeline is depth-1).
     inflight: Option<InflightPublish>,
 }
@@ -382,99 +357,6 @@ impl Clone for MirrorModel {
     }
 }
 
-/// Fans a fallible per-slot operation out across threads: `buf` is carved into one
-/// disjoint `&mut` slice per slot (sequential, sized by `len_of`) and `f(slot_index,
-/// slice)` runs on up to `threads` workers. The first error surfaces in slot order.
-/// Shared scaffolding of the seal (arena) and open (staging) phases.
-fn par_slot_slices(
-    slots: &[TensorSlot],
-    buf: &mut [u8],
-    len_of: impl Fn(&TensorSlot) -> usize,
-    threads: usize,
-    f: impl Fn(usize, &mut [u8]) -> Result<(), CryptoError> + Sync,
-) -> Result<(), PliniusError> {
-    struct SlotTask<'a> {
-        idx: usize,
-        out: &'a mut [u8],
-        result: Result<(), CryptoError>,
-    }
-    let mut tasks: Vec<SlotTask<'_>> = Vec::with_capacity(slots.len());
-    let mut rest: &mut [u8] = buf;
-    for (idx, slot) in slots.iter().enumerate() {
-        let (head, tail) = rest.split_at_mut(len_of(slot));
-        tasks.push(SlotTask {
-            idx,
-            out: head,
-            result: Ok(()),
-        });
-        rest = tail;
-    }
-    plinius_parallel::par_for_each_mut(&mut tasks, threads, |_, task| {
-        task.result = f(task.idx, task.out);
-    });
-    for task in tasks {
-        task.result?;
-    }
-    Ok(())
-}
-
-/// The parameter slices of trainable layer `node_idx`, once they are known to take
-/// persisted tensors of exactly `plain_lens` bytes: every restore checks a layer here,
-/// then decodes each tensor straight into its slice ([`f32s_from_bytes_into`]). A
-/// tensor count or size the layer does not expect is a [`PliniusError::MirrorMismatch`]:
-/// the host controls the persisted bytes, and authenticated tensors can still be dropped
-/// or come from a model of another shape.
-pub(crate) fn param_targets(
-    layer: &mut Layer,
-    node_idx: usize,
-    plain_lens: impl ExactSizeIterator<Item = usize> + Clone,
-) -> Result<[&mut [f32]; TENSORS_PER_LAYER], PliniusError> {
-    let targets = layer
-        .params_mut()
-        .expect("restores decode into trainable layers only");
-    let fits = plain_lens.len() == targets.len()
-        && plain_lens
-            .clone()
-            .zip(&targets)
-            .all(|(len, target)| len == target.len() * 4);
-    if !fits {
-        let expected: Vec<usize> = targets.iter().map(|t| t.len() * 4).collect();
-        let got: Vec<usize> = plain_lens.collect();
-        return Err(PliniusError::MirrorMismatch(format!(
-            "layer {node_idx}: expected tensors of {expected:?} bytes, persisted model holds {got:?}"
-        )));
-    }
-    Ok(targets)
-}
-
-/// Builds the flat tensor layout (and precomputes every AAD) from the per-layer sealed
-/// lengths.
-fn build_slots(sealed_lens: &[Vec<usize>]) -> Result<Vec<TensorSlot>, PliniusError> {
-    let mut slots = Vec::new();
-    let (mut plain_off, mut sealed_off) = (0usize, 0usize);
-    for (i, layer) in sealed_lens.iter().enumerate() {
-        for (j, &sealed_len) in layer.iter().enumerate() {
-            let plain_len = sealed_len.checked_sub(SEAL_OVERHEAD).ok_or_else(|| {
-                PliniusError::MirrorMismatch(format!(
-                    "sealed tensor length {sealed_len} is shorter than the {SEAL_OVERHEAD}-byte trailer"
-                ))
-            })?;
-            slots.push(TensorSlot {
-                layer: i,
-                tensor: j,
-                plain_off,
-                plain_len,
-                sealed_off,
-                sealed_len,
-                aad: format!("layer{i}-tensor{j}").into_bytes(),
-            });
-            plain_off += plain_len;
-            sealed_off += sealed_len;
-        }
-    }
-    Ok(slots)
-}
-
 impl MirrorModel {
     /// Whether a mirror model already exists in the context's PM pool.
     pub fn exists(ctx: &PliniusContext) -> bool {
@@ -514,17 +396,7 @@ impl MirrorModel {
                 "mirror ring depth must be at least 2, got {ring}"
             )));
         }
-        let layer_tensor_lens: Vec<Vec<usize>> = network
-            .layers()
-            .iter()
-            .filter(|l| l.is_trainable())
-            .map(|l| {
-                l.params()
-                    .iter()
-                    .map(|p| p.data.len() * 4 + SEAL_OVERHEAD)
-                    .collect()
-            })
-            .collect();
+        let layer_tensor_lens = sealed_lens(network);
         let num_layers = layer_tensor_lens.len() as u64;
         let mut header = PmPtr::NULL;
         let mut meta = PmPtr::NULL;
@@ -663,30 +535,19 @@ impl MirrorModel {
         ctx: &PliniusContext,
         guard: &'a mut Option<MirrorScratch>,
     ) -> Result<&'a mut MirrorScratch, PliniusError> {
-        let stale = match guard.as_ref() {
-            Some(s) => !ctx
-                .enclave()
-                .with_key(ctx.key_name(), |k| k.as_bytes() == s.key_bytes.as_slice())
-                .ok_or(PliniusError::KeyNotProvisioned)?,
-            None => true,
-        };
-        if stale {
+        if needs_rebuild(ctx, guard.as_ref().map(|s| s.key_bytes.as_slice()))? {
             let key = ctx.key()?;
             let gcm = ctx.gcm()?;
             // A re-keyed scratch is rebuilt over the staging buffers it leaves behind.
             *guard = None;
-            let plain_total = self.slots.iter().map(|s| s.plain_len).sum();
-            let sealed_total = self.slots.iter().map(|s| s.sealed_len).sum();
             let spare = SPARE_STAGING.lock().take();
-            let (plain, arena) = spare
-                .filter(|(p, a)| p.len() == plain_total && a.len() == sealed_total)
-                .unwrap_or_else(|| (vec![0u8; plain_total], vec![0u8; sealed_total]));
+            let staging = spare
+                .filter(|s| s.fits(&self.slots))
+                .unwrap_or_else(|| Staging::new(&self.slots));
             *guard = Some(MirrorScratch {
                 key_bytes: key.as_bytes().to_vec(),
                 gcm,
-                plain,
-                arena,
-                ivs: vec![[0u8; IV_LEN]; self.slots.len()],
+                staging,
             });
         }
         Ok(guard.as_mut().expect("scratch built above"))
@@ -841,10 +702,7 @@ impl MirrorModel {
         let target = (active + 1) % self.ring_depth;
         rom.publish_region(self.meta_entry_ptr(target), &META_INVALID)?;
         for (idx, slot) in self.slots.iter().enumerate() {
-            rom.publish_region(
-                self.tensor_ptrs[idx][target],
-                &arena[slot.sealed_off..slot.sealed_off + slot.sealed_len],
-            )?;
+            rom.publish_region(self.tensor_ptrs[idx][target], &arena[slot.sealed()])?;
         }
         let meta_ptr = self.meta_entry_ptr(target);
         rom.transaction(|tx| {
@@ -892,34 +750,19 @@ impl MirrorModel {
         threads: usize,
     ) -> Result<MirrorOutReport, PliniusError> {
         let clock = ctx.clock();
-        self.check_model_shape(network)?;
+        check_shape(&self.slots, network)?;
         let mut guard = self.scratch.lock();
-        let scratch = self.ensure_scratch(ctx, &mut guard)?;
-        // The IV sequence is seeded from one `sgx_read_rand` draw (exactly as many as
-        // the serial path used) and hands every tensor its IV by *slot index*, so the
-        // sealed bytes do not depend on the thread schedule.
-        let ivs = IvSequence::from_rng(&mut ctx.enclave_rng());
-        for (idx, iv) in scratch.ivs.iter_mut().enumerate() {
-            *iv = ivs.iv(idx as u64);
-        }
-        let mut model_bytes = 0usize;
+        let MirrorScratch { gcm, staging, .. } = self.ensure_scratch(ctx, &mut guard)?;
+        staging.draw_ivs(ctx);
         // Phase 1: in-enclave encryption of every parameter tensor, staged through and
         // sealed into the reusable scratch — no heap allocation in the steady state.
         let (seal_result, encrypt) = SimSpan::record(&clock, || {
-            // SimSpan accounting stays deterministic: each tensor's modeled crypto cost
-            // is charged serially in slot order (same per-tensor charges, hence the
-            // same simulated-time total as the serial path), then the real sealing work
-            // fans out across threads.
-            for slot in &self.slots {
-                model_bytes += slot.plain_len;
-                ctx.enclave().charge_crypto(slot.plain_len as u64);
-            }
-            Self::stage_and_seal(&self.slots, scratch, network, threads)
+            staging.stage_and_seal(ctx, &self.slots, gcm, network, threads)
         });
-        seal_result?;
+        let model_bytes = seal_result?;
         // Phase 2: bulk-publish the sealed arena into the inactive slot and commit
         // the epoch flip durably.
-        let arena = &scratch.arena;
+        let arena = &staging.arena;
         let (write_result, write) = SimSpan::record(&clock, || {
             self.commit_arena(ctx, arena, network.iteration())
         });
@@ -930,125 +773,6 @@ impl MirrorModel {
             model_bytes,
             metadata_bytes: self.metadata_bytes(),
         })
-    }
-
-    /// Verifies that `network`'s trainable layers and tensor sizes match this mirror's
-    /// fixed layout (the staging buffers are sized at allocate/open time).
-    fn check_model_shape(&self, network: &Network) -> Result<(), PliniusError> {
-        let mut trainable = 0usize;
-        let mut slot_iter = self.slots.iter();
-        for layer in network.layers().iter() {
-            let Some(views) = layer.param_views() else {
-                continue;
-            };
-            trainable += 1;
-            for view in views {
-                match slot_iter.next() {
-                    Some(slot) if slot.plain_len == view.data.len() * 4 => {}
-                    Some(slot) => {
-                        return Err(PliniusError::MirrorMismatch(format!(
-                            "layer {}: tensor of {} bytes does not fit mirror slot of {} bytes",
-                            slot.layer,
-                            view.data.len() * 4,
-                            slot.plain_len
-                        )))
-                    }
-                    None => {
-                        return Err(PliniusError::MirrorMismatch(format!(
-                            "enclave model has {trainable} or more trainable layers, mirror has {}",
-                            self.layer_nodes.len()
-                        )))
-                    }
-                }
-            }
-        }
-        if trainable != self.layer_nodes.len() {
-            return Err(PliniusError::MirrorMismatch(format!(
-                "enclave model has {trainable} trainable layers, mirror has {}",
-                self.layer_nodes.len()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Copies every trainable tensor's parameters into the staging buffer, in slot
-    /// order. The caller has already verified the model shape.
-    fn stage_plaintext(slots: &[TensorSlot], plain: &mut [u8], network: &Network) {
-        let mut slot_iter = slots.iter();
-        for layer in network.layers().iter() {
-            let Some(views) = layer.param_views() else {
-                continue;
-            };
-            for view in views {
-                let slot = slot_iter.next().expect("shape checked");
-                f32s_to_bytes_into(
-                    view.data,
-                    &mut plain[slot.plain_off..slot.plain_off + slot.plain_len],
-                );
-            }
-        }
-    }
-
-    /// Phase-1 worker: stages every tensor's plaintext into the scratch and seals it
-    /// into the arena.
-    ///
-    /// * `threads <= 1`: fully serial, zero heap allocations after warm-up.
-    /// * many tensors: fan out across tensors (each tensor sealed serially on one
-    ///   worker) — the layout mirrors the seed's per-tensor parallelism.
-    /// * few large tensors: seal serially in slot order but fan the CTR keystream of
-    ///   each tensor out across threads (chunked at counter boundaries).
-    ///
-    /// All three produce bit-identical sealed bytes: the ciphertext of a tensor is a
-    /// pure function of `(key, IV, AAD, plaintext)` regardless of chunking.
-    fn stage_and_seal(
-        slots: &[TensorSlot],
-        scratch: &mut MirrorScratch,
-        network: &Network,
-        threads: usize,
-    ) -> Result<(), PliniusError> {
-        let MirrorScratch {
-            gcm,
-            plain,
-            arena,
-            ivs,
-            ..
-        } = scratch;
-        Self::stage_plaintext(slots, plain, network);
-        let threads = threads.max(1);
-        if threads > 1 && slots.len() >= 2 * threads {
-            // Many tensors: one worker per tensor, disjoint arena slices.
-            let plain = &*plain;
-            par_slot_slices(
-                slots,
-                arena,
-                |s| s.sealed_len,
-                threads,
-                |idx, out| {
-                    let slot = &slots[idx];
-                    seal_into_with_threads(
-                        gcm,
-                        &plain[slot.plain_off..slot.plain_off + slot.plain_len],
-                        &slot.aad,
-                        &ivs[idx],
-                        out,
-                        1,
-                    )
-                },
-            )?;
-        } else {
-            // Serial over tensors; intra-tensor CTR fan-out when threads are offered.
-            for (idx, slot) in slots.iter().enumerate() {
-                seal_into_with_threads(
-                    gcm,
-                    &plain[slot.plain_off..slot.plain_off + slot.plain_len],
-                    &slot.aad,
-                    &ivs[idx],
-                    &mut arena[slot.sealed_off..slot.sealed_off + slot.sealed_len],
-                    threads,
-                )?;
-            }
-        }
-        Ok(())
     }
 
     /// Mirror-in (Algorithm 3, `mirror_in`): reads the encrypted mirror from PM into the
@@ -1134,11 +858,10 @@ impl MirrorModel {
 
     /// The two timed phases of a restore. Phase 1: `read` fills the reusable arena
     /// with sealed tensors from PM (no per-tensor vectors, no blob clones) and
-    /// returns the `(iteration, epoch)` they belong to. Phase 2: every tensor is
-    /// authenticated and decrypted into the plaintext staging buffer (across
-    /// threads), then decoded layer by layer straight into the enclave model's
-    /// parameter slices. The modeled crypto cost is charged serially in slot order,
-    /// so the simulated time matches the serial path for every thread count.
+    /// returns the `(iteration, epoch)` they belong to. Phase 2
+    /// ([`open_and_decode`]): every tensor is authenticated and decrypted into the
+    /// plaintext staging buffer (across threads), then, once the model's shape is
+    /// checked, decoded straight into the enclave model's parameter slices.
     fn restore_with(
         &self,
         ctx: &PliniusContext,
@@ -1148,43 +871,11 @@ impl MirrorModel {
         let clock = ctx.clock();
         let mut guard = self.scratch.lock();
         let scratch = self.ensure_scratch(ctx, &mut guard)?;
-        let (read_out, read) = SimSpan::record(&clock, || read(&mut scratch.arena));
+        let (read_out, read) = SimSpan::record(&clock, || read(&mut scratch.staging.arena));
         let (iteration, epoch) = read_out?;
+        let Staging { plain, arena, .. } = &mut scratch.staging;
         let (decrypt_result, decrypt) = SimSpan::record(&clock, || {
-            for slot in &self.slots {
-                ctx.enclave().charge_crypto(slot.sealed_len as u64);
-            }
-            Self::open_arena(&self.slots, scratch, plinius_parallel::max_threads())?;
-            // Decode layer by layer in mirror order, surfacing errors exactly as the
-            // serial loop would (layer 0's failures before layer 1's).
-            let mut rest = &self.slots[..];
-            let mut model_bytes = 0usize;
-            let mut node_idx = 0usize;
-            for layer in network.layers_mut().iter_mut() {
-                if !layer.is_trainable() {
-                    continue;
-                }
-                if node_idx == self.layer_nodes.len() {
-                    return Err(PliniusError::MirrorMismatch(
-                        "enclave model has more trainable layers than the mirror".into(),
-                    ));
-                }
-                let (slots, tail) = rest.split_at(rest.partition_point(|s| s.layer == node_idx));
-                rest = tail;
-                let targets = param_targets(layer, node_idx, slots.iter().map(|s| s.plain_len))?;
-                for (slot, target) in slots.iter().zip(targets) {
-                    let plain = &scratch.plain[slot.plain_off..slot.plain_off + slot.plain_len];
-                    f32s_from_bytes_into(plain, target);
-                    model_bytes += slot.plain_len;
-                }
-                node_idx += 1;
-            }
-            if node_idx != self.layer_nodes.len() {
-                return Err(PliniusError::MirrorMismatch(
-                    "mirror holds more layers than the enclave model".into(),
-                ));
-            }
-            Ok(model_bytes)
+            open_and_decode(ctx, &self.slots, &scratch.gcm, arena, plain, network)
         });
         let model_bytes = decrypt_result?;
         network.set_iteration(iteration);
@@ -1256,10 +947,8 @@ impl MirrorModel {
         arena: &mut [u8],
     ) -> Result<(), PliniusError> {
         for (idx, slot) in self.slots.iter().enumerate() {
-            ctx.romulus().read_bytes_into(
-                self.tensor_ptrs[idx][slot_idx],
-                &mut arena[slot.sealed_off..slot.sealed_off + slot.sealed_len],
-            )?;
+            ctx.romulus()
+                .read_bytes_into(self.tensor_ptrs[idx][slot_idx], &mut arena[slot.sealed()])?;
         }
         Ok(())
     }
@@ -1294,47 +983,6 @@ impl MirrorModel {
         self.commit_arena(ctx, arena, iteration)
     }
 
-    /// Phase-2 worker of mirror-in: authenticates and decrypts every sealed tensor of
-    /// the arena into the plaintext staging buffer, via borrowed [`SealedView`]s (no
-    /// blob copies). Errors surface in slot order. Mirrors the thread strategy of
-    /// [`MirrorModel::stage_and_seal`]; the plaintext is bit-identical for every
-    /// thread count.
-    fn open_arena(
-        slots: &[TensorSlot],
-        scratch: &mut MirrorScratch,
-        threads: usize,
-    ) -> Result<(), PliniusError> {
-        let MirrorScratch {
-            gcm, plain, arena, ..
-        } = scratch;
-        let threads = threads.max(1);
-        if threads > 1 && slots.len() >= 2 * threads {
-            let arena = &*arena;
-            par_slot_slices(
-                slots,
-                plain,
-                |s| s.plain_len,
-                threads,
-                |idx, out| {
-                    let slot = &slots[idx];
-                    SealedView::parse(&arena[slot.sealed_off..slot.sealed_off + slot.sealed_len])
-                        .and_then(|view| view.open_into(gcm, &slot.aad, out))
-                },
-            )?;
-        } else {
-            for slot in slots.iter() {
-                SealedView::parse(&arena[slot.sealed_off..slot.sealed_off + slot.sealed_len])?
-                    .open_into_with_threads(
-                        gcm,
-                        &slot.aad,
-                        &mut plain[slot.plain_off..slot.plain_off + slot.plain_len],
-                        threads,
-                    )?;
-            }
-        }
-        Ok(())
-    }
-
     // --------------------------------------------------------- pipelined mirror-out
 
     /// Returns the warm publish pipeline, (re)building the background worker if
@@ -1348,51 +996,25 @@ impl MirrorModel {
         ctx: &PliniusContext,
         guard: &'a mut Option<MirrorPipeline>,
     ) -> Result<&'a mut MirrorPipeline, PliniusError> {
-        let stale = match guard.as_ref() {
-            Some(p) => {
-                p.spare.is_none()
-                    || !ctx
-                        .enclave()
-                        .with_key(ctx.key_name(), |k| k.as_bytes() == p.key_bytes.as_slice())
-                        .ok_or(PliniusError::KeyNotProvisioned)?
-            }
-            None => true,
-        };
-        if stale {
+        // A dead worker took its staging buffers along: rebuild it like a cold one.
+        let live = guard.as_ref().filter(|p| p.spare.is_some());
+        if needs_rebuild(ctx, live.map(|p| p.key_bytes.as_slice()))? {
             let key = ctx.key()?;
             let gcm = ctx.gcm()?;
             let slots: Arc<[TensorSlot]> = self.slots.clone().into();
-            let worker = Pipeline::spawn("plinius-mirror-seal", move |job: SealJob| {
-                let SealJob { mut bufs } = job;
-                let mut result = Ok(());
-                // Serial in slot order: the worker thread *is* the parallel lane; the
-                // sealed bytes are a pure function of (key, IV, AAD, plaintext), so
-                // they match the synchronous path bit for bit.
-                for (idx, slot) in slots.iter().enumerate() {
-                    if let Err(e) = seal_into_with_threads(
-                        &gcm,
-                        &bufs.plain[slot.plain_off..slot.plain_off + slot.plain_len],
-                        &slot.aad,
-                        &bufs.ivs[idx],
-                        &mut bufs.arena[slot.sealed_off..slot.sealed_off + slot.sealed_len],
-                        1,
-                    ) {
-                        result = Err(e);
-                        break;
-                    }
-                }
-                SealDone { bufs, result }
+            // One thread: the worker *is* the parallel lane. The sealed bytes are a
+            // pure function of (key, IV, AAD, plaintext), so they match the
+            // synchronous path bit for bit.
+            let worker = Pipeline::spawn("plinius-mirror-seal", move |mut staging: Staging| {
+                let result = staging.seal(&slots, &gcm, 1);
+                (staging, result)
             });
             // Reuse the previous staging buffers across a key rotation; allocate them
             // once on first use.
-            let spare = match guard.take().and_then(|old| old.spare) {
-                Some(bufs) => bufs,
-                None => SealBuffers {
-                    plain: vec![0u8; self.slots.iter().map(|s| s.plain_len).sum()],
-                    arena: vec![0u8; self.slots.iter().map(|s| s.sealed_len).sum()],
-                    ivs: vec![[0u8; IV_LEN]; self.slots.len()],
-                },
-            };
+            let spare = guard
+                .take()
+                .and_then(|old| old.spare)
+                .unwrap_or_else(|| Staging::new(&self.slots));
             *guard = Some(MirrorPipeline {
                 worker,
                 key_bytes: key.as_bytes().to_vec(),
@@ -1419,18 +1041,16 @@ impl MirrorModel {
             return Ok(None);
         };
         let clock = ctx.clock();
-        let done = state
+        let (staging, result) = state
             .worker
             .recv()
             .map_err(|e| PliniusError::Pipeline(format!("seal worker join failed: {e}")))?;
-        let SealDone { bufs, result } = done;
         // Always hand the buffers back for reuse, even when the publish fails.
-        state.spare = Some(bufs);
+        let arena = &state.spare.insert(staging).arena;
         // The sealing lane forked at snapshot time and ran in parallel with whatever
         // the training loop charged since; only its residual shows up here.
         let seal_join = SimSpan::overlap(&clock, meta.fork_ns, meta.seal_lane_ns);
-        result.map_err(PliniusError::Crypto)?;
-        let arena = &state.spare.as_ref().expect("buffers returned above").arena;
+        result?;
         let (commit_result, write) =
             SimSpan::record(&clock, || self.commit_arena(ctx, arena, meta.iteration));
         let epoch = commit_result?;
@@ -1464,19 +1084,14 @@ impl MirrorModel {
         network: &Network,
     ) -> Result<(SnapshotReport, Option<PublishReport>), PliniusError> {
         let clock = ctx.clock();
-        self.check_model_shape(network)?;
+        check_shape(&self.slots, network)?;
         let mut guard = self.pipeline.lock();
         let prior = self.join_inflight(ctx, &mut guard)?;
         let state = self.ensure_pipeline(ctx, &mut guard)?;
-        let mut bufs = state.spare.take().expect("spare buffers present when idle");
-        let ivs = IvSequence::from_rng(&mut ctx.enclave_rng());
-        for (idx, iv) in bufs.ivs.iter_mut().enumerate() {
-            *iv = ivs.iv(idx as u64);
-        }
-        let model_bytes = bufs.plain.len();
-        let ((), staged) = SimSpan::record(&clock, || {
-            Self::stage_plaintext(&self.slots, &mut bufs.plain, network);
-        });
+        let mut staging = state.spare.take().expect("spare buffers present when idle");
+        staging.draw_ivs(ctx);
+        let model_bytes = staging.plain.len();
+        let ((), staged) = SimSpan::record(&clock, || staging.stage(&self.slots, network));
         // The sealing lane's modeled cost is computed now (stats recorded) but
         // charged at the join, where the overlap with the interleaved compute is
         // known.
@@ -1485,7 +1100,7 @@ impl MirrorModel {
         let iteration = network.iteration();
         state
             .worker
-            .send(SealJob { bufs })
+            .send(staging)
             .map_err(|e| PliniusError::Pipeline(format!("seal worker dispatch failed: {e}")))?;
         state.inflight = Some(InflightPublish {
             iteration,
@@ -1528,7 +1143,7 @@ impl MirrorModel {
     #[cfg(test)]
     fn kill_seal_worker_for_test(&self) {
         if let Some(state) = self.pipeline.lock().as_mut() {
-            state.worker = Pipeline::spawn("plinius-mirror-seal-dying", |_job: SealJob| {
+            state.worker = Pipeline::spawn("plinius-mirror-seal-dying", |_staging: Staging| {
                 panic!("seal worker killed for test");
             });
         }
@@ -1539,7 +1154,7 @@ impl MirrorModel {
 mod tests {
     use super::*;
     use crate::f32s_to_bytes;
-    use plinius_crypto::{Key, SealedBuffer};
+    use plinius_crypto::{IvSequence, Key, SealedBuffer};
     use plinius_darknet::config::{build_network, mnist_cnn_config};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -1,53 +1,14 @@
 //! The baseline Plinius is compared against in Fig. 7 / Table I: encrypted model
 //! checkpoints on secondary storage (SSD), written through `fwrite`/`fsync` ocalls and
 //! read back with `fread` ocalls — "the state-of-the-art method for fault tolerance".
+//! A checkpoint is a [`SealedEpoch`] file, sealed and opened by the same code as the
+//! PM mirror's epochs; only the medium differs.
 
-use crate::mirror::param_targets;
-use crate::{f32s_from_bytes_into, f32s_to_bytes, PliniusContext, PliniusError};
-use plinius_crypto::SealedView;
+use crate::sealed::{build_slots, open_and_decode, sealed_lens, SealedEpoch, Staging};
+use crate::{MirrorInReport, MirrorOutReport, PliniusContext, PliniusError};
 use plinius_darknet::Network;
-use plinius_storage::{CheckpointBlob, CheckpointCodec};
-use rand::RngCore;
 use sim_clock::SimSpan;
 use std::borrow::Cow;
-
-/// Report of one SSD checkpoint save (encrypt + write-to-SSD).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SsdSaveReport {
-    /// Time spent encrypting inside the enclave.
-    pub encrypt: SimSpan,
-    /// Time spent writing to the SSD (ocalls + fwrite + fsync).
-    pub write: SimSpan,
-    /// Plaintext model bytes checkpointed.
-    pub model_bytes: usize,
-}
-
-impl SsdSaveReport {
-    /// Total simulated save latency in milliseconds.
-    pub fn total_ms(&self) -> f64 {
-        self.encrypt.millis() + self.write.millis()
-    }
-}
-
-/// Report of one SSD checkpoint restore (read-from-SSD + decrypt).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SsdRestoreReport {
-    /// Time spent reading the checkpoint from the SSD into the enclave.
-    pub read: SimSpan,
-    /// Time spent decrypting inside the enclave.
-    pub decrypt: SimSpan,
-    /// Iteration recovered from the checkpoint.
-    pub iteration: u64,
-    /// Plaintext model bytes restored.
-    pub model_bytes: usize,
-}
-
-impl SsdRestoreReport {
-    /// Total simulated restore latency in milliseconds.
-    pub fn total_ms(&self) -> f64 {
-        self.read.millis() + self.decrypt.millis()
-    }
-}
 
 /// Encrypted model checkpointing on the deployment's (simulated) SSD,
 /// [`PliniusContext::ssd`].
@@ -80,8 +41,10 @@ impl SsdCheckpointer {
         ctx.ssd().exists(&self.file(ctx))
     }
 
-    /// Saves an encrypted checkpoint of `network` to the SSD: encrypt every parameter
-    /// tensor in the enclave, then `fwrite` the blob through ocalls, flush and `fsync`.
+    /// Saves an encrypted checkpoint of `network` to the SSD: seal every parameter
+    /// tensor in the enclave exactly as a mirror-out does, then `fwrite` the
+    /// [`SealedEpoch`] file through ocalls, flush and `fsync`. The checkpoint's epoch
+    /// field is 0: the SSD keeps no epoch ring.
     ///
     /// # Errors
     ///
@@ -91,58 +54,30 @@ impl SsdCheckpointer {
         &self,
         ctx: &PliniusContext,
         network: &Network,
-    ) -> Result<SsdSaveReport, PliniusError> {
-        // One warm GCM context (key schedule + GHASH tables + engine selection, from
-        // the enclave's per-key cache) for the whole checkpoint instead of per tensor.
+    ) -> Result<MirrorOutReport, PliniusError> {
         let gcm = ctx.gcm()?;
         let clock = ctx.clock();
-        let mut rng = ctx.enclave_rng();
-        let mut model_bytes = 0usize;
-        // Phase 1: in-enclave encryption (identical to the mirror-out encryption phase).
-        let (blob, encrypt) =
-            SimSpan::record(&clock, || -> Result<CheckpointBlob, PliniusError> {
-                let mut layers = Vec::new();
-                for (i, layer) in network
-                    .layers()
-                    .iter()
-                    .filter(|l| l.is_trainable())
-                    .enumerate()
-                {
-                    let mut tensors = Vec::new();
-                    for (j, param) in layer.params().iter().enumerate() {
-                        let plaintext = f32s_to_bytes(param.data);
-                        model_bytes += plaintext.len();
-                        ctx.enclave().charge_crypto(plaintext.len() as u64);
-                        let aad = format!("layer{i}-tensor{j}");
-                        // Fresh random IV per tensor, drawn exactly as
-                        // `SealedBuffer::seal_with_aad` would.
-                        let mut iv = [0u8; plinius_crypto::IV_LEN];
-                        rng.fill_bytes(&mut iv);
-                        let mut sealed = vec![0u8; plinius_crypto::sealed_len(plaintext.len())];
-                        plinius_crypto::seal_into(
-                            &gcm,
-                            &plaintext,
-                            aad.as_bytes(),
-                            &iv,
-                            &mut sealed,
-                        )?;
-                        tensors.push(sealed);
-                    }
-                    layers.push(tensors);
-                }
-                Ok(CheckpointBlob {
-                    iteration: network.iteration(),
-                    layers,
-                })
-            });
-        let blob = blob?;
+        let slots = build_slots(&sealed_lens(network))?;
+        let mut staging = Staging::new(&slots);
+        staging.draw_ivs(ctx);
+        // Phase 1: in-enclave encryption (the mirror-out encryption phase).
+        let (sealed, encrypt) = SimSpan::record(&clock, || {
+            staging.stage_and_seal(ctx, &slots, &gcm, network, plinius_parallel::max_threads())
+        });
+        let model_bytes = sealed?;
+        let checkpoint = SealedEpoch {
+            epoch: 0,
+            iteration: network.iteration(),
+            sealed_lens: slots.iter().map(|s| s.sealed_len as u64).collect(),
+            arena: staging.arena,
+        };
         // Phase 2: serialisation + fwrite ocalls + fsync.
         let (fs, path) = (ctx.ssd(), self.file(ctx));
         let ((), write) = SimSpan::record(&clock, || {
-            let encoded = CheckpointCodec::encode(&blob);
+            let encoded = checkpoint.to_bytes();
             fs.create(&path);
-            // The baseline writes layer by layer, each through an ocall, flushing libc
-            // buffers and issuing an fsync after the writes (as described in §VI).
+            // The baseline writes through ocalls, flushing libc buffers and issuing an
+            // fsync after the writes (as described in §VI).
             let _ = ctx.enclave().ocall("fwrite_checkpoint", || {
                 for chunk in encoded.chunks(1 << 20) {
                     fs.write(&path, chunk);
@@ -152,30 +87,33 @@ impl SsdCheckpointer {
                 let _ = fs.fsync(&path);
             });
         });
-        Ok(SsdSaveReport {
+        Ok(MirrorOutReport {
             encrypt,
             write,
             model_bytes,
+            metadata_bytes: slots.len() * plinius_crypto::SEAL_OVERHEAD,
         })
     }
 
-    /// Restores a checkpoint from the SSD into `network`: `fread` the blob through
-    /// ocalls into the enclave, then decrypt and install the parameters.
+    /// Restores a checkpoint from the SSD into `network`: `fread` the file through
+    /// ocalls into the enclave, check that it holds exactly the model's tensors, then
+    /// open and decode it as a mirror-in does. A restore that fails leaves `network`
+    /// as it was.
     ///
     /// # Errors
     ///
-    /// Returns [`PliniusError::NoMirrorModel`] if no checkpoint exists, authentication
-    /// errors if it was tampered with, or a mismatch error if the model differs.
+    /// Returns [`PliniusError::NoMirrorModel`] if no checkpoint exists,
+    /// [`PliniusError::MirrorMismatch`] if the file is malformed or holds another
+    /// model's tensors, or authentication errors if it was tampered with.
     pub fn restore(
         &self,
         ctx: &PliniusContext,
         network: &mut Network,
-    ) -> Result<SsdRestoreReport, PliniusError> {
+    ) -> Result<MirrorInReport, PliniusError> {
         let path = self.file(ctx);
         if !ctx.ssd().exists(&path) {
             return Err(PliniusError::NoMirrorModel);
         }
-        // One warm GCM context (from the enclave's per-key cache) for the whole restore.
         let gcm = ctx.gcm()?;
         let clock = ctx.clock();
         // Phase 1: read the whole checkpoint from the SSD into enclave memory.
@@ -192,53 +130,23 @@ impl SsdCheckpointer {
             Ok(bytes)
         });
         let encoded = encoded?;
-        // Phase 2: decrypt and install.
-        let (out, decrypt) = SimSpan::record(&clock, || -> Result<(u64, usize), PliniusError> {
-            let blob = CheckpointCodec::decode(&encoded)?;
-            // One staging buffer for every tensor's plaintext, decoded in place.
-            let mut plain = Vec::new();
-            let mut model_bytes = 0usize;
-            let mut node_idx = 0usize;
-            for layer in network.layers_mut().iter_mut() {
-                if !layer.is_trainable() {
-                    continue;
-                }
-                let Some(tensors_enc) = blob.layers.get(node_idx) else {
-                    return Err(PliniusError::MirrorMismatch(
-                        "checkpoint has fewer layers than the enclave model".into(),
-                    ));
-                };
-                // Borrowed views: decrypt straight out of the checkpoint blob without
-                // cloning the sealed bytes.
-                let views = tensors_enc
-                    .iter()
-                    .map(|enc| SealedView::parse(enc))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let targets =
-                    param_targets(layer, node_idx, views.iter().map(SealedView::plaintext_len))?;
-                for (j, (view, target)) in views.iter().zip(targets).enumerate() {
-                    ctx.enclave().charge_crypto(tensors_enc[j].len() as u64);
-                    let aad = format!("layer{node_idx}-tensor{j}");
-                    plain.resize(view.plaintext_len(), 0);
-                    view.open_into(&gcm, aad.as_bytes(), &mut plain)?;
-                    f32s_from_bytes_into(&plain, target);
-                    model_bytes += plain.len();
-                }
-                node_idx += 1;
-            }
-            if node_idx != blob.num_layers() {
-                return Err(PliniusError::MirrorMismatch(
-                    "checkpoint has more layers than the enclave model".into(),
-                ));
-            }
-            Ok((blob.iteration, model_bytes))
+        // Phase 2: parse, check the layout, then open and decode.
+        let (out, decrypt) = SimSpan::record(&clock, || {
+            let checkpoint = SealedEpoch::from_bytes(&encoded)?;
+            let slots = build_slots(&sealed_lens(network))?;
+            checkpoint.check_layout(&slots)?;
+            let mut plain = vec![0u8; slots.iter().map(|s| s.plain_len).sum()];
+            let model_bytes =
+                open_and_decode(ctx, &slots, &gcm, &checkpoint.arena, &mut plain, network)?;
+            Ok::<_, PliniusError>((checkpoint.iteration, checkpoint.epoch, model_bytes))
         });
-        let (iteration, model_bytes) = out?;
+        let (iteration, epoch, model_bytes) = out?;
         network.set_iteration(iteration);
-        Ok(SsdRestoreReport {
+        Ok(MirrorInReport {
             read,
             decrypt,
             iteration,
+            epoch,
             model_bytes,
         })
     }

@@ -37,6 +37,8 @@
 //!   depth, so any deployment holding the model key can verify and adopt them.
 
 use crate::mirror::MirrorModel;
+use crate::sealed::open_arena;
+pub use crate::sealed::SealedEpoch;
 use crate::{PliniusContext, PliniusError};
 use plinius_crypto::SealedView;
 
@@ -138,93 +140,6 @@ pub struct EpochDiff {
     pub changed_bytes: usize,
     /// L2 norm of the full parameter-vector delta.
     pub l2_delta: f64,
-}
-
-/// A sealed epoch lifted out of the ring: the deployment-portable migration
-/// payload. The arena is the layer-major concatenation of the epoch's AES-GCM
-/// sealed tensor blobs, byte-exact as they sat on PM.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SealedEpoch {
-    /// Epoch number in the source deployment.
-    pub epoch: u64,
-    /// Training iteration recorded with the epoch.
-    pub iteration: u64,
-    /// Sealed length of every tensor (layer-major), pinning the model layout.
-    pub sealed_lens: Vec<u64>,
-    /// Concatenated sealed blobs (layer-major).
-    pub arena: Vec<u8>,
-}
-
-/// Magic + version prefix of the [`SealedEpoch`] wire format.
-const SEALED_EPOCH_MAGIC: &[u8; 8] = b"PLNSEAL1";
-
-impl SealedEpoch {
-    /// Serialises the payload:
-    /// `magic ‖ epoch ‖ iteration ‖ num_tensors ‖ sealed_lens... ‖ arena`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.sealed_lens.len() * 8 + self.arena.len());
-        out.extend_from_slice(SEALED_EPOCH_MAGIC);
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.iteration.to_le_bytes());
-        out.extend_from_slice(&(self.sealed_lens.len() as u64).to_le_bytes());
-        for len in &self.sealed_lens {
-            out.extend_from_slice(&len.to_le_bytes());
-        }
-        out.extend_from_slice(&self.arena);
-        out
-    }
-
-    /// Parses a payload serialised by [`SealedEpoch::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PliniusError::MirrorMismatch`] on a malformed or truncated
-    /// payload (authenticity is checked later, at import, against the model key).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, PliniusError> {
-        let mut off = 0usize;
-        let mut take = |n: usize| -> Result<&[u8], PliniusError> {
-            let end = off
-                .checked_add(n)
-                .filter(|&e| e <= bytes.len())
-                .ok_or_else(|| {
-                    PliniusError::MirrorMismatch("truncated sealed-epoch payload".into())
-                })?;
-            let chunk = &bytes[off..end];
-            off = end;
-            Ok(chunk)
-        };
-        let read_u64 = |chunk: &[u8]| u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-        if take(8)? != SEALED_EPOCH_MAGIC {
-            return Err(PliniusError::MirrorMismatch(
-                "not a sealed-epoch payload (bad magic)".into(),
-            ));
-        }
-        let epoch = read_u64(take(8)?);
-        let iteration = read_u64(take(8)?);
-        let num_tensors = read_u64(take(8)?) as usize;
-        if num_tensors > 1 << 20 {
-            return Err(PliniusError::MirrorMismatch(format!(
-                "implausible tensor count {num_tensors} in sealed-epoch payload"
-            )));
-        }
-        let mut sealed_lens = Vec::with_capacity(num_tensors);
-        for _ in 0..num_tensors {
-            sealed_lens.push(read_u64(take(8)?));
-        }
-        let arena_len: u64 = sealed_lens.iter().sum();
-        let arena = take(arena_len as usize)?.to_vec();
-        if off != bytes.len() {
-            return Err(PliniusError::MirrorMismatch(
-                "trailing bytes after sealed-epoch payload".into(),
-            ));
-        }
-        Ok(SealedEpoch {
-            epoch,
-            iteration,
-            sealed_lens,
-            arena,
-        })
-    }
 }
 
 /// The [`Vfs`] implementation over one mirror deployment. Holds cheap clones of
@@ -409,7 +324,7 @@ impl MirrorVfs {
         let mut arena = vec![0u8; self.mirror.arena_len()];
         let mut sealed_lens = Vec::with_capacity(layout.len());
         for (flat, slot) in layout.iter().enumerate() {
-            let out = &mut arena[slot.sealed_off..slot.sealed_off + slot.sealed_len];
+            let out = &mut arena[slot.sealed()];
             self.mirror.read_sealed_into(&self.ctx, epoch, flat, out)?;
             sealed_lens.push(slot.sealed_len as u64);
         }
@@ -438,19 +353,11 @@ impl MirrorVfs {
     /// [`PliniusError::KeyNotProvisioned`] without the model key.
     pub fn import(&self, sealed: &SealedEpoch) -> Result<u64, PliniusError> {
         let layout = self.mirror.slot_layout();
-        let expected: Vec<u64> = layout.iter().map(|s| s.sealed_len as u64).collect();
-        if sealed.sealed_lens != expected {
-            return Err(PliniusError::MirrorMismatch(format!(
-                "sealed-epoch layout {:?} does not match this mirror's {:?}",
-                sealed.sealed_lens, expected
-            )));
-        }
+        sealed.check_layout(layout)?;
         let gcm = self.ctx.gcm()?;
-        let mut plain = vec![0u8; layout.iter().map(|s| s.plain_len).max().unwrap_or(0)];
-        for slot in layout {
-            let blob = &sealed.arena[slot.sealed_off..slot.sealed_off + slot.sealed_len];
-            SealedView::parse(blob)?.open_into(&gcm, &slot.aad, &mut plain[..slot.plain_len])?;
-        }
+        let mut plain = vec![0u8; layout.iter().map(|s| s.plain_len).sum()];
+        let threads = plinius_parallel::max_threads();
+        open_arena(layout, &gcm, &sealed.arena, &mut plain, threads)?;
         self.mirror
             .commit_sealed_arena(&self.ctx, &sealed.arena, sealed.iteration)
     }
@@ -730,5 +637,27 @@ mod tests {
         let mut bad_magic = bytes.clone();
         bad_magic[0] ^= 0xff;
         assert!(SealedEpoch::from_bytes(&bad_magic).is_err());
+        // A payload without tensors round-trips; no bytes at all is no payload.
+        let empty = SealedEpoch {
+            epoch: 0,
+            iteration: 0,
+            sealed_lens: Vec::new(),
+            arena: Vec::new(),
+        };
+        assert_eq!(SealedEpoch::from_bytes(&empty.to_bytes()).unwrap(), empty);
+        assert!(SealedEpoch::from_bytes(&[]).is_err());
+        // Two declared tensors of 2^63 bytes each: their sum overflows a u64.
+        let overflowing = SealedEpoch {
+            epoch: 1,
+            iteration: 1,
+            sealed_lens: vec![1 << 63; 2],
+            arena: Vec::new(),
+        }
+        .to_bytes();
+        assert_eq!(overflowing.len(), 48);
+        assert!(matches!(
+            SealedEpoch::from_bytes(&overflowing),
+            Err(PliniusError::MirrorMismatch(_))
+        ));
     }
 }

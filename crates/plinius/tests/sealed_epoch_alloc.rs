@@ -1,9 +1,9 @@
-//! Decoding an untrusted checkpoint reserves no more memory than the blob can fill.
+//! Parsing an untrusted sealed-epoch payload reserves no more memory than the payload
+//! can fill.
 //!
-//! The SSD is owned by the host, so a checkpoint blob may declare any layer and
-//! tensor counts. A 20-byte blob declaring a million layers, the first holding a
-//! million tensors, must be rejected without first reserving a vector per declared
-//! entry (24 MB each at 24 bytes per `Vec`).
+//! The host owns the SSD, and an imported payload crosses it too, so a payload may
+//! declare any tensor count. A 32-byte payload declaring 2^20 tensors must be rejected
+//! without first reserving 8 bytes per declared length (8 MiB).
 //!
 //! The counting allocator lives in this binary of its own because a
 //! `#[global_allocator]` applies to every test in a binary.
@@ -11,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use plinius_storage::CheckpointCodec;
+use plinius::SealedEpoch;
 
 struct CountingAlloc;
 
@@ -41,20 +41,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
-fn a_tiny_blob_declaring_huge_counts_reserves_almost_nothing() {
-    let mut blob = Vec::new();
-    blob.extend_from_slice(&0x504c_434bu32.to_le_bytes()); // magic
-    blob.extend_from_slice(&7u64.to_le_bytes()); // iteration
-    blob.extend_from_slice(&1_000_000u32.to_le_bytes()); // layers
-    blob.extend_from_slice(&1_000_000u32.to_le_bytes()); // tensors of layer 0
-    assert_eq!(blob.len(), 20);
+fn a_tiny_payload_declaring_huge_counts_reserves_almost_nothing() {
+    let mut payload = Vec::new();
+    payload.extend_from_slice(b"PLNSEAL1");
+    payload.extend_from_slice(&1u64.to_le_bytes()); // epoch
+    payload.extend_from_slice(&7u64.to_le_bytes()); // iteration
+    payload.extend_from_slice(&(1u64 << 20).to_le_bytes()); // tensors
+    assert_eq!(payload.len(), 32);
 
     let before = thread_bytes();
-    let result = CheckpointCodec::decode(&blob);
+    let result = SealedEpoch::from_bytes(&payload);
     let reserved = thread_bytes() - before;
-    assert!(result.is_err(), "a truncated blob must be rejected");
+    assert!(result.is_err(), "a truncated payload must be rejected");
     assert!(
         reserved < 4096,
-        "decoding a 20-byte blob reserved {reserved} bytes"
+        "parsing a 32-byte payload reserved {reserved} bytes"
     );
 }

@@ -1,10 +1,10 @@
 //! # plinius-storage
 //!
 //! The secondary-storage substrate of the reproduction: a simulated file system backed by
-//! an SSD (or HDD) cost model, plus the binary checkpoint format used by the paper's
-//! baseline ("traditional checkpointing on secondary storage"). The Plinius crate builds
-//! the SSD checkpointing baseline of Fig. 7 / Table I on top of this: the enclave
-//! encrypts model buffers, then issues `fwrite`/`fsync` ocalls that land here.
+//! an SSD (or HDD) cost model. The Plinius crate builds the SSD checkpointing baseline of
+//! Fig. 7 / Table I ("traditional checkpointing on secondary storage") on top of this:
+//! the enclave seals the model in the same format as its PM mirror, then issues
+//! `fwrite`/`fsync` ocalls that land here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,10 +12,8 @@
 use std::error::Error;
 use std::fmt;
 
-pub mod checkpoint;
 pub mod fs;
 
-pub use checkpoint::{CheckpointBlob, CheckpointCodec};
 pub use fs::{FileStats, SimFileSystem, StorageProfile};
 
 /// Errors produced by the storage substrate.
@@ -34,8 +32,6 @@ pub enum StorageError {
         /// File size.
         size: usize,
     },
-    /// A checkpoint blob could not be decoded.
-    MalformedCheckpoint(String),
 }
 
 impl fmt::Display for StorageError {
@@ -51,7 +47,6 @@ impl fmt::Display for StorageError {
                 f,
                 "read of {len} bytes at offset {offset} past end of '{path}' ({size} bytes)"
             ),
-            StorageError::MalformedCheckpoint(msg) => write!(f, "malformed checkpoint: {msg}"),
         }
     }
 }
@@ -67,8 +62,5 @@ mod tests {
         assert!(StorageError::NotFound("model.ckpt".into())
             .to_string()
             .contains("model.ckpt"));
-        assert!(StorageError::MalformedCheckpoint("truncated".into())
-            .to_string()
-            .contains("truncated"));
     }
 }

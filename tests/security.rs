@@ -4,12 +4,11 @@
 
 use plinius::{
     HybridTieredBackend, MirrorModel, MirrorVfs, ModelPersistence, PliniusBuilder, PliniusContext,
-    PliniusError, PmDataset, SsdCheckpointBackend, TrainingSetup, Vfs,
+    PliniusError, PmDataset, SealedEpoch, SsdCheckpointBackend, TrainingSetup, Vfs,
 };
 use plinius_crypto::{CryptoError, Key};
 use plinius_darknet::{mnist_cnn_config, synthetic_mnist};
 use plinius_sgx::{AttestationService, DataOwner};
-use plinius_storage::CheckpointCodec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim_clock::CostModel;
@@ -208,11 +207,13 @@ fn ssd_restore_rejects_dropped_tensors_and_foreign_shapes_without_panicking() {
     assert!(matches!(err, PliniusError::MirrorMismatch(_)), "{err}");
 
     // The host drops one sealed tensor of the first layer.
-    let mut blob = CheckpointCodec::decode(&ctx.ssd().read_all("model.ckpt").unwrap()).unwrap();
-    blob.layers[0].pop();
+    let mut file = SealedEpoch::from_bytes(&ctx.ssd().read_all("model.ckpt").unwrap()).unwrap();
+    let last = plinius_darknet::PARAM_TENSORS_PER_LAYER - 1;
+    let start = file.sealed_lens[..last].iter().sum::<u64>() as usize;
+    let dropped = file.sealed_lens.remove(last) as usize;
+    file.arena.drain(start..start + dropped);
     ctx.ssd().create("model.ckpt");
-    ctx.ssd()
-        .write("model.ckpt", &CheckpointCodec::encode(&blob));
+    ctx.ssd().write("model.ckpt", &file.to_bytes());
     let mut same_shape =
         plinius_darknet::build_network(&mnist_cnn_config(2, 4, 4), &mut rng).unwrap();
     let err = backend.restore(&ctx, &mut same_shape).unwrap_err();
