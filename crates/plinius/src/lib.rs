@@ -53,7 +53,7 @@ use plinius_darknet::DarknetError;
 use plinius_pmem::{PmemError, PmemPool};
 use plinius_romulus::{Flavor, Romulus, RomulusError};
 use plinius_sgx::{AttestationService, DataOwner, Enclave, SgxError};
-use plinius_storage::{SimFileSystem, StorageError, StorageProfile};
+use plinius_storage::{SimFileSystem, StorageError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim_clock::{ClockHandle, CostModel, SimClock, StatsHandle, StatsRegistry};
@@ -79,8 +79,7 @@ pub use fleet::{
 pub use knobs::{Knob, Knobs, KNOBS};
 
 pub use mirror::{
-    MirrorInReport, MirrorModel, MirrorOutReport, PublishReport, SnapshotReport,
-    DEFAULT_RING_DEPTH, RING_ENV,
+    MirrorInReport, MirrorModel, MirrorOutReport, PublishReport, DEFAULT_RING_DEPTH, RING_ENV,
 };
 pub use persist::{
     FaultInjectingBackend, HybridTieredBackend, ModelPersistence, NoOpBackend, PersistStats,
@@ -376,12 +375,7 @@ impl PliniusContext {
     ) -> Result<Self, PliniusError> {
         let clock = pool.clock();
         let stats = pool.stats_registry();
-        let ssd = SimFileSystem::with_settings(
-            cost.clone(),
-            StorageProfile::Ssd,
-            clock.clone(),
-            stats.clone(),
-        );
+        let ssd = SimFileSystem::with_settings(cost.clone(), clock.clone(), stats.clone());
         let enclave = Enclave::builder(b"plinius-enclave-v1".to_vec())
             .cost_model(cost.clone())
             .clock(clock)

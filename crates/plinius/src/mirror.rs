@@ -72,7 +72,7 @@ use plinius_crypto::{AesGcm, SEAL_OVERHEAD};
 use plinius_darknet::Network;
 use plinius_parallel::Pipeline;
 use plinius_romulus::PmPtr;
-use sim_clock::SimSpan;
+use sim_clock::{Metric, SimSpan};
 use std::mem;
 use std::sync::Arc;
 
@@ -169,16 +169,6 @@ impl MirrorInReport {
     pub fn total_ms(&self) -> f64 {
         self.read.millis() + self.decrypt.millis()
     }
-}
-
-/// Report of the snapshot phase of a pipelined mirror-out: the cheap in-enclave copy
-/// that decouples the training loop from the expensive seal + PM publish.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SnapshotReport {
-    /// Simulated time of the staging copy (parameters → staging slot).
-    pub staged: SimSpan,
-    /// Plaintext model bytes staged.
-    pub model_bytes: usize,
 }
 
 /// Report of one committed publish (the expensive half of a pipelined mirror-out,
@@ -300,7 +290,7 @@ fn seqlock_read<F: PartialEq>(
         if fence()? == before {
             return Ok(before);
         }
-        ctx.stats().counter("mirror.torn_read_retries").incr();
+        ctx.stats().add(Metric::MirrorTornReadRetries, 1);
     }
     Err(PliniusError::MirrorMismatch(format!(
         "{what} kept moving during {MAX_TORN_READ_RETRIES} snapshot-read retries"
@@ -1066,8 +1056,8 @@ impl MirrorModel {
     /// Snapshot phase of a pipelined mirror-out: joins any previous in-flight publish
     /// (the pipeline is depth-1), stages the model's parameters and per-tensor IVs
     /// into a pre-allocated staging slot, and hands the expensive seal + PM publish
-    /// to the background worker. Returns the snapshot report together with the
-    /// publish report of the *previous* snapshot, if one was still in flight.
+    /// to the background worker. Returns the publish report of the *previous*
+    /// snapshot, if one was still in flight.
     ///
     /// The IVs are drawn on the calling thread, at the same position of the enclave's
     /// `sgx_read_rand` stream as a synchronous [`MirrorModel::mirror_out`] would draw
@@ -1082,7 +1072,7 @@ impl MirrorModel {
         &self,
         ctx: &PliniusContext,
         network: &Network,
-    ) -> Result<(SnapshotReport, Option<PublishReport>), PliniusError> {
+    ) -> Result<Option<PublishReport>, PliniusError> {
         let clock = ctx.clock();
         check_shape(&self.slots, network)?;
         let mut guard = self.pipeline.lock();
@@ -1091,7 +1081,7 @@ impl MirrorModel {
         let mut staging = state.spare.take().expect("spare buffers present when idle");
         staging.draw_ivs(ctx);
         let model_bytes = staging.plain.len();
-        let ((), staged) = SimSpan::record(&clock, || staging.stage(&self.slots, network));
+        staging.stage(&self.slots, network);
         // The sealing lane's modeled cost is computed now (stats recorded) but
         // charged at the join, where the overlap with the interleaved compute is
         // known.
@@ -1108,13 +1098,7 @@ impl MirrorModel {
             seal_lane_ns,
             model_bytes,
         });
-        Ok((
-            SnapshotReport {
-                staged,
-                model_bytes,
-            },
-            prior,
-        ))
+        Ok(prior)
     }
 
     /// Joins and commits the in-flight publish, if any — the pipeline's *drain*
@@ -1426,9 +1410,8 @@ mod tests {
             let mut net = small_network(40);
             net.set_iteration(9);
             let mirror = MirrorModel::allocate(&ctx, &net).unwrap();
-            let (snap, prior) = mirror.snapshot_out(&ctx, &net).unwrap();
+            let prior = mirror.snapshot_out(&ctx, &net).unwrap();
             assert!(prior.is_none());
-            assert_eq!(snap.model_bytes, net.model_bytes());
             assert!(mirror.has_inflight());
             let report = mirror.drain(&ctx).unwrap().expect("one publish in flight");
             assert!(!mirror.has_inflight());

@@ -49,16 +49,10 @@ pub struct PersistStats {
     /// hidden behind compute. Zero in synchronous mode and when compute fully
     /// covers the mirror cost.
     pub overlap_wait_ns: u64,
-    /// Name of the AES-GCM engine the sealing ran on (`"aesni+pclmul"` or
-    /// `"scalar"`). Empty until the backend has touched the crypto path;
-    /// `"mixed"` when a composite backend merged tiers on different engines.
-    pub engine: &'static str,
 }
 
 impl PersistStats {
-    /// Component-wise sum of two counters (used by composite backends). The engine
-    /// label is kept when the operands agree (or one is still unset) and collapses
-    /// to `"mixed"` otherwise.
+    /// Component-wise sum of two counters (used by composite backends).
     pub fn merged(self, other: PersistStats) -> PersistStats {
         PersistStats {
             persists: self.persists + other.persists,
@@ -68,12 +62,6 @@ impl PersistStats {
             snapshots: self.snapshots + other.snapshots,
             publishes: self.publishes + other.publishes,
             overlap_wait_ns: self.overlap_wait_ns + other.overlap_wait_ns,
-            engine: match (self.engine, other.engine) {
-                (e, "") => e,
-                ("", e) => e,
-                (a, b) if a == b => a,
-                _ => "mixed",
-            },
         }
     }
 }
@@ -378,7 +366,6 @@ impl ModelPersistence for PmMirrorBackend {
         let report = mirror.mirror_in(ctx, network)?;
         self.stats.restores += 1;
         self.stats.restored_bytes += report.model_bytes as u64;
-        self.stats.engine = ctx.engine_name();
         Ok(report.iteration)
     }
 
@@ -392,7 +379,6 @@ impl ModelPersistence for PmMirrorBackend {
         self.stats.persists += 1;
         self.stats.publishes += 1;
         self.stats.persisted_bytes += report.model_bytes as u64;
-        self.stats.engine = ctx.engine_name();
         Ok(())
     }
 
@@ -402,9 +388,8 @@ impl ModelPersistence for PmMirrorBackend {
         network: &Network,
         _iteration: u64,
     ) -> Result<(), PliniusError> {
-        let (_, prior) = self.mirror(ctx, network)?.snapshot_out(ctx, network)?;
+        let prior = self.mirror(ctx, network)?.snapshot_out(ctx, network)?;
         self.stats.snapshots += 1;
-        self.stats.engine = ctx.engine_name();
         if let Some(report) = prior {
             self.record_publish(&report);
         }
@@ -415,7 +400,6 @@ impl ModelPersistence for PmMirrorBackend {
         if let Some(mirror) = self.mirror.as_ref() {
             if let Some(report) = mirror.drain(ctx)? {
                 self.record_publish(&report);
-                self.stats.engine = ctx.engine_name();
             }
         }
         Ok(())
@@ -467,7 +451,6 @@ impl ModelPersistence for SsdCheckpointBackend {
         let report = self.checkpointer.restore(ctx, network)?;
         self.stats.restores += 1;
         self.stats.restored_bytes += report.model_bytes as u64;
-        self.stats.engine = ctx.engine_name();
         Ok(report.iteration)
     }
 
@@ -480,7 +463,6 @@ impl ModelPersistence for SsdCheckpointBackend {
         let report = self.checkpointer.save(ctx, network)?;
         self.stats.persists += 1;
         self.stats.persisted_bytes += report.model_bytes as u64;
-        self.stats.engine = ctx.engine_name();
         Ok(())
     }
 
@@ -1101,18 +1083,6 @@ mod tests {
         assert_eq!(m.snapshots, 3);
         assert_eq!(m.publishes, 4);
         assert_eq!(m.overlap_wait_ns, 15);
-    }
-
-    #[test]
-    fn merged_stats_engine_label_combines_sensibly() {
-        let on = |engine| PersistStats {
-            engine,
-            ..PersistStats::default()
-        };
-        assert_eq!(on("scalar").merged(on("")).engine, "scalar");
-        assert_eq!(on("").merged(on("aesni+pclmul")).engine, "aesni+pclmul");
-        assert_eq!(on("scalar").merged(on("scalar")).engine, "scalar");
-        assert_eq!(on("scalar").merged(on("aesni+pclmul")).engine, "mixed");
     }
 
     #[test]

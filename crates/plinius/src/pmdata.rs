@@ -51,11 +51,11 @@ impl PmDataset {
         // The untrusted helper reads the (already encrypted at rest) data from storage
         // into DRAM and hands its address to the enclave via an ecall; here that step is
         // the ocall/ecall pair bracketing the PM copy.
-        ctx.enclave().ocall("load_initial_data", || ())?;
+        ctx.enclave().ocall(|| ())?;
         let samples = dataset.len();
         let mut header = PmPtr::NULL;
         let mut block = PmPtr::NULL;
-        ctx.enclave().ecall("load_data_in_pm", || ())?;
+        ctx.enclave().ecall(|| ())?;
         ctx.romulus().transaction(|tx| {
             header = tx.alloc(HEADER_BYTES)?;
             block = tx.alloc(samples * sealed_len)?;

@@ -184,7 +184,7 @@ impl InferenceServer {
         let active = &mut self.active;
         let enclave = self.ctx.enclave();
         let predictions = enclave
-            .ecall("classify_batch", || {
+            .ecall(|| {
                 enclave.charge_data_staging((input.len() * 4) as u64);
                 enclave.charge_compute(flops * count as u64);
                 let out = active.forward(input, count);

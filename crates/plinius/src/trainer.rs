@@ -16,7 +16,7 @@ use plinius_pmem::CrashMode;
 use plinius_spot::SpotSimulator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sim_clock::CostModel;
+use sim_clock::{CostModel, Metric};
 
 /// How the per-iteration persist is scheduled relative to the training compute.
 ///
@@ -213,9 +213,10 @@ impl PliniusTrainer {
         // Train for one iteration inside the enclave, charging the modeled compute cost.
         let flops = self.network.flops_per_sample() * batch as u64;
         self.ctx.enclave().charge_compute(flops);
-        let loss = self.ctx.enclave().ecall("train_iteration", || {
-            self.network.train_batch(&images, &labels, batch)
-        })??;
+        let loss = self
+            .ctx
+            .enclave()
+            .ecall(|| self.network.train_batch(&images, &labels, batch))??;
         // Persist according to the configured frequency — the trainer does not know
         // (or care) which medium the backend writes to. In overlapped mode the
         // backend stages a cheap snapshot and publishes it in the background while
@@ -281,7 +282,7 @@ impl PliniusTrainer {
     /// far (the `mirror.torn_read_retries` statistic): concurrent serve-vs-train
     /// races that the seqlock protocol detected and resolved.
     pub fn torn_read_retries(&self) -> u64 {
-        self.ctx.stats().value("mirror.torn_read_retries")
+        self.ctx.stats().get(Metric::MirrorTornReadRetries)
     }
 
     /// Runs until `max_iterations` is reached (the full Algorithm 2 loop).

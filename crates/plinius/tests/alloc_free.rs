@@ -275,6 +275,30 @@ fn pm_pool_persist_and_crash_perform_zero_heap_allocations() {
     assert_eq!(pool.dirty_lines(), 0);
 }
 
+#[test]
+fn enclave_transitions_charges_and_pm_fences_perform_zero_heap_allocations() {
+    // Every counter is a slot of one fixed table, so counting an event adds to an
+    // atomic in place.
+    let ctx = PliniusContext::small_test(1 << 20);
+    let (enclave, pool) = (ctx.enclave(), ctx.pool());
+    let events = || {
+        enclave.ecall(|| ()).unwrap();
+        enclave.ocall(|| ()).unwrap();
+        enclave.charge_crypto(4096);
+        pool.fence();
+    };
+    events();
+    let before = thread_allocs();
+    events();
+    let allocs = thread_allocs() - before;
+    assert_eq!(
+        allocs, 0,
+        "counting enclave and PM events must not touch the heap"
+    );
+    assert_eq!(enclave.ecall_count(), 2);
+    assert_eq!(enclave.ocall_count(), 2);
+}
+
 /// A model whose every kernel stays on the calling thread at any `PLINIUS_THREADS`: its
 /// conv work (4 filters x 9 taps x 64 pixels) is below the conv forward's fan-out
 /// threshold, and every GEMM is far below the parallel cutoff, so nothing spawns and

@@ -13,6 +13,7 @@ use plinius_pmem::CrashMode;
 use plinius_romulus::FailPoint;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sim_clock::Metric;
 
 fn test_key(seed: u64) -> Key {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -113,7 +114,7 @@ fn interleaved_publish_flips_force_a_retry_and_a_consistent_snapshot() {
     // The first attempt saw epoch 1's header and epoch 3's bytes — it must have
     // been retried, and the result must be the consistent epoch 3.
     assert!(
-        ctx.stats().value("mirror.torn_read_retries") >= 1,
+        ctx.stats().get(Metric::MirrorTornReadRetries) >= 1,
         "the interleaved publishes must force at least one seqlock retry"
     );
     assert_eq!(report.epoch, 3);
@@ -135,7 +136,7 @@ fn quiescent_reads_never_retry() {
     for _ in 0..3 {
         mirror.mirror_in(&ctx, &mut restored).unwrap();
     }
-    assert_eq!(ctx.stats().value("mirror.torn_read_retries"), 0);
+    assert_eq!(ctx.stats().get(Metric::MirrorTornReadRetries), 0);
     assert_eq!(weights(&restored), weights(&net));
 }
 

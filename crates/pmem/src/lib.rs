@@ -5,20 +5,23 @@
 //! Plinius and Romulus depend on:
 //!
 //! * byte-granular loads and stores into a DAX-style mapped region ([`PmemPool`]);
-//! * cache-line write-backs (`CLFLUSH`, `CLFLUSHOPT`, `CLWB`) and `SFENCE` persistence
-//!   fences, with the three PWB/fence combinations Romulus supports ([`PwbKind`]);
+//! * cache-line write-backs and `SFENCE` persistence fences, charged at the
+//!   `CLFLUSHOPT`+`SFENCE` costs of the cost model, the combination Plinius uses;
+//!   [`PwbKind::cost_model`] gives the costs of the `CLFLUSH`+`NOP` alternative that
+//!   Fig. 6 compares it with;
 //! * the crash model: stores that were never flushed may or may not survive a power
 //!   failure ([`CrashMode`]), which is what persistent transactional memories must
 //!   tolerate;
-//! * calibrated latency/bandwidth costs charged to a shared [`sim_clock::SimClock`];
+//! * calibrated latency/bandwidth costs charged to a shared [`sim_clock::SimClock`],
+//!   and the `pm.*` counters of the shared [`sim_clock::StatsRegistry`];
 //! * the FIO-style device characterization of the paper's Fig. 2 ([`fio`]).
 //!
 //! # Example
 //!
 //! ```
-//! use plinius_pmem::{PmemPool, PwbKind};
+//! use plinius_pmem::PmemPool;
 //!
-//! let pool = PmemPool::builder(4096).pwb(PwbKind::ClflushOptSfence).build()?;
+//! let pool = PmemPool::new(4096)?;
 //! pool.write(0, b"model weights")?;
 //! pool.flush(0, 13)?;          // persistent write-back
 //! pool.fence();                // ordering point
@@ -29,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use sim_clock::CostModel;
 use std::error::Error;
 use std::fmt;
 
@@ -36,7 +40,7 @@ pub mod fio;
 pub mod pool;
 
 pub use fio::{figure2_sweep, FioDeviceProfile, FioJob, FioResult, OpKind, Pattern};
-pub use pool::{CrashMode, PmemPool, PmemPoolBuilder, PoolStats, CACHE_LINE};
+pub use pool::{CrashMode, PmemPool, PmemPoolBuilder, CACHE_LINE};
 
 /// Errors produced by the persistent-memory simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,10 +56,6 @@ pub enum PmemError {
         /// Pool capacity.
         capacity: usize,
     },
-    /// The pool has no backing file configured.
-    NoBackingFile,
-    /// An I/O error while reading or writing the backing file.
-    Io(String),
 }
 
 impl fmt::Display for PmemError {
@@ -72,17 +72,15 @@ impl fmt::Display for PmemError {
                 f,
                 "access of {len} bytes at offset {offset} exceeds pool capacity {capacity}"
             ),
-            PmemError::NoBackingFile => write!(f, "pool has no backing file"),
-            PmemError::Io(msg) => write!(f, "backing file i/o error: {msg}"),
         }
     }
 }
 
 impl Error for PmemError {}
 
-/// Persistent write-back / fence instruction combinations supported by Romulus
-/// (§V of the paper: `clwb+sfence`, `clflushopt+sfence` — the one Plinius uses —
-/// and `clflush+nop`).
+/// The persistent write-back / fence instruction combinations available on the paper's
+/// servers, which Fig. 6 compares (§V: `clflushopt+sfence`, the one Plinius uses, and
+/// `clflush+nop`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PwbKind {
     /// `CLFLUSH` + `NOP`: the flush is strongly ordered so no fence is required.
@@ -90,9 +88,23 @@ pub enum PwbKind {
     /// `CLFLUSHOPT` + `SFENCE`: the default used by Plinius.
     #[default]
     ClflushOptSfence,
-    /// `CLWB` + `SFENCE`: keeps the line in cache after write-back (not available on the
-    /// paper's servers, modeled here for completeness).
-    ClwbSfence,
+}
+
+impl PwbKind {
+    /// `cost` with the write-back and fence latencies of this combination: a pool built
+    /// with it charges them. `cost` itself holds those of `CLFLUSHOPT+SFENCE`.
+    pub fn cost_model(self, cost: &CostModel) -> CostModel {
+        match self {
+            // clflush evicts the line and is the slower write-back; it is ordered, so
+            // the fence is a NOP.
+            PwbKind::ClflushNop => CostModel {
+                pm_flush_ns: cost.pm_flush_ns + cost.pm_flush_ns / 2,
+                pm_fence_ns: 0,
+                ..cost.clone()
+            },
+            PwbKind::ClflushOptSfence => cost.clone(),
+        }
+    }
 }
 
 impl fmt::Display for PwbKind {
@@ -100,7 +112,6 @@ impl fmt::Display for PwbKind {
         match self {
             PwbKind::ClflushNop => write!(f, "CLFLUSH+NOP"),
             PwbKind::ClflushOptSfence => write!(f, "CLFLUSHOPT+SFENCE"),
-            PwbKind::ClwbSfence => write!(f, "CLWB+SFENCE"),
         }
     }
 }

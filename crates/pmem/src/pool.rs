@@ -24,12 +24,11 @@
 //! dirty lines. The cache view is allocated zeroed and written only by bare writes, so
 //! a pool that is only ever persisted to never makes its pages resident.
 
-use crate::{PmemError, PwbKind};
+use crate::PmemError;
 use parking_lot::Mutex;
 use rand::Rng;
-use sim_clock::{ClockHandle, CostModel, StatsHandle};
+use sim_clock::{ClockHandle, CostModel, Metric, StatsHandle};
 use std::ops::Range;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Cache-line size in bytes, the granularity of persistence on PM hardware.
@@ -49,21 +48,6 @@ pub enum CrashMode {
     ArbitraryEviction,
 }
 
-/// Statistics snapshot of a pool's activity since creation (or the last reset).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Bytes passed to [`PmemPool::write`] and [`PmemPool::persist`].
-    pub bytes_written: u64,
-    /// Bytes returned by [`PmemPool::read`]/[`PmemPool::read_vec`].
-    pub bytes_read: u64,
-    /// Cache-line write-back instructions issued.
-    pub flushes: u64,
-    /// Persistence fences issued.
-    pub fences: u64,
-    /// Crashes injected.
-    pub crashes: u64,
-}
-
 struct Inner {
     /// Durable contents, indexed by pool offset.
     media: Vec<u8>,
@@ -72,8 +56,6 @@ struct Inner {
     cache: Vec<u8>,
     /// The lines whose newest contents are in `cache` rather than `media`.
     dirty: DirtyLines,
-    stats: PoolStats,
-    backing: Option<PathBuf>,
 }
 
 impl Inner {
@@ -200,7 +182,6 @@ pub struct PmemPool {
     clock: ClockHandle,
     stats: StatsHandle,
     cost: Arc<CostModel>,
-    pwb: PwbKind,
 }
 
 impl std::fmt::Debug for PmemPool {
@@ -209,7 +190,6 @@ impl std::fmt::Debug for PmemPool {
         f.debug_struct("PmemPool")
             .field("len", &inner.media.len())
             .field("dirty_lines", &inner.dirty.len)
-            .field("pwb", &self.pwb)
             .finish()
     }
 }
@@ -221,8 +201,6 @@ pub struct PmemPoolBuilder {
     clock: Option<ClockHandle>,
     stats: Option<StatsHandle>,
     cost: CostModel,
-    pwb: PwbKind,
-    backing: Option<PathBuf>,
 }
 
 impl PmemPoolBuilder {
@@ -233,8 +211,6 @@ impl PmemPoolBuilder {
             clock: None,
             stats: None,
             cost: CostModel::default(),
-            pwb: PwbKind::ClflushOptSfence,
-            backing: None,
         }
     }
 
@@ -256,49 +232,24 @@ impl PmemPoolBuilder {
         self
     }
 
-    /// Selects the persistent write-back + fence combination.
-    pub fn pwb(mut self, pwb: PwbKind) -> Self {
-        self.pwb = pwb;
-        self
-    }
-
-    /// Backs the pool media with a file so that it survives process restarts.
-    /// If the file exists its contents initialise the media.
-    pub fn file_backing(mut self, path: impl AsRef<Path>) -> Self {
-        self.backing = Some(path.as_ref().to_path_buf());
-        self
-    }
-
     /// Builds the pool.
     ///
     /// # Errors
     ///
-    /// Returns [`PmemError::ZeroCapacity`] for an empty pool or [`PmemError::Io`] if the
-    /// backing file cannot be read.
+    /// Returns [`PmemError::ZeroCapacity`] for an empty pool.
     pub fn build(self) -> Result<PmemPool, PmemError> {
         if self.len == 0 {
             return Err(PmemError::ZeroCapacity);
         }
-        let mut media = vec![0u8; self.len];
-        if let Some(path) = &self.backing {
-            if path.exists() {
-                let bytes = std::fs::read(path).map_err(|e| PmemError::Io(e.to_string()))?;
-                let n = bytes.len().min(self.len);
-                media[..n].copy_from_slice(&bytes[..n]);
-            }
-        }
         Ok(PmemPool {
             inner: Arc::new(Mutex::new(Inner {
-                media,
+                media: vec![0u8; self.len],
                 cache: vec![0u8; self.len],
                 dirty: DirtyLines::new(self.len.div_ceil(CACHE_LINE)),
-                stats: PoolStats::default(),
-                backing: self.backing,
             })),
             clock: self.clock.unwrap_or_default(),
             stats: self.stats.unwrap_or_default(),
             cost: Arc::new(self.cost),
-            pwb: self.pwb,
         })
     }
 }
@@ -366,7 +317,6 @@ impl PmemPool {
             inner.dirty.insert(lines);
             inner.cache[offset..offset + data.len()].copy_from_slice(data);
         }
-        inner.stats.bytes_written += data.len() as u64;
         self.charge_write(data.len());
         Ok(())
     }
@@ -378,8 +328,7 @@ impl PmemPool {
     ///
     /// Returns [`PmemError::OutOfBounds`] if the range does not fit in the pool.
     pub fn read(&self, offset: usize, buf: &mut [u8]) -> Result<(), PmemError> {
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
+        let inner = self.inner.lock();
         check_range(inner.media.len(), offset, buf.len())?;
         let end = offset + buf.len();
         buf.copy_from_slice(&inner.media[offset..end]);
@@ -388,8 +337,7 @@ impl PmemPool {
             let (from, to) = (span.start.max(offset), span.end.min(end));
             buf[from - offset..to - offset].copy_from_slice(&inner.cache[from..to]);
         }
-        inner.stats.bytes_read += buf.len() as u64;
-        self.stats.counter("pm.bytes_read").add(buf.len() as u64);
+        self.stats.add(Metric::PmBytesRead, buf.len() as u64);
         Ok(())
     }
 
@@ -417,7 +365,6 @@ impl PmemPool {
         let mut inner = self.inner.lock();
         check_range(inner.media.len(), offset, len)?;
         let flushed = inner.write_back(line_range(offset, len), || true);
-        inner.stats.flushes += flushed;
         self.charge_flushes(flushed);
         Ok(())
     }
@@ -425,7 +372,7 @@ impl PmemPool {
     /// Store + flush in one call: the persistent write-back (`PWB`) pattern the
     /// `persist<>` annotation of Romulus generates for every store.
     ///
-    /// Leaves the media, the cache view, [`PoolStats`], the `pm.*` counters and the clock
+    /// Leaves the media, the cache view, the `pm.*` counters and the clock
     /// exactly as [`PmemPool::write`] followed by [`PmemPool::flush`] of the same range
     /// would, but in one locked pass that copies `data` straight into the media.
     ///
@@ -440,24 +387,19 @@ impl PmemPool {
         // A dirty line the range covers only in part takes its other bytes along.
         inner.write_back(lines.clone(), || true);
         inner.media[offset..offset + data.len()].copy_from_slice(data);
-        inner.stats.bytes_written += data.len() as u64;
         self.charge_write(data.len());
         // `write` leaves every line of the range dirty and `flush` writes each one
         // back; for empty data, `flush` returns before charging anything.
         if !lines.is_empty() {
-            let flushed = lines.len() as u64;
-            inner.stats.flushes += flushed;
-            self.charge_flushes(flushed);
+            self.charge_flushes(lines.len() as u64);
         }
         Ok(())
     }
 
     /// Issues a persistence fence (SFENCE), ordering previously issued write-backs.
     pub fn fence(&self) {
-        let mut inner = self.inner.lock();
-        inner.stats.fences += 1;
-        self.stats.counter("pm.fences").incr();
-        self.clock.advance_ns(self.effective_fence_ns());
+        self.stats.add(Metric::PmFences, 1);
+        self.clock.advance_ns(self.cost.pm_fence_ns);
     }
 
     /// Flushes every dirty line in the pool and fences — used on clean shutdown.
@@ -478,8 +420,7 @@ impl PmemPool {
             CrashMode::DropUnflushed => false,
             CrashMode::ArbitraryEviction => rng.gen_bool(0.5),
         });
-        inner.stats.crashes += 1;
-        self.stats.counter("pm.crashes").incr();
+        self.stats.add(Metric::PmCrashes, 1);
     }
 
     /// Returns a copy of the durable media contents (what a post-crash reader would see
@@ -493,55 +434,17 @@ impl PmemPool {
         self.inner.lock().dirty.len
     }
 
-    /// Activity statistics since creation.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.inner.lock().stats
-    }
-
-    /// Persists the media to the backing file, if one was configured.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmemError::NoBackingFile`] when the pool has no backing file and
-    /// [`PmemError::Io`] if writing fails.
-    pub fn sync_backing_file(&self) -> Result<(), PmemError> {
-        let inner = self.inner.lock();
-        match &inner.backing {
-            Some(path) => {
-                std::fs::write(path, &inner.media).map_err(|e| PmemError::Io(e.to_string()))
-            }
-            None => Err(PmemError::NoBackingFile),
-        }
-    }
-
     /// Charges a store of `len` bytes: its media write time and the `pm.bytes_written`
     /// counter.
     fn charge_write(&self, len: usize) {
         self.clock.advance_ns(self.cost.pm_write_ns(len as u64));
-        self.stats.counter("pm.bytes_written").add(len as u64);
+        self.stats.add(Metric::PmBytesWritten, len as u64);
     }
 
     /// Charges `lines` cache-line write-backs: one per line, as the hardware issues them.
     fn charge_flushes(&self, lines: u64) {
-        self.stats.counter("pm.flushes").add(lines);
-        self.clock.advance_ns(lines * self.effective_flush_ns());
-    }
-
-    fn effective_flush_ns(&self) -> u64 {
-        match self.pwb {
-            // clflush evicts the line and is the slowest variant.
-            PwbKind::ClflushNop => self.cost.pm_flush_ns + self.cost.pm_flush_ns / 2,
-            PwbKind::ClflushOptSfence => self.cost.pm_flush_ns,
-            // clwb keeps the line in cache: cheapest write-back.
-            PwbKind::ClwbSfence => (self.cost.pm_flush_ns * 3) / 4,
-        }
-    }
-
-    fn effective_fence_ns(&self) -> u64 {
-        match self.pwb {
-            PwbKind::ClflushNop => 0, // clflush is ordered, the fence is a NOP.
-            _ => self.cost.pm_fence_ns,
-        }
+        self.stats.add(Metric::PmFlushes, lines);
+        self.clock.advance_ns(lines * self.cost.pm_flush_ns);
     }
 }
 
@@ -559,6 +462,7 @@ fn check_range(pool_len: usize, offset: usize, len: usize) -> Result<(), PmemErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PwbKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sim_clock::SimClock;
@@ -650,11 +554,10 @@ mod tests {
         pool.write(0, &[1u8; 130]).unwrap();
         pool.flush(0, 130).unwrap();
         pool.fence();
-        let stats = pool.pool_stats();
-        assert_eq!(stats.bytes_written, 130);
-        assert_eq!(stats.flushes, 3); // 130 bytes span 3 cache lines.
-        assert_eq!(stats.fences, 1);
-        assert_eq!(pool.stats_registry().value("pm.flushes"), 3);
+        let stats = pool.stats_registry();
+        assert_eq!(stats.get(Metric::PmBytesWritten), 130);
+        assert_eq!(stats.get(Metric::PmFlushes), 3); // 130 bytes span 3 cache lines.
+        assert_eq!(stats.get(Metric::PmFences), 1);
     }
 
     #[test]
@@ -674,12 +577,11 @@ mod tests {
     #[test]
     fn pwb_variants_have_distinct_costs() {
         let cost = CostModel::eml_sgx_pm();
-        let mk = |pwb| {
+        let mk = |pwb: PwbKind| {
             let clock = SimClock::new();
             let pool = PmemPool::builder(4096)
                 .clock(Arc::clone(&clock))
-                .cost_model(cost.clone())
-                .pwb(pwb)
+                .cost_model(pwb.cost_model(&cost))
                 .build()
                 .unwrap();
             pool.persist(0, &[0u8; 512]).unwrap();
@@ -688,37 +590,7 @@ mod tests {
         };
         let clflush = mk(PwbKind::ClflushNop);
         let clflushopt = mk(PwbKind::ClflushOptSfence);
-        let clwb = mk(PwbKind::ClwbSfence);
         assert!(clflush > clflushopt, "{clflush} vs {clflushopt}");
-        assert!(clflushopt > clwb, "{clflushopt} vs {clwb}");
-    }
-
-    #[test]
-    fn file_backing_survives_reopen() {
-        let dir = std::env::temp_dir().join(format!("plinius-pmem-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("pool.pm");
-        let _ = std::fs::remove_file(&path);
-        {
-            let pool = PmemPool::builder(1024).file_backing(&path).build().unwrap();
-            pool.persist(64, b"persisted across processes").unwrap();
-            pool.sync_backing_file().unwrap();
-        }
-        let reopened = PmemPool::builder(1024).file_backing(&path).build().unwrap();
-        assert_eq!(
-            reopened.read_vec(64, 26).unwrap(),
-            b"persisted across processes"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn sync_without_backing_file_errors() {
-        let pool = PmemPool::new(64).unwrap();
-        assert_eq!(
-            pool.sync_backing_file().unwrap_err(),
-            PmemError::NoBackingFile
-        );
     }
 
     #[test]
@@ -737,11 +609,11 @@ mod tests {
         let media = pool.media_snapshot();
         assert_eq!(&media[..300], &[7u8; 300]);
         assert_eq!(&media[4000..4300], &[8u8; 300]);
-        // The write-backs and the fence are charged like any others: both counter views
-        // agree and the clock moves.
-        let stats = pool.pool_stats();
-        assert_eq!(stats.flushes, pool.stats_registry().value("pm.flushes"));
-        assert_eq!(stats.fences, pool.stats_registry().value("pm.fences"));
+        // The write-backs and the fence are charged like any others: one per dirty line
+        // (5 + 6), one fence, and the clock moves.
+        let stats = pool.stats_registry();
+        assert_eq!(stats.get(Metric::PmFlushes), 11);
+        assert_eq!(stats.get(Metric::PmFences), 1);
         assert!(clock.now_ns() > before);
     }
 

@@ -163,7 +163,6 @@ proptest! {
             split.read_vec(0, TWIN_POOL).unwrap()
         );
         prop_assert_eq!(fused.dirty_lines(), split.dirty_lines());
-        prop_assert_eq!(fused.pool_stats(), split.pool_stats());
         prop_assert_eq!(
             fused.stats_registry().snapshot(),
             split.stats_registry().snapshot()

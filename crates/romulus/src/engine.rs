@@ -623,19 +623,6 @@ impl<'a> Tx<'a> {
         Ok(PmPtr::from_offset(aligned))
     }
 
-    /// Marks a previously allocated object as free.
-    ///
-    /// The persistent allocator is a bump allocator (sufficient for Plinius' allocation
-    /// pattern, which allocates the mirror model once and reuses it across iterations),
-    /// so freeing only records statistics; it does not make the space reusable.
-    pub fn free(&mut self, _ptr: PmPtr) {
-        self.engine
-            .pool
-            .stats_registry()
-            .counter("romulus.frees")
-            .incr();
-    }
-
     /// Stores `data` at `ptr`, with store interposition (write-back + redo-log entry).
     ///
     /// # Errors
@@ -729,6 +716,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use sim_clock::Metric;
 
     fn engine(region: usize) -> Romulus {
         let pool = PmemPool::new(HEADER_SIZE + 2 * region).unwrap();
@@ -1055,7 +1043,8 @@ mod tests {
         // Romulus' selling point: a bounded number of fences per transaction regardless
         // of transaction size (plus the per-store write-backs).
         let rom = engine(64 * 1024);
-        let fences_before = rom.pool().pool_stats().fences;
+        let fences = || rom.pool().stats_registry().get(Metric::PmFences);
+        let fences_before = fences();
         rom.transaction(|tx| {
             let p = tx.alloc(8 * 512)?;
             for i in 0..512u64 {
@@ -1064,7 +1053,7 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        let fences_used = rom.pool().pool_stats().fences - fences_before;
+        let fences_used = fences() - fences_before;
         assert!(fences_used <= 5, "used {fences_used} fences");
     }
 }

@@ -100,8 +100,7 @@ pub fn run_sps(
 ) -> Result<SpsResult, RomulusError> {
     let region = config.array_bytes + 4096;
     let pool = PmemPool::builder(256 + 2 * region)
-        .cost_model(cost.clone())
-        .pwb(config.pwb)
+        .cost_model(config.pwb.cost_model(cost))
         .clock(match flavor.enclave() {
             Some(enclave) => enclave.clock(),
             None => sim_clock::SimClock::new(),

@@ -137,7 +137,7 @@ impl DataOwner {
         }
         // Secure-channel transfer of the key into trusted memory (an ecall).
         let key = self.model_key.clone();
-        enclave.ecall("provision_key", || {
+        enclave.ecall(|| {
             enclave.store_key(key_name, key);
         })?;
         Ok(())
@@ -193,7 +193,7 @@ mod tests {
         let provisioned = enclave.key("model-key").unwrap();
         assert_eq!(provisioned.as_bytes(), owner.model_key().as_bytes());
         // The transfer went through an ecall.
-        assert_eq!(enclave.stats().value("sgx.ecall.provision_key"), 1);
+        assert_eq!(enclave.ecall_count(), 1);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use parking_lot::Mutex;
 use plinius_crypto::{AesGcm, CryptoError, EnginePolicy, Key, SealedBuffer, Sha256};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use sim_clock::{ClockHandle, CostModel, StatsHandle};
+use sim_clock::{ClockHandle, CostModel, Metric, StatsHandle};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -222,15 +222,11 @@ impl Enclave {
     /// # Errors
     ///
     /// Returns [`SgxError::EnclaveDestroyed`] if the enclave has been destroyed.
-    pub fn ecall<R>(&self, name: &str, f: impl FnOnce() -> R) -> Result<R, SgxError> {
+    pub fn ecall<R>(&self, f: impl FnOnce() -> R) -> Result<R, SgxError> {
         if self.is_destroyed() {
             return Err(SgxError::EnclaveDestroyed);
         }
-        self.inner.stats.counter("sgx.ecalls").incr();
-        self.inner
-            .stats
-            .counter(&format!("sgx.ecall.{name}"))
-            .incr();
+        self.inner.stats.add(Metric::SgxEcalls, 1);
         self.inner
             .clock
             .advance_ns(self.inner.cost.enclave_transition_ns());
@@ -246,15 +242,11 @@ impl Enclave {
     /// # Errors
     ///
     /// Returns [`SgxError::EnclaveDestroyed`] if the enclave has been destroyed.
-    pub fn ocall<R>(&self, name: &str, f: impl FnOnce() -> R) -> Result<R, SgxError> {
+    pub fn ocall<R>(&self, f: impl FnOnce() -> R) -> Result<R, SgxError> {
         if self.is_destroyed() {
             return Err(SgxError::EnclaveDestroyed);
         }
-        self.inner.stats.counter("sgx.ocalls").incr();
-        self.inner
-            .stats
-            .counter(&format!("sgx.ocall.{name}"))
-            .incr();
+        self.inner.stats.add(Metric::SgxOcalls, 1);
         self.inner
             .clock
             .advance_ns(self.inner.cost.enclave_transition_ns());
@@ -267,12 +259,12 @@ impl Enclave {
 
     /// Number of ecalls performed so far.
     pub fn ecall_count(&self) -> u64 {
-        self.inner.stats.value("sgx.ecalls")
+        self.inner.stats.get(Metric::SgxEcalls)
     }
 
     /// Number of ocalls performed so far.
     pub fn ocall_count(&self) -> u64 {
-        self.inner.stats.value("sgx.ocalls")
+        self.inner.stats.get(Metric::SgxOcalls)
     }
 
     // ---------------------------------------------------------------- trusted memory
@@ -336,7 +328,7 @@ impl Enclave {
     pub fn charge_crypto(&self, bytes: u64) {
         let ns = self.inner.cost.crypto_ns(bytes, self.working_set());
         self.inner.clock.advance_ns(ns);
-        self.inner.stats.counter("sgx.crypto_bytes").add(bytes);
+        self.inner.stats.add(Metric::SgxCryptoBytes, bytes);
         self.maybe_count_paging(bytes);
     }
 
@@ -349,7 +341,7 @@ impl Enclave {
     /// their sum.
     pub fn charge_crypto_offline(&self, bytes: u64) -> u64 {
         let ns = self.inner.cost.crypto_ns(bytes, self.working_set());
-        self.inner.stats.counter("sgx.crypto_bytes").add(bytes);
+        self.inner.stats.add(Metric::SgxCryptoBytes, bytes);
         self.maybe_count_paging(bytes);
         ns
     }
@@ -358,7 +350,7 @@ impl Enclave {
     pub fn charge_pm_read(&self, bytes: u64) {
         let ns = self.inner.cost.pm_read_ns(bytes, self.working_set());
         self.inner.clock.advance_ns(ns);
-        self.inner.stats.counter("sgx.pm_read_bytes").add(bytes);
+        self.inner.stats.add(Metric::SgxPmReadBytes, bytes);
         self.maybe_count_paging(bytes);
     }
 
@@ -366,7 +358,7 @@ impl Enclave {
     pub fn charge_pm_write(&self, bytes: u64) {
         let ns = self.inner.cost.pm_write_ns(bytes);
         self.inner.clock.advance_ns(ns);
-        self.inner.stats.counter("sgx.pm_write_bytes").add(bytes);
+        self.inner.stats.add(Metric::SgxPmWriteBytes, bytes);
     }
 
     /// Charges `flops` floating-point operations of in-enclave training compute.
@@ -374,7 +366,7 @@ impl Enclave {
         self.inner
             .clock
             .advance_ns(self.inner.cost.enclave_compute_ns(flops));
-        self.inner.stats.counter("sgx.flops").add(flops);
+        self.inner.stats.add(Metric::SgxFlops, flops);
     }
 
     /// Charges the cost of staging `bytes` of training data into the enclave
@@ -383,16 +375,13 @@ impl Enclave {
         self.inner
             .clock
             .advance_ns(self.inner.cost.data_staging_ns(bytes));
-        self.inner.stats.counter("sgx.staged_bytes").add(bytes);
+        self.inner.stats.add(Metric::SgxStagedBytes, bytes);
     }
 
     fn maybe_count_paging(&self, bytes: u64) {
         if self.inner.cost.sgx_hardware && self.beyond_epc() {
             // One EPC page swap per 4 KB touched while beyond the limit.
-            self.inner
-                .stats
-                .counter("sgx.epc_page_swaps")
-                .add(bytes / 4096);
+            self.inner.stats.add(Metric::SgxEpcPageSwaps, bytes / 4096);
         }
     }
 
@@ -549,13 +538,12 @@ mod tests {
             .cost_model(CostModel::sgx_eml_pm())
             .build();
         let t = enclave.cost_model().enclave_transition_ns();
-        enclave.ecall("train", || ()).unwrap();
+        enclave.ecall(|| ()).unwrap();
         assert_eq!(clock.now_ns(), 2 * t);
-        enclave.ocall("load_data", || ()).unwrap();
+        enclave.ocall(|| ()).unwrap();
         assert_eq!(clock.now_ns(), 4 * t);
         assert_eq!(enclave.ecall_count(), 1);
         assert_eq!(enclave.ocall_count(), 1);
-        assert_eq!(enclave.stats().value("sgx.ecall.train"), 1);
     }
 
     #[test]
@@ -566,11 +554,11 @@ mod tests {
         assert!(enclave.is_destroyed());
         assert!(enclave.key("model").is_none());
         assert_eq!(
-            enclave.ecall("x", || ()).unwrap_err(),
+            enclave.ecall(|| ()).unwrap_err(),
             SgxError::EnclaveDestroyed
         );
         assert_eq!(
-            enclave.ocall("x", || ()).unwrap_err(),
+            enclave.ocall(|| ()).unwrap_err(),
             SgxError::EnclaveDestroyed
         );
     }
@@ -623,7 +611,7 @@ mod tests {
         enclave.charge_crypto(bytes);
         let beyond = clock.now_ns();
         assert!(beyond > 2 * below, "below={below} beyond={beyond}");
-        assert!(enclave.stats().value("sgx.epc_page_swaps") > 0);
+        assert!(enclave.stats().get(Metric::SgxEpcPageSwaps) > 0);
     }
 
     #[test]
@@ -642,7 +630,7 @@ mod tests {
         clock.reset();
         enclave.charge_crypto(bytes);
         assert_eq!(clock.now_ns(), below);
-        assert_eq!(enclave.stats().value("sgx.epc_page_swaps"), 0);
+        assert_eq!(enclave.stats().get(Metric::SgxEpcPageSwaps), 0);
     }
 
     #[test]

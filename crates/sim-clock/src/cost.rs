@@ -77,7 +77,7 @@ pub struct CostModel {
     pub pm_write_ns_per_byte: f64,
     /// Reading from PM into enclave memory, ns per byte.
     pub pm_read_ns_per_byte: f64,
-    /// Per cache-line flush (CLFLUSH/CLFLUSHOPT/CLWB) latency in ns.
+    /// Per cache-line write-back (CLFLUSHOPT) latency in ns.
     pub pm_flush_ns: u64,
     /// Persistence fence (SFENCE) latency in ns.
     pub pm_fence_ns: u64,

@@ -41,7 +41,7 @@ pub mod stats;
 
 pub use cost::{CostModel, DeviceKind, ServerProfile};
 pub use latency::{LatencyHistogram, LatencySummary};
-pub use stats::{Counter, StatsHandle, StatsRegistry};
+pub use stats::{Metric, StatsHandle, StatsRegistry};
 
 /// A monotonically increasing simulated nanosecond counter.
 ///

@@ -1,119 +1,123 @@
-//! Lightweight named counters used by the substrates to expose event statistics
-//! (enclave transitions, EPC page swaps, cache-line flushes, fsyncs, bytes moved).
+//! The event counters the substrates expose (enclave transitions, EPC page swaps,
+//! cache-line flushes, fsyncs, bytes moved): one fixed table indexed by [`Metric`].
 //!
 //! Harness binaries read these counters to report the breakdowns of Table I and to
 //! sanity-check that the simulated code paths actually executed (e.g. that an
 //! SSD checkpoint really issued an `fsync` per write).
 
-use parking_lot::RwLock;
-use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A single monotonically increasing event counter.
-#[derive(Debug, Default)]
-pub struct Counter {
-    value: AtomicU64,
+/// Declares [`Metric`], its table order and its names from one list.
+macro_rules! metrics {
+    ($($(#[doc = $doc:literal])* $variant:ident = $name:literal,)*) => {
+        /// One counter of the [`StatsRegistry`] table.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Metric {
+            $($(#[doc = $doc])* $variant,)*
+        }
+
+        impl Metric {
+            /// Every metric, in table order.
+            pub const ALL: &'static [Metric] = &[$(Metric::$variant),*];
+
+            /// The counter's name, such as `"pm.fences"`.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $(Metric::$variant => $name,)*
+                }
+            }
+        }
+    };
 }
 
-impl Counter {
-    /// Creates a counter starting at zero.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Counter::default())
-    }
-
-    /// Increments the counter by one.
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n` to the counter.
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Returns the current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// Resets the counter to zero.
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
+// Listed in name order, so that a snapshot is sorted by name.
+metrics! {
+    /// Bytes read from the SSD.
+    FsBytesRead = "fs.bytes_read",
+    /// Bytes written to the SSD.
+    FsBytesWritten = "fs.bytes_written",
+    /// `fsync`s issued on the SSD.
+    FsFsyncs = "fs.fsyncs",
+    /// Mirror reads retried because the header moved during the read.
+    MirrorTornReadRetries = "mirror.torn_read_retries",
+    /// Bytes read from PM.
+    PmBytesRead = "pm.bytes_read",
+    /// Bytes stored to PM, by bare writes and persists.
+    PmBytesWritten = "pm.bytes_written",
+    /// Crashes injected into a PM pool.
+    PmCrashes = "pm.crashes",
+    /// Persistence fences issued.
+    PmFences = "pm.fences",
+    /// Cache-line write-backs issued.
+    PmFlushes = "pm.flushes",
+    /// Bytes of AES-GCM work inside the enclave.
+    SgxCryptoBytes = "sgx.crypto_bytes",
+    /// Enclave entries.
+    SgxEcalls = "sgx.ecalls",
+    /// EPC page swaps: one per 4 KiB touched while the working set exceeds the EPC.
+    SgxEpcPageSwaps = "sgx.epc_page_swaps",
+    /// Floating-point operations of in-enclave compute.
+    SgxFlops = "sgx.flops",
+    /// Enclave exits to the untrusted runtime.
+    SgxOcalls = "sgx.ocalls",
+    /// Bytes copied from PM into the enclave.
+    SgxPmReadBytes = "sgx.pm_read_bytes",
+    /// Bytes written from the enclave out to PM.
+    SgxPmWriteBytes = "sgx.pm_write_bytes",
+    /// Bytes of training data staged into the enclave.
+    SgxStagedBytes = "sgx.staged_bytes",
 }
 
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.get())
-    }
-}
-
-/// A registry of named [`Counter`]s shared across simulation components.
+/// The counter table shared across simulation components: one atomic per [`Metric`].
 ///
 /// # Example
 ///
 /// ```
-/// use sim_clock::StatsRegistry;
+/// use sim_clock::{Metric, StatsRegistry};
 ///
 /// let stats = StatsRegistry::new();
-/// stats.counter("ecalls").incr();
-/// stats.counter("ecalls").add(2);
-/// assert_eq!(stats.value("ecalls"), 3);
-/// assert_eq!(stats.value("never-touched"), 0);
+/// stats.add(Metric::SgxEcalls, 1);
+/// stats.add(Metric::SgxEcalls, 2);
+/// assert_eq!(stats.get(Metric::SgxEcalls), 3);
+/// assert_eq!(stats.value("sgx.ecalls"), 3);
+/// assert_eq!(stats.value("never-counted"), 0);
 /// ```
 #[derive(Debug, Default)]
 pub struct StatsRegistry {
-    counters: RwLock<BTreeMap<String, Arc<Counter>>>,
+    counters: [AtomicU64; Metric::ALL.len()],
 }
 
 /// Shared handle to a [`StatsRegistry`].
 pub type StatsHandle = Arc<StatsRegistry>;
 
 impl StatsRegistry {
-    /// Creates an empty registry wrapped in an [`Arc`].
+    /// Creates a table of zeros wrapped in an [`Arc`].
     pub fn new() -> StatsHandle {
         Arc::new(StatsRegistry::default())
     }
 
-    /// Returns (creating on first use) the counter with the given name.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        if let Some(c) = self.counters.read().get(name) {
-            return Arc::clone(c);
-        }
-        let mut guard = self.counters.write();
-        Arc::clone(guard.entry(name.to_owned()).or_default())
+    /// Adds `n` to `metric`.
+    pub fn add(&self, metric: Metric, n: u64) {
+        self.counters[metric as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Convenience: current value of a counter, zero if it was never created.
+    /// Current value of `metric`.
+    pub fn get(&self, metric: Metric) -> u64 {
+        self.counters[metric as usize].load(Ordering::Relaxed)
+    }
+
+    /// Current value of the counter named `name`; zero for a name outside the table.
     pub fn value(&self, name: &str) -> u64 {
-        self.counters.read().get(name).map(|c| c.get()).unwrap_or(0)
-    }
-
-    /// Resets every counter in the registry to zero.
-    pub fn reset_all(&self) {
-        for c in self.counters.read().values() {
-            c.reset();
-        }
-    }
-
-    /// Returns a snapshot of every counter, sorted by name.
-    pub fn snapshot(&self) -> Vec<(String, u64)> {
-        self.counters
-            .read()
+        Metric::ALL
             .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect()
+            .find(|m| m.name() == name)
+            .map_or(0, |&m| self.get(m))
     }
-}
 
-impl fmt::Display for StatsRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (name, value) in self.snapshot() {
-            writeln!(f, "{name}: {value}")?;
-        }
-        Ok(())
+    /// Every metric with its current value, in table order.
+    pub fn snapshot(&self) -> [(Metric, u64); Metric::ALL.len()] {
+        std::array::from_fn(|i| (Metric::ALL[i], self.get(Metric::ALL[i])))
     }
 }
 
@@ -122,69 +126,49 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_basics() {
-        let c = Counter::new();
-        assert_eq!(c.get(), 0);
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        c.reset();
-        assert_eq!(c.get(), 0);
-        assert_eq!(c.to_string(), "0");
-    }
-
-    #[test]
-    fn registry_returns_same_counter_for_same_name() {
+    fn every_metric_reads_back_through_its_name() {
         let stats = StatsRegistry::new();
-        let a = stats.counter("flushes");
-        let b = stats.counter("flushes");
-        a.add(5);
-        assert_eq!(b.get(), 5);
-        assert_eq!(stats.value("flushes"), 5);
+        for (i, &metric) in Metric::ALL.iter().enumerate() {
+            assert_eq!(metric as usize, i, "{metric:?} is out of table order");
+            stats.add(metric, i as u64 + 1);
+        }
+        for (i, &metric) in Metric::ALL.iter().enumerate() {
+            assert_eq!(stats.value(metric.name()), i as u64 + 1, "{metric:?}");
+        }
     }
 
     #[test]
     fn unknown_counter_reads_zero() {
         let stats = StatsRegistry::new();
+        stats.add(Metric::PmFences, 1);
         assert_eq!(stats.value("missing"), 0);
-    }
-
-    #[test]
-    fn reset_all_clears_everything() {
-        let stats = StatsRegistry::new();
-        stats.counter("a").add(1);
-        stats.counter("b").add(2);
-        stats.reset_all();
-        assert_eq!(stats.value("a"), 0);
-        assert_eq!(stats.value("b"), 0);
+        assert_eq!(stats.value("pm"), 0);
     }
 
     #[test]
     fn snapshot_is_sorted_by_name() {
         let stats = StatsRegistry::new();
-        stats.counter("zeta").add(1);
-        stats.counter("alpha").add(2);
+        stats.add(Metric::SgxStagedBytes, 1);
+        stats.add(Metric::FsBytesRead, 2);
         let snap = stats.snapshot();
-        assert_eq!(snap[0].0, "alpha");
-        assert_eq!(snap[1].0, "zeta");
-        assert!(stats.to_string().contains("alpha: 2"));
+        assert_eq!(snap[0], (Metric::FsBytesRead, 2));
+        assert_eq!(snap[snap.len() - 1], (Metric::SgxStagedBytes, 1));
+        // Strictly ascending, so no two metrics share a name.
+        assert!(snap.windows(2).all(|w| w[0].0.name() < w[1].0.name()));
     }
 
     #[test]
     fn concurrent_increments_do_not_lose_updates() {
         let stats = StatsRegistry::new();
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let s = Arc::clone(&stats);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1_000 {
-                    s.counter("shared").incr();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(stats.value("shared"), 8_000);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for _ in 0..1_000 {
+                        stats.add(Metric::PmFences, 1);
+                    }
+                });
+            }
+        });
+        assert_eq!(stats.get(Metric::PmFences), 8_000);
     }
 }

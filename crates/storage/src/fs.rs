@@ -1,110 +1,49 @@
-//! An in-memory simulated file system with a storage-device cost model.
+//! An in-memory simulated file system with an SSD cost model.
 //!
 //! The paper's SSD baseline issues `fwrite` calls through ocalls, flushes the libc
 //! buffers and calls `fsync` after every write to make sure the checkpoint really is on
-//! the device. [`SimFileSystem`] reproduces that interface (create/write/read/fsync) and
-//! charges the corresponding device costs to the shared simulation clock.
+//! the device. [`SimFileSystem`] reproduces that interface (create/write/read/fsync),
+//! charges the corresponding device costs to the shared simulation clock and counts the
+//! traffic in the `fs.*` counters of the shared statistics table.
 
 use crate::StorageError;
 use parking_lot::Mutex;
-use sim_clock::{ClockHandle, CostModel, SimClock, StatsHandle, StatsRegistry};
+use sim_clock::{ClockHandle, CostModel, Metric, SimClock, StatsHandle, StatsRegistry};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Which secondary-storage device the simulated file system sits on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum StorageProfile {
-    /// SATA/NVMe SSD behind Ext4 (the paper's baseline device).
-    #[default]
-    Ssd,
-    /// Spinning disk: an order of magnitude slower writes and much slower fsyncs.
-    Hdd,
-}
-
-impl StorageProfile {
-    /// Multiplier applied to the cost model's SSD bandwidth costs.
-    fn bandwidth_factor(&self) -> f64 {
-        match self {
-            StorageProfile::Ssd => 1.0,
-            StorageProfile::Hdd => 4.0,
-        }
-    }
-
-    /// Multiplier applied to the cost model's fsync latency.
-    fn fsync_factor(&self) -> u64 {
-        match self {
-            StorageProfile::Ssd => 1,
-            StorageProfile::Hdd => 8,
-        }
-    }
-}
-
-/// Per-file-system activity counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FileStats {
-    /// Bytes written.
-    pub bytes_written: u64,
-    /// Bytes read.
-    pub bytes_read: u64,
-    /// Number of fsync calls.
-    pub fsyncs: u64,
-    /// Number of files deleted.
-    pub deletes: u64,
-}
-
-struct Inner {
-    files: HashMap<String, Vec<u8>>,
-    stats: FileStats,
-}
-
-/// An in-memory file system with modeled device latencies. Cloning yields another handle
+/// An in-memory file system with modeled SSD latencies. Cloning yields another handle
 /// to the same file system.
 #[derive(Clone)]
 pub struct SimFileSystem {
-    inner: Arc<Mutex<Inner>>,
+    files: Arc<Mutex<HashMap<String, Vec<u8>>>>,
     clock: ClockHandle,
     stats: StatsHandle,
     cost: Arc<CostModel>,
-    profile: StorageProfile,
 }
 
 impl std::fmt::Debug for SimFileSystem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimFileSystem")
-            .field("files", &self.inner.lock().files.len())
-            .field("profile", &self.profile)
+            .field("files", &self.files.lock().len())
             .finish()
     }
 }
 
 impl SimFileSystem {
-    /// Creates an empty file system with default settings (SSD profile, fresh clock).
+    /// Creates an empty file system with default settings (fresh clock and statistics).
     pub fn new() -> Self {
-        Self::with_settings(
-            CostModel::default(),
-            StorageProfile::Ssd,
-            SimClock::new(),
-            StatsRegistry::new(),
-        )
+        Self::with_settings(CostModel::default(), SimClock::new(), StatsRegistry::new())
     }
 
-    /// Creates a file system with an explicit cost model, device profile and shared
-    /// clock/statistics handles.
-    pub fn with_settings(
-        cost: CostModel,
-        profile: StorageProfile,
-        clock: ClockHandle,
-        stats: StatsHandle,
-    ) -> Self {
+    /// Creates a file system with an explicit cost model and shared clock/statistics
+    /// handles.
+    pub fn with_settings(cost: CostModel, clock: ClockHandle, stats: StatsHandle) -> Self {
         SimFileSystem {
-            inner: Arc::new(Mutex::new(Inner {
-                files: HashMap::new(),
-                stats: FileStats::default(),
-            })),
+            files: Arc::new(Mutex::new(HashMap::new())),
             clock,
             stats,
             cost: Arc::new(cost),
-            profile,
         }
     }
 
@@ -118,22 +57,16 @@ impl SimFileSystem {
     /// a disk that survived the previous one.
     pub fn rebound(&self, clock: ClockHandle, stats: StatsHandle) -> SimFileSystem {
         SimFileSystem {
-            inner: Arc::clone(&self.inner),
+            files: Arc::clone(&self.files),
             clock,
             stats,
             cost: Arc::clone(&self.cost),
-            profile: self.profile,
         }
-    }
-
-    /// The device profile of this file system.
-    pub fn profile(&self) -> StorageProfile {
-        self.profile
     }
 
     /// Whether `path` exists.
     pub fn exists(&self, path: &str) -> bool {
-        self.inner.lock().files.contains_key(path)
+        self.files.lock().contains_key(path)
     }
 
     /// Size of `path` in bytes.
@@ -142,9 +75,8 @@ impl SimFileSystem {
     ///
     /// Returns [`StorageError::NotFound`] if the file does not exist.
     pub fn file_size(&self, path: &str) -> Result<usize, StorageError> {
-        self.inner
+        self.files
             .lock()
-            .files
             .get(path)
             .map(|f| f.len())
             .ok_or_else(|| StorageError::NotFound(path.to_owned()))
@@ -152,27 +84,20 @@ impl SimFileSystem {
 
     /// Creates (or truncates) `path`.
     pub fn create(&self, path: &str) {
-        self.inner.lock().files.insert(path.to_owned(), Vec::new());
+        self.files.lock().insert(path.to_owned(), Vec::new());
     }
 
     /// Appends `data` to `path`, creating the file if needed (the `fwrite` of the
     /// baseline). Charges the device's per-byte write cost.
     pub fn write(&self, path: &str, data: &[u8]) {
-        let mut inner = self.inner.lock();
-        inner
-            .files
+        self.files
+            .lock()
             .entry(path.to_owned())
             .or_default()
             .extend_from_slice(data);
-        inner.stats.bytes_written += data.len() as u64;
-        drop(inner);
-        let ns = (self.cost.ssd_write_ns(data.len() as u64) as f64
-            * self.profile.bandwidth_factor())
-        .round() as u64;
-        self.clock.advance_ns(ns);
-        self.stats
-            .counter("fs.bytes_written")
-            .add(data.len() as u64);
+        self.clock
+            .advance_ns(self.cost.ssd_write_ns(data.len() as u64));
+        self.stats.add(Metric::FsBytesWritten, data.len() as u64);
     }
 
     /// Reads `len` bytes at `offset` from `path` (the `fread` of the baseline). Charges
@@ -182,9 +107,8 @@ impl SimFileSystem {
     ///
     /// Returns [`StorageError::NotFound`] or [`StorageError::ShortRead`].
     pub fn read(&self, path: &str, offset: usize, len: usize) -> Result<Vec<u8>, StorageError> {
-        let mut inner = self.inner.lock();
-        let file = inner
-            .files
+        let files = self.files.lock();
+        let file = files
             .get(path)
             .ok_or_else(|| StorageError::NotFound(path.to_owned()))?;
         if offset + len > file.len() {
@@ -196,12 +120,9 @@ impl SimFileSystem {
             });
         }
         let data = file[offset..offset + len].to_vec();
-        inner.stats.bytes_read += len as u64;
-        drop(inner);
-        let ns = (self.cost.ssd_read_ns(len as u64, 0) as f64 * self.profile.bandwidth_factor())
-            .round() as u64;
-        self.clock.advance_ns(ns);
-        self.stats.counter("fs.bytes_read").add(len as u64);
+        drop(files);
+        self.clock.advance_ns(self.cost.ssd_read_ns(len as u64, 0));
+        self.stats.add(Metric::FsBytesRead, len as u64);
         Ok(data)
     }
 
@@ -221,36 +142,22 @@ impl SimFileSystem {
     ///
     /// Returns [`StorageError::NotFound`] if the file does not exist.
     pub fn fsync(&self, path: &str) -> Result<(), StorageError> {
-        let mut inner = self.inner.lock();
-        if !inner.files.contains_key(path) {
+        if !self.exists(path) {
             return Err(StorageError::NotFound(path.to_owned()));
         }
-        inner.stats.fsyncs += 1;
-        drop(inner);
-        self.clock
-            .advance_ns(self.cost.ssd_fsync() * self.profile.fsync_factor());
-        self.stats.counter("fs.fsyncs").incr();
+        self.clock.advance_ns(self.cost.ssd_fsync());
+        self.stats.add(Metric::FsFsyncs, 1);
         Ok(())
     }
 
     /// Deletes `path` if it exists; returns whether it did.
     pub fn delete(&self, path: &str) -> bool {
-        let mut inner = self.inner.lock();
-        let removed = inner.files.remove(path).is_some();
-        if removed {
-            inner.stats.deletes += 1;
-        }
-        removed
-    }
-
-    /// Activity counters since creation.
-    pub fn file_stats(&self) -> FileStats {
-        self.inner.lock().stats
+        self.files.lock().remove(path).is_some()
     }
 
     /// Names of all files, sorted.
     pub fn list(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.inner.lock().files.keys().cloned().collect();
+        let mut names: Vec<String> = self.files.lock().keys().cloned().collect();
         names.sort();
         names
     }
@@ -301,41 +208,23 @@ mod tests {
         assert!(fs.delete("f"));
         assert!(!fs.delete("f"));
         assert!(!fs.exists("f"));
-        assert_eq!(fs.file_stats().deletes, 1);
     }
 
     #[test]
     fn costs_are_charged_to_the_clock() {
         let clock = SimClock::new();
+        let stats = StatsRegistry::new();
         let fs = SimFileSystem::with_settings(
             CostModel::sgx_eml_pm(),
-            StorageProfile::Ssd,
             Arc::clone(&clock),
-            StatsRegistry::new(),
+            Arc::clone(&stats),
         );
         fs.write("ckpt", &vec![0u8; 1024 * 1024]);
         let after_write = clock.now_ns();
         assert!(after_write > 1_000_000, "1 MB SSD write should cost > 1 ms");
         fs.fsync("ckpt").unwrap();
         assert!(clock.now_ns() >= after_write + CostModel::sgx_eml_pm().ssd_fsync());
-        assert_eq!(fs.file_stats().fsyncs, 1);
-    }
-
-    #[test]
-    fn hdd_is_slower_than_ssd() {
-        let run = |profile| {
-            let clock = SimClock::new();
-            let fs = SimFileSystem::with_settings(
-                CostModel::sgx_eml_pm(),
-                profile,
-                Arc::clone(&clock),
-                StatsRegistry::new(),
-            );
-            fs.write("f", &vec![0u8; 1 << 20]);
-            fs.fsync("f").unwrap();
-            clock.now_ns()
-        };
-        assert!(run(StorageProfile::Hdd) > 2 * run(StorageProfile::Ssd));
+        assert_eq!(stats.get(Metric::FsFsyncs), 1);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! # plinius-storage
 //!
 //! The secondary-storage substrate of the reproduction: a simulated file system backed by
-//! an SSD (or HDD) cost model. The Plinius crate builds the SSD checkpointing baseline of
-//! Fig. 7 / Table I ("traditional checkpointing on secondary storage") on top of this:
-//! the enclave seals the model in the same format as its PM mirror, then issues
-//! `fwrite`/`fsync` ocalls that land here.
+//! an SSD cost model, whose traffic the `fs.*` counters of the shared
+//! [`sim_clock::StatsRegistry`] count. The Plinius crate builds the SSD checkpointing
+//! baseline of Fig. 7 / Table I ("traditional checkpointing on secondary storage") on
+//! top of this: the enclave seals the model in the same format as its PM mirror, then
+//! issues `fwrite`/`fsync` ocalls that land here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,7 +15,7 @@ use std::fmt;
 
 pub mod fs;
 
-pub use fs::{FileStats, SimFileSystem, StorageProfile};
+pub use fs::SimFileSystem;
 
 /// Errors produced by the storage substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]
