@@ -1,6 +1,8 @@
 //! Shared harness code for regenerating the tables and figures of the Plinius paper.
 //! Each `src/bin/*` binary prints one figure/table.
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 
 pub use cli::{BenchArgs, RunMode};
@@ -421,7 +423,7 @@ pub fn print_pipeline_point(profile: &str, p: &PipelinePoint) {
 }
 
 /// One point of the wall-clock AEAD-engine sweep: the dispatcher-selected engine
-/// (AES-NI + PCLMUL on capable hosts, T-table AES + Shoup GHASH otherwise, per
+/// (the widest hardware kernels, or T-table AES + Shoup GHASH otherwise, per
 /// `PLINIUS_CRYPTO`/`--crypto`) versus the retained reference kernels, on one buffer
 /// size. Appended to the fig7/table1 reports so the crypto speedup that drives the
 /// real-hardware encryption share is visible next to the simulated numbers.
@@ -429,7 +431,8 @@ pub fn print_pipeline_point(profile: &str, p: &PipelinePoint) {
 pub struct AeadPoint {
     /// Buffer size in bytes.
     pub size: usize,
-    /// Name of the engine the fast lanes ran on (`"aesni+pclmul"`, `"scalar"`, …).
+    /// Name of the engine the fast lanes ran on (`"vaes+vpclmul"`, `"aesni+pclmul"`
+    /// or `"scalar"`).
     pub engine: &'static str,
     /// Reference kernels (byte-wise AES, bit-serial GHASH), MiB/s.
     pub reference_mib_s: f64,

@@ -1,8 +1,9 @@
 //! AES-NI block engine: hardware AES rounds (`AESENC`/`AESENCLAST`) driving an
 //! interleaved multi-block CTR keystream.
 //!
-//! This is one of the two modules in the crate allowed to contain `unsafe` code
-//! (the other is [`crate::clmul`]); everything else stays `#![deny(unsafe_code)]`.
+//! This is one of the three modules in the crate allowed to contain `unsafe` code
+//! (the others are [`crate::clmul`] and [`crate::vaes`], which broadcasts this
+//! module's key schedule); everything else stays `#![deny(unsafe_code)]`.
 //!
 //! # Safety contract
 //!
@@ -43,7 +44,7 @@ use crate::dispatch::hw_available;
 use crate::gcm::counter_add;
 
 /// Maximum number of round keys (AES-256: 14 rounds + the initial whitening key).
-const MAX_ROUND_KEYS: usize = 15;
+pub(crate) const MAX_ROUND_KEYS: usize = 15;
 
 /// How many keystream blocks the wide CTR kernel produces per iteration.
 const WIDE_LANES: usize = 8;
@@ -94,6 +95,11 @@ impl AesNi {
         // SAFETY: `try_new` only constructs `AesNi` after runtime detection of
         // the `aes` feature, so the target-feature function below is supported.
         unsafe { self.ctr_xor_impl(counter, src, dst) }
+    }
+
+    /// The expanded schedule: `rounds + 1` round keys, whitening key first.
+    pub(crate) fn round_keys(&self) -> &[[u8; BLOCK_SIZE]] {
+        &self.rk[..=self.rounds]
     }
 
     /// Encrypts one block (used by tests to pin the hardware rounds against the

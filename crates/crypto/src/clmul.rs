@@ -2,8 +2,10 @@
 //! Karatsuba products and a two-phase polynomial reduction, aggregated four
 //! blocks at a time exactly like the scalar Shoup engine.
 //!
-//! This is one of the two modules in the crate allowed to contain `unsafe` code
-//! (the other is [`crate::aesarch`]); everything else stays `#![deny(unsafe_code)]`.
+//! This is one of the three modules in the crate allowed to contain `unsafe` code
+//! (the others are [`crate::aesarch`] and [`crate::vaes`], which reuses this
+//! module's register moves and reduction); everything else stays
+//! `#![deny(unsafe_code)]`.
 //!
 //! # Safety contract
 //!
@@ -142,16 +144,26 @@ impl std::fmt::Debug for ClmulGhash {
 
 /// Loads a `u128` into a register (low 64 bits in the low lane, i.e. the
 /// register *is* the integer).
+///
+/// # Safety
+///
+/// The CPU must support `pclmulqdq` (every caller runs behind a constructor that
+/// checked it).
 #[inline]
 #[target_feature(enable = "pclmulqdq")]
-unsafe fn load(x: u128) -> __m128i {
+pub(crate) unsafe fn load(x: u128) -> __m128i {
     _mm_set_epi64x((x >> 64) as i64, x as i64)
 }
 
 /// Inverse of [`load`].
+///
+/// # Safety
+///
+/// The CPU must support `pclmulqdq` (every caller runs behind a constructor that
+/// checked it).
 #[inline]
 #[target_feature(enable = "pclmulqdq")]
-unsafe fn store(v: __m128i) -> u128 {
+pub(crate) unsafe fn store(v: __m128i) -> u128 {
     let mut bytes = [0u8; BLOCK_SIZE];
     _mm_storeu_si128(bytes.as_mut_ptr().cast(), v);
     u128::from_le_bytes(bytes)
@@ -209,9 +221,14 @@ unsafe fn poly_r() -> __m128i {
 /// new low half) degrees 128..254 as an element. `Hg` is folded back twice via
 /// `x^128 ≡ x^7+x^2+x+1`, each fold a raw carry-less multiply by [`poly_r`]
 /// followed by the same shift-and-split.
+///
+/// # Safety
+///
+/// The CPU must support `pclmulqdq` (every caller runs behind a constructor that
+/// checked it).
 #[inline]
 #[target_feature(enable = "pclmulqdq")]
-unsafe fn reduce(lo: __m128i, hi: __m128i) -> __m128i {
+pub(crate) unsafe fn reduce(lo: __m128i, hi: __m128i) -> __m128i {
     let r = poly_r();
     let l = _mm_or_si128(shl1(hi), msb(lo));
     let mut hg = shl1(lo);

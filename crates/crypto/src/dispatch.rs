@@ -1,20 +1,24 @@
 //! Runtime selection of the AES-GCM engine.
 //!
-//! Two byte-for-byte identical engines back [`crate::AesGcm`]:
+//! Three byte-for-byte identical engines back [`crate::AesGcm`]:
 //!
+//! * **vector** ([`EngineKind::Vaes`]) — VAES CTR + VPCLMULQDQ GHASH, 16 blocks
+//!   per pass, on `x86_64` hosts whose CPU also reports `avx512f`,
+//!   `avx512bw`, `vaes` and `vpclmulqdq`;
 //! * **hardware** ([`EngineKind::Hw`]) — AES-NI CTR + PCLMUL GHASH, available on
 //!   `x86_64` hosts whose CPU reports the `aes` and `pclmulqdq` features at runtime;
 //! * **scalar** ([`EngineKind::Scalar`]) — the T-table AES + byte-indexed Shoup GHASH
 //!   engine, compiled and tested everywhere.
 //!
 //! The byte-wise AES + bit-serial GHASH kernels behind
-//! [`crate::AesGcm::encrypt_reference`] are the ground truth both engines are tested
+//! [`crate::AesGcm::encrypt_reference`] are the ground truth every engine is tested
 //! against; they are not a runtime choice.
 //!
-//! The policy defaults to [`EnginePolicy::Auto`] (hardware when detected, scalar
-//! otherwise) and can be overridden with the `PLINIUS_CRYPTO` environment variable.
+//! The policy defaults to [`EnginePolicy::Auto`] (the widest engine the CPU supports)
+//! and can be overridden with the `PLINIUS_CRYPTO` environment variable.
 //! An unset or unparsable value falls back to `auto`; the bench binaries' `--crypto`
 //! flag takes the same values through the same parser and rejects invalid ones.
+//! Tests pin one engine by value with [`crate::AesGcm::with_engine`] instead.
 
 use std::fmt;
 
@@ -25,7 +29,7 @@ pub const CRYPTO_ENV: &str = "PLINIUS_CRYPTO";
 /// [`crate::AesGcm`] construction via [`EnginePolicy::select`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EnginePolicy {
-    /// Hardware kernels when the CPU supports them, scalar otherwise (the default).
+    /// The widest engine the CPU supports, scalar last (the default).
     #[default]
     Auto,
     /// Force the scalar T-table/Shoup engine even on AES-NI-capable hosts.
@@ -55,6 +59,7 @@ impl EnginePolicy {
     /// Resolves the policy against the running CPU.
     pub fn select(self) -> EngineKind {
         match self {
+            EnginePolicy::Auto if vaes_available() => EngineKind::Vaes,
             EnginePolicy::Auto if hw_available() => EngineKind::Hw,
             EnginePolicy::Auto | EnginePolicy::Scalar => EngineKind::Scalar,
         }
@@ -73,6 +78,8 @@ impl fmt::Display for EnginePolicy {
 /// Which concrete engine an [`crate::AesGcm`] ended up with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
+    /// VAES CTR + VPCLMULQDQ GHASH over 512-bit registers.
+    Vaes,
     /// AES-NI block engine + carry-less-multiply GHASH.
     Hw,
     /// T-table AES + byte-indexed Shoup GHASH.
@@ -80,9 +87,13 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
+    /// Every engine, widest first: the order [`EnginePolicy::Auto`] prefers them in.
+    pub const ALL: [EngineKind; 3] = [EngineKind::Vaes, EngineKind::Hw, EngineKind::Scalar];
+
     /// Short label used in stats, bench output and reports.
     pub fn name(self) -> &'static str {
         match self {
+            EngineKind::Vaes => "vaes+vpclmul",
             EngineKind::Hw => "aesni+pclmul",
             EngineKind::Scalar => "scalar",
         }
@@ -102,6 +113,23 @@ pub fn hw_available() -> bool {
     {
         std::arch::is_x86_feature_detected!("aes")
             && std::arch::is_x86_feature_detected!("pclmulqdq")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Whether the vector kernels can run on this host: everything [`hw_available`]
+/// needs plus the `avx512f`, `avx512bw`, `vaes` and `vpclmulqdq` features.
+pub(crate) fn vaes_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        hw_available()
+            && std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("vaes")
+            && std::arch::is_x86_feature_detected!("vpclmulqdq")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -135,12 +163,11 @@ mod tests {
     #[test]
     fn explicit_policies_ignore_hardware_detection() {
         assert_eq!(EnginePolicy::Scalar.select(), EngineKind::Scalar);
-        let auto = EnginePolicy::Auto.select();
-        if hw_available() {
-            assert_eq!(auto, EngineKind::Hw);
-        } else {
-            assert_eq!(auto, EngineKind::Scalar);
-        }
+        // Auto picks the widest engine this host can build.
+        let widest = EngineKind::ALL.into_iter().find(|&kind| {
+            crate::AesGcm::with_engine(crate::Aes::new(&[0x42u8; 16]), kind).is_some()
+        });
+        assert_eq!(Some(EnginePolicy::Auto.select()), widest);
     }
 
     /// `PLINIUS_CRYPTO=scalar` forces the scalar engine, even when the CPU reports

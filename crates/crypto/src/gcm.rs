@@ -23,6 +23,8 @@
 use crate::aesarch::AesNi;
 #[cfg(target_arch = "x86_64")]
 use crate::clmul::ClmulGhash;
+#[cfg(target_arch = "x86_64")]
+use crate::vaes::VaesGcm;
 
 use crate::aes::{Aes, BLOCK_SIZE};
 use crate::dispatch::{EngineKind, EnginePolicy};
@@ -43,16 +45,19 @@ const CTR_PAR_MIN: usize = 2 * CTR_PAR_CHUNK;
 
 /// The concrete kernel set a context dispatches to, fixed at construction.
 ///
-/// The hardware variant carries the AES-NI schedule and the PCLMUL subkey powers;
-/// it only exists on `x86_64` and is only ever constructed after runtime feature
-/// detection (see [`crate::aesarch`]/[`crate::clmul`] for the safety contract).
-// The size gap between `Hw` (expanded key schedule + GHASH subkey powers, ~320 B)
-// and the table-less variants is intentional: one `Engine` lives inline in each
-// long-lived `AesGcm` (itself dominated by the scalar Shoup table), so boxing the
-// hardware state would buy nothing but a pointer chase on every sealed block.
+/// The hardware variants carry the AES-NI schedule and the PCLMUL subkey powers
+/// (the vector one 16 powers and the 128-bit kernels it falls back to); they only
+/// exist on `x86_64` and are only ever constructed after runtime feature detection
+/// (see [`crate::aesarch`]/[`crate::clmul`]/[`crate::vaes`] for the safety contract).
+// The size gap between the hardware variants (expanded key schedule + GHASH subkey
+// powers, ~320-580 B) and the table-less one is intentional: one `Engine` lives
+// inline in each long-lived `AesGcm` (itself dominated by the scalar Shoup table),
+// so boxing the hardware state would buy nothing but a pointer chase per call.
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone)]
 enum Engine {
+    #[cfg(target_arch = "x86_64")]
+    Vaes(VaesGcm),
     #[cfg(target_arch = "x86_64")]
     Hw {
         aes: AesNi,
@@ -62,8 +67,30 @@ enum Engine {
 }
 
 impl Engine {
+    /// Builds the kernels of `kind`, or `None` when the CPU lacks its features
+    /// (construction re-checks them, whatever the caller selected).
+    fn build(kind: EngineKind, cipher: &Aes, h_powers: [u128; 4]) -> Option<Self> {
+        match kind {
+            EngineKind::Scalar => Some(Engine::Scalar),
+            #[cfg(target_arch = "x86_64")]
+            EngineKind::Vaes => VaesGcm::try_new(cipher, h_powers).map(Engine::Vaes),
+            #[cfg(target_arch = "x86_64")]
+            EngineKind::Hw => Some(Engine::Hw {
+                aes: AesNi::try_new(cipher)?,
+                ghash: ClmulGhash::try_new(h_powers)?,
+            }),
+            #[cfg(not(target_arch = "x86_64"))]
+            EngineKind::Vaes | EngineKind::Hw => {
+                let _ = (cipher, h_powers);
+                None
+            }
+        }
+    }
+
     fn kind(&self) -> EngineKind {
         match self {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Vaes(_) => EngineKind::Vaes,
             #[cfg(target_arch = "x86_64")]
             Engine::Hw { .. } => EngineKind::Hw,
             Engine::Scalar => EngineKind::Scalar,
@@ -110,6 +137,21 @@ impl AesGcm {
     /// Creates a GCM context with an explicit engine policy, bypassing the
     /// environment knob. All policies produce byte-identical ciphertexts and tags.
     pub fn with_policy(cipher: Aes, policy: EnginePolicy) -> Self {
+        Self::assemble(cipher, policy.select())
+    }
+
+    /// Creates a GCM context on exactly the engine `kind`, or `None` when this host
+    /// lacks its CPU features — how tests and throughput gates pin every engine the
+    /// host can build. All engines produce byte-identical ciphertexts and tags.
+    pub fn with_engine(cipher: Aes, kind: EngineKind) -> Option<Self> {
+        let gcm = Self::assemble(cipher, kind);
+        (gcm.engine_kind() == kind).then_some(gcm)
+    }
+
+    /// Builds the context on `kind`'s kernels, falling back to scalar if they
+    /// cannot be built (belt and braces: selection and construction both re-check
+    /// the CPUID features).
+    fn assemble(cipher: Aes, kind: EngineKind) -> Self {
         let h_block = cipher.encrypt_block_copy(&[0u8; BLOCK_SIZE]);
         let h = u128::from_be_bytes(h_block);
         let mut h_tables = Box::new([[0u128; 256]; 4]);
@@ -120,31 +162,12 @@ impl AesGcm {
             *table = *build_h_table8(&build_h_table(power));
             power = gf_mult(power, h);
         }
-        let engine = Self::build_engine(policy, &cipher, h_powers);
+        let engine = Engine::build(kind, &cipher, h_powers).unwrap_or(Engine::Scalar);
         AesGcm {
             cipher,
             h,
             h_tables,
             engine,
-        }
-    }
-
-    /// Resolves the policy into kernels, falling back to scalar if hardware
-    /// construction fails despite a `Hw` selection (belt and braces: selection
-    /// and construction both re-check the CPUID features).
-    fn build_engine(policy: EnginePolicy, cipher: &Aes, h_powers: [u128; 4]) -> Engine {
-        match policy.select() {
-            EngineKind::Scalar => Engine::Scalar,
-            #[cfg(target_arch = "x86_64")]
-            EngineKind::Hw => match (AesNi::try_new(cipher), ClmulGhash::try_new(h_powers)) {
-                (Some(aes), Some(ghash)) => Engine::Hw { aes, ghash },
-                _ => Engine::Scalar,
-            },
-            #[cfg(not(target_arch = "x86_64"))]
-            EngineKind::Hw => {
-                let _ = (cipher, h_powers);
-                Engine::Scalar
-            }
         }
     }
 
@@ -159,8 +182,8 @@ impl AesGcm {
         self.engine.kind()
     }
 
-    /// Short label of the selected engine (`"aesni+pclmul"` or `"scalar"`), for
-    /// stats and bench reports.
+    /// Short label of the selected engine (`"vaes+vpclmul"`, `"aesni+pclmul"` or
+    /// `"scalar"`), for stats and bench reports.
     pub fn engine_name(&self) -> &'static str {
         self.engine.kind().name()
     }
@@ -350,11 +373,13 @@ impl AesGcm {
     }
 
     /// CTR keystream application from `counter` into `dst`, engine-dispatched; no
-    /// allocation on any engine. Both kernels produce identical bytes; only the
-    /// block-group width differs (8 for AES-NI, 4 for the T-tables), which is
-    /// invisible because CTR blocks are independent.
+    /// allocation on any engine. All kernels produce identical bytes; only the
+    /// block-group width differs (16 for VAES, 8 for AES-NI, 4 for the T-tables),
+    /// which is invisible because CTR blocks are independent.
     fn ctr_xor_into(&self, counter: [u8; BLOCK_SIZE], src: &[u8], dst: &mut [u8]) {
         match &self.engine {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Vaes(vaes) => vaes.ctr_xor(counter, src, dst),
             #[cfg(target_arch = "x86_64")]
             Engine::Hw { aes, .. } => aes.ctr_xor(counter, src, dst),
             Engine::Scalar => self.ctr_xor_into_scalar(counter, src, dst),
@@ -444,6 +469,8 @@ impl AesGcm {
     fn ghash_block(&self, y: &mut u128, block: &[u8; BLOCK_SIZE]) {
         match &self.engine {
             #[cfg(target_arch = "x86_64")]
+            Engine::Vaes(vaes) => vaes.ghash().ghash_block(y, block),
+            #[cfg(target_arch = "x86_64")]
             Engine::Hw { ghash, .. } => ghash.ghash_block(y, block),
             Engine::Scalar => self.ghash_block_scalar(y, block),
         }
@@ -460,6 +487,8 @@ impl AesGcm {
     /// serial chain.
     fn ghash_padded(&self, y: &mut u128, data: &[u8]) {
         match &self.engine {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Vaes(vaes) => vaes.ghash_padded(y, data),
             #[cfg(target_arch = "x86_64")]
             Engine::Hw { ghash, .. } => ghash.ghash_padded(y, data),
             Engine::Scalar => self.ghash_padded_scalar(y, data),
@@ -908,6 +937,46 @@ mod tests {
             gcm.decrypt_into_with_threads(&iv, b"aad", &parallel, &tag, &mut opened, threads)
                 .unwrap();
             assert_eq!(opened, pt, "threads={threads}");
+        }
+    }
+
+    /// Every engine this host can build seals the scalar engine's bytes for every
+    /// thread count, at sizes around the vector group (256 B) and the parallel CTR
+    /// cutoff, opens them back, and leaves the output untouched on a bad tag.
+    #[test]
+    fn every_engine_matches_scalar_for_every_thread_count() {
+        let key = [0x6bu8; 16];
+        let scalar = AesGcm::with_engine(Aes::new(&key), EngineKind::Scalar).unwrap();
+        let iv = [4u8; IV_LEN];
+        let pt: Vec<u8> = (0..CTR_PAR_MIN + 300)
+            .map(|i| (i * 131 % 253) as u8)
+            .collect();
+        for len in [255, 256, 257, 4096 + 17, CTR_PAR_MIN - 1, CTR_PAR_MIN + 273] {
+            let (want_ct, want_tag) = scalar.encrypt(&iv, b"aad", &pt[..len]).unwrap();
+            for kind in EngineKind::ALL {
+                let Some(gcm) = AesGcm::with_engine(Aes::new(&key), kind) else {
+                    continue;
+                };
+                for threads in [1usize, 2, 3] {
+                    let mut ct = vec![0u8; len];
+                    let tag = gcm
+                        .encrypt_into_with_threads(&iv, b"aad", &pt[..len], &mut ct, threads)
+                        .unwrap();
+                    assert_eq!(ct, want_ct, "{kind} len={len} threads={threads}");
+                    assert_eq!(tag, want_tag, "{kind} len={len} threads={threads}");
+                    let mut back = vec![0u8; len];
+                    gcm.decrypt_into_with_threads(&iv, b"aad", &ct, &tag, &mut back, threads)
+                        .unwrap();
+                    assert_eq!(back, &pt[..len], "{kind} len={len} threads={threads}");
+                    let mut bad = tag;
+                    bad[3] ^= 0x10;
+                    let mut untouched = vec![0xA5u8; len];
+                    assert!(gcm
+                        .decrypt_into_with_threads(&iv, b"aad", &ct, &bad, &mut untouched, threads)
+                        .is_err());
+                    assert!(untouched.iter().all(|&b| b == 0xA5), "{kind} len={len}");
+                }
+            }
         }
     }
 

@@ -8,9 +8,13 @@
 //! The AEAD engine is built for throughput — Plinius mirrors the whole encrypted model
 //! to PM every iteration, so AES-GCM speed bounds the fault-tolerance overhead:
 //!
+//! * **vector kernels** ([`dispatch`]): VAES CTR and VPCLMULQDQ GHASH, 16 blocks
+//!   per pass in 512-bit registers, selected at [`AesGcm`] construction when
+//!   the `x86_64` CPU also reports `avx512f`, `avx512bw`, `vaes` and `vpclmulqdq`;
 //! * **hardware kernels** ([`dispatch`]): AES-NI CTR and carry-less-multiply GHASH,
-//!   selected at [`AesGcm`] construction when the `x86_64` CPU reports the `aes` and
-//!   `pclmulqdq` features (override with `PLINIUS_CRYPTO={auto,scalar}`);
+//!   selected when the CPU reports the `aes` and `pclmulqdq` features but not the
+//!   vector ones (override either with `PLINIUS_CRYPTO={auto,scalar}`, or pin one
+//!   engine with [`AesGcm::with_engine`]);
 //! * **T-table AES** ([`aes`]): four 256-entry fused SubBytes/ShiftRows/MixColumns
 //!   tables, an order of magnitude faster than the byte-wise reference kernel (which is
 //!   retained for differential testing) — the always-compiled scalar fallback;
@@ -40,12 +44,13 @@
 //! # Ok::<(), plinius_crypto::CryptoError>(())
 //! ```
 
-// `deny` rather than `forbid`: the two hardware kernel modules (`aesarch`,
-// `clmul`) opt back in with module-level `allow(unsafe_code)` — they are the
-// only places in the workspace's production crates where `unsafe` is permitted,
-// and both confine it to `#[target_feature]` intrinsics that are constructed
-// only after runtime CPU-feature detection (see their module docs for the
-// safety contract). Everything else in the crate still refuses `unsafe`.
+// `deny` rather than `forbid`: the three hardware kernel modules (`aesarch`,
+// `clmul`, `vaes`) opt back in with a module-level allow — with `plinius-darknet`'s
+// `simd`, the only places in the workspace's production crates where `unsafe` is
+// permitted (CI's lint job checks it) — and all three confine it to
+// `#[target_feature]` intrinsics that are constructed only after runtime
+// CPU-feature detection (see their module docs for the safety contract).
+// Everything else in the crate still refuses `unsafe`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -61,6 +66,8 @@ mod clmul;
 pub mod dispatch;
 pub mod gcm;
 pub mod sha256;
+#[cfg(target_arch = "x86_64")]
+mod vaes;
 
 pub use aes::Aes;
 pub use dispatch::{hw_available, selected_engine, EngineKind, EnginePolicy, CRYPTO_ENV};

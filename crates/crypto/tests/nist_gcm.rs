@@ -4,11 +4,12 @@
 //! adds the harder shapes the engines must get right: multi-block messages with
 //! AAD and a partial final block, **non-96-bit IVs** (8-byte and 60-byte, which take
 //! the GHASH-based J0 derivation), and the AES-192/AES-256 key sizes. Every vector is
-//! checked on **every engine** (hardware when the host supports it, and scalar), on
+//! checked on **every engine** (vector and hardware when the host supports them, and
+//! scalar), on
 //! the explicit `encrypt_reference` entry point, and through cross-engine decrypt
 //! round-trips (sealed on one engine, opened on another).
 
-use plinius_crypto::{Aes, AesGcm, EnginePolicy};
+use plinius_crypto::{Aes, AesGcm, EngineKind};
 
 fn hex(s: &str) -> Vec<u8> {
     (0..s.len())
@@ -17,13 +18,13 @@ fn hex(s: &str) -> Vec<u8> {
         .collect()
 }
 
-/// Every engine constructible on this host: auto (= hardware on AES-NI machines) and
-/// scalar. On a non-x86_64 host auto degrades to scalar; `check` still pins it to the
-/// reference kernels there.
+/// Every engine constructible on this host, pinned by value: the vector and the
+/// 128-bit hardware engines where the CPU has them, and scalar everywhere. `check`
+/// pins each to the reference kernels.
 fn engines(key: &[u8]) -> Vec<AesGcm> {
-    [EnginePolicy::Auto, EnginePolicy::Scalar]
+    EngineKind::ALL
         .into_iter()
-        .map(|p| AesGcm::with_policy(Aes::new(key), p))
+        .filter_map(|kind| AesGcm::with_engine(Aes::new(key), kind))
         .collect()
 }
 

@@ -1,22 +1,23 @@
 //! Property-based tests for the crypto substrate: AES-GCM round-trips, tamper
-//! detection, hash/HMAC determinism, and the byte-for-byte pin of **both engines** —
-//! hardware (AES-NI + PCLMUL, when the host supports it) and scalar (T-table AES +
-//! Shoup GHASH) — against the retained reference kernels on ciphertext *and* tag.
+//! detection, hash/HMAC determinism, and the byte-for-byte pin of **every engine** —
+//! vector (VAES + VPCLMULQDQ) and hardware (AES-NI + PCLMUL), when the host supports
+//! them, and scalar (T-table AES + Shoup GHASH) — against the retained reference
+//! kernels on ciphertext *and* tag.
 
 use plinius_crypto::{
-    seal_into, seal_into_with_threads, sealed_len, Aes, AesGcm, CryptoError, EnginePolicy, Key,
-    SealedBuffer, SealedView, Sha256, SEAL_OVERHEAD,
+    seal_into, seal_into_with_threads, sealed_len, Aes, AesGcm, CryptoError, EngineKind,
+    EnginePolicy, Key, SealedBuffer, SealedView, Sha256, SEAL_OVERHEAD,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-/// One context per constructible engine: auto (= hardware on AES-NI hosts, scalar
-/// elsewhere) and forced scalar.
+/// One context per engine this host can build, pinned by value: the vector and
+/// the 128-bit hardware engines where the CPU has them, and scalar everywhere.
 fn engines(key: &[u8]) -> Vec<AesGcm> {
-    [EnginePolicy::Auto, EnginePolicy::Scalar]
+    EngineKind::ALL
         .into_iter()
-        .map(|p| AesGcm::with_policy(Aes::new(key), p))
+        .filter_map(|kind| AesGcm::with_engine(Aes::new(key), kind))
         .collect()
 }
 
@@ -99,7 +100,7 @@ proptest! {
         prop_assert_eq!(sealed.open(&key).unwrap(), data);
     }
 
-    /// All constructible engines — hardware (AES-NI + PCLMUL, on hosts that have it),
+    /// All constructible engines — vector and hardware (on hosts that have them),
     /// the table-driven scalar engine, and the retained reference kernels — are pinned
     /// byte-for-byte to each other on ciphertext *and* tag, for every key size,
     /// arbitrary AAD, and both 96-bit and GHASH-derived IV shapes.
@@ -126,8 +127,8 @@ proptest! {
         }
     }
 
-    /// Chunked/threaded `seal_into` on the auto-selected engine (hardware on AES-NI
-    /// hosts) is bit-identical to the serial scalar seal at counter-boundary splits:
+    /// Chunked/threaded `seal_into` on the auto-selected engine (the widest the host
+    /// has) is bit-identical to the serial scalar seal at counter-boundary splits:
     /// sizes straddling the 64 KiB parallel chunk boundary, for every thread count
     /// and a handful of offsets around the exact boundary.
     #[test]

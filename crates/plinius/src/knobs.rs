@@ -82,7 +82,7 @@ pub static KNOBS: [Knob; 6] = [
         env: CRYPTO_ENV,
         flag: Some("--crypto"),
         about: "AES-GCM engine",
-        accepts: "`auto` (AES-NI + PCLMUL when detected) or `scalar`",
+        accepts: "`auto` (widest hardware kernel) or `scalar`",
         default: "auto",
         set: |k, v| EnginePolicy::parse(v).map(|p| k.crypto = p),
     },

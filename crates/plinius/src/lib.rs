@@ -528,8 +528,8 @@ impl PliniusContext {
     }
 
     /// The name of the AES-GCM engine sealing runs on for this context
-    /// (`"aesni+pclmul"` or `"scalar"`), resolved from the enclave's
-    /// crypto policy without requiring a provisioned key.
+    /// (`"vaes+vpclmul"`, `"aesni+pclmul"` or `"scalar"`), resolved from the
+    /// enclave's crypto policy without requiring a provisioned key.
     pub fn engine_name(&self) -> &'static str {
         self.enclave.crypto_policy().select().name()
     }

@@ -85,7 +85,7 @@ pub struct TrainerConfig {
     /// How many committed epochs the PM mirror's ring retains (`>= 2`); only the
     /// mirror-backed persistence specs use it.
     pub ring_depth: usize,
-    /// Which AES-GCM engine seals the model (hardware AES-NI + PCLMUL or scalar
+    /// Which AES-GCM engine seals the model (the widest hardware kernels or scalar
     /// tables). Applies when the trainer deploys its own context; a context passed
     /// to [`PliniusBuilder::context`] keeps its enclave's policy. Sealed bytes are
     /// identical on every engine; only speed differs.

@@ -42,8 +42,8 @@ pub struct WorkflowReport {
     /// `mirror.torn_read_retries` statistic. Non-zero values mean concurrent
     /// serve-vs-train races were detected (and resolved) by the seqlock protocol.
     pub torn_read_retries: u64,
-    /// Name of the AES-GCM engine the deployment sealed with (`"aesni+pclmul"` or
-    /// `"scalar"`), as resolved from the enclave's crypto policy.
+    /// Name of the AES-GCM engine the deployment sealed with (`"vaes+vpclmul"`,
+    /// `"aesni+pclmul"` or `"scalar"`), as resolved from the enclave's crypto policy.
     pub engine: &'static str,
     /// Name of the GEMM engine the training hot path ran on (`"avx512"`, `"avx2"`,
     /// `"avx512+fma"`, `"avx2+fma"` or `"scalar"`), as resolved from
@@ -156,8 +156,9 @@ mod tests {
         // No inference server races this single-lane run, so the seqlock never
         // observes a torn snapshot — the plumbed counter must read zero.
         assert_eq!(report.torn_read_retries, 0);
-        // Engine labels come from the resolved policies — one of the known names each.
-        assert!(["aesni+pclmul", "scalar"].contains(&report.engine));
+        // Engine labels come from the resolved policies: the crypto label is the
+        // engine the trainer's policy selects on this host.
+        assert_eq!(report.engine, setup.trainer.crypto.select().name());
         assert!(
             ["avx512", "avx512+fma", "avx2", "avx2+fma", "scalar"].contains(&report.gemm_engine)
         );

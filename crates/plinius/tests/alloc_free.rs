@@ -22,16 +22,16 @@
 //! though the test binary runs tests on multiple threads.
 
 // A counting `GlobalAlloc` wrapper is impossible to write without `unsafe`. The
-// production crates stay `forbid(unsafe_code)` except `plinius-crypto`, which is
-// `deny(unsafe_code)` with exactly two exempt modules: the AES-NI and PCLMUL
-// hardware kernels (`aesarch`/`clmul`), whose intrinsics require it. This test
-// runs on whatever engine the dispatcher selects, so the zero-alloc guarantee
-// below covers the hardware path on AES-NI hosts.
+// production crates stay `forbid(unsafe_code)` except `plinius-crypto` and
+// `plinius-darknet`, which are `deny(unsafe_code)` with only their SIMD kernel
+// modules exempt (`aesarch`, `clmul` and `vaes`; `simd`), whose intrinsics require
+// it. The mirror cases run on whatever engine the dispatcher selects; the AEAD
+// case pins every engine the host can build.
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use plinius::{MirrorModel, PliniusContext};
-use plinius_crypto::Key;
+use plinius_crypto::{seal_into, sealed_len, Aes, AesGcm, EngineKind, Key, SealedView, IV_LEN};
 use plinius_darknet::config::{build_network, mnist_cnn_config};
 use plinius_pmem::{CrashMode, PmemPool, CACHE_LINE};
 use rand::rngs::StdRng;
@@ -84,9 +84,9 @@ fn mirror_fixture() -> (PliniusContext, plinius_darknet::Network, MirrorModel) {
 #[test]
 fn steady_state_serial_mirror_out_performs_zero_heap_allocations() {
     let (ctx, net, mirror) = mirror_fixture();
-    // Warm-up: the first call builds the scratch (staging buffer, arena, GCM tables),
-    // creates the stats counters, and grows the Romulus scratch to its steady-state
-    // capacity; the second catches any one-off growth.
+    // Warm-up: the first call builds the scratch (staging buffer, arena, GCM tables)
+    // and grows the Romulus scratch to its steady-state capacity; the second catches
+    // any one-off growth.
     mirror.mirror_out_with_threads(&ctx, &net, 1).unwrap();
     mirror.mirror_out_with_threads(&ctx, &net, 1).unwrap();
     let before = thread_allocs();
@@ -255,7 +255,7 @@ fn pm_pool_persist_and_crash_perform_zero_heap_allocations() {
     let pool = PmemPool::new(POOL).unwrap();
     let data = vec![0x5Au8; 1 << 20];
     let mut rng = StdRng::seed_from_u64(9);
-    // Warm-up: create the pool's stats counters.
+    // Warm-up: one persist and one crash, so no first-call cost is counted.
     pool.persist(0, &data[..1]).unwrap();
     pool.crash(&mut rng, CrashMode::ArbitraryEviction);
 
@@ -357,4 +357,42 @@ fn mirror_out_still_round_trips_under_the_counting_allocator() {
     let report = mirror.mirror_in(&ctx, &mut other).unwrap();
     assert_eq!(report.iteration, 1);
     assert!(report.model_bytes > 0);
+}
+
+#[test]
+fn warm_aead_calls_allocate_nothing_on_every_engine() {
+    // 70,000 bytes: 273 whole 256-byte groups of the vector engine and a 112-byte
+    // tail, so the wide kernels and the 128-bit tail kernels both run.
+    const LEN: usize = 70_000;
+    let data: Vec<u8> = (0..LEN).map(|i| (i * 31 % 251) as u8).collect();
+    let iv = [7u8; IV_LEN];
+    let aad = b"alloc-free";
+    let mut ct = vec![0u8; LEN];
+    let mut pt = vec![0u8; LEN];
+    let mut sealed = vec![0u8; sealed_len(LEN)];
+    for kind in EngineKind::ALL {
+        let Some(gcm) = AesGcm::with_engine(Aes::new(&[0x42u8; 16]), kind) else {
+            continue;
+        };
+        let mut round_trip = || {
+            let tag = gcm.encrypt_into(&iv, aad, &data, &mut ct).unwrap();
+            gcm.decrypt_into(&iv, aad, &ct, &tag, &mut pt).unwrap();
+            seal_into(&gcm, &data, aad, &iv, &mut sealed).unwrap();
+            SealedView::parse(&sealed)
+                .unwrap()
+                .open_into(&gcm, aad, &mut pt)
+                .unwrap();
+        };
+        round_trip();
+        let before = thread_allocs();
+        round_trip();
+        let allocs = thread_allocs() - before;
+        assert_eq!(
+            allocs,
+            0,
+            "warm AEAD calls on {} must not touch the heap",
+            gcm.engine_name()
+        );
+        assert_eq!(pt, data, "{}", gcm.engine_name());
+    }
 }

@@ -98,8 +98,9 @@ impl EnclaveBuilder {
 
     /// Pins the AES-GCM engine policy for every cipher context this enclave derives
     /// (see [`plinius_crypto::EnginePolicy`]). Defaults to the `PLINIUS_CRYPTO`
-    /// environment variable (`auto` when unset): hardware AES-NI + PCLMUL kernels
-    /// where the host supports them, the scalar table-driven engine elsewhere.
+    /// environment variable (`auto` when unset): the widest hardware kernels the
+    /// host supports (VAES + VPCLMULQDQ, then AES-NI + PCLMUL), the scalar
+    /// table-driven engine elsewhere.
     pub fn crypto_policy(mut self, policy: EnginePolicy) -> Self {
         self.crypto = Some(policy);
         self

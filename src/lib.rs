@@ -11,6 +11,8 @@
 //!
 //! See `README.md` for a guided tour and `examples/` for runnable programs.
 
+#![forbid(unsafe_code)]
+
 pub use plinius;
 pub use plinius_crypto;
 pub use plinius_darknet;
