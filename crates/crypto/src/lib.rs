@@ -25,22 +25,28 @@
 //!   optional chunk-parallel CTR for large buffers (bit-identical for every thread
 //!   count and engine).
 //!
-//! The crate also provides the exact *sealed-buffer layout* Plinius stores on persistent
-//! memory (§IV of the paper): for every encrypted parameter buffer a fresh random 12-byte
-//! IV is generated, the plaintext is encrypted with AES-GCM, and the IV plus the 16-byte
-//! MAC are appended to the ciphertext — 28 bytes of metadata per buffer, i.e. 140 bytes
-//! per mirrored layer (5 parameter matrices per layer).
+//! The crate also fixes the *sealed-buffer layout* Plinius stores on persistent memory
+//! (§IV of the paper): each parameter buffer is encrypted with AES-GCM under a fresh
+//! 12-byte IV, and the IV plus the 16-byte MAC are appended to the ciphertext — 28 bytes
+//! of metadata per buffer, i.e. 140 bytes per mirrored layer (5 parameter matrices per
+//! layer). [`seal_into`] writes that layout into a caller's buffer and [`SealedView`]
+//! reads it back in place, both through an [`AesGcm`] context built once per key.
 //!
 //! # Example
 //!
 //! ```
-//! use plinius_crypto::{Key, SealedBuffer};
-//! use rand::SeedableRng;
+//! use plinius_crypto::{seal_into, sealed_len, Key, SealedView, IV_LEN};
+//! use rand::{RngCore, SeedableRng};
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let key = Key::generate_128(&mut rng);
-//! let sealed = SealedBuffer::seal(&key, b"layer weights", &mut rng)?;
-//! assert_eq!(sealed.open(&key)?, b"layer weights");
+//! let gcm = Key::generate_128(&mut rng).gcm(); // once per key, then reused
+//! let mut iv = [0u8; IV_LEN];
+//! rng.fill_bytes(&mut iv);
+//! let mut sealed = vec![0u8; sealed_len(13)];
+//! seal_into(&gcm, b"layer weights", b"layer0-tensor0", &iv, &mut sealed)?;
+//! let mut opened = [0u8; 13];
+//! SealedView::parse(&sealed)?.open_into(&gcm, b"layer0-tensor0", &mut opened)?;
+//! assert_eq!(&opened, b"layer weights");
 //! # Ok::<(), plinius_crypto::CryptoError>(())
 //! ```
 
@@ -213,8 +219,9 @@ pub const fn sealed_len(plaintext_len: usize) -> usize {
 /// **no heap allocation**, which makes it the building block of the allocation-free
 /// mirror-out path — pair it with a reusable output arena and an [`IvSequence`].
 ///
-/// The sealed bytes are identical to [`SealedBuffer::seal_with_aad_and_iv`] for the
-/// same `(key, plaintext, aad, iv)`.
+/// The sealed bytes are a pure function of `(key, plaintext, aad, iv)`, the same on
+/// every engine. The caller must never reuse an `(key, iv)` pair: [`IvSequence`]
+/// guarantees this across one batch when seeded freshly.
 ///
 /// # Errors
 ///
@@ -261,9 +268,9 @@ pub fn seal_into_with_threads(
 
 /// A borrowed view over sealed bytes in the on-PM layout `ciphertext || IV || MAC`.
 ///
-/// Unlike [`SealedBuffer::from_bytes`], parsing a view copies nothing: the mirror-in
-/// path reads encrypted tensors from PM into one arena and decrypts each straight out
-/// of it ([`SealedView::open_into`]) without cloning the blob first.
+/// Parsing a view copies nothing: the mirror-in path reads encrypted tensors from PM
+/// into one arena and decrypts each straight out of it ([`SealedView::open_into`])
+/// without cloning the blob first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SealedView<'a> {
     bytes: &'a [u8],
@@ -301,18 +308,6 @@ impl<'a> SealedView<'a> {
     /// Length of the plaintext this view decrypts to.
     pub fn plaintext_len(&self) -> usize {
         self.bytes.len() - SEAL_OVERHEAD
-    }
-
-    /// Decrypts and authenticates into a fresh vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::AuthenticationFailed`] if the data was tampered with or
-    /// the wrong key/AAD is supplied.
-    pub fn open_with_aad(&self, key: &Key, aad: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        let mut out = vec![0u8; self.plaintext_len()];
-        self.open_into(&key.gcm(), aad, &mut out)?;
-        Ok(out)
     }
 
     /// Zero-copy decryption: verifies the tag and decrypts into `out` (which must be
@@ -358,7 +353,7 @@ impl<'a> SealedView<'a> {
 ///
 /// Distinct indices yield distinct IVs under the same seed. The caller must use a
 /// *fresh* sequence (fresh random seed) for every sealing batch, exactly as it would
-/// draw a fresh random IV per [`SealedBuffer::seal`].
+/// draw a fresh random IV for a single [`seal_into`].
 #[derive(Clone)]
 pub struct IvSequence {
     seed: [u8; 32],
@@ -393,126 +388,6 @@ impl IvSequence {
         let mut iv = [0u8; IV_LEN];
         iv.copy_from_slice(&digest[..IV_LEN]);
         iv
-    }
-}
-
-/// An encrypted buffer in the on-PM layout used by Plinius:
-/// `ciphertext || IV (12 B) || MAC (16 B)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SealedBuffer {
-    bytes: Vec<u8>,
-}
-
-impl SealedBuffer {
-    /// Encrypts `plaintext` under `key` with a freshly generated random IV and returns
-    /// the sealed representation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CryptoError`] from the underlying GCM operation.
-    pub fn seal<R: RngCore>(key: &Key, plaintext: &[u8], rng: &mut R) -> Result<Self, CryptoError> {
-        Self::seal_with_aad(key, plaintext, &[], rng)
-    }
-
-    /// Like [`SealedBuffer::seal`] but binds additional authenticated data (e.g. a layer
-    /// index) into the MAC.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CryptoError`] from the underlying GCM operation.
-    pub fn seal_with_aad<R: RngCore>(
-        key: &Key,
-        plaintext: &[u8],
-        aad: &[u8],
-        rng: &mut R,
-    ) -> Result<Self, CryptoError> {
-        let mut iv = [0u8; IV_LEN];
-        rng.fill_bytes(&mut iv);
-        Self::seal_with_aad_and_iv(key, plaintext, aad, &iv)
-    }
-
-    /// Like [`SealedBuffer::seal_with_aad`] but with a caller-supplied IV, the building
-    /// block of chunk-parallel sealing: pair it with an [`IvSequence`] so concurrent
-    /// sealing threads derive disjoint IVs without sharing an RNG.
-    ///
-    /// The caller is responsible for never reusing an `(key, iv)` pair —
-    /// [`IvSequence`] guarantees this across one batch when seeded freshly.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CryptoError`] from the underlying GCM operation.
-    pub fn seal_with_aad_and_iv(
-        key: &Key,
-        plaintext: &[u8],
-        aad: &[u8],
-        iv: &[u8; IV_LEN],
-    ) -> Result<Self, CryptoError> {
-        let mut bytes = vec![0u8; sealed_len(plaintext.len())];
-        seal_into(&key.gcm(), plaintext, aad, iv, &mut bytes)?;
-        Ok(SealedBuffer { bytes })
-    }
-
-    /// Re-interprets raw bytes (e.g. read back from PM) as a sealed buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::TruncatedSealedBuffer`] if the data cannot even hold the
-    /// 28-byte IV+MAC trailer.
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, CryptoError> {
-        if bytes.len() < SEAL_OVERHEAD {
-            return Err(CryptoError::TruncatedSealedBuffer(bytes.len()));
-        }
-        Ok(SealedBuffer { bytes })
-    }
-
-    /// Decrypts and authenticates the buffer, returning the plaintext.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::AuthenticationFailed`] if the buffer was tampered with or
-    /// the wrong key/AAD is supplied.
-    pub fn open(&self, key: &Key) -> Result<Vec<u8>, CryptoError> {
-        self.open_with_aad(key, &[])
-    }
-
-    /// Decrypts with additional authenticated data.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SealedBuffer::open`].
-    pub fn open_with_aad(&self, key: &Key, aad: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        self.as_view().open_with_aad(key, aad)
-    }
-
-    /// A borrowed [`SealedView`] over this buffer's bytes (never fails: the trailer
-    /// invariant is checked at construction).
-    pub fn as_view(&self) -> SealedView<'_> {
-        SealedView { bytes: &self.bytes }
-    }
-
-    /// The full on-PM byte representation (ciphertext + IV + MAC).
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Consumes the buffer and returns the raw bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
-    }
-
-    /// Total size in bytes, including the 28-byte trailer.
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Whether the buffer is empty (it never is: the trailer is always present).
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
-    /// Length of the plaintext this buffer decrypts to.
-    pub fn plaintext_len(&self) -> usize {
-        self.bytes.len() - SEAL_OVERHEAD
     }
 }
 
@@ -551,23 +426,40 @@ mod tests {
         assert!(dbg.contains("128"));
     }
 
+    /// Seals `plaintext` into a fresh vector under an IV drawn from `rng`.
+    fn seal_vec(gcm: &AesGcm, plaintext: &[u8], aad: &[u8], rng: &mut StdRng) -> Vec<u8> {
+        let mut iv = [0u8; IV_LEN];
+        rng.fill_bytes(&mut iv);
+        let mut sealed = vec![0u8; sealed_len(plaintext.len())];
+        seal_into(gcm, plaintext, aad, &iv, &mut sealed).unwrap();
+        sealed
+    }
+
+    /// Opens `sealed` into a fresh vector.
+    fn open_vec(gcm: &AesGcm, sealed: &[u8], aad: &[u8]) -> Result<Vec<u8>, CryptoError> {
+        let view = SealedView::parse(sealed)?;
+        let mut out = vec![0u8; view.plaintext_len()];
+        view.open_into(gcm, aad, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn sealed_buffer_layout_matches_paper_overhead() {
         let mut rng = StdRng::seed_from_u64(2);
-        let key = Key::generate_128(&mut rng);
-        let sealed = SealedBuffer::seal(&key, &[0u8; 100], &mut rng).unwrap();
+        let gcm = Key::generate_128(&mut rng).gcm();
+        let sealed = seal_vec(&gcm, &[0u8; 100], b"", &mut rng);
         assert_eq!(sealed.len(), 100 + SEAL_OVERHEAD);
-        assert_eq!(sealed.plaintext_len(), 100);
+        assert_eq!(SealedView::parse(&sealed).unwrap().plaintext_len(), 100);
         assert_eq!(SEAL_OVERHEAD, 28);
     }
 
     #[test]
     fn seal_open_round_trip() {
         let mut rng = StdRng::seed_from_u64(3);
-        let key = Key::generate_128(&mut rng);
+        let gcm = Key::generate_128(&mut rng).gcm();
         let data = b"weights and biases".to_vec();
-        let sealed = SealedBuffer::seal(&key, &data, &mut rng).unwrap();
-        assert_eq!(sealed.open(&key).unwrap(), data);
+        let sealed = seal_vec(&gcm, &data, b"", &mut rng);
+        assert_eq!(open_vec(&gcm, &sealed, b"").unwrap(), data);
     }
 
     #[test]
@@ -575,9 +467,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let key = Key::generate_128(&mut rng);
         let other = Key::generate_128(&mut rng);
-        let sealed = SealedBuffer::seal(&key, b"secret", &mut rng).unwrap();
+        let sealed = seal_vec(&key.gcm(), b"secret", b"", &mut rng);
         assert_eq!(
-            sealed.open(&other).unwrap_err(),
+            open_vec(&other.gcm(), &sealed, b"").unwrap_err(),
             CryptoError::AuthenticationFailed
         );
     }
@@ -585,48 +477,53 @@ mod tests {
     #[test]
     fn aad_binds_context() {
         let mut rng = StdRng::seed_from_u64(5);
-        let key = Key::generate_128(&mut rng);
-        let sealed = SealedBuffer::seal_with_aad(&key, b"w", b"layer-3", &mut rng).unwrap();
-        assert_eq!(sealed.open_with_aad(&key, b"layer-3").unwrap(), b"w");
-        assert!(sealed.open_with_aad(&key, b"layer-4").is_err());
-        assert!(sealed.open(&key).is_err());
+        let gcm = Key::generate_128(&mut rng).gcm();
+        let sealed = seal_vec(&gcm, b"w", b"layer-3", &mut rng);
+        assert_eq!(open_vec(&gcm, &sealed, b"layer-3").unwrap(), b"w");
+        assert!(open_vec(&gcm, &sealed, b"layer-4").is_err());
+        assert!(open_vec(&gcm, &sealed, b"").is_err());
     }
 
     #[test]
     fn tampering_with_stored_bytes_is_detected() {
         let mut rng = StdRng::seed_from_u64(6);
-        let key = Key::generate_128(&mut rng);
-        let sealed = SealedBuffer::seal(&key, b"model parameters", &mut rng).unwrap();
-        let mut raw = sealed.into_bytes();
-        raw[3] ^= 0x40;
-        let tampered = SealedBuffer::from_bytes(raw).unwrap();
-        assert!(tampered.open(&key).is_err());
+        let gcm = Key::generate_128(&mut rng).gcm();
+        let mut sealed = seal_vec(&gcm, b"model parameters", b"", &mut rng);
+        sealed[3] ^= 0x40;
+        assert!(open_vec(&gcm, &sealed, b"").is_err());
     }
 
     #[test]
-    fn from_bytes_rejects_truncated_data() {
+    fn parse_rejects_truncated_data() {
         assert_eq!(
-            SealedBuffer::from_bytes(vec![0u8; 10]).unwrap_err(),
+            SealedView::parse(&[0u8; 10]).unwrap_err(),
             CryptoError::TruncatedSealedBuffer(10)
+        );
+        // The bare trailer is the smallest sealed buffer: an empty plaintext.
+        assert_eq!(
+            SealedView::parse(&[0u8; SEAL_OVERHEAD])
+                .unwrap()
+                .plaintext_len(),
+            0
         );
     }
 
     #[test]
     fn empty_plaintext_round_trips() {
         let mut rng = StdRng::seed_from_u64(7);
-        let key = Key::generate_128(&mut rng);
-        let sealed = SealedBuffer::seal(&key, &[], &mut rng).unwrap();
-        assert_eq!(sealed.plaintext_len(), 0);
-        assert_eq!(sealed.open(&key).unwrap(), Vec::<u8>::new());
+        let gcm = Key::generate_128(&mut rng).gcm();
+        let sealed = seal_vec(&gcm, &[], b"", &mut rng);
+        assert_eq!(SealedView::parse(&sealed).unwrap().plaintext_len(), 0);
+        assert_eq!(open_vec(&gcm, &sealed, b"").unwrap(), Vec::<u8>::new());
     }
 
     #[test]
     fn fresh_iv_per_seal_gives_distinct_ciphertexts() {
         let mut rng = StdRng::seed_from_u64(8);
-        let key = Key::generate_128(&mut rng);
-        let a = SealedBuffer::seal(&key, b"same plaintext", &mut rng).unwrap();
-        let b = SealedBuffer::seal(&key, b"same plaintext", &mut rng).unwrap();
-        assert_ne!(a.as_bytes(), b.as_bytes());
+        let gcm = Key::generate_128(&mut rng).gcm();
+        let a = seal_vec(&gcm, b"same plaintext", b"", &mut rng);
+        let b = seal_vec(&gcm, b"same plaintext", b"", &mut rng);
+        assert_ne!(a, b);
     }
 
     #[test]
@@ -650,35 +547,37 @@ mod tests {
     #[test]
     fn seal_with_explicit_iv_is_deterministic_and_round_trips() {
         let mut rng = StdRng::seed_from_u64(9);
-        let key = Key::generate_128(&mut rng);
+        let gcm = Key::generate_128(&mut rng).gcm();
         let seq = IvSequence::from_rng(&mut rng);
-        let a = SealedBuffer::seal_with_aad_and_iv(&key, b"tensor", b"layer0", &seq.iv(0)).unwrap();
-        let b = SealedBuffer::seal_with_aad_and_iv(&key, b"tensor", b"layer0", &seq.iv(0)).unwrap();
+        let seal = |iv: &[u8; IV_LEN]| {
+            let mut sealed = vec![0u8; sealed_len(6)];
+            seal_into(&gcm, b"tensor", b"layer0", iv, &mut sealed).unwrap();
+            sealed
+        };
+        let (a, b) = (seal(&seq.iv(0)), seal(&seq.iv(0)));
         // Same (key, iv, aad, plaintext) -> bit-identical sealed bytes: this is what
         // makes parallel sealing independent of the thread schedule.
-        assert_eq!(a.as_bytes(), b.as_bytes());
-        assert_eq!(a.open_with_aad(&key, b"layer0").unwrap(), b"tensor");
+        assert_eq!(a, b);
+        assert_eq!(open_vec(&gcm, &a, b"layer0").unwrap(), b"tensor");
         // A different index gives a different IV, hence different bytes.
-        let c = SealedBuffer::seal_with_aad_and_iv(&key, b"tensor", b"layer0", &seq.iv(1)).unwrap();
-        assert_ne!(a.as_bytes(), c.as_bytes());
+        assert_ne!(a, seal(&seq.iv(1)));
     }
 
     #[test]
     fn seal_into_matches_sealed_buffer_bytes() {
+        // The sealed layout is exactly `ciphertext || IV || MAC` of the detached AEAD.
         let mut rng = StdRng::seed_from_u64(10);
-        let key = Key::generate_128(&mut rng);
-        let seq = IvSequence::from_rng(&mut rng);
+        let gcm = Key::generate_128(&mut rng).gcm();
+        let iv = IvSequence::from_rng(&mut rng).iv(0);
         let plaintext = b"tensor bytes for the arena";
-        let boxed =
-            SealedBuffer::seal_with_aad_and_iv(&key, plaintext, b"aad", &seq.iv(0)).unwrap();
-        let gcm = key.gcm();
+        let (ct, tag) = gcm.encrypt(&iv, b"aad", plaintext).unwrap();
         let mut arena = vec![0u8; sealed_len(plaintext.len())];
-        seal_into(&gcm, plaintext, b"aad", &seq.iv(0), &mut arena).unwrap();
-        assert_eq!(arena, boxed.as_bytes());
+        seal_into(&gcm, plaintext, b"aad", &iv, &mut arena).unwrap();
+        assert_eq!(arena, [&ct[..], &iv[..], &tag[..]].concat());
         // Wrong-size output buffers are rejected.
         let mut short = vec![0u8; sealed_len(plaintext.len()) - 1];
         assert!(matches!(
-            seal_into(&gcm, plaintext, b"aad", &seq.iv(0), &mut short),
+            seal_into(&gcm, plaintext, b"aad", &iv, &mut short),
             Err(CryptoError::BufferLengthMismatch { .. })
         ));
     }
@@ -686,21 +585,15 @@ mod tests {
     #[test]
     fn sealed_view_parses_and_opens_without_copying() {
         let mut rng = StdRng::seed_from_u64(11);
-        let key = Key::generate_128(&mut rng);
-        let sealed =
-            SealedBuffer::seal_with_aad(&key, b"mirrored weights", b"layer0", &mut rng).unwrap();
-        let raw = sealed.as_bytes();
-        let view = SealedView::parse(raw).unwrap();
+        let gcm = Key::generate_128(&mut rng).gcm();
+        let raw = seal_vec(&gcm, b"mirrored weights", b"layer0", &mut rng);
+        let view = SealedView::parse(&raw).unwrap();
         assert_eq!(view.plaintext_len(), 16);
-        assert_eq!(view.ciphertext().len(), 16);
-        assert_eq!(view.iv().len(), IV_LEN);
+        assert_eq!(view.ciphertext(), &raw[..16]);
+        assert_eq!(view.iv(), &raw[16..16 + IV_LEN]);
+        assert_eq!(view.tag(), &raw[16 + IV_LEN..]);
         assert_eq!(view.tag().len(), TAG_LEN);
-        assert_eq!(
-            view.open_with_aad(&key, b"layer0").unwrap(),
-            b"mirrored weights"
-        );
         // Zero-copy open into a caller buffer.
-        let gcm = key.gcm();
         let mut out = [0u8; 16];
         view.open_into(&gcm, b"layer0", &mut out).unwrap();
         assert_eq!(&out, b"mirrored weights");
@@ -708,13 +601,16 @@ mod tests {
         let mut untouched = [0xEEu8; 16];
         assert!(view.open_into(&gcm, b"layer1", &mut untouched).is_err());
         assert_eq!(untouched, [0xEEu8; 16]);
+        // A wrongly sized output buffer is rejected.
+        assert!(matches!(
+            view.open_into(&gcm, b"layer0", &mut [0u8; 15]),
+            Err(CryptoError::BufferLengthMismatch { .. })
+        ));
         // Truncated data cannot be parsed.
         assert!(matches!(
             SealedView::parse(&raw[..SEAL_OVERHEAD - 1]),
             Err(CryptoError::TruncatedSealedBuffer(_))
         ));
-        // The view borrowed from a SealedBuffer matches parsing its bytes.
-        assert_eq!(sealed.as_view(), view);
     }
 
     #[test]

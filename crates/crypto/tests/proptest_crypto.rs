@@ -6,7 +6,7 @@
 
 use plinius_crypto::{
     seal_into, seal_into_with_threads, sealed_len, Aes, AesGcm, CryptoError, EngineKind,
-    EnginePolicy, Key, SealedBuffer, SealedView, Sha256, SEAL_OVERHEAD,
+    EnginePolicy, Key, SealedView, Sha256, IV_LEN, SEAL_OVERHEAD,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -21,6 +21,23 @@ fn engines(key: &[u8]) -> Vec<AesGcm> {
         .collect()
 }
 
+/// Seals `data` into a fresh vector under `key`, with an IV drawn from `rng`.
+fn seal(key: &Key, data: &[u8], aad: &[u8], rng: &mut StdRng) -> Vec<u8> {
+    let mut iv = [0u8; IV_LEN];
+    rng.fill_bytes(&mut iv);
+    let mut sealed = vec![0u8; sealed_len(data.len())];
+    seal_into(&key.gcm(), data, aad, &iv, &mut sealed).unwrap();
+    sealed
+}
+
+/// Opens `sealed` under `key` into a fresh vector.
+fn open(key: &Key, sealed: &[u8], aad: &[u8]) -> Result<Vec<u8>, CryptoError> {
+    let view = SealedView::parse(sealed)?;
+    let mut out = vec![0u8; view.plaintext_len()];
+    view.open_into(&key.gcm(), aad, &mut out)?;
+    Ok(out)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -29,9 +46,9 @@ proptest! {
     fn seal_open_round_trip(seed in any::<u64>(), data in proptest::collection::vec(any::<u8>(), 0..2048)) {
         let mut rng = StdRng::seed_from_u64(seed);
         let key = Key::generate_128(&mut rng);
-        let sealed = SealedBuffer::seal(&key, &data, &mut rng).unwrap();
+        let sealed = seal(&key, &data, b"", &mut rng);
         prop_assert_eq!(sealed.len(), data.len() + SEAL_OVERHEAD);
-        prop_assert_eq!(sealed.open(&key).unwrap(), data);
+        prop_assert_eq!(open(&key, &sealed, b"").unwrap(), data);
     }
 
     /// Flipping any single bit of the sealed representation breaks authentication.
@@ -44,12 +61,10 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let key = Key::generate_128(&mut rng);
-        let sealed = SealedBuffer::seal(&key, &data, &mut rng).unwrap();
-        let mut raw = sealed.into_bytes();
-        let idx = byte_choice as usize % raw.len();
-        raw[idx] ^= 1 << bit;
-        let tampered = SealedBuffer::from_bytes(raw).unwrap();
-        prop_assert_eq!(tampered.open(&key).unwrap_err(), CryptoError::AuthenticationFailed);
+        let mut sealed = seal(&key, &data, b"", &mut rng);
+        let idx = byte_choice as usize % sealed.len();
+        sealed[idx] ^= 1 << bit;
+        prop_assert_eq!(open(&key, &sealed, b"").unwrap_err(), CryptoError::AuthenticationFailed);
     }
 
     /// Decrypting with a different key never succeeds.
@@ -59,8 +74,8 @@ proptest! {
         let key = Key::generate_128(&mut rng);
         let wrong = Key::generate_128(&mut rng);
         prop_assume!(key.as_bytes() != wrong.as_bytes());
-        let sealed = SealedBuffer::seal(&key, &data, &mut rng).unwrap();
-        prop_assert!(sealed.open(&wrong).is_err());
+        let sealed = seal(&key, &data, b"", &mut rng);
+        prop_assert!(open(&wrong, &sealed, b"").is_err());
     }
 
     /// AAD participates in authentication: a mismatched AAD never opens.
@@ -74,9 +89,9 @@ proptest! {
         prop_assume!(aad_a != aad_b);
         let mut rng = StdRng::seed_from_u64(seed);
         let key = Key::generate_128(&mut rng);
-        let sealed = SealedBuffer::seal_with_aad(&key, &data, &aad_a, &mut rng).unwrap();
-        prop_assert_eq!(sealed.open_with_aad(&key, &aad_a).unwrap(), data);
-        prop_assert!(sealed.open_with_aad(&key, &aad_b).is_err());
+        let sealed = seal(&key, &data, &aad_a, &mut rng);
+        prop_assert_eq!(open(&key, &sealed, &aad_a).unwrap(), data);
+        prop_assert!(open(&key, &sealed, &aad_b).is_err());
     }
 
     /// SHA-256 is deterministic and the incremental API agrees with the one-shot API
@@ -96,8 +111,8 @@ proptest! {
     fn aes256_round_trip(seed in any::<u64>(), data in proptest::collection::vec(any::<u8>(), 0..512)) {
         let mut rng = StdRng::seed_from_u64(seed);
         let key = Key::generate_256(&mut rng);
-        let sealed = SealedBuffer::seal(&key, &data, &mut rng).unwrap();
-        prop_assert_eq!(sealed.open(&key).unwrap(), data);
+        let sealed = seal(&key, &data, b"", &mut rng);
+        prop_assert_eq!(open(&key, &sealed, b"").unwrap(), data);
     }
 
     /// All constructible engines — vector and hardware (on hosts that have them),
@@ -154,8 +169,9 @@ proptest! {
         prop_assert_eq!(got, want, "engine {} with {} threads diverges", auto.engine_name(), threads);
     }
 
-    /// Zero-copy sealing into an arena slice produces exactly the bytes of the
-    /// allocating API, for every thread count, and opens back through a borrowed view.
+    /// Zero-copy sealing into an arena slice produces exactly the sealed-buffer layout
+    /// `ciphertext || IV || MAC` of the detached AEAD, for every thread count, and
+    /// opens back through a borrowed view.
     #[test]
     fn seal_into_and_view_match_sealed_buffer(
         seed in any::<u64>(),
@@ -167,11 +183,11 @@ proptest! {
         let key = Key::generate_128(&mut rng);
         let mut iv = [0u8; 12];
         rng.fill_bytes(&mut iv);
-        let boxed = SealedBuffer::seal_with_aad_and_iv(&key, &data, &aad, &iv).unwrap();
         let gcm = key.gcm();
+        let (ct, tag) = gcm.encrypt(&iv, &aad, &data).unwrap();
         let mut arena = vec![0u8; sealed_len(data.len())];
         seal_into_with_threads(&gcm, &data, &aad, &iv, &mut arena, threads).unwrap();
-        prop_assert_eq!(&arena, boxed.as_bytes());
+        prop_assert_eq!(&arena, &[&ct[..], &iv[..], &tag[..]].concat());
         let view = SealedView::parse(&arena).unwrap();
         let mut opened = vec![0u8; view.plaintext_len()];
         view.open_into(&gcm, &aad, &mut opened).unwrap();

@@ -172,46 +172,6 @@ impl Dataset {
         };
         (train_ds, test_ds)
     }
-
-    /// Serialises sample `i` (image values then one-hot label) as little-endian `f32`
-    /// bytes; the layout the Plinius PM-data module stores (encrypted) in PM.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn sample_bytes(&self, i: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity((self.inputs + self.classes) * 4);
-        for v in self.image(i).iter().chain(self.label(i).iter()) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
-
-    /// Rebuilds a sample previously produced by [`Dataset::sample_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DarknetError::DataShape`] if the byte length does not match.
-    pub fn sample_from_bytes(
-        inputs: usize,
-        classes: usize,
-        bytes: &[u8],
-    ) -> Result<(Vec<f32>, Vec<f32>), DarknetError> {
-        if bytes.len() != (inputs + classes) * 4 {
-            return Err(DarknetError::DataShape {
-                samples: 1,
-                inputs,
-                classes,
-                images: bytes.len(),
-                labels: 0,
-            });
-        }
-        let values: Vec<f32> = bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect();
-        Ok((values[..inputs].to_vec(), values[inputs..].to_vec()))
-    }
 }
 
 /// Generates a synthetic MNIST-like dataset: `samples` grayscale 28x28 images in 10
@@ -398,18 +358,6 @@ mod tests {
         assert_eq!(test.len(), 5);
         assert_eq!(train.image(0), ds.image(0));
         assert_eq!(test.image(0), ds.image(15));
-    }
-
-    #[test]
-    fn sample_bytes_round_trip() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let ds = synthetic_images(4, 5, 5, 3, 0.1, &mut rng);
-        let bytes = ds.sample_bytes(2);
-        assert_eq!(bytes.len(), (25 + 3) * 4);
-        let (img, lbl) = Dataset::sample_from_bytes(25, 3, &bytes).unwrap();
-        assert_eq!(img, ds.image(2));
-        assert_eq!(lbl, ds.label(2));
-        assert!(Dataset::sample_from_bytes(25, 3, &bytes[..10]).is_err());
     }
 
     #[test]

@@ -35,18 +35,25 @@
 //! A mirror-out splits into two phases:
 //!
 //! * **snapshot** — cheap: copy the parameters (and draw the per-tensor IVs) into the
-//!   pipeline's pre-allocated staging buffers;
+//!   handle's staging buffers;
 //! * **publish** — expensive: AES-GCM-seal the staged plaintext and commit it to the
 //!   inactive PM slot.
 //!
 //! [`MirrorModel::mirror_out`] runs both phases synchronously.
-//! [`MirrorModel::snapshot_out`] runs only the snapshot and hands the publish to a
-//! background worker ([`plinius_parallel::Pipeline`]); [`MirrorModel::drain`] joins it
-//! at the next pipeline point, crediting the sealing time that was hidden behind the
-//! compute charged in between ([`SimSpan::overlap`]), so the steady-state simulated
-//! overhead approaches `max(compute, mirror)` instead of `compute + mirror`. Sealed
-//! bytes, committed epochs and restored weights are bit-identical between the two
-//! paths; only timing differs.
+//! [`MirrorModel::snapshot_out`] runs only the snapshot and hands the publish, with the
+//! staging buffers and the model key's context, to a background worker
+//! ([`plinius_parallel::Pipeline`]); [`MirrorModel::drain`] joins it at the next
+//! pipeline point, crediting the sealing time that was hidden behind the compute
+//! charged in between ([`SimSpan::overlap`]), so the steady-state simulated overhead
+//! approaches `max(compute, mirror)` instead of `compute + mirror`. Sealed bytes,
+//! committed epochs and restored weights are bit-identical between the two paths; only
+//! timing differs.
+//!
+//! A handle keeps one set of staging buffers for its saves and restores, synchronous
+//! or pipelined, and takes the model key's context from the enclave's per-key cache
+//! ([`PliniusContext::gcm`]) at each one, so a re-provisioned key seals the next save.
+//! Every save and restore through a handle first joins (and commits) the handle's
+//! in-flight publish, so epochs always commit in snapshot order.
 //!
 //! A *mirror-in* (model restore) reads the active slot's encrypted buffers from PM
 //! into the enclave and decrypts them into the enclave model.
@@ -73,7 +80,6 @@ use plinius_darknet::Network;
 use plinius_parallel::Pipeline;
 use plinius_romulus::PmPtr;
 use sim_clock::{Metric, SimSpan};
-use std::mem;
 use std::sync::Arc;
 
 /// Root-directory slot holding tenant 0's mirror-model header. Other tenants use
@@ -190,44 +196,10 @@ pub struct PublishReport {
     pub model_bytes: usize,
 }
 
-/// Reusable cryptographic scratch of one mirror: everything the steady-state
-/// mirror-out/mirror-in loop needs so that the encryption phase performs **no heap
-/// allocation after warm-up** (with serial sealing; thread fan-out adds only the
-/// O(#tensors) dispatch buffers).
-struct MirrorScratch {
-    /// Raw bytes of the key the cached GCM context was built for, to detect
-    /// re-provisioning.
-    key_bytes: Vec<u8>,
-    /// Cached AES-GCM context (key schedule + GHASH tables + selected engine), shared
-    /// with the enclave's per-key cache (expensive to rebuild per tensor).
-    gcm: Arc<AesGcm>,
-    /// Staging buffers of every save and restore through this handle.
-    staging: Staging,
-}
-
-/// The staging buffers of the last dropped mirror scratch, for the next scratch of that
+/// The staging buffers of the last dropped mirror handle, for the next handle of that
 /// layout: a model restarted in-process then stages into pages that are still mapped.
 /// Every use writes a slot before reading it, so the buffers are not cleared.
 static SPARE_STAGING: Mutex<Option<Staging>> = Mutex::new(None);
-
-impl Drop for MirrorScratch {
-    fn drop(&mut self) {
-        *SPARE_STAGING.lock() = Some(mem::take(&mut self.staging));
-    }
-}
-
-/// Whether a cache built for the key bytes `cached` (`None`: not built) must be
-/// rebuilt because the enclave's model key changed since: the check the scratch and
-/// the publish pipeline share. Borrows the stored key
-/// ([`plinius_sgx::Enclave::with_key`]), so the steady-state path clones nothing.
-fn needs_rebuild(ctx: &PliniusContext, cached: Option<&[u8]>) -> Result<bool, PliniusError> {
-    let Some(cached) = cached else {
-        return Ok(true);
-    };
-    ctx.enclave()
-        .with_key(ctx.key_name(), |k| k.as_bytes() != cached)
-        .ok_or(PliniusError::KeyNotProvisioned)
-}
 
 /// Bookkeeping of one enqueued-but-not-yet-committed publish.
 struct InflightPublish {
@@ -241,19 +213,34 @@ struct InflightPublish {
     model_bytes: usize,
 }
 
-/// The lazily built background-publish machinery of one mirror handle.
-struct MirrorPipeline {
-    /// Single background worker sealing staged snapshots. The buffers travel to it and
-    /// always come back, with the seal's result, so they are reused even on error.
-    worker: Pipeline<Staging, (Staging, Result<(), PliniusError>)>,
-    /// Raw bytes of the key the worker's GCM context was built for.
-    key_bytes: Vec<u8>,
-    /// The pipeline's staging buffers while no publish is in flight: the snapshot
-    /// phase stages into them and the worker seals them, so the steady state
-    /// allocates nothing.
-    spare: Option<Staging>,
+/// The background seal worker: each job carries the staging buffers and the model
+/// key's context of the snapshot that staged them, and the buffers always come back,
+/// with the seal's result, so they are reused even on error.
+type SealWorker = Pipeline<(Staging, Arc<AesGcm>), (Staging, Result<(), PliniusError>)>;
+
+/// The working state of one mirror handle: the one staging set that every save and
+/// restore through the handle uses, and the seal worker of pipelined saves. Nothing in
+/// it depends on the key: each save or restore fetches the model key's context from
+/// the enclave's cache ([`PliniusContext::gcm`]), so a re-provisioned key takes effect
+/// at the next one. After warm-up a serial save or restore allocates nothing.
+#[derive(Default)]
+struct WorkingState {
+    /// The staging buffers, built on first use; `None` while the seal worker holds
+    /// them, or after a dead worker took them along.
+    staging: Option<Staging>,
+    /// Single background worker sealing staged snapshots, spawned by the first
+    /// pipelined save and respawned after it dies.
+    worker: Option<SealWorker>,
     /// The publish currently in flight, if any (the pipeline is depth-1).
     inflight: Option<InflightPublish>,
+}
+
+impl Drop for WorkingState {
+    fn drop(&mut self) {
+        if let Some(staging) = self.staging.take() {
+            *SPARE_STAGING.lock() = Some(staging);
+        }
+    }
 }
 
 /// Fault-injection hook of the seqlock read: fired with the 0-based attempt index
@@ -309,11 +296,9 @@ pub struct MirrorModel {
     slots: Vec<TensorSlot>,
     /// The `ring_depth` PM buffers of every tensor, in `slots` order.
     tensor_ptrs: Vec<Vec<PmPtr>>,
-    /// Lazily built reusable scratch; `Mutex` keeps `mirror_out(&self)` callable from
-    /// the existing persistence backends while the buffers are reused in place.
-    scratch: Mutex<Option<MirrorScratch>>,
-    /// Lazily built background-publish pipeline (overlapped mode only).
-    pipeline: Mutex<Option<MirrorPipeline>>,
+    /// Working state of this handle; `Mutex` keeps `mirror_out(&self)` callable from
+    /// the persistence backends while the buffers are reused in place.
+    state: Mutex<WorkingState>,
     /// Torn-read fault injection (tests only); see
     /// [`MirrorModel::set_torn_read_hook`].
     torn_read_hook: Mutex<Option<TornReadHook>>,
@@ -331,8 +316,7 @@ impl std::fmt::Debug for MirrorModel {
 
 impl Clone for MirrorModel {
     fn clone(&self) -> Self {
-        // The scratch, pipeline and fault hook are per-handle working state: a clone
-        // starts cold.
+        // The working state and fault hook belong to the handle: a clone starts cold.
         MirrorModel {
             header: self.header,
             meta: self.meta,
@@ -340,8 +324,7 @@ impl Clone for MirrorModel {
             layer_nodes: self.layer_nodes.clone(),
             slots: self.slots.clone(),
             tensor_ptrs: self.tensor_ptrs.clone(),
-            scratch: Mutex::new(None),
-            pipeline: Mutex::new(None),
+            state: Mutex::default(),
             torn_read_hook: Mutex::new(None),
         }
     }
@@ -445,8 +428,7 @@ impl MirrorModel {
             layer_nodes,
             slots,
             tensor_ptrs,
-            scratch: Mutex::new(None),
-            pipeline: Mutex::new(None),
+            state: Mutex::default(),
             torn_read_hook: Mutex::new(None),
         })
     }
@@ -510,37 +492,30 @@ impl MirrorModel {
             layer_nodes,
             slots,
             tensor_ptrs,
-            scratch: Mutex::new(None),
-            pipeline: Mutex::new(None),
+            state: Mutex::default(),
             torn_read_hook: Mutex::new(None),
         })
     }
 
-    /// Returns the warm scratch, (re)building it if absent or if the enclave's model
-    /// key changed since the cached GCM context was derived. The key comparison
-    /// borrows the stored key ([`plinius_sgx::Enclave::with_key`]) so the steady-state
-    /// path clones nothing.
-    fn ensure_scratch<'a>(
+    /// The start of every save and restore through this handle: joins and commits the
+    /// in-flight publish, if any, so epochs always commit in snapshot order; fetches
+    /// the model key's context; and returns the handle's staging buffers, built on
+    /// first use (or after a dead seal worker took them along).
+    fn begin<'a>(
         &self,
         ctx: &PliniusContext,
-        guard: &'a mut Option<MirrorScratch>,
-    ) -> Result<&'a mut MirrorScratch, PliniusError> {
-        if needs_rebuild(ctx, guard.as_ref().map(|s| s.key_bytes.as_slice()))? {
-            let key = ctx.key()?;
-            let gcm = ctx.gcm()?;
-            // A re-keyed scratch is rebuilt over the staging buffers it leaves behind.
-            *guard = None;
-            let spare = SPARE_STAGING.lock().take();
-            let staging = spare
+        state: &'a mut WorkingState,
+    ) -> Result<(Option<PublishReport>, Arc<AesGcm>, &'a mut Staging), PliniusError> {
+        let prior = self.join_inflight(ctx, state)?;
+        let gcm = ctx.gcm()?;
+        let staging = state.staging.get_or_insert_with(|| {
+            SPARE_STAGING
+                .lock()
+                .take()
                 .filter(|s| s.fits(&self.slots))
-                .unwrap_or_else(|| Staging::new(&self.slots));
-            *guard = Some(MirrorScratch {
-                key_bytes: key.as_bytes().to_vec(),
-                gcm,
-                staging,
-            });
-        }
-        Ok(guard.as_mut().expect("scratch built above"))
+                .unwrap_or_else(|| Staging::new(&self.slots))
+        });
+        Ok((prior, gcm, staging))
     }
 
     /// Number of mirrored (trainable) layers.
@@ -668,8 +643,8 @@ impl MirrorModel {
     ///
     /// Test scaffolding (like [`plinius_romulus::Romulus::inject_failure`]): a hook
     /// that publishes must do so through a **separate cloned handle** — `mirror_in`
-    /// holds this handle's scratch lock while the hook runs, so publishing through
-    /// the same handle would deadlock.
+    /// holds this handle's state lock while the hook runs, so publishing through the
+    /// same handle would deadlock.
     pub fn set_torn_read_hook(&self, hook: Option<Box<dyn FnMut(u64) + Send>>) {
         *self.torn_read_hook.lock() = hook;
     }
@@ -728,7 +703,8 @@ impl MirrorModel {
 
     /// [`MirrorModel::mirror_out`] with an explicit sealing-thread count (1 forces the
     /// serial path). Exposed for benchmarks and the determinism tests; the result is
-    /// bit-identical for every `threads` value.
+    /// bit-identical for every `threads` value. A publish still in flight through
+    /// this handle commits first, so it never lands as the newer epoch.
     ///
     /// # Errors
     ///
@@ -741,13 +717,13 @@ impl MirrorModel {
     ) -> Result<MirrorOutReport, PliniusError> {
         let clock = ctx.clock();
         check_shape(&self.slots, network)?;
-        let mut guard = self.scratch.lock();
-        let MirrorScratch { gcm, staging, .. } = self.ensure_scratch(ctx, &mut guard)?;
+        let mut state = self.state.lock();
+        let (_, gcm, staging) = self.begin(ctx, &mut state)?;
         staging.draw_ivs(ctx);
         // Phase 1: in-enclave encryption of every parameter tensor, staged through and
-        // sealed into the reusable scratch — no heap allocation in the steady state.
+        // sealed into the reusable buffers — no heap allocation in the steady state.
         let (seal_result, encrypt) = SimSpan::record(&clock, || {
-            staging.stage_and_seal(ctx, &self.slots, gcm, network, threads)
+            staging.stage_and_seal(ctx, &self.slots, &gcm, network, threads)
         });
         let model_bytes = seal_result?;
         // Phase 2: bulk-publish the sealed arena into the inactive slot and commit
@@ -846,7 +822,8 @@ impl MirrorModel {
         })
     }
 
-    /// The two timed phases of a restore. Phase 1: `read` fills the reusable arena
+    /// The two timed phases of a restore, after any in-flight publish through this
+    /// handle has committed. Phase 1: `read` fills the reusable arena
     /// with sealed tensors from PM (no per-tensor vectors, no blob clones) and
     /// returns the `(iteration, epoch)` they belong to. Phase 2
     /// ([`open_and_decode`]): every tensor is authenticated and decrypted into the
@@ -859,13 +836,13 @@ impl MirrorModel {
         read: impl FnOnce(&mut [u8]) -> Result<(u64, u64), PliniusError>,
     ) -> Result<MirrorInReport, PliniusError> {
         let clock = ctx.clock();
-        let mut guard = self.scratch.lock();
-        let scratch = self.ensure_scratch(ctx, &mut guard)?;
-        let (read_out, read) = SimSpan::record(&clock, || read(&mut scratch.staging.arena));
+        let mut state = self.state.lock();
+        let (_, gcm, staging) = self.begin(ctx, &mut state)?;
+        let (read_out, read) = SimSpan::record(&clock, || read(&mut staging.arena));
         let (iteration, epoch) = read_out?;
-        let Staging { plain, arena, .. } = &mut scratch.staging;
+        let Staging { plain, arena, .. } = staging;
         let (decrypt_result, decrypt) = SimSpan::record(&clock, || {
-            open_and_decode(ctx, &self.slots, &scratch.gcm, arena, plain, network)
+            open_and_decode(ctx, &self.slots, &gcm, arena, plain, network)
         });
         let model_bytes = decrypt_result?;
         network.set_iteration(iteration);
@@ -975,46 +952,6 @@ impl MirrorModel {
 
     // --------------------------------------------------------- pipelined mirror-out
 
-    /// Returns the warm publish pipeline, (re)building the background worker if
-    /// absent, if the enclave's model key changed, or if the previous worker died
-    /// (its staging buffers are gone with it — `spare == None` with nothing in
-    /// flight is exactly that post-failure state, since every live idle pipeline
-    /// holds its spare set). Must only be called with no publish in flight (the
-    /// caller joins first), so a rebuild never drops work.
-    fn ensure_pipeline<'a>(
-        &self,
-        ctx: &PliniusContext,
-        guard: &'a mut Option<MirrorPipeline>,
-    ) -> Result<&'a mut MirrorPipeline, PliniusError> {
-        // A dead worker took its staging buffers along: rebuild it like a cold one.
-        let live = guard.as_ref().filter(|p| p.spare.is_some());
-        if needs_rebuild(ctx, live.map(|p| p.key_bytes.as_slice()))? {
-            let key = ctx.key()?;
-            let gcm = ctx.gcm()?;
-            let slots: Arc<[TensorSlot]> = self.slots.clone().into();
-            // One thread: the worker *is* the parallel lane. The sealed bytes are a
-            // pure function of (key, IV, AAD, plaintext), so they match the
-            // synchronous path bit for bit.
-            let worker = Pipeline::spawn("plinius-mirror-seal", move |mut staging: Staging| {
-                let result = staging.seal(&slots, &gcm, 1);
-                (staging, result)
-            });
-            // Reuse the previous staging buffers across a key rotation; allocate them
-            // once on first use.
-            let spare = guard
-                .take()
-                .and_then(|old| old.spare)
-                .unwrap_or_else(|| Staging::new(&self.slots));
-            *guard = Some(MirrorPipeline {
-                worker,
-                key_bytes: key.as_bytes().to_vec(),
-                spare: Some(spare),
-                inflight: None,
-            });
-        }
-        Ok(guard.as_mut().expect("pipeline built above"))
-    }
-
     /// Joins the in-flight publish, if any: waits for the background sealing to
     /// finish, credits the sealing time hidden behind the main lane
     /// ([`SimSpan::overlap`]), and durably commits the sealed snapshot as the next
@@ -1022,21 +959,29 @@ impl MirrorModel {
     fn join_inflight(
         &self,
         ctx: &PliniusContext,
-        guard: &mut Option<MirrorPipeline>,
+        state: &mut WorkingState,
     ) -> Result<Option<PublishReport>, PliniusError> {
-        let Some(state) = guard.as_mut() else {
-            return Ok(None);
-        };
         let Some(meta) = state.inflight.take() else {
             return Ok(None);
         };
         let clock = ctx.clock();
-        let (staging, result) = state
+        let worker = state
             .worker
-            .recv()
-            .map_err(|e| PliniusError::Pipeline(format!("seal worker join failed: {e}")))?;
+            .as_mut()
+            .expect("a publish in flight has a worker");
+        let (staging, result) = match worker.recv() {
+            Ok(done) => done,
+            Err(e) => {
+                // The worker died with the staging buffers: the next pipelined save
+                // respawns it, and the next use of the buffers rebuilds them.
+                state.worker = None;
+                return Err(PliniusError::Pipeline(format!(
+                    "seal worker join failed: {e}"
+                )));
+            }
+        };
         // Always hand the buffers back for reuse, even when the publish fails.
-        let arena = &state.spare.insert(staging).arena;
+        let arena = &state.staging.insert(staging).arena;
         // The sealing lane forked at snapshot time and ran in parallel with whatever
         // the training loop charged since; only its residual shows up here.
         let seal_join = SimSpan::overlap(&clock, meta.fork_ns, meta.seal_lane_ns);
@@ -1075,10 +1020,8 @@ impl MirrorModel {
     ) -> Result<Option<PublishReport>, PliniusError> {
         let clock = ctx.clock();
         check_shape(&self.slots, network)?;
-        let mut guard = self.pipeline.lock();
-        let prior = self.join_inflight(ctx, &mut guard)?;
-        let state = self.ensure_pipeline(ctx, &mut guard)?;
-        let mut staging = state.spare.take().expect("spare buffers present when idle");
+        let mut state = self.state.lock();
+        let (prior, gcm, staging) = self.begin(ctx, &mut state)?;
         staging.draw_ivs(ctx);
         let model_bytes = staging.plain.len();
         staging.stage(&self.slots, network);
@@ -1088,10 +1031,26 @@ impl MirrorModel {
         let seal_lane_ns = ctx.enclave().charge_crypto_offline(model_bytes as u64);
         let fork_ns = clock.now_ns();
         let iteration = network.iteration();
-        state
-            .worker
-            .send(staging)
-            .map_err(|e| PliniusError::Pipeline(format!("seal worker dispatch failed: {e}")))?;
+        let staging = state.staging.take().expect("staged above");
+        // One thread: the worker *is* the parallel lane. The sealed bytes are a pure
+        // function of (key, IV, AAD, plaintext), so they match the synchronous path
+        // bit for bit.
+        let worker = state.worker.get_or_insert_with(|| {
+            let slots: Arc<[TensorSlot]> = self.slots.clone().into();
+            Pipeline::spawn(
+                "plinius-mirror-seal",
+                move |(mut staging, gcm): (Staging, Arc<AesGcm>)| {
+                    let result = staging.seal(&slots, &gcm, 1);
+                    (staging, result)
+                },
+            )
+        });
+        if let Err(e) = worker.send((staging, gcm)) {
+            state.worker = None;
+            return Err(PliniusError::Pipeline(format!(
+                "seal worker dispatch failed: {e}"
+            )));
+        }
         state.inflight = Some(InflightPublish {
             iteration,
             fork_ns,
@@ -1109,16 +1068,12 @@ impl MirrorModel {
     ///
     /// Propagates sealing, PM-write and worker errors of the joined publish.
     pub fn drain(&self, ctx: &PliniusContext) -> Result<Option<PublishReport>, PliniusError> {
-        let mut guard = self.pipeline.lock();
-        self.join_inflight(ctx, &mut guard)
+        self.join_inflight(ctx, &mut self.state.lock())
     }
 
     /// Whether a snapshot is currently sealing/publishing in the background.
     pub fn has_inflight(&self) -> bool {
-        self.pipeline
-            .lock()
-            .as_ref()
-            .is_some_and(|p| p.inflight.is_some())
+        self.state.lock().inflight.is_some()
     }
 
     /// Test hook: replaces the live seal worker with one that dies on its first job,
@@ -1126,11 +1081,10 @@ impl MirrorModel {
     /// pipeline) can be exercised without a real sealing bug.
     #[cfg(test)]
     fn kill_seal_worker_for_test(&self) {
-        if let Some(state) = self.pipeline.lock().as_mut() {
-            state.worker = Pipeline::spawn("plinius-mirror-seal-dying", |_staging: Staging| {
-                panic!("seal worker killed for test");
-            });
-        }
+        self.state.lock().worker = Some(Pipeline::spawn(
+            "plinius-mirror-seal-dying",
+            |_job: (Staging, Arc<AesGcm>)| panic!("seal worker killed for test"),
+        ));
     }
 }
 
@@ -1138,7 +1092,7 @@ impl MirrorModel {
 mod tests {
     use super::*;
     use crate::f32s_to_bytes;
-    use plinius_crypto::{IvSequence, Key, SealedBuffer};
+    use plinius_crypto::{seal_into, sealed_len, CryptoError, IvSequence, Key, SealedView};
     use plinius_darknet::config::{build_network, mnist_cnn_config};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1237,9 +1191,9 @@ mod tests {
     }
 
     /// Pins the on-PM bytes to the seed's per-tensor formula: every sealed tensor must
-    /// equal `SealedBuffer::seal_with_aad_and_iv(key, le_bytes(tensor),
-    /// "layer{i}-tensor{j}", IvSequence(batch_seed).iv(flat_index))` — i.e. the
-    /// scratch/arena rewrite changed no ciphertext, IV or MAC byte.
+    /// equal `seal_into(key.gcm(), le_bytes(tensor), "layer{i}-tensor{j}",
+    /// IvSequence(batch_seed).iv(flat_index))` — i.e. the staging/arena rewrite
+    /// changed no ciphertext, IV or MAC byte.
     #[test]
     fn mirror_out_bytes_match_the_per_tensor_seal_formula() {
         let (ctx, mut net) = (context_with_key(8 * 1024 * 1024), small_network(21));
@@ -1251,7 +1205,7 @@ mod tests {
         // batch seed drawn below is the one the mirror-out above used.
         let (ctx2, net2) = (context_with_key(8 * 1024 * 1024), small_network(21));
         let _twin = MirrorModel::allocate(&ctx2, &net2).unwrap();
-        let key = ctx2.key().unwrap();
+        let gcm = ctx2.key().unwrap().gcm();
         let ivs = IvSequence::from_rng(&mut ctx2.enclave_rng());
         let mut flat = 0u64;
         let mut expected: Vec<Vec<Vec<u8>>> = Vec::new();
@@ -1264,16 +1218,10 @@ mod tests {
             let mut blobs = Vec::new();
             for (j, param) in layer.params().iter().enumerate() {
                 let aad = format!("layer{i}-tensor{j}");
-                blobs.push(
-                    SealedBuffer::seal_with_aad_and_iv(
-                        &key,
-                        &f32s_to_bytes(param.data),
-                        aad.as_bytes(),
-                        &ivs.iv(flat),
-                    )
-                    .unwrap()
-                    .into_bytes(),
-                );
+                let plaintext = f32s_to_bytes(param.data);
+                let mut blob = vec![0u8; sealed_len(plaintext.len())];
+                seal_into(&gcm, &plaintext, aad.as_bytes(), &ivs.iv(flat), &mut blob).unwrap();
+                blobs.push(blob);
                 flat += 1;
             }
             expected.push(blobs);
@@ -1481,6 +1429,76 @@ mod tests {
         assert_eq!(report.iteration, 3);
         assert_eq!(report.epoch, 2, "the lost publish committed nothing");
         assert_eq!(mirror.iteration(&ctx).unwrap(), 3);
+    }
+
+    #[test]
+    fn a_sync_save_commits_after_the_publish_in_flight() {
+        // A synchronous save through a handle whose pipelined publish is still in
+        // flight joins that publish first: the older snapshot commits as the older
+        // epoch, and a restore opens the newer save.
+        let ctx = context_with_key(8 * 1024 * 1024);
+        let mut five = small_network(90);
+        five.set_iteration(5);
+        let mut six = small_network(91);
+        six.set_iteration(6);
+        let mirror = MirrorModel::allocate(&ctx, &five).unwrap();
+        mirror.snapshot_out(&ctx, &five).unwrap();
+        mirror.mirror_out(&ctx, &six).unwrap();
+        assert!(mirror.drain(&ctx).unwrap().is_none());
+        assert_eq!(mirror.epoch(&ctx).unwrap(), 2);
+        assert_eq!(mirror.epoch_iteration(&ctx, 1).unwrap(), 5);
+        assert_eq!(mirror.epoch_iteration(&ctx, 2).unwrap(), 6);
+        let mut restored = small_network(92);
+        let report = mirror.mirror_in(&ctx, &mut restored).unwrap();
+        assert_eq!((report.epoch, report.iteration), (2, 6));
+        assert_eq!(snapshot(&restored), snapshot(&six));
+    }
+
+    /// Opens every tensor of the committed epoch under `key`.
+    fn open_committed(
+        ctx: &PliniusContext,
+        mirror: &MirrorModel,
+        key: &Key,
+    ) -> Result<(), CryptoError> {
+        let gcm = key.gcm();
+        for (slot, blob) in mirror
+            .slots
+            .iter()
+            .zip(sealed_tensor_bytes(ctx, mirror).concat())
+        {
+            let mut plain = vec![0u8; slot.plain_len];
+            SealedView::parse(&blob)?.open_into(&gcm, &slot.aad, &mut plain)?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn saves_after_a_key_rotation_seal_under_the_new_key() {
+        let ctx = context_with_key(8 * 1024 * 1024);
+        let mut net = small_network(80);
+        let mirror = MirrorModel::allocate(&ctx, &net).unwrap();
+        // Warm both save paths under the first key, then re-provision.
+        mirror.mirror_out(&ctx, &net).unwrap();
+        mirror.snapshot_out(&ctx, &net).unwrap();
+        mirror.drain(&ctx).unwrap();
+        let old = ctx.key().unwrap();
+        let new = Key::generate_128(&mut StdRng::seed_from_u64(81));
+        ctx.provision_key_directly(new.clone());
+        for pipelined in [false, true] {
+            net = small_network(82 + u64::from(pipelined));
+            if pipelined {
+                mirror.snapshot_out(&ctx, &net).unwrap();
+                mirror.drain(&ctx).unwrap().expect("one publish in flight");
+            } else {
+                mirror.mirror_out(&ctx, &net).unwrap();
+            }
+            assert_eq!(open_committed(&ctx, &mirror, &new), Ok(()));
+            let old_key = open_committed(&ctx, &mirror, &old);
+            assert_eq!(old_key, Err(CryptoError::AuthenticationFailed));
+            let mut restored = small_network(90);
+            mirror.mirror_in(&ctx, &mut restored).unwrap();
+            assert_eq!(snapshot(&restored), snapshot(&net));
+        }
     }
 
     #[test]

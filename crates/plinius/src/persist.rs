@@ -375,6 +375,8 @@ impl ModelPersistence for PmMirrorBackend {
         network: &Network,
         _iteration: u64,
     ) -> Result<(), PliniusError> {
+        // A publish still in flight commits first; book it before the save.
+        self.drain(ctx)?;
         let report = self.mirror(ctx, network)?.mirror_out(ctx, network)?;
         self.stats.persists += 1;
         self.stats.publishes += 1;

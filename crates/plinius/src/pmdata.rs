@@ -3,14 +3,21 @@
 //!
 //! Training data is loaded into PM *once*; afterwards it stays there across crashes and
 //! restarts, so recovery never has to re-read the dataset from secondary storage. Every
-//! sample (image + one-hot label) is stored as an individually sealed AES-GCM blob so the
-//! training loop can decrypt exactly the batch it needs into enclave memory.
+//! sample (image ‖ one-hot label, as little-endian `f32`s) is stored as an individually
+//! sealed AES-GCM blob, bound to its index by the AAD `sample{i}`, so the training loop
+//! can decrypt exactly the batch it needs into enclave memory.
+//!
+//! Sealing and opening go through the model key's context from the enclave's per-key
+//! cache ([`PliniusContext::gcm`]), the one the mirror uses, into buffers reused across
+//! a load or a batch: [`PmDataset::decrypt_batch`] makes the same few heap allocations
+//! at every batch size, and decodes each sample straight into the batch.
 
-use crate::{PliniusContext, PliniusError};
-use plinius_crypto::{SealedBuffer, SEAL_OVERHEAD};
+use crate::{f32s_from_bytes_into, f32s_to_bytes_into, PliniusContext, PliniusError};
+use plinius_crypto::{seal_into, SealedView, IV_LEN, SEAL_OVERHEAD};
 use plinius_darknet::Dataset;
 use plinius_romulus::PmPtr;
-use rand::Rng;
+use rand::{Rng, RngCore};
+use std::io::Write;
 
 /// Root-directory slot holding tenant 0's PM dataset header. Other tenants use
 /// their own root pair ([`crate::TenantId::dataset_root`]); the dataset always
@@ -19,6 +26,17 @@ pub const ROOT_DATASET: usize = 1;
 
 /// Persistent header layout: `[samples][inputs][classes][sealed_len][block_ptr]`.
 const HEADER_BYTES: usize = 40;
+
+/// Capacity of a sample's AAD: `sample` and the decimal digits of any `usize`.
+const AAD_CAP: usize = 6 + 20;
+
+/// Formats sample `index`'s AAD, `sample{index}`, into `buf` without allocating.
+fn sample_aad(index: usize, buf: &mut [u8; AAD_CAP]) -> &[u8] {
+    let mut rest = &mut buf[..];
+    write!(rest, "sample{index}").expect("AAD_CAP holds every usize index");
+    let len = AAD_CAP - rest.len();
+    &buf[..len]
+}
 
 /// Handle to the encrypted training dataset resident in PM.
 #[derive(Debug, Clone)]
@@ -44,9 +62,10 @@ impl PmDataset {
     /// Returns [`PliniusError::KeyNotProvisioned`] without a model key, or Romulus errors
     /// (e.g. the PM pool is too small for the dataset).
     pub fn load(ctx: &PliniusContext, dataset: &Dataset) -> Result<Self, PliniusError> {
-        let key = ctx.key()?;
+        let gcm = ctx.gcm()?;
         let mut rng = ctx.enclave_rng();
-        let plain_len = (dataset.inputs() + dataset.classes()) * 4;
+        let (inputs, classes) = (dataset.inputs(), dataset.classes());
+        let plain_len = (inputs + classes) * 4;
         let sealed_len = plain_len + SEAL_OVERHEAD;
         // The untrusted helper reads the (already encrypted at rest) data from storage
         // into DRAM and hands its address to the enclave via an ecall; here that step is
@@ -60,29 +79,34 @@ impl PmDataset {
             header = tx.alloc(HEADER_BYTES)?;
             block = tx.alloc(samples * sealed_len)?;
             tx.write_u64(header, samples as u64)?;
-            tx.write_u64(header.add(8), dataset.inputs() as u64)?;
-            tx.write_u64(header.add(16), dataset.classes() as u64)?;
+            tx.write_u64(header.add(8), inputs as u64)?;
+            tx.write_u64(header.add(16), classes as u64)?;
             tx.write_u64(header.add(24), sealed_len as u64)?;
             tx.write_u64(header.add(32), block.offset())?;
             Ok(())
         })?;
         // Encrypt and persist the samples in chunks of transactions so the volatile log
-        // stays bounded (the data block itself was allocated above).
+        // stays bounded (the data block itself was allocated above). One small buffer
+        // per sample of a chunk, not one chunk-sized buffer: freeing a buffer that
+        // large would raise glibc's mmap threshold and with it the process's peak RSS.
         const CHUNK: usize = 256;
+        let mut plain = vec![0u8; plain_len];
+        let mut sealed_chunk = vec![vec![0u8; sealed_len]; CHUNK.min(samples)];
+        let mut aad = [0u8; AAD_CAP];
         let mut index = 0usize;
         while index < samples {
             let end = (index + CHUNK).min(samples);
-            let mut sealed_chunk = Vec::with_capacity(end - index);
-            for i in index..end {
-                let plaintext = dataset.sample_bytes(i);
-                ctx.enclave().charge_crypto(plaintext.len() as u64);
-                let aad = format!("sample{i}");
-                let blob = SealedBuffer::seal_with_aad(&key, &plaintext, aad.as_bytes(), &mut rng)?;
-                sealed_chunk.push(blob.into_bytes());
+            for (i, blob) in (index..end).zip(sealed_chunk.iter_mut()) {
+                let (image, label) = plain.split_at_mut(inputs * 4);
+                f32s_to_bytes_into(dataset.image(i), image);
+                f32s_to_bytes_into(dataset.label(i), label);
+                ctx.enclave().charge_crypto(plain_len as u64);
+                let mut iv = [0u8; IV_LEN];
+                rng.fill_bytes(&mut iv);
+                seal_into(&gcm, &plain, sample_aad(i, &mut aad), &iv, blob)?;
             }
             ctx.romulus().transaction(|tx| {
-                for (offset_in_chunk, blob) in sealed_chunk.iter().enumerate() {
-                    let i = index + offset_in_chunk;
+                for (i, blob) in (index..end).zip(&sealed_chunk) {
                     tx.write_bytes(block.add((i * sealed_len) as u64), blob)?;
                 }
                 Ok(())
@@ -95,8 +119,8 @@ impl PmDataset {
         Ok(PmDataset {
             block,
             samples,
-            inputs: dataset.inputs(),
-            classes: dataset.classes(),
+            inputs,
+            classes,
             sealed_len,
         })
     }
@@ -105,20 +129,33 @@ impl PmDataset {
     ///
     /// # Errors
     ///
-    /// Returns [`PliniusError::NoPmDataset`] if no dataset was loaded.
+    /// Returns [`PliniusError::NoPmDataset`] if no dataset was loaded, or
+    /// [`PliniusError::MirrorMismatch`] if the header's sample size does not match its
+    /// shape (the host owns PM).
     pub fn open(ctx: &PliniusContext) -> Result<Self, PliniusError> {
         let header = ctx.romulus().root(ctx.dataset_root())?;
         if header.is_null() {
             return Err(PliniusError::NoPmDataset);
         }
         let rom = ctx.romulus();
-        Ok(PmDataset {
+        let dataset = PmDataset {
             block: PmPtr::from_offset(rom.read_u64(header.add(32))?),
             samples: rom.read_u64(header)? as usize,
             inputs: rom.read_u64(header.add(8))? as usize,
             classes: rom.read_u64(header.add(16))? as usize,
             sealed_len: rom.read_u64(header.add(24))? as usize,
-        })
+        };
+        let plain_len = dataset
+            .inputs
+            .checked_add(dataset.classes)
+            .and_then(|n| n.checked_mul(4));
+        if plain_len.and_then(|n| n.checked_add(SEAL_OVERHEAD)) != Some(dataset.sealed_len) {
+            return Err(PliniusError::MirrorMismatch(format!(
+                "PM dataset header declares {}-byte sealed samples of {} inputs and {} classes",
+                dataset.sealed_len, dataset.inputs, dataset.classes
+            )));
+        }
+        Ok(dataset)
     }
 
     /// Number of samples resident in PM.
@@ -163,17 +200,9 @@ impl PmDataset {
                 self.samples
             )));
         }
-        let key = ctx.key()?;
-        let blob = ctx.romulus().read_bytes(
-            self.block.add((index * self.sealed_len) as u64),
-            self.sealed_len,
-        )?;
-        ctx.enclave().charge_crypto(blob.len() as u64);
-        let aad = format!("sample{index}");
-        let plaintext = SealedBuffer::from_bytes(blob)?.open_with_aad(&key, aad.as_bytes())?;
-        ctx.enclave().charge_data_staging(plaintext.len() as u64);
-        Dataset::sample_from_bytes(self.inputs, self.classes, &plaintext)
-            .map_err(PliniusError::from)
+        let (mut image, mut label) = (vec![0.0; self.inputs], vec![0.0; self.classes]);
+        self.open_rows(ctx, [index], &mut image, &mut label)?;
+        Ok((image, label))
     }
 
     /// Decrypts a batch of `batch` random samples into contiguous `(images, labels)`
@@ -188,15 +217,39 @@ impl PmDataset {
         batch: usize,
         rng: &mut R,
     ) -> Result<(Vec<f32>, Vec<f32>), PliniusError> {
-        let mut images = Vec::with_capacity(batch * self.inputs);
-        let mut labels = Vec::with_capacity(batch * self.classes);
-        for _ in 0..batch {
-            let index = rng.gen_range(0..self.samples);
-            let (img, lbl) = self.sample(ctx, index)?;
-            images.extend_from_slice(&img);
-            labels.extend_from_slice(&lbl);
-        }
+        let mut images = vec![0.0; batch * self.inputs];
+        let mut labels = vec![0.0; batch * self.classes];
+        let indices = (0..batch).map(|_| rng.gen_range(0..self.samples));
+        self.open_rows(ctx, indices, &mut images, &mut labels)?;
         Ok((images, labels))
+    }
+
+    /// Reads, authenticates and decrypts the samples at `indices`, in order, through
+    /// one pair of reused buffers, and decodes each image and one-hot label straight
+    /// into the next row of `images` and `labels`.
+    fn open_rows(
+        &self,
+        ctx: &PliniusContext,
+        indices: impl IntoIterator<Item = usize>,
+        images: &mut [f32],
+        labels: &mut [f32],
+    ) -> Result<(), PliniusError> {
+        let gcm = ctx.gcm()?;
+        let mut sealed = vec![0u8; self.sealed_len];
+        let mut plain = vec![0u8; self.sealed_len - SEAL_OVERHEAD];
+        let mut aad = [0u8; AAD_CAP];
+        let (inputs, classes) = (self.inputs, self.classes);
+        for (row, index) in indices.into_iter().enumerate() {
+            let sample = self.block.add((index * self.sealed_len) as u64);
+            ctx.romulus().read_bytes_into(sample, &mut sealed)?;
+            ctx.enclave().charge_crypto(sealed.len() as u64);
+            SealedView::parse(&sealed)?.open_into(&gcm, sample_aad(index, &mut aad), &mut plain)?;
+            ctx.enclave().charge_data_staging(plain.len() as u64);
+            let (image, label) = plain.split_at(inputs * 4);
+            f32s_from_bytes_into(image, &mut images[row * inputs..(row + 1) * inputs]);
+            f32s_from_bytes_into(label, &mut labels[row * classes..(row + 1) * classes]);
+        }
+        Ok(())
     }
 
     /// Reads a batch of *plaintext* samples directly (no decryption), used by the Fig. 8
@@ -281,6 +334,45 @@ mod tests {
         ctx2.provision_key_directly(key);
         let (img, _) = pm2.sample(&ctx2, 0).unwrap();
         assert_eq!(img, data.image(0));
+    }
+
+    #[test]
+    fn sealed_samples_match_the_per_sample_seal_formula() {
+        // 300 samples: more than one 256-sample load chunk.
+        let mut rng = StdRng::seed_from_u64(8);
+        let data = synthetic_images(300, 4, 4, 3, 0.1, &mut rng);
+        let ctx = ctx_with_key();
+        let pm = PmDataset::load(&ctx, &data).unwrap();
+        // Twin deployment: identical pool size, enclave RNG stream and key, so the IV
+        // stream drawn below is the one the load above used.
+        let twin = ctx_with_key();
+        let gcm = twin.key().unwrap().gcm();
+        let mut ivs = twin.enclave_rng();
+        for i in 0..data.len() {
+            let plaintext = crate::f32s_to_bytes(&[data.image(i), data.label(i)].concat());
+            let mut iv = [0u8; IV_LEN];
+            ivs.fill_bytes(&mut iv);
+            let mut expected = vec![0u8; plinius_crypto::sealed_len(plaintext.len())];
+            let aad = format!("sample{i}");
+            seal_into(&gcm, &plaintext, aad.as_bytes(), &iv, &mut expected).unwrap();
+            let ptr = pm.block.add((i * pm.sealed_len) as u64);
+            let got = ctx.romulus().read_bytes(ptr, pm.sealed_len).unwrap();
+            assert_eq!(got, expected, "sample {i}");
+        }
+    }
+
+    #[test]
+    fn corrupt_header_sizes_are_rejected_on_open() {
+        let ctx = ctx_with_key();
+        let mut rng = StdRng::seed_from_u64(9);
+        PmDataset::load(&ctx, &synthetic_images(4, 3, 3, 2, 0.1, &mut rng)).unwrap();
+        let sealed_len = ctx.romulus().root(ctx.dataset_root()).unwrap().add(24);
+        for bad in [0u64, 27, 28 + 11 * 4 - 1, u64::MAX] {
+            let rom = ctx.romulus();
+            rom.transaction(|tx| tx.write_u64(sealed_len, bad)).unwrap();
+            let err = PmDataset::open(&ctx).unwrap_err();
+            assert!(matches!(err, PliniusError::MirrorMismatch(_)), "{err}");
+        }
     }
 
     #[test]

@@ -170,7 +170,7 @@ impl PliniusTrainer {
     }
 
     /// A cold clone of the backend's live PM mirror handle — same persistent model,
-    /// own scratch buffers — or [`None`] when the backend has no mirror (or has not
+    /// own staging buffers — or [`None`] when the backend has no mirror (or has not
     /// bound one yet). This is how an [`InferenceServer`](crate::InferenceServer)
     /// attaches to a trainer: the clone reads committed epochs through the seqlock
     /// snapshot protocol without ever contending on the trainer's staging buffers.

@@ -1,10 +1,11 @@
 //! Enforces the allocation-free mirror path: after warm-up, a serial steady-state
 //! `mirror_out` — plaintext staging, per-tensor sealing, and the durable PM write —
 //! performs **zero heap allocations**. The plaintext staging buffer, sealed-blob
-//! arena, per-tensor AADs and IV batch, and the cached AES-GCM context all live in
-//! the mirror's reusable scratch; the Romulus redo log and its copy scratch retain
-//! their capacity across iterations, and the PM pool keeps no per-line state on the
-//! heap (its dirty lines are a bitset sized with the pool).
+//! arena, per-tensor AADs and IV batch live in the mirror handle's working state, and
+//! the AES-GCM context is a shared handle from the enclave's per-key cache; the
+//! Romulus redo log and its copy scratch retain their capacity across iterations, and
+//! the PM pool keeps no per-line state on the heap (its dirty lines are a bitset sized
+//! with the pool).
 //!
 //! Thread fan-out (`threads > 1`) additionally allocates only the O(#tensors)
 //! fork/join dispatch buffers, which is asserted with a loose bound.
@@ -16,7 +17,9 @@
 //!
 //! The training step itself is held to the same standard: a warm
 //! `Network::train_batch` and a warm `Network::forward` perform zero heap
-//! allocations (the GEMM pack buffers are per thread and reused across calls).
+//! allocations (the GEMM pack buffers are per thread and reused across calls), and a
+//! warm `PmDataset::decrypt_batch` allocates its few buffers once per batch, never
+//! per sample.
 //!
 //! The counting allocator is thread-local, so the serial assertions are exact even
 //! though the test binary runs tests on multiple threads.
@@ -30,7 +33,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use plinius::{MirrorModel, PliniusContext};
+use plinius::{MirrorModel, PliniusContext, PmDataset};
 use plinius_crypto::{seal_into, sealed_len, Aes, AesGcm, EngineKind, Key, SealedView, IV_LEN};
 use plinius_darknet::config::{build_network, mnist_cnn_config};
 use plinius_pmem::{CrashMode, PmemPool, CACHE_LINE};
@@ -84,7 +87,7 @@ fn mirror_fixture() -> (PliniusContext, plinius_darknet::Network, MirrorModel) {
 #[test]
 fn steady_state_serial_mirror_out_performs_zero_heap_allocations() {
     let (ctx, net, mirror) = mirror_fixture();
-    // Warm-up: the first call builds the scratch (staging buffer, arena, GCM tables)
+    // Warm-up: the first call builds the staging buffers (plaintext, arena, IVs)
     // and grows the Romulus scratch to its steady-state capacity; the second catches
     // any one-off growth.
     mirror.mirror_out_with_threads(&ctx, &net, 1).unwrap();
@@ -102,7 +105,7 @@ fn steady_state_serial_mirror_out_performs_zero_heap_allocations() {
 fn steady_state_mirror_out_stays_allocation_free_for_nonzero_tenants() {
     // The tenant-scoped publish path must be as quiet as tenant 0's: the tenant's
     // key-store name is precomputed as an `Arc<str>` when the context is scoped
-    // (`for_tenant`), so steady-state `with_key` lookups never format a string.
+    // (`for_tenant`), so steady-state `gcm_for_key` lookups never format a string.
     let ctx =
         PliniusContext::small_test(8 * 1024 * 1024).for_tenant(plinius::TenantId::new(5).unwrap());
     let mut rng = StdRng::seed_from_u64(4243);
@@ -181,7 +184,7 @@ fn warm_mirror_in_decodes_in_place_without_heap_allocations() {
 fn steady_state_snapshot_phase_performs_zero_heap_allocations() {
     // The cheap half of an overlapped mirror-out: staging the parameters + IV batch
     // into a pre-allocated slot and dispatching the seal job must not touch the heap
-    // once the pipeline (worker, two buffer sets, stats counters) is warm. The job
+    // once the pipeline (worker, staging buffers, stats counters) is warm. The job
     // *moves* through the pipeline's single exchange slot, so even the dispatch is
     // allocation-free on the calling thread.
     let (ctx, net, mirror) = mirror_fixture();
@@ -345,6 +348,31 @@ fn steady_state_forward_performs_zero_heap_allocations() {
     let allocs = thread_allocs() - before;
     assert_eq!(out_len, 4 * 10);
     assert_eq!(allocs, 0, "a warm forward pass must not touch the heap");
+}
+
+#[test]
+fn warm_decrypt_batch_allocates_the_same_at_every_batch_size() {
+    // Every sample of a batch opens through one set of buffers under the enclave's
+    // cached context and decodes straight into the batch, so a warm `decrypt_batch`
+    // makes the same few allocations at any batch size: nothing per sample.
+    let ctx = PliniusContext::small_test(8 * 1024 * 1024);
+    let mut rng = StdRng::seed_from_u64(4244);
+    ctx.provision_key_directly(Key::generate_128(&mut rng));
+    let data = plinius_darknet::synthetic_images(100, 8, 8, 10, 0.1, &mut rng);
+    let pm = PmDataset::load(&ctx, &data).unwrap();
+    let mut allocs_at = |batch: usize| {
+        pm.decrypt_batch(&ctx, batch, &mut rng).unwrap();
+        let before = thread_allocs();
+        let (images, labels) = pm.decrypt_batch(&ctx, batch, &mut rng).unwrap();
+        let allocs = thread_allocs() - before;
+        assert_eq!((images.len(), labels.len()), (batch * 64, batch * 10));
+        allocs
+    };
+    let (small, large) = (allocs_at(8), allocs_at(64));
+    assert_eq!(
+        small, large,
+        "a warm decrypt_batch must not allocate per sample"
+    );
 }
 
 #[test]

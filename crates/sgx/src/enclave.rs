@@ -18,7 +18,9 @@
 
 use crate::SgxError;
 use parking_lot::Mutex;
-use plinius_crypto::{AesGcm, CryptoError, EnginePolicy, Key, SealedBuffer, Sha256};
+use plinius_crypto::{
+    seal_into, sealed_len, AesGcm, CryptoError, EnginePolicy, Key, SealedView, Sha256, IV_LEN,
+};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use sim_clock::{ClockHandle, CostModel, Metric, StatsHandle};
@@ -414,15 +416,6 @@ impl Enclave {
         self.inner.keys.lock().get(name).cloned()
     }
 
-    /// Runs `f` with a borrowed reference to the named key, without cloning the key
-    /// bytes out of the store. Returns `None` if the key is absent.
-    ///
-    /// Used by allocation-free hot paths (e.g. the mirror's sealing scratch) that only
-    /// need to *compare* the stored key against a cached schedule.
-    pub fn with_key<R>(&self, name: &str, f: impl FnOnce(&Key) -> R) -> Option<R> {
-        self.inner.keys.lock().get(name).map(f)
-    }
-
     /// Removes a stored key (and any cached cipher context derived from it).
     pub fn remove_key(&self, name: &str) -> Option<Key> {
         let mut keys = self.inner.keys.lock();
@@ -440,9 +433,9 @@ impl Enclave {
     /// use and caching it until the key is re-provisioned or removed. Returns `None`
     /// if no key of that name is stored.
     ///
-    /// The steady-state mirror/checkpoint paths call this once per batch, so key
-    /// expansion never recurs in the hot loop and the returned handle is shared
-    /// (cloning the `Arc` allocates nothing).
+    /// The only place a stored key's context is built: the mirror, the SSD checkpoint,
+    /// the VFS and the PM dataset fetch it once per save, restore or batch, so key
+    /// expansion never recurs in a hot loop. Cloning the `Arc` allocates nothing.
     pub fn gcm_for_key(&self, name: &str) -> Option<Arc<AesGcm>> {
         if let Some(gcm) = self.inner.gcm_cache.lock().get(name) {
             return Some(Arc::clone(gcm));
@@ -495,15 +488,14 @@ impl Enclave {
     /// # Errors
     ///
     /// Propagates [`CryptoError`] from the underlying AEAD.
-    pub fn seal(&self, data: &[u8]) -> Result<SealedBuffer, CryptoError> {
+    pub fn seal(&self, data: &[u8]) -> Result<Vec<u8>, CryptoError> {
         self.charge_crypto(data.len() as u64);
-        let mut rng = self.inner.rng.lock();
-        SealedBuffer::seal_with_aad(
-            &self.sealing_key(),
-            data,
-            &self.inner.measurement,
-            &mut *rng,
-        )
+        let mut iv = [0u8; IV_LEN];
+        self.read_rand(&mut iv);
+        let mut sealed = vec![0u8; sealed_len(data.len())];
+        let gcm = self.sealing_key().gcm_with_policy(self.inner.crypto);
+        seal_into(&gcm, data, &self.inner.measurement, &iv, &mut sealed)?;
+        Ok(sealed)
     }
 
     /// Unseals data previously sealed by an enclave with the same measurement.
@@ -512,9 +504,13 @@ impl Enclave {
     ///
     /// Returns [`CryptoError::AuthenticationFailed`] if the blob was sealed by a
     /// different enclave or tampered with.
-    pub fn unseal(&self, sealed: &SealedBuffer) -> Result<Vec<u8>, CryptoError> {
+    pub fn unseal(&self, sealed: &[u8]) -> Result<Vec<u8>, CryptoError> {
         self.charge_crypto(sealed.len() as u64);
-        sealed.open_with_aad(&self.sealing_key(), &self.inner.measurement)
+        let view = SealedView::parse(sealed)?;
+        let mut data = vec![0u8; view.plaintext_len()];
+        let gcm = self.sealing_key().gcm_with_policy(self.inner.crypto);
+        view.open_into(&gcm, &self.inner.measurement, &mut data)?;
+        Ok(data)
     }
 }
 
