@@ -12,9 +12,9 @@
 //!
 //! The mirror header carries an *epoch counter*, the index of the *active slot* and
 //! the *ring depth* `R`; a small per-slot meta table records which committed epoch
-//! each ring slot holds. Every mirror-out seals the model and bulk-publishes it into
-//! the slot **after** the active one with unlogged direct twin writes
-//! ([`plinius_romulus::Romulus::publish_region`]), then commits `[iteration, epoch+1,
+//! each ring slot holds. Every mirror-out writes the sealed model into the slot
+//! **after** the active one with unlogged direct twin writes
+//! ([`plinius_romulus::Romulus::publish_with`]), then commits `[iteration, epoch+1,
 //! advance-active-slot, slot-meta]` in one tiny Romulus durable transaction. A crash
 //! at *any* point of the publish — including between tensor writes — therefore
 //! recovers the newest **complete** epoch: the header still points at the untouched
@@ -39,24 +39,30 @@
 //! * **publish** — expensive: AES-GCM-seal the staged plaintext and commit it to the
 //!   inactive PM slot.
 //!
-//! [`MirrorModel::mirror_out`] runs both phases synchronously.
-//! [`MirrorModel::snapshot_out`] runs only the snapshot and hands the publish, with the
-//! staging buffers and the model key's context, to a background worker
-//! ([`plinius_parallel::Pipeline`]); [`MirrorModel::drain`] joins it at the next
-//! pipeline point, crediting the sealing time that was hidden behind the compute
-//! charged in between ([`SimSpan::overlap`]), so the steady-state simulated overhead
+//! [`MirrorModel::mirror_out`] runs both phases synchronously, sealing each tensor
+//! straight into its PM buffer of the inactive slot. [`MirrorModel::snapshot_out`]
+//! runs only the snapshot and hands the sealing, with the staging buffers and the
+//! model key's context, to a background worker ([`plinius_parallel::Pipeline`]), which
+//! seals into the staging set's own arena; [`MirrorModel::drain`] joins it at the
+//! next pipeline point, copies the arena into the slot through the same publish
+//! routine, and credits the sealing time that was hidden behind the compute charged
+//! in between ([`SimSpan::overlap`]), so the steady-state simulated overhead
 //! approaches `max(compute, mirror)` instead of `compute + mirror`. Sealed bytes,
 //! committed epochs and restored weights are bit-identical between the two paths; only
 //! timing differs.
 //!
 //! A handle keeps one set of staging buffers for its saves and restores, synchronous
-//! or pipelined, and takes the model key's context from the enclave's per-key cache
-//! ([`PliniusContext::gcm`]) at each one, so a re-provisioned key seals the next save.
-//! Every save and restore through a handle first joins (and commits) the handle's
-//! in-flight publish, so epochs always commit in snapshot order.
+//! or pipelined: the plaintext buffer and the IV batch, plus a sealed arena once the
+//! handle pipelines. It takes the model key's context from the enclave's per-key
+//! cache ([`PliniusContext::gcm`]) at each save and restore, so a re-provisioned key
+//! seals the next save. Every save and restore through a handle first joins (and
+//! commits) the handle's in-flight publish, so epochs always commit in snapshot order.
 //!
-//! A *mirror-in* (model restore) reads the active slot's encrypted buffers from PM
-//! into the enclave and decrypts them into the enclave model.
+//! A *mirror-in* (model restore) opens each sealed tensor of the active slot straight
+//! from PM ([`plinius_romulus::Romulus::read_with`]) into the plaintext staging buffer,
+//! and decodes the staged model into the enclave model only once every tensor has
+//! authenticated and the model's shape matches, so a failed restore leaves the model
+//! as it was.
 //!
 //! # Consistent snapshot reads
 //!
@@ -64,15 +70,19 @@
 //! while the trainer keeps mirroring, or a recovering process racing a surviving
 //! writer) must never mix tensors of one epoch with the iteration tag of another.
 //! [`MirrorModel::mirror_in`] therefore performs a seqlock-style read: load the full
-//! header `[iteration, epoch, active_slot]`, read the active slot's sealed buffers,
+//! header `[iteration, epoch, active_slot]`, open the active slot's sealed tensors,
 //! re-read the header, and retry if anything moved. The epoch counter is strictly
 //! monotonic (every commit increments it by exactly one), so an unchanged header
 //! brackets an untouched slot — publishes only ever write the *inactive* slot, and
-//! reaching the active slot again requires at least one more epoch flip. Retries are
-//! counted in the `mirror.torn_read_retries` statistic.
+//! reaching the active slot again requires at least one more epoch flip. A blob torn
+//! by a concurrent publish fails authentication, so a failed open is a retry when the
+//! header moved, and an error only when it did not. Retries are counted in the
+//! `mirror.torn_read_retries` statistic.
 
 use crate::knobs::Knobs;
-use crate::sealed::{build_slots, check_shape, open_and_decode, sealed_lens, Staging, TensorSlot};
+use crate::sealed::{
+    build_slots, check_shape, decode, open_tensor, sealed_lens, Staging, TensorSlot,
+};
 use crate::{PliniusContext, PliniusError};
 use parking_lot::Mutex;
 use plinius_crypto::{AesGcm, SEAL_OVERHEAD};
@@ -263,8 +273,10 @@ const MAX_TORN_READ_RETRIES: u64 = 64;
 
 /// The seqlock read shared by every PM read of sealed tensors: `read(&fence, attempt)`
 /// runs between two loads of `fence`, and runs again while they differ, each retry
-/// counted in `mirror.torn_read_retries`. Returns the fence value that brackets the
-/// read; `what` names the fence in the error after [`MAX_TORN_READ_RETRIES`] retries.
+/// counted in `mirror.torn_read_retries`. A failed `read` is retried too when the fence
+/// moved (a blob torn by a concurrent publish fails authentication), and its error is
+/// returned only when the fence held. Returns the fence value that brackets the read;
+/// `what` names the fence in the error after [`MAX_TORN_READ_RETRIES`] retries.
 fn seqlock_read<F: PartialEq>(
     ctx: &PliniusContext,
     what: std::fmt::Arguments<'_>,
@@ -273,9 +285,9 @@ fn seqlock_read<F: PartialEq>(
 ) -> Result<F, PliniusError> {
     for attempt in 0..=MAX_TORN_READ_RETRIES {
         let before = fence()?;
-        read(&before, attempt)?;
+        let read_result = read(&before, attempt);
         if fence()? == before {
-            return Ok(before);
+            return read_result.map(|()| before);
         }
         ctx.stats().add(Metric::MirrorTornReadRetries, 1);
     }
@@ -649,17 +661,19 @@ impl MirrorModel {
         *self.torn_read_hook.lock() = hook;
     }
 
-    /// Publishes the sealed arena into the ring slot after the active one with
-    /// direct twin writes, then atomically commits `[iteration, epoch+1, advance,
-    /// slot-meta]` in one small Romulus transaction. The target slot's meta entry
-    /// is invalidated *before* its tensors are overwritten, so a crash anywhere in
-    /// the publish recovers the newest complete epoch and never lists the
-    /// half-overwritten evictee. Returns the committed epoch number.
-    fn commit_arena(
+    /// The one publish routine of every save: writes the next epoch into the ring slot
+    /// after the active one and commits it. The target slot's meta entry is invalidated
+    /// first; then `fill(idx, slot, dst)` writes each tensor's sealed blob straight into
+    /// its PM buffer `dst`, in slot order, with direct twin writes
+    /// ([`plinius_romulus::Romulus::publish_with`]); then one small Romulus transaction
+    /// commits `[iteration, epoch+1, advance, slot-meta]`. A crash or a failed `fill`
+    /// anywhere in the publish leaves the newest complete epoch committed, and the
+    /// half-overwritten evictee is never listed. Returns the committed epoch number.
+    fn publish(
         &self,
         ctx: &PliniusContext,
-        arena: &[u8],
         iteration: u64,
+        mut fill: impl FnMut(usize, &TensorSlot, &mut [u8]) -> Result<(), PliniusError>,
     ) -> Result<u64, PliniusError> {
         let rom = ctx.romulus();
         let active = self.active_slot(ctx)?;
@@ -667,7 +681,8 @@ impl MirrorModel {
         let target = (active + 1) % self.ring_depth;
         rom.publish_region(self.meta_entry_ptr(target), &META_INVALID)?;
         for (idx, slot) in self.slots.iter().enumerate() {
-            rom.publish_region(self.tensor_ptrs[idx][target], &arena[slot.sealed()])?;
+            let ptr = self.tensor_ptrs[idx][target];
+            rom.publish_with(ptr, slot.sealed_len, |dst| fill(idx, slot, dst))??;
         }
         let meta_ptr = self.meta_entry_ptr(target);
         rom.transaction(|tx| {
@@ -684,10 +699,11 @@ impl MirrorModel {
     /// and synchronises the PM mirror within one durable transaction, recording the
     /// iteration counter.
     ///
-    /// The per-tensor AES-GCM sealing of independent tensors runs across scoped threads
-    /// (worker count from [`plinius_parallel::max_threads`], override with
-    /// `PLINIUS_THREADS`); the sealed bytes and the [`MirrorOutReport`] — including its
-    /// simulated-time spans — are identical for every thread count.
+    /// Each tensor is sealed straight into its PM buffer of the inactive ring slot, in
+    /// slot order, with its CTR keystream split across scoped threads past the crypto
+    /// crate's cutoff (worker count from [`plinius_parallel::max_threads`], override
+    /// with `PLINIUS_THREADS`); the sealed bytes and the [`MirrorOutReport`] —
+    /// including its simulated-time spans — are identical for every thread count.
     ///
     /// # Errors
     ///
@@ -720,17 +736,19 @@ impl MirrorModel {
         let mut state = self.state.lock();
         let (_, gcm, staging) = self.begin(ctx, &mut state)?;
         staging.draw_ivs(ctx);
-        // Phase 1: in-enclave encryption of every parameter tensor, staged through and
-        // sealed into the reusable buffers — no heap allocation in the steady state.
-        let (seal_result, encrypt) = SimSpan::record(&clock, || {
-            staging.stage_and_seal(ctx, &self.slots, &gcm, network, threads)
+        // Phase 1: the modeled in-enclave encryption of every parameter tensor, and
+        // the parameters staged into the reusable plaintext buffer — no heap
+        // allocation in the steady state.
+        let (model_bytes, encrypt) = SimSpan::record(&clock, || {
+            staging.charge_and_stage(ctx, &self.slots, network)
         });
-        let model_bytes = seal_result?;
-        // Phase 2: bulk-publish the sealed arena into the inactive slot and commit
-        // the epoch flip durably.
-        let arena = &staging.arena;
+        // Phase 2: seal each staged tensor straight into its PM buffer of the
+        // inactive slot and commit the epoch flip durably.
+        let staging = &*staging;
         let (write_result, write) = SimSpan::record(&clock, || {
-            self.commit_arena(ctx, arena, network.iteration())
+            self.publish(ctx, network.iteration(), |idx, slot, dst| {
+                Ok(staging.seal_tensor(idx, slot, &gcm, dst, threads)?)
+            })
         });
         write_result?;
         Ok(MirrorOutReport {
@@ -762,7 +780,7 @@ impl MirrorModel {
         ctx: &PliniusContext,
         network: &mut Network,
     ) -> Result<MirrorInReport, PliniusError> {
-        self.restore_with(ctx, network, |arena| {
+        self.restore_with(ctx, network, |open_slot| {
             let header = seqlock_read(
                 ctx,
                 format_args!("mirror header"),
@@ -775,7 +793,7 @@ impl MirrorModel {
                     if let Some(hook) = self.torn_read_hook.lock().as_mut() {
                         hook(attempt);
                     }
-                    self.read_slot_into(ctx, before.active, arena)
+                    open_slot(before.active)
                 },
             )?;
             Ok((header.iteration, header.epoch))
@@ -785,11 +803,11 @@ impl MirrorModel {
     /// Restores a specific retained epoch from the ring into `network` (the
     /// time-travel sibling of [`MirrorModel::mirror_in`], which always opens the
     /// newest committed epoch). The read revalidates the slot's ring-meta entry
-    /// after the bulk tensor read — meta entries are invalidated *before* a publish
-    /// overwrites a slot, so an unchanged entry brackets untorn bytes even while a
-    /// concurrent publisher cycles the ring (AES-GCM authentication is the second
-    /// net). The network's iteration counter is set to the one recorded with the
-    /// epoch.
+    /// after opening the slot's tensors — meta entries are invalidated *before* a
+    /// publish overwrites a slot, so an unchanged entry brackets untorn bytes even
+    /// while a concurrent publisher cycles the ring, and a torn blob fails
+    /// authentication. The network's iteration counter is set to the one recorded
+    /// with the epoch.
     ///
     /// # Errors
     ///
@@ -806,7 +824,7 @@ impl MirrorModel {
             return Err(PliniusError::EpochNotRetained(epoch));
         }
         let slot_idx = (epoch % self.ring_depth as u64) as usize;
-        self.restore_with(ctx, network, |arena| {
+        self.restore_with(ctx, network, |open_slot| {
             let (_, iteration) = seqlock_read(
                 ctx,
                 format_args!("ring slot {slot_idx}"),
@@ -815,7 +833,7 @@ impl MirrorModel {
                     if before.0 != epoch {
                         return Err(PliniusError::EpochNotRetained(epoch));
                     }
-                    self.read_slot_into(ctx, slot_idx, arena)
+                    open_slot(slot_idx)
                 },
             )?;
             Ok((iteration, epoch))
@@ -823,27 +841,30 @@ impl MirrorModel {
     }
 
     /// The two timed phases of a restore, after any in-flight publish through this
-    /// handle has committed. Phase 1: `read` fills the reusable arena
-    /// with sealed tensors from PM (no per-tensor vectors, no blob clones) and
-    /// returns the `(iteration, epoch)` they belong to. Phase 2
-    /// ([`open_and_decode`]): every tensor is authenticated and decrypted into the
-    /// plaintext staging buffer (across threads), then, once the model's shape is
-    /// checked, decoded straight into the enclave model's parameter slices.
+    /// handle has committed. Phase 1: `read` opens the sealed tensors of a ring slot,
+    /// through the `open_slot(slot)` it is handed, and returns the `(iteration,
+    /// epoch)` they belong to; `open_slot` authenticates and decrypts every tensor
+    /// straight from PM into the plaintext staging buffer. Phase 2 ([`decode`]): once
+    /// the model's shape is checked, every tensor is decoded straight into the enclave
+    /// model's parameter slices.
     fn restore_with(
         &self,
         ctx: &PliniusContext,
         network: &mut Network,
-        read: impl FnOnce(&mut [u8]) -> Result<(u64, u64), PliniusError>,
+        read: impl FnOnce(
+            &mut dyn FnMut(usize) -> Result<(), PliniusError>,
+        ) -> Result<(u64, u64), PliniusError>,
     ) -> Result<MirrorInReport, PliniusError> {
         let clock = ctx.clock();
         let mut state = self.state.lock();
         let (_, gcm, staging) = self.begin(ctx, &mut state)?;
-        let (read_out, read) = SimSpan::record(&clock, || read(&mut staging.arena));
+        let threads = plinius_parallel::max_threads();
+        let plain = &mut staging.plain;
+        let mut open_slot = |s: usize| self.open_slot(ctx, s, &gcm, plain, threads);
+        let (read_out, read) = SimSpan::record(&clock, || read(&mut open_slot));
         let (iteration, epoch) = read_out?;
-        let Staging { plain, arena, .. } = staging;
-        let (decrypt_result, decrypt) = SimSpan::record(&clock, || {
-            open_and_decode(ctx, &self.slots, &gcm, arena, plain, network)
-        });
+        let (decrypt_result, decrypt) =
+            SimSpan::record(&clock, || decode(ctx, &self.slots, &staging.plain, network));
         let model_bytes = decrypt_result?;
         network.set_iteration(iteration);
         Ok(MirrorInReport {
@@ -853,6 +874,27 @@ impl MirrorModel {
             epoch,
             model_bytes,
         })
+    }
+
+    /// Opens every tensor of ring slot `s` straight from its PM buffer into `plain`
+    /// ([`plinius_romulus::Romulus::read_with`]), in slot order, on up to `threads`
+    /// threads per tensor. The first error stops it; a torn blob fails
+    /// authentication.
+    fn open_slot(
+        &self,
+        ctx: &PliniusContext,
+        s: usize,
+        gcm: &AesGcm,
+        plain: &mut [u8],
+        threads: usize,
+    ) -> Result<(), PliniusError> {
+        for (idx, slot) in self.slots.iter().enumerate() {
+            ctx.romulus()
+                .read_with(self.tensor_ptrs[idx][s], slot.sealed_len, |sealed| {
+                    open_tensor(slot, gcm, sealed, plain, threads)
+                })??;
+        }
+        Ok(())
     }
 
     /// Reads one retained epoch's sealed tensor blob (`flat` indexes the
@@ -905,21 +947,6 @@ impl MirrorModel {
         Ok(slot.sealed_len)
     }
 
-    /// Bulk-reads every tensor's sealed blob of ring slot `slot_idx` from PM into
-    /// `arena`, in slot order.
-    fn read_slot_into(
-        &self,
-        ctx: &PliniusContext,
-        slot_idx: usize,
-        arena: &mut [u8],
-    ) -> Result<(), PliniusError> {
-        for (idx, slot) in self.slots.iter().enumerate() {
-            ctx.romulus()
-                .read_bytes_into(self.tensor_ptrs[idx][slot_idx], &mut arena[slot.sealed()])?;
-        }
-        Ok(())
-    }
-
     /// The flat per-tensor layout (layer-major): the VFS's view of what is sealed.
     pub(crate) fn slot_layout(&self) -> &[TensorSlot] {
         &self.slots
@@ -931,8 +958,9 @@ impl MirrorModel {
     }
 
     /// Commits a pre-sealed arena (layer-major concatenation of sealed tensor
-    /// blobs, exactly [`MirrorModel::arena_len`] bytes) as the next epoch — the
-    /// import half of the VFS's sealed export/import path. The caller has already
+    /// blobs, exactly [`MirrorModel::arena_len`] bytes) as the next epoch through the
+    /// publish routine of every save: the join of a pipelined save, and the import
+    /// half of the VFS's sealed export/import path. The caller has already
     /// authenticated the blobs.
     pub(crate) fn commit_sealed_arena(
         &self,
@@ -947,7 +975,10 @@ impl MirrorModel {
                 self.arena_len()
             )));
         }
-        self.commit_arena(ctx, arena, iteration)
+        self.publish(ctx, iteration, |_, slot, dst| {
+            dst.copy_from_slice(&arena[slot.sealed()]);
+            Ok(())
+        })
     }
 
     // --------------------------------------------------------- pipelined mirror-out
@@ -986,8 +1017,9 @@ impl MirrorModel {
         // the training loop charged since; only its residual shows up here.
         let seal_join = SimSpan::overlap(&clock, meta.fork_ns, meta.seal_lane_ns);
         result?;
-        let (commit_result, write) =
-            SimSpan::record(&clock, || self.commit_arena(ctx, arena, meta.iteration));
+        let (commit_result, write) = SimSpan::record(&clock, || {
+            self.commit_sealed_arena(ctx, arena, meta.iteration)
+        });
         let epoch = commit_result?;
         Ok(Some(PublishReport {
             iteration: meta.iteration,
@@ -1569,6 +1601,65 @@ mod tests {
         assert_eq!(mirror2.epoch(&ctx2).unwrap(), 1);
         assert_eq!(mirror2.iteration(&ctx2).unwrap(), 1);
         assert_eq!(sealed_tensor_bytes(&ctx2, &mirror2), epoch1_bytes);
+    }
+
+    /// Installs a hook that tears the reader's read: on the first attempt it publishes
+    /// `publish`, if given, through a cloned handle, then overwrites the first 16 bytes
+    /// of the slot the reader is about to open.
+    fn tear_first_read(ctx: &PliniusContext, reader: &MirrorModel, publish: Option<Network>) {
+        let (hook_ctx, publisher, mut publish) = (ctx.clone(), reader.clone(), publish);
+        let torn = reader.tensor_ptrs[0][reader.active_slot(ctx).unwrap()];
+        reader.set_torn_read_hook(Some(Box::new(move |attempt| {
+            if attempt == 0 {
+                if let Some(net) = publish.take() {
+                    publisher.mirror_out(&hook_ctx, &net).unwrap();
+                }
+                hook_ctx
+                    .romulus()
+                    .publish_region(torn, &[0xA5; 16])
+                    .unwrap();
+            }
+        })));
+    }
+
+    #[test]
+    fn a_torn_blob_is_a_retry_when_the_header_moved() {
+        let ctx = context_with_key(8 * 1024 * 1024);
+        let mut old = small_network(100);
+        old.set_iteration(1);
+        let mirror = MirrorModel::allocate(&ctx, &old).unwrap();
+        mirror.mirror_out(&ctx, &old).unwrap();
+        let mut new = small_network(101);
+        new.set_iteration(2);
+        tear_first_read(&ctx, &mirror, Some(new.clone()));
+        let retries = ctx.stats().get(Metric::MirrorTornReadRetries);
+        let mut restored = small_network(102);
+        let report = mirror.mirror_in(&ctx, &mut restored).unwrap();
+        assert_eq!((report.epoch, report.iteration), (2, 2));
+        assert_eq!(snapshot(&restored), snapshot(&new));
+        assert_eq!(ctx.stats().get(Metric::MirrorTornReadRetries), retries + 1);
+    }
+
+    #[test]
+    fn a_torn_blob_is_an_error_when_the_header_held() {
+        let ctx = context_with_key(8 * 1024 * 1024);
+        let mut old = small_network(103);
+        old.set_iteration(1);
+        let mirror = MirrorModel::allocate(&ctx, &old).unwrap();
+        mirror.mirror_out(&ctx, &old).unwrap();
+        tear_first_read(&ctx, &mirror, None);
+        let retries = ctx.stats().get(Metric::MirrorTornReadRetries);
+        let mut restored = small_network(104);
+        restored.set_iteration(7);
+        let untouched = snapshot(&restored);
+        let err = mirror.mirror_in(&ctx, &mut restored).unwrap_err();
+        assert!(
+            matches!(err, PliniusError::Crypto(CryptoError::AuthenticationFailed)),
+            "{err}"
+        );
+        assert_eq!(snapshot(&restored), untouched);
+        assert_eq!(restored.iteration(), 7);
+        assert_eq!(ctx.stats().get(Metric::MirrorTornReadRetries), retries);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!
 //! Sealing and opening go through the model key's context from the enclave's per-key
 //! cache ([`PliniusContext::gcm`]), the one the mirror uses, into buffers reused across
-//! a load or a batch: [`PmDataset::decrypt_batch`] makes the same few heap allocations
-//! at every batch size, and decodes each sample straight into the batch.
+//! a load or a batch: [`PmDataset::decrypt_batch`] opens each sample straight from PM
+//! ([`plinius_romulus::Romulus::read_with`]), makes the same few heap allocations at
+//! every batch size, and decodes each sample straight into the batch.
 
 use crate::{f32s_from_bytes_into, f32s_to_bytes_into, PliniusContext, PliniusError};
 use plinius_crypto::{seal_into, SealedView, IV_LEN, SEAL_OVERHEAD};
@@ -210,13 +211,20 @@ impl PmDataset {
     ///
     /// # Errors
     ///
-    /// Same as [`PmDataset::sample`].
+    /// Returns [`PliniusError::MirrorMismatch`] without drawing from `rng` if the
+    /// dataset holds no samples (its header is host-written PM), and otherwise the
+    /// errors of [`PmDataset::sample`].
     pub fn decrypt_batch<R: Rng>(
         &self,
         ctx: &PliniusContext,
         batch: usize,
         rng: &mut R,
     ) -> Result<(Vec<f32>, Vec<f32>), PliniusError> {
+        if self.is_empty() {
+            return Err(PliniusError::MirrorMismatch(format!(
+                "the PM dataset holds no samples to draw a batch of {batch} from"
+            )));
+        }
         let mut images = vec![0.0; batch * self.inputs];
         let mut labels = vec![0.0; batch * self.classes];
         let indices = (0..batch).map(|_| rng.gen_range(0..self.samples));
@@ -224,9 +232,9 @@ impl PmDataset {
         Ok((images, labels))
     }
 
-    /// Reads, authenticates and decrypts the samples at `indices`, in order, through
-    /// one pair of reused buffers, and decodes each image and one-hot label straight
-    /// into the next row of `images` and `labels`.
+    /// Authenticates and decrypts the samples at `indices`, in order, each straight
+    /// from PM into one reused buffer, and decodes each image and one-hot label
+    /// straight into the next row of `images` and `labels`.
     fn open_rows(
         &self,
         ctx: &PliniusContext,
@@ -235,15 +243,20 @@ impl PmDataset {
         labels: &mut [f32],
     ) -> Result<(), PliniusError> {
         let gcm = ctx.gcm()?;
-        let mut sealed = vec![0u8; self.sealed_len];
         let mut plain = vec![0u8; self.sealed_len - SEAL_OVERHEAD];
         let mut aad = [0u8; AAD_CAP];
         let (inputs, classes) = (self.inputs, self.classes);
         for (row, index) in indices.into_iter().enumerate() {
             let sample = self.block.add((index * self.sealed_len) as u64);
-            ctx.romulus().read_bytes_into(sample, &mut sealed)?;
-            ctx.enclave().charge_crypto(sealed.len() as u64);
-            SealedView::parse(&sealed)?.open_into(&gcm, sample_aad(index, &mut aad), &mut plain)?;
+            ctx.enclave().charge_crypto(self.sealed_len as u64);
+            ctx.romulus()
+                .read_with(sample, self.sealed_len, |sealed| {
+                    SealedView::parse(sealed)?.open_into(
+                        &gcm,
+                        sample_aad(index, &mut aad),
+                        &mut plain,
+                    )
+                })??;
             ctx.enclave().charge_data_staging(plain.len() as u64);
             let (image, label) = plain.split_at(inputs * 4);
             f32s_from_bytes_into(image, &mut images[row * inputs..(row + 1) * inputs]);
@@ -373,6 +386,24 @@ mod tests {
             let err = PmDataset::open(&ctx).unwrap_err();
             assert!(matches!(err, PliniusError::MirrorMismatch(_)), "{err}");
         }
+    }
+
+    #[test]
+    fn a_host_emptied_dataset_fails_a_batch_instead_of_panicking() {
+        let ctx = ctx_with_key();
+        let mut rng = StdRng::seed_from_u64(10);
+        PmDataset::load(&ctx, &synthetic_images(4, 3, 3, 2, 0.1, &mut rng)).unwrap();
+        let samples = ctx.romulus().root(ctx.dataset_root()).unwrap();
+        ctx.romulus()
+            .transaction(|tx| tx.write_u64(samples, 0))
+            .unwrap();
+        let pm = PmDataset::open(&ctx).unwrap();
+        assert!(pm.is_empty());
+        let err = pm.decrypt_batch(&ctx, 8, &mut rng).unwrap_err();
+        assert!(
+            matches!(&err, PliniusError::MirrorMismatch(m) if m.contains("no samples")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -4,14 +4,18 @@
 //!
 //! * the flat tensor layout ([`TensorSlot`], built by [`build_slots`], the only place a
 //!   tensor's AAD is formatted) and the layout of a network ([`sealed_lens`]);
-//! * the staging buffers a save seals through ([`Staging`]) and the one seal routine;
-//! * opening an arena and decoding it into a model ([`open_and_decode`]), after
-//!   [`check_shape`] has matched the model against the layout;
+//! * the staging buffers a save seals from ([`Staging`]) and the one seal routine
+//!   ([`Staging::seal_tensor`]), which writes a tensor's blob wherever the caller points
+//!   it: straight into its PM buffer, or into an arena ([`Staging::seal`]);
+//! * the one open routine ([`open_tensor`]), which reads a sealed blob wherever it sits,
+//!   and decoding the opened model ([`decode`]) once [`check_shape`] has matched it
+//!   against the layout;
 //! * the [`SealedEpoch`] wire format.
 //!
 //! The PM mirror (synchronous and pipelined), the VFS export and import and the SSD
 //! checkpoint all seal and open through it, so a sealed model is the same bytes on
-//! every medium.
+//! every medium. Every tensor seals and opens in slot order, its CTR keystream
+//! chunk-parallel past the crypto crate's cutoff.
 
 use crate::{f32s_from_bytes_into, f32s_to_bytes_into, PliniusContext, PliniusError};
 use plinius_crypto::{
@@ -135,34 +139,36 @@ pub(crate) fn check_shape(slots: &[TensorSlot], network: &Network) -> Result<(),
     }
 }
 
-/// The staging buffers of one save: `plain` holds every tensor's plaintext and `ivs`
-/// its IV, both in slot order; [`Staging::seal`] seals them into `arena`. A restore
-/// reads sealed tensors into `arena` and opens them into `plain`.
+/// The staging buffers of a save or restore: `plain` holds every tensor's plaintext and
+/// `ivs` its IV, both in slot order. A save seals each staged tensor straight into its
+/// destination ([`Staging::seal_tensor`]), and a restore opens each sealed tensor into
+/// `plain` ([`open_tensor`]). `arena` stays empty until [`Staging::seal`] seals the
+/// whole model into it, for a save that must hold the sealed model in enclave memory
+/// before it writes it: a pipelined mirror-out or an SSD checkpoint.
 #[derive(Default)]
 pub(crate) struct Staging {
     /// Plaintext staging buffer: all tensors contiguous in slot order.
     pub(crate) plain: Vec<u8>,
-    /// Sealed-blob arena: all sealed tensors contiguous in slot order.
+    /// Sealed-blob arena: all sealed tensors contiguous in slot order, once sealed.
     pub(crate) arena: Vec<u8>,
     /// Per-tensor IVs of the current sealing batch.
     ivs: Vec<[u8; IV_LEN]>,
 }
 
 impl Staging {
-    /// Buffers sized for the tensors of `slots`.
+    /// Buffers sized for the tensors of `slots`, with an empty arena.
     pub(crate) fn new(slots: &[TensorSlot]) -> Self {
         Staging {
             plain: vec![0u8; slots.iter().map(|s| s.plain_len).sum()],
-            arena: vec![0u8; slots.iter().map(|s| s.sealed_len).sum()],
+            arena: Vec::new(),
             ivs: vec![[0u8; IV_LEN]; slots.len()],
         }
     }
 
-    /// Whether these buffers are exactly the size [`Staging::new`] gives `slots`.
+    /// Whether `plain` and `ivs` are exactly the size [`Staging::new`] gives `slots`
+    /// (the arena is sized when it is sealed into).
     pub(crate) fn fits(&self, slots: &[TensorSlot]) -> bool {
-        self.plain.len() == slots.iter().map(|s| s.plain_len).sum()
-            && self.arena.len() == slots.iter().map(|s| s.sealed_len).sum()
-            && self.ivs.len() == slots.len()
+        self.plain.len() == slots.iter().map(|s| s.plain_len).sum() && self.ivs.len() == slots.len()
     }
 
     /// Draws the IVs of the next sealing batch. The sequence is seeded from one
@@ -187,111 +193,77 @@ impl Staging {
         }
     }
 
-    /// Seals every staged tensor into the arena: the one seal routine of every save.
-    ///
-    /// * `threads <= 1`: fully serial, zero heap allocations.
-    /// * many tensors: fan out across tensors, each sealed serially on one worker.
-    /// * few large tensors: seal serially in slot order but fan the CTR keystream of
-    ///   each tensor out across threads (chunked at counter boundaries).
-    ///
-    /// All three produce bit-identical sealed bytes: the ciphertext of a tensor is a
-    /// pure function of `(key, IV, AAD, plaintext)` regardless of chunking.
+    /// The encryption phase of a save: charges each tensor's modeled crypto cost in
+    /// slot order (so the simulated time is the same for every thread count) and
+    /// stages the model. Returns the plaintext bytes staged.
+    pub(crate) fn charge_and_stage(
+        &mut self,
+        ctx: &PliniusContext,
+        slots: &[TensorSlot],
+        network: &Network,
+    ) -> usize {
+        for slot in slots {
+            ctx.enclave().charge_crypto(slot.plain_len as u64);
+        }
+        self.stage(slots, network);
+        slots.iter().map(|s| s.plain_len).sum()
+    }
+
+    /// Seals staged tensor `idx`, laid out as `slot`, into `out` (its `sealed_len`
+    /// bytes): the one seal routine of every save. The CTR keystream runs on up to
+    /// `threads` threads past the crypto crate's cutoff; the sealed bytes are a pure
+    /// function of `(key, IV, AAD, plaintext)`, whatever the thread count.
+    pub(crate) fn seal_tensor(
+        &self,
+        idx: usize,
+        slot: &TensorSlot,
+        gcm: &AesGcm,
+        out: &mut [u8],
+        threads: usize,
+    ) -> Result<(), CryptoError> {
+        let plain = &self.plain[slot.plain()];
+        seal_into_with_threads(gcm, plain, &slot.aad, &self.ivs[idx], out, threads)
+    }
+
+    /// Seals every staged tensor into the arena, in slot order, sizing the arena on its
+    /// first use.
     pub(crate) fn seal(
         &mut self,
         slots: &[TensorSlot],
         gcm: &AesGcm,
         threads: usize,
     ) -> Result<(), PliniusError> {
-        let Staging { plain, arena, ivs } = self;
-        let threads = threads.max(1);
-        if threads > 1 && slots.len() >= 2 * threads {
-            let (plain, ivs) = (&*plain, &*ivs);
-            par_slot_slices(
-                slots,
-                arena,
-                |s| s.sealed_len,
-                threads,
-                |idx, out| {
-                    let slot = &slots[idx];
-                    seal_into_with_threads(gcm, &plain[slot.plain()], &slot.aad, &ivs[idx], out, 1)
-                },
-            )
-        } else {
-            for (slot, iv) in slots.iter().zip(ivs.iter()) {
-                seal_into_with_threads(
-                    gcm,
-                    &plain[slot.plain()],
-                    &slot.aad,
-                    iv,
-                    &mut arena[slot.sealed()],
-                    threads,
-                )?;
-            }
-            Ok(())
-        }
-    }
-
-    /// The encryption phase of a synchronous save: charges each tensor's modeled
-    /// crypto cost in slot order (so the simulated time is the serial path's for every
-    /// thread count), stages the model and seals it. Returns the plaintext bytes
-    /// sealed.
-    pub(crate) fn stage_and_seal(
-        &mut self,
-        ctx: &PliniusContext,
-        slots: &[TensorSlot],
-        gcm: &AesGcm,
-        network: &Network,
-        threads: usize,
-    ) -> Result<usize, PliniusError> {
-        for slot in slots {
-            ctx.enclave().charge_crypto(slot.plain_len as u64);
-        }
-        self.stage(slots, network);
-        self.seal(slots, gcm, threads)?;
-        Ok(slots.iter().map(|s| s.plain_len).sum())
-    }
-}
-
-/// Fans a fallible per-slot operation out across threads: `buf` is carved into one
-/// disjoint `&mut` slice per slot (sequential, sized by `len_of`) and `f(slot_index,
-/// slice)` runs on up to `threads` workers. The first error surfaces in slot order.
-/// Shared scaffolding of the seal (arena) and open (staging) phases.
-fn par_slot_slices(
-    slots: &[TensorSlot],
-    buf: &mut [u8],
-    len_of: impl Fn(&TensorSlot) -> usize,
-    threads: usize,
-    f: impl Fn(usize, &mut [u8]) -> Result<(), CryptoError> + Sync,
-) -> Result<(), PliniusError> {
-    struct SlotTask<'a> {
-        idx: usize,
-        out: &'a mut [u8],
-        result: Result<(), CryptoError>,
-    }
-    let mut tasks: Vec<SlotTask<'_>> = Vec::with_capacity(slots.len());
-    let mut rest: &mut [u8] = buf;
-    for (idx, slot) in slots.iter().enumerate() {
-        let (head, tail) = rest.split_at_mut(len_of(slot));
-        tasks.push(SlotTask {
-            idx,
-            out: head,
-            result: Ok(()),
+        let mut arena = std::mem::take(&mut self.arena);
+        arena.resize(slots.iter().map(|s| s.sealed_len).sum(), 0);
+        let sealed = slots.iter().enumerate().try_for_each(|(idx, slot)| {
+            self.seal_tensor(idx, slot, gcm, &mut arena[slot.sealed()], threads)
         });
-        rest = tail;
+        self.arena = arena;
+        Ok(sealed?)
     }
-    plinius_parallel::par_for_each_mut(&mut tasks, threads, |_, task| {
-        task.result = f(task.idx, task.out);
-    });
-    for task in tasks {
-        task.result?;
-    }
-    Ok(())
 }
 
-/// Authenticates and decrypts every sealed tensor of `arena` into `plain`, both laid
-/// out as `slots`, via borrowed [`SealedView`]s (no blob copies). Errors surface in
-/// slot order. Mirrors the thread strategy of [`Staging::seal`]; the plaintext is
-/// bit-identical for every thread count.
+/// Authenticates and decrypts one sealed tensor, laid out as `slot`, into its bytes of
+/// `plain`: the one open routine of every restore. `sealed` may sit anywhere, in PM
+/// or in an arena. The CTR keystream runs on up to `threads` threads past the crypto
+/// crate's cutoff; the plaintext is the same for every thread count.
+pub(crate) fn open_tensor(
+    slot: &TensorSlot,
+    gcm: &AesGcm,
+    sealed: &[u8],
+    plain: &mut [u8],
+    threads: usize,
+) -> Result<(), CryptoError> {
+    SealedView::parse(sealed)?.open_into_with_threads(
+        gcm,
+        &slot.aad,
+        &mut plain[slot.plain()],
+        threads,
+    )
+}
+
+/// Opens every sealed tensor of `arena` into `plain`, both laid out as `slots`, in
+/// slot order; the first error stops it.
 pub(crate) fn open_arena(
     slots: &[TensorSlot],
     gcm: &AesGcm,
@@ -299,49 +271,26 @@ pub(crate) fn open_arena(
     plain: &mut [u8],
     threads: usize,
 ) -> Result<(), PliniusError> {
-    let threads = threads.max(1);
-    if threads > 1 && slots.len() >= 2 * threads {
-        par_slot_slices(
-            slots,
-            plain,
-            |s| s.plain_len,
-            threads,
-            |idx, out| {
-                let slot = &slots[idx];
-                SealedView::parse(&arena[slot.sealed()])
-                    .and_then(|view| view.open_into(gcm, &slot.aad, out))
-            },
-        )
-    } else {
-        for slot in slots {
-            SealedView::parse(&arena[slot.sealed()])?.open_into_with_threads(
-                gcm,
-                &slot.aad,
-                &mut plain[slot.plain()],
-                threads,
-            )?;
-        }
-        Ok(())
+    for slot in slots {
+        open_tensor(slot, gcm, &arena[slot.sealed()], plain, threads)?;
     }
+    Ok(())
 }
 
-/// The decryption phase of every restore: charges each tensor's modeled crypto cost
-/// in slot order, authenticates and decrypts `arena` into `plain` ([`open_arena`]),
-/// checks the model against `slots` ([`check_shape`]) and only then decodes every
-/// tensor straight into `network`'s parameter slices. A restore that fails leaves
-/// `network` as it was. Returns the plaintext bytes decoded.
-pub(crate) fn open_and_decode(
+/// The decryption phase of every restore, once every tensor is open in `plain`:
+/// charges each tensor's modeled crypto cost in slot order, checks the model against
+/// `slots` ([`check_shape`]) and only then decodes every tensor straight into
+/// `network`'s parameter slices. A restore that fails leaves `network` as it was.
+/// Returns the plaintext bytes decoded.
+pub(crate) fn decode(
     ctx: &PliniusContext,
     slots: &[TensorSlot],
-    gcm: &AesGcm,
-    arena: &[u8],
-    plain: &mut [u8],
+    plain: &[u8],
     network: &mut Network,
 ) -> Result<usize, PliniusError> {
     for slot in slots {
         ctx.enclave().charge_crypto(slot.sealed_len as u64);
     }
-    open_arena(slots, gcm, arena, plain, plinius_parallel::max_threads())?;
     check_shape(slots, network)?;
     let mut slot_iter = slots.iter();
     for targets in network

@@ -4,7 +4,7 @@
 //! A checkpoint is a [`SealedEpoch`] file, sealed and opened by the same code as the
 //! PM mirror's epochs; only the medium differs.
 
-use crate::sealed::{build_slots, open_and_decode, sealed_lens, SealedEpoch, Staging};
+use crate::sealed::{build_slots, decode, open_arena, sealed_lens, SealedEpoch, Staging};
 use crate::{MirrorInReport, MirrorOutReport, PliniusContext, PliniusError};
 use plinius_darknet::Network;
 use sim_clock::SimSpan;
@@ -62,7 +62,9 @@ impl SsdCheckpointer {
         staging.draw_ivs(ctx);
         // Phase 1: in-enclave encryption (the mirror-out encryption phase).
         let (sealed, encrypt) = SimSpan::record(&clock, || {
-            staging.stage_and_seal(ctx, &slots, &gcm, network, plinius_parallel::max_threads())
+            let model_bytes = staging.charge_and_stage(ctx, &slots, network);
+            staging.seal(&slots, &gcm, plinius_parallel::max_threads())?;
+            Ok::<_, PliniusError>(model_bytes)
         });
         let model_bytes = sealed?;
         let checkpoint = SealedEpoch {
@@ -135,8 +137,9 @@ impl SsdCheckpointer {
             let slots = build_slots(&sealed_lens(network))?;
             checkpoint.check_layout(&slots)?;
             let mut plain = vec![0u8; slots.iter().map(|s| s.plain_len).sum()];
-            let model_bytes =
-                open_and_decode(ctx, &slots, &gcm, &checkpoint.arena, &mut plain, network)?;
+            let threads = plinius_parallel::max_threads();
+            open_arena(&slots, &gcm, &checkpoint.arena, &mut plain, threads)?;
+            let model_bytes = decode(ctx, &slots, &plain, network)?;
             Ok::<_, PliniusError>((checkpoint.iteration, checkpoint.epoch, model_bytes))
         });
         let (iteration, epoch, model_bytes) = out?;

@@ -20,9 +20,17 @@
 //! [`PmemPool::write`] dirties lines. [`PmemPool::persist`] — the fused store +
 //! write-back through which Romulus, and so every PM store of Plinius, writes — first
 //! writes back the dirty lines in its range and then copies the data straight into the
-//! media, like PMDK's `pmem_memcpy_persist`. Reads copy from the media and overlay the
-//! dirty lines. The cache view is allocated zeroed and written only by bare writes, so
-//! a pool that is only ever persisted to never makes its pages resident.
+//! media, like PMDK's `pmem_memcpy_persist`. Reads copy from the media; a range that
+//! holds dirty lines is first gathered whole into the cache view. The cache view is
+//! allocated zeroed and written only by bare writes and by reads of such ranges, so a
+//! pool that is only ever persisted to never makes its pages resident.
+//!
+//! The in-place calls work on the pool's own bytes instead of a copy:
+//! [`PmemPool::read_with`] runs a closure on the bytes a read would return,
+//! [`PmemPool::persist_with`] has a closure write a range straight into the media, and
+//! [`PmemPool::persist_copy`] persists one range's bytes at another inside the pool.
+//! Each counts and charges exactly what the copying call it stands for does. The
+//! closures run under the pool's lock, so they must not call back into the pool.
 
 use crate::PmemError;
 use parking_lot::Mutex;
@@ -328,17 +336,51 @@ impl PmemPool {
     ///
     /// Returns [`PmemError::OutOfBounds`] if the range does not fit in the pool.
     pub fn read(&self, offset: usize, buf: &mut [u8]) -> Result<(), PmemError> {
-        let inner = self.inner.lock();
-        check_range(inner.media.len(), offset, buf.len())?;
-        let end = offset + buf.len();
-        buf.copy_from_slice(&inner.media[offset..end]);
-        for line in inner.dirty.iter(line_range(offset, buf.len())) {
-            let span = line_span(line, inner.media.len());
-            let (from, to) = (span.start.max(offset), span.end.min(end));
-            buf[from - offset..to - offset].copy_from_slice(&inner.cache[from..to]);
-        }
-        self.stats.add(Metric::PmBytesRead, buf.len() as u64);
-        Ok(())
+        self.read_with(offset, buf.len(), |bytes| buf.copy_from_slice(bytes))
+    }
+
+    /// The in-place read: runs `f` on the `len` bytes at `offset`, the bytes
+    /// [`PmemPool::read`] would copy out, and returns its result. Counts the same
+    /// `pm.bytes_read`.
+    ///
+    /// `f` runs under the pool's lock, so it must not call back into the pool.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PmemError::OutOfBounds`] if the range does not fit in the pool.
+    pub fn read_with<R>(
+        &self,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, PmemError> {
+        let mut guard = self.inner.lock();
+        let Inner {
+            media,
+            cache,
+            dirty,
+        } = &mut *guard;
+        check_range(media.len(), offset, len)?;
+        let (end, lines) = (offset + len, line_range(offset, len));
+        let bytes = if dirty.iter(lines.clone()).next().is_none() {
+            &media[offset..end]
+        } else {
+            // The dirty lines' newest bytes are in the cache view: bring the clean
+            // parts of the range there too (a clean line's cache bytes are never read
+            // otherwise) and read the range whole from it.
+            let mut from = offset;
+            for line in dirty.iter(lines) {
+                let span = line_span(line, media.len());
+                let start = span.start.max(offset);
+                cache[from..start].copy_from_slice(&media[from..start]);
+                from = span.end.min(end);
+            }
+            cache[from..end].copy_from_slice(&media[from..end]);
+            &cache[offset..end]
+        };
+        let out = f(bytes);
+        self.stats.add(Metric::PmBytesRead, len as u64);
+        Ok(out)
     }
 
     /// Convenience wrapper around [`PmemPool::read`] returning a fresh vector.
@@ -380,19 +422,65 @@ impl PmemPool {
     ///
     /// Returns [`PmemError::OutOfBounds`] if the range does not fit in the pool.
     pub fn persist(&self, offset: usize, data: &[u8]) -> Result<(), PmemError> {
+        self.persist_with(offset, data.len(), |dst| dst.copy_from_slice(data))
+    }
+
+    /// The in-place persist: `f` writes the `len` bytes at `offset` straight into the
+    /// media (they hold the range's current bytes when it starts), and the call leaves
+    /// the media, the cache view, the `pm.*` counters and the clock exactly as
+    /// [`PmemPool::persist`] of the bytes `f` left there would. Returns `f`'s result;
+    /// the range counts as persisted whatever `f` returns.
+    ///
+    /// `f` runs under the pool's lock, so it must not call back into the pool.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PmemError::OutOfBounds`] if the range does not fit in the pool.
+    pub fn persist_with<R>(
+        &self,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R, PmemError> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        check_range(inner.media.len(), offset, data.len())?;
-        let lines = line_range(offset, data.len());
+        check_range(inner.media.len(), offset, len)?;
+        let lines = line_range(offset, len);
         // A dirty line the range covers only in part takes its other bytes along.
         inner.write_back(lines.clone(), || true);
-        inner.media[offset..offset + data.len()].copy_from_slice(data);
-        self.charge_write(data.len());
-        // `write` leaves every line of the range dirty and `flush` writes each one
-        // back; for empty data, `flush` returns before charging anything.
-        if !lines.is_empty() {
-            self.charge_flushes(lines.len() as u64);
+        let out = f(&mut inner.media[offset..offset + len]);
+        self.charge_persist(len, lines);
+        Ok(out)
+    }
+
+    /// The in-pool copy: persists at `dst` the `len` bytes that [`PmemPool::read`] of
+    /// `src` returns, without copying them out of the pool. Leaves the media, the cache
+    /// view, the `pm.*` counters and the clock exactly as [`PmemPool::persist`] of those
+    /// bytes at `dst` would, so no read is counted. The ranges may overlap.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PmemError::OutOfBounds`] if either range does not fit in the pool.
+    pub fn persist_copy(&self, src: usize, dst: usize, len: usize) -> Result<(), PmemError> {
+        let mut guard = self.inner.lock();
+        check_range(guard.media.len(), src, len)?;
+        check_range(guard.media.len(), dst, len)?;
+        let lines = line_range(dst, len);
+        guard.write_back(lines.clone(), || true);
+        let Inner {
+            media,
+            cache,
+            dirty,
+        } = &mut *guard;
+        media.copy_within(src..src + len, dst);
+        // The source's dirty lines hold its newest bytes in the cache view. None of them
+        // is a line of the destination, whose lines were just written back.
+        for line in dirty.iter(line_range(src, len)) {
+            let span = line_span(line, media.len());
+            let (from, to) = (span.start.max(src), span.end.min(src + len));
+            media[dst + (from - src)..dst + (to - src)].copy_from_slice(&cache[from..to]);
         }
+        self.charge_persist(len, lines);
         Ok(())
     }
 
@@ -439,6 +527,13 @@ impl PmemPool {
     fn charge_write(&self, len: usize) {
         self.clock.advance_ns(self.cost.pm_write_ns(len as u64));
         self.stats.add(Metric::PmBytesWritten, len as u64);
+    }
+
+    /// Charges a persist of `len` bytes over `lines`: the store of [`PmemPool::write`]
+    /// and the write-back of every line of the range by [`PmemPool::flush`].
+    fn charge_persist(&self, len: usize, lines: Range<usize>) {
+        self.charge_write(len);
+        self.charge_flushes(lines.len() as u64);
     }
 
     /// Charges `lines` cache-line write-backs: one per line, as the hardware issues them.

@@ -1,12 +1,13 @@
 //! Property tests for the persistent-memory simulator: flushed data always survives a
-//! crash, unflushed data never corrupts neighbouring flushed data, and reads always
-//! observe the most recent stores.
+//! crash, unflushed data never corrupts neighbouring flushed data, reads always
+//! observe the most recent stores, and the fused and in-place calls leave a pool
+//! exactly as the calls they stand for do.
 
 use plinius_pmem::{CrashMode, PmemPool, CACHE_LINE};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sim_clock::CostModel;
+use sim_clock::{CostModel, Metric};
 
 const POOL_SIZE: usize = 64 * 1024;
 /// The persist-equivalence twins' size: not a multiple of the line size.
@@ -26,6 +27,51 @@ fn twin() -> PmemPool {
         .cost_model(CostModel::eml_sgx_pm())
         .build()
         .unwrap()
+}
+
+/// Everything a persist may change in a pool: the media, the number of dirty lines,
+/// every counter and the clock.
+fn persisted_state(pool: &PmemPool) -> (Vec<u8>, usize, Vec<(Metric, u64)>, u64) {
+    (
+        pool.media_snapshot(),
+        pool.dirty_lines(),
+        pool.stats_registry().snapshot().to_vec(),
+        pool.clock().now_ns(),
+    )
+}
+
+/// Bare stores for the twins, each clipped to the pool.
+fn bare_stores() -> impl Strategy<Value = Vec<(usize, Vec<u8>)>> {
+    proptest::collection::vec(
+        (
+            0usize..TWIN_POOL,
+            proptest::collection::vec(any::<u8>(), 0..200),
+        ),
+        0..8,
+    )
+    .prop_map(|stores| {
+        stores
+            .into_iter()
+            .map(|(at, mut bytes)| {
+                bytes.truncate(TWIN_POOL - at);
+                (at, bytes)
+            })
+            .collect()
+    })
+}
+
+/// Stores of `head` and `tail` bytes that dirty the head of the first line and the tail
+/// of the last line that `[offset, offset + len)` covers (a store of zero bytes dirties
+/// nothing).
+fn end_line_stores(offset: usize, len: usize, head: usize, tail: usize) -> [(usize, Vec<u8>); 2] {
+    let first_line_start = offset / CACHE_LINE * CACHE_LINE;
+    let last_line_end = ((offset + len).div_ceil(CACHE_LINE) * CACHE_LINE).min(TWIN_POOL);
+    let head = head.min(TWIN_POOL - first_line_start);
+    let tail = tail.min(last_line_end);
+    [
+        (first_line_start, vec![0xF1; head]),
+        (last_line_end - tail, vec![0xF2; tail]),
+    ]
 }
 
 fn write_ops() -> impl Strategy<Value = Vec<WriteOp>> {
@@ -116,10 +162,7 @@ proptest! {
     /// too, and the pool's last line is short.
     #[test]
     fn persist_equals_write_plus_flush(
-        stores in proptest::collection::vec(
-            (0usize..TWIN_POOL, proptest::collection::vec(any::<u8>(), 0..200)),
-            0..8,
-        ),
+        mut prior in bare_stores(),
         offset in 0usize..=TWIN_POOL,
         mut data in proptest::collection::vec(any::<u8>(), 0..512),
         empty in 0u8..4,
@@ -129,22 +172,8 @@ proptest! {
     ) {
         // A quarter of the cases persist nothing.
         data.truncate(if empty == 0 { 0 } else { TWIN_POOL - offset });
-        let first_line_start = offset / CACHE_LINE * CACHE_LINE;
-        let last_line_end = ((offset + data.len()).div_ceil(CACHE_LINE) * CACHE_LINE)
-            .min(TWIN_POOL);
-        let mut prior: Vec<(usize, Vec<u8>)> = stores
-            .into_iter()
-            .map(|(at, mut bytes)| {
-                bytes.truncate(TWIN_POOL - at);
-                (at, bytes)
-            })
-            .collect();
-        // Dirty the head of the range's first line and the tail of its last line (a
-        // store of zero bytes dirties nothing).
-        let head = dirty_first.min(TWIN_POOL - first_line_start);
-        let tail = dirty_last.min(last_line_end);
-        prior.push((first_line_start, vec![0xF1; head]));
-        prior.push((last_line_end - tail, vec![0xF2; tail]));
+        // Dirty the head of the range's first line and the tail of its last line.
+        prior.extend(end_line_stores(offset, data.len(), dirty_first, dirty_last));
 
         let twins = [twin(), twin()];
         for pool in &twins {
@@ -172,5 +201,51 @@ proptest! {
         fused.crash(&mut StdRng::seed_from_u64(seed), CrashMode::ArbitraryEviction);
         split.crash(&mut StdRng::seed_from_u64(seed), CrashMode::ArbitraryEviction);
         prop_assert_eq!(fused.media_snapshot(), split.media_snapshot());
+    }
+
+    /// The in-place calls match the copying ones. From the same unflushed stores,
+    /// which dirty the end lines of both ranges, `read_with` sees the bytes `read`
+    /// returns and counts the same read. `persist_with` filled by a copy, and the
+    /// in-pool copy of the source range, leave the media, dirty lines, counters, clock,
+    /// reads and crash outcome exactly as `persist` of those bytes does. The ranges may
+    /// overlap and cover lines in part, and the pool's last line is short.
+    #[test]
+    fn in_place_calls_equal_the_copying_ones(
+        mut prior in bare_stores(),
+        src in 0usize..=TWIN_POOL,
+        dst in 0usize..=TWIN_POOL,
+        len in 0usize..512,
+        dirty in proptest::collection::vec(0usize..=CACHE_LINE, 4),
+        seed in any::<u64>(),
+    ) {
+        let len = len.min(TWIN_POOL - src).min(TWIN_POOL - dst);
+        prior.extend(end_line_stores(src, len, dirty[0], dirty[1]));
+        prior.extend(end_line_stores(dst, len, dirty[2], dirty[3]));
+        let twins = [twin(), twin(), twin()];
+        for pool in &twins {
+            for (at, bytes) in &prior {
+                pool.write(*at, bytes).unwrap();
+            }
+        }
+        let [copied, filled, in_pool] = twins;
+        let bytes = copied.read_vec(src, len).unwrap();
+        prop_assert_eq!(filled.read_with(src, len, <[u8]>::to_vec).unwrap(), bytes.clone());
+        in_pool.read_with(src, len, |_| ()).unwrap();
+        for pool in [&filled, &in_pool] {
+            prop_assert_eq!(persisted_state(pool), persisted_state(&copied));
+        }
+
+        copied.persist(dst, &bytes).unwrap();
+        filled.persist_with(dst, len, |out| out.copy_from_slice(&bytes)).unwrap();
+        in_pool.persist_copy(src, dst, len).unwrap();
+        let expected = persisted_state(&copied);
+        let reads = copied.read_vec(0, TWIN_POOL).unwrap();
+        copied.crash(&mut StdRng::seed_from_u64(seed), CrashMode::ArbitraryEviction);
+        for pool in [&filled, &in_pool] {
+            prop_assert_eq!(persisted_state(pool), expected.clone());
+            prop_assert_eq!(pool.read_vec(0, TWIN_POOL).unwrap(), reads.clone());
+            pool.crash(&mut StdRng::seed_from_u64(seed), CrashMode::ArbitraryEviction);
+            prop_assert_eq!(pool.media_snapshot(), copied.media_snapshot());
+        }
     }
 }

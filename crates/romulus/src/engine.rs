@@ -26,6 +26,7 @@
 use crate::{Flavor, RomulusError};
 use parking_lot::Mutex;
 use plinius_pmem::PmemPool;
+use sim_clock::Metric;
 use std::sync::Arc;
 
 /// Magic number identifying an initialised Romulus pool.
@@ -165,10 +166,6 @@ pub struct Romulus {
     layout: Arc<Layout>,
     log: Arc<Mutex<RedoLog>>,
     failpoint: Arc<Mutex<Option<FailPoint>>>,
-    /// Reusable staging buffer for main→back / back→main range copies, so the commit
-    /// path stops allocating a fresh vector per logged range (it grows to the largest
-    /// range ever copied and stays there).
-    copy_scratch: Arc<Mutex<Vec<u8>>>,
 }
 
 impl std::fmt::Debug for Romulus {
@@ -222,7 +219,6 @@ impl Romulus {
             layout,
             log: Arc::new(Mutex::new(RedoLog::default())),
             failpoint: Arc::new(Mutex::new(None)),
-            copy_scratch: Arc::new(Mutex::new(Vec::new())),
         };
         // The volatile log lives in enclave memory for the SGX/SCONE flavours.
         engine.flavor.register_log_memory();
@@ -433,18 +429,34 @@ impl Romulus {
     }
 
     /// Reads `buf.len()` bytes at `ptr` from the consistent main region into a
-    /// caller-provided buffer — the allocation-free sibling of [`Romulus::read_bytes`]
-    /// used by the mirror-in arena.
+    /// caller-provided buffer — the allocation-free sibling of [`Romulus::read_bytes`].
     ///
     /// # Errors
     ///
     /// Returns [`RomulusError::OutOfRegion`] if the range leaves the region.
     pub fn read_bytes_into(&self, ptr: PmPtr, buf: &mut [u8]) -> Result<(), RomulusError> {
-        self.check_range(ptr.offset(), buf.len() as u64)?;
-        self.flavor.charge_pm_read(buf.len() as u64);
-        self.pool
-            .read(self.layout.main_start + ptr.offset() as usize, buf)?;
-        Ok(())
+        self.read_with(ptr, buf.len(), |bytes| buf.copy_from_slice(bytes))
+    }
+
+    /// The in-place read: runs `f` on the `len` bytes at `ptr` of the consistent main
+    /// region ([`PmemPool::read_with`]) and returns its result, with the charges of
+    /// [`Romulus::read_bytes_into`]. `f` runs under the pool's lock, so it must not
+    /// call back into the pool.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RomulusError::OutOfRegion`] if the range leaves the region.
+    pub fn read_with<R>(
+        &self,
+        ptr: PmPtr,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, RomulusError> {
+        self.check_range(ptr.offset(), len as u64)?;
+        self.flavor.charge_pm_read(len as u64);
+        Ok(self
+            .pool
+            .read_with(self.layout.main_start + ptr.offset() as usize, len, f)?)
     }
 
     /// Reads a `u64` stored at `ptr`.
@@ -461,8 +473,22 @@ impl Romulus {
     // ------------------------------------------------------------- direct publishes
 
     /// Persists `data` at `ptr` in **both** twin regions, outside any transaction and
-    /// without touching the redo log — the bulk-write half of a double-buffered
-    /// publish protocol.
+    /// without touching the redo log: [`Romulus::publish_with`] with a closure that
+    /// copies `data`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Romulus::publish_with`].
+    pub fn publish_region(&self, ptr: PmPtr, data: &[u8]) -> Result<(), RomulusError> {
+        self.publish_with(ptr, data.len(), |dst| dst.copy_from_slice(data))
+    }
+
+    /// The in-place publish: `f` writes the `len` bytes at `ptr` straight into the main
+    /// region ([`PmemPool::persist_with`]), then the pool copies them into the back
+    /// twin ([`PmemPool::persist_copy`]), outside any transaction and without touching
+    /// the redo log — the bulk-write half of a double-buffered publish protocol.
+    /// Returns `f`'s result; the range is published whatever `f` returns. `f` runs
+    /// under the pool's lock, so it must not call back into the pool.
     ///
     /// # Consistency contract
     ///
@@ -487,7 +513,12 @@ impl Romulus {
     /// Returns [`RomulusError::OutOfRegion`] if the range leaves the region, and
     /// [`RomulusError::InjectedCrash`] once an armed
     /// [`FailPoint::AfterDirectPublishes`] triggers.
-    pub fn publish_region(&self, ptr: PmPtr, data: &[u8]) -> Result<(), RomulusError> {
+    pub fn publish_with<R>(
+        &self,
+        ptr: PmPtr,
+        len: usize,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R, RomulusError> {
         {
             let mut armed = self.failpoint.lock();
             if let Some(FailPoint::AfterDirectPublishes(n)) = *armed {
@@ -498,13 +529,13 @@ impl Romulus {
                 *armed = Some(FailPoint::AfterDirectPublishes(n - 1));
             }
         }
-        self.check_range(ptr.offset(), data.len() as u64)?;
-        self.flavor.charge_pm_write(data.len() as u64);
+        self.check_range(ptr.offset(), len as u64)?;
+        self.flavor.charge_pm_write(len as u64);
+        let main = self.layout.main_start + ptr.offset() as usize;
+        let out = self.pool.persist_with(main, len, f)?;
         self.pool
-            .persist(self.layout.main_start + ptr.offset() as usize, data)?;
-        self.pool
-            .persist(self.layout.back_start + ptr.offset() as usize, data)?;
-        Ok(())
+            .persist_copy(main, self.layout.back_start + ptr.offset() as usize, len)?;
+        Ok(out)
     }
 
     /// Reads the persistent object root at `index`.
@@ -566,17 +597,7 @@ impl Romulus {
     }
 
     fn copy_main_to_back(&self, offset: u64, len: usize) -> Result<(), RomulusError> {
-        let mut scratch = self.copy_scratch.lock();
-        if scratch.len() < len {
-            scratch.resize(len, 0);
-        }
-        self.pool.read(
-            self.layout.main_start + offset as usize,
-            &mut scratch[..len],
-        )?;
-        self.pool
-            .persist(self.layout.back_start + offset as usize, &scratch[..len])?;
-        Ok(())
+        self.copy_twin(self.layout.main_start, self.layout.back_start, offset, len)
     }
 
     fn copy_main_to_back_full(&self) -> Result<(), RomulusError> {
@@ -584,10 +605,26 @@ impl Romulus {
     }
 
     fn copy_back_to_main_full(&self) -> Result<(), RomulusError> {
-        let data = self
-            .pool
-            .read_vec(self.layout.back_start, self.layout.region_size)?;
-        self.pool.persist(self.layout.main_start, &data)?;
+        let (back, main) = (self.layout.back_start, self.layout.main_start);
+        self.copy_twin(back, main, 0, self.layout.region_size)
+    }
+
+    /// Persists the `len` bytes at region offset `offset` of the twin starting at `from`
+    /// into the twin starting at `to`, inside the pool ([`PmemPool::persist_copy`]).
+    /// `pm.bytes_read` counts the source range: the copy reads one twin to write the
+    /// other.
+    fn copy_twin(
+        &self,
+        from: usize,
+        to: usize,
+        offset: u64,
+        len: usize,
+    ) -> Result<(), RomulusError> {
+        let offset = offset as usize;
+        self.pool.persist_copy(from + offset, to + offset, len)?;
+        self.pool
+            .stats_registry()
+            .add(Metric::PmBytesRead, len as u64);
         Ok(())
     }
 }
