@@ -1,7 +1,7 @@
 //! Runtime selection of the GEMM / vector-kernel engine.
 //!
 //! A family of register-tiled vector kernels backs [`crate::matrix::gemm`] and the
-//! AXPY/SCAL/DOT helpers, all consuming the same op(A) blocks and op(B) panels:
+//! AXPY/SCAL update helpers, all consuming the same op(A) blocks and op(B) panels:
 //!
 //! * **avx512** ([`GemmKind::Avx512`]) — an 8×32 C tile held in ZMM accumulators,
 //!   on `x86_64` hosts whose CPU reports `avx512f` at runtime. The lanes run

@@ -6,6 +6,7 @@
 //! and records the `NO_WINNER` sentinel so the backward pass routes no gradient —
 //! previously such windows kept index 0 and leaked a spurious delta into input cell 0.
 
+use crate::layers::params::Buffers;
 use crate::matrix::pool_out_dim;
 
 /// Sentinel stored in `indexes` for pool windows that contain no valid input cell; the
@@ -22,8 +23,7 @@ pub struct MaxPoolLayer {
     stride: usize,
     out_h: usize,
     out_w: usize,
-    output: Vec<f32>,
-    delta: Vec<f32>,
+    pub(super) buffers: Buffers,
     /// Index (into the per-sample input) of the winning element for every output, used
     /// to route the gradient during the backward pass; `NO_WINNER` marks windows with
     /// no valid input cell.
@@ -60,8 +60,7 @@ impl MaxPoolLayer {
             stride,
             out_h,
             out_w,
-            output: vec![0.0; outputs * batch],
-            delta: vec![0.0; outputs * batch],
+            buffers: Buffers::new(outputs * batch),
             indexes: vec![0; outputs * batch],
         }
     }
@@ -81,15 +80,6 @@ impl MaxPoolLayer {
         (self.in_c, self.out_h, self.out_w)
     }
 
-    fn ensure_batch(&mut self, batch: usize) {
-        let needed = self.outputs() * batch;
-        if self.output.len() < needed {
-            self.output.resize(needed, 0.0);
-            self.delta.resize(needed, 0.0);
-            self.indexes.resize(needed, 0);
-        }
-    }
-
     /// Forward pass.
     ///
     /// Every window that lies wholly inside the input is pooled with a branch-free
@@ -106,7 +96,11 @@ impl MaxPoolLayer {
             input.len() >= batch * self.inputs(),
             "maxpool input too small"
         );
-        self.ensure_batch(batch);
+        let needed = self.outputs() * batch;
+        self.buffers.ensure(needed);
+        if self.indexes.len() < needed {
+            self.indexes.resize(needed, 0);
+        }
         let (in_h, in_w, size, stride) = (self.in_h, self.in_w, self.size, self.stride);
         let (out_h, out_w) = (self.out_h, self.out_w);
         // Windows wholly inside the input; `new` guarantees `size <= in_h, in_w`.
@@ -115,7 +109,7 @@ impl MaxPoolLayer {
         let plane_in = in_h * in_w;
         let plane_out = out_h * out_w;
         let planes = batch * self.in_c;
-        let outputs = self.output[..planes * plane_out].chunks_exact_mut(plane_out);
+        let outputs = self.buffers.output[..planes * plane_out].chunks_exact_mut(plane_out);
         let indexes = self.indexes[..planes * plane_out].chunks_exact_mut(plane_out);
         for (p, (out, idx)) in outputs.zip(indexes).enumerate() {
             let plane = &input[p * plane_in..][..plane_in];
@@ -174,24 +168,9 @@ impl MaxPoolLayer {
                     continue;
                 }
                 let in_idx = b * self.inputs() + self.indexes[out_idx];
-                prev[in_idx] += self.delta[out_idx];
+                prev[in_idx] += self.buffers.delta[out_idx];
             }
         }
-    }
-
-    /// Output buffer of the latest forward pass.
-    pub fn output(&self) -> &[f32] {
-        &self.output
-    }
-
-    /// Mutable delta buffer.
-    pub fn delta_mut(&mut self) -> &mut [f32] {
-        &mut self.delta
-    }
-
-    /// Simultaneous shared-output / mutable-delta borrow.
-    pub fn output_and_delta_mut(&mut self) -> (&[f32], &mut [f32]) {
-        (&self.output, &mut self.delta)
     }
 
     /// Approximate FLOPs per sample (comparisons counted as one op each).
@@ -248,7 +227,7 @@ mod tests {
             11.0, 12.0, 15.0, 16.0,
         ];
         l.forward(&input, 1);
-        assert_eq!(l.output(), &[4.0, 8.0, 12.0, 16.0]);
+        assert_eq!(l.buffers.output, &[4.0, 8.0, 12.0, 16.0]);
     }
 
     #[test]
@@ -256,7 +235,7 @@ mod tests {
         let mut l = MaxPoolLayer::new(2, 2, 1, 2, 2, 1);
         let input = vec![1.0, 9.0, 3.0, 4.0];
         l.forward(&input, 1);
-        l.delta_mut()[0] = 2.5;
+        l.buffers.delta[0] = 2.5;
         let mut prev = vec![0.0; 4];
         l.backward(&input, Some(&mut prev), 1);
         assert_eq!(prev, vec![0.0, 2.5, 0.0, 0.0]);
@@ -271,8 +250,8 @@ mod tests {
         let mut input = sample.clone();
         input.extend(sample.iter().map(|v| v * 10.0));
         l.forward(&input, 2);
-        assert_eq!(l.output()[..2], [4.0, 8.0]);
-        assert_eq!(l.output()[2..4], [40.0, 80.0]);
+        assert_eq!(l.buffers.output[..2], [4.0, 8.0]);
+        assert_eq!(l.buffers.output[2..4], [40.0, 80.0]);
         assert!(l.flops_per_sample() > 0);
     }
 
@@ -296,11 +275,11 @@ mod tests {
             16.0, 18.0, 19.0,  // rows 2-3
             21.0, 23.0, 24.0,  // row 4 only (partial in both axes)
         ];
-        assert_eq!(l.output(), &expected[..]);
+        assert_eq!(l.buffers.output, &expected[..]);
         // The corner window contains exactly input[24]; its delta routes there — and
         // nowhere spuriously (in particular not into input index 0).
-        l.delta_mut().iter_mut().for_each(|d| *d = 0.0);
-        l.delta_mut()[8] = 1.5;
+        l.buffers.delta.iter_mut().for_each(|d| *d = 0.0);
+        l.buffers.delta[8] = 1.5;
         let mut prev = vec![0.0f32; 25];
         l.backward(&input, Some(&mut prev), 1);
         let mut expected_prev = vec![0.0f32; 25];
@@ -319,10 +298,10 @@ mod tests {
         let input: Vec<f32> = (0..36).map(|v| v as f32 + 1.0).collect();
         l.forward(&input, 1);
         // Window (2,2) starts at input (8,8): empty.
-        assert_eq!(l.output()[8], 0.0);
-        assert!(l.output().iter().all(|v| v.is_finite()));
+        assert_eq!(l.buffers.output[8], 0.0);
+        assert!(l.buffers.output.iter().all(|v| v.is_finite()));
         // Route a delta out of every output, including the empty ones.
-        l.delta_mut().iter_mut().for_each(|d| *d = 1.0);
+        l.buffers.delta.iter_mut().for_each(|d| *d = 1.0);
         let mut prev = vec![0.0f32; 36];
         l.backward(&input, Some(&mut prev), 1);
         // The four valid windows route 1.0 each to their (single-cell) winners...

@@ -1,11 +1,14 @@
 //! Neural-network layers in the style of Darknet: convolutional (with LReLU), max
 //! pooling, fully connected and softmax. Every layer owns its output and delta buffers
-//! and exposes its learnable parameters as named tensors so that the Plinius mirroring
-//! module can encrypt and persist them buffer by buffer.
+//! (one private `Buffers` block), and each trainable layer owns one private `Params`
+//! block: its five named parameter tensors, their gradient accumulators, its SGD update
+//! and its GEMM engine. [`Layer`] reaches both blocks for every variant, so the Plinius
+//! mirroring module can encrypt and persist the tensors buffer by buffer.
 
 pub mod connected;
 pub mod conv;
 pub mod maxpool;
+mod params;
 pub mod softmax;
 
 pub use connected::ConnectedLayer;
@@ -15,6 +18,7 @@ pub use softmax::SoftmaxLayer;
 
 use crate::dispatch::GemmKind;
 use crate::matrix::{gemm_threads, gemm_with_engine, GEMM_DEFAULT_KC};
+use params::{Buffers, Params};
 use rand::Rng;
 use std::fmt;
 
@@ -58,15 +62,6 @@ pub(crate) fn layer_gemm(
         c,
         ldc,
     );
-}
-
-/// Darknet's initial weight draw, in order: uniform in `[-1, 1)` scaled by
-/// `sqrt(2 / fan_in)` (Kaiming-style).
-fn draw_weights<R: Rng>(weights: &mut [f32], fan_in: usize, rng: &mut R) {
-    let scale = (2.0 / fan_in as f32).sqrt();
-    for w in weights {
-        *w = rng.gen_range(-1.0f32..1.0) * scale;
-    }
 }
 
 /// Hyper-parameters used when applying accumulated gradients.
@@ -207,42 +202,26 @@ impl Layer {
 
     /// Applies (and then decays) the accumulated gradients.
     pub fn update(&mut self, args: &UpdateArgs) {
-        match self {
-            Layer::Convolutional(l) => l.update(args),
-            Layer::Connected(l) => l.update(args),
-            Layer::MaxPool(_) | Layer::Softmax(_) => {}
+        if let Some(params) = self.trainable_mut() {
+            params.update(args);
         }
     }
 
     /// The batch-sized output buffer of the most recent forward pass.
     pub fn output(&self) -> &[f32] {
-        match self {
-            Layer::Convolutional(l) => l.output(),
-            Layer::MaxPool(l) => l.output(),
-            Layer::Connected(l) => l.output(),
-            Layer::Softmax(l) => l.output(),
-        }
+        &self.buffers().output
     }
 
     /// Mutable access to the layer's delta buffer (gradient w.r.t. its output).
     pub fn delta_mut(&mut self) -> &mut [f32] {
-        match self {
-            Layer::Convolutional(l) => l.delta_mut(),
-            Layer::MaxPool(l) => l.delta_mut(),
-            Layer::Connected(l) => l.delta_mut(),
-            Layer::Softmax(l) => l.delta_mut(),
-        }
+        &mut self.buffers_mut().delta
     }
 
     /// Simultaneous borrow of the output (shared) and delta (mutable) buffers, used when
     /// back-propagating into the previous layer.
     pub fn output_and_delta_mut(&mut self) -> (&[f32], &mut [f32]) {
-        match self {
-            Layer::Convolutional(l) => l.output_and_delta_mut(),
-            Layer::MaxPool(l) => l.output_and_delta_mut(),
-            Layer::Connected(l) => l.output_and_delta_mut(),
-            Layer::Softmax(l) => l.output_and_delta_mut(),
-        }
+        let Buffers { output, delta } = self.buffers_mut();
+        (output, delta)
     }
 
     /// Zeroes the delta buffer (done before each training iteration).
@@ -252,32 +231,20 @@ impl Layer {
 
     /// The layer's learnable parameter tensors (empty for pooling / softmax layers).
     pub fn params(&self) -> Vec<ParamView<'_>> {
-        match self {
-            Layer::Convolutional(l) => l.params(),
-            Layer::Connected(l) => l.params(),
-            Layer::MaxPool(_) | Layer::Softmax(_) => Vec::new(),
-        }
+        self.param_views().map_or_else(Vec::new, Vec::from)
     }
 
     /// The parameter tensors as a fixed array, `None` for non-trainable layers — the
     /// allocation-free sibling of [`Layer::params`] used by the mirror's staging loop.
     pub fn param_views(&self) -> Option<[ParamView<'_>; PARAM_TENSORS_PER_LAYER]> {
-        match self {
-            Layer::Convolutional(l) => Some(l.param_views()),
-            Layer::Connected(l) => Some(l.param_views()),
-            Layer::MaxPool(_) | Layer::Softmax(_) => None,
-        }
+        self.trainable().map(Params::views)
     }
 
     /// The parameter tensors as mutable slices, in [`PARAM_TENSOR_NAMES`] order,
     /// `None` for non-trainable layers — the mutable sibling of
     /// [`Layer::param_views`], which a restore decodes into.
     pub fn params_mut(&mut self) -> Option<[&mut [f32]; PARAM_TENSORS_PER_LAYER]> {
-        match self {
-            Layer::Convolutional(l) => Some(l.params_mut()),
-            Layer::Connected(l) => Some(l.params_mut()),
-            Layer::MaxPool(_) | Layer::Softmax(_) => None,
-        }
+        self.trainable_mut().map(Params::views_mut)
     }
 
     /// Overwrites the layer's parameter tensors with the provided values.
@@ -309,39 +276,32 @@ impl Layer {
         }
     }
 
-    /// Draws a fresh model's initial weights from `rng` (no-op for layers without
+    /// Draws a fresh model's initial weights from `rng`, uniform in `[-1, 1)` scaled
+    /// by `sqrt(2 / fan_in)` in index order, as Darknet does (no-op for layers without
     /// weights). Layers are built with zero weights; see
     /// [`crate::Network::init_weights`].
     pub fn init_weights<R: Rng>(&mut self, rng: &mut R) {
-        match self {
-            Layer::Convolutional(l) => l.init_weights(rng),
-            Layer::Connected(l) => l.init_weights(rng),
-            Layer::MaxPool(_) | Layer::Softmax(_) => {}
+        if let Some(params) = self.trainable_mut() {
+            params.init_weights(rng);
         }
     }
 
     /// Pins the GEMM engine for the layer's kernels (no-op for layers without GEMM,
     /// i.e. pooling and softmax).
     pub fn set_gemm_engine(&mut self, engine: GemmKind) {
-        match self {
-            Layer::Convolutional(l) => l.set_gemm_engine(engine),
-            Layer::Connected(l) => l.set_gemm_engine(engine),
-            Layer::MaxPool(_) | Layer::Softmax(_) => {}
+        if let Some(params) = self.trainable_mut() {
+            params.engine = engine;
         }
     }
 
     /// The GEMM engine the layer's kernels run on, `None` for layers without GEMM.
     pub fn gemm_engine(&self) -> Option<GemmKind> {
-        match self {
-            Layer::Convolutional(l) => Some(l.gemm_engine()),
-            Layer::Connected(l) => Some(l.gemm_engine()),
-            Layer::MaxPool(_) | Layer::Softmax(_) => None,
-        }
+        self.trainable().map(|params| params.engine)
     }
 
     /// Whether the layer has learnable parameters.
     pub fn is_trainable(&self) -> bool {
-        matches!(self, Layer::Convolutional(_) | Layer::Connected(_))
+        self.trainable().is_some()
     }
 
     /// Total number of learnable parameters.
@@ -361,6 +321,44 @@ impl Layer {
             Layer::MaxPool(l) => l.flops_per_sample(),
             Layer::Connected(l) => l.flops_per_sample(),
             Layer::Softmax(l) => l.flops_per_sample(),
+        }
+    }
+
+    /// The parameter block of a trainable layer.
+    fn trainable(&self) -> Option<&Params> {
+        match self {
+            Layer::Convolutional(l) => Some(&l.params),
+            Layer::Connected(l) => Some(&l.params),
+            Layer::MaxPool(_) | Layer::Softmax(_) => None,
+        }
+    }
+
+    /// The parameter block of a trainable layer, mutable.
+    fn trainable_mut(&mut self) -> Option<&mut Params> {
+        match self {
+            Layer::Convolutional(l) => Some(&mut l.params),
+            Layer::Connected(l) => Some(&mut l.params),
+            Layer::MaxPool(_) | Layer::Softmax(_) => None,
+        }
+    }
+
+    /// The layer's output and delta buffers.
+    fn buffers(&self) -> &Buffers {
+        match self {
+            Layer::Convolutional(l) => &l.buffers,
+            Layer::MaxPool(l) => &l.buffers,
+            Layer::Connected(l) => &l.buffers,
+            Layer::Softmax(l) => &l.buffers,
+        }
+    }
+
+    /// The layer's output and delta buffers, mutable.
+    fn buffers_mut(&mut self) -> &mut Buffers {
+        match self {
+            Layer::Convolutional(l) => &mut l.buffers,
+            Layer::MaxPool(l) => &mut l.buffers,
+            Layer::Connected(l) => &mut l.buffers,
+            Layer::Softmax(l) => &mut l.buffers,
         }
     }
 }

@@ -3,12 +3,13 @@
 //! [`crate::network::Network::train_batch`], which sets this layer's delta to
 //! `truth - prediction` (the negative gradient convention Darknet uses).
 
+use crate::layers::params::Buffers;
+
 /// A softmax layer normalising each sample's activations into a probability distribution.
 #[derive(Debug, Clone)]
 pub struct SoftmaxLayer {
     inputs: usize,
-    output: Vec<f32>,
-    delta: Vec<f32>,
+    pub(super) buffers: Buffers,
 }
 
 impl SoftmaxLayer {
@@ -21,22 +22,13 @@ impl SoftmaxLayer {
         assert!(inputs > 0, "softmax layer needs at least one class");
         SoftmaxLayer {
             inputs,
-            output: vec![0.0; inputs * batch],
-            delta: vec![0.0; inputs * batch],
+            buffers: Buffers::new(inputs * batch),
         }
     }
 
     /// Number of inputs (= outputs = classes) per sample.
     pub fn outputs(&self) -> usize {
         self.inputs
-    }
-
-    fn ensure_batch(&mut self, batch: usize) {
-        let needed = self.inputs * batch;
-        if self.output.len() < needed {
-            self.output.resize(needed, 0.0);
-            self.delta.resize(needed, 0.0);
-        }
     }
 
     /// Forward pass: a numerically stable softmax per sample.
@@ -49,10 +41,10 @@ impl SoftmaxLayer {
             input.len() >= batch * self.inputs,
             "softmax input too small"
         );
-        self.ensure_batch(batch);
+        self.buffers.ensure(self.inputs * batch);
         for b in 0..batch {
             let row = &input[b * self.inputs..(b + 1) * self.inputs];
-            let out = &mut self.output[b * self.inputs..(b + 1) * self.inputs];
+            let out = &mut self.buffers.output[b * self.inputs..(b + 1) * self.inputs];
             let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
             let mut sum = 0.0;
             for (o, x) in out.iter_mut().zip(row.iter()) {
@@ -70,24 +62,9 @@ impl SoftmaxLayer {
     pub fn backward(&mut self, _input: &[f32], prev_delta: Option<&mut [f32]>, batch: usize) {
         let Some(prev) = prev_delta else { return };
         let n = batch * self.inputs;
-        for (p, d) in prev[..n].iter_mut().zip(self.delta[..n].iter()) {
+        for (p, d) in prev[..n].iter_mut().zip(self.buffers.delta[..n].iter()) {
             *p += d;
         }
-    }
-
-    /// Output buffer of the latest forward pass.
-    pub fn output(&self) -> &[f32] {
-        &self.output
-    }
-
-    /// Mutable delta buffer.
-    pub fn delta_mut(&mut self) -> &mut [f32] {
-        &mut self.delta
-    }
-
-    /// Simultaneous shared-output / mutable-delta borrow.
-    pub fn output_and_delta_mut(&mut self) -> (&[f32], &mut [f32]) {
-        (&self.output, &mut self.delta)
     }
 
     /// Approximate FLOPs per sample.
@@ -106,22 +83,22 @@ mod tests {
         let input = vec![1.0, 2.0, 3.0, 4.0, -1.0, 0.0, 1.0, 100.0];
         l.forward(&input, 2);
         for b in 0..2 {
-            let row = &l.output()[b * 4..(b + 1) * 4];
+            let row = &l.buffers.output[b * 4..(b + 1) * 4];
             let sum: f32 = row.iter().sum();
             assert!((sum - 1.0).abs() < 1e-5);
             assert!(row.iter().all(|p| (0.0..=1.0).contains(p)));
         }
         // Larger logits get larger probabilities.
-        assert!(l.output()[3] > l.output()[2]);
+        assert!(l.buffers.output[3] > l.buffers.output[2]);
         // The huge logit dominates without overflowing.
-        assert!(l.output()[7] > 0.99);
+        assert!(l.buffers.output[7] > 0.99);
     }
 
     #[test]
     fn uniform_logits_give_uniform_distribution() {
         let mut l = SoftmaxLayer::new(5, 1);
         l.forward(&[3.0; 5], 1);
-        for p in l.output() {
+        for p in &l.buffers.output {
             assert!((p - 0.2).abs() < 1e-6);
         }
     }
@@ -130,7 +107,7 @@ mod tests {
     fn backward_passes_delta_through() {
         let mut l = SoftmaxLayer::new(3, 1);
         l.forward(&[0.0, 0.0, 0.0], 1);
-        l.delta_mut().copy_from_slice(&[0.1, -0.2, 0.3]);
+        l.buffers.delta.copy_from_slice(&[0.1, -0.2, 0.3]);
         let mut prev = vec![1.0f32; 3];
         l.backward(&[0.0; 3], Some(&mut prev), 1);
         assert_eq!(prev, vec![1.1, 0.8, 1.3]);

@@ -4,8 +4,8 @@
 //! the substrate the paper calls **sgx-darknet**. It provides the pieces Plinius needs to
 //! train and evaluate CNNs end to end:
 //!
-//! * dense matrix kernels (GEMM, im2col/col2im) and activations ([`matrix`],
-//!   [`activation`]);
+//! * dense matrix kernels (GEMM, AXPY/SCAL, im2col/col2im) and activations
+//!   ([`matrix`], [`activation`]);
 //! * convolutional, max-pooling, fully connected and softmax layers, each exposing its
 //!   five named parameter tensors for mirroring ([`layers`]);
 //! * the network container with SGD training, prediction and accuracy evaluation
@@ -60,7 +60,6 @@ pub use dispatch::{
     avx2_available, avx512_available, fma_available, selected_gemm, GemmKind, GemmPolicy, GEMM_ENV,
 };
 pub use layers::{Layer, LayerKind, ParamView, UpdateArgs, PARAM_TENSORS_PER_LAYER};
-pub use matrix::Matrix;
 pub use network::{Network, NetworkConfig};
 
 /// Errors produced by the neural-network framework.

@@ -1,151 +1,16 @@
-//! Dense matrix container and the BLAS-like kernels (GEMM, AXPY, im2col/col2im) that the
-//! Darknet-style layers are built on. Everything is plain `f32` on the heap — the same
-//! representation the original C framework uses, which keeps the port to the (simulated)
-//! enclave straightforward.
+//! The BLAS-like kernels (GEMM, AXPY, SCAL, im2col/col2im) that the Darknet-style
+//! layers are built on. Everything is plain row-major `f32` slices on the heap — the
+//! same representation the original C framework uses, which keeps the port to the
+//! (simulated) enclave straightforward.
 
 use crate::dispatch::{selected_gemm, GemmKind};
-use rand::Rng;
 use std::cell::RefCell;
-use std::fmt;
 use std::ops::Range;
 
-/// A row-major dense matrix of `f32` values.
-///
-/// Training data is handled as one sample per row (the `matrix` type of Darknet), and the
-/// same container doubles as a general 2-D buffer for tests.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Matrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<f32>,
-}
-
-impl Matrix {
-    /// Creates a zero-filled matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
-    }
-
-    /// Creates a matrix from row-major data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
-        assert_eq!(
-            data.len(),
-            rows * cols,
-            "matrix data length {} does not match {}x{}",
-            data.len(),
-            rows,
-            cols
-        );
-        Matrix { rows, cols, data }
-    }
-
-    /// Creates a matrix with entries drawn uniformly from `[-scale, scale]`.
-    pub fn random<R: Rng>(rows: usize, cols: usize, scale: f32, rng: &mut R) -> Self {
-        let data = (0..rows * cols)
-            .map(|_| rng.gen_range(-scale..=scale))
-            .collect();
-        Matrix { rows, cols, data }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Borrow of the row-major backing storage.
-    pub fn data(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// Borrow of row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows`.
-    pub fn row(&self, r: usize) -> &[f32] {
-        assert!(r < self.rows, "row {r} out of range ({} rows)", self.rows);
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Mutable borrow of row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        assert!(r < self.rows, "row {r} out of range ({} rows)", self.rows);
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Element accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of range.
-    pub fn get(&self, r: usize, c: usize) -> f32 {
-        assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c]
-    }
-
-    /// Element mutator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of range.
-    pub fn set(&mut self, r: usize, c: usize, value: f32) {
-        assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c] = value;
-    }
-
-    /// Index of the maximum element of row `r` (arg-max, used for classification).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix has zero columns or `r` is out of range.
-    pub fn argmax_row(&self, r: usize) -> usize {
-        let row = self.row(r);
-        assert!(!row.is_empty(), "argmax of an empty row");
-        let mut best = 0;
-        for (i, v) in row.iter().enumerate() {
-            if *v > row[best] {
-                best = i;
-            }
-        }
-        best
-    }
-}
-
-impl fmt::Display for Matrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Matrix[{}x{}]", self.rows, self.cols)
-    }
-}
-
-/// `y += alpha * x` (the BLAS AXPY kernel), engine from the `PLINIUS_GEMM` policy.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    axpy_with_engine(selected_gemm(), alpha, x, y);
-}
-
-/// [`axpy`] with an explicit engine. AXPY is elementwise (one `mul`, one `add` per
-/// element), so the `avx2` lanes are bit-identical to the scalar loop; only the
-/// opt-in `fma` engine fuses the rounding.
+/// `y += alpha * x` (the BLAS AXPY kernel) on `engine`, the layers' SGD update.
+/// AXPY is elementwise (one `mul`, one `add` per element), so the `avx2` and
+/// `avx512` lanes are bit-identical to the scalar loop; only the opt-in `fma`
+/// engines fuse the rounding.
 ///
 /// # Panics
 ///
@@ -167,13 +32,9 @@ pub fn axpy_with_engine(engine: GemmKind, alpha: f32, x: &[f32], y: &mut [f32]) 
     }
 }
 
-/// `x *= alpha` (the BLAS SCAL kernel), engine from the `PLINIUS_GEMM` policy.
-pub fn scal(alpha: f32, x: &mut [f32]) {
-    scal_with_engine(selected_gemm(), alpha, x);
-}
-
-/// [`scal`] with an explicit engine. A single multiply per element, so every engine
-/// (the vector ones included) produces bit-identical output.
+/// `x *= alpha` (the BLAS SCAL kernel) on `engine`, the layers' momentum decay. A
+/// single multiply per element, so every engine (the vector ones included) produces
+/// bit-identical output.
 pub fn scal_with_engine(engine: GemmKind, alpha: f32, x: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     match engine {
@@ -186,36 +47,6 @@ pub fn scal_with_engine(engine: GemmKind, alpha: f32, x: &mut [f32]) {
     for xi in x.iter_mut() {
         *xi *= alpha;
     }
-}
-
-/// Dot product of two equally long slices, engine from the `PLINIUS_GEMM` policy.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn dot(x: &[f32], y: &[f32]) -> f32 {
-    dot_with_engine(selected_gemm(), x, y)
-}
-
-/// [`dot`] with an explicit engine. DOT is a *reduction*: vector lanes would
-/// reassociate the sum and break the bit-identity contract, so the `avx2` engine
-/// keeps the scalar left-to-right accumulation and only the opt-in `fma` engine
-/// uses the fused eight-partial-sum kernel (deterministic, ULP-bounded).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn dot_with_engine(engine: GemmKind, x: &[f32], y: &[f32]) -> f32 {
-    assert_eq!(x.len(), y.len(), "dot length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    match engine {
-        GemmKind::Avx512Fma => return crate::simd::dot_avx512_fma(x, y),
-        GemmKind::Avx2Fma => return crate::simd::dot_avx2_fma(x, y),
-        GemmKind::Avx512 | GemmKind::Avx2 | GemmKind::Scalar => {}
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = engine;
-    x.iter().zip(y.iter()).map(|(a, b)| a * b).sum()
 }
 
 /// Default k-block size of the blocked GEMM kernel: the depth of one panel of `op(B)`
@@ -982,52 +813,7 @@ pub fn pool_out_dim(dim: usize, size: usize, stride: usize) -> usize {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn matrix_construction_and_access() {
-        let mut m = Matrix::zeros(2, 3);
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.cols(), 3);
-        m.set(1, 2, 5.0);
-        assert_eq!(m.get(1, 2), 5.0);
-        assert_eq!(m.row(1), &[0.0, 0.0, 5.0]);
-        m.row_mut(0)[0] = 9.0;
-        assert_eq!(m.get(0, 0), 9.0);
-        assert_eq!(m.to_string(), "Matrix[2x3]");
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match")]
-    fn from_vec_validates_length() {
-        let _ = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn argmax_row_finds_largest() {
-        let m = Matrix::from_vec(2, 3, vec![0.1, 0.7, 0.2, 0.9, 0.05, 0.05]);
-        assert_eq!(m.argmax_row(0), 1);
-        assert_eq!(m.argmax_row(1), 0);
-    }
-
-    #[test]
-    fn random_matrix_within_bounds() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let m = Matrix::random(10, 10, 0.5, &mut rng);
-        assert!(m.data().iter().all(|v| v.abs() <= 0.5));
-        assert!(m.data().iter().any(|v| *v != 0.0));
-    }
-
-    #[test]
-    fn axpy_scal_dot() {
-        let x = vec![1.0, 2.0, 3.0];
-        let mut y = vec![10.0, 20.0, 30.0];
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, vec![12.0, 24.0, 36.0]);
-        scal(0.5, &mut y);
-        assert_eq!(y, vec![6.0, 12.0, 18.0]);
-        assert_eq!(dot(&x, &x), 14.0);
-    }
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn gemm_nn_matches_hand_computation() {
@@ -1045,48 +831,23 @@ mod tests {
         let m = 3;
         let n = 4;
         let k = 5;
-        let a = Matrix::random(m, k, 1.0, &mut rng);
-        let b = Matrix::random(k, n, 1.0, &mut rng);
+        // Row-major, entries uniform in [-1, 1].
+        let mut random =
+            |len: usize| -> Vec<f32> { (0..len).map(|_| rng.gen_range(-1.0..=1.0)).collect() };
+        let a = random(m * k);
+        let b = random(k * n);
         // Reference: C = A * B.
         let mut c_ref = vec![0.0; m * n];
-        gemm(
-            false,
-            false,
-            m,
-            n,
-            k,
-            1.0,
-            a.data(),
-            k,
-            b.data(),
-            n,
-            0.0,
-            &mut c_ref,
-            n,
-        );
+        gemm(false, false, m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c_ref, n);
         // A^T stored transposed (k x m) then used with ta=true.
         let mut a_t = vec![0.0; k * m];
         for i in 0..m {
             for p in 0..k {
-                a_t[p * m + i] = a.get(i, p);
+                a_t[p * m + i] = a[i * k + p];
             }
         }
         let mut c_ta = vec![0.0; m * n];
-        gemm(
-            true,
-            false,
-            m,
-            n,
-            k,
-            1.0,
-            &a_t,
-            m,
-            b.data(),
-            n,
-            0.0,
-            &mut c_ta,
-            n,
-        );
+        gemm(true, false, m, n, k, 1.0, &a_t, m, &b, n, 0.0, &mut c_ta, n);
         for (x, y) in c_ref.iter().zip(c_ta.iter()) {
             assert!((x - y).abs() < 1e-5);
         }
@@ -1094,25 +855,11 @@ mod tests {
         let mut b_t = vec![0.0; n * k];
         for p in 0..k {
             for j in 0..n {
-                b_t[j * k + p] = b.get(p, j);
+                b_t[j * k + p] = b[p * n + j];
             }
         }
         let mut c_tb = vec![0.0; m * n];
-        gemm(
-            false,
-            true,
-            m,
-            n,
-            k,
-            1.0,
-            a.data(),
-            k,
-            &b_t,
-            k,
-            0.0,
-            &mut c_tb,
-            n,
-        );
+        gemm(false, true, m, n, k, 1.0, &a, k, &b_t, k, 0.0, &mut c_tb, n);
         for (x, y) in c_ref.iter().zip(c_tb.iter()) {
             assert!((x - y).abs() < 1e-5);
         }
@@ -1315,6 +1062,7 @@ mod tests {
         im2col(&x, c, h, w, k, s, p, &mut x_col);
         let mut y_im = vec![0.0; x.len()];
         col2im(&y, c, h, w, k, s, p, &mut y_im);
+        let dot = |u: &[f32], v: &[f32]| u.iter().zip(v).map(|(a, b)| a * b).sum::<f32>();
         let lhs = dot(&x_col, &y);
         let rhs = dot(&x, &y_im);
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");

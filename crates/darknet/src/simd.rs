@@ -1,4 +1,4 @@
-//! AVX2 / AVX-512 vector kernels for the GEMM hot path and the AXPY/SCAL/DOT
+//! AVX2 / AVX-512 vector kernels for the GEMM hot path and the AXPY/SCAL update
 //! helpers.
 //!
 //! This is the one module in the crate allowed to contain `unsafe` code (the
@@ -333,51 +333,6 @@ macro_rules! scal_kernel {
 scal_kernel!(scal_kernel_avx2, "avx2", w8, 8);
 scal_kernel!(scal_kernel_avx512, "avx512f", w16, 16);
 
-/// Generates a DOT kernel for the fused engines: `L` fused partial sums, folded
-/// in a fixed pairwise lane order, scalar tail. Deterministic, but the
-/// reassociated reduction is not bit-identical to the scalar left-to-right sum —
-/// which is why the bit-identical vector engines keep the scalar DOT (see
-/// `matrix::dot_with_engine`).
-macro_rules! dot_kernel {
-    ($name:ident, $feat:literal, $w:tt, $lanes:expr) => {
-        #[target_feature(enable = $feat)]
-        unsafe fn $name(x: &[f32], y: &[f32]) -> f32 {
-            const L: usize = $lanes;
-            let n = x.len();
-            let mut acc = vzero!($w);
-            let mut i = 0usize;
-            while i + L <= n {
-                acc = vmadd!(
-                    $w,
-                    fused,
-                    vload!($w, x.as_ptr().add(i)),
-                    vload!($w, y.as_ptr().add(i)),
-                    acc
-                );
-                i += L;
-            }
-            let mut lanes = [0f32; L];
-            vstore!($w, lanes.as_mut_ptr(), acc);
-            let mut width = L;
-            while width > 1 {
-                width /= 2;
-                for j in 0..width {
-                    lanes[j] += lanes[j + width];
-                }
-            }
-            let mut sum = lanes[0];
-            while i < n {
-                sum += *x.get_unchecked(i) * *y.get_unchecked(i);
-                i += 1;
-            }
-            sum
-        }
-    };
-}
-
-dot_kernel!(dot_kernel_avx2_fma, "avx2,fma", w8, 8);
-dot_kernel!(dot_kernel_avx512_fma, "avx512f", w16, 16);
-
 /// `dst[c * ldd + r] = scale * src[r * lds + c]` for every `r < rows`, `c < cols`,
 /// both multiples of 8: each 8x8 tile is transposed in registers (eight row loads,
 /// 24 shuffles, eight column stores).
@@ -586,17 +541,6 @@ pub(crate) fn scal_avx512(alpha: f32, x: &mut [f32]) {
     unsafe { scal_kernel_avx512(alpha, x) }
 }
 
-/// Safe fused AVX2 DOT (deterministic eight-partial reduction; fma engine only).
-pub(crate) fn dot_avx2_fma(x: &[f32], y: &[f32]) -> f32 {
-    assert!(
-        crate::dispatch::fma_available(),
-        "avx2+fma dot dispatched on a CPU without it"
-    );
-    assert_eq!(x.len(), y.len(), "dot length mismatch");
-    // SAFETY: feature asserted; the kernel never indexes past x.len() == y.len().
-    unsafe { dot_kernel_avx2_fma(x, y) }
-}
-
 /// Safe AVX transpose: `dst[c * ldd + r] = scale * src[r * lds + c]` for every
 /// `r < rows`, `c < cols`. Panics without AVX or when either slice is too short.
 pub(crate) fn transpose_scaled_avx(
@@ -641,17 +585,6 @@ pub(crate) fn transpose_scaled_avx(
     }
 }
 
-/// Safe fused AVX-512 DOT (deterministic sixteen-partial reduction; fma engine only).
-pub(crate) fn dot_avx512_fma(x: &[f32], y: &[f32]) -> f32 {
-    assert!(
-        crate::dispatch::avx512_available(),
-        "avx512+fma dot dispatched on a CPU without it"
-    );
-    assert_eq!(x.len(), y.len(), "dot length mismatch");
-    // SAFETY: feature asserted; the kernel never indexes past x.len() == y.len().
-    unsafe { dot_kernel_avx512_fma(x, y) }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -660,7 +593,6 @@ mod tests {
     type BandFn = fn(&[f32], usize, &[f32], usize, usize, usize, &mut [f32], usize);
     type AxpyFn = fn(f32, &[f32], &mut [f32]);
     type ScalFn = fn(f32, &mut [f32]);
-    type DotFn = fn(&[f32], &[f32]) -> f32;
 
     #[allow(clippy::too_many_arguments)]
     fn scalar_band(
@@ -809,32 +741,6 @@ mod tests {
                     "{label} scal len={len}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn fused_dots_are_deterministic_and_close_to_scalar() {
-        let mut dots: Vec<(DotFn, &str)> = Vec::new();
-        if crate::dispatch::fma_available() {
-            dots.push((dot_avx2_fma, "avx2+fma"));
-        }
-        if crate::dispatch::avx512_available() {
-            dots.push((dot_avx512_fma, "avx512+fma"));
-        }
-        if dots.is_empty() {
-            eprintln!("skipping: CPU reports neither fma nor avx512f");
-            return;
-        }
-        for (dot_fn, label) in dots {
-            let x = fill(1000, 21);
-            let y = fill(1000, 22);
-            let scalar: f32 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
-            let fused = dot_fn(&x, &y);
-            assert_eq!(fused.to_bits(), dot_fn(&x, &y).to_bits(), "{label}");
-            assert!(
-                (scalar - fused).abs() <= 1e-3 * (1.0 + scalar.abs()),
-                "{label}: {scalar} vs {fused}"
-            );
         }
     }
 }

@@ -6,6 +6,7 @@
 
 use plinius_darknet::layers::MaxPoolLayer;
 use plinius_darknet::matrix::{col2im, conv_out_dim, im2col, pool_out_dim, try_conv_out_dim};
+use plinius_darknet::Layer;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -292,7 +293,7 @@ proptest! {
         let mut winners = vec![0usize; outputs];
         maxpool_oracle(&pool, &input, batch, &mut expected, &mut winners);
 
-        let mut layer = pool.layer(batch);
+        let mut layer = Layer::MaxPool(pool.layer(batch));
         layer.forward(&input, batch);
         prop_assert_eq!(bits(&expected), bits(&layer.output()[..outputs]), "{:?}", pool);
 
@@ -406,7 +407,7 @@ fn data_movement_kernels_beat_the_per_element_loops() {
     let input = uniform(&mut rng, BATCH * pool.inputs());
     let mut output = vec![0.0f32; BATCH * pool.outputs()];
     let mut indexes = vec![0usize; BATCH * pool.outputs()];
-    let mut layer = pool.layer(BATCH);
+    let mut layer = Layer::MaxPool(pool.layer(BATCH));
     let times = best_of(
         REPS,
         &mut [

@@ -3,15 +3,15 @@
 //! Minimal fork/join helpers for the compute hot path, built on
 //! [`std::thread::scope`]. The build environment has no crates.io access, so this crate
 //! stands in for the small slice of `rayon` the workspace needs: splitting a mutable
-//! buffer into disjoint chunks processed across threads (`par_chunks_mut`) and mapping a
-//! slice of independent items to a result vector in item order (`par_map`).
+//! buffer into disjoint chunks processed across threads (`par_chunks_mut`), plus a
+//! depth-1 background worker ([`Pipeline`]).
 //!
 //! # Determinism contract
 //!
-//! Every helper partitions work by *item/chunk index*, never by thread id, and callers
-//! receive each chunk or item exactly as the serial loop would. As long as the
-//! per-item closure is itself deterministic, the overall result is **bit-identical for
-//! every thread count** — the property the training loop's crash/resume tests rely on.
+//! `par_chunks_mut` partitions work by *chunk index*, never by thread id, and callers
+//! receive each chunk exactly as the serial loop would. As long as the per-chunk
+//! closure is itself deterministic, the overall result is **bit-identical for every
+//! thread count** — the property the training loop's crash/resume tests rely on.
 //! Threads may interleave side effects (e.g. charges to the shared simulation clock),
 //! but commutative accounting (atomic additions) reaches the same totals regardless.
 //!
@@ -108,78 +108,6 @@ where
             f(i, chunk);
         }
     });
-}
-
-/// Maps every item of `items` through `f(index, item)` across up to `threads` scoped
-/// threads, returning the results **in item order**.
-///
-/// Items are distributed round-robin over the workers (so a few large items interleave
-/// with small ones instead of all landing on one band); the output vector is identical
-/// for every thread count.
-///
-/// # Panics
-///
-/// Propagates panics from `f`.
-pub fn par_map<I, R, F>(items: &[I], threads: usize, f: F) -> Vec<R>
-where
-    I: Sync,
-    R: Send,
-    F: Fn(usize, &I) -> R + Sync,
-{
-    let n = items.len();
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
-    }
-    let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let mut assignments: Vec<Vec<(usize, &mut Option<R>)>> =
-        (0..threads).map(|_| Vec::new()).collect();
-    for (i, slot) in out.iter_mut().enumerate() {
-        assignments[i % threads].push((i, slot));
-    }
-    let f = &f;
-    std::thread::scope(|s| {
-        let mut workers = assignments.into_iter();
-        let local = workers.next().expect("at least one worker");
-        for work in workers {
-            s.spawn(move || {
-                for (i, slot) in work {
-                    *slot = Some(f(i, &items[i]));
-                }
-            });
-        }
-        for (i, slot) in local {
-            *slot = Some(f(i, &items[i]));
-        }
-    });
-    out.into_iter()
-        .map(|slot| slot.expect("every slot is filled by exactly one worker"))
-        .collect()
-}
-
-/// Runs `f(index, item)` for every item of `items` across up to `threads` scoped
-/// threads, mutating the items in place.
-///
-/// This is the in-place sibling of [`par_map`]: instead of collecting results it hands
-/// each worker exclusive `&mut` access to its items (distributed round-robin by item
-/// index, like every helper in this crate), so callers can pre-stage per-item output
-/// buffers and avoid any allocation in the dispatch path when `threads <= 1`.
-/// The set of `(index, &mut item)` invocations is independent of the thread count.
-///
-/// # Panics
-///
-/// Propagates panics from `f`.
-pub fn par_for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    par_chunks_mut(items, 1, threads, |i, chunk| f(i, &mut chunk[0]));
 }
 
 // --------------------------------------------------------------------- pipeline
@@ -457,41 +385,6 @@ mod tests {
     #[should_panic(expected = "non-zero chunk length")]
     fn par_chunks_mut_rejects_zero_chunk_len() {
         par_chunks_mut(&mut [0u8; 4], 0, 2, |_, _| {});
-    }
-
-    #[test]
-    fn par_map_preserves_item_order_for_every_thread_count() {
-        let items: Vec<u64> = (0..37).collect();
-        let serial: Vec<u64> = items.iter().map(|v| v * v + 1).collect();
-        for threads in [1usize, 2, 5, 16, 64] {
-            let mapped = par_map(&items, threads, |i, v| {
-                assert_eq!(items[i], *v);
-                v * v + 1
-            });
-            assert_eq!(mapped, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_for_each_mut_visits_every_item_in_place() {
-        for threads in [1usize, 2, 3, 8] {
-            let mut items: Vec<(usize, u64)> = (0..17).map(|i| (i, 0u64)).collect();
-            par_for_each_mut(&mut items, threads, |idx, item| {
-                assert_eq!(item.0, idx, "index must match item position");
-                item.1 = (idx as u64) * 3 + 1;
-            });
-            let expected: Vec<(usize, u64)> = (0..17).map(|i| (i, (i as u64) * 3 + 1)).collect();
-            assert_eq!(items, expected, "threads={threads}");
-        }
-        // Empty input is a no-op.
-        let mut empty: Vec<u8> = Vec::new();
-        par_for_each_mut(&mut empty, 4, |_, _| panic!("no items expected"));
-    }
-
-    #[test]
-    fn par_map_on_empty_slice_returns_empty() {
-        let out: Vec<u8> = par_map(&[] as &[u8], 4, |_, v| *v);
-        assert!(out.is_empty());
     }
 
     #[test]

@@ -447,22 +447,37 @@ impl MirrorModel {
 
     /// Opens an existing mirror (after a restart), walking the persistent linked list.
     ///
+    /// The host owns PM, so every count and pointer read here is checked before it
+    /// sizes anything: the layer count must fit the region, every node must hold
+    /// exactly the five tensors [`MirrorModel::allocate`] gives it, one copy of every
+    /// sealed tensor must fit the region, and the walk stops once it passes the
+    /// declared layer count (a cycle in the list).
+    ///
     /// # Errors
     ///
-    /// Returns [`PliniusError::NoMirrorModel`] if no mirror exists.
+    /// Returns [`PliniusError::NoMirrorModel`] if no mirror exists,
+    /// [`PliniusError::MirrorMismatch`] if the header or a node fails a check above,
+    /// or Romulus errors for a pointer that leaves the region.
     pub fn open(ctx: &PliniusContext) -> Result<Self, PliniusError> {
         let header = ctx.romulus().root(ctx.model_root())?;
         if header.is_null() {
             return Err(PliniusError::NoMirrorModel);
         }
         let rom = ctx.romulus();
-        let num_layers = rom.read_u64(header.add(8))? as usize;
+        let num_layers = rom.read_u64(header.add(8))?;
         let ring = rom.read_u64(header.add(HDR_RING))? as usize;
         if !(2..=65_536).contains(&ring) {
             return Err(PliniusError::MirrorMismatch(format!(
                 "implausible ring depth {ring} in the mirror header"
             )));
         }
+        let max_layers = rom.region_size() / node_bytes(ring);
+        if num_layers > max_layers as u64 {
+            return Err(PliniusError::MirrorMismatch(format!(
+                "mirror header declares {num_layers} layers, more than the region holds"
+            )));
+        }
+        let num_layers = num_layers as usize;
         let meta = PmPtr::from_offset(rom.read_u64(header.add(HDR_META))?);
         if meta.is_null() {
             return Err(PliniusError::MirrorMismatch(
@@ -473,17 +488,37 @@ impl MirrorModel {
         let mut layer_nodes = Vec::with_capacity(num_layers);
         let mut sealed_lens = Vec::with_capacity(num_layers);
         let mut tensor_ptrs: Vec<Vec<PmPtr>> = Vec::new();
+        let mut sealed_total = 0u64;
         let mut cursor = PmPtr::from_offset(rom.read_u64(header.add(16))?);
         while !cursor.is_null() {
-            let num_tensors = rom.read_u64(cursor.add(8))? as usize;
-            let mut lens = Vec::with_capacity(num_tensors);
-            for j in 0..num_tensors {
+            if layer_nodes.len() == num_layers {
+                return Err(PliniusError::MirrorMismatch(format!(
+                    "the mirror's layer list runs past the header's {num_layers} layers"
+                )));
+            }
+            let num_tensors = rom.read_u64(cursor.add(8))?;
+            if num_tensors != TENSORS_PER_LAYER as u64 {
+                return Err(PliniusError::MirrorMismatch(format!(
+                    "mirror layer {} declares {num_tensors} tensors, not {TENSORS_PER_LAYER}",
+                    layer_nodes.len()
+                )));
+            }
+            let mut lens = Vec::with_capacity(TENSORS_PER_LAYER);
+            for j in 0..TENSORS_PER_LAYER {
                 let field = cursor.add(16 + (j as u64) * stride);
                 let mut ring_ptrs = Vec::with_capacity(ring);
                 for s in 0..ring {
                     ring_ptrs.push(PmPtr::from_offset(rom.read_u64(field.add((s * 8) as u64))?));
                 }
-                lens.push(rom.read_u64(field.add((ring * 8) as u64))? as usize);
+                let len = rom.read_u64(field.add((ring * 8) as u64))?;
+                sealed_total = sealed_total.saturating_add(len);
+                if sealed_total > rom.region_size() as u64 {
+                    return Err(PliniusError::MirrorMismatch(
+                        "the mirror's sealed tensors declare more bytes than the region holds"
+                            .into(),
+                    ));
+                }
+                lens.push(len as usize);
                 tensor_ptrs.push(ring_ptrs);
             }
             layer_nodes.push(cursor);
@@ -1732,6 +1767,62 @@ mod tests {
             MirrorModel::open(&ctx).unwrap_err(),
             PliniusError::NoMirrorModel
         ));
+    }
+
+    /// Allocates a mirror for a small network, publishes a `u64` over its PM as a host
+    /// that owns PM could (`plant` picks the address and the value), and opens it again.
+    fn open_planted(plant: impl Fn(&MirrorModel) -> (PmPtr, u64)) -> PliniusError {
+        let ctx = context_with_key(8 * 1024 * 1024);
+        let mirror = MirrorModel::allocate(&ctx, &small_network(11)).unwrap();
+        let (at, value) = plant(&mirror);
+        ctx.romulus()
+            .publish_region(at, &value.to_le_bytes())
+            .unwrap();
+        MirrorModel::open(&ctx).unwrap_err()
+    }
+
+    #[test]
+    fn a_host_layer_count_past_the_region_is_rejected_on_open() {
+        for layers in [1 << 62, u64::MAX] {
+            let err = open_planted(|m| (m.header.add(8), layers));
+            assert!(matches!(err, PliniusError::MirrorMismatch(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_host_tensor_count_is_rejected_on_open() {
+        for tensors in [1 << 62, 0, 4, 6] {
+            let err = open_planted(|m| (m.layer_nodes[0].add(8), tensors));
+            assert!(matches!(err, PliniusError::MirrorMismatch(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_host_node_pointer_that_overflows_is_out_of_region() {
+        let err = open_planted(|m| (m.header.add(16), u64::MAX - 4));
+        assert!(
+            matches!(
+                err,
+                PliniusError::Romulus(plinius_romulus::RomulusError::OutOfRegion { .. })
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_host_cycle_in_the_layer_list_is_rejected_on_open() {
+        // The first node's next pointer is the node itself.
+        let err = open_planted(|m| (m.layer_nodes[0], m.layer_nodes[0].offset()));
+        assert!(matches!(err, PliniusError::MirrorMismatch(_)), "{err}");
+    }
+
+    #[test]
+    fn host_sealed_lengths_past_the_region_are_rejected_on_open() {
+        for len in [8 * 1024 * 1024 + 1, 1 << 62] {
+            // The first tensor's sealed length follows its ring of slot pointers.
+            let err = open_planted(|m| (m.layer_nodes[0].add(16 + 8 * m.ring_depth as u64), len));
+            assert!(matches!(err, PliniusError::MirrorMismatch(_)), "{err}");
+        }
     }
 
     #[test]

@@ -132,7 +132,8 @@ impl PmDataset {
     ///
     /// Returns [`PliniusError::NoPmDataset`] if no dataset was loaded, or
     /// [`PliniusError::MirrorMismatch`] if the header's sample size does not match its
-    /// shape (the host owns PM).
+    /// shape or its samples do not fit the region after the data block's start (the
+    /// host owns PM).
     pub fn open(ctx: &PliniusContext) -> Result<Self, PliniusError> {
         let header = ctx.romulus().root(ctx.dataset_root())?;
         if header.is_null() {
@@ -154,6 +155,18 @@ impl PmDataset {
             return Err(PliniusError::MirrorMismatch(format!(
                 "PM dataset header declares {}-byte sealed samples of {} inputs and {} classes",
                 dataset.sealed_len, dataset.inputs, dataset.classes
+            )));
+        }
+        // The data block must fit the region after its start, and one sample the region
+        // even when the dataset is empty: that bounds every buffer a batch sizes and
+        // every `index * sealed_len` offset.
+        let region = rom.region_size();
+        let room = region.saturating_sub(dataset.block.offset() as usize);
+        let block_len = dataset.samples.checked_mul(dataset.sealed_len);
+        if block_len.is_none_or(|len| len > room) || dataset.sealed_len > region {
+            return Err(PliniusError::MirrorMismatch(format!(
+                "PM dataset header declares {} samples of {} bytes, more than the region holds",
+                dataset.samples, dataset.sealed_len
             )));
         }
         Ok(dataset)
@@ -404,6 +417,26 @@ mod tests {
             matches!(&err, PliniusError::MirrorMismatch(m) if m.contains("no samples")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_host_header_whose_samples_overflow_the_region_is_rejected_on_open() {
+        let ctx = ctx_with_key();
+        let mut rng = StdRng::seed_from_u64(11);
+        PmDataset::load(&ctx, &synthetic_images(4, 3, 3, 2, 0.1, &mut rng)).unwrap();
+        let inputs = ctx.romulus().root(ctx.dataset_root()).unwrap().add(8);
+        // Each shape's sealed length matches it, so only the region bound rejects it.
+        for huge in [1u64 << 61, 1 << 40] {
+            let header: Vec<u8> = [huge, 0, huge * 4 + SEAL_OVERHEAD as u64]
+                .iter()
+                .flat_map(|field| field.to_le_bytes())
+                .collect();
+            ctx.romulus().publish_region(inputs, &header).unwrap();
+            let err = PmDataset::open(&ctx)
+                .and_then(|pm| pm.decrypt_batch(&ctx, 8, &mut rng))
+                .unwrap_err();
+            assert!(matches!(err, PliniusError::MirrorMismatch(_)), "{err}");
+        }
     }
 
     #[test]

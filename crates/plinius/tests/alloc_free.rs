@@ -1,17 +1,19 @@
 //! Enforces the allocation-free mirror path: after warm-up, a serial steady-state
-//! `mirror_out` — plaintext staging, per-tensor sealing, and the durable PM write —
-//! performs **zero heap allocations**. The plaintext staging buffer, sealed-blob
-//! arena, per-tensor AADs and IV batch live in the mirror handle's working state, and
-//! the AES-GCM context is a shared handle from the enclave's per-key cache; the
-//! Romulus redo log and its copy scratch retain their capacity across iterations, and
-//! the PM pool keeps no per-line state on the heap (its dirty lines are a bitset sized
-//! with the pool).
+//! `mirror_out` — plaintext staging, and each tensor sealed straight into its PM ring
+//! slot — performs **zero heap allocations**. The plaintext staging buffer and the IV
+//! batch live in the mirror handle's working state (a sealed-blob arena joins them
+//! only once the handle pipelines a save), the per-tensor AADs are built with the
+//! handle's tensor slots, and the AES-GCM context is a shared handle from the
+//! enclave's per-key cache; Romulus copies each published range into its back twin
+//! inside the pool, its redo log retains its capacity across iterations, and the PM
+//! pool keeps no per-line state on the heap (its dirty lines are a bitset sized with
+//! the pool).
 //!
 //! Thread fan-out (`threads > 1`) additionally allocates only the O(#tensors)
 //! fork/join dispatch buffers, which is asserted with a loose bound.
 //!
-//! The restore is held to the same standard: a warm serial `mirror_in` reads the
-//! sealed tensors into the mirror's arena, opens them into its staging buffer and
+//! The restore is held to the same standard: a warm serial `mirror_in` opens each
+//! sealed tensor straight from its PM slot into the handle's staging buffer and
 //! decodes each one straight into the model's parameter slices, with zero heap
 //! allocations.
 //!
@@ -87,8 +89,8 @@ fn mirror_fixture() -> (PliniusContext, plinius_darknet::Network, MirrorModel) {
 #[test]
 fn steady_state_serial_mirror_out_performs_zero_heap_allocations() {
     let (ctx, net, mirror) = mirror_fixture();
-    // Warm-up: the first call builds the staging buffers (plaintext, arena, IVs)
-    // and grows the Romulus scratch to its steady-state capacity; the second catches
+    // Warm-up: the first call builds the staging buffers (plaintext and IVs) and
+    // grows the Romulus redo log to its steady-state capacity; the second catches
     // any one-off growth.
     mirror.mirror_out_with_threads(&ctx, &net, 1).unwrap();
     mirror.mirror_out_with_threads(&ctx, &net, 1).unwrap();
@@ -210,8 +212,9 @@ fn steady_state_overlapped_cycle_performs_zero_heap_allocations_on_the_training_
     // scratch, exactly as in the threaded sync variant; the training thread itself
     // must stay off the heap.
     let (ctx, net, mirror) = mirror_fixture();
-    // Warm-up: three cycles cover both A/B slots, the Romulus copy scratch and every
-    // stats counter.
+    // Warm-up: three cycles cover both A/B slots, the sealed-blob arena the first
+    // snapshot adds to the staging buffers, the Romulus redo log and every stats
+    // counter.
     for _ in 0..3 {
         mirror.snapshot_out(&ctx, &net).unwrap();
         mirror.drain(&ctx).unwrap();

@@ -101,10 +101,12 @@ impl PmPtr {
         self.offset == 0
     }
 
-    /// Pointer `delta` bytes further into the allocation.
+    /// Pointer `delta` bytes further into the allocation. Saturates at `u64::MAX`, so
+    /// an offset read from host-written PM that would overflow fails every range check
+    /// with [`RomulusError::OutOfRegion`] instead of wrapping or panicking.
     pub fn add(&self, delta: u64) -> PmPtr {
         PmPtr {
-            offset: self.offset + delta,
+            offset: self.offset.saturating_add(delta),
         }
     }
 }
@@ -758,6 +760,17 @@ mod tests {
     fn engine(region: usize) -> Romulus {
         let pool = PmemPool::new(HEADER_SIZE + 2 * region).unwrap();
         Romulus::create(pool, region, Flavor::Native).unwrap()
+    }
+
+    #[test]
+    fn an_overflowing_pointer_saturates_and_is_out_of_region() {
+        let rom = engine(4096);
+        let ptr = PmPtr::from_offset(u64::MAX - 4).add(8);
+        assert_eq!(ptr.offset(), u64::MAX);
+        assert!(matches!(
+            rom.read_u64(ptr).unwrap_err(),
+            RomulusError::OutOfRegion { .. }
+        ));
     }
 
     #[test]
