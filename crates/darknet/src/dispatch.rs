@@ -1,7 +1,8 @@
 //! Runtime selection of the GEMM / vector-kernel engine.
 //!
-//! A family of register-tiled vector kernels backs [`crate::matrix::gemm`] and the
-//! AXPY/SCAL update helpers, all consuming the same op(A) blocks and op(B) panels:
+//! A family of vector kernels backs [`crate::matrix::gemm`], whose register-tiled
+//! microkernels all consume the same op(A) blocks and op(B) panels, and the layers'
+//! fused SGD update, one pass over each tensor and its gradient accumulator:
 //!
 //! * **avx512** ([`GemmKind::Avx512`]) — an 8×32 C tile held in ZMM accumulators,
 //!   on `x86_64` hosts whose CPU reports `avx512f` at runtime. The lanes run
@@ -13,7 +14,9 @@
 //! * **avx512+fma** / **avx2+fma** ([`GemmKind::Avx512Fma`] / [`GemmKind::Avx2Fma`])
 //!   — the same tiles with fused multiply-adds (`vfmadd`), opt-in because the
 //!   fused rounding changes last-bit results (differential tests bound the
-//!   drift, see `tests/proptest_gemm.rs`);
+//!   drift, see `tests/proptest_gemm.rs`); their SGD update fuses its two
+//!   multiply-adds in full vector lanes and leaves the last `len % lanes`
+//!   elements unfused;
 //! * **scalar** ([`GemmKind::Scalar`]) — the blocked, cache-aware portable kernel,
 //!   compiled and tested everywhere.
 //!
@@ -29,7 +32,9 @@
 //! The minimum work product before [`crate::matrix::gemm`] fans out across threads
 //! lives here too: it is a property of the *kernel*, not of the call site (the
 //! vector kernels chew through small products so fast that forking threads pays off
-//! later). The register-tile shapes stay with the kernels that use them.
+//! later). The register-tile shapes stay with the kernels that use them, and the cap
+//! of one row band per full row block stays with the block size in
+//! [`crate::matrix`].
 
 use std::fmt;
 

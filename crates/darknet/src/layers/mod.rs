@@ -26,7 +26,8 @@ use std::fmt;
 /// environment: the layer hot paths capture the engine once at construction (or via
 /// [`Layer::set_gemm_engine`]) so a mid-training env change cannot mix kernels within
 /// one iteration. Threading is `gemm`'s: fan out only past the engine's
-/// [`GemmKind::par_min_work`] product per fork.
+/// [`GemmKind::par_min_work`] product per fork, into no more row bands than the product
+/// has full 96-row blocks.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn layer_gemm(
     engine: GemmKind,

@@ -4,7 +4,7 @@
 //! the substrate the paper calls **sgx-darknet**. It provides the pieces Plinius needs to
 //! train and evaluate CNNs end to end:
 //!
-//! * dense matrix kernels (GEMM, AXPY/SCAL, im2col/col2im) and activations
+//! * dense matrix kernels (GEMM, the fused SGD update, im2col/col2im) and activations
 //!   ([`matrix`], [`activation`]);
 //! * convolutional, max-pooling, fully connected and softmax layers, each exposing its
 //!   five named parameter tensors for mirroring ([`layers`]);

@@ -1,51 +1,60 @@
-//! The BLAS-like kernels (GEMM, AXPY, SCAL, im2col/col2im) that the Darknet-style
-//! layers are built on. Everything is plain row-major `f32` slices on the heap — the
-//! same representation the original C framework uses, which keeps the port to the
-//! (simulated) enclave straightforward.
+//! The BLAS-like kernels (GEMM, the fused SGD update, im2col/col2im) that the
+//! Darknet-style layers are built on. Everything is plain row-major `f32` slices on the
+//! heap — the same representation the original C framework uses, which keeps the port
+//! to the (simulated) enclave straightforward.
 
 use crate::dispatch::{selected_gemm, GemmKind};
 use std::cell::RefCell;
 use std::ops::Range;
 
-/// `y += alpha * x` (the BLAS AXPY kernel) on `engine`, the layers' SGD update.
-/// AXPY is elementwise (one `mul`, one `add` per element), so the `avx2` and
-/// `avx512` lanes are bit-identical to the scalar loop; only the opt-in `fma`
-/// engines fuse the rounding.
+/// One SGD step over a tensor `x` and its gradient accumulator `dx` on `engine`: per
+/// element, `dx += decay * x` when a decay coefficient is given, then `x += rate * dx`,
+/// then `dx *= momentum`. This is the layers' whole update in one pass over each
+/// tensor, with the roundings of the AXPY, AXPY and SCAL passes it fuses: a `mul` and
+/// an `add` per multiply-add, except that the opt-in `fma` engines fuse them in their
+/// full vector lanes (not in the last `len % lanes` elements).
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn axpy_with_engine(engine: GemmKind, alpha: f32, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "axpy length mismatch");
+pub(crate) fn sgd_with_engine(
+    engine: GemmKind,
+    decay: Option<f32>,
+    rate: f32,
+    momentum: f32,
+    x: &mut [f32],
+    dx: &mut [f32],
+) {
+    assert_eq!(x.len(), dx.len(), "sgd length mismatch");
     #[cfg(target_arch = "x86_64")]
     match engine {
-        GemmKind::Avx512 => return crate::simd::axpy_avx512(alpha, x, y),
-        GemmKind::Avx512Fma => return crate::simd::axpy_avx512_fma(alpha, x, y),
-        GemmKind::Avx2 => return crate::simd::axpy_avx2(alpha, x, y),
-        GemmKind::Avx2Fma => return crate::simd::axpy_avx2_fma(alpha, x, y),
+        GemmKind::Avx512 => return crate::simd::sgd_avx512(decay, rate, momentum, x, dx),
+        GemmKind::Avx512Fma => return crate::simd::sgd_avx512_fma(decay, rate, momentum, x, dx),
+        GemmKind::Avx2 => return crate::simd::sgd_avx2(decay, rate, momentum, x, dx),
+        GemmKind::Avx2Fma => return crate::simd::sgd_avx2_fma(decay, rate, momentum, x, dx),
         GemmKind::Scalar => {}
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = engine;
-    for (yi, xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * xi;
-    }
+    sgd_portable(decay, rate, momentum, x, dx);
 }
 
-/// `x *= alpha` (the BLAS SCAL kernel) on `engine`, the layers' momentum decay. A
-/// single multiply per element, so every engine (the vector ones included) produces
-/// bit-identical output.
-pub fn scal_with_engine(engine: GemmKind, alpha: f32, x: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    match engine {
-        GemmKind::Avx512 | GemmKind::Avx512Fma => return crate::simd::scal_avx512(alpha, x),
-        GemmKind::Avx2 | GemmKind::Avx2Fma => return crate::simd::scal_avx2(alpha, x),
-        GemmKind::Scalar => {}
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = engine;
-    for xi in x.iter_mut() {
-        *xi *= alpha;
+/// The scalar engine's SGD loop, and the tail of the vector kernels: `dx += decay * x`
+/// only when a decay is given (adding `0 * x` would change the bits of a `-0.0` or NaN
+/// `dx`), then `x += rate * dx` and `dx *= momentum`, each rounded on its own.
+pub(crate) fn sgd_portable(
+    decay: Option<f32>,
+    rate: f32,
+    momentum: f32,
+    x: &mut [f32],
+    dx: &mut [f32],
+) {
+    for (x, dx) in x.iter_mut().zip(dx) {
+        if let Some(decay) = decay {
+            *dx += decay * *x;
+        }
+        *x += rate * *dx;
+        *dx *= momentum;
     }
 }
 
@@ -88,7 +97,8 @@ thread_local! {
 /// are per thread, sized by the block constants and reused across calls. Large products
 /// are dispatched across row bands on scoped threads (worker count from
 /// [`plinius_parallel::max_threads`], override with `PLINIUS_THREADS`; the minimum work
-/// of one fork is engine-specific, [`GemmKind::par_min_work`]). The
+/// of one fork is engine-specific, [`GemmKind::par_min_work`]; no more bands than full
+/// `GEMM_MC`-row blocks, so a product of a few rows stays on one thread). The
 /// result is **bit-identical for every thread count, block size, and every engine except
 /// the opt-in `fma` ones** — the vector lanes run the same `mul`-then-`add` roundings in
 /// the same ascending-`p` order as the scalar kernel — and matches [`gemm_reference`]
@@ -140,9 +150,15 @@ pub fn gemm(
 }
 
 /// The worker-thread count [`gemm`] picks: one below the engine's
-/// [`GemmKind::par_min_work`], [`plinius_parallel::max_threads`] from there. The work
+/// [`GemmKind::par_min_work`], [`plinius_parallel::max_threads`] from there, but never
+/// more than the product has full `GEMM_MC`-row blocks (and at least one). The work
 /// counted is what one fork of the row bands covers: the whole product, or one panel of
 /// it when `B` is transposed, as the bands then fork once per packed panel.
+///
+/// Every row band streams each panel of `op(B)` itself, so a band pays only when it
+/// reuses each panel over enough rows (Goto & van de Geijn, "Anatomy of
+/// High-Performance Matrix Multiplication", 2008): an 8-row product split in two
+/// reads all of `B` twice for four rows each.
 pub(crate) fn gemm_threads(engine: GemmKind, tb: bool, m: usize, n: usize, k: usize) -> usize {
     let (kb, nb) = if tb {
         (k.min(GEMM_DEFAULT_KC), n.min(GEMM_NC))
@@ -152,7 +168,7 @@ pub(crate) fn gemm_threads(engine: GemmKind, tb: bool, m: usize, n: usize, k: us
     if m.saturating_mul(nb).saturating_mul(kb) < engine.par_min_work() {
         1
     } else {
-        plinius_parallel::max_threads()
+        plinius_parallel::max_threads().min(m / GEMM_MC).max(1)
     }
 }
 
@@ -959,6 +975,36 @@ mod tests {
                 ldc,
             );
             assert_eq!(bits(&c_ref), bits(&c), "ta={ta} tb={tb}");
+        }
+    }
+
+    #[test]
+    fn gemm_forks_no_more_row_bands_than_full_row_blocks() {
+        let engines = [
+            GemmKind::Scalar,
+            GemmKind::Avx2,
+            GemmKind::Avx2Fma,
+            GemmKind::Avx512,
+            GemmKind::Avx512Fma,
+        ];
+        for engine in engines {
+            // The 4 MB FC layer at batch 8: its data gradient, prev_delta (8 x 392) +=
+            // delta (8 x 2674) * W (2674 x 392), is past every engine's parallel
+            // cutoff but has no full row block.
+            assert_eq!(gemm_threads(engine, false, 8, 392, 2674), 1, "{engine}");
+            // However large the product, fewer than two full row blocks is one band.
+            for m in [1, GEMM_MC, 2 * GEMM_MC - 1] {
+                for tb in [false, true] {
+                    assert_eq!(gemm_threads(engine, tb, m, 4096, 4096), 1, "{engine} m={m}");
+                }
+            }
+            // Its weight gradient, Δw (2674 x 392) += deltaᵀ (2674 x 8) * input
+            // (8 x 392), has 27 full row blocks and keeps every worker.
+            assert_eq!(
+                gemm_threads(engine, false, 2674, 392, 8),
+                plinius_parallel::max_threads().min(2674 / GEMM_MC),
+                "{engine}"
+            );
         }
     }
 

@@ -1,5 +1,4 @@
-//! AVX2 / AVX-512 vector kernels for the GEMM hot path and the AXPY/SCAL update
-//! helpers.
+//! AVX2 / AVX-512 vector kernels for the GEMM hot path and the fused SGD update.
 //!
 //! This is the one module in the crate allowed to contain `unsafe` code (the
 //! `std::arch` SIMD intrinsics and the bounds-check-free inner loops they feed);
@@ -39,7 +38,9 @@
 //! (proptests pin this). The `*+fma` kernels fuse every multiply-add, the masked
 //! strip at the end of each row included, with a single rounding, which changes
 //! last-bit results; they are opt-in via `PLINIUS_GEMM=fma` and covered by
-//! ULP-bounded differential tests instead.
+//! ULP-bounded differential tests instead. The fused SGD kernels fuse their
+//! multiply-adds in full vector lanes only and leave the tail to the portable loop,
+//! so every engine's update is pinned bit for bit by a test.
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
@@ -278,60 +279,67 @@ band_kernel!(band_avx2_fma, "avx2,fma", w8, fused, 8, MR_YMM);
 band_kernel!(band_avx512, "avx512f", w16, mul_add, 16, MR_ZMM);
 band_kernel!(band_avx512_fma, "avx512f", w16, fused, 16, MR_ZMM);
 
-/// Generates an AXPY kernel (`y[i] += alpha * x[i]`): elementwise, so the
-/// `mul_add` expansions are exactly the scalar loop per lane.
-macro_rules! axpy_kernel {
-    ($name:ident, $feat:literal, $w:tt, $mode:tt, $lanes:expr) => {
-        #[target_feature(enable = $feat)]
-        unsafe fn $name(alpha: f32, x: &[f32], y: &mut [f32]) {
-            const L: usize = $lanes;
-            let n = x.len();
-            let av = vset1!($w, alpha);
-            let mut i = 0usize;
-            while i + L <= n {
-                let xv = vload!($w, x.as_ptr().add(i));
-                let yv = vload!($w, y.as_ptr().add(i));
-                vstore!($w, y.as_mut_ptr().add(i), vmadd!($w, $mode, av, xv, yv));
-                i += L;
+/// Generates a safe fused SGD step over a tensor `x` and its gradient accumulator
+/// `dx`, with its kernel: per element, `dx += decay * x` (only when a decay is given),
+/// then `x += rate * dx`, then `dx *= momentum`. Full vectors run the engine's
+/// multiply-add (`mul_add`: the scalar loop per lane; `fused`: one rounding), and the
+/// last `len % L` elements run the portable loop, unfused on every engine.
+macro_rules! sgd_entry {
+    ($name:ident, $feat:literal, $avail:ident, $w:tt, $mode:tt, $lanes:expr) => {
+        #[doc = concat!("Safe `", stringify!($name), "`; panics without the CPU feature.")]
+        pub(crate) fn $name(
+            decay: Option<f32>,
+            rate: f32,
+            momentum: f32,
+            x: &mut [f32],
+            dx: &mut [f32],
+        ) {
+            /// # Safety
+            ///
+            /// The CPU must support the kernel's target features.
+            #[target_feature(enable = $feat)]
+            unsafe fn kernel(
+                decay: Option<f32>,
+                rate: f32,
+                momentum: f32,
+                x: &mut [f32],
+                dx: &mut [f32],
+            ) {
+                const L: usize = $lanes;
+                let dv = vset1!($w, decay.unwrap_or(0.0));
+                let (rv, mv) = (vset1!($w, rate), vset1!($w, momentum));
+                let (mut xs, mut dxs) = (x.chunks_exact_mut(L), dx.chunks_exact_mut(L));
+                for (xc, dc) in (&mut xs).zip(&mut dxs) {
+                    let xv = vload!($w, xc.as_ptr());
+                    let mut dxv = vload!($w, dc.as_ptr());
+                    if decay.is_some() {
+                        dxv = vmadd!($w, $mode, dv, xv, dxv);
+                    }
+                    vstore!($w, xc.as_mut_ptr(), vmadd!($w, $mode, rv, dxv, xv));
+                    vstore!($w, dc.as_mut_ptr(), vmul!($w, mv, dxv));
+                }
+                let (x, dx) = (xs.into_remainder(), dxs.into_remainder());
+                crate::matrix::sgd_portable(decay, rate, momentum, x, dx);
             }
-            while i < n {
-                *y.get_unchecked_mut(i) += alpha * *x.get_unchecked(i);
-                i += 1;
-            }
+            assert!(
+                crate::dispatch::$avail(),
+                concat!(
+                    stringify!($name),
+                    " dispatched on a CPU without its features"
+                )
+            );
+            // SAFETY: the assert above proves the CPU supports the kernel's target
+            // features; it loads and stores only whole `chunks_exact_mut` chunks of
+            // `x` and `dx`, each exactly one vector long.
+            unsafe { kernel(decay, rate, momentum, x, dx) }
         }
     };
 }
 
-axpy_kernel!(axpy_kernel_avx2, "avx2", w8, mul_add, 8);
-axpy_kernel!(axpy_kernel_avx2_fma, "avx2,fma", w8, fused, 8);
-axpy_kernel!(axpy_kernel_avx512, "avx512f", w16, mul_add, 16);
-axpy_kernel!(axpy_kernel_avx512_fma, "avx512f", w16, fused, 16);
-
-/// Generates a SCAL kernel (`x[i] *= alpha`): a single rounding per element, so
-/// it is exact on every engine — the fused engines share their width's kernel.
-macro_rules! scal_kernel {
-    ($name:ident, $feat:literal, $w:tt, $lanes:expr) => {
-        #[target_feature(enable = $feat)]
-        unsafe fn $name(alpha: f32, x: &mut [f32]) {
-            const L: usize = $lanes;
-            let n = x.len();
-            let av = vset1!($w, alpha);
-            let mut i = 0usize;
-            while i + L <= n {
-                let xv = vload!($w, x.as_ptr().add(i));
-                vstore!($w, x.as_mut_ptr().add(i), vmul!($w, av, xv));
-                i += L;
-            }
-            while i < n {
-                *x.get_unchecked_mut(i) *= alpha;
-                i += 1;
-            }
-        }
-    };
-}
-
-scal_kernel!(scal_kernel_avx2, "avx2", w8, 8);
-scal_kernel!(scal_kernel_avx512, "avx512f", w16, 16);
+sgd_entry!(sgd_avx2, "avx2", avx2_available, w8, mul_add, 8);
+sgd_entry!(sgd_avx2_fma, "avx2,fma", fma_available, w8, fused, 8);
+sgd_entry!(sgd_avx512, "avx512f", avx512_available, w16, mul_add, 16);
+sgd_entry!(sgd_avx512_fma, "avx512f", avx512_available, w16, fused, 16);
 
 /// `dst[c * ldd + r] = scale * src[r * lds + c]` for every `r < rows`, `c < cols`,
 /// both multiples of 8: each 8x8 tile is transposed in registers (eight row loads,
@@ -489,58 +497,6 @@ band_wrapper!(
     "avx512+fma"
 );
 
-/// Generates the safe AXPY entry: availability + length asserts.
-macro_rules! axpy_wrapper {
-    ($name:ident, $kernel:ident, $avail:ident, $label:literal) => {
-        #[doc = concat!("Safe ", $label, " AXPY; panics without the CPU feature.")]
-        pub(crate) fn $name(alpha: f32, x: &[f32], y: &mut [f32]) {
-            assert!(
-                crate::dispatch::$avail(),
-                concat!($label, " axpy dispatched on a CPU without it")
-            );
-            assert_eq!(x.len(), y.len(), "axpy length mismatch");
-            // SAFETY: feature asserted; the kernel never indexes past
-            // x.len() == y.len().
-            unsafe { $kernel(alpha, x, y) }
-        }
-    };
-}
-
-axpy_wrapper!(axpy_avx2, axpy_kernel_avx2, avx2_available, "avx2");
-axpy_wrapper!(
-    axpy_avx2_fma,
-    axpy_kernel_avx2_fma,
-    fma_available,
-    "avx2+fma"
-);
-axpy_wrapper!(axpy_avx512, axpy_kernel_avx512, avx512_available, "avx512");
-axpy_wrapper!(
-    axpy_avx512_fma,
-    axpy_kernel_avx512_fma,
-    avx512_available,
-    "avx512+fma"
-);
-
-/// Safe lane-parallel AVX2 SCAL (exact on every engine).
-pub(crate) fn scal_avx2(alpha: f32, x: &mut [f32]) {
-    assert!(
-        crate::dispatch::avx2_available(),
-        "avx2 scal dispatched on a CPU without it"
-    );
-    // SAFETY: feature asserted; the kernel never indexes past x.len().
-    unsafe { scal_kernel_avx2(alpha, x) }
-}
-
-/// Safe lane-parallel AVX-512 SCAL (exact on every engine).
-pub(crate) fn scal_avx512(alpha: f32, x: &mut [f32]) {
-    assert!(
-        crate::dispatch::avx512_available(),
-        "avx512 scal dispatched on a CPU without it"
-    );
-    // SAFETY: feature asserted; the kernel never indexes past x.len().
-    unsafe { scal_kernel_avx512(alpha, x) }
-}
-
 /// Safe AVX transpose: `dst[c * ldd + r] = scale * src[r * lds + c]` for every
 /// `r < rows`, `c < cols`. Panics without AVX or when either slice is too short.
 pub(crate) fn transpose_scaled_avx(
@@ -591,8 +547,6 @@ mod tests {
 
     /// Band kernel over one k-block: `(ap, lda, bp, ldb, kb, nb, c_band, ldc)`.
     type BandFn = fn(&[f32], usize, &[f32], usize, usize, usize, &mut [f32], usize);
-    type AxpyFn = fn(f32, &[f32], &mut [f32]);
-    type ScalFn = fn(f32, &mut [f32]);
 
     #[allow(clippy::too_many_arguments)]
     fn scalar_band(
@@ -692,53 +646,6 @@ mod tests {
                 assert!(
                     (a - b).abs() <= 1e-4 * (1.0 + a.abs()),
                     "{label}: {a} vs {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn axpy_and_scal_match_the_scalar_loops_bit_for_bit() {
-        let mut axpys: Vec<(AxpyFn, ScalFn, &str)> = Vec::new();
-        if crate::dispatch::avx2_available() {
-            axpys.push((axpy_avx2, scal_avx2, "avx2"));
-        }
-        if crate::dispatch::avx512_available() {
-            axpys.push((axpy_avx512, scal_avx512, "avx512"));
-        }
-        if axpys.is_empty() {
-            eprintln!("skipping: CPU reports neither avx2 nor avx512f");
-            return;
-        }
-        for (axpy_fn, scal_fn, label) in axpys {
-            for len in [0, 1, 7, 8, 9, 15, 16, 17, 31, 64, 100] {
-                let x = fill(len, 11);
-                let mut y_ref = fill(len, 12);
-                let mut y_vec = y_ref.clone();
-                for (yi, xi) in y_ref.iter_mut().zip(&x) {
-                    *yi += 1.25 * xi;
-                }
-                axpy_fn(1.25, &x, &mut y_vec);
-                assert!(
-                    y_ref
-                        .iter()
-                        .zip(&y_vec)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{label} axpy len={len}"
-                );
-
-                let mut s_ref = fill(len, 13);
-                let mut s_vec = s_ref.clone();
-                for v in s_ref.iter_mut() {
-                    *v *= 0.75;
-                }
-                scal_fn(0.75, &mut s_vec);
-                assert!(
-                    s_ref
-                        .iter()
-                        .zip(&s_vec)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{label} scal len={len}"
                 );
             }
         }
