@@ -1,7 +1,6 @@
 //! Regenerates Fig. 6: SPS benchmark (swaps/us vs transaction size) comparing native
 //! Romulus, sgx-romulus and scone-romulus for two PWB+fence combinations, followed by a
-//! wall-clock thread-count sweep of the rebuilt compute hot path (blocked GEMM and
-//! chunk-parallel mirror-out sealing).
+//! wall-clock thread-count sweep of the blocked GEMM and the mirror-out seal beside it.
 
 use plinius::{MirrorModel, PliniusContext};
 use plinius_bench::{cli, RunMode};
@@ -47,10 +46,10 @@ fn main() {
     parallel_hot_path_sweep(mode);
 }
 
-/// Wall-clock throughput of the two parallelised hot paths at 1/2/4/auto threads.
-/// On a multi-core host the GEMM and seal columns scale with the thread count; results
-/// are bit-identical at every point (the determinism tests assert this), so the sweep
-/// only reports speed.
+/// Wall-clock throughput of the parallelised GEMM at 1/2/4/auto threads, and of the
+/// mirror-out beside it, which seals on the calling thread. On a multi-core host the
+/// GEMM column scales with the thread count; results are bit-identical at every point
+/// (the determinism tests assert this), so the sweep only reports speed.
 fn parallel_hot_path_sweep(mode: RunMode) {
     let (dim, conv_layers, filters, reps) = match mode {
         RunMode::Smoke => (64usize, 2usize, 8usize, 1u32),
@@ -81,10 +80,7 @@ fn parallel_hot_path_sweep(mode: RunMode) {
         plinius_darknet::selected_gemm().name(),
         model_bytes as f64 / (1024.0 * 1024.0)
     );
-    println!(
-        "{:<10} {:>14} {:>16}",
-        "threads", "gemm GFLOP/s", "seal MiB/s"
-    );
+    println!("{:<10} {:>14}", "threads", "gemm GFLOP/s");
     for &t in &threads {
         let start = Instant::now();
         for _ in 0..reps {
@@ -94,21 +90,19 @@ fn parallel_hot_path_sweep(mode: RunMode) {
         }
         let gemm_s = start.elapsed().as_secs_f64() / reps as f64;
         let gflops = (2 * dim * dim * dim) as f64 / gemm_s / 1e9;
-
-        let start = Instant::now();
-        for _ in 0..reps {
-            mirror
-                .mirror_out_with_threads(&ctx, &network, t)
-                .expect("mirror-out");
-        }
-        let seal_s = start.elapsed().as_secs_f64() / reps as f64;
-        let seal_mibs = model_bytes as f64 / seal_s / (1024.0 * 1024.0);
-
         let label = if t == auto {
             format!("{t} (auto)")
         } else {
             t.to_string()
         };
-        println!("{label:<10} {gflops:>14.2} {seal_mibs:>16.1}");
+        println!("{label:<10} {gflops:>14.2}");
     }
+
+    let start = Instant::now();
+    for _ in 0..reps {
+        mirror.mirror_out(&ctx, &network).expect("mirror-out");
+    }
+    let seal_s = start.elapsed().as_secs_f64() / reps as f64;
+    let seal_mibs = model_bytes as f64 / seal_s / (1024.0 * 1024.0);
+    println!("mirror-out (seal + publish, one thread): {seal_mibs:.1} MiB/s");
 }

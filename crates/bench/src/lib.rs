@@ -436,24 +436,14 @@ pub struct AeadPoint {
     pub engine: &'static str,
     /// Reference kernels (byte-wise AES, bit-serial GHASH), MiB/s.
     pub reference_mib_s: f64,
-    /// Selected engine, single thread, MiB/s.
+    /// Selected engine, MiB/s.
     pub fast_mib_s: f64,
-    /// Selected engine with chunk-parallel CTR on [`plinius_parallel::max_threads`]
-    /// workers, MiB/s (equals the single-thread number on a 1-core host).
-    pub threaded_mib_s: f64,
-    /// Worker count used for the threaded measurement.
-    pub threads: usize,
 }
 
 impl AeadPoint {
-    /// Single-thread speedup of the fast engine over the reference kernels.
+    /// Speedup of the fast engine over the reference kernels.
     pub fn speedup(&self) -> f64 {
         self.fast_mib_s / self.reference_mib_s
-    }
-
-    /// Speedup with chunk-parallel CTR enabled.
-    pub fn threaded_speedup(&self) -> f64 {
-        self.threaded_mib_s / self.reference_mib_s
     }
 }
 
@@ -479,7 +469,6 @@ fn best_of<F: FnMut()>(rounds: usize, mut f: F) -> f64 {
 pub fn aead_sweep(sizes: &[usize]) -> Vec<AeadPoint> {
     let gcm = plinius_crypto::AesGcm::from_key(&[0x42u8; 16]);
     let iv = [9u8; 12];
-    let threads = plinius_parallel::max_threads();
     sizes
         .iter()
         .map(|&size| {
@@ -494,18 +483,11 @@ pub fn aead_sweep(sizes: &[usize]) -> Vec<AeadPoint> {
                     .encrypt_into(&iv, b"aead-sweep", &data, &mut out)
                     .unwrap();
             });
-            let threaded_s = best_of(3, || {
-                let _ = gcm
-                    .encrypt_into_with_threads(&iv, b"aead-sweep", &data, &mut out, threads)
-                    .unwrap();
-            });
             AeadPoint {
                 size,
                 engine: gcm.engine_name(),
                 reference_mib_s: mib / reference_s,
                 fast_mib_s: mib / fast_s,
-                threaded_mib_s: mib / threaded_s,
-                threads,
             }
         })
         .collect()
@@ -517,18 +499,16 @@ pub fn print_aead_sweep(points: &[AeadPoint]) {
     let engine = points.first().map_or("scalar", |p| p.engine);
     println!("\nAEAD engine (wall-clock, this host): {engine} vs reference kernels");
     println!(
-        "{:>10} | {:>12} {:>12} {:>8} | {:>14} {:>8}",
-        "bytes", "ref MiB/s", "fast MiB/s", "speedup", "threaded MiB/s", "speedup"
+        "{:>10} | {:>12} {:>12} {:>8}",
+        "bytes", "ref MiB/s", "fast MiB/s", "speedup"
     );
     for p in points {
         println!(
-            "{:>10} | {:>12.1} {:>12.1} {:>7.1}x | {:>14.1} {:>7.1}x",
+            "{:>10} | {:>12.1} {:>12.1} {:>7.1}x",
             p.size,
             p.reference_mib_s,
             p.fast_mib_s,
-            p.speedup(),
-            p.threaded_mib_s,
-            p.threaded_speedup()
+            p.speedup()
         );
     }
 }
@@ -706,7 +686,7 @@ mod tests {
         let points = aead_sweep(&[256 * 1024]);
         assert_eq!(points.len(), 1);
         let p = &points[0];
-        assert!(p.reference_mib_s > 0.0 && p.fast_mib_s > 0.0 && p.threaded_mib_s > 0.0);
+        assert!(p.reference_mib_s > 0.0 && p.fast_mib_s > 0.0);
         // The crypto crate is built with opt-level 3 even under the dev profile, so
         // the table-driven engine must clearly beat the reference here too. The exact
         // ratio is asserted by the release-mode throughput gate in plinius-crypto.

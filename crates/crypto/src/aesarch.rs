@@ -32,6 +32,13 @@
 //! with `AESKEYGENASSIST` and pinned against the FIPS-197 scalar expansion by a
 //! unit test (and a debug assertion); 192/256-bit keys load the already-validated
 //! scalar schedule directly.
+//!
+//! # `f32` plaintext
+//!
+//! The hardware kernels seal model tensors straight from their `f32` slices and
+//! open straight into them. [`f32_bytes`] and [`f32_bytes_mut`] are the crate's
+//! one view of `f32`s as bytes; the scalar engine, which every target builds,
+//! converts per block with `to_le_bytes`/`from_le_bytes` instead.
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
@@ -211,6 +218,25 @@ impl std::fmt::Debug for AesNi {
     }
 }
 
+/// The bytes of `values` in memory. `x86_64` is little-endian, so they are exactly
+/// the bytes `f32::to_le_bytes` gives, the plaintext of a sealed tensor.
+pub(crate) fn f32_bytes(values: &[f32]) -> &[u8] {
+    // SAFETY (this function and `f32_bytes_mut`): the view covers exactly the
+    // `4 * len` bytes of the slice and borrows it for its lifetime; `u8` has
+    // alignment 1, `f32` has no padding, and every bit pattern is a valid `u8`
+    // and a valid `f32` (NaN payloads included), so reads and writes through the
+    // view are sound.
+    unsafe { std::slice::from_raw_parts(values.as_ptr().cast(), std::mem::size_of_val(values)) }
+}
+
+/// The mutable sibling of [`f32_bytes`]: a decrypt writes each `f32`'s
+/// little-endian bytes in place.
+pub(crate) fn f32_bytes_mut(values: &mut [f32]) -> &mut [u8] {
+    let len = std::mem::size_of_val(values);
+    // SAFETY: as in `f32_bytes`.
+    unsafe { std::slice::from_raw_parts_mut(values.as_mut_ptr().cast(), len) }
+}
+
 /// One AES-128 key-schedule round: `AESKEYGENASSIST` produces
 /// `SubWord(RotWord(w3))` (with the round constant folded in) in every dword;
 /// broadcasting dword 3 and XOR-folding the previous key's prefix sums yields the
@@ -346,6 +372,18 @@ mod tests {
             }
             assert_eq!(out, expected, "len={len}");
         }
+    }
+
+    /// The byte view of `f32`s is their little-endian image, and writing through
+    /// the mutable view sets each value's bits, NaN payloads included.
+    #[test]
+    fn f32_byte_views_are_the_little_endian_image() {
+        let mut values = [0.0f32, -0.0, 1.5, f32::NAN, f32::from_bits(0x7fa0_0001)];
+        let image: Vec<u8> = values.iter().flat_map(|x| x.to_le_bytes()).collect();
+        assert_eq!(f32_bytes(&values), &image[..]);
+        let payload = 0xffc0_1234u32.to_le_bytes();
+        f32_bytes_mut(&mut values)[4..8].copy_from_slice(&payload);
+        assert_eq!(values[1].to_bits(), 0xffc0_1234);
     }
 
     #[test]

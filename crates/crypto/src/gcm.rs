@@ -7,13 +7,22 @@
 //! The production path is a high-throughput software implementation:
 //!
 //! * **CTR** — multi-block keystream generation through the T-table AES core, XORed
-//!   word-wise (`u128` loads/stores) into a caller-provided output buffer; no per-byte
-//!   `Vec::push`. For large buffers the keystream can additionally be computed across
-//!   threads, chunked at 16-byte counter boundaries ([`AesGcm::encrypt_into_with_threads`]).
-//!   Because every chunk derives its counter from its block offset, the ciphertext is
-//!   **bit-identical for every thread count** by construction.
+//!   word-wise (`u128` loads/stores); no per-byte `Vec::push`.
 //! * **GHASH** — Shoup's 4-bit-table method: a 16-entry per-key table of `H` multiples
 //!   turns the 128 bit-steps of the schoolbook multiply into 32 shift+lookup steps.
+//!
+//! # One pass to seal, verify before decrypt
+//!
+//! A seal is *stitched* on every engine: each ciphertext block is hashed before it is
+//! stored, and the output is never read back — it may be persistent memory the host
+//! owns. The vector engine fuses CTR and GHASH in one kernel; the others CTR a small
+//! group into a stack block, hash it there and then store it
+//! (`seal_through_stack`). An open verifies the tag first and only then
+//! CTR-decrypts; the decrypt without a verify stays private to this crate.
+//!
+//! The plaintext is bytes, or the `f32`s of a model tensor, whose little-endian bytes
+//! are the plaintext (`Plain`, `PlainMut`): a tensor seals from and opens into
+//! its own slice, to the same sealed bytes as its `to_le_bytes` image.
 //!
 //! The original kernels (byte-at-a-time CTR, bit-serial `gf_mult`) are retained behind
 //! [`AesGcm::encrypt_reference`]; property tests pin the fast path to them byte-for-byte
@@ -35,13 +44,119 @@ pub const IV_LEN: usize = 12;
 /// Length of the authentication tag (128 bits).
 pub const TAG_LEN: usize = 16;
 
-/// Chunk size in bytes for intra-buffer CTR parallelism. A multiple of the AES block
-/// size, so every chunk starts on a counter boundary.
-const CTR_PAR_CHUNK: usize = 64 * 1024;
+/// Bytes per stack block of [`seal_through_stack`]: sixteen AES blocks, the vector
+/// engine's group.
+const STACK_BLOCK: usize = 16 * BLOCK_SIZE;
 
-/// Buffers smaller than this stay on the serial CTR path even when threads are offered
-/// (fork/join overhead would dominate).
-const CTR_PAR_MIN: usize = 2 * CTR_PAR_CHUNK;
+/// A plaintext the AEAD reads: bytes, or `f32`s whose little-endian bytes are the
+/// plaintext.
+#[derive(Clone, Copy)]
+pub(crate) enum Plain<'a> {
+    /// Plaintext bytes.
+    Bytes(&'a [u8]),
+    /// A tensor: the plaintext is `f32::to_le_bytes` of each value in turn.
+    F32s(&'a [f32]),
+}
+
+impl<'a> Plain<'a> {
+    /// Plaintext length in bytes.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Plain::Bytes(b) => b.len(),
+            Plain::F32s(v) => std::mem::size_of_val(*v),
+        }
+    }
+
+    /// Copies the plaintext bytes at `offset` into `out`, converting a tensor per
+    /// value. A tensor's `offset` and `out.len()` are multiples of 4.
+    fn load(&self, offset: usize, out: &mut [u8]) {
+        match self {
+            Plain::Bytes(b) => out.copy_from_slice(&b[offset..offset + out.len()]),
+            Plain::F32s(v) => {
+                for (bytes, x) in out.chunks_exact_mut(4).zip(&v[offset / 4..]) {
+                    bytes.copy_from_slice(&x.to_le_bytes());
+                }
+            }
+        }
+    }
+
+    /// The plaintext bytes in place, for the hardware kernels.
+    #[cfg(target_arch = "x86_64")]
+    fn bytes(self) -> &'a [u8] {
+        match self {
+            Plain::Bytes(b) => b,
+            Plain::F32s(v) => crate::aesarch::f32_bytes(v),
+        }
+    }
+}
+
+/// Where the AEAD writes a plaintext: bytes, or `f32`s decoded from their
+/// little-endian bytes.
+pub(crate) enum PlainMut<'a> {
+    /// Plaintext bytes.
+    Bytes(&'a mut [u8]),
+    /// A tensor: each value is `f32::from_le_bytes` of its four plaintext bytes.
+    F32s(&'a mut [f32]),
+}
+
+impl<'a> PlainMut<'a> {
+    /// Plaintext length in bytes.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            PlainMut::Bytes(b) => b.len(),
+            PlainMut::F32s(v) => std::mem::size_of_val(*v),
+        }
+    }
+
+    /// Writes `bytes` as the plaintext at `offset`, converting a tensor per value.
+    /// A tensor's `offset` and `bytes.len()` are multiples of 4.
+    fn store(&mut self, offset: usize, bytes: &[u8]) {
+        match self {
+            PlainMut::Bytes(b) => b[offset..offset + bytes.len()].copy_from_slice(bytes),
+            PlainMut::F32s(v) => {
+                for (x, b) in v[offset / 4..].iter_mut().zip(bytes.chunks_exact(4)) {
+                    *x = f32::from_le_bytes(b.try_into().expect("4 bytes"));
+                }
+            }
+        }
+    }
+
+    /// The plaintext bytes in place, for the hardware kernels.
+    #[cfg(target_arch = "x86_64")]
+    fn bytes(self) -> &'a mut [u8] {
+        match self {
+            PlainMut::Bytes(b) => b,
+            PlainMut::F32s(v) => crate::aesarch::f32_bytes_mut(v),
+        }
+    }
+}
+
+/// The stitched seal of the kernel sets without a fused one: `ctr(counter, offset,
+/// block)` writes the ciphertext of the plaintext at byte `offset` into the stack
+/// block `block` (`counter` is the one of that offset), which is absorbed into `y` by
+/// `ghash` and only then stored into `ct`. Each ciphertext block is hashed before it
+/// is stored, and `ct` is never read.
+pub(crate) fn seal_through_stack(
+    counter: [u8; BLOCK_SIZE],
+    ct: &mut [u8],
+    y: &mut u128,
+    mut ctr: impl FnMut([u8; BLOCK_SIZE], usize, &mut [u8]),
+    mut ghash: impl FnMut(&mut u128, &[u8]),
+) {
+    let mut stack = [0u8; STACK_BLOCK];
+    for (i, out) in ct.chunks_mut(STACK_BLOCK).enumerate() {
+        let offset = i * STACK_BLOCK;
+        let block = &mut stack[..out.len()];
+        ctr(
+            counter_add(counter, (offset / BLOCK_SIZE) as u32),
+            offset,
+            block,
+        );
+        // Every block but the last is whole, so only the last is zero-padded.
+        ghash(y, block);
+        out.copy_from_slice(block);
+    }
+}
 
 /// The concrete kernel set a context dispatches to, fixed at construction.
 ///
@@ -206,8 +321,8 @@ impl AesGcm {
     }
 
     /// Zero-copy encryption: writes the ciphertext into `ciphertext` (which must be
-    /// exactly `plaintext.len()` bytes) and returns the tag. Performs no heap
-    /// allocation.
+    /// exactly `plaintext.len()` bytes) and returns the tag, in one stitched pass that
+    /// never reads `ciphertext`. Performs no heap allocation.
     ///
     /// # Errors
     ///
@@ -220,34 +335,57 @@ impl AesGcm {
         plaintext: &[u8],
         ciphertext: &mut [u8],
     ) -> Result<[u8; TAG_LEN], CryptoError> {
-        self.encrypt_into_with_threads(iv, aad, plaintext, ciphertext, 1)
+        self.seal_plain(iv, aad, Plain::Bytes(plaintext), ciphertext)
     }
 
-    /// [`AesGcm::encrypt_into`] with the CTR keystream fanned out over up to `threads`
-    /// scoped threads for large buffers. Chunks are split at 16-byte counter
-    /// boundaries, so the ciphertext is bit-identical for every `threads` value
-    /// (GHASH, which is a serial chain, always runs on the calling thread).
+    /// The one seal of every engine: CTR-encrypts `plain` into `ciphertext` and
+    /// returns the tag, each ciphertext block hashed before it is stored
+    /// (see the module docs).
     ///
     /// # Errors
     ///
     /// Same as [`AesGcm::encrypt_into`].
-    pub fn encrypt_into_with_threads(
+    pub(crate) fn seal_plain(
         &self,
         iv: &[u8],
         aad: &[u8],
-        plaintext: &[u8],
+        plain: Plain<'_>,
         ciphertext: &mut [u8],
-        threads: usize,
     ) -> Result<[u8; TAG_LEN], CryptoError> {
-        if ciphertext.len() != plaintext.len() {
+        if ciphertext.len() != plain.len() {
             return Err(CryptoError::BufferLengthMismatch {
-                expected: plaintext.len(),
+                expected: plain.len(),
                 got: ciphertext.len(),
             });
         }
-        let j0 = self.j0(iv)?;
-        self.ctr_xor_into_threads(inc32(j0), plaintext, ciphertext, threads);
-        Ok(self.compute_tag(j0, aad, ciphertext))
+        let (j0, len) = (self.j0(iv)?, ciphertext.len());
+        let counter = inc32(j0);
+        let encrypt_and_hash = |y: &mut u128| match &self.engine {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Vaes(vaes) => vaes.seal(counter, plain.bytes(), ciphertext, y),
+            #[cfg(target_arch = "x86_64")]
+            Engine::Hw { aes, ghash } => {
+                let src = plain.bytes();
+                seal_through_stack(
+                    counter,
+                    ciphertext,
+                    y,
+                    |c, off, block| aes.ctr_xor(c, &src[off..off + block.len()], block),
+                    |y, block| ghash.ghash_padded(y, block),
+                );
+            }
+            Engine::Scalar => seal_through_stack(
+                counter,
+                ciphertext,
+                y,
+                |c, off, block| {
+                    plain.load(off, block);
+                    self.ctr_scalar(c, block);
+                },
+                |y, block| self.ghash_padded_scalar(y, block),
+            ),
+        };
+        Ok(self.tag_with(j0, aad, len, encrypt_and_hash))
     }
 
     /// Decrypts `ciphertext` and verifies its tag.
@@ -285,36 +423,64 @@ impl AesGcm {
         tag: &[u8],
         plaintext: &mut [u8],
     ) -> Result<(), CryptoError> {
-        self.decrypt_into_with_threads(iv, aad, ciphertext, tag, plaintext, 1)
+        let plaintext = PlainMut::Bytes(plaintext);
+        check_open_len(ciphertext, &plaintext)?;
+        self.verify(iv, aad, ciphertext, tag)?;
+        self.decrypt_verified(iv, ciphertext, plaintext)
     }
 
-    /// [`AesGcm::decrypt_into`] with chunk-parallel CTR for large buffers; the
-    /// plaintext is bit-identical for every `threads` value.
+    /// Checks `tag` against `ciphertext` and `aad` without decrypting anything.
     ///
     /// # Errors
     ///
-    /// Same as [`AesGcm::decrypt_into`].
-    pub fn decrypt_into_with_threads(
+    /// Returns [`CryptoError::InvalidIvLength`] for a malformed IV and
+    /// [`CryptoError::AuthenticationFailed`] if the tag does not verify.
+    pub(crate) fn verify(
         &self,
         iv: &[u8],
         aad: &[u8],
         ciphertext: &[u8],
         tag: &[u8],
-        plaintext: &mut [u8],
-        threads: usize,
     ) -> Result<(), CryptoError> {
-        if plaintext.len() != ciphertext.len() {
-            return Err(CryptoError::BufferLengthMismatch {
-                expected: ciphertext.len(),
-                got: plaintext.len(),
-            });
-        }
         let j0 = self.j0(iv)?;
         let expected = self.compute_tag(j0, aad, ciphertext);
         if tag.len() != TAG_LEN || !constant_time_eq(&expected, tag) {
             return Err(CryptoError::AuthenticationFailed);
         }
-        self.ctr_xor_into_threads(inc32(j0), ciphertext, plaintext, threads);
+        Ok(())
+    }
+
+    /// The decrypt half of an open, without a tag check: callers have verified the
+    /// tag ([`AesGcm::verify`]) and sized `plaintext` to `ciphertext`. This stays
+    /// private to the crate, so no plaintext leaves it unverified.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CryptoError::InvalidIvLength`] for a malformed IV.
+    pub(crate) fn decrypt_verified(
+        &self,
+        iv: &[u8],
+        ciphertext: &[u8],
+        plaintext: PlainMut<'_>,
+    ) -> Result<(), CryptoError> {
+        debug_assert_eq!(ciphertext.len(), plaintext.len());
+        let counter = inc32(self.j0(iv)?);
+        match &self.engine {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Vaes(vaes) => vaes.ctr_xor(counter, ciphertext, plaintext.bytes()),
+            #[cfg(target_arch = "x86_64")]
+            Engine::Hw { aes, .. } => aes.ctr_xor(counter, ciphertext, plaintext.bytes()),
+            Engine::Scalar => {
+                let (mut plaintext, mut stack) = (plaintext, [0u8; STACK_BLOCK]);
+                for (i, chunk) in ciphertext.chunks(STACK_BLOCK).enumerate() {
+                    let offset = i * STACK_BLOCK;
+                    let block = &mut stack[..chunk.len()];
+                    block.copy_from_slice(chunk);
+                    self.ctr_scalar(counter_add(counter, (offset / BLOCK_SIZE) as u32), block);
+                    plaintext.store(offset, block);
+                }
+            }
+        }
         Ok(())
     }
 
@@ -372,82 +538,33 @@ impl AesGcm {
         Ok(y.to_be_bytes())
     }
 
-    /// CTR keystream application from `counter` into `dst`, engine-dispatched; no
-    /// allocation on any engine. All kernels produce identical bytes; only the
-    /// block-group width differs (16 for VAES, 8 for AES-NI, 4 for the T-tables),
-    /// which is invisible because CTR blocks are independent.
-    fn ctr_xor_into(&self, counter: [u8; BLOCK_SIZE], src: &[u8], dst: &mut [u8]) {
-        match &self.engine {
-            #[cfg(target_arch = "x86_64")]
-            Engine::Vaes(vaes) => vaes.ctr_xor(counter, src, dst),
-            #[cfg(target_arch = "x86_64")]
-            Engine::Hw { aes, .. } => aes.ctr_xor(counter, src, dst),
-            Engine::Scalar => self.ctr_xor_into_scalar(counter, src, dst),
-        }
-    }
-
-    /// Scalar CTR kernel: keystream blocks are generated in groups of four
+    /// Scalar CTR kernel, in place: keystream blocks are generated in groups of four
     /// ([`Aes::encrypt_blocks`]) so the independent AES dependency chains overlap;
     /// the tail runs block-by-block.
-    fn ctr_xor_into_scalar(&self, mut counter: [u8; BLOCK_SIZE], src: &[u8], dst: &mut [u8]) {
-        debug_assert_eq!(src.len(), dst.len());
+    fn ctr_scalar(&self, mut counter: [u8; BLOCK_SIZE], data: &mut [u8]) {
         const LANES: usize = 4;
         const GROUP: usize = LANES * BLOCK_SIZE;
-        let mut src_groups = src.chunks_exact(GROUP);
-        let mut dst_groups = dst.chunks_exact_mut(GROUP);
-        for (s, d) in (&mut src_groups).zip(&mut dst_groups) {
+        let mut groups = data.chunks_exact_mut(GROUP);
+        for group in &mut groups {
             let mut counters = [[0u8; BLOCK_SIZE]; LANES];
             for (i, c) in counters.iter_mut().enumerate() {
                 *c = counter_add(counter, i as u32);
             }
             let keystream = self.cipher.encrypt_blocks(&counters);
-            for (lane, ks) in keystream.iter().enumerate() {
-                let off = lane * BLOCK_SIZE;
-                let x = u128::from_ne_bytes(s[off..off + BLOCK_SIZE].try_into().expect("16 bytes"))
+            for (block, ks) in group.chunks_exact_mut(BLOCK_SIZE).zip(&keystream) {
+                let x = u128::from_ne_bytes(block.try_into().expect("16 bytes"))
                     ^ u128::from_ne_bytes(*ks);
-                d[off..off + BLOCK_SIZE].copy_from_slice(&x.to_ne_bytes());
+                block.copy_from_slice(&x.to_ne_bytes());
             }
             counter = counter_add(counter, LANES as u32);
         }
-        let s_tail = src_groups.remainder();
-        let d_tail = dst_groups.into_remainder();
-        let mut src_blocks = s_tail.chunks_exact(BLOCK_SIZE);
-        let mut dst_blocks = d_tail.chunks_exact_mut(BLOCK_SIZE);
-        for (s, d) in (&mut src_blocks).zip(&mut dst_blocks) {
+        for block in groups.into_remainder().chunks_mut(BLOCK_SIZE) {
             let keystream = self.cipher.encrypt_block_copy(&counter);
-            let x = u128::from_ne_bytes(s.try_into().expect("16 bytes"))
-                ^ u128::from_ne_bytes(keystream);
-            d.copy_from_slice(&x.to_ne_bytes());
+            for (d, k) in block.iter_mut().zip(keystream) {
+                *d ^= k;
+            }
             counter = inc32(counter);
         }
-        let s_rem = src_blocks.remainder();
-        let d_rem = dst_blocks.into_remainder();
-        if !s_rem.is_empty() {
-            let keystream = self.cipher.encrypt_block_copy(&counter);
-            for (i, (s, d)) in s_rem.iter().zip(d_rem.iter_mut()).enumerate() {
-                *d = s ^ keystream[i];
-            }
-        }
-    }
-
-    /// Chunk-parallel [`AesGcm::ctr_xor_into`]: `dst` is split at multiples of
-    /// [`CTR_PAR_CHUNK`] (a counter boundary), each chunk's counter derived from its
-    /// block offset — deterministic for every thread count and schedule.
-    fn ctr_xor_into_threads(
-        &self,
-        counter: [u8; BLOCK_SIZE],
-        src: &[u8],
-        dst: &mut [u8],
-        threads: usize,
-    ) {
-        if threads <= 1 || dst.len() < CTR_PAR_MIN {
-            return self.ctr_xor_into(counter, src, dst);
-        }
-        plinius_parallel::par_chunks_mut(dst, CTR_PAR_CHUNK, threads, |idx, chunk| {
-            let off = idx * CTR_PAR_CHUNK;
-            let chunk_counter = counter_add(counter, (off / BLOCK_SIZE) as u32);
-            self.ctr_xor_into(chunk_counter, &src[off..off + chunk.len()], chunk);
-        });
     }
 
     /// Block-at-a-time reference CTR over the byte-wise AES core.
@@ -528,12 +645,26 @@ impl AesGcm {
 
     /// GHASH over AAD and ciphertext, encrypted with J0 to form the tag.
     fn compute_tag(&self, j0: [u8; BLOCK_SIZE], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
+        self.tag_with(j0, aad, ciphertext.len(), |y| {
+            self.ghash_padded(y, ciphertext)
+        })
+    }
+
+    /// The tag over `aad` and a `ct_len`-byte ciphertext that `hash_ciphertext`
+    /// absorbs into the running hash it is handed.
+    fn tag_with(
+        &self,
+        j0: [u8; BLOCK_SIZE],
+        aad: &[u8],
+        ct_len: usize,
+        hash_ciphertext: impl FnOnce(&mut u128),
+    ) -> [u8; TAG_LEN] {
         let mut y = 0u128;
         self.ghash_padded(&mut y, aad);
-        self.ghash_padded(&mut y, ciphertext);
+        hash_ciphertext(&mut y);
         let mut len_block = [0u8; BLOCK_SIZE];
         len_block[..8].copy_from_slice(&((aad.len() as u64) * 8).to_be_bytes());
-        len_block[8..].copy_from_slice(&((ciphertext.len() as u64) * 8).to_be_bytes());
+        len_block[8..].copy_from_slice(&((ct_len as u64) * 8).to_be_bytes());
         self.ghash_block(&mut y, &len_block);
         self.finish_tag(j0, y)
     }
@@ -566,14 +697,28 @@ impl AesGcm {
     }
 }
 
+/// Checks that an open's output holds exactly the ciphertext's plaintext.
+pub(crate) fn check_open_len(
+    ciphertext: &[u8],
+    plaintext: &PlainMut<'_>,
+) -> Result<(), CryptoError> {
+    if plaintext.len() != ciphertext.len() {
+        return Err(CryptoError::BufferLengthMismatch {
+            expected: ciphertext.len(),
+            got: plaintext.len(),
+        });
+    }
+    Ok(())
+}
+
 /// Increments the last 32 bits of a counter block (the `inc32` function of SP 800-38D).
 fn inc32(block: [u8; BLOCK_SIZE]) -> [u8; BLOCK_SIZE] {
     counter_add(block, 1)
 }
 
 /// Adds `n` to the last 32 bits of a counter block (wrapping), i.e. `inc32` applied `n`
-/// times — the building block of chunk-parallel CTR (shared with the AES-NI kernel so
-/// both engines derive per-block counters identically).
+/// times — how a kernel derives the counter of a block offset (shared by every engine
+/// so all derive per-block counters identically).
 pub(crate) fn counter_add(mut block: [u8; BLOCK_SIZE], n: u32) -> [u8; BLOCK_SIZE] {
     let ctr = u32::from_be_bytes([block[12], block[13], block[14], block[15]]).wrapping_add(n);
     block[12..].copy_from_slice(&ctr.to_be_bytes());
@@ -912,70 +1057,65 @@ mod tests {
         }
     }
 
-    /// Thread-parallel CTR produces bit-identical output for every thread count.
+    /// Every engine this host can build seals the scalar engine's bytes, from
+    /// bytes and from `f32`s, at sizes around the vector group (256 B) and its
+    /// stack block, opens them back, and leaves the output untouched on a bad tag.
     #[test]
-    fn threaded_ctr_is_bit_identical() {
-        let gcm = AesGcm::from_key(&[5u8; 16]);
-        let iv = [9u8; 12];
-        // Large enough to cross several parallel chunks, plus a partial final block.
-        let pt: Vec<u8> = (0..3 * CTR_PAR_CHUNK + 7)
-            .map(|i| (i * 31 % 251) as u8)
-            .collect();
-        let mut serial = vec![0u8; pt.len()];
-        let tag_serial = gcm
-            .encrypt_into_with_threads(&iv, b"aad", &pt, &mut serial, 1)
-            .unwrap();
-        for threads in [2usize, 3, 8] {
-            let mut parallel = vec![0u8; pt.len()];
-            let tag = gcm
-                .encrypt_into_with_threads(&iv, b"aad", &pt, &mut parallel, threads)
-                .unwrap();
-            assert_eq!(parallel, serial, "threads={threads}");
-            assert_eq!(tag, tag_serial, "threads={threads}");
-            // And the threaded decrypt round-trips.
-            let mut opened = vec![0u8; pt.len()];
-            gcm.decrypt_into_with_threads(&iv, b"aad", &parallel, &tag, &mut opened, threads)
-                .unwrap();
-            assert_eq!(opened, pt, "threads={threads}");
-        }
-    }
-
-    /// Every engine this host can build seals the scalar engine's bytes for every
-    /// thread count, at sizes around the vector group (256 B) and the parallel CTR
-    /// cutoff, opens them back, and leaves the output untouched on a bad tag.
-    #[test]
-    fn every_engine_matches_scalar_for_every_thread_count() {
+    fn every_engine_matches_scalar_around_group_edges() {
         let key = [0x6bu8; 16];
         let scalar = AesGcm::with_engine(Aes::new(&key), EngineKind::Scalar).unwrap();
         let iv = [4u8; IV_LEN];
-        let pt: Vec<u8> = (0..CTR_PAR_MIN + 300)
-            .map(|i| (i * 131 % 253) as u8)
+        let floats: Vec<f32> = (0..40_000u32)
+            .map(|i| f32::from_bits(i.wrapping_mul(2_654_435_761)))
             .collect();
-        for len in [255, 256, 257, 4096 + 17, CTR_PAR_MIN - 1, CTR_PAR_MIN + 273] {
+        let pt: Vec<u8> = floats.iter().flat_map(|x| x.to_le_bytes()).collect();
+        for len in [
+            4usize,
+            12,
+            252,
+            256,
+            260,
+            512,
+            4096 + 20,
+            65_536,
+            131_072 + 276,
+        ] {
             let (want_ct, want_tag) = scalar.encrypt(&iv, b"aad", &pt[..len]).unwrap();
             for kind in EngineKind::ALL {
                 let Some(gcm) = AesGcm::with_engine(Aes::new(&key), kind) else {
                     continue;
                 };
-                for threads in [1usize, 2, 3] {
-                    let mut ct = vec![0u8; len];
-                    let tag = gcm
-                        .encrypt_into_with_threads(&iv, b"aad", &pt[..len], &mut ct, threads)
-                        .unwrap();
-                    assert_eq!(ct, want_ct, "{kind} len={len} threads={threads}");
-                    assert_eq!(tag, want_tag, "{kind} len={len} threads={threads}");
-                    let mut back = vec![0u8; len];
-                    gcm.decrypt_into_with_threads(&iv, b"aad", &ct, &tag, &mut back, threads)
-                        .unwrap();
-                    assert_eq!(back, &pt[..len], "{kind} len={len} threads={threads}");
-                    let mut bad = tag;
-                    bad[3] ^= 0x10;
-                    let mut untouched = vec![0xA5u8; len];
-                    assert!(gcm
-                        .decrypt_into_with_threads(&iv, b"aad", &ct, &bad, &mut untouched, threads)
-                        .is_err());
-                    assert!(untouched.iter().all(|&b| b == 0xA5), "{kind} len={len}");
-                }
+                let mut ct = vec![0u8; len];
+                let tag = gcm.encrypt_into(&iv, b"aad", &pt[..len], &mut ct).unwrap();
+                assert_eq!((&ct, tag), (&want_ct, want_tag), "{kind} len={len}");
+                let mut from_f32s = vec![0u8; len];
+                let tag = gcm
+                    .seal_plain(&iv, b"aad", Plain::F32s(&floats[..len / 4]), &mut from_f32s)
+                    .unwrap();
+                assert_eq!(
+                    (&from_f32s, tag),
+                    (&want_ct, want_tag),
+                    "{kind} f32 len={len}"
+                );
+                let mut back = vec![0u8; len];
+                gcm.decrypt_into(&iv, b"aad", &ct, &tag, &mut back).unwrap();
+                assert_eq!(back, &pt[..len], "{kind} len={len}");
+                let mut back_f32s = vec![0f32; len / 4];
+                gcm.decrypt_verified(&iv, &ct, PlainMut::F32s(&mut back_f32s))
+                    .unwrap();
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&back_f32s),
+                    bits(&floats[..len / 4]),
+                    "{kind} len={len}"
+                );
+                let mut bad = tag;
+                bad[3] ^= 0x10;
+                let mut untouched = vec![0xA5u8; len];
+                assert!(gcm
+                    .decrypt_into(&iv, b"aad", &ct, &bad, &mut untouched)
+                    .is_err());
+                assert!(untouched.iter().all(|&b| b == 0xA5), "{kind} len={len}");
             }
         }
     }

@@ -21,9 +21,13 @@
 //! * **Shoup 4-bit GHASH** ([`gcm`]): a 16-entry per-key table turns the 128 bit-steps
 //!   of the schoolbook GF(2^128) multiply into 32 shift+lookup steps;
 //! * **zero-copy sealing** ([`seal_into`], [`SealedView::open_into`]): encrypt/decrypt
-//!   straight into caller-provided buffers with no heap allocation on any engine, plus
-//!   optional chunk-parallel CTR for large buffers (bit-identical for every thread
-//!   count and engine).
+//!   straight into caller-provided buffers with no heap allocation on any engine. A
+//!   seal is one stitched pass that hashes each ciphertext block before storing it
+//!   and never reads its output back; an open verifies the tag before it decrypts.
+//! * **tensor sealing** ([`seal_f32s_into`], [`open_f32s_into`]): a model tensor
+//!   seals straight from its `f32` slice, to the same bytes as [`seal_into`] of its
+//!   little-endian image, and a sealed model opens straight into its slices once
+//!   every tensor's tag has verified.
 //!
 //! The crate also fixes the *sealed-buffer layout* Plinius stores on persistent memory
 //! (§IV of the paper): each parameter buffer is encrypted with AES-GCM under a fresh
@@ -78,6 +82,8 @@ mod vaes;
 pub use aes::Aes;
 pub use dispatch::{hw_available, selected_engine, EngineKind, EnginePolicy, CRYPTO_ENV};
 pub use gcm::{AesGcm, IV_LEN, TAG_LEN};
+
+use gcm::{Plain, PlainMut};
 pub use sha256::{hmac_sha256, Sha256};
 
 /// Metadata overhead (IV + MAC) appended to every sealed buffer, in bytes.
@@ -216,8 +222,8 @@ pub const fn sealed_len(plaintext_len: usize) -> usize {
 
 /// Zero-copy sealing: encrypts `plaintext` under `gcm` with the caller-supplied IV and
 /// AAD, writing the full sealed layout `ciphertext || IV || MAC` into `out`. Performs
-/// **no heap allocation**, which makes it the building block of the allocation-free
-/// mirror-out path — pair it with a reusable output arena and an [`IvSequence`].
+/// **no heap allocation**, and never reads `out`: each ciphertext block is hashed
+/// before it is stored, so `out` may be memory the host owns.
 ///
 /// The sealed bytes are a pure function of `(key, plaintext, aad, iv)`, the same on
 /// every engine. The caller must never reuse an `(key, iv)` pair: [`IvSequence`]
@@ -234,36 +240,94 @@ pub fn seal_into(
     iv: &[u8; IV_LEN],
     out: &mut [u8],
 ) -> Result<(), CryptoError> {
-    seal_into_with_threads(gcm, plaintext, aad, iv, out, 1)
+    seal(gcm, Plain::Bytes(plaintext), aad, iv, out)
 }
 
-/// [`seal_into`] with the CTR keystream of large buffers fanned out over up to
-/// `threads` scoped threads (chunked at 16-byte counter boundaries — the sealed bytes
-/// are bit-identical for every `threads` value).
+/// [`seal_into`] of a tensor, straight from its `f32`s: the plaintext is each value's
+/// little-endian bytes, so the sealed bytes equal [`seal_into`] of the tensor's
+/// `to_le_bytes` image, on every engine and target.
 ///
 /// # Errors
 ///
-/// Same as [`seal_into`].
-pub fn seal_into_with_threads(
+/// Same as [`seal_into`], with the plaintext length `4 * plaintext.len()`.
+pub fn seal_f32s_into(
     gcm: &AesGcm,
-    plaintext: &[u8],
+    plaintext: &[f32],
     aad: &[u8],
     iv: &[u8; IV_LEN],
     out: &mut [u8],
-    threads: usize,
 ) -> Result<(), CryptoError> {
-    let expected = sealed_len(plaintext.len());
+    seal(gcm, Plain::F32s(plaintext), aad, iv, out)
+}
+
+/// The sealed layout of either plaintext.
+fn seal(
+    gcm: &AesGcm,
+    plain: Plain<'_>,
+    aad: &[u8],
+    iv: &[u8; IV_LEN],
+    out: &mut [u8],
+) -> Result<(), CryptoError> {
+    let expected = sealed_len(plain.len());
     if out.len() != expected {
         return Err(CryptoError::BufferLengthMismatch {
             expected,
             got: out.len(),
         });
     }
-    let (ct, trailer) = out.split_at_mut(plaintext.len());
-    let tag = gcm.encrypt_into_with_threads(iv, aad, plaintext, ct, threads)?;
+    let (ct, trailer) = out.split_at_mut(plain.len());
+    let tag = gcm.seal_plain(iv, aad, plain, ct)?;
     trailer[..IV_LEN].copy_from_slice(iv);
     trailer[IV_LEN..].copy_from_slice(&tag);
     Ok(())
+}
+
+/// Opens a sealed model into its tensors: verifies the tag of every `(sealed, aad)`
+/// pair of `blobs` first, and only once all of them have verified decrypts each blob
+/// straight into the next slice of `outputs`, in order. An error in any blob (a
+/// truncated blob, a wrong tag, AAD or key) therefore leaves every output untouched.
+/// Performs no heap allocation; `blobs` is walked twice, once to verify and once to
+/// decrypt.
+///
+/// Each output must hold exactly its blob's plaintext (`4 * len` bytes): the caller
+/// sizes the outputs from the same layout as the blobs. A wrongly sized or missing
+/// output is found before it is written, but after the outputs before it.
+///
+/// # Errors
+///
+/// Returns [`CryptoError::TruncatedSealedBuffer`] or
+/// [`CryptoError::AuthenticationFailed`] from the verify pass, and
+/// [`CryptoError::BufferLengthMismatch`] for an output that does not match its blob
+/// or a count of outputs that does not match the blobs.
+pub fn open_f32s_into<'a, 'b>(
+    gcm: &AesGcm,
+    blobs: impl IntoIterator<Item = (&'a [u8], &'a [u8]), IntoIter: Clone>,
+    outputs: impl IntoIterator<Item = &'b mut [f32]>,
+) -> Result<(), CryptoError> {
+    let blobs = blobs.into_iter();
+    for (sealed, aad) in blobs.clone() {
+        SealedView::parse(sealed)?.verify(gcm, aad)?;
+    }
+    let mut outputs = outputs.into_iter();
+    for (sealed, _) in blobs {
+        let view = SealedView::parse(sealed)?;
+        let Some(output) = outputs.next() else {
+            return Err(CryptoError::BufferLengthMismatch {
+                expected: view.plaintext_len(),
+                got: 0,
+            });
+        };
+        let output = PlainMut::F32s(output);
+        gcm::check_open_len(view.ciphertext(), &output)?;
+        gcm.decrypt_verified(view.iv(), view.ciphertext(), output)?;
+    }
+    match outputs.next() {
+        Some(extra) => Err(CryptoError::BufferLengthMismatch {
+            expected: 0,
+            got: std::mem::size_of_val(extra),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// A borrowed view over sealed bytes in the on-PM layout `ciphertext || IV || MAC`.
@@ -319,35 +383,28 @@ impl<'a> SealedView<'a> {
     /// Returns [`CryptoError::BufferLengthMismatch`] for a wrongly sized buffer or
     /// [`CryptoError::AuthenticationFailed`].
     pub fn open_into(&self, gcm: &AesGcm, aad: &[u8], out: &mut [u8]) -> Result<(), CryptoError> {
-        self.open_into_with_threads(gcm, aad, out, 1)
+        gcm.decrypt_into(self.iv(), aad, self.ciphertext(), self.tag(), out)
     }
 
-    /// [`SealedView::open_into`] with chunk-parallel CTR for large buffers; the
-    /// plaintext is bit-identical for every `threads` value.
+    /// Authenticates the blob under `gcm` and `aad` without decrypting it: what an
+    /// import checks before it adopts sealed bytes it never needs in plaintext.
     ///
     /// # Errors
     ///
-    /// Same as [`SealedView::open_into`].
-    pub fn open_into_with_threads(
-        &self,
-        gcm: &AesGcm,
-        aad: &[u8],
-        out: &mut [u8],
-        threads: usize,
-    ) -> Result<(), CryptoError> {
-        gcm.decrypt_into_with_threads(self.iv(), aad, self.ciphertext(), self.tag(), out, threads)
+    /// Returns [`CryptoError::AuthenticationFailed`] if the tag does not verify.
+    pub fn verify(&self, gcm: &AesGcm, aad: &[u8]) -> Result<(), CryptoError> {
+        gcm.verify(self.iv(), aad, self.ciphertext(), self.tag())
     }
 }
 
-/// A thread-safe source of per-index IVs for *chunk-parallel sealing*: sealing many
-/// independent buffers (e.g. the parameter tensors of a mirrored model) across threads.
+/// A source of per-index IVs for one *sealing batch*: the many independent buffers
+/// of one save (e.g. the parameter tensors of a mirrored model).
 ///
-/// A mutable RNG cannot be shared across sealing threads, and handing each thread its
-/// own RNG would make the sealed bytes depend on the thread schedule. An `IvSequence`
-/// solves both: it is seeded once from fresh randomness, and `iv(index)` is a pure
-/// function (`SHA-256(seed || index)` truncated to 12 bytes), so any number of threads
-/// can derive IVs without coordination and the sealed output is **independent of the
-/// thread count and schedule**.
+/// The sequence is seeded once from fresh randomness, and `iv(index)` is a pure
+/// function (`SHA-256(seed || index)` truncated to 12 bytes). So one RNG draw fixes
+/// every IV of the batch: a save can seal on another thread than the one that drew
+/// it (a pipelined mirror's worker), and the sealed output is **independent of
+/// where and when each buffer is sealed**.
 ///
 /// # IV uniqueness
 ///

@@ -31,11 +31,15 @@
 //!   once with [`crate::clmul`]'s reduction (Gueron & Kounavis's aggregated
 //!   reduction).
 //!
-//! [`crate::gcm`] seals with a CTR pass then a GHASH pass over the ciphertext, and
-//! opens with a GHASH pass then a CTR pass once the tag has verified, on this
-//! engine as on the others. Inputs shorter than a group, and the tail after the
-//! last whole group, run on the 128-bit [`AesNi`] and [`ClmulGhash`] kernels this
-//! engine holds.
+//! * **Seal.** One pass, stitched: a group is encrypted, stored, and then the same
+//!   four registers are hashed. No ciphertext is read back from the output, which
+//!   may be memory the host owns.
+//!
+//! [`crate::gcm`] opens with a GHASH pass, then a CTR pass once the tag has
+//! verified, on this engine as on the others. Inputs shorter than a group, and the
+//! tail after the last whole group, run on the 128-bit [`AesNi`] and
+//! [`ClmulGhash`] kernels this engine holds; the seal's tail goes through a stack
+//! block ([`seal_through_stack`]), like the other engines' seals.
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
@@ -51,7 +55,7 @@ use crate::aes::{Aes, BLOCK_SIZE};
 use crate::aesarch::{AesNi, MAX_ROUND_KEYS};
 use crate::clmul::{load, reduce, store, ClmulGhash};
 use crate::dispatch::vaes_available;
-use crate::gcm::counter_add;
+use crate::gcm::{counter_add, seal_through_stack};
 
 /// Blocks per group: four registers of four lanes.
 const GROUP_BLOCKS: usize = 16;
@@ -138,6 +142,32 @@ impl VaesGcm {
         self.ghash.ghash_padded(y, &data[wide..]);
     }
 
+    /// The stitched seal: CTR-encrypts `src` from `counter` into `dst` and absorbs
+    /// the ciphertext into `y`, hashing every block before it is stored. The
+    /// result equals [`VaesGcm::ctr_xor`] followed by [`VaesGcm::ghash_padded`]
+    /// over `dst`, which this never reads.
+    ///
+    /// # Panics
+    ///
+    /// If `src.len() != dst.len()` (callers guarantee it).
+    pub(crate) fn seal(&self, counter: [u8; BLOCK_SIZE], src: &[u8], dst: &mut [u8], y: &mut u128) {
+        assert_eq!(src.len(), dst.len(), "CTR buffers must match");
+        let wide = src.len() / GROUP * GROUP;
+        if wide > 0 {
+            // SAFETY: as in `ctr_xor`, construction proved feature support.
+            unsafe { self.seal_groups(counter, &src[..wide], &mut dst[..wide], y) };
+        }
+        let tail = &src[wide..];
+        let tail_counter = counter_add(counter, (wide / BLOCK_SIZE) as u32);
+        seal_through_stack(
+            tail_counter,
+            &mut dst[wide..],
+            y,
+            |c, off, block| self.aes.ctr_xor(c, &tail[off..off + block.len()], block),
+            |y, block| self.ghash.ghash_padded(y, block),
+        );
+    }
+
     /// CTR over the whole groups of `src`; [`VaesGcm::ctr_xor`] runs the tail.
     ///
     /// # Safety
@@ -170,40 +200,111 @@ impl VaesGcm {
     /// As [`VaesGcm::ctr_groups`].
     #[target_feature(enable = "pclmulqdq,avx512f,avx512bw,vpclmulqdq")]
     unsafe fn ghash_groups(&self, y: &mut u128, data: &[u8]) {
+        let powers = self.power_registers();
+        let swap = byte_reverse();
+        let mut acc = load(*y);
+        for group in data.chunks_exact(GROUP) {
+            let mut blocks = [_mm512_setzero_si512(); 4];
+            for (v, b) in group.chunks_exact(VEC).zip(&mut blocks) {
+                *b = _mm512_loadu_si512(v.as_ptr().cast());
+            }
+            acc = ghash_group(&powers, swap, acc, blocks);
+        }
+        *y = store(acc);
+    }
+
+    /// The stitched seal over the whole groups of `src`; [`VaesGcm::seal`] runs
+    /// the tail. Each group is encrypted and stored, then its four ciphertext
+    /// registers are hashed as they are.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support every feature enabled below ([`VaesGcm::try_new`]
+    /// proves it).
+    #[target_feature(enable = "aes,pclmulqdq,avx512f,avx512bw,vaes,vpclmulqdq")]
+    unsafe fn seal_groups(
+        &self,
+        counter: [u8; BLOCK_SIZE],
+        src: &[u8],
+        dst: &mut [u8],
+        y: &mut u128,
+    ) {
+        let keys = RoundKeys::load(&self.aes);
+        let powers = self.power_registers();
+        let swap = byte_reverse();
+        let mut counters = Counters::new(counter);
+        let mut acc = load(*y);
+        for (s, d) in src.chunks_exact(GROUP).zip(dst.chunks_exact_mut(GROUP)) {
+            let mut blocks = counters.next_group();
+            keys.encrypt(&mut blocks);
+            for ((sv, dv), b) in s
+                .chunks_exact(VEC)
+                .zip(d.chunks_exact_mut(VEC))
+                .zip(&mut blocks)
+            {
+                *b = _mm512_xor_si512(_mm512_loadu_si512(sv.as_ptr().cast()), *b);
+                _mm512_storeu_si512(dv.as_mut_ptr().cast(), *b);
+            }
+            acc = ghash_group(&powers, swap, acc, blocks);
+        }
+        *y = store(acc);
+    }
+
+    /// `H^16..H^1` in four registers, in the lane order of a group's blocks.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `avx512f`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn power_registers(&self) -> [__m512i; 4] {
         let mut powers = [_mm512_setzero_si512(); 4];
         for (reg, four) in powers.iter_mut().zip(self.h_powers.chunks_exact(4)) {
             *reg = _mm512_loadu_si512(four.as_ptr().cast());
         }
-        let swap = byte_reverse();
-        let mut acc = load(*y);
-        for group in data.chunks_exact(GROUP) {
-            let mut lo = _mm512_setzero_si512();
-            let mut mid = _mm512_setzero_si512();
-            let mut hi = _mm512_setzero_si512();
-            let mut blocks = [_mm512_setzero_si512(); 4];
-            for (v, b) in group.chunks_exact(VEC).zip(&mut blocks) {
-                *b = _mm512_shuffle_epi8(_mm512_loadu_si512(v.as_ptr().cast()), swap);
-            }
-            // (Y ⊕ B0)·H^16: the hash joins the group's first block, whose
-            // register is multiplied last so only it waits on the previous group.
-            blocks[0] = _mm512_xor_si512(blocks[0], _mm512_zextsi128_si512(acc));
-            for (&b, p) in blocks.iter().zip(&powers).rev() {
-                lo = _mm512_xor_si512(lo, _mm512_clmulepi64_epi128(b, *p, 0x00));
-                hi = _mm512_xor_si512(hi, _mm512_clmulepi64_epi128(b, *p, 0x11));
-                mid = _mm512_xor_si512(
-                    mid,
-                    _mm512_xor_si512(
-                        _mm512_clmulepi64_epi128(b, *p, 0x01),
-                        _mm512_clmulepi64_epi128(b, *p, 0x10),
-                    ),
-                );
-            }
-            let lo = fold_lanes(_mm512_xor_si512(lo, _mm512_bslli_epi128(mid, 8)));
-            let hi = fold_lanes(_mm512_xor_si512(hi, _mm512_bsrli_epi128(mid, 8)));
-            acc = reduce(lo, hi);
-        }
-        *y = store(acc);
+        powers
     }
+}
+
+/// Absorbs one group, its sixteen blocks as loaded from memory in `blocks`, into
+/// the running hash `acc`: the blocks are byte-swapped to their big-endian values,
+/// the hash joins the first one, block `j` is multiplied by `H^(16-j)`, and the
+/// products are reduced once.
+///
+/// # Safety
+///
+/// The CPU must support `pclmulqdq`, `avx512f`, `avx512bw` and `vpclmulqdq`.
+#[inline]
+#[target_feature(enable = "pclmulqdq,avx512f,avx512bw,vpclmulqdq")]
+unsafe fn ghash_group(
+    powers: &[__m512i; 4],
+    swap: __m512i,
+    acc: __m128i,
+    mut blocks: [__m512i; 4],
+) -> __m128i {
+    for b in &mut blocks {
+        *b = _mm512_shuffle_epi8(*b, swap);
+    }
+    let mut lo = _mm512_setzero_si512();
+    let mut mid = _mm512_setzero_si512();
+    let mut hi = _mm512_setzero_si512();
+    // (Y ⊕ B0)·H^16: the hash joins the group's first block, whose register is
+    // multiplied last so only it waits on the previous group.
+    blocks[0] = _mm512_xor_si512(blocks[0], _mm512_zextsi128_si512(acc));
+    for (&b, p) in blocks.iter().zip(powers).rev() {
+        lo = _mm512_xor_si512(lo, _mm512_clmulepi64_epi128(b, *p, 0x00));
+        hi = _mm512_xor_si512(hi, _mm512_clmulepi64_epi128(b, *p, 0x11));
+        mid = _mm512_xor_si512(
+            mid,
+            _mm512_xor_si512(
+                _mm512_clmulepi64_epi128(b, *p, 0x01),
+                _mm512_clmulepi64_epi128(b, *p, 0x10),
+            ),
+        );
+    }
+    let lo = fold_lanes(_mm512_xor_si512(lo, _mm512_bslli_epi128(mid, 8)));
+    let hi = fold_lanes(_mm512_xor_si512(hi, _mm512_bsrli_epi128(mid, 8)));
+    reduce(lo, hi)
 }
 
 impl std::fmt::Debug for VaesGcm {
@@ -433,6 +534,35 @@ mod tests {
         }
     }
 
+    /// The stitched seal writes the ciphertext and absorbs the hash of the two-pass
+    /// seal (wide CTR, then wide GHASH over the output) at every length up to 1100
+    /// bytes and around 64 KiB, from a counter that wraps its low dword, and
+    /// never reads its output: the bytes it starts with do not change the hash.
+    #[test]
+    fn stitched_seal_matches_ctr_then_ghash() {
+        let Some((_, vaes)) = engine(&[0x29u8; 16]) else {
+            eprintln!("skipping: no VAES/VPCLMULQDQ on this host");
+            return;
+        };
+        let mut counter = [0x71u8; BLOCK_SIZE];
+        counter[12..].copy_from_slice(&0xffff_ffa0u32.to_be_bytes());
+        let src = pattern(64 * 1024 + 17);
+        let y0 = 0x0f1e_2d3c_4b5a_6978_8796_a5b4_c3d2_e1f0u128;
+        let lens = (0..=1100).chain([64 * 1024 - 17, 64 * 1024, 64 * 1024 + 17]);
+        for len in lens {
+            let mut two_pass = vec![0u8; len];
+            vaes.ctr_xor(counter, &src[..len], &mut two_pass);
+            let mut y_two_pass = y0;
+            vaes.ghash_padded(&mut y_two_pass, &two_pass);
+
+            let mut stitched = vec![0x5Au8; len];
+            let mut y = y0;
+            vaes.seal(counter, &src[..len], &mut stitched, &mut y);
+            assert_eq!(stitched, two_pass, "ciphertext len={len}");
+            assert_eq!(y, y_two_pass, "hash len={len}");
+        }
+    }
+
     /// AES-128, -192 and -256 (10, 12 and 14 rounds) all agree with the scalar
     /// core and the bit-serial GHASH through the vector kernels.
     #[test]
@@ -453,6 +583,9 @@ mod tests {
             let mut y = 0u128;
             vaes.ghash_padded(&mut y, &out);
             assert_eq!(out, scalar_ctr(&aes, counter, &src), "key_len={key_len}");
+            let (mut sealed, mut y_sealed) = (vec![0u8; src.len()], 0u128);
+            vaes.seal(counter, &src, &mut sealed, &mut y_sealed);
+            assert_eq!((sealed, y_sealed), (out.clone(), y), "key_len={key_len}");
             let h = u128::from_be_bytes(aes.encrypt_block_copy(&[0u8; BLOCK_SIZE]));
             let mut slow = 0u128;
             for chunk in out.chunks(BLOCK_SIZE) {

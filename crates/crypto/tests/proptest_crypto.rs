@@ -2,11 +2,11 @@
 //! detection, hash/HMAC determinism, and the byte-for-byte pin of **every engine** —
 //! vector (VAES + VPCLMULQDQ) and hardware (AES-NI + PCLMUL), when the host supports
 //! them, and scalar (T-table AES + Shoup GHASH) — against the retained reference
-//! kernels on ciphertext *and* tag.
+//! kernels on ciphertext *and* tag, for byte and `f32` plaintext alike.
 
 use plinius_crypto::{
-    seal_into, seal_into_with_threads, sealed_len, Aes, AesGcm, CryptoError, EngineKind,
-    EnginePolicy, Key, SealedView, Sha256, IV_LEN, SEAL_OVERHEAD,
+    open_f32s_into, seal_f32s_into, seal_into, sealed_len, Aes, AesGcm, CryptoError, EngineKind,
+    Key, SealedView, Sha256, IV_LEN, SEAL_OVERHEAD,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -142,42 +142,14 @@ proptest! {
         }
     }
 
-    /// Chunked/threaded `seal_into` on the auto-selected engine (the widest the host
-    /// has) is bit-identical to the serial scalar seal at counter-boundary splits:
-    /// sizes straddling the 64 KiB parallel chunk boundary, for every thread count
-    /// and a handful of offsets around the exact boundary.
-    #[test]
-    fn threaded_hw_seal_matches_scalar_at_chunk_boundaries(
-        boundary_mult in 1usize..4,
-        offset in prop_oneof![Just(-17i64), Just(-1), Just(0), Just(1), Just(15), Just(4096)],
-        threads in 1usize..6,
-        seed in any::<u64>(),
-    ) {
-        let size = ((boundary_mult * 64 * 1024) as i64 + offset) as usize;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut key = [0u8; 16];
-        rng.fill_bytes(&mut key);
-        let mut data = vec![0u8; size];
-        rng.fill_bytes(&mut data);
-        let iv = [0x5au8; 12];
-        let scalar = AesGcm::with_policy(Aes::new(&key), EnginePolicy::Scalar);
-        let mut want = vec![0u8; sealed_len(size)];
-        seal_into(&scalar, &data, b"hw", &iv, &mut want).unwrap();
-        let auto = AesGcm::with_policy(Aes::new(&key), EnginePolicy::Auto);
-        let mut got = vec![0u8; sealed_len(size)];
-        seal_into_with_threads(&auto, &data, b"hw", &iv, &mut got, threads).unwrap();
-        prop_assert_eq!(got, want, "engine {} with {} threads diverges", auto.engine_name(), threads);
-    }
-
     /// Zero-copy sealing into an arena slice produces exactly the sealed-buffer layout
-    /// `ciphertext || IV || MAC` of the detached AEAD, for every thread count, and
-    /// opens back through a borrowed view.
+    /// `ciphertext || IV || MAC` of the detached AEAD, and opens back through a
+    /// borrowed view.
     #[test]
     fn seal_into_and_view_match_sealed_buffer(
         seed in any::<u64>(),
         aad in proptest::collection::vec(any::<u8>(), 0..32),
         data in proptest::collection::vec(any::<u8>(), 0..1024),
-        threads in 1usize..5,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let key = Key::generate_128(&mut rng);
@@ -186,7 +158,7 @@ proptest! {
         let gcm = key.gcm();
         let (ct, tag) = gcm.encrypt(&iv, &aad, &data).unwrap();
         let mut arena = vec![0u8; sealed_len(data.len())];
-        seal_into_with_threads(&gcm, &data, &aad, &iv, &mut arena, threads).unwrap();
+        seal_into(&gcm, &data, &aad, &iv, &mut arena).unwrap();
         prop_assert_eq!(&arena, &[&ct[..], &iv[..], &tag[..]].concat());
         let view = SealedView::parse(&arena).unwrap();
         let mut opened = vec![0u8; view.plaintext_len()];
@@ -194,22 +166,149 @@ proptest! {
         prop_assert_eq!(opened, data);
     }
 
-    /// `seal_into` (serial) and the threaded variant agree for chunk-crossing sizes.
+    /// A tensor's `f32` plaintext is byte-exact on every engine: sealing the `f32`s
+    /// gives the bytes `seal_into` gives their little-endian image, the
+    /// verify-then-decrypt into `f32`s gives back every bit (NaN payloads, signed
+    /// zeros, infinities and subnormals included), and a wrong tag, AAD or key in
+    /// any blob of a three-tensor model leaves every output untouched.
     #[test]
-    fn threaded_seal_is_thread_count_invariant(
-        size in prop_oneof![Just(0usize), 1usize..2048, (128usize * 1024)..(192 * 1024)],
-        threads in 2usize..5,
+    fn f32_plaintext_is_byte_exact_on_every_engine(
+        seed in any::<u64>(),
+        bits in proptest::collection::vec(any::<u32>(), 0..300),
+        cuts in (0usize..300, 0usize..300),
+        victim in 0usize..3,
+        tamper in 0u8..3,
     ) {
-        let mut rng = StdRng::seed_from_u64(size as u64);
-        let key = Key::generate_128(&mut rng);
-        let gcm = key.gcm();
-        let mut data = vec![0u8; size];
-        rng.fill_bytes(&mut data);
-        let iv = [7u8; 12];
-        let mut serial = vec![0u8; sealed_len(size)];
-        seal_into(&gcm, &data, b"t", &iv, &mut serial).unwrap();
-        let mut parallel = vec![0u8; sealed_len(size)];
-        seal_into_with_threads(&gcm, &data, b"t", &iv, &mut parallel, threads).unwrap();
-        prop_assert_eq!(serial, parallel);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut key = [0u8; 16];
+        rng.fill_bytes(&mut key);
+        let mut iv = [0u8; IV_LEN];
+        rng.fill_bytes(&mut iv);
+        let values = with_specials(&bits, seed);
+        for gcm in engines_or_skip(&key) {
+            let name = gcm.engine_name();
+            let mut from_f32s = vec![0u8; sealed_len(values.len() * 4)];
+            seal_f32s_into(&gcm, &values, b"tensor", &iv, &mut from_f32s).unwrap();
+            let mut from_bytes = vec![0u8; from_f32s.len()];
+            seal_into(&gcm, &le_bytes(&values), b"tensor", &iv, &mut from_bytes).unwrap();
+            prop_assert_eq!(&from_f32s, &from_bytes, "engine {}", name);
+            let mut opened = vec![0.0f32; values.len()];
+            open_f32s_into(&gcm, [(&from_f32s[..], &b"tensor"[..])], [&mut opened[..]]).unwrap();
+            prop_assert_eq!(to_bits(&opened), to_bits(&values), "engine {}", name);
+
+            // Three tensors, one of them sealed wrongly.
+            let (a, b) = (cuts.0.min(cuts.1).min(values.len()), cuts.0.max(cuts.1).min(values.len()));
+            let tensors = [&values[..a], &values[a..b], &values[b..]];
+            let aads: [&[u8]; 3] = [b"t0", b"t1", b"t2"];
+            let other = Key::generate_128(&mut rng).gcm();
+            let blobs: Vec<Vec<u8>> = tensors
+                .iter()
+                .enumerate()
+                .map(|(i, t)| {
+                    let under = if i == victim && tamper == 2 { &other } else { &gcm };
+                    let mut blob = vec![0u8; sealed_len(t.len() * 4)];
+                    seal_f32s_into(under, t, aads[i], &iv, &mut blob).unwrap();
+                    if i == victim && tamper == 0 {
+                        let last = blob.len() - 1;
+                        blob[last] ^= 0x80;
+                    }
+                    blob
+                })
+                .collect();
+            let mut open_aads = aads;
+            if tamper == 1 {
+                open_aads[victim] = b"tX";
+            }
+            let mut outputs: Vec<Vec<f32>> =
+                tensors.iter().map(|t| vec![f32::from_bits(0x7fc0_5a5a); t.len()]).collect();
+            let result = open_f32s_into(
+                &gcm,
+                blobs.iter().map(Vec::as_slice).zip(open_aads),
+                outputs.iter_mut().map(Vec::as_mut_slice),
+            );
+            prop_assert_eq!(result, Err(CryptoError::AuthenticationFailed), "engine {}", name);
+            for out in &outputs {
+                prop_assert!(out.iter().all(|x| x.to_bits() == 0x7fc0_5a5a), "engine {} wrote", name);
+            }
+        }
+    }
+}
+
+/// One context per engine this host can build; the others are skipped with a message.
+fn engines_or_skip(key: &[u8]) -> Vec<AesGcm> {
+    EngineKind::ALL
+        .into_iter()
+        .filter_map(|kind| {
+            let gcm = AesGcm::with_engine(Aes::new(key), kind);
+            if gcm.is_none() {
+                eprintln!("skipping the {kind} engine: this host lacks its CPU features");
+            }
+            gcm
+        })
+        .collect()
+}
+
+/// `f32` bit patterns that conversions get wrong most easily: NaN payloads of both
+/// kinds and signs, signed zeros and infinities, and subnormals.
+const SPECIALS: [u32; 10] = [
+    0x7fc0_0001,
+    0xffa0_1234,
+    0x7f80_0001,
+    0x7f80_0000,
+    0xff80_0000,
+    0x0000_0000,
+    0x8000_0000,
+    0x0000_0001,
+    0x807f_ffff,
+    0x0040_0000,
+];
+
+/// The values of `bits`, every third one replaced by a special pattern.
+fn with_specials(bits: &[u32], seed: u64) -> Vec<f32> {
+    bits.iter()
+        .enumerate()
+        .map(|(i, &b)| {
+            let special = SPECIALS[(i / 3 + seed as usize) % SPECIALS.len()];
+            f32::from_bits(if i % 3 == 0 { special } else { b })
+        })
+        .collect()
+}
+
+fn le_bytes(values: &[f32]) -> Vec<u8> {
+    values.iter().flat_map(|x| x.to_le_bytes()).collect()
+}
+
+fn to_bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A 1 Mi-float tensor seals to the bytes of its little-endian image and opens back
+/// bit for bit on every engine: the vector engine's wide groups, every tail shape
+/// and the stack blocks of the others all run at the size of a model layer.
+#[test]
+fn a_one_mebifloat_tensor_is_byte_exact_on_every_engine() {
+    let bits: Vec<u32> = (0..1u32 << 20)
+        .map(|i| i.wrapping_mul(2_654_435_761))
+        .collect();
+    let values = with_specials(&bits, 7);
+    let iv = [0x3cu8; IV_LEN];
+    let mut want = vec![0u8; sealed_len(values.len() * 4)];
+    let mut got = vec![0u8; want.len()];
+    let mut opened = vec![0.0f32; values.len()];
+    for gcm in engines_or_skip(&[0x11u8; 16]) {
+        seal_into(&gcm, &le_bytes(&values), b"layer0-tensor0", &iv, &mut want).unwrap();
+        seal_f32s_into(&gcm, &values, b"layer0-tensor0", &iv, &mut got).unwrap();
+        assert!(got == want, "engine {}", gcm.engine_name());
+        open_f32s_into(
+            &gcm,
+            [(&got[..], &b"layer0-tensor0"[..])],
+            [&mut opened[..]],
+        )
+        .unwrap();
+        assert!(
+            to_bits(&opened) == to_bits(&values),
+            "engine {}",
+            gcm.engine_name()
+        );
     }
 }

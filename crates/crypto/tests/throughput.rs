@@ -8,11 +8,18 @@
 //!   at least 2.5x as fast as the 128-bit hardware engine on one thread.
 //!
 //! The tests are `#[ignore]`d: wall-clock ratios are only meaningful in release
-//! builds, so the CI release job runs them explicitly with
-//! `cargo test --release -p plinius-crypto -- --ignored`.
+//! builds, so the CI release job runs them explicitly, one at a time so that no gate
+//! times while another spins on a second core:
+//! `cargo test --release -p plinius-crypto -- --ignored --test-threads=1`.
 
 use plinius_crypto::{hw_available, Aes, AesGcm, EngineKind, EnginePolicy};
 use std::time::Instant;
+
+/// Runs of the byte-wise reference kernels each gate takes the best of: the
+/// baseline of every ratio, and the slowest and noisiest measurement of the file.
+/// Each reference run alternates with a run of every engine the gate compares, so a
+/// change in the host's speed hits them all.
+const REFERENCE_RUNS: usize = 9;
 
 /// Best-of-N wall-clock seconds for one run of `f`.
 fn best_of<F: FnMut()>(n: usize, mut f: F) -> f64 {
@@ -25,104 +32,58 @@ fn best_of<F: FnMut()>(n: usize, mut f: F) -> f64 {
     best
 }
 
-/// Warm up one engine on the shared buffer, check bit-agreement with the
-/// reference kernels, and return best-of-N seconds per 1 MiB encrypt.
-fn measure(gcm: &AesGcm, data: &[u8], threads: usize, rounds: usize) -> f64 {
+/// Checks that each of `engines` agrees bit for bit with the reference kernels on
+/// `data`, then returns the best seconds per 1 MiB encrypt of the reference kernels
+/// and of each engine, over [`REFERENCE_RUNS`] rounds that each run the reference
+/// once and every engine `reps` times.
+fn reference_and_engines(engines: &[&AesGcm], data: &[u8], reps: usize) -> (f64, Vec<f64>) {
     let iv = [9u8; 12];
     let aad = b"throughput-gate";
-    let baseline = gcm.encrypt_reference(&iv, aad, data).unwrap();
+    let baseline = engines[0].encrypt_reference(&iv, aad, data).unwrap();
     let mut out = vec![0u8; data.len()];
-    let tag = gcm
-        .encrypt_into_with_threads(&iv, aad, data, &mut out, threads)
-        .unwrap();
-    assert_eq!(
-        (out.clone(), tag),
-        baseline,
-        "engine {} must agree bit-for-bit with the reference kernels",
-        gcm.engine_name()
-    );
-    best_of(rounds, || {
-        let _ = gcm
-            .encrypt_into_with_threads(&iv, aad, data, &mut out, threads)
-            .unwrap();
-    })
+    for gcm in engines {
+        let tag = gcm.encrypt_into(&iv, aad, data, &mut out).unwrap();
+        assert_eq!(
+            (out.clone(), tag),
+            baseline,
+            "engine {} must agree bit-for-bit with the reference kernels",
+            gcm.engine_name()
+        );
+    }
+    let mut reference_s = f64::INFINITY;
+    let mut engine_s = vec![f64::INFINITY; engines.len()];
+    for _ in 0..REFERENCE_RUNS {
+        reference_s = reference_s.min(best_of(1, || {
+            let _ = engines[0].encrypt_reference(&iv, aad, data).unwrap();
+        }));
+        for (gcm, best) in engines.iter().zip(&mut engine_s) {
+            *best = best.min(best_of(reps, || {
+                let _ = gcm.encrypt_into(&iv, aad, data, &mut out).unwrap();
+            }));
+        }
+    }
+    (reference_s, engine_s)
 }
 
-/// The scalar engine keeps its historical floor over the reference kernels,
-/// independent of what hardware the host has.
+/// The scalar engine keeps its historical floor over the reference kernels on one
+/// thread, independent of what hardware the host has.
 #[test]
 #[ignore = "wall-clock throughput gate; run with --release (see CI release job)"]
 fn scalar_gcm_beats_reference_on_1mib() {
     let gcm = AesGcm::with_policy(Aes::new(&[0x42u8; 16]), EnginePolicy::Scalar);
     let data = vec![7u8; 1 << 20];
-    let threads = plinius_parallel::max_threads();
-    let iv = [9u8; 12];
-    let aad = b"throughput-gate";
-
-    let reference_s = best_of(3, || {
-        let _ = gcm.encrypt_reference(&iv, aad, &data).unwrap();
-    });
-    let single_s = measure(&gcm, &data, 1, 5);
-    let cores_before = threads > 1 && two_threads_run_at_once();
-    let threaded_s = measure(&gcm, &data, threads, 5);
-    let two_cores = cores_before && two_threads_run_at_once();
+    let (reference_s, engine_s) = reference_and_engines(&[&gcm], &data, 1);
+    let single_s = engine_s[0];
     let single_x = reference_s / single_s;
-    let threaded_x = reference_s / threaded_s;
     println!(
-        "AES-GCM 1 MiB: reference {:.1} MiB/s | scalar 1-thread {:.1} MiB/s ({single_x:.1}x) | \
-         scalar {threads}-thread {:.1} MiB/s ({threaded_x:.1}x)",
+        "AES-GCM 1 MiB: reference {:.1} MiB/s | scalar 1-thread {:.1} MiB/s ({single_x:.1}x)",
         1.0 / reference_s,
         1.0 / single_s,
-        1.0 / threaded_s,
     );
     assert!(
         single_x >= 3.0,
         "single-thread scalar GCM must be at least 3x the reference (got {single_x:.2}x)"
     );
-    // Without a second core running, the threaded run is no faster than one thread,
-    // and a 5x floor would measure the host rather than the code. Require it only when
-    // the probe saw two threads run at once, both before and after the threaded
-    // measurement, as the hardware gates skip without their CPU feature.
-    if !two_cores {
-        println!(
-            "skipping the 5x threaded floor: the probe did not see two threads run at once \
-             (engine threads available: {threads})"
-        );
-        return;
-    }
-    assert!(
-        threaded_x >= 5.0,
-        "scalar GCM on {threads} threads must be at least 5x the reference on 1 MiB \
-         (got {threaded_x:.2}x)"
-    );
-}
-
-/// Whether two threads of this process run at once right now: two equal spin loops on
-/// two threads must take under 0.75x the time of the same loops one after the other
-/// (best of three each). On a host whose second vCPU comes and goes, a threaded
-/// wall-clock floor holds only while this reads true.
-fn two_threads_run_at_once() -> bool {
-    // A xorshift chain: each step needs the last, so the compiler cannot shorten it.
-    fn spin() {
-        let mut x = std::hint::black_box(1u64);
-        for _ in 0..std::hint::black_box(5_000_000u32) {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-        }
-        std::hint::black_box(x);
-    }
-    let serial = best_of(3, || {
-        spin();
-        spin();
-    });
-    let parallel = best_of(3, || {
-        std::thread::scope(|s| {
-            s.spawn(spin);
-            spin();
-        })
-    });
-    parallel < 0.75 * serial
 }
 
 /// On AES-NI + PCLMUL hosts the hardware engine must be at least 15x the
@@ -137,8 +98,6 @@ fn hw_gcm_beats_scalar_on_1mib() {
     }
     let key = [0x42u8; 16];
     let data = vec![7u8; 1 << 20];
-    let iv = [9u8; 12];
-    let aad = b"throughput-gate";
 
     let hw = AesGcm::with_engine(Aes::new(&key), EngineKind::Hw)
         .expect("AES-NI + PCLMUL detected, so the 128-bit engine builds");
@@ -152,11 +111,8 @@ fn hw_gcm_beats_scalar_on_1mib() {
     );
     let scalar = AesGcm::with_policy(Aes::new(&key), EnginePolicy::Scalar);
 
-    let reference_s = best_of(3, || {
-        let _ = hw.encrypt_reference(&iv, aad, &data).unwrap();
-    });
-    let scalar_s = measure(&scalar, &data, 1, 5);
-    let hw_s = measure(&hw, &data, 1, 7);
+    let (reference_s, engine_s) = reference_and_engines(&[&scalar, &hw], &data, 1);
+    let (scalar_s, hw_s) = (engine_s[0], engine_s[1]);
     let vs_reference = reference_s / hw_s;
     let vs_scalar = scalar_s / hw_s;
     println!(
@@ -181,9 +137,7 @@ fn hw_gcm_beats_scalar_on_1mib() {
 /// the test reports a skip and passes.
 ///
 /// The two engines run interleaved, best of nine each, so a change in the host's
-/// speed hits both. The name sorts first on purpose: the test harness starts
-/// tests in name order, so this short gate runs beside the hardware gate and is
-/// done before the scalar gate's threaded measurement, which needs both cores.
+/// speed hits both.
 #[test]
 #[ignore = "wall-clock throughput gate; run with --release (see CI release job)"]
 fn avx512_vaes_gcm_beats_aesni_on_1mib() {

@@ -9,8 +9,10 @@
 //!
 //! The gradient accumulators are private, so the oracle keeps its own copies and the
 //! test observes them through the weights and biases of later rounds. The engine is
-//! pinned to the `auto` policy's, whose AXPY, SCAL and GEMM are bit-identical to the
-//! scalar loops, so the test holds whatever `PLINIUS_GEMM` selects.
+//! pinned to the `auto` policy's. Its update is one fused SGD kernel per tensor, which
+//! rounds each multiply and each add on its own, as the steps above do one at a time,
+//! and its GEMM is bit-identical to the scalar loops, so the test holds whatever
+//! `PLINIUS_GEMM` selects.
 
 use plinius_darknet::layers::{ConnectedLayer, ConvLayer};
 use plinius_darknet::matrix::gemm_reference;

@@ -551,28 +551,33 @@ pub fn f32s_to_bytes(values: &[f32]) -> Vec<u8> {
 }
 
 /// Writes the little-endian byte representation of `values` into `out` — the
-/// allocation-free sibling of [`f32s_to_bytes`] used by the mirror's reusable
-/// plaintext staging buffer.
+/// allocation-free sibling of [`f32s_to_bytes`] with which the PM dataset builds each
+/// sample's plaintext. (Model tensors seal straight from their `f32`s:
+/// [`plinius_crypto::seal_f32s_into`].)
 ///
 /// # Panics
 ///
 /// Panics unless `out.len() == values.len() * 4`.
 pub fn f32s_to_bytes_into(values: &[f32], out: &mut [u8]) {
-    assert_eq!(out.len(), values.len() * 4, "staging slice size mismatch");
+    assert_eq!(out.len(), values.len() * 4, "plaintext slice size mismatch");
     for (v, chunk) in values.iter().zip(out.chunks_exact_mut(4)) {
         chunk.copy_from_slice(&v.to_le_bytes());
     }
 }
 
 /// Decodes the little-endian bytes of `values.len()` `f32`s from `bytes` into
-/// `values` in place: the inverse of [`f32s_to_bytes_into`], with which every restore
-/// fills the model's parameter slices.
+/// `values` in place: the inverse of [`f32s_to_bytes_into`], with which the PM dataset
+/// decodes each opened sample into its batch.
 ///
 /// # Panics
 ///
 /// Panics unless `bytes.len() == values.len() * 4`.
 pub(crate) fn f32s_from_bytes_into(bytes: &[u8], values: &mut [f32]) {
-    assert_eq!(bytes.len(), values.len() * 4, "staging slice size mismatch");
+    assert_eq!(
+        bytes.len(),
+        values.len() * 4,
+        "plaintext slice size mismatch"
+    );
     for (v, chunk) in values.iter_mut().zip(bytes.chunks_exact(4)) {
         *v = f32::from_le_bytes(chunk.try_into().expect("4 bytes"));
     }

@@ -34,35 +34,37 @@
 //!
 //! A mirror-out splits into two phases:
 //!
-//! * **snapshot** — cheap: copy the parameters (and draw the per-tensor IVs) into the
-//!   handle's staging buffers;
-//! * **publish** — expensive: AES-GCM-seal the staged plaintext and commit it to the
-//!   inactive PM slot.
+//! * **snapshot** — cheap: copy the parameters (and draw the batch's IVs) into the
+//!   handle's snapshot;
+//! * **publish** — expensive: AES-GCM-seal the model and commit it to the inactive PM
+//!   slot.
 //!
-//! [`MirrorModel::mirror_out`] runs both phases synchronously, sealing each tensor
-//! straight into its PM buffer of the inactive slot. [`MirrorModel::snapshot_out`]
-//! runs only the snapshot and hands the sealing, with the staging buffers and the
-//! model key's context, to a background worker ([`plinius_parallel::Pipeline`]), which
-//! seals into the staging set's own arena; [`MirrorModel::drain`] joins it at the
-//! next pipeline point, copies the arena into the slot through the same publish
-//! routine, and credits the sealing time that was hidden behind the compute charged
-//! in between ([`SimSpan::overlap`]), so the steady-state simulated overhead
-//! approaches `max(compute, mirror)` instead of `compute + mirror`. Sealed bytes,
-//! committed epochs and restored weights are bit-identical between the two paths; only
-//! timing differs.
+//! [`MirrorModel::mirror_out`] runs both phases synchronously with no snapshot: each
+//! tensor is sealed straight from its layer's `f32`s into its PM buffer of the
+//! inactive slot, in one stitched pass that never reads the buffer back.
+//! [`MirrorModel::snapshot_out`] runs only the snapshot and hands the sealing, with
+//! the snapshot and the model key's context, to a background worker
+//! ([`plinius_parallel::Pipeline`]), which seals into the snapshot's own arena;
+//! [`MirrorModel::drain`] joins it at the next pipeline point, copies the arena into
+//! the slot through the same publish routine, and credits the sealing time that was
+//! hidden behind the compute charged in between ([`SimSpan::overlap`]), so the
+//! steady-state simulated overhead approaches `max(compute, mirror)` instead of
+//! `compute + mirror`. Sealed bytes, committed epochs and restored weights are
+//! bit-identical between the two paths; only timing differs.
 //!
-//! A handle keeps one set of staging buffers for its saves and restores, synchronous
-//! or pipelined: the plaintext buffer and the IV batch, plus a sealed arena once the
-//! handle pipelines. It takes the model key's context from the enclave's per-key
-//! cache ([`PliniusContext::gcm`]) at each save and restore, so a re-provisioned key
-//! seals the next save. Every save and restore through a handle first joins (and
-//! commits) the handle's in-flight publish, so epochs always commit in snapshot order.
+//! A handle that pipelines keeps one snapshot for its saves; one that never pipelines
+//! keeps no buffer at all. It takes the model key's context from the enclave's
+//! per-key cache ([`PliniusContext::gcm`]) at each save and restore, so a
+//! re-provisioned key seals the next save. Every save and restore through a handle
+//! first joins (and commits) the handle's in-flight publish, so epochs always commit
+//! in snapshot order.
 //!
-//! A *mirror-in* (model restore) opens each sealed tensor of the active slot straight
-//! from PM ([`plinius_romulus::Romulus::read_with`]) into the plaintext staging buffer,
-//! and decodes the staged model into the enclave model only once every tensor has
-//! authenticated and the model's shape matches, so a failed restore leaves the model
-//! as it was.
+//! A *mirror-in* (model restore) reads the active slot's sealed tensors in one read
+//! session ([`plinius_romulus::Romulus::read_ranges_with`]), which charges each tensor
+//! as its own read. Inside it, every tensor's tag is verified first, and only then is
+//! each decrypted straight from PM into its layer's parameter slice. The model's shape
+//! is checked before, so a restore that fails authentication or does not fit leaves
+//! the model as it was.
 //!
 //! # Consistent snapshot reads
 //!
@@ -77,11 +79,15 @@
 //! reaching the active slot again requires at least one more epoch flip. A blob torn
 //! by a concurrent publish fails authentication, so a failed open is a retry when the
 //! header moved, and an error only when it did not. Retries are counted in the
-//! `mirror.torn_read_retries` statistic.
+//! `mirror.torn_read_retries` statistic. An attempt whose tensors all authenticated
+//! has decrypted them into the model before the header is re-read, so a retry
+//! overwrites them, and a read that runs out of retries (which only fault injection
+//! sustains) leaves the authentic tensors of its last attempt.
 
 use crate::knobs::Knobs;
 use crate::sealed::{
-    build_slots, check_shape, decode, open_tensor, sealed_lens, Staging, TensorSlot,
+    build_slots, charge_open, charge_seal, check_shape, draw_ivs, open_into_model, seal_tensor,
+    sealed_lens, tensors, Snapshot, TensorSlot,
 };
 use crate::{PliniusContext, PliniusError};
 use parking_lot::Mutex;
@@ -206,11 +212,6 @@ pub struct PublishReport {
     pub model_bytes: usize,
 }
 
-/// The staging buffers of the last dropped mirror handle, for the next handle of that
-/// layout: a model restarted in-process then stages into pages that are still mapped.
-/// Every use writes a slot before reading it, so the buffers are not cleared.
-static SPARE_STAGING: Mutex<Option<Staging>> = Mutex::new(None);
-
 /// Bookkeeping of one enqueued-but-not-yet-committed publish.
 struct InflightPublish {
     /// Iteration counter the staged snapshot belongs to.
@@ -219,38 +220,30 @@ struct InflightPublish {
     fork_ns: u64,
     /// Modeled simulated cost of the sealing lane (charged at the overlap join).
     seal_lane_ns: u64,
-    /// Plaintext bytes staged.
+    /// Plaintext bytes snapshotted.
     model_bytes: usize,
 }
 
-/// The background seal worker: each job carries the staging buffers and the model
-/// key's context of the snapshot that staged them, and the buffers always come back,
-/// with the seal's result, so they are reused even on error.
-type SealWorker = Pipeline<(Staging, Arc<AesGcm>), (Staging, Result<(), PliniusError>)>;
+/// The background seal worker: each job carries a snapshot and the model key's
+/// context of the save that took it, and the snapshot always comes back, with the
+/// seal's result, so it is reused even on error.
+type SealWorker = Pipeline<(Snapshot, Arc<AesGcm>), (Snapshot, Result<(), PliniusError>)>;
 
-/// The working state of one mirror handle: the one staging set that every save and
-/// restore through the handle uses, and the seal worker of pipelined saves. Nothing in
-/// it depends on the key: each save or restore fetches the model key's context from
-/// the enclave's cache ([`PliniusContext::gcm`]), so a re-provisioned key takes effect
-/// at the next one. After warm-up a serial save or restore allocates nothing.
+/// The working state of one mirror handle: the snapshot and the seal worker of
+/// pipelined saves, and the publish in flight. Nothing in it depends on the key: each
+/// save or restore fetches the model key's context from the enclave's cache
+/// ([`PliniusContext::gcm`]), so a re-provisioned key takes effect at the next one.
+/// After warm-up a save or restore allocates nothing.
 #[derive(Default)]
 struct WorkingState {
-    /// The staging buffers, built on first use; `None` while the seal worker holds
-    /// them, or after a dead worker took them along.
-    staging: Option<Staging>,
-    /// Single background worker sealing staged snapshots, spawned by the first
-    /// pipelined save and respawned after it dies.
+    /// The pipelined saves' snapshot, built by the first one; `None` while the seal
+    /// worker holds it, or after a dead worker took it along.
+    snapshot: Option<Snapshot>,
+    /// Single background worker sealing snapshots, spawned by the first pipelined
+    /// save and respawned after it dies.
     worker: Option<SealWorker>,
     /// The publish currently in flight, if any (the pipeline is depth-1).
     inflight: Option<InflightPublish>,
-}
-
-impl Drop for WorkingState {
-    fn drop(&mut self) {
-        if let Some(staging) = self.staging.take() {
-            *SPARE_STAGING.lock() = Some(staging);
-        }
-    }
 }
 
 /// Fault-injection hook of the seqlock read: fired with the 0-based attempt index
@@ -545,24 +538,15 @@ impl MirrorModel {
     }
 
     /// The start of every save and restore through this handle: joins and commits the
-    /// in-flight publish, if any, so epochs always commit in snapshot order; fetches
-    /// the model key's context; and returns the handle's staging buffers, built on
-    /// first use (or after a dead seal worker took them along).
-    fn begin<'a>(
+    /// in-flight publish, if any, so epochs always commit in snapshot order, and
+    /// fetches the model key's context.
+    fn begin(
         &self,
         ctx: &PliniusContext,
-        state: &'a mut WorkingState,
-    ) -> Result<(Option<PublishReport>, Arc<AesGcm>, &'a mut Staging), PliniusError> {
+        state: &mut WorkingState,
+    ) -> Result<(Option<PublishReport>, Arc<AesGcm>), PliniusError> {
         let prior = self.join_inflight(ctx, state)?;
-        let gcm = ctx.gcm()?;
-        let staging = state.staging.get_or_insert_with(|| {
-            SPARE_STAGING
-                .lock()
-                .take()
-                .filter(|s| s.fits(&self.slots))
-                .unwrap_or_else(|| Staging::new(&self.slots))
-        });
-        Ok((prior, gcm, staging))
+        Ok((prior, ctx.gcm()?))
     }
 
     /// Number of mirrored (trainable) layers.
@@ -734,11 +718,10 @@ impl MirrorModel {
     /// and synchronises the PM mirror within one durable transaction, recording the
     /// iteration counter.
     ///
-    /// Each tensor is sealed straight into its PM buffer of the inactive ring slot, in
-    /// slot order, with its CTR keystream split across scoped threads past the crypto
-    /// crate's cutoff (worker count from [`plinius_parallel::max_threads`], override
-    /// with `PLINIUS_THREADS`); the sealed bytes and the [`MirrorOutReport`] —
-    /// including its simulated-time spans — are identical for every thread count.
+    /// Each tensor is sealed straight from its layer's `f32`s into its PM buffer of
+    /// the inactive ring slot, in slot order on the calling thread, in one stitched
+    /// AES-GCM pass that never reads the buffer back. A publish still in flight
+    /// through this handle commits first, so it never lands as the newer epoch.
     ///
     /// # Errors
     ///
@@ -749,40 +732,21 @@ impl MirrorModel {
         ctx: &PliniusContext,
         network: &Network,
     ) -> Result<MirrorOutReport, PliniusError> {
-        self.mirror_out_with_threads(ctx, network, plinius_parallel::max_threads())
-    }
-
-    /// [`MirrorModel::mirror_out`] with an explicit sealing-thread count (1 forces the
-    /// serial path). Exposed for benchmarks and the determinism tests; the result is
-    /// bit-identical for every `threads` value. A publish still in flight through
-    /// this handle commits first, so it never lands as the newer epoch.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MirrorModel::mirror_out`].
-    pub fn mirror_out_with_threads(
-        &self,
-        ctx: &PliniusContext,
-        network: &Network,
-        threads: usize,
-    ) -> Result<MirrorOutReport, PliniusError> {
         let clock = ctx.clock();
         check_shape(&self.slots, network)?;
         let mut state = self.state.lock();
-        let (_, gcm, staging) = self.begin(ctx, &mut state)?;
-        staging.draw_ivs(ctx);
-        // Phase 1: the modeled in-enclave encryption of every parameter tensor, and
-        // the parameters staged into the reusable plaintext buffer — no heap
-        // allocation in the steady state.
-        let (model_bytes, encrypt) = SimSpan::record(&clock, || {
-            staging.charge_and_stage(ctx, &self.slots, network)
-        });
-        // Phase 2: seal each staged tensor straight into its PM buffer of the
-        // inactive slot and commit the epoch flip durably.
-        let staging = &*staging;
+        let (_, gcm) = self.begin(ctx, &mut state)?;
+        let ivs = draw_ivs(ctx);
+        // Phase 1: the modeled in-enclave encryption of every parameter tensor.
+        let (model_bytes, encrypt) = SimSpan::record(&clock, || charge_seal(ctx, &self.slots));
+        // Phase 2: seal each tensor from its layer straight into its PM buffer of the
+        // inactive slot and commit the epoch flip durably — no heap allocation in the
+        // steady state.
+        let mut tensors = tensors(network);
         let (write_result, write) = SimSpan::record(&clock, || {
             self.publish(ctx, network.iteration(), |idx, slot, dst| {
-                Ok(staging.seal_tensor(idx, slot, &gcm, dst, threads)?)
+                let tensor = tensors.next().expect("shape checked");
+                Ok(seal_tensor(slot, &gcm, &ivs.iv(idx as u64), tensor, dst)?)
             })
         });
         write_result?;
@@ -876,12 +840,10 @@ impl MirrorModel {
     }
 
     /// The two timed phases of a restore, after any in-flight publish through this
-    /// handle has committed. Phase 1: `read` opens the sealed tensors of a ring slot,
-    /// through the `open_slot(slot)` it is handed, and returns the `(iteration,
-    /// epoch)` they belong to; `open_slot` authenticates and decrypts every tensor
-    /// straight from PM into the plaintext staging buffer. Phase 2 ([`decode`]): once
-    /// the model's shape is checked, every tensor is decoded straight into the enclave
-    /// model's parameter slices.
+    /// handle has committed. Phase 1: `read` opens the sealed tensors of a ring slot
+    /// into `network`, through the `open_slot(slot)` it is handed, and returns the
+    /// `(iteration, epoch)` they belong to. Phase 2: the modeled in-enclave decryption
+    /// of every tensor ([`charge_open`]).
     fn restore_with(
         &self,
         ctx: &PliniusContext,
@@ -892,15 +854,13 @@ impl MirrorModel {
     ) -> Result<MirrorInReport, PliniusError> {
         let clock = ctx.clock();
         let mut state = self.state.lock();
-        let (_, gcm, staging) = self.begin(ctx, &mut state)?;
-        let threads = plinius_parallel::max_threads();
-        let plain = &mut staging.plain;
-        let mut open_slot = |s: usize| self.open_slot(ctx, s, &gcm, plain, threads);
-        let (read_out, read) = SimSpan::record(&clock, || read(&mut open_slot));
+        let (_, gcm) = self.begin(ctx, &mut state)?;
+        let (read_out, read) = {
+            let mut open_slot = |s: usize| self.open_slot(ctx, s, &gcm, network);
+            SimSpan::record(&clock, || read(&mut open_slot))
+        };
         let (iteration, epoch) = read_out?;
-        let (decrypt_result, decrypt) =
-            SimSpan::record(&clock, || decode(ctx, &self.slots, &staging.plain, network));
-        let model_bytes = decrypt_result?;
+        let (model_bytes, decrypt) = SimSpan::record(&clock, || charge_open(ctx, &self.slots));
         network.set_iteration(iteration);
         Ok(MirrorInReport {
             read,
@@ -911,24 +871,27 @@ impl MirrorModel {
         })
     }
 
-    /// Opens every tensor of ring slot `s` straight from its PM buffer into `plain`
-    /// ([`plinius_romulus::Romulus::read_with`]), in slot order, on up to `threads`
-    /// threads per tensor. The first error stops it; a torn blob fails
-    /// authentication.
+    /// Opens ring slot `s` into `network`: checks the model's shape, then reads every
+    /// tensor of the slot in one read session and, inside it, verifies every tag before
+    /// it decrypts each tensor straight from PM into its parameter slice
+    /// ([`open_into_model`]). A torn blob fails authentication, and an error leaves
+    /// `network` as it was.
     fn open_slot(
         &self,
         ctx: &PliniusContext,
         s: usize,
         gcm: &AesGcm,
-        plain: &mut [u8],
-        threads: usize,
+        network: &mut Network,
     ) -> Result<(), PliniusError> {
-        for (idx, slot) in self.slots.iter().enumerate() {
-            ctx.romulus()
-                .read_with(self.tensor_ptrs[idx][s], slot.sealed_len, |sealed| {
-                    open_tensor(slot, gcm, sealed, plain, threads)
-                })??;
-        }
+        check_shape(&self.slots, network)?;
+        let ranges = self
+            .slots
+            .iter()
+            .zip(&self.tensor_ptrs)
+            .map(|(slot, ptrs)| (ptrs[s], slot.sealed_len));
+        ctx.romulus().read_ranges_with(ranges, |blobs| {
+            open_into_model(&self.slots, gcm, blobs, network)
+        })??;
         Ok(())
     }
 
@@ -1035,19 +998,19 @@ impl MirrorModel {
             .worker
             .as_mut()
             .expect("a publish in flight has a worker");
-        let (staging, result) = match worker.recv() {
+        let (snapshot, result) = match worker.recv() {
             Ok(done) => done,
             Err(e) => {
-                // The worker died with the staging buffers: the next pipelined save
-                // respawns it, and the next use of the buffers rebuilds them.
+                // The worker died with the snapshot: the next pipelined save respawns
+                // it and rebuilds the snapshot.
                 state.worker = None;
                 return Err(PliniusError::Pipeline(format!(
                     "seal worker join failed: {e}"
                 )));
             }
         };
-        // Always hand the buffers back for reuse, even when the publish fails.
-        let arena = &state.staging.insert(staging).arena;
+        // Always hand the snapshot back for reuse, even when the publish fails.
+        let arena = &state.snapshot.insert(snapshot).arena;
         // The sealing lane forked at snapshot time and ran in parallel with whatever
         // the training loop charged since; only its residual shows up here.
         let seal_join = SimSpan::overlap(&clock, meta.fork_ns, meta.seal_lane_ns);
@@ -1066,10 +1029,10 @@ impl MirrorModel {
     }
 
     /// Snapshot phase of a pipelined mirror-out: joins any previous in-flight publish
-    /// (the pipeline is depth-1), stages the model's parameters and per-tensor IVs
-    /// into a pre-allocated staging slot, and hands the expensive seal + PM publish
-    /// to the background worker. Returns the publish report of the *previous*
-    /// snapshot, if one was still in flight.
+    /// (the pipeline is depth-1), copies the model's parameters and draws the batch's
+    /// IVs into the handle's snapshot, and hands the expensive seal + PM publish to
+    /// the background worker. Returns the publish report of the *previous* snapshot,
+    /// if one was still in flight.
     ///
     /// The IVs are drawn on the calling thread, at the same position of the enclave's
     /// `sgx_read_rand` stream as a synchronous [`MirrorModel::mirror_out`] would draw
@@ -1088,17 +1051,17 @@ impl MirrorModel {
         let clock = ctx.clock();
         check_shape(&self.slots, network)?;
         let mut state = self.state.lock();
-        let (prior, gcm, staging) = self.begin(ctx, &mut state)?;
-        staging.draw_ivs(ctx);
-        let model_bytes = staging.plain.len();
-        staging.stage(&self.slots, network);
+        let (prior, gcm) = self.begin(ctx, &mut state)?;
+        let ivs = draw_ivs(ctx);
+        let model_bytes = self.slots.iter().map(|s| s.plain_len).sum::<usize>();
+        let mut snapshot = state.snapshot.take().unwrap_or_default();
+        snapshot.take(network, ivs);
         // The sealing lane's modeled cost is computed now (stats recorded) but
         // charged at the join, where the overlap with the interleaved compute is
         // known.
         let seal_lane_ns = ctx.enclave().charge_crypto_offline(model_bytes as u64);
         let fork_ns = clock.now_ns();
         let iteration = network.iteration();
-        let staging = state.staging.take().expect("staged above");
         // One thread: the worker *is* the parallel lane. The sealed bytes are a pure
         // function of (key, IV, AAD, plaintext), so they match the synchronous path
         // bit for bit.
@@ -1106,13 +1069,13 @@ impl MirrorModel {
             let slots: Arc<[TensorSlot]> = self.slots.clone().into();
             Pipeline::spawn(
                 "plinius-mirror-seal",
-                move |(mut staging, gcm): (Staging, Arc<AesGcm>)| {
-                    let result = staging.seal(&slots, &gcm, 1);
-                    (staging, result)
+                move |(mut snapshot, gcm): (Snapshot, Arc<AesGcm>)| {
+                    let result = snapshot.seal(&slots, &gcm);
+                    (snapshot, result)
                 },
             )
         });
-        if let Err(e) = worker.send((staging, gcm)) {
+        if let Err(e) = worker.send((snapshot, gcm)) {
             state.worker = None;
             return Err(PliniusError::Pipeline(format!(
                 "seal worker dispatch failed: {e}"
@@ -1150,7 +1113,7 @@ impl MirrorModel {
     fn kill_seal_worker_for_test(&self) {
         self.state.lock().worker = Some(Pipeline::spawn(
             "plinius-mirror-seal-dying",
-            |_job: (Staging, Arc<AesGcm>)| panic!("seal worker killed for test"),
+            |_job: (Snapshot, Arc<AesGcm>)| panic!("seal worker killed for test"),
         ));
     }
 }
@@ -1200,8 +1163,8 @@ mod tests {
         let out = mirror.mirror_out(&ctx, &net).unwrap();
         assert!(out.model_bytes > 0);
         assert!(out.total_ms() > 0.0);
-        // The (possibly thread-parallel) sealing reports exactly the plaintext model
-        // size and the fixed 28 B/tensor metadata overhead.
+        // The sealing reports exactly the plaintext model size and the fixed
+        // 28 B/tensor metadata overhead.
         assert_eq!(out.model_bytes, net.model_bytes());
         assert_eq!(out.metadata_bytes, mirror.metadata_bytes());
         // Restore into a differently initialised network: parameters must match exactly.
@@ -1226,41 +1189,10 @@ mod tests {
         out
     }
 
-    #[test]
-    fn parallel_sealing_is_bit_identical_across_thread_counts() {
-        // Two identical deployments (same pool size, same enclave RNG seed, same key,
-        // same model) sealed with different thread counts must leave byte-identical
-        // ciphertext+IV+MAC on PM and report identical simulated-time spans — the
-        // SimSpan accounting reduces per-tensor work to the serial path's totals.
-        let run = |threads: usize| {
-            let ctx = context_with_key(8 * 1024 * 1024);
-            let mut net = small_network(12);
-            net.set_iteration(5);
-            let mirror = MirrorModel::allocate(&ctx, &net).unwrap();
-            let report = mirror.mirror_out_with_threads(&ctx, &net, threads).unwrap();
-            (sealed_tensor_bytes(&ctx, &mirror), report)
-        };
-        let (bytes_serial, report_serial) = run(1);
-        let (bytes_par, report_par) = run(4);
-        assert_eq!(bytes_serial, bytes_par);
-        assert_eq!(report_serial, report_par);
-        // And the parallel-sealed image restores exactly (round-trip through the
-        // parallel decrypt path as well).
-        let ctx = context_with_key(8 * 1024 * 1024);
-        let mut net = small_network(12);
-        net.set_iteration(5);
-        let mirror = MirrorModel::allocate(&ctx, &net).unwrap();
-        mirror.mirror_out_with_threads(&ctx, &net, 4).unwrap();
-        let mut restored = small_network(13);
-        let report = mirror.mirror_in(&ctx, &mut restored).unwrap();
-        assert_eq!(report.iteration, 5);
-        assert_eq!(snapshot(&restored), snapshot(&net));
-    }
-
     /// Pins the on-PM bytes to the seed's per-tensor formula: every sealed tensor must
     /// equal `seal_into(key.gcm(), le_bytes(tensor), "layer{i}-tensor{j}",
-    /// IvSequence(batch_seed).iv(flat_index))` — i.e. the staging/arena rewrite
-    /// changed no ciphertext, IV or MAC byte.
+    /// IvSequence(batch_seed).iv(flat_index))` — i.e. sealing straight from the
+    /// layers' `f32`s changed no ciphertext, IV or MAC byte.
     #[test]
     fn mirror_out_bytes_match_the_per_tensor_seal_formula() {
         let (ctx, mut net) = (context_with_key(8 * 1024 * 1024), small_network(21));
@@ -1482,14 +1414,14 @@ mod tests {
         mirror.snapshot_out(&ctx, &net).unwrap();
         mirror.drain(&ctx).unwrap();
         // Kill the worker while idle: the next snapshot's seal job dies with it
-        // (taking the in-flight staging buffers along).
+        // (taking the in-flight snapshot along).
         mirror.kill_seal_worker_for_test();
         net.set_iteration(2);
         mirror.snapshot_out(&ctx, &net).unwrap();
         let err = mirror.drain(&ctx).unwrap_err();
         assert!(matches!(err, PliniusError::Pipeline(_)), "{err}");
         // The failure must be an error, not a poisoned handle: the next snapshot
-        // rebuilds the worker and fresh buffers, and publishing resumes.
+        // rebuilds the worker and a fresh snapshot, and publishing resumes.
         net.set_iteration(3);
         mirror.snapshot_out(&ctx, &net).unwrap();
         let report = mirror.drain(&ctx).unwrap().expect("publish in flight");
@@ -1642,8 +1574,18 @@ mod tests {
     /// `publish`, if given, through a cloned handle, then overwrites the first 16 bytes
     /// of the slot the reader is about to open.
     fn tear_first_read(ctx: &PliniusContext, reader: &MirrorModel, publish: Option<Network>) {
+        tear_first_read_of(ctx, reader, 0, publish);
+    }
+
+    /// [`tear_first_read`] of tensor `flat` of the slot.
+    fn tear_first_read_of(
+        ctx: &PliniusContext,
+        reader: &MirrorModel,
+        flat: usize,
+        publish: Option<Network>,
+    ) {
         let (hook_ctx, publisher, mut publish) = (ctx.clone(), reader.clone(), publish);
-        let torn = reader.tensor_ptrs[0][reader.active_slot(ctx).unwrap()];
+        let torn = reader.tensor_ptrs[flat][reader.active_slot(ctx).unwrap()];
         reader.set_torn_read_hook(Some(Box::new(move |attempt| {
             if attempt == 0 {
                 if let Some(net) = publish.take() {
@@ -1695,6 +1637,31 @@ mod tests {
         assert_eq!(snapshot(&restored), untouched);
         assert_eq!(restored.iteration(), 7);
         assert_eq!(ctx.stats().get(Metric::MirrorTornReadRetries), retries);
+    }
+
+    /// Every tag is verified before any tensor is decrypted: a blob torn in the last
+    /// tensor of the slot fails the restore with every parameter and the iteration
+    /// counter untouched, though every tensor before it authenticates.
+    #[test]
+    fn a_restore_that_fails_on_its_last_tensor_leaves_the_model_as_it_was() {
+        let ctx = context_with_key(8 * 1024 * 1024);
+        let mut old = small_network(105);
+        old.set_iteration(1);
+        let mirror = MirrorModel::allocate(&ctx, &old).unwrap();
+        mirror.mirror_out(&ctx, &old).unwrap();
+        let last = mirror.slots.len() - 1;
+        tear_first_read_of(&ctx, &mirror, last, None);
+        let mut restored = small_network(106);
+        restored.set_iteration(7);
+        let untouched = snapshot(&restored);
+        assert_ne!(untouched, snapshot(&old));
+        let err = mirror.mirror_in(&ctx, &mut restored).unwrap_err();
+        assert!(
+            matches!(err, PliniusError::Crypto(CryptoError::AuthenticationFailed)),
+            "{err}"
+        );
+        assert_eq!(snapshot(&restored), untouched);
+        assert_eq!(restored.iteration(), 7);
     }
 
     #[test]

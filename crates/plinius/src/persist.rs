@@ -187,7 +187,7 @@ pub trait ModelPersistence: std::fmt::Debug {
     ///
     /// # Errors
     ///
-    /// Propagates staging errors, plus any error of a previously enqueued publish
+    /// Propagates snapshot errors, plus any error of a previously enqueued publish
     /// that is joined by this call.
     fn persist_async(
         &mut self,

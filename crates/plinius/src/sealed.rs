@@ -4,36 +4,38 @@
 //!
 //! * the flat tensor layout ([`TensorSlot`], built by [`build_slots`], the only place a
 //!   tensor's AAD is formatted) and the layout of a network ([`sealed_lens`]);
-//! * the staging buffers a save seals from ([`Staging`]) and the one seal routine
-//!   ([`Staging::seal_tensor`]), which writes a tensor's blob wherever the caller points
-//!   it: straight into its PM buffer, or into an arena ([`Staging::seal`]);
-//! * the one open routine ([`open_tensor`]), which reads a sealed blob wherever it sits,
-//!   and decoding the opened model ([`decode`]) once [`check_shape`] has matched it
-//!   against the layout;
+//! * the one seal routine ([`seal_tensor`]), which seals each tensor straight from
+//!   its `f32`s — the layers' own slices, or a pipelined save's [`Snapshot`] of them —
+//!   into wherever the caller points its blob: its PM buffer, or an arena;
+//! * the one open routine ([`open_into_model`]), which verifies every sealed blob of a
+//!   model wherever it sits and only then decrypts each straight into the layers,
+//!   once [`check_shape`] has matched the model against the layout;
 //! * the [`SealedEpoch`] wire format.
 //!
 //! The PM mirror (synchronous and pipelined), the VFS export and import and the SSD
 //! checkpoint all seal and open through it, so a sealed model is the same bytes on
-//! every medium. Every tensor seals and opens in slot order, its CTR keystream
-//! chunk-parallel past the crypto crate's cutoff.
+//! every medium. Every tensor seals and opens in slot order on the calling thread;
+//! the plaintext is each `f32`'s little-endian bytes, so no save or restore copies
+//! the model through a byte buffer.
 
-use crate::{f32s_from_bytes_into, f32s_to_bytes_into, PliniusContext, PliniusError};
+use crate::{PliniusContext, PliniusError};
 use plinius_crypto::{
-    seal_into_with_threads, AesGcm, CryptoError, IvSequence, SealedView, IV_LEN, SEAL_OVERHEAD,
+    open_f32s_into, seal_f32s_into, AesGcm, CryptoError, IvSequence, SealedView, IV_LEN,
+    SEAL_OVERHEAD,
 };
 use plinius_darknet::{Layer, Network};
 
-/// Position of one parameter tensor inside the staging buffers, plus everything that
-/// is constant per tensor across saves (the AAD in particular).
+/// Position of one parameter tensor in the flat layout, plus everything that is
+/// constant per tensor across saves (the AAD in particular).
 #[derive(Debug, Clone)]
 pub(crate) struct TensorSlot {
     /// Trainable-layer index this tensor belongs to.
     pub(crate) layer: usize,
     /// Tensor index within its layer.
     pub(crate) tensor: usize,
-    /// Byte offset of the plaintext in the staging buffer.
-    pub(crate) plain_off: usize,
-    /// Plaintext length in bytes.
+    /// Offset of the tensor's first value in a [`Snapshot`] of the model.
+    pub(crate) param_off: usize,
+    /// Plaintext length in bytes (four per value).
     pub(crate) plain_len: usize,
     /// Byte offset of the sealed blob (ciphertext ‖ IV ‖ MAC) in the arena.
     pub(crate) sealed_off: usize,
@@ -44,9 +46,9 @@ pub(crate) struct TensorSlot {
 }
 
 impl TensorSlot {
-    /// This tensor's plaintext in the staging buffer.
-    fn plain(&self) -> std::ops::Range<usize> {
-        self.plain_off..self.plain_off + self.plain_len
+    /// This tensor's values in a [`Snapshot`].
+    fn params(&self) -> std::ops::Range<usize> {
+        self.param_off..self.param_off + self.plain_len / 4
     }
 
     /// This tensor's sealed blob in the arena.
@@ -75,7 +77,7 @@ pub(crate) fn sealed_lens(network: &Network) -> Vec<Vec<usize>> {
 /// lengths.
 pub(crate) fn build_slots(sealed_lens: &[Vec<usize>]) -> Result<Vec<TensorSlot>, PliniusError> {
     let mut slots = Vec::new();
-    let (mut plain_off, mut sealed_off) = (0usize, 0usize);
+    let (mut param_off, mut sealed_off) = (0usize, 0usize);
     for (i, layer) in sealed_lens.iter().enumerate() {
         for (j, &sealed_len) in layer.iter().enumerate() {
             let plain_len = sealed_len.checked_sub(SEAL_OVERHEAD).ok_or_else(|| {
@@ -86,13 +88,13 @@ pub(crate) fn build_slots(sealed_lens: &[Vec<usize>]) -> Result<Vec<TensorSlot>,
             slots.push(TensorSlot {
                 layer: i,
                 tensor: j,
-                plain_off,
+                param_off,
                 plain_len,
                 sealed_off,
                 sealed_len,
                 aad: format!("layer{i}-tensor{j}").into_bytes(),
             });
-            plain_off += plain_len;
+            param_off += plain_len / 4;
             sealed_off += sealed_len;
         }
     }
@@ -102,8 +104,8 @@ pub(crate) fn build_slots(sealed_lens: &[Vec<usize>]) -> Result<Vec<TensorSlot>,
 /// Checks that `network`'s trainable tensors are exactly the tensors of `slots`: the
 /// same layers, the same tensor counts and the same sizes. The host owns every medium,
 /// so authenticated tensors can still be dropped or come from a model of another
-/// shape; that is a [`PliniusError::MirrorMismatch`], found before a save stages or a
-/// restore decodes anything. Allocates nothing unless it fails.
+/// shape; that is a [`PliniusError::MirrorMismatch`], found before a save seals or a
+/// restore opens anything. Allocates nothing unless it fails.
 pub(crate) fn check_shape(slots: &[TensorSlot], network: &Network) -> Result<(), PliniusError> {
     let mut rest = slots.iter();
     for (i, views) in network
@@ -139,171 +141,141 @@ pub(crate) fn check_shape(slots: &[TensorSlot], network: &Network) -> Result<(),
     }
 }
 
-/// The staging buffers of a save or restore: `plain` holds every tensor's plaintext and
-/// `ivs` its IV, both in slot order. A save seals each staged tensor straight into its
-/// destination ([`Staging::seal_tensor`]), and a restore opens each sealed tensor into
-/// `plain` ([`open_tensor`]). `arena` stays empty until [`Staging::seal`] seals the
-/// whole model into it, for a save that must hold the sealed model in enclave memory
-/// before it writes it: a pipelined mirror-out or an SSD checkpoint.
-#[derive(Default)]
-pub(crate) struct Staging {
-    /// Plaintext staging buffer: all tensors contiguous in slot order.
-    pub(crate) plain: Vec<u8>,
-    /// Sealed-blob arena: all sealed tensors contiguous in slot order, once sealed.
-    pub(crate) arena: Vec<u8>,
-    /// Per-tensor IVs of the current sealing batch.
-    ivs: Vec<[u8; IV_LEN]>,
+/// Every trainable tensor of `network`, in slot order.
+pub(crate) fn tensors(network: &Network) -> impl Iterator<Item = &[f32]> {
+    network
+        .layers()
+        .iter()
+        .filter_map(Layer::param_views)
+        .flatten()
+        .map(|view| view.data)
 }
 
-impl Staging {
-    /// Buffers sized for the tensors of `slots`, with an empty arena.
-    pub(crate) fn new(slots: &[TensorSlot]) -> Self {
-        Staging {
-            plain: vec![0u8; slots.iter().map(|s| s.plain_len).sum()],
-            arena: Vec::new(),
-            ivs: vec![[0u8; IV_LEN]; slots.len()],
-        }
-    }
-
-    /// Whether `plain` and `ivs` are exactly the size [`Staging::new`] gives `slots`
-    /// (the arena is sized when it is sealed into).
-    pub(crate) fn fits(&self, slots: &[TensorSlot]) -> bool {
-        self.plain.len() == slots.iter().map(|s| s.plain_len).sum() && self.ivs.len() == slots.len()
-    }
-
-    /// Draws the IVs of the next sealing batch. The sequence is seeded from one
-    /// `sgx_read_rand` draw and hands every tensor its IV by slot index, so the sealed
-    /// bytes do not depend on the thread schedule.
-    pub(crate) fn draw_ivs(&mut self, ctx: &PliniusContext) {
-        let ivs = IvSequence::from_rng(&mut ctx.enclave_rng());
-        for (idx, iv) in self.ivs.iter_mut().enumerate() {
-            *iv = ivs.iv(idx as u64);
-        }
-    }
-
-    /// Copies every trainable tensor's parameters into `plain`, in slot order. The
-    /// caller has checked the model against `slots` ([`check_shape`]).
-    pub(crate) fn stage(&mut self, slots: &[TensorSlot], network: &Network) {
-        let mut slot_iter = slots.iter();
-        for views in network.layers().iter().filter_map(Layer::param_views) {
-            for view in views {
-                let slot = slot_iter.next().expect("shape checked");
-                f32s_to_bytes_into(view.data, &mut self.plain[slot.plain()]);
-            }
-        }
-    }
-
-    /// The encryption phase of a save: charges each tensor's modeled crypto cost in
-    /// slot order (so the simulated time is the same for every thread count) and
-    /// stages the model. Returns the plaintext bytes staged.
-    pub(crate) fn charge_and_stage(
-        &mut self,
-        ctx: &PliniusContext,
-        slots: &[TensorSlot],
-        network: &Network,
-    ) -> usize {
-        for slot in slots {
-            ctx.enclave().charge_crypto(slot.plain_len as u64);
-        }
-        self.stage(slots, network);
-        slots.iter().map(|s| s.plain_len).sum()
-    }
-
-    /// Seals staged tensor `idx`, laid out as `slot`, into `out` (its `sealed_len`
-    /// bytes): the one seal routine of every save. The CTR keystream runs on up to
-    /// `threads` threads past the crypto crate's cutoff; the sealed bytes are a pure
-    /// function of `(key, IV, AAD, plaintext)`, whatever the thread count.
-    pub(crate) fn seal_tensor(
-        &self,
-        idx: usize,
-        slot: &TensorSlot,
-        gcm: &AesGcm,
-        out: &mut [u8],
-        threads: usize,
-    ) -> Result<(), CryptoError> {
-        let plain = &self.plain[slot.plain()];
-        seal_into_with_threads(gcm, plain, &slot.aad, &self.ivs[idx], out, threads)
-    }
-
-    /// Seals every staged tensor into the arena, in slot order, sizing the arena on its
-    /// first use.
-    pub(crate) fn seal(
-        &mut self,
-        slots: &[TensorSlot],
-        gcm: &AesGcm,
-        threads: usize,
-    ) -> Result<(), PliniusError> {
-        let mut arena = std::mem::take(&mut self.arena);
-        arena.resize(slots.iter().map(|s| s.sealed_len).sum(), 0);
-        let sealed = slots.iter().enumerate().try_for_each(|(idx, slot)| {
-            self.seal_tensor(idx, slot, gcm, &mut arena[slot.sealed()], threads)
-        });
-        self.arena = arena;
-        Ok(sealed?)
-    }
+/// Every trainable tensor of `network`, mutably, in slot order.
+fn tensors_mut(network: &mut Network) -> impl Iterator<Item = &mut [f32]> {
+    network
+        .layers_mut()
+        .iter_mut()
+        .filter_map(Layer::params_mut)
+        .flatten()
 }
 
-/// Authenticates and decrypts one sealed tensor, laid out as `slot`, into its bytes of
-/// `plain`: the one open routine of every restore. `sealed` may sit anywhere, in PM
-/// or in an arena. The CTR keystream runs on up to `threads` threads past the crypto
-/// crate's cutoff; the plaintext is the same for every thread count.
-pub(crate) fn open_tensor(
+/// Draws the IV sequence of the next sealing batch: one `sgx_read_rand` draw, from
+/// which every tensor's IV follows by slot index ([`IvSequence::iv`]).
+pub(crate) fn draw_ivs(ctx: &PliniusContext) -> IvSequence {
+    IvSequence::from_rng(&mut ctx.enclave_rng())
+}
+
+/// The encryption charge of a save: each tensor's modeled crypto cost, in slot order.
+/// Returns the plaintext bytes sealed.
+pub(crate) fn charge_seal(ctx: &PliniusContext, slots: &[TensorSlot]) -> usize {
+    for slot in slots {
+        ctx.enclave().charge_crypto(slot.plain_len as u64);
+    }
+    slots.iter().map(|s| s.plain_len).sum()
+}
+
+/// The decryption charge of a restore: each tensor's modeled crypto cost, in slot
+/// order. Returns the plaintext bytes restored.
+pub(crate) fn charge_open(ctx: &PliniusContext, slots: &[TensorSlot]) -> usize {
+    for slot in slots {
+        ctx.enclave().charge_crypto(slot.sealed_len as u64);
+    }
+    slots.iter().map(|s| s.plain_len).sum()
+}
+
+/// The one seal routine of every save: seals `tensor`'s `f32`s, laid out as `slot`,
+/// under `iv` straight into `out` (its `sealed_len` bytes), wherever that sits: its PM
+/// buffer or an arena. The sealed bytes are a pure function of `(key, IV, AAD,
+/// plaintext)`, whatever the tensor's source.
+pub(crate) fn seal_tensor(
     slot: &TensorSlot,
     gcm: &AesGcm,
-    sealed: &[u8],
-    plain: &mut [u8],
-    threads: usize,
+    iv: &[u8; IV_LEN],
+    tensor: &[f32],
+    out: &mut [u8],
 ) -> Result<(), CryptoError> {
-    SealedView::parse(sealed)?.open_into_with_threads(
-        gcm,
-        &slot.aad,
-        &mut plain[slot.plain()],
-        threads,
-    )
+    seal_f32s_into(gcm, tensor, &slot.aad, iv, out)
 }
 
-/// Opens every sealed tensor of `arena` into `plain`, both laid out as `slots`, in
-/// slot order; the first error stops it.
-pub(crate) fn open_arena(
+/// Seals every tensor of `tensors`, laid out as `slots`, under the IVs of `ivs` into
+/// `arena`, in slot order, sizing the arena first: a save that holds the sealed model
+/// in enclave memory before it writes it (a pipelined mirror-out or an SSD
+/// checkpoint).
+pub(crate) fn seal_arena<'a>(
     slots: &[TensorSlot],
     gcm: &AesGcm,
-    arena: &[u8],
-    plain: &mut [u8],
-    threads: usize,
-) -> Result<(), PliniusError> {
-    for slot in slots {
-        open_tensor(slot, gcm, &arena[slot.sealed()], plain, threads)?;
+    ivs: &IvSequence,
+    tensors: impl Iterator<Item = &'a [f32]>,
+    arena: &mut Vec<u8>,
+) -> Result<(), CryptoError> {
+    arena.resize(slots.iter().map(|s| s.sealed_len).sum(), 0);
+    for ((idx, slot), tensor) in slots.iter().enumerate().zip(tensors) {
+        let blob = &mut arena[slot.sealed()];
+        seal_tensor(slot, gcm, &ivs.iv(idx as u64), tensor, blob)?;
     }
     Ok(())
 }
 
-/// The decryption phase of every restore, once every tensor is open in `plain`:
-/// charges each tensor's modeled crypto cost in slot order, checks the model against
-/// `slots` ([`check_shape`]) and only then decodes every tensor straight into
-/// `network`'s parameter slices. A restore that fails leaves `network` as it was.
-/// Returns the plaintext bytes decoded.
-pub(crate) fn decode(
-    ctx: &PliniusContext,
-    slots: &[TensorSlot],
-    plain: &[u8],
+/// The one open routine of every restore: verifies every sealed blob of `blobs`, one
+/// per slot in slot order wherever they sit (PM or an arena), and only once all of them
+/// have authenticated decrypts each straight into `network`'s parameter slices
+/// ([`open_f32s_into`]). The caller has checked the model against `slots`
+/// ([`check_shape`]), so a restore that fails leaves `network` as it was.
+pub(crate) fn open_into_model<'a>(
+    slots: &'a [TensorSlot],
+    gcm: &AesGcm,
+    blobs: impl Iterator<Item = &'a [u8]> + Clone,
     network: &mut Network,
-) -> Result<usize, PliniusError> {
-    for slot in slots {
-        ctx.enclave().charge_crypto(slot.sealed_len as u64);
-    }
-    check_shape(slots, network)?;
-    let mut slot_iter = slots.iter();
-    for targets in network
-        .layers_mut()
-        .iter_mut()
-        .filter_map(Layer::params_mut)
-    {
-        for target in targets {
-            let slot = slot_iter.next().expect("shape checked");
-            f32s_from_bytes_into(&plain[slot.plain()], target);
+) -> Result<(), CryptoError> {
+    let aads = slots.iter().map(|s| s.aad.as_slice());
+    open_f32s_into(gcm, blobs.zip(aads), tensors_mut(network))
+}
+
+/// Authenticates every sealed blob of `arena`, laid out as `slots`, without
+/// decrypting any: what an import checks before it adopts sealed bytes.
+pub(crate) fn verify_arena(
+    slots: &[TensorSlot],
+    gcm: &AesGcm,
+    arena: &[u8],
+) -> Result<(), CryptoError> {
+    slots
+        .iter()
+        .try_for_each(|slot| SealedView::parse(&arena[slot.sealed()])?.verify(gcm, &slot.aad))
+}
+
+/// A pipelined save's copy of the model: the parameters of every tensor in slot order
+/// and the IVs of their sealing batch, which the seal worker seals into `arena`. The
+/// handle keeps one and reuses it across saves.
+#[derive(Default)]
+pub(crate) struct Snapshot {
+    /// Every tensor's values, contiguous in slot order.
+    params: Vec<f32>,
+    /// The IVs of the batch.
+    ivs: Option<IvSequence>,
+    /// Sealed-blob arena: all sealed tensors contiguous in slot order, once sealed.
+    pub(crate) arena: Vec<u8>,
+}
+
+impl Snapshot {
+    /// Copies every trainable tensor of `network` into the snapshot with the batch's
+    /// IVs, sizing it on first use. The caller has checked the model against the
+    /// layout ([`check_shape`]).
+    pub(crate) fn take(&mut self, network: &Network, ivs: IvSequence) {
+        self.params.clear();
+        for tensor in tensors(network) {
+            self.params.extend_from_slice(tensor);
         }
+        self.ivs = Some(ivs);
     }
-    Ok(slots.iter().map(|s| s.plain_len).sum())
+
+    /// Seals the snapshot into its arena, in slot order.
+    pub(crate) fn seal(&mut self, slots: &[TensorSlot], gcm: &AesGcm) -> Result<(), PliniusError> {
+        let ivs = self.ivs.as_ref().expect("a taken snapshot");
+        let params = &self.params;
+        let tensors = slots.iter().map(|slot| &params[slot.params()]);
+        Ok(seal_arena(slots, gcm, ivs, tensors, &mut self.arena)?)
+    }
 }
 
 /// A sealed model lifted off its medium: the deployment-portable payload of a mirror

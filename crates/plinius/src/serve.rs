@@ -52,8 +52,8 @@ fn fnv_fold(mut hash: u64, value: u64) -> u64 {
 
 /// A batched secure-inference server over one live PM mirror.
 ///
-/// The server holds its own cold [`MirrorModel`] clone (own staging buffers, same
-/// persistent model), so restores never contend on the trainer's staging buffers,
+/// The server holds its own cold [`MirrorModel`] clone (own working state, same
+/// persistent model), so restores never wait on the trainer's handle,
 /// and two network instances so an epoch hot-swap never blocks classification on a
 /// half-restored model.
 #[derive(Debug)]

@@ -4,7 +4,10 @@
 //! A checkpoint is a [`SealedEpoch`] file, sealed and opened by the same code as the
 //! PM mirror's epochs; only the medium differs.
 
-use crate::sealed::{build_slots, decode, open_arena, sealed_lens, SealedEpoch, Staging};
+use crate::sealed::{
+    build_slots, charge_open, charge_seal, draw_ivs, open_into_model, seal_arena, sealed_lens,
+    tensors, SealedEpoch,
+};
 use crate::{MirrorInReport, MirrorOutReport, PliniusContext, PliniusError};
 use plinius_darknet::Network;
 use sim_clock::SimSpan;
@@ -42,9 +45,9 @@ impl SsdCheckpointer {
     }
 
     /// Saves an encrypted checkpoint of `network` to the SSD: seal every parameter
-    /// tensor in the enclave exactly as a mirror-out does, then `fwrite` the
-    /// [`SealedEpoch`] file through ocalls, flush and `fsync`. The checkpoint's epoch
-    /// field is 0: the SSD keeps no epoch ring.
+    /// tensor from its layer into an arena in the enclave exactly as a mirror-out seals
+    /// it into PM, then `fwrite` the [`SealedEpoch`] file through ocalls, flush and
+    /// `fsync`. The checkpoint's epoch field is 0: the SSD keeps no epoch ring.
     ///
     /// # Errors
     ///
@@ -58,12 +61,12 @@ impl SsdCheckpointer {
         let gcm = ctx.gcm()?;
         let clock = ctx.clock();
         let slots = build_slots(&sealed_lens(network))?;
-        let mut staging = Staging::new(&slots);
-        staging.draw_ivs(ctx);
+        let ivs = draw_ivs(ctx);
+        let mut arena = Vec::new();
         // Phase 1: in-enclave encryption (the mirror-out encryption phase).
         let (sealed, encrypt) = SimSpan::record(&clock, || {
-            let model_bytes = staging.charge_and_stage(ctx, &slots, network);
-            staging.seal(&slots, &gcm, plinius_parallel::max_threads())?;
+            let model_bytes = charge_seal(ctx, &slots);
+            seal_arena(&slots, &gcm, &ivs, tensors(network), &mut arena)?;
             Ok::<_, PliniusError>(model_bytes)
         });
         let model_bytes = sealed?;
@@ -71,7 +74,7 @@ impl SsdCheckpointer {
             epoch: 0,
             iteration: network.iteration(),
             sealed_lens: slots.iter().map(|s| s.sealed_len as u64).collect(),
-            arena: staging.arena,
+            arena,
         };
         // Phase 2: serialisation + fwrite ocalls + fsync.
         let (fs, path) = (ctx.ssd(), self.file(ctx));
@@ -100,8 +103,8 @@ impl SsdCheckpointer {
 
     /// Restores a checkpoint from the SSD into `network`: `fread` the file through
     /// ocalls into the enclave, check that it holds exactly the model's tensors, then
-    /// open and decode it as a mirror-in does. A restore that fails leaves `network`
-    /// as it was.
+    /// verify every tensor and decrypt each into its layer as a mirror-in does. A
+    /// restore that fails leaves `network` as it was.
     ///
     /// # Errors
     ///
@@ -131,15 +134,14 @@ impl SsdCheckpointer {
             Ok(bytes)
         });
         let encoded = encoded?;
-        // Phase 2: parse, check the layout, then open and decode.
+        // Phase 2: parse, check the layout, then open into the layers.
         let (out, decrypt) = SimSpan::record(&clock, || {
             let checkpoint = SealedEpoch::from_bytes(&encoded)?;
             let slots = build_slots(&sealed_lens(network))?;
             checkpoint.check_layout(&slots)?;
-            let mut plain = vec![0u8; slots.iter().map(|s| s.plain_len).sum()];
-            let threads = plinius_parallel::max_threads();
-            open_arena(&slots, &gcm, &checkpoint.arena, &mut plain, threads)?;
-            let model_bytes = decode(ctx, &slots, &plain, network)?;
+            let blobs = slots.iter().map(|slot| &checkpoint.arena[slot.sealed()]);
+            open_into_model(&slots, &gcm, blobs, network)?;
+            let model_bytes = charge_open(ctx, &slots);
             Ok::<_, PliniusError>((checkpoint.iteration, checkpoint.epoch, model_bytes))
         });
         let (iteration, epoch, model_bytes) = out?;

@@ -170,10 +170,10 @@ impl PliniusTrainer {
     }
 
     /// A cold clone of the backend's live PM mirror handle — same persistent model,
-    /// own staging buffers — or [`None`] when the backend has no mirror (or has not
+    /// own working state — or [`None`] when the backend has no mirror (or has not
     /// bound one yet). This is how an [`InferenceServer`](crate::InferenceServer)
     /// attaches to a trainer: the clone reads committed epochs through the seqlock
-    /// snapshot protocol without ever contending on the trainer's staging buffers.
+    /// snapshot protocol without ever waiting on the trainer's handle.
     pub fn mirror_handle(&self) -> Option<MirrorModel> {
         self.backend.mirror_model().cloned()
     }

@@ -37,7 +37,7 @@
 //!   depth, so any deployment holding the model key can verify and adopt them.
 
 use crate::mirror::MirrorModel;
-use crate::sealed::open_arena;
+use crate::sealed::verify_arena;
 pub use crate::sealed::SealedEpoch;
 use crate::{PliniusContext, PliniusError};
 use plinius_crypto::SealedView;
@@ -355,9 +355,7 @@ impl MirrorVfs {
         let layout = self.mirror.slot_layout();
         sealed.check_layout(layout)?;
         let gcm = self.ctx.gcm()?;
-        let mut plain = vec![0u8; layout.iter().map(|s| s.plain_len).sum()];
-        let threads = plinius_parallel::max_threads();
-        open_arena(layout, &gcm, &sealed.arena, &mut plain, threads)?;
+        verify_arena(layout, &gcm, &sealed.arena)?;
         self.mirror
             .commit_sealed_arena(&self.ctx, &sealed.arena, sealed.iteration)
     }

@@ -1,21 +1,15 @@
-//! Enforces the allocation-free mirror path: after warm-up, a serial steady-state
-//! `mirror_out` — plaintext staging, and each tensor sealed straight into its PM ring
-//! slot — performs **zero heap allocations**. The plaintext staging buffer and the IV
-//! batch live in the mirror handle's working state (a sealed-blob arena joins them
-//! only once the handle pipelines a save), the per-tensor AADs are built with the
-//! handle's tensor slots, and the AES-GCM context is a shared handle from the
-//! enclave's per-key cache; Romulus copies each published range into its back twin
-//! inside the pool, its redo log retains its capacity across iterations, and the PM
-//! pool keeps no per-line state on the heap (its dirty lines are a bitset sized with
-//! the pool).
+//! Enforces the allocation-free mirror path: after warm-up, a steady-state
+//! `mirror_out` — each tensor sealed straight from its layer into its PM ring slot —
+//! performs **zero heap allocations**. The IVs follow from one sequence by slot index,
+//! the per-tensor AADs are built with the handle's tensor slots, and the AES-GCM
+//! context is a shared handle from the enclave's per-key cache; Romulus copies each
+//! published range into its back twin inside the pool, its redo log retains its
+//! capacity across iterations, and the PM pool keeps no per-line state on the heap
+//! (its dirty lines are a bitset sized with the pool).
 //!
-//! Thread fan-out (`threads > 1`) additionally allocates only the O(#tensors)
-//! fork/join dispatch buffers, which is asserted with a loose bound.
-//!
-//! The restore is held to the same standard: a warm serial `mirror_in` opens each
-//! sealed tensor straight from its PM slot into the handle's staging buffer and
-//! decodes each one straight into the model's parameter slices, with zero heap
-//! allocations.
+//! The restore is held to the same standard: a warm `mirror_in` reads the slot in one
+//! read session, verifies every sealed tensor in PM and decrypts each straight into
+//! the model's parameter slices, with zero heap allocations.
 //!
 //! The training step itself is held to the same standard: a warm
 //! `Network::train_batch` and a warm `Network::forward` perform zero heap
@@ -89,13 +83,12 @@ fn mirror_fixture() -> (PliniusContext, plinius_darknet::Network, MirrorModel) {
 #[test]
 fn steady_state_serial_mirror_out_performs_zero_heap_allocations() {
     let (ctx, net, mirror) = mirror_fixture();
-    // Warm-up: the first call builds the staging buffers (plaintext and IVs) and
-    // grows the Romulus redo log to its steady-state capacity; the second catches
-    // any one-off growth.
-    mirror.mirror_out_with_threads(&ctx, &net, 1).unwrap();
-    mirror.mirror_out_with_threads(&ctx, &net, 1).unwrap();
+    // Warm-up: the first call grows the Romulus redo log to its steady-state
+    // capacity; the second catches any one-off growth.
+    mirror.mirror_out(&ctx, &net).unwrap();
+    mirror.mirror_out(&ctx, &net).unwrap();
     let before = thread_allocs();
-    mirror.mirror_out_with_threads(&ctx, &net, 1).unwrap();
+    mirror.mirror_out(&ctx, &net).unwrap();
     let allocs = thread_allocs() - before;
     assert_eq!(
         allocs, 0,
@@ -115,10 +108,10 @@ fn steady_state_mirror_out_stays_allocation_free_for_nonzero_tenants() {
     let mut net = build_network(&mnist_cnn_config(2, 4, 4), &mut rng).unwrap();
     net.set_iteration(1);
     let mirror = MirrorModel::allocate(&ctx, &net).unwrap();
-    mirror.mirror_out_with_threads(&ctx, &net, 1).unwrap();
-    mirror.mirror_out_with_threads(&ctx, &net, 1).unwrap();
+    mirror.mirror_out(&ctx, &net).unwrap();
+    mirror.mirror_out(&ctx, &net).unwrap();
     let before = thread_allocs();
-    mirror.mirror_out_with_threads(&ctx, &net, 1).unwrap();
+    mirror.mirror_out(&ctx, &net).unwrap();
     let allocs = thread_allocs() - before;
     assert_eq!(
         allocs, 0,
@@ -127,30 +120,11 @@ fn steady_state_mirror_out_stays_allocation_free_for_nonzero_tenants() {
 }
 
 #[test]
-fn steady_state_threaded_mirror_out_allocates_only_dispatch_buffers() {
-    let (ctx, net, mirror) = mirror_fixture();
-    mirror.mirror_out_with_threads(&ctx, &net, 2).unwrap();
-    mirror.mirror_out_with_threads(&ctx, &net, 2).unwrap();
-    let before = thread_allocs();
-    mirror.mirror_out_with_threads(&ctx, &net, 2).unwrap();
-    let allocs = thread_allocs() - before;
-    // Thread spawn + per-tensor task vectors; the point is that it stays O(tensors),
-    // nowhere near the seed's per-tensor plaintext/AAD/blob churn (hundreds of
-    // allocations even for this 10-tensor model). Only the calling thread's
-    // allocations are counted, so the bound is deterministic.
-    assert!(
-        allocs < 50,
-        "threaded mirror_out should only allocate fork/join dispatch state, got {allocs}"
-    );
-}
-
-#[test]
 fn warm_mirror_in_decodes_in_place_without_heap_allocations() {
-    // `mirror_in` opens on `max_threads()` workers: serial (the single-threaded CI
-    // leg) it must not touch the heap; threaded it allocates only the O(tensors)
-    // fork/join dispatch state, under the threaded `mirror_out` bound.
+    // `mirror_in` verifies and decrypts on the calling thread and reads no knob, so at
+    // any `PLINIUS_THREADS` it must not touch the heap.
     let (ctx, net, mirror) = mirror_fixture();
-    mirror.mirror_out_with_threads(&ctx, &net, 1).unwrap();
+    mirror.mirror_out(&ctx, &net).unwrap();
     let mut restored =
         build_network(&mnist_cnn_config(2, 4, 4), &mut StdRng::seed_from_u64(5)).unwrap();
     mirror.mirror_in(&ctx, &mut restored).unwrap();
@@ -158,35 +132,20 @@ fn warm_mirror_in_decodes_in_place_without_heap_allocations() {
     let before = thread_allocs();
     let report = mirror.mirror_in(&ctx, &mut restored).unwrap();
     let allocs = thread_allocs() - before;
-    // Reading the thread knob returns an owned string when `PLINIUS_THREADS` is set:
-    // the one allocation of a restore that is not its own.
-    let before = thread_allocs();
-    let threads = plinius_parallel::max_threads();
-    let knob_read = thread_allocs() - before;
     assert_eq!(report.iteration, 1);
     for (got, want) in restored.layers().iter().zip(net.layers()) {
         for (g, w) in got.params().iter().zip(want.params()) {
             assert_eq!(g.data, w.data, "{} was not restored", g.name);
         }
     }
-    if threads == 1 {
-        assert_eq!(
-            allocs, knob_read,
-            "a warm serial mirror_in must not touch the heap beyond reading the thread knob"
-        );
-    } else {
-        assert!(
-            allocs < 50,
-            "a warm threaded mirror_in should only allocate fork/join dispatch state, got {allocs}"
-        );
-    }
+    assert_eq!(allocs, 0, "a warm mirror_in must not touch the heap");
 }
 
 #[test]
 fn steady_state_snapshot_phase_performs_zero_heap_allocations() {
-    // The cheap half of an overlapped mirror-out: staging the parameters + IV batch
-    // into a pre-allocated slot and dispatching the seal job must not touch the heap
-    // once the pipeline (worker, staging buffers, stats counters) is warm. The job
+    // The cheap half of an overlapped mirror-out: copying the parameters and the IV
+    // batch into the handle's snapshot and dispatching the seal job must not touch the
+    // heap once the pipeline (worker, snapshot, stats counters) is warm. The job
     // *moves* through the pipeline's single exchange slot, so even the dispatch is
     // allocation-free on the calling thread.
     let (ctx, net, mirror) = mirror_fixture();
@@ -208,13 +167,11 @@ fn steady_state_snapshot_phase_performs_zero_heap_allocations() {
 fn steady_state_overlapped_cycle_performs_zero_heap_allocations_on_the_training_thread() {
     // A full overlapped persist cycle — snapshot, background seal, join, bulk slot
     // publish, epoch flip — seen from the training thread. The background worker's
-    // own allocations (if any) land on its thread and are bounded by the sealing
-    // scratch, exactly as in the threaded sync variant; the training thread itself
-    // must stay off the heap.
+    // own allocations (if any) land on its thread; the training thread itself must
+    // stay off the heap.
     let (ctx, net, mirror) = mirror_fixture();
-    // Warm-up: three cycles cover both A/B slots, the sealed-blob arena the first
-    // snapshot adds to the staging buffers, the Romulus redo log and every stats
-    // counter.
+    // Warm-up: three cycles cover both A/B slots, the snapshot and its sealed-blob
+    // arena, the Romulus redo log and every stats counter.
     for _ in 0..3 {
         mirror.snapshot_out(&ctx, &net).unwrap();
         mirror.drain(&ctx).unwrap();
@@ -236,7 +193,7 @@ fn steady_state_vfs_sealed_reads_perform_zero_heap_allocations() {
     // ciphertext is copied straight from PM into the caller's buffer. After the
     // listing warm-up, a steady-state read must not touch the heap.
     let (ctx, net, mirror) = mirror_fixture();
-    mirror.mirror_out_with_threads(&ctx, &net, 1).unwrap();
+    mirror.mirror_out(&ctx, &net).unwrap();
     let vfs = plinius::MirrorVfs::new(&ctx, &mirror);
     let entry = plinius::Vfs::stat(&vfs, "/epoch/1/layer0-tensor0.sealed").unwrap();
     let mut buf = vec![0u8; entry.len];
@@ -382,7 +339,7 @@ fn warm_decrypt_batch_allocates_the_same_at_every_batch_size() {
 fn mirror_out_still_round_trips_under_the_counting_allocator() {
     // Sanity: the instrumented binary still produces a restorable mirror.
     let (ctx, net, mirror) = mirror_fixture();
-    mirror.mirror_out_with_threads(&ctx, &net, 1).unwrap();
+    mirror.mirror_out(&ctx, &net).unwrap();
     let mut rng = StdRng::seed_from_u64(1);
     let mut other = build_network(&mnist_cnn_config(2, 4, 4), &mut rng).unwrap();
     let report = mirror.mirror_in(&ctx, &mut other).unwrap();

@@ -40,7 +40,7 @@ pub mod fio;
 pub mod pool;
 
 pub use fio::{figure2_sweep, FioDeviceProfile, FioJob, FioResult, OpKind, Pattern};
-pub use pool::{CrashMode, PmemPool, PmemPoolBuilder, CACHE_LINE};
+pub use pool::{CrashMode, PmemPool, PmemPoolBuilder, RangeReads, CACHE_LINE};
 
 /// Errors produced by the persistent-memory simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]

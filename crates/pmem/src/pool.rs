@@ -27,10 +27,12 @@
 //!
 //! The in-place calls work on the pool's own bytes instead of a copy:
 //! [`PmemPool::read_with`] runs a closure on the bytes a read would return,
-//! [`PmemPool::persist_with`] has a closure write a range straight into the media, and
-//! [`PmemPool::persist_copy`] persists one range's bytes at another inside the pool.
-//! Each counts and charges exactly what the copying call it stands for does. The
-//! closures run under the pool's lock, so they must not call back into the pool.
+//! [`PmemPool::read_ranges_with`] runs one on the bytes of several ranges under one
+//! lock (a *read session*), [`PmemPool::persist_with`] has a closure write a range
+//! straight into the media, and [`PmemPool::persist_copy`] persists one range's bytes
+//! at another inside the pool. Each counts and charges exactly what the copying calls
+//! it stands for do. The closures run under the pool's lock, so they must not call
+//! back into the pool.
 
 use crate::PmemError;
 use parking_lot::Mutex;
@@ -354,32 +356,65 @@ impl PmemPool {
         len: usize,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R, PmemError> {
+        self.read_ranges_with(std::iter::once((offset, len)), |mut bytes| {
+            f(bytes.next().expect("one range"))
+        })
+    }
+
+    /// The read session: runs `f` once, under one lock, on the bytes of every
+    /// `(offset, len)` range of `ranges`, which it hands `f` in order as a
+    /// [`RangeReads`] iterator that `f` may clone to walk them again. Each range's
+    /// bytes are the ones [`PmemPool::read_with`] of it would hand over, and each is
+    /// counted in `pm.bytes_read` exactly as that call counts it. Every range is
+    /// checked before anything is read or counted.
+    ///
+    /// `f` runs under the pool's lock, so it must not call back into the pool.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PmemError::OutOfBounds`] if a range does not fit in the pool.
+    pub fn read_ranges_with<I, R>(
+        &self,
+        ranges: I,
+        f: impl FnOnce(RangeReads<'_, I>) -> R,
+    ) -> Result<R, PmemError>
+    where
+        I: Iterator<Item = (usize, usize)> + Clone,
+    {
         let mut guard = self.inner.lock();
         let Inner {
             media,
             cache,
             dirty,
         } = &mut *guard;
-        check_range(media.len(), offset, len)?;
-        let (end, lines) = (offset + len, line_range(offset, len));
-        let bytes = if dirty.iter(lines.clone()).next().is_none() {
-            &media[offset..end]
-        } else {
+        for (offset, len) in ranges.clone() {
+            check_range(media.len(), offset, len)?;
+        }
+        for (offset, len) in ranges.clone() {
             // The dirty lines' newest bytes are in the cache view: bring the clean
             // parts of the range there too (a clean line's cache bytes are never read
-            // otherwise) and read the range whole from it.
-            let mut from = offset;
-            for line in dirty.iter(lines) {
+            // otherwise), so the range reads whole from it. Only clean bytes are
+            // copied, so ranges that overlap gather the same bytes.
+            let (end, mut from) = (offset + len, offset);
+            for line in dirty.iter(line_range(offset, len)) {
                 let span = line_span(line, media.len());
                 let start = span.start.max(offset);
                 cache[from..start].copy_from_slice(&media[from..start]);
                 from = span.end.min(end);
             }
-            cache[from..end].copy_from_slice(&media[from..end]);
-            &cache[offset..end]
-        };
-        let out = f(bytes);
-        self.stats.add(Metric::PmBytesRead, len as u64);
+            if from != offset {
+                cache[from..end].copy_from_slice(&media[from..end]);
+            }
+        }
+        let out = f(RangeReads {
+            media,
+            cache,
+            dirty,
+            ranges: ranges.clone(),
+        });
+        for (_, len) in ranges {
+            self.stats.add(Metric::PmBytesRead, len as u64);
+        }
         Ok(out)
     }
 
@@ -540,6 +575,31 @@ impl PmemPool {
     fn charge_flushes(&self, lines: u64) {
         self.stats.add(Metric::PmFlushes, lines);
         self.clock.advance_ns(lines * self.cost.pm_flush_ns);
+    }
+}
+
+/// The bytes of each range of a [`PmemPool::read_ranges_with`] session, in order. Clone
+/// it to walk the ranges again: the pool stays locked for the whole session, so every
+/// walk yields the same bytes.
+#[derive(Clone)]
+pub struct RangeReads<'a, I> {
+    media: &'a [u8],
+    cache: &'a [u8],
+    dirty: &'a DirtyLines,
+    ranges: I,
+}
+
+impl<'a, I: Iterator<Item = (usize, usize)>> Iterator for RangeReads<'a, I> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (offset, len) = self.ranges.next()?;
+        // A range holding a dirty line was gathered whole into the cache view.
+        let view = match self.dirty.iter(line_range(offset, len)).next() {
+            None => self.media,
+            Some(_) => self.cache,
+        };
+        Some(&view[offset..offset + len])
     }
 }
 

@@ -1,12 +1,12 @@
 //! Property tests for the persistent-memory simulator: flushed data always survives a
 //! crash, unflushed data never corrupts neighbouring flushed data, reads always
-//! observe the most recent stores, and the fused and in-place calls leave a pool
-//! exactly as the calls they stand for do.
+//! observe the most recent stores, and the fused, in-place and session calls leave a
+//! pool exactly as the calls they stand for do.
 
 use plinius_pmem::{CrashMode, PmemPool, CACHE_LINE};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use sim_clock::{CostModel, Metric};
 
 const POOL_SIZE: usize = 64 * 1024;
@@ -247,5 +247,56 @@ proptest! {
             pool.crash(&mut StdRng::seed_from_u64(seed), CrashMode::ArbitraryEviction);
             prop_assert_eq!(pool.media_snapshot(), copied.media_snapshot());
         }
+    }
+
+    /// The read session equals per-range reads. Over clean lines holding persisted
+    /// bytes and dirty lines left by bare stores, `read_ranges_with` hands its closure
+    /// exactly the bytes `read_with` returns for each range, on a second walk too, and
+    /// moves the media, the dirty lines, every counter (`pm.bytes_read` among them) and
+    /// the clock exactly as one `read_with` per range does. The ranges may overlap, be
+    /// empty and cover lines in part; a range past the pool fails the session before
+    /// anything is read or counted.
+    #[test]
+    fn the_read_session_equals_per_range_reads(
+        seed in any::<u64>(),
+        prior in bare_stores(),
+        ranges in proptest::collection::vec((0usize..=TWIN_POOL, 0usize..300), 0..8),
+    ) {
+        let mut background = vec![0u8; TWIN_POOL];
+        StdRng::seed_from_u64(seed).fill_bytes(&mut background);
+        let ranges: Vec<(usize, usize)> = ranges
+            .into_iter()
+            .map(|(at, len)| (at, len.min(TWIN_POOL - at)))
+            .collect();
+        let twins = [twin(), twin()];
+        for pool in &twins {
+            pool.persist(0, &background).unwrap();
+            for (at, bytes) in &prior {
+                pool.write(*at, bytes).unwrap();
+            }
+        }
+        let [session, per_range] = twins;
+        let expected: Vec<Vec<u8>> = ranges
+            .iter()
+            .map(|&(at, len)| per_range.read_with(at, len, <[u8]>::to_vec).unwrap())
+            .collect();
+        let (first, second) = session
+            .read_ranges_with(ranges.iter().copied(), |reads| {
+                let again = reads.clone().map(<[u8]>::to_vec).collect::<Vec<_>>();
+                (reads.map(<[u8]>::to_vec).collect::<Vec<_>>(), again)
+            })
+            .unwrap();
+        prop_assert_eq!(&first, &expected);
+        prop_assert_eq!(&second, &expected);
+        prop_assert_eq!(persisted_state(&session), persisted_state(&per_range));
+
+        let before = persisted_state(&session);
+        let past_the_end = ranges.iter().copied().chain([(TWIN_POOL, 1)]);
+        prop_assert!(session.read_ranges_with(past_the_end, |_| ()).is_err());
+        prop_assert_eq!(persisted_state(&session), before);
+        prop_assert_eq!(
+            session.read_vec(0, TWIN_POOL).unwrap(),
+            per_range.read_vec(0, TWIN_POOL).unwrap()
+        );
     }
 }

@@ -25,7 +25,7 @@
 
 use crate::{Flavor, RomulusError};
 use parking_lot::Mutex;
-use plinius_pmem::PmemPool;
+use plinius_pmem::{PmemPool, RangeReads};
 use sim_clock::Metric;
 use std::sync::Arc;
 
@@ -108,6 +108,23 @@ impl PmPtr {
         PmPtr {
             offset: self.offset.saturating_add(delta),
         }
+    }
+}
+
+/// The pool offsets of main-region ranges `(ptr, len)`: what
+/// [`Romulus::read_ranges_with`] reads.
+#[derive(Clone)]
+pub struct MainRanges<I> {
+    main_start: usize,
+    ranges: I,
+}
+
+impl<I: Iterator<Item = (PmPtr, usize)>> Iterator for MainRanges<I> {
+    type Item = (usize, usize);
+
+    fn next(&mut self) -> Option<(usize, usize)> {
+        let (ptr, len) = self.ranges.next()?;
+        Some((self.main_start + ptr.offset() as usize, len))
     }
 }
 
@@ -454,11 +471,41 @@ impl Romulus {
         len: usize,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R, RomulusError> {
-        self.check_range(ptr.offset(), len as u64)?;
-        self.flavor.charge_pm_read(len as u64);
-        Ok(self
-            .pool
-            .read_with(self.layout.main_start + ptr.offset() as usize, len, f)?)
+        self.read_ranges_with(std::iter::once((ptr, len)), |mut bytes| {
+            f(bytes.next().expect("one range"))
+        })
+    }
+
+    /// The read session: runs `f` once, under the pool's lock, on the bytes of every
+    /// `(ptr, len)` range of `ranges` in the consistent main region
+    /// ([`PmemPool::read_ranges_with`]). `f` may clone the iterator it is handed to
+    /// walk the ranges again, and every walk yields the same bytes. Each range is
+    /// charged and counted exactly as [`Romulus::read_with`] of it would be; every
+    /// range is checked before anything is read or charged. `f` must not call back
+    /// into the pool.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RomulusError::OutOfRegion`] if a range leaves the region.
+    pub fn read_ranges_with<I, R>(
+        &self,
+        ranges: I,
+        f: impl FnOnce(RangeReads<'_, MainRanges<I>>) -> R,
+    ) -> Result<R, RomulusError>
+    where
+        I: Iterator<Item = (PmPtr, usize)> + Clone,
+    {
+        for (ptr, len) in ranges.clone() {
+            self.check_range(ptr.offset(), len as u64)?;
+        }
+        for (_, len) in ranges.clone() {
+            self.flavor.charge_pm_read(len as u64);
+        }
+        let main = MainRanges {
+            main_start: self.layout.main_start,
+            ranges,
+        };
+        Ok(self.pool.read_ranges_with(main, f)?)
     }
 
     /// Reads a `u64` stored at `ptr`.

@@ -43,7 +43,7 @@ use std::fmt;
 pub mod engine;
 pub mod sps;
 
-pub use engine::{FailPoint, PmPtr, Romulus, Tx, ALLOC_ALIGN, DATA_START, NUM_ROOTS};
+pub use engine::{FailPoint, MainRanges, PmPtr, Romulus, Tx, ALLOC_ALIGN, DATA_START, NUM_ROOTS};
 pub use sps::{SpsConfig, SpsResult};
 
 /// Errors produced by the Romulus engine.
