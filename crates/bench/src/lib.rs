@@ -289,8 +289,8 @@ pub struct PipelinePoint {
     pub sync_overhead_ms: f64,
     /// Per-iteration mirroring overhead of the Overlapped engine (ms, simulated).
     pub overlapped_overhead_ms: f64,
-    /// Total simulated time the training lane waited for background publishes (ms) —
-    /// the part of the sealing the compute could not hide.
+    /// Total simulated time the training lane waited for pipelined publishes at their
+    /// joins (ms) — the part of the simulated sealing the compute could not hide.
     pub overlap_wait_ms: f64,
     /// Wall-clock seconds of the Sync training run (this host).
     pub sync_wall_s: f64,

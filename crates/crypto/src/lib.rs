@@ -402,9 +402,9 @@ impl<'a> SealedView<'a> {
 ///
 /// The sequence is seeded once from fresh randomness, and `iv(index)` is a pure
 /// function (`SHA-256(seed || index)` truncated to 12 bytes). So one RNG draw fixes
-/// every IV of the batch: a save can seal on another thread than the one that drew
-/// it (a pipelined mirror's worker), and the sealed output is **independent of
-/// where and when each buffer is sealed**.
+/// every IV of the batch: a save can seal later than it drew them (a pipelined
+/// mirror-out seals at its join), and the sealed output is **independent of where
+/// and when each buffer is sealed**.
 ///
 /// # IV uniqueness
 ///

@@ -206,7 +206,9 @@ pub enum PliniusError {
     /// A deliberately injected persistence fault (testing only, see
     /// [`persist::FaultInjectingBackend`]).
     InjectedFault(String),
-    /// The background publish pipeline failed (worker died or was misused).
+    /// A [`plinius_parallel::Pipeline`] worker died or was misused. Nothing in this
+    /// library returns it: the mirror seals on the calling thread. It is kept for
+    /// callers that drive a pipeline of their own, such as the benchmark's probe.
     Pipeline(String),
 }
 
@@ -542,47 +544,6 @@ impl PliniusContext {
     }
 }
 
-/// Converts an `f32` slice to its little-endian byte representation (the form in which
-/// parameters are encrypted and placed on PM).
-pub fn f32s_to_bytes(values: &[f32]) -> Vec<u8> {
-    let mut out = vec![0u8; values.len() * 4];
-    f32s_to_bytes_into(values, &mut out);
-    out
-}
-
-/// Writes the little-endian byte representation of `values` into `out` — the
-/// allocation-free sibling of [`f32s_to_bytes`] with which the PM dataset builds each
-/// sample's plaintext. (Model tensors seal straight from their `f32`s:
-/// [`plinius_crypto::seal_f32s_into`].)
-///
-/// # Panics
-///
-/// Panics unless `out.len() == values.len() * 4`.
-pub fn f32s_to_bytes_into(values: &[f32], out: &mut [u8]) {
-    assert_eq!(out.len(), values.len() * 4, "plaintext slice size mismatch");
-    for (v, chunk) in values.iter().zip(out.chunks_exact_mut(4)) {
-        chunk.copy_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Decodes the little-endian bytes of `values.len()` `f32`s from `bytes` into
-/// `values` in place: the inverse of [`f32s_to_bytes_into`], with which the PM dataset
-/// decodes each opened sample into its batch.
-///
-/// # Panics
-///
-/// Panics unless `bytes.len() == values.len() * 4`.
-pub(crate) fn f32s_from_bytes_into(bytes: &[u8], values: &mut [f32]) {
-    assert_eq!(
-        bytes.len(),
-        values.len() * 4,
-        "plaintext slice size mismatch"
-    );
-    for (v, chunk) in values.iter_mut().zip(bytes.chunks_exact(4)) {
-        *v = f32::from_le_bytes(chunk.try_into().expect("4 bytes"));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -632,16 +593,6 @@ mod tests {
         let reopened = PliniusContext::open(pool, CostModel::sgx_eml_pm()).unwrap();
         let p = reopened.romulus().root(5).unwrap();
         assert_eq!(reopened.romulus().read_u64(p).unwrap(), 77);
-    }
-
-    #[test]
-    fn f32_byte_round_trip() {
-        let values = vec![0.0f32, -1.5, 3.25, f32::MAX];
-        let bytes = f32s_to_bytes(&values);
-        assert_eq!(bytes.len(), 16);
-        let mut decoded = [1.0f32; 4];
-        f32s_from_bytes_into(&bytes, &mut decoded);
-        assert_eq!(decoded.to_vec(), values);
     }
 
     #[test]

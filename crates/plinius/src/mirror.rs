@@ -34,30 +34,32 @@
 //!
 //! A mirror-out splits into two phases:
 //!
-//! * **snapshot** — cheap: copy the parameters (and draw the batch's IVs) into the
-//!   handle's snapshot;
+//! * **snapshot** — cheap: copy the parameters into the handle's snapshot, with the
+//!   batch's IVs and the model key's context;
 //! * **publish** — expensive: AES-GCM-seal the model and commit it to the inactive PM
 //!   slot.
 //!
-//! [`MirrorModel::mirror_out`] runs both phases synchronously with no snapshot: each
-//! tensor is sealed straight from its layer's `f32`s into its PM buffer of the
-//! inactive slot, in one stitched pass that never reads the buffer back.
-//! [`MirrorModel::snapshot_out`] runs only the snapshot and hands the sealing, with
-//! the snapshot and the model key's context, to a background worker
-//! ([`plinius_parallel::Pipeline`]), which seals into the snapshot's own arena;
-//! [`MirrorModel::drain`] joins it at the next pipeline point, copies the arena into
-//! the slot through the same publish routine, and credits the sealing time that was
-//! hidden behind the compute charged in between ([`SimSpan::overlap`]), so the
-//! steady-state simulated overhead approaches `max(compute, mirror)` instead of
-//! `compute + mirror`. Sealed bytes, committed epochs and restored weights are
-//! bit-identical between the two paths; only timing differs.
+//! [`MirrorModel::mirror_out`] runs both phases at once with no snapshot: each tensor
+//! is sealed straight from its layer's `f32`s into its PM buffer of the inactive
+//! slot, in one stitched pass that never reads the buffer back.
+//! [`MirrorModel::snapshot_out`] runs only the snapshot and records the publish as in
+//! flight. The next save or restore through the handle, or [`MirrorModel::drain`],
+//! joins it: it seals each tensor of the snapshot straight into its PM buffer the
+//! same way, through the same publish routine, on the calling thread, and charges
+//! only the part of the sealing time that the compute charged in between did not
+//! hide ([`SimSpan::overlap`]). So the steady-state overhead on the simulated clock
+//! approaches `max(compute, mirror)` instead of `compute + mirror`; in wall time the
+//! join pays the seal as a synchronous save does, after the snapshot's copy. Sealed
+//! bytes, committed epochs and restored weights are bit-identical between the two
+//! paths; only timing differs.
 //!
 //! A handle that pipelines keeps one snapshot for its saves; one that never pipelines
 //! keeps no buffer at all. It takes the model key's context from the enclave's
 //! per-key cache ([`PliniusContext::gcm`]) at each save and restore, so a
-//! re-provisioned key seals the next save. Every save and restore through a handle
-//! first joins (and commits) the handle's in-flight publish, so epochs always commit
-//! in snapshot order.
+//! re-provisioned key seals the next save; a pipelined save seals under the key in
+//! effect when its snapshot was taken. Every save and restore through a handle first
+//! joins (and commits) the handle's in-flight publish, so epochs always commit in
+//! snapshot order.
 //!
 //! A *mirror-in* (model restore) reads the active slot's sealed tensors in one read
 //! session ([`plinius_romulus::Romulus::read_ranges_with`]), which charges each tensor
@@ -93,7 +95,6 @@ use crate::{PliniusContext, PliniusError};
 use parking_lot::Mutex;
 use plinius_crypto::{AesGcm, SEAL_OVERHEAD};
 use plinius_darknet::Network;
-use plinius_parallel::Pipeline;
 use plinius_romulus::PmPtr;
 use sim_clock::{Metric, SimSpan};
 use std::sync::Arc;
@@ -201,20 +202,21 @@ pub struct PublishReport {
     pub iteration: u64,
     /// The epoch number this publish committed.
     pub epoch: u64,
-    /// Join of the background sealing lane: the span's length is the *residual*
+    /// Join of the simulated sealing lane: the span's length is the *residual*
     /// simulated sealing time that was **not** hidden behind the work charged to the
     /// clock since the snapshot (see [`SimSpan::overlap`]). Zero when compute fully
     /// covered the sealing.
     pub seal_join: SimSpan,
-    /// Simulated time of the bulk slot publish + epoch-flip transaction.
+    /// Simulated time of the bulk slot publish + epoch-flip transaction. The seal,
+    /// which runs inside the publish, is charged to `seal_join` alone.
     pub write: SimSpan,
     /// Plaintext model bytes published.
     pub model_bytes: usize,
 }
 
-/// Bookkeeping of one enqueued-but-not-yet-committed publish.
+/// Bookkeeping of one snapshotted-but-not-yet-committed publish.
 struct InflightPublish {
-    /// Iteration counter the staged snapshot belongs to.
+    /// Iteration counter the snapshot belongs to.
     iteration: u64,
     /// Simulated time at which the sealing lane forked off the training timeline.
     fork_ns: u64,
@@ -224,24 +226,16 @@ struct InflightPublish {
     model_bytes: usize,
 }
 
-/// The background seal worker: each job carries a snapshot and the model key's
-/// context of the save that took it, and the snapshot always comes back, with the
-/// seal's result, so it is reused even on error.
-type SealWorker = Pipeline<(Snapshot, Arc<AesGcm>), (Snapshot, Result<(), PliniusError>)>;
-
-/// The working state of one mirror handle: the snapshot and the seal worker of
-/// pipelined saves, and the publish in flight. Nothing in it depends on the key: each
-/// save or restore fetches the model key's context from the enclave's cache
-/// ([`PliniusContext::gcm`]), so a re-provisioned key takes effect at the next one.
-/// After warm-up a save or restore allocates nothing.
+/// The working state of one mirror handle: the snapshot of pipelined saves, sized by
+/// the first one, and the publish in flight. Each save or restore fetches the model
+/// key's context from the enclave's cache ([`PliniusContext::gcm`]), so a
+/// re-provisioned key takes effect at the next one; the snapshot keeps the context
+/// it was taken with, and its join seals under it. After warm-up a save or restore
+/// allocates nothing.
 #[derive(Default)]
 struct WorkingState {
-    /// The pipelined saves' snapshot, built by the first one; `None` while the seal
-    /// worker holds it, or after a dead worker took it along.
-    snapshot: Option<Snapshot>,
-    /// Single background worker sealing snapshots, spawned by the first pipelined
-    /// save and respawned after it dies.
-    worker: Option<SealWorker>,
+    /// The pipelined saves' snapshot.
+    snapshot: Snapshot,
     /// The publish currently in flight, if any (the pipeline is depth-1).
     inflight: Option<InflightPublish>,
 }
@@ -957,9 +951,8 @@ impl MirrorModel {
 
     /// Commits a pre-sealed arena (layer-major concatenation of sealed tensor
     /// blobs, exactly [`MirrorModel::arena_len`] bytes) as the next epoch through the
-    /// publish routine of every save: the join of a pipelined save, and the import
-    /// half of the VFS's sealed export/import path. The caller has already
-    /// authenticated the blobs.
+    /// publish routine of every save: the import half of the VFS's sealed
+    /// export/import path. The caller has already authenticated the blobs.
     pub(crate) fn commit_sealed_arena(
         &self,
         ctx: &PliniusContext,
@@ -981,10 +974,12 @@ impl MirrorModel {
 
     // --------------------------------------------------------- pipelined mirror-out
 
-    /// Joins the in-flight publish, if any: waits for the background sealing to
-    /// finish, credits the sealing time hidden behind the main lane
-    /// ([`SimSpan::overlap`]), and durably commits the sealed snapshot as the next
-    /// epoch.
+    /// Joins the in-flight publish, if any: charges the part of the sealing lane that
+    /// the work charged since the snapshot did not hide ([`SimSpan::overlap`]), then
+    /// seals each tensor of the snapshot straight into its PM buffer through the
+    /// publish routine of every save, under the IVs and the key's context of the
+    /// snapshot, and commits it as the next epoch. A publish that fails commits
+    /// nothing and is dropped.
     fn join_inflight(
         &self,
         ctx: &PliniusContext,
@@ -994,31 +989,16 @@ impl MirrorModel {
             return Ok(None);
         };
         let clock = ctx.clock();
-        let worker = state
-            .worker
-            .as_mut()
-            .expect("a publish in flight has a worker");
-        let (snapshot, result) = match worker.recv() {
-            Ok(done) => done,
-            Err(e) => {
-                // The worker died with the snapshot: the next pipelined save respawns
-                // it and rebuilds the snapshot.
-                state.worker = None;
-                return Err(PliniusError::Pipeline(format!(
-                    "seal worker join failed: {e}"
-                )));
-            }
-        };
-        // Always hand the snapshot back for reuse, even when the publish fails.
-        let arena = &state.snapshot.insert(snapshot).arena;
-        // The sealing lane forked at snapshot time and ran in parallel with whatever
-        // the training loop charged since; only its residual shows up here.
+        // The sealing lane forked at snapshot time and ran beside whatever the
+        // training loop charged since; only its residual shows up here.
         let seal_join = SimSpan::overlap(&clock, meta.fork_ns, meta.seal_lane_ns);
-        result?;
-        let (commit_result, write) = SimSpan::record(&clock, || {
-            self.commit_sealed_arena(ctx, arena, meta.iteration)
+        let snapshot = &state.snapshot;
+        let (publish_result, write) = SimSpan::record(&clock, || {
+            self.publish(ctx, meta.iteration, |idx, slot, dst| {
+                Ok(snapshot.seal_tensor(idx, slot, dst)?)
+            })
         });
-        let epoch = commit_result?;
+        let epoch = publish_result?;
         Ok(Some(PublishReport {
             iteration: meta.iteration,
             epoch,
@@ -1029,14 +1009,15 @@ impl MirrorModel {
     }
 
     /// Snapshot phase of a pipelined mirror-out: joins any previous in-flight publish
-    /// (the pipeline is depth-1), copies the model's parameters and draws the batch's
-    /// IVs into the handle's snapshot, and hands the expensive seal + PM publish to
-    /// the background worker. Returns the publish report of the *previous* snapshot,
-    /// if one was still in flight.
+    /// (the pipeline is depth-1), copies the model's parameters into the handle's
+    /// snapshot with the batch's IVs and the model key's context, and records the
+    /// expensive seal + PM publish as in flight, for the next join. Returns the
+    /// publish report of the *previous* snapshot, if one was still in flight.
     ///
-    /// The IVs are drawn on the calling thread, at the same position of the enclave's
-    /// `sgx_read_rand` stream as a synchronous [`MirrorModel::mirror_out`] would draw
-    /// them — so a pipelined run leaves bit-identical sealed bytes on PM.
+    /// The IVs are drawn at the same position of the enclave's `sgx_read_rand` stream
+    /// as a synchronous [`MirrorModel::mirror_out`] would draw them, and the join
+    /// seals under the key in effect now — so a pipelined run leaves bit-identical
+    /// sealed bytes on PM.
     ///
     /// # Errors
     ///
@@ -1054,36 +1035,14 @@ impl MirrorModel {
         let (prior, gcm) = self.begin(ctx, &mut state)?;
         let ivs = draw_ivs(ctx);
         let model_bytes = self.slots.iter().map(|s| s.plain_len).sum::<usize>();
-        let mut snapshot = state.snapshot.take().unwrap_or_default();
-        snapshot.take(network, ivs);
+        state.snapshot.take(network, ivs, gcm);
         // The sealing lane's modeled cost is computed now (stats recorded) but
         // charged at the join, where the overlap with the interleaved compute is
         // known.
         let seal_lane_ns = ctx.enclave().charge_crypto_offline(model_bytes as u64);
-        let fork_ns = clock.now_ns();
-        let iteration = network.iteration();
-        // One thread: the worker *is* the parallel lane. The sealed bytes are a pure
-        // function of (key, IV, AAD, plaintext), so they match the synchronous path
-        // bit for bit.
-        let worker = state.worker.get_or_insert_with(|| {
-            let slots: Arc<[TensorSlot]> = self.slots.clone().into();
-            Pipeline::spawn(
-                "plinius-mirror-seal",
-                move |(mut snapshot, gcm): (Snapshot, Arc<AesGcm>)| {
-                    let result = snapshot.seal(&slots, &gcm);
-                    (snapshot, result)
-                },
-            )
-        });
-        if let Err(e) = worker.send((snapshot, gcm)) {
-            state.worker = None;
-            return Err(PliniusError::Pipeline(format!(
-                "seal worker dispatch failed: {e}"
-            )));
-        }
         state.inflight = Some(InflightPublish {
-            iteration,
-            fork_ns,
+            iteration: network.iteration(),
+            fork_ns: clock.now_ns(),
             seal_lane_ns,
             model_bytes,
         });
@@ -1091,37 +1050,28 @@ impl MirrorModel {
     }
 
     /// Joins and commits the in-flight publish, if any — the pipeline's *drain*
-    /// point. Called by the overlapped persistence backend before restores, at the
-    /// end of a training run, and on shutdown; a no-op when nothing is in flight.
+    /// point: seals the snapshot into PM on the calling thread and commits it. Called
+    /// by the overlapped persistence backend before restores, at the end of a
+    /// training run, and on shutdown; a no-op when nothing is in flight.
     ///
     /// # Errors
     ///
-    /// Propagates sealing, PM-write and worker errors of the joined publish.
+    /// Propagates sealing and PM-write errors of the joined publish, which then
+    /// commits nothing; the handle stays usable, and its next save commits the next
+    /// epoch.
     pub fn drain(&self, ctx: &PliniusContext) -> Result<Option<PublishReport>, PliniusError> {
         self.join_inflight(ctx, &mut self.state.lock())
     }
 
-    /// Whether a snapshot is currently sealing/publishing in the background.
+    /// Whether a snapshot is waiting to be sealed and published at the next join.
     pub fn has_inflight(&self) -> bool {
         self.state.lock().inflight.is_some()
-    }
-
-    /// Test hook: replaces the live seal worker with one that dies on its first job,
-    /// so the worker-death recovery path (one surfaced error, then a rebuilt
-    /// pipeline) can be exercised without a real sealing bug.
-    #[cfg(test)]
-    fn kill_seal_worker_for_test(&self) {
-        self.state.lock().worker = Some(Pipeline::spawn(
-            "plinius-mirror-seal-dying",
-            |_job: (Snapshot, Arc<AesGcm>)| panic!("seal worker killed for test"),
-        ));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::f32s_to_bytes;
     use plinius_crypto::{seal_into, sealed_len, CryptoError, IvSequence, Key, SealedView};
     use plinius_darknet::config::{build_network, mnist_cnn_config};
     use rand::rngs::StdRng;
@@ -1217,7 +1167,7 @@ mod tests {
             let mut blobs = Vec::new();
             for (j, param) in layer.params().iter().enumerate() {
                 let aad = format!("layer{i}-tensor{j}");
-                let plaintext = f32s_to_bytes(param.data);
+                let plaintext: Vec<u8> = param.data.iter().flat_map(|v| v.to_le_bytes()).collect();
                 let mut blob = vec![0u8; sealed_len(plaintext.len())];
                 seal_into(&gcm, &plaintext, aad.as_bytes(), &ivs.iv(flat), &mut blob).unwrap();
                 blobs.push(blob);
@@ -1405,29 +1355,53 @@ mod tests {
         assert_eq!(overlapped.epoch, 2);
     }
 
+    /// Every parameter's bit pattern, in slot order.
+    fn bits(net: &Network) -> Vec<u32> {
+        snapshot(net).concat().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A join whose publish fails returns the error and commits nothing, and the
+    /// handle stays usable: its next pipelined save commits the next epoch.
     #[test]
-    fn a_dead_seal_worker_surfaces_an_error_then_the_pipeline_recovers() {
+    fn a_failed_join_leaves_the_handle_usable() {
         let ctx = context_with_key(8 * 1024 * 1024);
-        let mut net = small_network(70);
-        let mirror = MirrorModel::allocate(&ctx, &net).unwrap();
-        net.set_iteration(1);
-        mirror.snapshot_out(&ctx, &net).unwrap();
+        let mut first = small_network(70);
+        first.set_iteration(1);
+        let mirror = MirrorModel::allocate(&ctx, &first).unwrap();
+        mirror.snapshot_out(&ctx, &first).unwrap();
         mirror.drain(&ctx).unwrap();
-        // Kill the worker while idle: the next snapshot's seal job dies with it
-        // (taking the in-flight snapshot along).
-        mirror.kill_seal_worker_for_test();
-        net.set_iteration(2);
-        mirror.snapshot_out(&ctx, &net).unwrap();
+        // Crash after the meta invalidation and one tensor write of the join.
+        let mut lost = small_network(71);
+        lost.set_iteration(2);
+        mirror.snapshot_out(&ctx, &lost).unwrap();
+        ctx.romulus()
+            .inject_failure(plinius_romulus::FailPoint::AfterDirectPublishes(2));
         let err = mirror.drain(&ctx).unwrap_err();
-        assert!(matches!(err, PliniusError::Pipeline(_)), "{err}");
-        // The failure must be an error, not a poisoned handle: the next snapshot
-        // rebuilds the worker and a fresh snapshot, and publishing resumes.
-        net.set_iteration(3);
-        mirror.snapshot_out(&ctx, &net).unwrap();
-        let report = mirror.drain(&ctx).unwrap().expect("publish in flight");
-        assert_eq!(report.iteration, 3);
-        assert_eq!(report.epoch, 2, "the lost publish committed nothing");
+        assert!(
+            matches!(
+                err,
+                PliniusError::Romulus(plinius_romulus::RomulusError::InjectedCrash)
+            ),
+            "{err}"
+        );
+        assert!(!mirror.has_inflight());
+        assert_eq!(mirror.epoch(&ctx).unwrap(), 1);
+        assert_eq!(mirror.iteration(&ctx).unwrap(), 1);
+        let mut restored = small_network(72);
+        let report = mirror.mirror_in(&ctx, &mut restored).unwrap();
+        assert_eq!((report.epoch, report.iteration), (1, 1));
+        assert_eq!(bits(&restored), bits(&first));
+        // The next save commits the next epoch number, with its own iteration.
+        let mut next = small_network(73);
+        next.set_iteration(3);
+        mirror.snapshot_out(&ctx, &next).unwrap();
+        let report = mirror.drain(&ctx).unwrap().expect("one publish in flight");
+        assert_eq!((report.epoch, report.iteration), (2, 3));
         assert_eq!(mirror.iteration(&ctx).unwrap(), 3);
+        let mut restored = small_network(74);
+        let report = mirror.mirror_in(&ctx, &mut restored).unwrap();
+        assert_eq!((report.epoch, report.iteration), (2, 3));
+        assert_eq!(bits(&restored), bits(&next));
     }
 
     #[test]
@@ -1498,6 +1472,36 @@ mod tests {
             mirror.mirror_in(&ctx, &mut restored).unwrap();
             assert_eq!(snapshot(&restored), snapshot(&net));
         }
+    }
+
+    /// A key re-provisioned between a snapshot and its join does not reach the
+    /// snapshot: the join seals under the key of the snapshot, and the next save
+    /// under the new key.
+    #[test]
+    fn a_pipelined_save_seals_under_the_key_of_its_snapshot() {
+        let ctx = context_with_key(8 * 1024 * 1024);
+        let mut net = small_network(85);
+        net.set_iteration(1);
+        let mirror = MirrorModel::allocate(&ctx, &net).unwrap();
+        let old = ctx.key().unwrap();
+        mirror.snapshot_out(&ctx, &net).unwrap();
+        let new = Key::generate_128(&mut StdRng::seed_from_u64(86));
+        ctx.provision_key_directly(new.clone());
+        let report = mirror.drain(&ctx).unwrap().expect("one publish in flight");
+        assert_eq!((report.epoch, report.iteration), (1, 1));
+        assert_eq!(open_committed(&ctx, &mirror, &old), Ok(()));
+        let new_key = open_committed(&ctx, &mirror, &new);
+        assert_eq!(new_key, Err(CryptoError::AuthenticationFailed));
+        net = small_network(87);
+        net.set_iteration(2);
+        mirror.snapshot_out(&ctx, &net).unwrap();
+        mirror.drain(&ctx).unwrap().expect("one publish in flight");
+        assert_eq!(open_committed(&ctx, &mirror, &new), Ok(()));
+        let old_key = open_committed(&ctx, &mirror, &old);
+        assert_eq!(old_key, Err(CryptoError::AuthenticationFailed));
+        let mut restored = small_network(88);
+        mirror.mirror_in(&ctx, &mut restored).unwrap();
+        assert_eq!(bits(&restored), bits(&net));
     }
 
     #[test]

@@ -44,10 +44,10 @@ pub struct PersistStats {
     /// Number of publish phases committed (every synchronous persist publishes
     /// immediately; a pipelined snapshot publishes at the next join).
     pub publishes: u64,
-    /// Simulated nanoseconds the training lane had to *wait* for background
-    /// publishes at their join points — the part of the sealing work that was not
-    /// hidden behind compute. Zero in synchronous mode and when compute fully
-    /// covers the mirror cost.
+    /// Simulated nanoseconds the training lane had to *wait* for pipelined
+    /// publishes at their join points — the part of the simulated sealing work that
+    /// was not hidden behind compute. Zero in synchronous mode and when compute
+    /// fully covers the mirror cost.
     pub overlap_wait_ns: u64,
 }
 
@@ -176,9 +176,10 @@ pub trait ModelPersistence: std::fmt::Debug {
         iteration: u64,
     ) -> Result<(), PliniusError>;
 
-    /// Pipelined persist: stage a cheap snapshot of `network` now and let the
-    /// expensive publish run in the background, to be committed at the next
-    /// `persist_async` or [`drain`](ModelPersistence::drain) call.
+    /// Pipelined persist: stage a cheap snapshot of `network` now and defer the
+    /// expensive seal and publish to the next `persist_async` or
+    /// [`drain`](ModelPersistence::drain) call, which joins and commits it; the
+    /// simulated clock credits the overlap with the compute charged in between.
     ///
     /// The default implementation simply falls back to the synchronous
     /// [`persist`](ModelPersistence::persist), so backends without a pipelined path
@@ -198,9 +199,9 @@ pub trait ModelPersistence: std::fmt::Debug {
         self.persist(ctx, network, iteration)
     }
 
-    /// Joins and commits any in-flight background publish. Called by the trainer at
-    /// the end of a run (and before restores); a no-op for synchronous backends —
-    /// which is also the default implementation.
+    /// Joins and commits any in-flight publish. Called by the trainer at the end of a
+    /// run (and before restores); a no-op for synchronous backends — which is also
+    /// the default implementation.
     ///
     /// # Errors
     ///
@@ -357,7 +358,7 @@ impl ModelPersistence for PmMirrorBackend {
         ctx: &PliniusContext,
         network: &mut Network,
     ) -> Result<u64, PliniusError> {
-        // A pending background publish must reach PM before the mirror is read back.
+        // A publish still in flight must reach PM before the mirror is read back.
         self.drain(ctx)?;
         if self.mirror.is_none() {
             self.mirror = Some(MirrorModel::open(ctx)?);

@@ -8,13 +8,14 @@
 //! can decrypt exactly the batch it needs into enclave memory.
 //!
 //! Sealing and opening go through the model key's context from the enclave's per-key
-//! cache ([`PliniusContext::gcm`]), the one the mirror uses, into buffers reused across
-//! a load or a batch: [`PmDataset::decrypt_batch`] opens each sample straight from PM
-//! ([`plinius_romulus::Romulus::read_with`]), makes the same few heap allocations at
-//! every batch size, and decodes each sample straight into the batch.
+//! cache ([`PliniusContext::gcm`]), the one the mirror uses, and seal from and open
+//! into an `f32` row (`image ‖ label`) reused across a load or a batch, as the mirror
+//! seals and opens the model's tensors: [`PmDataset::decrypt_batch`] opens each
+//! sample straight from PM ([`plinius_romulus::Romulus::read_with`]), makes the same
+//! few heap allocations at every batch size, and copies each row into the batch.
 
-use crate::{f32s_from_bytes_into, f32s_to_bytes_into, PliniusContext, PliniusError};
-use plinius_crypto::{seal_into, SealedView, IV_LEN, SEAL_OVERHEAD};
+use crate::{PliniusContext, PliniusError};
+use plinius_crypto::{open_f32s_into, seal_f32s_into, IV_LEN, SEAL_OVERHEAD};
 use plinius_darknet::Dataset;
 use plinius_romulus::PmPtr;
 use rand::{Rng, RngCore};
@@ -91,20 +92,20 @@ impl PmDataset {
         // per sample of a chunk, not one chunk-sized buffer: freeing a buffer that
         // large would raise glibc's mmap threshold and with it the process's peak RSS.
         const CHUNK: usize = 256;
-        let mut plain = vec![0u8; plain_len];
+        let mut row = vec![0.0f32; inputs + classes];
         let mut sealed_chunk = vec![vec![0u8; sealed_len]; CHUNK.min(samples)];
         let mut aad = [0u8; AAD_CAP];
         let mut index = 0usize;
         while index < samples {
             let end = (index + CHUNK).min(samples);
             for (i, blob) in (index..end).zip(sealed_chunk.iter_mut()) {
-                let (image, label) = plain.split_at_mut(inputs * 4);
-                f32s_to_bytes_into(dataset.image(i), image);
-                f32s_to_bytes_into(dataset.label(i), label);
+                let (image, label) = row.split_at_mut(inputs);
+                image.copy_from_slice(dataset.image(i));
+                label.copy_from_slice(dataset.label(i));
                 ctx.enclave().charge_crypto(plain_len as u64);
                 let mut iv = [0u8; IV_LEN];
                 rng.fill_bytes(&mut iv);
-                seal_into(&gcm, &plain, sample_aad(i, &mut aad), &iv, blob)?;
+                seal_f32s_into(&gcm, &row, sample_aad(i, &mut aad), &iv, blob)?;
             }
             ctx.romulus().transaction(|tx| {
                 for (i, blob) in (index..end).zip(&sealed_chunk) {
@@ -246,8 +247,8 @@ impl PmDataset {
     }
 
     /// Authenticates and decrypts the samples at `indices`, in order, each straight
-    /// from PM into one reused buffer, and decodes each image and one-hot label
-    /// straight into the next row of `images` and `labels`.
+    /// from PM into one reused `f32` row, and copies each image and one-hot label into
+    /// the next row of `images` and `labels`.
     fn open_rows(
         &self,
         ctx: &PliniusContext,
@@ -256,24 +257,21 @@ impl PmDataset {
         labels: &mut [f32],
     ) -> Result<(), PliniusError> {
         let gcm = ctx.gcm()?;
-        let mut plain = vec![0u8; self.sealed_len - SEAL_OVERHEAD];
-        let mut aad = [0u8; AAD_CAP];
         let (inputs, classes) = (self.inputs, self.classes);
+        let mut plain = vec![0.0f32; inputs + classes];
+        let mut aad = [0u8; AAD_CAP];
         for (row, index) in indices.into_iter().enumerate() {
             let sample = self.block.add((index * self.sealed_len) as u64);
             ctx.enclave().charge_crypto(self.sealed_len as u64);
             ctx.romulus()
                 .read_with(sample, self.sealed_len, |sealed| {
-                    SealedView::parse(sealed)?.open_into(
-                        &gcm,
-                        sample_aad(index, &mut aad),
-                        &mut plain,
-                    )
+                    let blob = (sealed, sample_aad(index, &mut aad));
+                    open_f32s_into(&gcm, [blob], [&mut plain[..]])
                 })??;
-            ctx.enclave().charge_data_staging(plain.len() as u64);
-            let (image, label) = plain.split_at(inputs * 4);
-            f32s_from_bytes_into(image, &mut images[row * inputs..(row + 1) * inputs]);
-            f32s_from_bytes_into(label, &mut labels[row * classes..(row + 1) * classes]);
+            ctx.enclave().charge_data_staging((plain.len() * 4) as u64);
+            let (image, label) = plain.split_at(inputs);
+            images[row * inputs..(row + 1) * inputs].copy_from_slice(image);
+            labels[row * classes..(row + 1) * classes].copy_from_slice(label);
         }
         Ok(())
     }
@@ -296,7 +294,7 @@ impl PmDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plinius_crypto::Key;
+    use plinius_crypto::{seal_into, Key};
     use plinius_darknet::synthetic_images;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -375,7 +373,8 @@ mod tests {
         let gcm = twin.key().unwrap().gcm();
         let mut ivs = twin.enclave_rng();
         for i in 0..data.len() {
-            let plaintext = crate::f32s_to_bytes(&[data.image(i), data.label(i)].concat());
+            let row = data.image(i).iter().chain(data.label(i));
+            let plaintext: Vec<u8> = row.flat_map(|v| v.to_le_bytes()).collect();
             let mut iv = [0u8; IV_LEN];
             ivs.fill_bytes(&mut iv);
             let mut expected = vec![0u8; plinius_crypto::sealed_len(plaintext.len())];

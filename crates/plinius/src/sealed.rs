@@ -6,11 +6,12 @@
 //!   tensor's AAD is formatted) and the layout of a network ([`sealed_lens`]);
 //! * the one seal routine ([`seal_tensor`]), which seals each tensor straight from
 //!   its `f32`s — the layers' own slices, or a pipelined save's [`Snapshot`] of them —
-//!   into wherever the caller points its blob: its PM buffer, or an arena;
+//!   into wherever the caller points its blob: its PM buffer, or an SSD file image;
 //! * the one open routine ([`open_into_model`]), which verifies every sealed blob of a
 //!   model wherever it sits and only then decrypts each straight into the layers,
 //!   once [`check_shape`] has matched the model against the layout;
-//! * the [`SealedEpoch`] wire format.
+//! * the [`SealedEpoch`] wire format, whose header is written by [`write_header`] and
+//!   parsed by [`parse_header`] alone.
 //!
 //! The PM mirror (synchronous and pipelined), the VFS export and import and the SSD
 //! checkpoint all seal and open through it, so a sealed model is the same bytes on
@@ -24,6 +25,7 @@ use plinius_crypto::{
     SEAL_OVERHEAD,
 };
 use plinius_darknet::{Layer, Network};
+use std::sync::Arc;
 
 /// Position of one parameter tensor in the flat layout, plus everything that is
 /// constant per tensor across saves (the AAD in particular).
@@ -37,7 +39,7 @@ pub(crate) struct TensorSlot {
     pub(crate) param_off: usize,
     /// Plaintext length in bytes (four per value).
     pub(crate) plain_len: usize,
-    /// Byte offset of the sealed blob (ciphertext ‖ IV ‖ MAC) in the arena.
+    /// Byte offset of the sealed blob (ciphertext ‖ IV ‖ MAC) in the model's arena.
     pub(crate) sealed_off: usize,
     /// Sealed length in bytes (`plain_len + SEAL_OVERHEAD`).
     pub(crate) sealed_len: usize,
@@ -199,17 +201,16 @@ pub(crate) fn seal_tensor(
 }
 
 /// Seals every tensor of `tensors`, laid out as `slots`, under the IVs of `ivs` into
-/// `arena`, in slot order, sizing the arena first: a save that holds the sealed model
-/// in enclave memory before it writes it (a pipelined mirror-out or an SSD
-/// checkpoint).
+/// `arena`, the layout's sealed bytes, in slot order: a save that holds the sealed
+/// model in enclave memory before it writes it (an SSD checkpoint, into its file
+/// image).
 pub(crate) fn seal_arena<'a>(
     slots: &[TensorSlot],
     gcm: &AesGcm,
     ivs: &IvSequence,
     tensors: impl Iterator<Item = &'a [f32]>,
-    arena: &mut Vec<u8>,
+    arena: &mut [u8],
 ) -> Result<(), CryptoError> {
-    arena.resize(slots.iter().map(|s| s.sealed_len).sum(), 0);
     for ((idx, slot), tensor) in slots.iter().enumerate().zip(tensors) {
         let blob = &mut arena[slot.sealed()];
         seal_tensor(slot, gcm, &ivs.iv(idx as u64), tensor, blob)?;
@@ -244,37 +245,40 @@ pub(crate) fn verify_arena(
         .try_for_each(|slot| SealedView::parse(&arena[slot.sealed()])?.verify(gcm, &slot.aad))
 }
 
-/// A pipelined save's copy of the model: the parameters of every tensor in slot order
-/// and the IVs of their sealing batch, which the seal worker seals into `arena`. The
-/// handle keeps one and reuses it across saves.
+/// A pipelined save's copy of the model: the parameters of every tensor in slot order,
+/// the IVs of their sealing batch and the model key's context in effect when it was
+/// taken, with which the join seals it into PM. The handle keeps one and reuses it
+/// across saves.
 #[derive(Default)]
 pub(crate) struct Snapshot {
     /// Every tensor's values, contiguous in slot order.
     params: Vec<f32>,
-    /// The IVs of the batch.
-    ivs: Option<IvSequence>,
-    /// Sealed-blob arena: all sealed tensors contiguous in slot order, once sealed.
-    pub(crate) arena: Vec<u8>,
+    /// The IVs of the batch and the key's context it seals under.
+    batch: Option<(IvSequence, Arc<AesGcm>)>,
 }
 
 impl Snapshot {
     /// Copies every trainable tensor of `network` into the snapshot with the batch's
-    /// IVs, sizing it on first use. The caller has checked the model against the
-    /// layout ([`check_shape`]).
-    pub(crate) fn take(&mut self, network: &Network, ivs: IvSequence) {
+    /// IVs and the key's context, sizing it on first use. The caller has checked the
+    /// model against the layout ([`check_shape`]).
+    pub(crate) fn take(&mut self, network: &Network, ivs: IvSequence, gcm: Arc<AesGcm>) {
         self.params.clear();
         for tensor in tensors(network) {
             self.params.extend_from_slice(tensor);
         }
-        self.ivs = Some(ivs);
+        self.batch = Some((ivs, gcm));
     }
 
-    /// Seals the snapshot into its arena, in slot order.
-    pub(crate) fn seal(&mut self, slots: &[TensorSlot], gcm: &AesGcm) -> Result<(), PliniusError> {
-        let ivs = self.ivs.as_ref().expect("a taken snapshot");
-        let params = &self.params;
-        let tensors = slots.iter().map(|slot| &params[slot.params()]);
-        Ok(seal_arena(slots, gcm, ivs, tensors, &mut self.arena)?)
+    /// Seals tensor `idx` of the snapshot, laid out as `slot`, into `out`.
+    pub(crate) fn seal_tensor(
+        &self,
+        idx: usize,
+        slot: &TensorSlot,
+        out: &mut [u8],
+    ) -> Result<(), CryptoError> {
+        let (ivs, gcm) = self.batch.as_ref().expect("a taken snapshot");
+        let tensor = &self.params[slot.params()];
+        seal_tensor(slot, gcm, &ivs.iv(idx as u64), tensor, out)
     }
 }
 
@@ -306,18 +310,101 @@ fn take<const N: usize>(bytes: &mut &[u8]) -> Option<[u8; N]> {
     Some(*head)
 }
 
+/// Byte length of the header of a [`SealedEpoch`] payload of `num_tensors` tensors.
+pub(crate) fn header_len(num_tensors: usize) -> usize {
+    32 + num_tensors * 8
+}
+
+/// Appends the header of a [`SealedEpoch`] payload to `out`:
+/// `magic ‖ epoch ‖ iteration ‖ num_tensors ‖ sealed_lens...`. The arena follows it.
+pub(crate) fn write_header(out: &mut Vec<u8>, epoch: u64, iteration: u64, sealed_lens: &[u64]) {
+    out.extend_from_slice(SEALED_EPOCH_MAGIC);
+    out.extend_from_slice(&epoch.to_le_bytes());
+    out.extend_from_slice(&iteration.to_le_bytes());
+    out.extend_from_slice(&(sealed_lens.len() as u64).to_le_bytes());
+    for len in sealed_lens {
+        out.extend_from_slice(&len.to_le_bytes());
+    }
+}
+
+/// The header fields of a [`SealedEpoch`] payload, parsed by [`parse_header`].
+pub(crate) struct EpochHeader {
+    /// The payload's epoch field.
+    pub(crate) epoch: u64,
+    /// The training iteration recorded with the epoch.
+    pub(crate) iteration: u64,
+    /// Sealed length of every tensor (layer-major).
+    pub(crate) sealed_lens: Vec<u64>,
+}
+
+/// The parser of [`SealedEpoch::from_bytes`]: returns the payload's header with the
+/// arena that follows it, in place.
+pub(crate) fn parse_header(mut bytes: &[u8]) -> Result<(EpochHeader, &[u8]), PliniusError> {
+    let malformed =
+        |what: &str| PliniusError::MirrorMismatch(format!("{what} sealed-epoch payload"));
+    let read_u64 = |bytes: &mut &[u8]| {
+        take(bytes)
+            .map(u64::from_le_bytes)
+            .ok_or_else(|| malformed("truncated"))
+    };
+    if take(&mut bytes).ok_or_else(|| malformed("truncated"))? != *SEALED_EPOCH_MAGIC {
+        return Err(malformed("bad magic: not a"));
+    }
+    let epoch = read_u64(&mut bytes)?;
+    let iteration = read_u64(&mut bytes)?;
+    let num_tensors = read_u64(&mut bytes)?;
+    // Every declared tensor takes an 8-byte length.
+    let capacity = usize::try_from(num_tensors)
+        .unwrap_or(usize::MAX)
+        .min(bytes.len() / 8);
+    let mut sealed_lens = Vec::with_capacity(capacity);
+    for _ in 0..num_tensors {
+        sealed_lens.push(read_u64(&mut bytes)?);
+    }
+    let arena_len = sealed_lens
+        .iter()
+        .try_fold(0u64, |sum, &len| sum.checked_add(len))
+        .and_then(|sum| usize::try_from(sum).ok())
+        .ok_or_else(|| malformed("overflowing tensor lengths in"))?;
+    match bytes.len().cmp(&arena_len) {
+        std::cmp::Ordering::Less => Err(malformed("truncated")),
+        std::cmp::Ordering::Greater => Err(malformed("trailing bytes after")),
+        std::cmp::Ordering::Equal => Ok((
+            EpochHeader {
+                epoch,
+                iteration,
+                sealed_lens,
+            },
+            bytes,
+        )),
+    }
+}
+
+/// Checks that a sealed model of `sealed_lens` in `arena` holds exactly the tensors of
+/// `slots`, so that a dropped tensor or a foreign shape is a
+/// [`PliniusError::MirrorMismatch`] before anything is opened.
+pub(crate) fn check_layout(
+    sealed_lens: &[u64],
+    arena: &[u8],
+    slots: &[TensorSlot],
+) -> Result<(), PliniusError> {
+    let expected = slots.iter().map(|s| s.sealed_len as u64);
+    let arena_len: usize = slots.iter().map(|s| s.sealed_len).sum();
+    if sealed_lens.iter().copied().eq(expected.clone()) && arena.len() == arena_len {
+        return Ok(());
+    }
+    Err(PliniusError::MirrorMismatch(format!(
+        "sealed-epoch layout {sealed_lens:?} does not match the model's {:?}",
+        expected.collect::<Vec<_>>()
+    )))
+}
+
 impl SealedEpoch {
     /// Serialises the payload:
     /// `magic ‖ epoch ‖ iteration ‖ num_tensors ‖ sealed_lens... ‖ arena`.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.sealed_lens.len() * 8 + self.arena.len());
-        out.extend_from_slice(SEALED_EPOCH_MAGIC);
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.iteration.to_le_bytes());
-        out.extend_from_slice(&(self.sealed_lens.len() as u64).to_le_bytes());
-        for len in &self.sealed_lens {
-            out.extend_from_slice(&len.to_le_bytes());
-        }
+        let mut out = Vec::with_capacity(header_len(self.sealed_lens.len()) + self.arena.len());
+        write_header(&mut out, self.epoch, self.iteration, &self.sealed_lens);
         out.extend_from_slice(&self.arena);
         out
     }
@@ -330,58 +417,13 @@ impl SealedEpoch {
     ///
     /// Returns [`PliniusError::MirrorMismatch`] on a malformed or truncated
     /// payload (authenticity is checked later, at import, against the model key).
-    pub fn from_bytes(mut bytes: &[u8]) -> Result<Self, PliniusError> {
-        let malformed =
-            |what: &str| PliniusError::MirrorMismatch(format!("{what} sealed-epoch payload"));
-        let read_u64 = |bytes: &mut &[u8]| {
-            take(bytes)
-                .map(u64::from_le_bytes)
-                .ok_or_else(|| malformed("truncated"))
-        };
-        if take(&mut bytes).ok_or_else(|| malformed("truncated"))? != *SEALED_EPOCH_MAGIC {
-            return Err(malformed("bad magic: not a"));
-        }
-        let epoch = read_u64(&mut bytes)?;
-        let iteration = read_u64(&mut bytes)?;
-        let num_tensors = read_u64(&mut bytes)?;
-        // Every declared tensor takes an 8-byte length.
-        let capacity = usize::try_from(num_tensors)
-            .unwrap_or(usize::MAX)
-            .min(bytes.len() / 8);
-        let mut sealed_lens = Vec::with_capacity(capacity);
-        for _ in 0..num_tensors {
-            sealed_lens.push(read_u64(&mut bytes)?);
-        }
-        let arena_len = sealed_lens
-            .iter()
-            .try_fold(0u64, |sum, &len| sum.checked_add(len))
-            .and_then(|sum| usize::try_from(sum).ok())
-            .ok_or_else(|| malformed("overflowing tensor lengths in"))?;
-        match bytes.len().cmp(&arena_len) {
-            std::cmp::Ordering::Less => Err(malformed("truncated")),
-            std::cmp::Ordering::Greater => Err(malformed("trailing bytes after")),
-            std::cmp::Ordering::Equal => Ok(SealedEpoch {
-                epoch,
-                iteration,
-                sealed_lens,
-                arena: bytes.to_vec(),
-            }),
-        }
-    }
-
-    /// Checks that the payload holds exactly the tensors of `slots`, so that a dropped
-    /// tensor or a foreign shape is a [`PliniusError::MirrorMismatch`] before anything
-    /// is opened.
-    pub(crate) fn check_layout(&self, slots: &[TensorSlot]) -> Result<(), PliniusError> {
-        let expected = slots.iter().map(|s| s.sealed_len as u64);
-        let arena_len: usize = slots.iter().map(|s| s.sealed_len).sum();
-        if self.sealed_lens.iter().copied().eq(expected.clone()) && self.arena.len() == arena_len {
-            return Ok(());
-        }
-        Err(PliniusError::MirrorMismatch(format!(
-            "sealed-epoch layout {:?} does not match the model's {:?}",
-            self.sealed_lens,
-            expected.collect::<Vec<_>>()
-        )))
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, PliniusError> {
+        let (header, arena) = parse_header(bytes)?;
+        Ok(SealedEpoch {
+            epoch: header.epoch,
+            iteration: header.iteration,
+            sealed_lens: header.sealed_lens,
+            arena: arena.to_vec(),
+        })
     }
 }

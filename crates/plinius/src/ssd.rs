@@ -1,12 +1,12 @@
 //! The baseline Plinius is compared against in Fig. 7 / Table I: encrypted model
 //! checkpoints on secondary storage (SSD), written through `fwrite`/`fsync` ocalls and
 //! read back with `fread` ocalls — "the state-of-the-art method for fault tolerance".
-//! A checkpoint is a [`SealedEpoch`] file, sealed and opened by the same code as the
-//! PM mirror's epochs; only the medium differs.
+//! A checkpoint is a [`SealedEpoch`](crate::SealedEpoch) file, sealed and opened by
+//! the same code as the PM mirror's epochs; only the medium differs.
 
 use crate::sealed::{
-    build_slots, charge_open, charge_seal, draw_ivs, open_into_model, seal_arena, sealed_lens,
-    tensors, SealedEpoch,
+    build_slots, charge_open, charge_seal, check_layout, draw_ivs, header_len, open_into_model,
+    parse_header, seal_arena, sealed_lens, tensors, write_header,
 };
 use crate::{MirrorInReport, MirrorOutReport, PliniusContext, PliniusError};
 use plinius_darknet::Network;
@@ -45,9 +45,10 @@ impl SsdCheckpointer {
     }
 
     /// Saves an encrypted checkpoint of `network` to the SSD: seal every parameter
-    /// tensor from its layer into an arena in the enclave exactly as a mirror-out seals
-    /// it into PM, then `fwrite` the [`SealedEpoch`] file through ocalls, flush and
-    /// `fsync`. The checkpoint's epoch field is 0: the SSD keeps no epoch ring.
+    /// tensor from its layer into the [`SealedEpoch`](crate::SealedEpoch) file image in
+    /// the enclave, after its header, exactly as a mirror-out seals it into PM, then
+    /// `fwrite` the file through ocalls, flush and `fsync`. The checkpoint's epoch
+    /// field is 0: the SSD keeps no epoch ring.
     ///
     /// # Errors
     ///
@@ -62,30 +63,30 @@ impl SsdCheckpointer {
         let clock = ctx.clock();
         let slots = build_slots(&sealed_lens(network))?;
         let ivs = draw_ivs(ctx);
-        let mut arena = Vec::new();
-        // Phase 1: in-enclave encryption (the mirror-out encryption phase).
+        let lens: Vec<u64> = slots.iter().map(|s| s.sealed_len as u64).collect();
+        let arena_len: usize = slots.iter().map(|s| s.sealed_len).sum();
+        let mut file = Vec::with_capacity(header_len(lens.len()) + arena_len);
+        write_header(&mut file, 0, network.iteration(), &lens);
+        let arena_start = file.len();
+        file.resize(arena_start + arena_len, 0);
+        // Phase 1: in-enclave encryption (the mirror-out encryption phase), straight
+        // into the file image.
         let (sealed, encrypt) = SimSpan::record(&clock, || {
             let model_bytes = charge_seal(ctx, &slots);
-            seal_arena(&slots, &gcm, &ivs, tensors(network), &mut arena)?;
+            let arena = &mut file[arena_start..];
+            seal_arena(&slots, &gcm, &ivs, tensors(network), arena)?;
             Ok::<_, PliniusError>(model_bytes)
         });
         let model_bytes = sealed?;
-        let checkpoint = SealedEpoch {
-            epoch: 0,
-            iteration: network.iteration(),
-            sealed_lens: slots.iter().map(|s| s.sealed_len as u64).collect(),
-            arena,
-        };
-        // Phase 2: serialisation + fwrite ocalls + fsync.
+        // Phase 2: fwrite ocalls + fsync.
         let (fs, path) = (ctx.ssd(), self.file(ctx));
         let (written, write) = SimSpan::record(&clock, || -> Result<(), PliniusError> {
-            let encoded = checkpoint.to_bytes();
             fs.create(&path);
             // The baseline writes through ocalls, flushing libc buffers and issuing an
             // fsync after the writes (as described in §VI): one ocall for the `fwrite`s,
             // one for the `fsync`.
             ctx.enclave().ocall(|| {
-                for chunk in encoded.chunks(1 << 20) {
+                for chunk in file.chunks(1 << 20) {
                     fs.write(&path, chunk);
                 }
             })?;
@@ -103,8 +104,8 @@ impl SsdCheckpointer {
 
     /// Restores a checkpoint from the SSD into `network`: `fread` the file through
     /// ocalls into the enclave, check that it holds exactly the model's tensors, then
-    /// verify every tensor and decrypt each into its layer as a mirror-in does. A
-    /// restore that fails leaves `network` as it was.
+    /// verify every tensor where it lies in the file and decrypt each into its layer
+    /// as a mirror-in does. A restore that fails leaves `network` as it was.
     ///
     /// # Errors
     ///
@@ -134,15 +135,15 @@ impl SsdCheckpointer {
             Ok(bytes)
         });
         let encoded = encoded?;
-        // Phase 2: parse, check the layout, then open into the layers.
+        // Phase 2: parse the header, check the layout, then open into the layers.
         let (out, decrypt) = SimSpan::record(&clock, || {
-            let checkpoint = SealedEpoch::from_bytes(&encoded)?;
+            let (header, arena) = parse_header(&encoded)?;
             let slots = build_slots(&sealed_lens(network))?;
-            checkpoint.check_layout(&slots)?;
-            let blobs = slots.iter().map(|slot| &checkpoint.arena[slot.sealed()]);
+            check_layout(&header.sealed_lens, arena, &slots)?;
+            let blobs = slots.iter().map(|slot| &arena[slot.sealed()]);
             open_into_model(&slots, &gcm, blobs, network)?;
             let model_bytes = charge_open(ctx, &slots);
-            Ok::<_, PliniusError>((checkpoint.iteration, checkpoint.epoch, model_bytes))
+            Ok::<_, PliniusError>((header.iteration, header.epoch, model_bytes))
         });
         let (iteration, epoch, model_bytes) = out?;
         network.set_iteration(iteration);

@@ -29,11 +29,13 @@ pub enum PipelineMode {
     /// an iteration costs `compute + mirror`.
     #[default]
     Sync,
-    /// Two-phase pipelined persistence: a cheap snapshot is staged inline and the
-    /// seal + PM publish runs on a background worker, overlapping the next
-    /// iteration's compute. Steady-state cost approaches `max(compute, mirror)`;
-    /// the committed PM state trails by at most one in-flight publish, which is
-    /// joined at the end of the run (and before every restore).
+    /// Two-phase pipelined persistence: a cheap snapshot is staged inline and its
+    /// seal + PM publish is joined at the next persist, on the training thread. The
+    /// simulated clock models the seal as overlapping the iteration's compute in
+    /// between, so the steady-state simulated cost approaches
+    /// `max(compute, mirror)`; wall time pays the seal as `Sync` does. The committed
+    /// PM state trails by at most one in-flight publish, which is joined at the end
+    /// of the run (and before every restore).
     Overlapped,
 }
 
@@ -219,8 +221,9 @@ impl PliniusTrainer {
             .ecall(|| self.network.train_batch(&images, &labels, batch))??;
         // Persist according to the configured frequency — the trainer does not know
         // (or care) which medium the backend writes to. In overlapped mode the
-        // backend stages a cheap snapshot and publishes it in the background while
-        // the next iteration computes; `drain` joins the tail publish.
+        // backend stages a cheap snapshot and publishes it at the next persist, and
+        // the simulated clock overlaps it with the compute in between; `drain` joins
+        // the tail publish.
         let iteration = self.network.iteration();
         if iteration.is_multiple_of(self.config.mirror_frequency) {
             let before = self.ctx.clock().now_ns();
@@ -245,7 +248,7 @@ impl PliniusTrainer {
         self.last_persist_ns
     }
 
-    /// Joins and commits any in-flight background publish of the persistence backend.
+    /// Joins and commits any in-flight publish of the persistence backend.
     /// [`PliniusTrainer::run`]/[`PliniusTrainer::run_at_most`] call this on every
     /// exit path; it is needed explicitly only when driving [`PliniusTrainer::step`]
     /// by hand in overlapped mode.

@@ -37,8 +37,8 @@
 //!   depth, so any deployment holding the model key can verify and adopt them.
 
 use crate::mirror::MirrorModel;
-use crate::sealed::verify_arena;
 pub use crate::sealed::SealedEpoch;
+use crate::sealed::{check_layout, verify_arena};
 use crate::{PliniusContext, PliniusError};
 use plinius_crypto::SealedView;
 
@@ -353,7 +353,7 @@ impl MirrorVfs {
     /// [`PliniusError::KeyNotProvisioned`] without the model key.
     pub fn import(&self, sealed: &SealedEpoch) -> Result<u64, PliniusError> {
         let layout = self.mirror.slot_layout();
-        sealed.check_layout(layout)?;
+        check_layout(&sealed.sealed_lens, &sealed.arena, layout)?;
         let gcm = self.ctx.gcm()?;
         verify_arena(layout, &gcm, &sealed.arena)?;
         self.mirror

@@ -52,9 +52,9 @@ pub struct WorkflowReport {
 }
 
 impl WorkflowReport {
-    /// Simulated milliseconds the training lane spent waiting for background
-    /// publishes (zero in [`PipelineMode::Sync`], or when compute fully hides the
-    /// sealing).
+    /// Simulated milliseconds the training lane spent waiting for pipelined
+    /// publishes at their joins (zero in [`PipelineMode::Sync`], or when compute
+    /// fully hides the simulated sealing).
     pub fn overlap_wait_ms(&self) -> f64 {
         self.persist_stats.overlap_wait_ns as f64 / 1e6
     }

@@ -143,11 +143,9 @@ fn warm_mirror_in_decodes_in_place_without_heap_allocations() {
 
 #[test]
 fn steady_state_snapshot_phase_performs_zero_heap_allocations() {
-    // The cheap half of an overlapped mirror-out: copying the parameters and the IV
-    // batch into the handle's snapshot and dispatching the seal job must not touch the
-    // heap once the pipeline (worker, snapshot, stats counters) is warm. The job
-    // *moves* through the pipeline's single exchange slot, so even the dispatch is
-    // allocation-free on the calling thread.
+    // The cheap half of an overlapped mirror-out: copying the parameters into the
+    // handle's snapshot, with the IV batch and the model key's context, must not touch
+    // the heap once the snapshot and the stats counters are warm.
     let (ctx, net, mirror) = mirror_fixture();
     for _ in 0..3 {
         mirror.snapshot_out(&ctx, &net).unwrap();

@@ -1,5 +1,5 @@
 //! Parsing an untrusted sealed-epoch payload reserves no more memory than the payload
-//! can fill.
+//! can fill, and an SSD restore opens the file's blobs where they lie.
 //!
 //! The host owns the SSD, and an imported payload crosses it too, so a payload may
 //! declare any tensor count. A 32-byte payload declaring 2^20 tensors must be rejected
@@ -11,7 +11,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use plinius::SealedEpoch;
+use plinius::{PliniusContext, SealedEpoch, SsdCheckpointer};
+use plinius_crypto::Key;
+use plinius_darknet::config::{build_network, sized_model_config};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 struct CountingAlloc;
 
@@ -56,5 +60,29 @@ fn a_tiny_payload_declaring_huge_counts_reserves_almost_nothing() {
     assert!(
         reserved < 4096,
         "parsing a 32-byte payload reserved {reserved} bytes"
+    );
+}
+
+#[test]
+fn a_warm_ssd_restore_allocates_little_more_than_the_file() {
+    // A 1 MB model: the file read into the enclave is the one buffer the size of the
+    // model; the restore parses its header and opens the blobs in place, so nothing
+    // copies the arena a second time.
+    let ctx = PliniusContext::small_test(4 * 1024 * 1024);
+    ctx.provision_key_directly(Key::generate_128(&mut StdRng::seed_from_u64(3)));
+    let config = sized_model_config(1, 8);
+    let net = build_network(&config, &mut StdRng::seed_from_u64(4)).unwrap();
+    let mut restored = build_network(&config, &mut StdRng::seed_from_u64(5)).unwrap();
+    let ckpt = SsdCheckpointer::new("model.ckpt");
+    ckpt.save(&ctx, &net).unwrap();
+    let file = ctx.ssd().file_size("model.ckpt").unwrap();
+    ckpt.restore(&ctx, &mut restored).unwrap();
+
+    let before = thread_bytes();
+    ckpt.restore(&ctx, &mut restored).unwrap();
+    let allocated = thread_bytes() - before;
+    assert!(
+        allocated as f64 <= 1.1 * file as f64,
+        "a warm restore of a {file}-byte checkpoint allocated {allocated} bytes"
     );
 }

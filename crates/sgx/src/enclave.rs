@@ -338,10 +338,10 @@ impl Enclave {
     /// The simulated cost of AES-GCM work over `bytes` *without* advancing the clock;
     /// the statistics are still recorded exactly as [`Enclave::charge_crypto`] would.
     ///
-    /// Used by the pipelined mirror: the sealing runs on a background worker and its
-    /// lane cost is charged at the overlap join (`SimSpan::overlap`) instead of
-    /// inline, so the simulated total reflects `max(compute, seal)` rather than
-    /// their sum.
+    /// Used by the pipelined mirror: the sealing is modeled as a lane beside the
+    /// training compute, and its cost is charged at the overlap join
+    /// (`SimSpan::overlap`) instead of inline, so the simulated total reflects
+    /// `max(compute, seal)` rather than their sum.
     pub fn charge_crypto_offline(&self, bytes: u64) -> u64 {
         let ns = self.inner.cost.crypto_ns(bytes, self.working_set());
         self.inner.stats.add(Metric::SgxCryptoBytes, bytes);
