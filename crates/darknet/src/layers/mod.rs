@@ -208,6 +208,24 @@ impl Layer {
         }
     }
 
+    /// [`Layer::backward`] followed by [`Layer::update`], the training step's work on
+    /// one layer after the loss, with the same result. A connected layer interleaves
+    /// the two, block by block over its weights (see [`connected`]).
+    pub(crate) fn backward_and_update(
+        &mut self,
+        input: &[f32],
+        prev_delta: Option<&mut [f32]>,
+        batch: usize,
+        args: &UpdateArgs,
+    ) {
+        if let Layer::Connected(l) = self {
+            l.backward_and_update(input, prev_delta, batch, args);
+        } else {
+            self.backward(input, prev_delta, batch);
+            self.update(args);
+        }
+    }
+
     /// The batch-sized output buffer of the most recent forward pass.
     pub fn output(&self) -> &[f32] {
         &self.buffers().output

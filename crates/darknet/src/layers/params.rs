@@ -9,6 +9,7 @@ use crate::dispatch::{selected_gemm, GemmKind};
 use crate::layers::{ParamView, UpdateArgs, PARAM_TENSORS_PER_LAYER, PARAM_TENSOR_NAMES};
 use crate::matrix::sgd_with_engine;
 use rand::Rng;
+use std::ops::Range;
 
 /// A trainable layer's learnable parameters, their gradient accumulators and the
 /// engine its kernels run on.
@@ -66,23 +67,37 @@ impl Params {
     /// element: `b += (lr / B) · Δb`, then `Δb *= momentum`; `Δw += (−decay · B) · w`,
     /// then `w += (lr / B) · Δw`, then `Δw *= momentum`. The biases take no decay step.
     pub(super) fn update(&mut self, args: &UpdateArgs) {
+        self.update_biases(args);
+        self.update_weights(0..self.weights.len(), args);
+    }
+
+    /// The biases' half of [`Params::update`].
+    pub(super) fn update_biases(&mut self, args: &UpdateArgs) {
         let batch = args.batch.max(1) as f32;
-        let rate = args.learning_rate / batch;
         sgd_with_engine(
             self.engine,
             None,
-            rate,
+            args.learning_rate / batch,
             args.momentum,
             &mut self.biases,
             &mut self.bias_updates,
         );
+    }
+
+    /// The weights' half of [`Params::update`], over the elements `range` of the
+    /// weights and their accumulators. Every element's step is its own, so updating a
+    /// tensor range by range ends on the bits of one call over the whole, provided
+    /// every range but the last holds whole vector lanes: the `fma` engines leave the
+    /// last `len % lanes` elements of each call unfused.
+    pub(super) fn update_weights(&mut self, range: Range<usize>, args: &UpdateArgs) {
+        let batch = args.batch.max(1) as f32;
         sgd_with_engine(
             self.engine,
             Some(-args.decay * batch),
-            rate,
+            args.learning_rate / batch,
             args.momentum,
-            &mut self.weights,
-            &mut self.weight_updates,
+            &mut self.weights[range.clone()],
+            &mut self.weight_updates[range],
         );
     }
 

@@ -988,9 +988,9 @@ mod tests {
             GemmKind::Avx512Fma,
         ];
         for engine in engines {
-            // The 4 MB FC layer at batch 8: its data gradient, prev_delta (8 x 392) +=
-            // delta (8 x 2674) * W (2674 x 392), is past every engine's parallel
-            // cutoff but has no full row block.
+            // The 4 MB FC layer's data gradient at batch 8 taken whole, prev_delta
+            // (8 x 392) += delta (8 x 2674) * W (2674 x 392), is past every engine's
+            // parallel cutoff but has no full row block.
             assert_eq!(gemm_threads(engine, false, 8, 392, 2674), 1, "{engine}");
             // However large the product, fewer than two full row blocks is one band.
             for m in [1, GEMM_MC, 2 * GEMM_MC - 1] {
@@ -998,8 +998,10 @@ mod tests {
                     assert_eq!(gemm_threads(engine, tb, m, 4096, 4096), 1, "{engine} m={m}");
                 }
             }
-            // Its weight gradient, Δw (2674 x 392) += deltaᵀ (2674 x 8) * input
-            // (8 x 392), has 27 full row blocks and keeps every worker.
+            // Its weight gradient taken whole, Δw (2674 x 392) += deltaᵀ (2674 x 8) *
+            // input (8 x 392), has 27 full row blocks and keeps every worker. The layer
+            // issues neither product: it walks its weights in blocks of 32 rows, whose
+            // products each stay on one thread.
             assert_eq!(
                 gemm_threads(engine, false, 2674, 392, 8),
                 plinius_parallel::max_threads().min(2674 / GEMM_MC),

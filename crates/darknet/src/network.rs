@@ -255,26 +255,23 @@ impl Network {
             }
         }
         loss /= batch as f32;
-        // Backward pass.
-        for i in (0..self.layers.len()).rev() {
-            let (before, rest) = self.layers.split_at_mut(i);
-            let layer = &mut rest[0];
-            if i == 0 {
-                layer.backward(images, None, batch);
-            } else {
-                let (prev_output, prev_delta) = before[i - 1].output_and_delta_mut();
-                layer.backward(prev_output, Some(prev_delta), batch);
-            }
-        }
-        // Parameter update.
+        // Backward pass, each layer's parameter update right after its backward: no
+        // layer's backward reads another layer's parameters.
         let args = UpdateArgs {
             learning_rate: self.config.learning_rate,
             momentum: self.config.momentum,
             decay: self.config.decay,
             batch,
         };
-        for layer in &mut self.layers {
-            layer.update(&args);
+        for i in (0..self.layers.len()).rev() {
+            let (before, rest) = self.layers.split_at_mut(i);
+            let layer = &mut rest[0];
+            if i == 0 {
+                layer.backward_and_update(images, None, batch, &args);
+            } else {
+                let (prev_output, prev_delta) = before[i - 1].output_and_delta_mut();
+                layer.backward_and_update(prev_output, Some(prev_delta), batch, &args);
+            }
         }
         self.iteration += 1;
         self.last_loss = loss;

@@ -13,9 +13,10 @@
 //!
 //! The training step itself is held to the same standard: a warm
 //! `Network::train_batch` and a warm `Network::forward` perform zero heap
-//! allocations (the GEMM pack buffers are per thread and reused across calls), and a
-//! warm `PmDataset::decrypt_batch` allocates its few buffers once per batch, never
-//! per sample.
+//! allocations (the GEMM pack buffers are per thread and reused across calls), or on
+//! a model whose conv layer fans its batch out across threads, none beyond that
+//! fan-out; and a warm `PmDataset::decrypt_batch` allocates its few buffers once per
+//! batch, never per sample.
 //!
 //! The counting allocator is thread-local, so the serial assertions are exact even
 //! though the test binary runs tests on multiple threads.
@@ -31,7 +32,7 @@ use std::cell::Cell;
 
 use plinius::{MirrorModel, PliniusContext, PmDataset};
 use plinius_crypto::{seal_into, sealed_len, Aes, AesGcm, EngineKind, Key, SealedView, IV_LEN};
-use plinius_darknet::config::{build_network, mnist_cnn_config};
+use plinius_darknet::config::{build_network, mnist_cnn_config, sized_model_config};
 use plinius_pmem::{CrashMode, PmemPool, CACHE_LINE};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -163,13 +164,12 @@ fn steady_state_snapshot_phase_performs_zero_heap_allocations() {
 
 #[test]
 fn steady_state_overlapped_cycle_performs_zero_heap_allocations_on_the_training_thread() {
-    // A full overlapped persist cycle — snapshot, background seal, join, bulk slot
-    // publish, epoch flip — seen from the training thread. The background worker's
-    // own allocations (if any) land on its thread; the training thread itself must
-    // stay off the heap.
+    // A full overlapped persist cycle — snapshot, then at the join each tensor sealed
+    // from the snapshot straight into its PM ring slot, the slot publish and the epoch
+    // flip — all on the training thread, which must stay off the heap.
     let (ctx, net, mirror) = mirror_fixture();
-    // Warm-up: three cycles cover both A/B slots, the snapshot and its sealed-blob
-    // arena, the Romulus redo log and every stats counter.
+    // Warm-up: three cycles cover both A/B slots, the snapshot and the Romulus redo
+    // log.
     for _ in 0..3 {
         mirror.snapshot_out(&ctx, &net).unwrap();
         mirror.drain(&ctx).unwrap();
@@ -306,6 +306,47 @@ fn steady_state_forward_performs_zero_heap_allocations() {
     let allocs = thread_allocs() - before;
     assert_eq!(out_len, 4 * 10);
     assert_eq!(allocs, 0, "a warm forward pass must not touch the heap");
+}
+
+#[test]
+fn a_warm_step_of_the_wide_layer_allocates_nothing_beyond_the_conv_fan_out() {
+    // The 1 MB model of `sized_model_config(1, 8)`, whose 392→668 connected layer
+    // spans 21 blocks of rows. Its conv layer fans the batch of 8 out across threads:
+    // past one thread the fork allocates its worker lists and spawns, and at
+    // `PLINIUS_THREADS=1` the fan-out still reads the knob, whose value arrives as a
+    // `String`. Every other kernel stays on the calling thread without reading the
+    // knob, the wide layer's block-by-block products included, so a warm training
+    // step and a warm forward pass allocate exactly what the conv forward alone does,
+    // at any thread count.
+    let mut net = build_network(&sized_model_config(1, 8), &mut StdRng::seed_from_u64(78)).unwrap();
+    let images: Vec<f32> = (0..8 * 784).map(|i| (i % 17) as f32 / 17.0).collect();
+    let mut labels = vec![0.0f32; 8 * 10];
+    for sample in 0..8 {
+        labels[sample * 10 + sample] = 1.0;
+    }
+    let mut conv_forward = || {
+        let conv = &mut net.layers_mut()[0];
+        conv.forward(&images, 8);
+        let before = thread_allocs();
+        conv.forward(&images, 8);
+        thread_allocs() - before
+    };
+    let conv = conv_forward();
+    net.train_batch(&images, &labels, 8).unwrap();
+    net.train_batch(&images, &labels, 8).unwrap();
+    let before = thread_allocs();
+    let loss = net.train_batch(&images, &labels, 8).unwrap();
+    let step = thread_allocs() - before;
+    net.forward(&images, 8);
+    let before = thread_allocs();
+    net.forward(&images, 8);
+    let forward = thread_allocs() - before;
+    assert!(loss.is_finite());
+    assert_eq!(
+        (step, forward),
+        (conv, conv),
+        "a warm step and forward must allocate only what the conv fan-out does"
+    );
 }
 
 #[test]

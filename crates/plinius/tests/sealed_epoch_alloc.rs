@@ -1,5 +1,6 @@
 //! Parsing an untrusted sealed-epoch payload reserves no more memory than the payload
-//! can fill, and an SSD restore opens the file's blobs where they lie.
+//! can fill, an SSD restore opens the file's blobs where they lie, and an SSD save
+//! rewrites its file without regrowing it.
 //!
 //! The host owns the SSD, and an imported payload crosses it too, so a payload may
 //! declare any tensor count. A 32-byte payload declaring 2^20 tensors must be rejected
@@ -84,5 +85,26 @@ fn a_warm_ssd_restore_allocates_little_more_than_the_file() {
     assert!(
         allocated as f64 <= 1.1 * file as f64,
         "a warm restore of a {file}-byte checkpoint allocated {allocated} bytes"
+    );
+}
+
+#[test]
+fn a_warm_ssd_save_allocates_little_more_than_the_file() {
+    // The 4 MB model: the save seals into one file image the size of the file, and the
+    // simulated SSD truncates the file it rewrites in place, keeping its capacity, so
+    // the 1 MiB `fwrite` chunks do not regrow it.
+    let ctx = PliniusContext::small_test(4 * 1024 * 1024);
+    ctx.provision_key_directly(Key::generate_128(&mut StdRng::seed_from_u64(6)));
+    let net = build_network(&sized_model_config(4, 8), &mut StdRng::seed_from_u64(7)).unwrap();
+    let ckpt = SsdCheckpointer::new("model.ckpt");
+    ckpt.save(&ctx, &net).unwrap();
+    let file = ctx.ssd().file_size("model.ckpt").unwrap();
+
+    let before = thread_bytes();
+    ckpt.save(&ctx, &net).unwrap();
+    let allocated = thread_bytes() - before;
+    assert!(
+        allocated as f64 <= 1.1 * file as f64,
+        "a warm save of a {file}-byte checkpoint allocated {allocated} bytes"
     );
 }

@@ -82,9 +82,16 @@ impl SimFileSystem {
             .ok_or_else(|| StorageError::NotFound(path.to_owned()))
     }
 
-    /// Creates (or truncates) `path`.
+    /// Creates (or truncates) `path`. Truncating keeps the file's capacity, so a file
+    /// rewritten at the same size (a checkpoint saved again) does not regrow.
     pub fn create(&self, path: &str) {
-        self.files.lock().insert(path.to_owned(), Vec::new());
+        let mut files = self.files.lock();
+        match files.get_mut(path) {
+            Some(file) => file.clear(),
+            None => {
+                files.insert(path.to_owned(), Vec::new());
+            }
+        }
     }
 
     /// Appends `data` to `path`, creating the file if needed (the `fwrite` of the
