@@ -158,16 +158,34 @@ pub(crate) fn seal_through_stack(
     }
 }
 
+/// The byte-indexed GHASH tables of the scalar engine, for H^1..H^4: `t[p][b]` is
+/// `H^(p+1)` multiplied by the 8-bit polynomial `b` at the x^0..x^7 coefficient
+/// positions, so one block costs 16 shift+lookup steps. The higher powers drive 4-block
+/// *aggregated* GHASH (`Y·H^4 ^ C1·H^3 ^ C2·H^2 ^ C3·H`), which replaces one long
+/// serial chain with four independent ones. 16 KiB per key.
+type ShoupTables = [[u128; 256]; 4];
+
+/// Expands each of `h_powers` (H^1..H^4) from a 16-entry Shoup table into its
+/// byte-indexed table.
+fn shoup_tables(h_powers: [u128; 4]) -> Box<ShoupTables> {
+    let mut tables = Box::new([[0u128; 256]; 4]);
+    for (table, power) in tables.iter_mut().zip(h_powers) {
+        *table = *build_h_table8(&build_h_table(power));
+    }
+    tables
+}
+
 /// The concrete kernel set a context dispatches to, fixed at construction.
 ///
 /// The hardware variants carry the AES-NI schedule and the PCLMUL subkey powers
 /// (the vector one 16 powers and the 128-bit kernels it falls back to); they only
 /// exist on `x86_64` and are only ever constructed after runtime feature detection
 /// (see [`crate::aesarch`]/[`crate::clmul`]/[`crate::vaes`] for the safety contract).
+/// Only the scalar variant carries the Shoup tables, which only it reads.
 // The size gap between the hardware variants (expanded key schedule + GHASH subkey
-// powers, ~320-580 B) and the table-less one is intentional: one `Engine` lives
-// inline in each long-lived `AesGcm` (itself dominated by the scalar Shoup table),
-// so boxing the hardware state would buy nothing but a pointer chase per call.
+// powers, ~320-580 B) and the scalar one (a pointer to its tables) is intentional:
+// one `Engine` lives inline in each long-lived `AesGcm`, so boxing the hardware state
+// would buy nothing but a pointer chase per call.
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone)]
 enum Engine {
@@ -178,7 +196,7 @@ enum Engine {
         aes: AesNi,
         ghash: ClmulGhash,
     },
-    Scalar,
+    Scalar(Box<ShoupTables>),
 }
 
 impl Engine {
@@ -186,7 +204,7 @@ impl Engine {
     /// (construction re-checks them, whatever the caller selected).
     fn build(kind: EngineKind, cipher: &Aes, h_powers: [u128; 4]) -> Option<Self> {
         match kind {
-            EngineKind::Scalar => Some(Engine::Scalar),
+            EngineKind::Scalar => Some(Engine::Scalar(shoup_tables(h_powers))),
             #[cfg(target_arch = "x86_64")]
             EngineKind::Vaes => VaesGcm::try_new(cipher, h_powers).map(Engine::Vaes),
             #[cfg(target_arch = "x86_64")]
@@ -208,7 +226,7 @@ impl Engine {
             Engine::Vaes(_) => EngineKind::Vaes,
             #[cfg(target_arch = "x86_64")]
             Engine::Hw { .. } => EngineKind::Hw,
-            Engine::Scalar => EngineKind::Scalar,
+            Engine::Scalar(_) => EngineKind::Scalar,
         }
     }
 }
@@ -219,13 +237,6 @@ pub struct AesGcm {
     cipher: Aes,
     /// The hash subkey H = AES_K(0^128), interpreted as a big-endian integer.
     h: u128,
-    /// Byte-indexed GHASH tables for H^1..H^4, each expanded from a 16-entry Shoup
-    /// table at key-schedule time: `h_tables[p][b]` is `H^(p+1)` multiplied by the
-    /// 8-bit polynomial `b` at the x^0..x^7 coefficient positions, so one block costs
-    /// 16 shift+lookup steps. The higher powers drive 4-block *aggregated* GHASH
-    /// (`Y·H^4 ^ C1·H^3 ^ C2·H^2 ^ C3·H`), which replaces one long serial chain with
-    /// four independent ones.
-    h_tables: Box<[[u128; 256]; 4]>,
     /// Selected kernel set; all variants are byte-for-byte identical.
     engine: Engine,
 }
@@ -269,21 +280,13 @@ impl AesGcm {
     fn assemble(cipher: Aes, kind: EngineKind) -> Self {
         let h_block = cipher.encrypt_block_copy(&[0u8; BLOCK_SIZE]);
         let h = u128::from_be_bytes(h_block);
-        let mut h_tables = Box::new([[0u128; 256]; 4]);
-        let mut h_powers = [0u128; 4];
-        let mut power = h;
-        for (table, slot) in h_tables.iter_mut().zip(h_powers.iter_mut()) {
-            *slot = power;
-            *table = *build_h_table8(&build_h_table(power));
-            power = gf_mult(power, h);
+        let mut h_powers = [h; 4];
+        for p in 1..4 {
+            h_powers[p] = gf_mult(h_powers[p - 1], h);
         }
-        let engine = Engine::build(kind, &cipher, h_powers).unwrap_or(Engine::Scalar);
-        AesGcm {
-            cipher,
-            h,
-            h_tables,
-            engine,
-        }
+        let engine = Engine::build(kind, &cipher, h_powers)
+            .unwrap_or_else(|| Engine::Scalar(shoup_tables(h_powers)));
+        AesGcm { cipher, h, engine }
     }
 
     /// Creates a GCM context directly from key bytes (16, 24 or 32 bytes),
@@ -374,7 +377,7 @@ impl AesGcm {
                     |y, block| ghash.ghash_padded(y, block),
                 );
             }
-            Engine::Scalar => seal_through_stack(
+            Engine::Scalar(tables) => seal_through_stack(
                 counter,
                 ciphertext,
                 y,
@@ -382,7 +385,7 @@ impl AesGcm {
                     plain.load(off, block);
                     self.ctr_scalar(c, block);
                 },
-                |y, block| self.ghash_padded_scalar(y, block),
+                |y, block| ghash_padded_shoup(tables, y, block),
             ),
         };
         Ok(self.tag_with(j0, aad, len, encrypt_and_hash))
@@ -470,7 +473,7 @@ impl AesGcm {
             Engine::Vaes(vaes) => vaes.ctr_xor(counter, ciphertext, plaintext.bytes()),
             #[cfg(target_arch = "x86_64")]
             Engine::Hw { aes, .. } => aes.ctr_xor(counter, ciphertext, plaintext.bytes()),
-            Engine::Scalar => {
+            Engine::Scalar(_) => {
                 let (mut plaintext, mut stack) = (plaintext, [0u8; STACK_BLOCK]);
                 for (i, chunk) in ciphertext.chunks(STACK_BLOCK).enumerate() {
                     let offset = i * STACK_BLOCK;
@@ -589,14 +592,8 @@ impl AesGcm {
             Engine::Vaes(vaes) => vaes.ghash().ghash_block(y, block),
             #[cfg(target_arch = "x86_64")]
             Engine::Hw { ghash, .. } => ghash.ghash_block(y, block),
-            Engine::Scalar => self.ghash_block_scalar(y, block),
+            Engine::Scalar(tables) => ghash_block_shoup(tables, y, block),
         }
-    }
-
-    /// One GHASH block step with the byte-indexed Shoup table.
-    #[inline]
-    fn ghash_block_scalar(&self, y: &mut u128, block: &[u8; BLOCK_SIZE]) {
-        *y = gf_mult_shoup8(&self.h_tables[0], *y ^ u128::from_be_bytes(*block));
     }
 
     /// Absorbs arbitrary-length data, zero-padding the final partial block;
@@ -608,38 +605,7 @@ impl AesGcm {
             Engine::Vaes(vaes) => vaes.ghash_padded(y, data),
             #[cfg(target_arch = "x86_64")]
             Engine::Hw { ghash, .. } => ghash.ghash_padded(y, data),
-            Engine::Scalar => self.ghash_padded_scalar(y, data),
-        }
-    }
-
-    /// Scalar GHASH absorption.
-    ///
-    /// Full 64-byte groups use 4-block aggregation: the identity
-    /// `(((Y⊕C0)·H ⊕ C1)·H ⊕ C2)·H ⊕ C3)·H = (Y⊕C0)·H⁴ ⊕ C1·H³ ⊕ C2·H² ⊕ C3·H`
-    /// turns the serial multiply chain into four independent multiplies whose table
-    /// loads overlap. The result is bit-identical to the block-by-block chain.
-    fn ghash_padded_scalar(&self, y: &mut u128, data: &[u8]) {
-        let t = &self.h_tables;
-        let mut quads = data.chunks_exact(4 * BLOCK_SIZE);
-        for quad in &mut quads {
-            let b0 = u128::from_be_bytes(quad[0..16].try_into().expect("16 bytes"));
-            let b1 = u128::from_be_bytes(quad[16..32].try_into().expect("16 bytes"));
-            let b2 = u128::from_be_bytes(quad[32..48].try_into().expect("16 bytes"));
-            let b3 = u128::from_be_bytes(quad[48..64].try_into().expect("16 bytes"));
-            *y = gf_mult_shoup8(&t[3], *y ^ b0)
-                ^ gf_mult_shoup8(&t[2], b1)
-                ^ gf_mult_shoup8(&t[1], b2)
-                ^ gf_mult_shoup8(&t[0], b3);
-        }
-        let mut blocks = quads.remainder().chunks_exact(BLOCK_SIZE);
-        for chunk in &mut blocks {
-            self.ghash_block_scalar(y, &chunk.try_into().expect("16 bytes"));
-        }
-        let rem = blocks.remainder();
-        if !rem.is_empty() {
-            let mut block = [0u8; BLOCK_SIZE];
-            block[..rem.len()].copy_from_slice(rem);
-            self.ghash_block_scalar(y, &block);
+            Engine::Scalar(tables) => ghash_padded_shoup(tables, y, data),
         }
     }
 
@@ -777,6 +743,42 @@ const fn build_r8() -> [u128; 256] {
         n += 1;
     }
     t
+}
+
+/// One GHASH block step with the byte-indexed Shoup table of H.
+#[inline]
+fn ghash_block_shoup(t: &ShoupTables, y: &mut u128, block: &[u8; BLOCK_SIZE]) {
+    *y = gf_mult_shoup8(&t[0], *y ^ u128::from_be_bytes(*block));
+}
+
+/// Scalar GHASH absorption through the Shoup tables `t`.
+///
+/// Full 64-byte groups use 4-block aggregation: the identity
+/// `(((Y⊕C0)·H ⊕ C1)·H ⊕ C2)·H ⊕ C3)·H = (Y⊕C0)·H⁴ ⊕ C1·H³ ⊕ C2·H² ⊕ C3·H`
+/// turns the serial multiply chain into four independent multiplies whose table
+/// loads overlap. The result is bit-identical to the block-by-block chain.
+fn ghash_padded_shoup(t: &ShoupTables, y: &mut u128, data: &[u8]) {
+    let mut quads = data.chunks_exact(4 * BLOCK_SIZE);
+    for quad in &mut quads {
+        let b0 = u128::from_be_bytes(quad[0..16].try_into().expect("16 bytes"));
+        let b1 = u128::from_be_bytes(quad[16..32].try_into().expect("16 bytes"));
+        let b2 = u128::from_be_bytes(quad[32..48].try_into().expect("16 bytes"));
+        let b3 = u128::from_be_bytes(quad[48..64].try_into().expect("16 bytes"));
+        *y = gf_mult_shoup8(&t[3], *y ^ b0)
+            ^ gf_mult_shoup8(&t[2], b1)
+            ^ gf_mult_shoup8(&t[1], b2)
+            ^ gf_mult_shoup8(&t[0], b3);
+    }
+    let mut blocks = quads.remainder().chunks_exact(BLOCK_SIZE);
+    for chunk in &mut blocks {
+        ghash_block_shoup(t, y, &chunk.try_into().expect("16 bytes"));
+    }
+    let rem = blocks.remainder();
+    if !rem.is_empty() {
+        let mut block = [0u8; BLOCK_SIZE];
+        block[..rem.len()].copy_from_slice(rem);
+        ghash_block_shoup(t, y, &block);
+    }
 }
 
 /// Builds the per-key Shoup table: `t[n]` is `H` multiplied by the 4-bit polynomial

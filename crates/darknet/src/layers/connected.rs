@@ -19,9 +19,9 @@
 //! exactly the elements a whole-tensor call fuses.
 
 use crate::activation::Activation;
-use crate::layers::layer_gemm;
 use crate::layers::params::{Buffers, Params};
 use crate::layers::UpdateArgs;
+use crate::matrix::gemm;
 use std::ops::Range;
 
 /// Bytes of weights one block of rows holds at most (unless a row multiple alone is
@@ -104,7 +104,7 @@ impl ConnectedLayer {
         out.iter_mut().for_each(|o| *o = 0.0);
         for rows in blocks {
             // output[:, J] (batch x |J|) = input (batch x inputs) * W[J]^T (inputs x |J|)
-            layer_gemm(
+            gemm(
                 self.params.engine,
                 false,
                 true,
@@ -182,7 +182,7 @@ impl ConnectedLayer {
             let delta = &delta[rows.start..];
             if let Some(prev) = prev_delta.as_deref_mut() {
                 // prev_delta (batch x inputs) += delta[:, J] (batch x |J|) * W[J] (|J| x inputs)
-                layer_gemm(
+                gemm(
                     params.engine,
                     false,
                     false,
@@ -200,7 +200,7 @@ impl ConnectedLayer {
                 );
             }
             // ΔW[J] (|J| x inputs) += delta[:, J]^T (|J| x batch) * input (batch x inputs)
-            layer_gemm(
+            gemm(
                 params.engine,
                 true,
                 false,

@@ -3,38 +3,32 @@
 //! paper's experiments.
 //!
 //! The forward pass over a batch runs sample-parallel across scoped threads (each
-//! sample's im2col + GEMM + bias + activation writes a disjoint output band). The
-//! backward pass walks the samples on the calling thread: its per-sample GEMMs would
-//! fan out only past the engine's parallel cutoff
-//! ([`crate::GemmKind::par_min_work`], `2^20` or `2^21` multiply-adds), which no conv
-//! layer of the benchmark models reaches, so in practice it runs on one core. Both
-//! produce bit-identical results for every thread count.
+//! sample's im2col + GEMM + bias + activation writes a disjoint output band), or inline
+//! on the calling thread when the batch or the layer is small. The backward pass walks
+//! the samples on the calling thread: its per-sample GEMMs would fan out only past the
+//! engine's parallel cutoff ([`crate::GemmKind::par_min_work`], `2^20` or `2^21`
+//! multiply-adds), which no conv layer of the benchmark models reaches, so in practice it
+//! runs on one core. Both passes build each sample's columns in one per-thread scratch,
+//! and both produce bit-identical results for every thread count.
 
 use crate::activation::Activation;
-use crate::layers::layer_gemm;
 use crate::layers::params::{Buffers, Params};
-use crate::matrix::{col2im, conv_out_dim, gemm_with_engine, im2col, GEMM_DEFAULT_KC};
+use crate::matrix::{
+    col2im, conv_out_dim, gemm, gemm_threads, gemm_with_engine, grow, im2col, GEMM_DEFAULT_KC,
+};
 use std::cell::RefCell;
 
 thread_local! {
-    /// Per-thread im2col scratch for the sample-parallel forward path.
+    /// This thread's im2col scratch, shared by the forward and the backward pass. It
+    /// grows to the largest `k x n` columns the thread has needed and each use takes the
+    /// slice it needs; it is never shrunk or re-zeroed, since `im2col` writes every value
+    /// a pass reads and the backward zeroes its column gradient itself.
     static COL_BUFFER: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Minimum per-sample GEMM work (`filters * k * out_pixels`) before the forward pass
 /// fans a batch out across threads; tiny layers stay serial.
 const FORWARD_PAR_MIN_WORK: usize = 1 << 14;
-
-/// Bias-add + activation over one sample's output band, shared by the serial and
-/// sample-parallel forward paths so both compute byte-identical results.
-fn forward_epilogue(out: &mut [f32], biases: &[f32], n: usize, activation: Activation) {
-    for (f, bias) in biases.iter().enumerate() {
-        for o in out[f * n..(f + 1) * n].iter_mut() {
-            *o += bias;
-        }
-    }
-    activation.apply_slice(out);
-}
 
 /// A 2-D convolutional layer.
 #[derive(Debug, Clone)]
@@ -52,8 +46,6 @@ pub struct ConvLayer {
     activation: Activation,
     pub(super) params: Params,
     pub(super) buffers: Buffers,
-    /// One sample's im2col columns, for the serial forward path and the backward pass.
-    col_buffer: Vec<f32>,
 }
 
 impl ConvLayer {
@@ -98,7 +90,6 @@ impl ConvLayer {
             activation,
             params: Params::new(filters, fan_in),
             buffers: Buffers::new(outputs * batch),
-            col_buffer: vec![0.0; fan_in * out_h * out_w],
         }
     }
 
@@ -153,85 +144,54 @@ impl ConvLayer {
         } else {
             1
         };
+        // A fanned-out sample's GEMM stays on its worker (the batch is the parallel
+        // axis); on one thread it may still split into row bands, as `gemm` would (e.g.
+        // single-sample inference on a large layer). Results are thread-invariant.
+        let engine = self.params.engine;
+        let gemm_workers = match threads {
+            1 => gemm_threads(engine, false, m, n, k),
+            _ => 1,
+        };
         let in_size = self.inputs();
-        if threads > 1 {
-            // Each sample writes its own m*n output band; the inner GEMM stays
-            // single-threaded (the batch is the parallel axis).
-            let weights = &self.params.weights;
-            let biases = &self.params.biases;
-            let activation = self.activation;
-            let engine = self.params.engine;
-            let (in_c, in_h, in_w) = (self.in_c, self.in_h, self.in_w);
-            let (ksize, stride, pad) = (self.ksize, self.stride, self.pad);
-            plinius_parallel::par_chunks_mut(
-                &mut self.buffers.output[..batch * m * n],
-                m * n,
-                threads,
-                |b, out| {
-                    let sample = &input[b * in_size..(b + 1) * in_size];
-                    COL_BUFFER.with(|buf| {
-                        let mut col = buf.borrow_mut();
-                        col.resize(k * n, 0.0);
-                        im2col(sample, in_c, in_h, in_w, ksize, stride, pad, &mut col);
-                        out.iter_mut().for_each(|o| *o = 0.0);
-                        gemm_with_engine(
-                            engine,
-                            1,
-                            GEMM_DEFAULT_KC,
-                            false,
-                            false,
-                            m,
-                            n,
-                            k,
-                            1.0,
-                            weights,
-                            k,
-                            &col,
-                            n,
-                            0.0,
-                            out,
-                            n,
-                        );
-                    });
-                    forward_epilogue(out, biases, n, activation);
-                },
-            );
-        } else {
-            for b in 0..batch {
+        let (weights, biases) = (&self.params.weights, &self.params.biases);
+        let activation = self.activation;
+        let (in_c, in_h, in_w) = (self.in_c, self.in_h, self.in_w);
+        let (ksize, stride, pad) = (self.ksize, self.stride, self.pad);
+        plinius_parallel::par_chunks_mut(
+            &mut self.buffers.output[..batch * m * n],
+            m * n,
+            threads,
+            |b, out| {
                 let sample = &input[b * in_size..(b + 1) * in_size];
-                im2col(
-                    sample,
-                    self.in_c,
-                    self.in_h,
-                    self.in_w,
-                    self.ksize,
-                    self.stride,
-                    self.pad,
-                    &mut self.col_buffer,
-                );
-                let out = &mut self.buffers.output[b * m * n..(b + 1) * m * n];
-                out.iter_mut().for_each(|o| *o = 0.0);
-                // Row-band parallelism inside the GEMM still applies (e.g. single-
-                // sample inference on a large layer); results are thread-invariant.
-                layer_gemm(
-                    self.params.engine,
-                    false,
-                    false,
-                    m,
-                    n,
-                    k,
-                    1.0,
-                    &self.params.weights,
-                    k,
-                    &self.col_buffer,
-                    n,
-                    0.0,
-                    out,
-                    n,
-                );
-                forward_epilogue(out, &self.params.biases, n, self.activation);
-            }
-        }
+                COL_BUFFER.with_borrow_mut(|buf| {
+                    let col = grow(buf, k * n);
+                    im2col(sample, in_c, in_h, in_w, ksize, stride, pad, col);
+                    out.fill(0.0);
+                    gemm_with_engine(
+                        engine,
+                        gemm_workers,
+                        GEMM_DEFAULT_KC,
+                        false,
+                        false,
+                        m,
+                        n,
+                        k,
+                        1.0,
+                        weights,
+                        k,
+                        col,
+                        n,
+                        0.0,
+                        out,
+                        n,
+                    );
+                });
+                for (row, bias) in out.chunks_exact_mut(n).zip(biases) {
+                    row.iter_mut().for_each(|o| *o += bias);
+                }
+                activation.apply_slice(out);
+            },
+        );
     }
 
     /// Backward pass: accumulates weight/bias gradients and optionally propagates the
@@ -249,75 +209,80 @@ impl ConvLayer {
         let k = self.in_c * self.ksize * self.ksize;
         let n = self.out_h * self.out_w;
         let in_size = self.inputs();
-        for b in 0..batch {
-            let out = &self.buffers.output[b * m * n..(b + 1) * m * n];
-            let delta = &mut self.buffers.delta[b * m * n..(b + 1) * m * n];
-            self.activation.gradient_slice(out, delta);
-            for f in 0..m {
-                self.params.bias_updates[f] += delta[f * n..(f + 1) * n].iter().sum::<f32>();
-            }
-            let sample = &input[b * in_size..(b + 1) * in_size];
-            im2col(
-                sample,
-                self.in_c,
-                self.in_h,
-                self.in_w,
-                self.ksize,
-                self.stride,
-                self.pad,
-                &mut self.col_buffer,
-            );
-            // weight_updates += delta * col^T
-            layer_gemm(
-                self.params.engine,
-                false,
-                true,
-                m,
-                k,
-                n,
-                1.0,
-                delta,
-                n,
-                &self.col_buffer,
-                n,
-                1.0,
-                &mut self.params.weight_updates,
-                k,
-            );
-            if let Some(prev) = prev_delta.as_deref_mut() {
-                // col_delta = W^T * delta, then scatter back to image space. It reuses
-                // the column buffer, which the weight gradient above has finished with.
-                let col_delta = &mut self.col_buffer;
-                col_delta.fill(0.0);
-                layer_gemm(
-                    self.params.engine,
-                    true,
-                    false,
-                    k,
-                    n,
-                    m,
-                    1.0,
-                    &self.params.weights,
-                    k,
-                    delta,
-                    n,
-                    0.0,
-                    col_delta,
-                    n,
-                );
-                let prev_sample = &mut prev[b * in_size..(b + 1) * in_size];
-                col2im(
-                    col_delta,
+        let engine = self.params.engine;
+        COL_BUFFER.with_borrow_mut(|buf| {
+            let col = grow(buf, k * n);
+            for b in 0..batch {
+                let out = &self.buffers.output[b * m * n..(b + 1) * m * n];
+                let delta = &mut self.buffers.delta[b * m * n..(b + 1) * m * n];
+                self.activation.gradient_slice(out, delta);
+                for f in 0..m {
+                    self.params.bias_updates[f] += delta[f * n..(f + 1) * n].iter().sum::<f32>();
+                }
+                let sample = &input[b * in_size..(b + 1) * in_size];
+                im2col(
+                    sample,
                     self.in_c,
                     self.in_h,
                     self.in_w,
                     self.ksize,
                     self.stride,
                     self.pad,
-                    prev_sample,
+                    col,
                 );
+                // weight_updates += delta * col^T
+                gemm(
+                    engine,
+                    false,
+                    true,
+                    m,
+                    k,
+                    n,
+                    1.0,
+                    delta,
+                    n,
+                    col,
+                    n,
+                    1.0,
+                    &mut self.params.weight_updates,
+                    k,
+                );
+                if let Some(prev) = prev_delta.as_deref_mut() {
+                    // col_delta = W^T * delta, then scatter back to image space. It
+                    // reuses the columns, which the weight gradient above has finished
+                    // with, zeroed first: beta = 0 would keep a stale NaN.
+                    let col_delta = &mut *col;
+                    col_delta.fill(0.0);
+                    gemm(
+                        engine,
+                        true,
+                        false,
+                        k,
+                        n,
+                        m,
+                        1.0,
+                        &self.params.weights,
+                        k,
+                        delta,
+                        n,
+                        0.0,
+                        col_delta,
+                        n,
+                    );
+                    let prev_sample = &mut prev[b * in_size..(b + 1) * in_size];
+                    col2im(
+                        col_delta,
+                        self.in_c,
+                        self.in_h,
+                        self.in_w,
+                        self.ksize,
+                        self.stride,
+                        self.pad,
+                        prev_sample,
+                    );
+                }
             }
-        }
+        });
     }
 
     /// Approximate FLOPs per sample (forward + backward ≈ 3x the forward GEMM).
@@ -331,6 +296,7 @@ impl ConvLayer {
 mod tests {
     use super::*;
     use crate::layers::UpdateArgs;
+    use crate::matrix::gemm_reference;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -465,6 +431,113 @@ mod tests {
         layer.forward(&batch_input, 2);
         let outs = &layer.buffers.output;
         assert_eq!(&outs[..50], &outs[50..100]);
+    }
+
+    #[test]
+    fn a_scratch_a_larger_layer_left_behind_changes_no_bit_of_a_smaller_one() {
+        let engine = crate::GemmPolicy::Auto.select();
+        // A larger layer (27 x 144 columns) with NaN weights and inputs leaves NaN
+        // columns and a NaN column gradient in this thread's scratch.
+        let mut large = ConvLayer::new(12, 12, 3, 8, 3, 1, 1, Activation::Leaky, 2);
+        large.params.weights.fill(f32::NAN);
+        large.params.engine = engine;
+        let nan_input = vec![f32::NAN; 2 * large.inputs()];
+        // The smaller layer (18 x 64 columns, 16 filters) fans a batch out: its
+        // 18,432 multiply-adds per sample pass the forward's threshold.
+        let (m, k, n) = (16, 18, 64);
+        for batch in [1, 3] {
+            large.forward(&nan_input, 2);
+            large.buffers.delta.fill(1.0);
+            let mut large_prev = vec![0.0; nan_input.len()];
+            large.backward(&nan_input, Some(&mut large_prev), 2);
+
+            let mut layer = ConvLayer::new(8, 8, 2, m, 3, 1, 1, Activation::Leaky, batch);
+            layer.params.init_weights(&mut StdRng::seed_from_u64(11));
+            layer.params.engine = engine;
+            let in_size = layer.inputs();
+            let mut input: Vec<f32> = (0..batch * in_size)
+                .map(|i| (i * 7 % 23) as f32 / 11.0 - 1.0)
+                .collect();
+            // One infinite pixel per sample puts an Inf in its columns: a column
+            // gradient not zeroed before its beta = 0 GEMM would keep 0 * Inf = NaN.
+            for sample in input.chunks_exact_mut(in_size) {
+                sample[37] = f32::INFINITY;
+            }
+            let delta: Vec<f32> = (0..batch * m * n)
+                .map(|i| (i * 5 % 17) as f32 / 8.0 - 1.0)
+                .collect();
+            let mut oracle = layer.clone();
+            layer.forward(&input, batch);
+            layer.buffers.delta.copy_from_slice(&delta);
+            let mut prev_delta = vec![0.0f32; input.len()];
+            layer.backward(&input, Some(&mut prev_delta), batch);
+
+            // The oracle: each sample through fresh columns and `gemm_reference`.
+            let p = &mut oracle.params;
+            let mut oracle_prev = vec![0.0f32; input.len()];
+            for b in 0..batch {
+                let mut col = vec![0.0f32; k * n];
+                im2col(&input[b * in_size..][..in_size], 2, 8, 8, 3, 1, 1, &mut col);
+                let out = &mut oracle.buffers.output[b * m * n..][..m * n];
+                gemm_reference(
+                    false, false, m, n, k, 1.0, &p.weights, k, &col, n, 0.0, out, n,
+                );
+                for (row, bias) in out.chunks_exact_mut(n).zip(&p.biases) {
+                    row.iter_mut().for_each(|o| *o += bias);
+                }
+                Activation::Leaky.apply_slice(out);
+                let mut d = delta[b * m * n..][..m * n].to_vec();
+                Activation::Leaky.gradient_slice(out, &mut d);
+                for (f, bias_update) in p.bias_updates.iter_mut().enumerate() {
+                    *bias_update += d[f * n..(f + 1) * n].iter().sum::<f32>();
+                }
+                let dw = &mut p.weight_updates;
+                gemm_reference(false, true, m, k, n, 1.0, &d, n, &col, n, 1.0, dw, k);
+                let mut col_delta = vec![0.0f32; k * n];
+                let w = &p.weights;
+                gemm_reference(
+                    true,
+                    false,
+                    k,
+                    n,
+                    m,
+                    1.0,
+                    w,
+                    k,
+                    &d,
+                    n,
+                    0.0,
+                    &mut col_delta,
+                    n,
+                );
+                let prev = &mut oracle_prev[b * in_size..][..in_size];
+                col2im(&col_delta, 2, 8, 8, 3, 1, 1, prev);
+            }
+            // Which values are NaN must match the reference; their payloads may not.
+            let bits = |v: &[f32]| {
+                v.iter()
+                    .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+                    .collect::<Vec<_>>()
+            };
+            let (got, want) = (&layer.buffers.output, &oracle.buffers.output);
+            assert_eq!(bits(got), bits(want), "output, batch {batch}");
+            let (got, want) = (&layer.params, &oracle.params);
+            assert_eq!(
+                bits(&got.weight_updates),
+                bits(&want.weight_updates),
+                "weight gradient, batch {batch}"
+            );
+            assert_eq!(
+                bits(&got.bias_updates),
+                bits(&want.bias_updates),
+                "bias gradient, batch {batch}"
+            );
+            assert_eq!(
+                bits(&prev_delta),
+                bits(&oracle_prev),
+                "prev_delta, batch {batch}"
+            );
+        }
     }
 
     #[test]

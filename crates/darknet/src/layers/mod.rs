@@ -17,53 +17,9 @@ pub use maxpool::MaxPoolLayer;
 pub use softmax::SoftmaxLayer;
 
 use crate::dispatch::GemmKind;
-use crate::matrix::{gemm_threads, gemm_with_engine, GEMM_DEFAULT_KC};
 use params::{Buffers, Params};
 use rand::Rng;
 use std::fmt;
-
-/// [`crate::matrix::gemm`] with the engine pinned instead of re-resolved from the
-/// environment: the layer hot paths capture the engine once at construction (or via
-/// [`Layer::set_gemm_engine`]) so a mid-training env change cannot mix kernels within
-/// one iteration. Threading is `gemm`'s: fan out only past the engine's
-/// [`GemmKind::par_min_work`] product per fork, into no more row bands than the product
-/// has full 96-row blocks.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn layer_gemm(
-    engine: GemmKind,
-    ta: bool,
-    tb: bool,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
-    beta: f32,
-    c: &mut [f32],
-    ldc: usize,
-) {
-    gemm_with_engine(
-        engine,
-        gemm_threads(engine, tb, m, n, k),
-        GEMM_DEFAULT_KC,
-        ta,
-        tb,
-        m,
-        n,
-        k,
-        alpha,
-        a,
-        lda,
-        b,
-        ldb,
-        beta,
-        c,
-        ldc,
-    );
-}
 
 /// Hyper-parameters used when applying accumulated gradients.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -60,8 +60,8 @@ pub(crate) fn sgd_portable(
 
 /// Default k-block size of the blocked GEMM kernel: the depth of one panel of `op(B)`
 /// (`KC x` [`GEMM_NC`]), which stays in L2 while every row block of the band streams
-/// over it. Tunable through [`gemm_tuned`]; the block size never changes the result (the
-/// per-element accumulation order over `p` is preserved across block boundaries).
+/// over it. Tunable through [`gemm_with_engine`]; the block size never changes the result
+/// (the per-element accumulation order over `p` is preserved across block boundaries).
 pub const GEMM_DEFAULT_KC: usize = 128;
 
 /// Width of one panel of `op(B)`. With the default k-block a panel is 256 KiB, small
@@ -82,17 +82,19 @@ thread_local! {
     static A_BLOCK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// General matrix multiply: `C = alpha * op(A) * op(B) + beta * C`, where `op` optionally
-/// transposes its argument. `A` is `m x k` (after `op`), `B` is `k x n`, `C` is `m x n`,
-/// all row-major with the given leading dimensions.
+/// General matrix multiply on `engine`: `C = alpha * op(A) * op(B) + beta * C`, where
+/// `op` optionally transposes its argument. `A` is `m x k` (after `op`), `B` is `k x n`,
+/// `C` is `m x n`, all row-major with the given leading dimensions. The layers pass the
+/// engine they captured at construction (or through [`crate::Layer::set_gemm_engine`]),
+/// so a mid-training change of `PLINIUS_GEMM` cannot mix kernels within one iteration.
 ///
 /// This is the blocked, cache-aware kernel. It walks `op(B)` in panels of `KC` rows by
 /// [`GEMM_NC`] columns: a non-transposed `B` is read in place through its row stride, a
 /// transposed one is packed panel by panel with a cache-blocked transpose. `op(A)` is
 /// read in place too unless it is transposed or `alpha != 1`, when it is packed as
 /// `alpha * op(A)` in small row blocks. Each row block times each panel runs through the
-/// engine's band kernel: the register-tiled AVX-512 or AVX2 microkernel when the
-/// `PLINIUS_GEMM` policy resolves to one (see [`crate::dispatch`]), whose last strip of
+/// engine's band kernel: the register-tiled AVX-512 or AVX2 microkernel when `engine`
+/// is one (see [`crate::dispatch`]), whose last strip of
 /// every row is one masked vector, or the portable 32-wide-strip kernel. The pack buffers
 /// are per thread, sized by the block constants and reused across calls. Large products
 /// are dispatched across row bands on scoped threads (worker count from
@@ -114,6 +116,7 @@ thread_local! {
 /// Panics if any buffer is too small for the requested shape.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm(
+    engine: GemmKind,
     ta: bool,
     tb: bool,
     m: usize,
@@ -128,7 +131,6 @@ pub fn gemm(
     c: &mut [f32],
     ldc: usize,
 ) {
-    let engine = selected_gemm();
     gemm_with_engine(
         engine,
         gemm_threads(engine, tb, m, n, k),
@@ -172,8 +174,9 @@ pub(crate) fn gemm_threads(engine: GemmKind, tb: bool, m: usize, n: usize, k: us
     }
 }
 
-/// [`gemm`] with an explicit worker-thread count (1 forces the single-threaded blocked
-/// kernel). Output is bit-identical for every `threads` value.
+/// [`gemm`] on the engine of the `PLINIUS_GEMM` policy ([`selected_gemm`]) with an
+/// explicit worker-thread count (1 forces the single-threaded blocked kernel). Output is
+/// bit-identical for every `threads` value.
 ///
 /// # Panics
 ///
@@ -215,54 +218,9 @@ pub fn gemm_with_threads(
     );
 }
 
-/// [`gemm`] with explicit worker-thread count *and* k-block size, for benchmarks and
-/// block-size tuning. Neither knob changes the result.
-///
-/// # Panics
-///
-/// Panics if any buffer is too small for the requested shape or `kc` is zero (with
-/// `k > 0`).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_tuned(
-    threads: usize,
-    kc: usize,
-    ta: bool,
-    tb: bool,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
-    beta: f32,
-    c: &mut [f32],
-    ldc: usize,
-) {
-    gemm_with_engine(
-        selected_gemm(),
-        threads,
-        kc,
-        ta,
-        tb,
-        m,
-        n,
-        k,
-        alpha,
-        a,
-        lda,
-        b,
-        ldb,
-        beta,
-        c,
-        ldc,
-    );
-}
-
 /// The fully explicit GEMM entry: engine, worker-thread count and k-block size all
-/// pinned by the caller. This is what the env-dispatching wrappers above resolve to,
-/// and what the differential tests drive directly.
+/// pinned by the caller. [`gemm`] and [`gemm_with_threads`] resolve to it; the conv
+/// layer's sample fan-out and the differential tests call it directly.
 ///
 /// Every engine shares one loop over the panels of `op(B)`; only the inner
 /// band kernel differs. The naive [`gemm_reference`] they are tested against is called
@@ -446,8 +404,8 @@ fn for_each_panel(
     }
 }
 
-/// The first `len` elements of a reused pack buffer, growing it only when it is short.
-fn grow(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+/// The first `len` elements of a reused scratch buffer, growing it only when it is short.
+pub(crate) fn grow(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
     if buf.len() < len {
         buf.resize(len, 0.0);
     }
@@ -837,7 +795,22 @@ mod tests {
         let a = vec![1.0, 2.0, 3.0, 4.0];
         let b = vec![5.0, 6.0, 7.0, 8.0];
         let mut c = vec![0.0; 4];
-        gemm(false, false, 2, 2, 2, 1.0, &a, 2, &b, 2, 0.0, &mut c, 2);
+        gemm(
+            selected_gemm(),
+            false,
+            false,
+            2,
+            2,
+            2,
+            1.0,
+            &a,
+            2,
+            &b,
+            2,
+            0.0,
+            &mut c,
+            2,
+        );
         assert_eq!(c, vec![19.0, 22.0, 43.0, 50.0]);
     }
 
@@ -854,7 +827,22 @@ mod tests {
         let b = random(k * n);
         // Reference: C = A * B.
         let mut c_ref = vec![0.0; m * n];
-        gemm(false, false, m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c_ref, n);
+        gemm(
+            selected_gemm(),
+            false,
+            false,
+            m,
+            n,
+            k,
+            1.0,
+            &a,
+            k,
+            &b,
+            n,
+            0.0,
+            &mut c_ref,
+            n,
+        );
         // A^T stored transposed (k x m) then used with ta=true.
         let mut a_t = vec![0.0; k * m];
         for i in 0..m {
@@ -863,7 +851,22 @@ mod tests {
             }
         }
         let mut c_ta = vec![0.0; m * n];
-        gemm(true, false, m, n, k, 1.0, &a_t, m, &b, n, 0.0, &mut c_ta, n);
+        gemm(
+            selected_gemm(),
+            true,
+            false,
+            m,
+            n,
+            k,
+            1.0,
+            &a_t,
+            m,
+            &b,
+            n,
+            0.0,
+            &mut c_ta,
+            n,
+        );
         for (x, y) in c_ref.iter().zip(c_ta.iter()) {
             assert!((x - y).abs() < 1e-5);
         }
@@ -875,7 +878,22 @@ mod tests {
             }
         }
         let mut c_tb = vec![0.0; m * n];
-        gemm(false, true, m, n, k, 1.0, &a, k, &b_t, k, 0.0, &mut c_tb, n);
+        gemm(
+            selected_gemm(),
+            false,
+            true,
+            m,
+            n,
+            k,
+            1.0,
+            &a,
+            k,
+            &b_t,
+            k,
+            0.0,
+            &mut c_tb,
+            n,
+        );
         for (x, y) in c_ref.iter().zip(c_tb.iter()) {
             assert!((x - y).abs() < 1e-5);
         }
@@ -886,9 +904,39 @@ mod tests {
         let a = vec![1.0];
         let b = vec![1.0];
         let mut c = vec![10.0];
-        gemm(false, false, 1, 1, 1, 2.0, &a, 1, &b, 1, 1.0, &mut c, 1);
+        gemm(
+            selected_gemm(),
+            false,
+            false,
+            1,
+            1,
+            1,
+            2.0,
+            &a,
+            1,
+            &b,
+            1,
+            1.0,
+            &mut c,
+            1,
+        );
         assert_eq!(c[0], 12.0);
-        gemm(false, false, 1, 1, 1, 2.0, &a, 1, &b, 1, 0.0, &mut c, 1);
+        gemm(
+            selected_gemm(),
+            false,
+            false,
+            1,
+            1,
+            1,
+            2.0,
+            &a,
+            1,
+            &b,
+            1,
+            0.0,
+            &mut c,
+            1,
+        );
         assert_eq!(c[0], 2.0);
     }
 
@@ -902,7 +950,22 @@ mod tests {
         let mut c_ref = vec![0.5f32, 0.5];
         gemm_reference(false, false, 1, 2, 2, 1.0, &a, 2, &b, 2, 0.0, &mut c_ref, 2);
         let mut c_blk = vec![0.5f32, 0.5];
-        gemm(false, false, 1, 2, 2, 1.0, &a, 2, &b, 2, 0.0, &mut c_blk, 2);
+        gemm(
+            selected_gemm(),
+            false,
+            false,
+            1,
+            2,
+            2,
+            1.0,
+            &a,
+            2,
+            &b,
+            2,
+            0.0,
+            &mut c_blk,
+            2,
+        );
         for c in [&c_ref, &c_blk] {
             assert!(c[0].is_nan(), "0 * NaN must poison C, got {}", c[0]);
             assert!(c[1].is_nan(), "0 * Inf must poison C, got {}", c[1]);
@@ -910,6 +973,7 @@ mod tests {
         // A zero *alpha* must poison C the same way.
         let mut c = vec![0.0f32, 0.0];
         gemm(
+            selected_gemm(),
             false,
             false,
             1,
@@ -1014,10 +1078,26 @@ mod tests {
     fn gemm_handles_degenerate_shapes() {
         // k = 0: only the beta pass runs.
         let mut c = vec![2.0f32, 4.0];
-        gemm(false, false, 1, 2, 0, 1.0, &[], 1, &[], 1, 0.5, &mut c, 2);
+        gemm(
+            selected_gemm(),
+            false,
+            false,
+            1,
+            2,
+            0,
+            1.0,
+            &[],
+            1,
+            &[],
+            1,
+            0.5,
+            &mut c,
+            2,
+        );
         assert_eq!(c, vec![1.0, 2.0]);
         // m = 0 / n = 0: no-ops.
         gemm(
+            selected_gemm(),
             false,
             false,
             0,
@@ -1034,7 +1114,20 @@ mod tests {
         );
         let mut empty: Vec<f32> = vec![];
         gemm(
-            false, false, 1, 0, 3, 1.0, &[0.0; 3], 3, &[0.0; 3], 1, 0.0, &mut empty, 0,
+            selected_gemm(),
+            false,
+            false,
+            1,
+            0,
+            3,
+            1.0,
+            &[0.0; 3],
+            3,
+            &[0.0; 3],
+            1,
+            0.0,
+            &mut empty,
+            0,
         );
     }
 

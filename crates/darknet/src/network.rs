@@ -278,44 +278,64 @@ impl Network {
         Ok(loss)
     }
 
+    /// Classifies `count` samples (`input` holds `count * inputs` values) in one batched
+    /// forward pass, returning each sample's predicted class: the index of its row's
+    /// largest output, the first one on a tie. Every layer's forward treats each row of
+    /// a batch on its own, so a sample gets the same class in any batch as alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` is shorter than `count * inputs()`.
+    pub fn classify(&mut self, input: &[f32], count: usize) -> Vec<usize> {
+        let classes = self.outputs();
+        let out = self.forward(input, count);
+        out[..count * classes]
+            .chunks_exact(classes)
+            .map(|row| {
+                let mut best = 0;
+                for (i, v) in row.iter().enumerate() {
+                    if *v > row[best] {
+                        best = i;
+                    }
+                }
+                best
+            })
+            .collect()
+    }
+
     /// Classifies a single sample, returning the predicted class index.
     ///
     /// # Panics
     ///
     /// Panics if `input` is shorter than `inputs()`.
     pub fn predict(&mut self, input: &[f32]) -> usize {
-        let outputs = self.outputs();
-        let out = self.forward(input, 1);
-        let mut best = 0;
-        for (i, v) in out.iter().enumerate().take(outputs) {
-            if *v > out[best] {
-                best = i;
-            }
-        }
-        best
+        self.classify(input, 1)[0]
     }
 
-    /// Classification accuracy over a dataset (fraction in `[0, 1]`).
+    /// Classification accuracy over a dataset (fraction in `[0, 1]`), classified in
+    /// batches of the network's own batch size.
     ///
     /// # Panics
     ///
     /// Panics if the dataset shapes do not match the network.
     pub fn accuracy(&mut self, dataset: &Dataset) -> f32 {
-        assert_eq!(
-            dataset.inputs(),
-            self.config.inputs(),
-            "dataset input size mismatch"
-        );
+        let inputs = self.config.inputs();
+        assert_eq!(dataset.inputs(), inputs, "dataset input size mismatch");
         let n = dataset.len();
         if n == 0 {
             return 0.0;
         }
+        let batch = self.config.batch.max(1);
         let mut correct = 0usize;
-        for i in 0..n {
-            let predicted = self.predict(dataset.image(i));
-            if predicted == dataset.label_index(i) {
-                correct += 1;
-            }
+        for (first, images) in (0..n)
+            .step_by(batch)
+            .zip(dataset.images()[..n * inputs].chunks(batch * inputs))
+        {
+            let predicted = self.classify(images, images.len() / inputs);
+            correct += (first..)
+                .zip(predicted)
+                .filter(|&(i, class)| class == dataset.label_index(i))
+                .count();
         }
         correct as f32 / n as f32
     }
@@ -351,7 +371,7 @@ impl fmt::Display for Network {
 mod tests {
     use super::*;
     use crate::activation::Activation;
-    use crate::data::Dataset;
+    use crate::data::{synthetic_images, Dataset};
     use crate::layers::{ConnectedLayer, ConvLayer, MaxPoolLayer, SoftmaxLayer};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -532,6 +552,90 @@ mod tests {
         let ds = Dataset::from_raw(2, 4, 2, images.clone(), labels.clone()).unwrap();
         let acc = net.accuracy(&ds);
         assert!(acc >= 0.5, "accuracy {acc}");
+    }
+
+    /// A CNN on 8x8 images whose conv layer fans a batch out across threads (32
+    /// filters x 9 taps x 64 pixels passes the forward's fan-out threshold), trained a
+    /// few steps on `data` so that its classes differ from sample to sample.
+    fn trained_wide_cnn(batch: usize, data: &Dataset) -> Network {
+        let config = NetworkConfig {
+            height: 8,
+            width: 8,
+            channels: 1,
+            batch,
+            learning_rate: 0.1,
+            momentum: 0.9,
+            decay: 0.0,
+            max_iterations: 100,
+        };
+        let conv = ConvLayer::new(8, 8, 1, 32, 3, 1, 1, Activation::Leaky, batch);
+        let pool = MaxPoolLayer::new(8, 8, 32, 2, 2, batch);
+        let fc = ConnectedLayer::new(32 * 4 * 4, 5, Activation::Linear, batch);
+        let layers = vec![
+            Layer::Convolutional(conv),
+            Layer::MaxPool(pool),
+            Layer::Connected(fc),
+            Layer::Softmax(SoftmaxLayer::new(5, batch)),
+        ];
+        let mut net = Network::new(config, layers).unwrap();
+        net.init_weights(&mut StdRng::seed_from_u64(21));
+        for step in 0..4 {
+            let (images, labels) = data.sequential_batch(step, batch);
+            net.train_batch(&images, &labels, batch).unwrap();
+        }
+        net
+    }
+
+    /// The per-sample classifier, the oracle of the batched one: one forward pass of
+    /// batch 1, then the first index of the row's largest output.
+    fn classify_alone(net: &mut Network, image: &[f32]) -> (usize, Vec<u32>) {
+        let classes = net.outputs();
+        let out = &net.forward(image, 1)[..classes];
+        let mut best = 0;
+        for (i, v) in out.iter().enumerate() {
+            if *v > out[best] {
+                best = i;
+            }
+        }
+        (best, out.iter().map(|v| v.to_bits()).collect())
+    }
+
+    #[test]
+    fn accuracy_in_batches_equals_the_per_sample_loop() {
+        // 10 samples at batch 4: two whole batches and a short one.
+        let data = synthetic_images(10, 8, 8, 5, 0.3, &mut StdRng::seed_from_u64(22));
+        let mut net = trained_wide_cnn(4, &data);
+        let correct = (0..data.len())
+            .filter(|&i| classify_alone(&mut net, data.image(i)).0 == data.label_index(i))
+            .count();
+        assert_eq!(
+            net.accuracy(&data),
+            correct as f32 / data.len() as f32,
+            "{correct} of {} correct alone",
+            data.len()
+        );
+    }
+
+    #[test]
+    fn classify_gives_each_sample_of_a_batch_its_class_alone() {
+        let data = synthetic_images(7, 8, 8, 5, 0.3, &mut StdRng::seed_from_u64(23));
+        let mut net = trained_wide_cnn(4, &data);
+        let alone: Vec<(usize, Vec<u32>)> = (0..data.len())
+            .map(|i| classify_alone(&mut net, data.image(i)))
+            .collect();
+        let classes: Vec<usize> = alone.iter().map(|(class, _)| *class).collect();
+        assert!(
+            classes.iter().any(|&c| c != classes[0]),
+            "every sample got class {}: the check would be vacuous",
+            classes[0]
+        );
+        // A batch wider than the network's own, so every layer's buffers grow too.
+        assert_eq!(net.classify(data.images(), data.len()), classes);
+        let batched = net.forward(data.images(), data.len()).to_vec();
+        for (i, (row, (_, bits))) in batched.chunks_exact(5).zip(&alone).enumerate() {
+            let row: Vec<u32> = row.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(&row, bits, "sample {i}'s outputs differ in a batch");
+        }
     }
 
     #[test]

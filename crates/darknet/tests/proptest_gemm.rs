@@ -2,10 +2,10 @@
 //! kernel **bit-for-bit**, across transpose variants, alpha/beta values, ragged shapes,
 //! strided leading dimensions, k-block sizes and thread counts.
 
-use plinius_darknet::matrix::{
-    gemm_reference, gemm_tuned, gemm_with_engine, GEMM_DEFAULT_KC, GEMM_NC,
+use plinius_darknet::matrix::{gemm_reference, gemm_with_engine, GEMM_DEFAULT_KC, GEMM_NC};
+use plinius_darknet::{
+    avx2_available, avx512_available, fma_available, selected_gemm, GemmKind, GemmPolicy,
 };
-use plinius_darknet::{avx2_available, avx512_available, fma_available, GemmKind, GemmPolicy};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -284,7 +284,7 @@ proptest! {
         let b = fill(&mut rng, k * n, false);
         let c0 = fill(&mut rng, m * ldc, false);
         let mut c = c0.clone();
-        gemm_tuned(3, 2, false, false, m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, ldc);
+        gemm_with_engine(selected_gemm(), 3, 2, false, false, m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, ldc);
         for row in 0..m {
             prop_assert_eq!(
                 bits(&c0[row * ldc + n..(row + 1) * ldc]),

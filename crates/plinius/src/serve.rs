@@ -179,29 +179,14 @@ impl InferenceServer {
             )));
         }
         self.refresh()?;
-        let classes = self.active.outputs();
         let flops = self.active.flops_per_sample() / BACKWARD_TO_FORWARD_RATIO;
         let active = &mut self.active;
         let enclave = self.ctx.enclave();
-        let predictions = enclave
-            .ecall(|| {
-                enclave.charge_data_staging((input.len() * 4) as u64);
-                enclave.charge_compute(flops * count as u64);
-                let out = active.forward(input, count);
-                (0..count)
-                    .map(|s| {
-                        let row = &out[s * classes..(s + 1) * classes];
-                        let mut best = 0;
-                        for (j, v) in row.iter().enumerate() {
-                            if *v > row[best] {
-                                best = j;
-                            }
-                        }
-                        best
-                    })
-                    .collect()
-            })
-            .map_err(PliniusError::from)?;
+        let predictions = enclave.ecall(|| {
+            enclave.charge_data_staging((input.len() * 4) as u64);
+            enclave.charge_compute(flops * count as u64);
+            active.classify(input, count)
+        })?;
         Ok(predictions)
     }
 }

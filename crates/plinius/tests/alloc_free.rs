@@ -283,9 +283,9 @@ fn tiny_batch() -> (plinius_darknet::Network, Vec<f32>, Vec<f32>) {
 
 #[test]
 fn steady_state_train_batch_performs_zero_heap_allocations() {
-    // The GEMM pack buffers are per thread and reused across calls, the conv backward
-    // computes its column gradient in the layer's own column buffer, and the loss reads
-    // the predictions in place: a warm training step never touches the heap.
+    // The GEMM pack buffers are per thread and reused across calls, the conv layer
+    // builds its columns and its column gradient in one per-thread scratch, and the
+    // loss reads the predictions in place: a warm training step never touches the heap.
     let (mut net, images, labels) = tiny_batch();
     net.train_batch(&images, &labels, 4).unwrap();
     net.train_batch(&images, &labels, 4).unwrap();
