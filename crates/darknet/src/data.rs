@@ -1,10 +1,8 @@
-//! Training/test datasets: the in-memory data matrix Darknet trains from, an IDX parser
-//! for the real MNIST files, and a synthetic MNIST-like generator used when the real
-//! dataset is not available (the substitution documented in DESIGN.md).
+//! Training/test datasets: the in-memory data matrix Darknet trains from, and a
+//! synthetic MNIST-like generator that stands in for the real MNIST files.
 
 use crate::DarknetError;
 use rand::Rng;
-use std::path::Path;
 
 /// A labelled dataset held as two row-major matrices: one image per row and one one-hot
 /// label row per image (Darknet's `data` type).
@@ -225,94 +223,6 @@ pub fn synthetic_images<R: Rng>(
     }
 }
 
-/// Parses an IDX3 image file (the format MNIST is distributed in) into normalised `f32`
-/// pixels.
-///
-/// # Errors
-///
-/// Returns [`DarknetError::IdxFormat`] if the magic number or lengths are wrong.
-pub fn parse_idx_images(bytes: &[u8]) -> Result<(usize, usize, usize, Vec<f32>), DarknetError> {
-    if bytes.len() < 16 {
-        return Err(DarknetError::IdxFormat(
-            "image file shorter than header".into(),
-        ));
-    }
-    let magic = u32::from_be_bytes(bytes[0..4].try_into().expect("4 bytes"));
-    if magic != 0x0000_0803 {
-        return Err(DarknetError::IdxFormat(format!(
-            "bad image magic 0x{magic:08x}"
-        )));
-    }
-    let n = u32::from_be_bytes(bytes[4..8].try_into().expect("4 bytes")) as usize;
-    let rows = u32::from_be_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
-    let cols = u32::from_be_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
-    let expected = 16 + n * rows * cols;
-    if bytes.len() < expected {
-        return Err(DarknetError::IdxFormat(format!(
-            "image file truncated: {} < {expected}",
-            bytes.len()
-        )));
-    }
-    let pixels = bytes[16..expected]
-        .iter()
-        .map(|b| *b as f32 / 255.0)
-        .collect();
-    Ok((n, rows, cols, pixels))
-}
-
-/// Parses an IDX1 label file into class indices.
-///
-/// # Errors
-///
-/// Returns [`DarknetError::IdxFormat`] if the magic number or lengths are wrong.
-pub fn parse_idx_labels(bytes: &[u8]) -> Result<Vec<u8>, DarknetError> {
-    if bytes.len() < 8 {
-        return Err(DarknetError::IdxFormat(
-            "label file shorter than header".into(),
-        ));
-    }
-    let magic = u32::from_be_bytes(bytes[0..4].try_into().expect("4 bytes"));
-    if magic != 0x0000_0801 {
-        return Err(DarknetError::IdxFormat(format!(
-            "bad label magic 0x{magic:08x}"
-        )));
-    }
-    let n = u32::from_be_bytes(bytes[4..8].try_into().expect("4 bytes")) as usize;
-    if bytes.len() < 8 + n {
-        return Err(DarknetError::IdxFormat("label file truncated".into()));
-    }
-    Ok(bytes[8..8 + n].to_vec())
-}
-
-/// Loads an MNIST-format dataset from IDX files on disk, if present; falls back to the
-/// synthetic generator otherwise. The paper uses MNIST (60'000 training + 10'000 test
-/// samples); the synthetic fallback keeps the same geometry.
-pub fn load_mnist_or_synthetic<R: Rng>(
-    dir: Option<&Path>,
-    samples_if_synthetic: usize,
-    rng: &mut R,
-) -> Dataset {
-    if let Some(dir) = dir {
-        let images = std::fs::read(dir.join("train-images-idx3-ubyte"));
-        let labels = std::fs::read(dir.join("train-labels-idx1-ubyte"));
-        if let (Ok(images), Ok(labels)) = (images, labels) {
-            if let (Ok((n, rows, cols, pixels)), Ok(label_idx)) =
-                (parse_idx_images(&images), parse_idx_labels(&labels))
-            {
-                let classes = 10;
-                let mut one_hot = vec![0.0f32; n * classes];
-                for (i, l) in label_idx.iter().enumerate().take(n) {
-                    one_hot[i * classes + (*l as usize).min(classes - 1)] = 1.0;
-                }
-                if let Ok(ds) = Dataset::from_raw(n, rows * cols, classes, pixels, one_hot) {
-                    return ds;
-                }
-            }
-        }
-    }
-    synthetic_mnist(samples_if_synthetic, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,37 +316,5 @@ mod tests {
             .sum::<f32>()
             / m0.len() as f32;
         assert!(dist > 0.05, "class templates too similar: {dist}");
-    }
-
-    #[test]
-    fn idx_parsers_accept_valid_and_reject_invalid() {
-        // Build a tiny valid IDX pair: 2 images of 2x2, labels [3, 1].
-        let mut img = Vec::new();
-        img.extend_from_slice(&0x0000_0803u32.to_be_bytes());
-        img.extend_from_slice(&2u32.to_be_bytes());
-        img.extend_from_slice(&2u32.to_be_bytes());
-        img.extend_from_slice(&2u32.to_be_bytes());
-        img.extend_from_slice(&[0, 128, 255, 64, 1, 2, 3, 4]);
-        let (n, r, c, pixels) = parse_idx_images(&img).unwrap();
-        assert_eq!((n, r, c), (2, 2, 2));
-        assert!((pixels[2] - 1.0).abs() < 1e-6);
-        let mut lbl = Vec::new();
-        lbl.extend_from_slice(&0x0000_0801u32.to_be_bytes());
-        lbl.extend_from_slice(&2u32.to_be_bytes());
-        lbl.extend_from_slice(&[3, 1]);
-        assert_eq!(parse_idx_labels(&lbl).unwrap(), vec![3, 1]);
-        // Corrupt magic numbers are rejected.
-        assert!(parse_idx_images(&lbl).is_err());
-        assert!(parse_idx_labels(&img[..8]).is_err());
-        assert!(parse_idx_images(&img[..10]).is_err());
-    }
-
-    #[test]
-    fn load_falls_back_to_synthetic() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let ds = load_mnist_or_synthetic(Some(Path::new("/nonexistent/mnist")), 30, &mut rng);
-        assert_eq!(ds.len(), 30);
-        let ds2 = load_mnist_or_synthetic(None, 10, &mut rng);
-        assert_eq!(ds2.len(), 10);
     }
 }

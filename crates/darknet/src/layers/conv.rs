@@ -8,8 +8,12 @@
 //! the samples on the calling thread: its per-sample GEMMs would fan out only past the
 //! engine's parallel cutoff ([`crate::GemmKind::par_min_work`], `2^20` or `2^21`
 //! multiply-adds), which no conv layer of the benchmark models reaches, so in practice it
-//! runs on one core. Both passes build each sample's columns in one per-thread scratch,
-//! and both produce bit-identical results for every thread count.
+//! runs on one core, and it keeps the work per sample down instead: it rebuilds the
+//! columns through [`im2col`]'s shifted-plane copy, sums the bias gradient of 16
+//! filters at once, and takes the weight gradient transposed, so that its GEMM packs
+//! the sample's delta rather than its columns (nine times larger at 16 input channels).
+//! Both passes build each sample's columns in one per-thread scratch, and both produce
+//! bit-identical results for every thread count.
 
 use crate::activation::Activation;
 use crate::layers::params::{Buffers, Params};
@@ -19,10 +23,11 @@ use crate::matrix::{
 use std::cell::RefCell;
 
 thread_local! {
-    /// This thread's im2col scratch, shared by the forward and the backward pass. It
-    /// grows to the largest `k x n` columns the thread has needed and each use takes the
-    /// slice it needs; it is never shrunk or re-zeroed, since `im2col` writes every value
-    /// a pass reads and the backward zeroes its column gradient itself.
+    /// This thread's im2col scratch, shared by the forward and the backward pass, which
+    /// keeps its transposed `k x m` weight gradient behind the `k x n` columns. It grows
+    /// to the largest slice the thread has needed and each use takes the slice it needs;
+    /// it is never shrunk or re-zeroed, since `im2col` writes every value a pass reads,
+    /// the backward copies its weight gradient in and zeroes its column gradient itself.
     static COL_BUFFER: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -166,6 +171,8 @@ impl ConvLayer {
                 COL_BUFFER.with_borrow_mut(|buf| {
                     let col = grow(buf, k * n);
                     im2col(sample, in_c, in_h, in_w, ksize, stride, pad, col);
+                    // Zeroed, so that the product adds to it with beta = 1: scaling
+                    // the last batch's outputs by beta = 0 would keep a NaN.
                     out.fill(0.0);
                     gemm_with_engine(
                         engine,
@@ -181,7 +188,7 @@ impl ConvLayer {
                         k,
                         col,
                         n,
-                        0.0,
+                        1.0,
                         out,
                         n,
                     );
@@ -197,6 +204,16 @@ impl ConvLayer {
     /// Backward pass: accumulates weight/bias gradients and optionally propagates the
     /// gradient to the layer input.
     ///
+    /// The samples run in order on the calling thread. Each adds its filters' delta sums
+    /// to the bias gradient, each a left fold over the pixels as `Iterator::sum` is,
+    /// and rebuilds its columns, which the forward pass did not keep. The weight
+    /// gradient accumulates transposed, `dWᵀ (k x m) += col · deltaᵀ`, in a per-thread
+    /// copy of `weight_updates`, so that the GEMM packs each sample's `m x n` delta
+    /// rather than its `k x n` columns. Every element still takes the same products in
+    /// the same order from its carried value, so the bits are those of
+    /// `dW += delta · colᵀ` on every engine. The data gradient `Wᵀ · delta` goes into
+    /// the zeroed columns and back through [`col2im`].
+    ///
     /// # Panics
     ///
     /// Panics if the buffers are inconsistent with `batch`.
@@ -211,14 +228,13 @@ impl ConvLayer {
         let in_size = self.inputs();
         let engine = self.params.engine;
         COL_BUFFER.with_borrow_mut(|buf| {
-            let col = grow(buf, k * n);
+            let (col, dwt) = grow(buf, k * n + k * m).split_at_mut(k * n);
+            transpose(&self.params.weight_updates, m, k, dwt);
             for b in 0..batch {
                 let out = &self.buffers.output[b * m * n..(b + 1) * m * n];
                 let delta = &mut self.buffers.delta[b * m * n..(b + 1) * m * n];
                 self.activation.gradient_slice(out, delta);
-                for f in 0..m {
-                    self.params.bias_updates[f] += delta[f * n..(f + 1) * n].iter().sum::<f32>();
-                }
+                add_filter_sums(delta, n, &mut self.params.bias_updates);
                 let sample = &input[b * in_size..(b + 1) * in_size];
                 im2col(
                     sample,
@@ -230,27 +246,16 @@ impl ConvLayer {
                     self.pad,
                     col,
                 );
-                // weight_updates += delta * col^T
+                // weight_updates^T += col * delta^T
                 gemm(
-                    engine,
-                    false,
-                    true,
-                    m,
-                    k,
-                    n,
-                    1.0,
-                    delta,
-                    n,
-                    col,
-                    n,
-                    1.0,
-                    &mut self.params.weight_updates,
-                    k,
+                    engine, false, true, k, m, n, 1.0, col, n, delta, n, 1.0, dwt, m,
                 );
                 if let Some(prev) = prev_delta.as_deref_mut() {
                     // col_delta = W^T * delta, then scatter back to image space. It
                     // reuses the columns, which the weight gradient above has finished
-                    // with, zeroed first: beta = 0 would keep a stale NaN.
+                    // with, zeroed first (scaling stale columns by beta = 0 would keep
+                    // a NaN), so the GEMM adds to them with beta = 1 and no scaling
+                    // pass.
                     let col_delta = &mut *col;
                     col_delta.fill(0.0);
                     gemm(
@@ -265,7 +270,7 @@ impl ConvLayer {
                         k,
                         delta,
                         n,
-                        0.0,
+                        1.0,
                         col_delta,
                         n,
                     );
@@ -282,6 +287,7 @@ impl ConvLayer {
                     );
                 }
             }
+            transpose(dwt, k, m, &mut self.params.weight_updates);
         });
     }
 
@@ -292,13 +298,48 @@ impl ConvLayer {
     }
 }
 
+/// Filters whose delta sums [`add_filter_sums`] takes at once, one accumulator each.
+const SUM_LANES: usize = 16;
+
+/// Adds each filter's sum of its row of `n` deltas to the filter's entry of `sums`.
+/// Each sum is a left fold from `-0.0` over the pixels in order, as
+/// `Iterator::sum::<f32>` is, but the folds of up to [`SUM_LANES`] filters interleave,
+/// pixel by pixel, so that no filter's adds wait on one another's latency.
+fn add_filter_sums(delta: &[f32], n: usize, sums: &mut [f32]) {
+    for (group, sums) in delta.chunks(SUM_LANES * n).zip(sums.chunks_mut(SUM_LANES)) {
+        // A short last group repeats its last filter's row; those sums are dropped.
+        let last = sums.len() - 1;
+        let rows: [&[f32]; SUM_LANES] = std::array::from_fn(|f| &group[f.min(last) * n..][..n]);
+        let mut acc = [-0.0f32; SUM_LANES];
+        for p in 0..n {
+            for (acc, row) in acc.iter_mut().zip(rows) {
+                *acc += row[p];
+            }
+        }
+        for (sum, acc) in sums.iter_mut().zip(acc) {
+            *sum += acc;
+        }
+    }
+}
+
+/// Writes the `rows x cols` matrix `src` transposed into `dst`, value for value.
+fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    for (i, row) in src[..rows * cols].chunks_exact(cols).enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            dst[j * rows + i] = v;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::{selected_gemm, GemmKind};
     use crate::layers::UpdateArgs;
-    use crate::matrix::gemm_reference;
+    use crate::matrix::{gemm_reference, try_conv_out_dim};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn small_layer(batch: usize) -> ConvLayer {
         let mut layer = ConvLayer::new(5, 5, 1, 2, 3, 1, 1, Activation::Leaky, batch);
@@ -537,6 +578,146 @@ mod tests {
                 bits(&oracle_prev),
                 "prev_delta, batch {batch}"
             );
+        }
+    }
+
+    /// The per-sample backward that the layer's replaced, kept as its oracle: per sample,
+    /// the activation gradient, one `sum` per filter, fresh columns, the weight gradient
+    /// `dW += delta · colᵀ` through the transposed-`B` GEMM, and the data gradient into
+    /// zeroed columns with beta = 0, scattered back by `col2im`.
+    fn backward_oracle(layer: &mut ConvLayer, input: &[f32], prev: &mut [f32], batch: usize) {
+        let (c, h, w) = (layer.in_c, layer.in_h, layer.in_w);
+        let (ksize, stride, pad) = (layer.ksize, layer.stride, layer.pad);
+        let (m, k, n) = (layer.filters, c * ksize * ksize, layer.out_h * layer.out_w);
+        let in_size = layer.inputs();
+        let p = &mut layer.params;
+        for b in 0..batch {
+            let out = &layer.buffers.output[b * m * n..][..m * n];
+            let delta = &mut layer.buffers.delta[b * m * n..][..m * n];
+            layer.activation.gradient_slice(out, delta);
+            for (f, bias_update) in p.bias_updates.iter_mut().enumerate() {
+                *bias_update += delta[f * n..(f + 1) * n].iter().sum::<f32>();
+            }
+            let mut col = vec![0.0f32; k * n];
+            im2col(
+                &input[b * in_size..][..in_size],
+                c,
+                h,
+                w,
+                ksize,
+                stride,
+                pad,
+                &mut col,
+            );
+            let dw = &mut p.weight_updates;
+            gemm(
+                p.engine, false, true, m, k, n, 1.0, delta, n, &col, n, 1.0, dw, k,
+            );
+            let mut col_delta = vec![0.0f32; k * n];
+            let wt = &p.weights;
+            gemm(
+                p.engine,
+                true,
+                false,
+                k,
+                n,
+                m,
+                1.0,
+                wt,
+                k,
+                delta,
+                n,
+                0.0,
+                &mut col_delta,
+                n,
+            );
+            let prev = &mut prev[b * in_size..][..in_size];
+            col2im(&col_delta, c, h, w, ksize, stride, pad, prev);
+        }
+    }
+
+    /// Values in `[-2, 2)`, with about one in 64 replaced by `-0.0`, NaN or an infinity.
+    fn with_specials(rng: &mut StdRng, len: usize) -> Vec<f32> {
+        const SPECIALS: [f32; 6] = [-0.0, -0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        (0..len)
+            .map(|_| match rng.gen_range(0..64usize) {
+                0 => SPECIALS[rng.gen_range(0..SPECIALS.len())],
+                _ => rng.gen_range(-2.0f32..2.0),
+            })
+            .collect()
+    }
+
+    /// Bit patterns, with every NaN alike: which values are NaN must match, but their
+    /// payloads may not, as a product's operands may come in either order.
+    fn nan_alike_bits(values: &[f32]) -> Vec<u32> {
+        values
+            .iter()
+            .map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn backward_matches_the_per_sample_oracle(
+            filters in 1usize..=20,
+            channels in 1usize..=4,
+            height in 1usize..=12,
+            width in 1usize..=12,
+            ksize in 1usize..=5,
+            stride in 1usize..=3,
+            pad in 0usize..=3,
+            batch in 1usize..=5,
+            seed in any::<u64>(),
+        ) {
+            prop_assume!(try_conv_out_dim(height, ksize, stride, pad).is_some());
+            prop_assume!(try_conv_out_dim(width, ksize, stride, pad).is_some());
+            let mut rng = StdRng::seed_from_u64(seed);
+            for engine in [GemmKind::Scalar, selected_gemm()] {
+                let mut layer = ConvLayer::new(
+                    height, width, channels, filters, ksize, stride, pad, Activation::Leaky, batch,
+                );
+                layer.params.init_weights(&mut rng);
+                layer.params.engine = engine;
+                // Momentum carries the accumulators from step to step.
+                let p = &mut layer.params;
+                p.weight_updates = with_specials(&mut rng, p.weight_updates.len());
+                p.bias_updates = with_specials(&mut rng, p.bias_updates.len());
+                let input = with_specials(&mut rng, batch * layer.inputs());
+                layer.forward(&input, batch);
+                let outputs = batch * layer.outputs();
+                layer.buffers.delta[..outputs].copy_from_slice(&with_specials(&mut rng, outputs));
+                let prev_start = with_specials(&mut rng, input.len());
+                let mut oracle = layer.clone();
+                let mut oracle_prev = prev_start.clone();
+                backward_oracle(&mut oracle, &input, &mut oracle_prev, batch);
+                let mut prev = prev_start;
+                layer.backward(&input, Some(&mut prev), batch);
+                let (got, want) = (&layer.params, &oracle.params);
+                let geometry = format!(
+                    "{} {filters}x{channels}x{height}x{width} k{ksize} s{stride} p{pad} b{batch}",
+                    engine.name()
+                );
+                prop_assert_eq!(
+                    nan_alike_bits(&got.weight_updates),
+                    nan_alike_bits(&want.weight_updates),
+                    "weight gradient, {}",
+                    geometry
+                );
+                prop_assert_eq!(
+                    nan_alike_bits(&got.bias_updates),
+                    nan_alike_bits(&want.bias_updates),
+                    "bias gradient, {}",
+                    geometry
+                );
+                prop_assert_eq!(
+                    nan_alike_bits(&prev),
+                    nan_alike_bits(&oracle_prev),
+                    "prev_delta, {}",
+                    geometry
+                );
+            }
         }
     }
 

@@ -8,11 +8,11 @@
 //!   ([`matrix`], [`activation`]);
 //! * convolutional, max-pooling, fully connected and softmax layers, each exposing its
 //!   five named parameter tensors for mirroring ([`layers`]);
-//! * the network container with SGD training, prediction and accuracy evaluation
-//!   ([`network`]);
+//! * the network container with SGD training, batched classification and accuracy
+//!   evaluation ([`network`]);
 //! * the Darknet `.cfg` parser plus programmatic model generators for the paper's model
 //!   families ([`config`]);
-//! * dataset handling: IDX (MNIST) parsing and a synthetic MNIST-like generator
+//! * dataset handling: the in-memory data matrix and a synthetic MNIST-like generator
 //!   ([`data`]).
 //!
 //! # Example
@@ -100,8 +100,6 @@ pub enum DarknetError {
     },
     /// A malformed or unsupported configuration file.
     Config(String),
-    /// A malformed IDX (MNIST) file.
-    IdxFormat(String),
 }
 
 impl fmt::Display for DarknetError {
@@ -135,7 +133,6 @@ impl fmt::Display for DarknetError {
                 "dataset of {samples} samples x {inputs} inputs x {classes} classes does not match buffers of {images}/{labels} values"
             ),
             DarknetError::Config(msg) => write!(f, "configuration error: {msg}"),
-            DarknetError::IdxFormat(msg) => write!(f, "idx file error: {msg}"),
         }
     }
 }
@@ -161,8 +158,5 @@ mod tests {
         assert!(DarknetError::Config("x".into())
             .to_string()
             .contains("configuration"));
-        assert!(DarknetError::IdxFormat("bad magic".into())
-            .to_string()
-            .contains("bad magic"));
     }
 }

@@ -595,7 +595,8 @@ pub fn gemm_reference(
 
 /// The output positions `o < out` of one kernel offset whose input coordinate
 /// `offset + o * stride - pad` lies inside `0..dim`, and the input coordinate of the first
-/// of them (`0` for an empty run, so that slicing at it stays in range).
+/// of them (`0` for an empty run, so that slicing at it stays in range). Stride 1 skips
+/// the divisions, which a small plane would otherwise pay for on every kernel cell.
 fn valid_run(
     offset: usize,
     stride: usize,
@@ -603,8 +604,15 @@ fn valid_run(
     dim: usize,
     out: usize,
 ) -> (Range<usize>, usize) {
-    let hi = (dim + pad).saturating_sub(offset).div_ceil(stride).min(out);
-    let lo = pad.saturating_sub(offset).div_ceil(stride).min(hi);
+    let steps = |len: usize| {
+        if stride == 1 {
+            len
+        } else {
+            len.div_ceil(stride)
+        }
+    };
+    let hi = steps((dim + pad).saturating_sub(offset)).min(out);
+    let lo = steps(pad.saturating_sub(offset)).min(hi);
     let first = if lo < hi {
         offset + lo * stride - pad
     } else {
@@ -617,10 +625,15 @@ fn valid_run(
 /// column matrix for convolution-as-GEMM. The output has `channels*ksize*ksize` rows and
 /// `out_h*out_w` columns.
 ///
-/// The work is done in *row runs*: one output row of one column-matrix row (a channel
-/// and kernel cell) is a zero prefix, the valid input cells and a zero suffix. The valid
-/// cells are one contiguous copy, or a strided gather when `stride > 1`. The result is
-/// bit-identical to Darknet's per-element loop.
+/// Each column row (a channel and kernel cell) is zero above and below its valid
+/// output rows. At stride 1 with a centred kernel (`ksize = 2 * pad + 1`, the pad below
+/// both sides, as in every conv layer of the benchmark models) the output plane is the
+/// input plane's size, so the column row is its plane *shifted*: its valid rows are one
+/// contiguous copy from the plane, after which the cells at one edge of each row that
+/// the copy wrapped in from the neighbouring input row are zeroed. Other geometries
+/// work in *row runs*: one output row is a zero prefix, the valid input cells and a
+/// zero suffix, the valid cells one contiguous copy, or a strided gather when
+/// `stride > 1`. Either way the result is bit-identical to Darknet's per-element loop.
 #[allow(clippy::too_many_arguments)]
 pub fn im2col(
     input: &[f32],
@@ -640,6 +653,7 @@ pub fn im2col(
         "im2col output too small"
     );
     let plane_len = height * width;
+    let shifted = shifts_whole_planes(height, width, ksize, stride, pad);
     for c_im in 0..channels {
         let plane = &input[c_im * plane_len..][..plane_len];
         for kh in 0..ksize {
@@ -651,6 +665,19 @@ pub fn im2col(
                 let (rows, below) = rest.split_at_mut(ys.len() * out_w);
                 above.fill(0.0);
                 below.fill(0.0);
+                if shifted {
+                    // Rows `width` apart on both sides: one copy from the first valid
+                    // cell to the last, then the wrapped cells of every row.
+                    let run = xs.start..rows.len() - (width - xs.end);
+                    rows[run.clone()].copy_from_slice(&plane[y0 * width + x0..][..run.len()]);
+                    for edge in (0..xs.start).chain(xs.end..width) {
+                        rows[edge..]
+                            .iter_mut()
+                            .step_by(width)
+                            .for_each(|v| *v = 0.0);
+                    }
+                    continue;
+                }
                 for (i, row) in rows.chunks_exact_mut(out_w).enumerate() {
                     let src = &plane[(y0 + i * stride) * width..][..width][x0..];
                     let (prefix, rest) = row.split_at_mut(xs.start);
@@ -670,13 +697,28 @@ pub fn im2col(
     }
 }
 
+/// Whether [`im2col`] may lay a convolution's column rows out as shifted planes: stride
+/// 1 and a centred kernel keep the output plane the input plane's size, and a pad below
+/// both sides leaves every shift at least one valid row and cell.
+fn shifts_whole_planes(
+    height: usize,
+    width: usize,
+    ksize: usize,
+    stride: usize,
+    pad: usize,
+) -> bool {
+    stride == 1 && ksize == 2 * pad + 1 && pad < height && pad < width
+}
+
 /// The inverse of [`im2col`]: scatters (accumulates) a column matrix back into an image,
 /// used to propagate gradients to the convolution input.
 ///
-/// Each row run of the column matrix is added back over its valid range only, walking
-/// column rows, then output rows, then output columns in ascending order. Every image
-/// element therefore receives its additions in the order of Darknet's per-element loop,
-/// and the result is bit-identical to it.
+/// Each column row is added back over its valid cells only, walking column rows, then
+/// output rows, then output columns in ascending order: one row run at a time, except
+/// that the centre column (`kw = pad`) of a [shifted-plane](im2col) convolution, whose
+/// rows are all valid and contiguous on both sides, goes back as one run. Every image
+/// element therefore receives its additions in the order of Darknet's per-element
+/// loop, and the result is bit-identical to it.
 #[allow(clippy::too_many_arguments)]
 pub fn col2im(
     column: &[f32],
@@ -696,6 +738,7 @@ pub fn col2im(
         output.len() >= channels * plane_len,
         "col2im output too small"
     );
+    let shifted = shifts_whole_planes(height, width, ksize, stride, pad);
     for c_im in 0..channels {
         let plane = &mut output[c_im * plane_len..][..plane_len];
         for kh in 0..ksize {
@@ -704,6 +747,18 @@ pub fn col2im(
                 let (xs, x0) = valid_run(kw, stride, pad, width, out_w);
                 let c = (c_im * ksize + kh) * ksize + kw;
                 let rows = &column[c * n + ys.start * out_w..][..ys.len() * out_w];
+                if shifted {
+                    // Rows `width` apart on both sides: whole rows go back as one run.
+                    let dst = &mut plane[y0 * width + x0..];
+                    if xs.len() == width {
+                        add_run(&mut dst[..rows.len()], rows);
+                    } else {
+                        for (i, row) in rows.chunks_exact(width).enumerate() {
+                            add_run(&mut dst[i * width..][..xs.len()], &row[xs.clone()]);
+                        }
+                    }
+                    continue;
+                }
                 for (i, row) in rows.chunks_exact(out_w).enumerate() {
                     let dst = &mut plane[(y0 + i * stride) * width..][..width][x0..];
                     let run = &row[xs.clone()];

@@ -303,15 +303,6 @@ impl Network {
             .collect()
     }
 
-    /// Classifies a single sample, returning the predicted class index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` is shorter than `inputs()`.
-    pub fn predict(&mut self, input: &[f32]) -> usize {
-        self.classify(input, 1)[0]
-    }
-
     /// Classification accuracy over a dataset (fraction in `[0, 1]`), classified in
     /// batches of the network's own batch size.
     ///
@@ -528,7 +519,7 @@ mod tests {
         let correct = (0..3)
             .filter(|&c| {
                 let img = make_sample(c);
-                net.predict(&img) == c
+                net.classify(&img, 1)[0] == c
             })
             .count();
         assert!(correct >= 2, "only {correct}/3 training samples classified");

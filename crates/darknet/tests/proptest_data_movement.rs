@@ -345,57 +345,60 @@ fn assert_at_least_2x(kernel: &str, times: &[f64]) {
 }
 
 /// The data-movement gate at the training benchmark's shapes: `im2col` and `col2im` on
-/// the 14x14x16 3x3 pad-1 convolution over a 64-sample batch, and the max-pool forward
-/// on a 64x16x28x28 batch with 2x2 windows at stride 2. Each kernel must be at least
-/// twice as fast as the loop it replaced, best of 15 interleaved runs.
+/// its 14x14x16 and 7x7x16 3x3 pad-1 convolutions (conv2, and conv3 and conv4, whose
+/// row runs are the shortest) over a 64-sample batch, and the max-pool forward on a
+/// 64x16x28x28 batch with 2x2 windows at stride 2. Each kernel must be at least twice as
+/// fast as the loop it replaced, best of 15 interleaved runs.
 #[test]
 #[ignore = "wall-clock throughput gate; run with --release (see CI release job)"]
 fn data_movement_kernels_beat_the_per_element_loops() {
     const REPS: usize = 15;
     const BATCH: usize = 64;
-    // Opaque geometry, as in the network: neither side may specialise on constants.
-    let (c, h, w, k, s, p) = black_box((16, 14, 14, 3, 1, 1));
-    let in_size = c * h * w;
-    let cols = c * k * k * conv_out_dim(h, k, s, p) * conv_out_dim(w, k, s, p);
     let mut rng = StdRng::seed_from_u64(15);
-    let images = uniform(&mut rng, BATCH * in_size);
-    let columns = uniform(&mut rng, BATCH * cols);
-    let (mut col_a, mut col_b) = (vec![0.0f32; cols], vec![0.0f32; cols]);
-    let (mut img_a, mut img_b) = (vec![0.0f32; in_size], vec![0.0f32; in_size]);
+    for side in [14, 7] {
+        // Opaque geometry, as in the network: neither side may specialise on constants.
+        let (c, h, w, k, s, p) = black_box((16, side, side, 3, 1, 1));
+        let in_size = c * h * w;
+        let cols = c * k * k * conv_out_dim(h, k, s, p) * conv_out_dim(w, k, s, p);
+        let images = uniform(&mut rng, BATCH * in_size);
+        let columns = uniform(&mut rng, BATCH * cols);
+        let (mut col_a, mut col_b) = (vec![0.0f32; cols], vec![0.0f32; cols]);
+        let (mut img_a, mut img_b) = (vec![0.0f32; in_size], vec![0.0f32; in_size]);
 
-    let times = best_of(
-        REPS,
-        &mut [
-            &mut || {
-                for sample in images.chunks_exact(in_size) {
-                    im2col_oracle(sample, c, h, w, k, s, p, &mut col_a);
-                }
-            },
-            &mut || {
-                for sample in images.chunks_exact(in_size) {
-                    im2col(sample, c, h, w, k, s, p, &mut col_b);
-                }
-            },
-        ],
-    );
-    assert_at_least_2x("im2col 14x14x16 k3 p1 x64", &times);
+        let times = best_of(
+            REPS,
+            &mut [
+                &mut || {
+                    for sample in images.chunks_exact(in_size) {
+                        im2col_oracle(sample, c, h, w, k, s, p, &mut col_a);
+                    }
+                },
+                &mut || {
+                    for sample in images.chunks_exact(in_size) {
+                        im2col(sample, c, h, w, k, s, p, &mut col_b);
+                    }
+                },
+            ],
+        );
+        assert_at_least_2x(&format!("im2col {h}x{w}x{c} k3 p1 x64"), &times);
 
-    let times = best_of(
-        REPS,
-        &mut [
-            &mut || {
-                for column in columns.chunks_exact(cols) {
-                    col2im_oracle(column, c, h, w, k, s, p, &mut img_a);
-                }
-            },
-            &mut || {
-                for column in columns.chunks_exact(cols) {
-                    col2im(column, c, h, w, k, s, p, &mut img_b);
-                }
-            },
-        ],
-    );
-    assert_at_least_2x("col2im 14x14x16 k3 p1 x64", &times);
+        let times = best_of(
+            REPS,
+            &mut [
+                &mut || {
+                    for column in columns.chunks_exact(cols) {
+                        col2im_oracle(column, c, h, w, k, s, p, &mut img_a);
+                    }
+                },
+                &mut || {
+                    for column in columns.chunks_exact(cols) {
+                        col2im(column, c, h, w, k, s, p, &mut img_b);
+                    }
+                },
+            ],
+        );
+        assert_at_least_2x(&format!("col2im {h}x{w}x{c} k3 p1 x64"), &times);
+    }
 
     let pool = black_box(Pool {
         in_c: 16,

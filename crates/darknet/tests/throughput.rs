@@ -174,12 +174,15 @@ fn best_seconds(
     best
 }
 
-/// Operand packing and column tails must not cost more than the product itself:
-/// - the `persist-recover` benchmark's FC forward (8x2674x392 against the stored,
-///   transposed weights) runs within 1.4x of the same product with `B` untransposed;
-/// - the 9-column conv1 weight gradient of the `train` benchmark (16x9x784,
-///   transposed `B`) runs within 2x of a 16-column product of equal FLOPs
-///   (16x16x441), 64 calls each, as in a batch of 64.
+/// The GEMM's operand packing and its masked column tails must not cost more than the
+/// product itself:
+/// - packing: the `persist-recover` benchmark's FC forward (8x2674x392 against the
+///   stored, transposed weights) runs within 1.4x of the same product with `B`
+///   untransposed;
+/// - column tails: a 9-column product against a transposed `B` (16x9x784), whose
+///   every row ends in one masked strip, runs within 2x of a 16-column product of
+///   equal FLOPs (16x16x441), 64 calls each, as in a batch of 64. It is the shape of
+///   `train`'s conv1 weight gradient before the layer took that gradient transposed.
 ///
 /// Before panel packing and masked tails one release run read 2.84x and 4.95x on a
 /// 2-vCPU 2.1 GHz Xeon host (avx512 engine).
