@@ -8,10 +8,7 @@
 //! the samples on the calling thread: its per-sample GEMMs would fan out only past the
 //! engine's parallel cutoff ([`crate::GemmKind::par_min_work`], `2^20` or `2^21`
 //! multiply-adds), which no conv layer of the benchmark models reaches, so in practice it
-//! runs on one core, and it keeps the work per sample down instead: it rebuilds the
-//! columns through [`im2col`]'s shifted-plane copy, sums the bias gradient of 16
-//! filters at once, and takes the weight gradient transposed, so that its GEMM packs
-//! the sample's delta rather than its columns (nine times larger at 16 input channels).
+//! runs on one core and does less work per sample instead ([`ConvLayer::backward`]).
 //! Both passes build each sample's columns in one per-thread scratch, and both produce
 //! bit-identical results for every thread count.
 
@@ -246,9 +243,25 @@ impl ConvLayer {
                     self.pad,
                     col,
                 );
-                // weight_updates^T += col * delta^T
-                gemm(
-                    engine, false, true, k, m, n, 1.0, col, n, delta, n, 1.0, dwt, m,
+                // weight_updates^T += col * delta^T, on the threads of the untransposed
+                // product: banding this one over `k` would fork large layers of few filters.
+                gemm_with_engine(
+                    engine,
+                    gemm_threads(engine, true, m, k, n),
+                    GEMM_DEFAULT_KC,
+                    false,
+                    true,
+                    k,
+                    m,
+                    n,
+                    1.0,
+                    col,
+                    n,
+                    delta,
+                    n,
+                    1.0,
+                    dwt,
+                    m,
                 );
                 if let Some(prev) = prev_delta.as_deref_mut() {
                     // col_delta = W^T * delta, then scatter back to image space. It

@@ -747,16 +747,10 @@ pub fn col2im(
                 let (xs, x0) = valid_run(kw, stride, pad, width, out_w);
                 let c = (c_im * ksize + kh) * ksize + kw;
                 let rows = &column[c * n + ys.start * out_w..][..ys.len() * out_w];
-                if shifted {
-                    // Rows `width` apart on both sides: whole rows go back as one run.
-                    let dst = &mut plane[y0 * width + x0..];
-                    if xs.len() == width {
-                        add_run(&mut dst[..rows.len()], rows);
-                    } else {
-                        for (i, row) in rows.chunks_exact(width).enumerate() {
-                            add_run(&mut dst[i * width..][..xs.len()], &row[xs.clone()]);
-                        }
-                    }
+                if shifted && xs.len() == width {
+                    // The centre column's valid rows are whole rows, `width` apart on
+                    // both sides: they go back as one run.
+                    add_run(&mut plane[y0 * width..][..rows.len()], rows);
                     continue;
                 }
                 for (i, row) in rows.chunks_exact(out_w).enumerate() {
