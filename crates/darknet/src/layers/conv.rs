@@ -20,12 +20,16 @@ use crate::matrix::{
 use std::cell::RefCell;
 
 thread_local! {
-    /// This thread's im2col scratch, shared by the forward and the backward pass, which
-    /// keeps its transposed `k x m` weight gradient behind the `k x n` columns. It grows
-    /// to the largest slice the thread has needed and each use takes the slice it needs;
-    /// it is never shrunk or re-zeroed, since `im2col` writes every value a pass reads,
-    /// the backward copies its weight gradient in and zeroes its column gradient itself.
+    /// This thread's im2col scratch, shared by the forward and the backward pass. It
+    /// grows to the largest `k x n` columns the thread has needed and each use takes the
+    /// slice it needs; it is never shrunk or re-zeroed, since `im2col` writes every value
+    /// a pass reads and the backward zeroes its column gradient itself.
     static COL_BUFFER: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// This thread's transposed `k x m` weight gradient, which the backward copies in
+    /// and out, grown as [`COL_BUFFER`] is. Kept apart so that the backward never regrows
+    /// the columns the forward sized: moving that long-lived block changed the heap's
+    /// layout enough to double the page faults of the `persist-recover` benchmark.
+    static DWT_BUFFER: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Minimum per-sample GEMM work (`filters * k * out_pixels`) before the forward pass
@@ -224,9 +228,12 @@ impl ConvLayer {
         let n = self.out_h * self.out_w;
         let in_size = self.inputs();
         let engine = self.params.engine;
+        // Taken for the pass and put back after it, beside the borrowed columns.
+        let mut dwt_buf = DWT_BUFFER.take();
+        let dwt = grow(&mut dwt_buf, k * m);
+        transpose(&self.params.weight_updates, m, k, dwt);
         COL_BUFFER.with_borrow_mut(|buf| {
-            let (col, dwt) = grow(buf, k * n + k * m).split_at_mut(k * n);
-            transpose(&self.params.weight_updates, m, k, dwt);
+            let col = grow(buf, k * n);
             for b in 0..batch {
                 let out = &self.buffers.output[b * m * n..(b + 1) * m * n];
                 let delta = &mut self.buffers.delta[b * m * n..(b + 1) * m * n];
@@ -300,8 +307,9 @@ impl ConvLayer {
                     );
                 }
             }
-            transpose(dwt, k, m, &mut self.params.weight_updates);
         });
+        transpose(dwt, k, m, &mut self.params.weight_updates);
+        DWT_BUFFER.set(dwt_buf);
     }
 
     /// Approximate FLOPs per sample (forward + backward ≈ 3x the forward GEMM).

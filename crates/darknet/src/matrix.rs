@@ -653,7 +653,8 @@ pub fn im2col(
         "im2col output too small"
     );
     let plane_len = height * width;
-    let shifted = shifts_whole_planes(height, width, ksize, stride, pad);
+    // A pad below both sides leaves every shift at least one valid row and cell.
+    let shifted = stride == 1 && ksize == 2 * pad + 1 && pad < height && pad < width;
     for c_im in 0..channels {
         let plane = &input[c_im * plane_len..][..plane_len];
         for kh in 0..ksize {
@@ -697,28 +698,15 @@ pub fn im2col(
     }
 }
 
-/// Whether [`im2col`] may lay a convolution's column rows out as shifted planes: stride
-/// 1 and a centred kernel keep the output plane the input plane's size, and a pad below
-/// both sides leaves every shift at least one valid row and cell.
-fn shifts_whole_planes(
-    height: usize,
-    width: usize,
-    ksize: usize,
-    stride: usize,
-    pad: usize,
-) -> bool {
-    stride == 1 && ksize == 2 * pad + 1 && pad < height && pad < width
-}
-
 /// The inverse of [`im2col`]: scatters (accumulates) a column matrix back into an image,
 /// used to propagate gradients to the convolution input.
 ///
 /// Each column row is added back over its valid cells only, walking column rows, then
 /// output rows, then output columns in ascending order: one row run at a time, except
-/// that the centre column (`kw = pad`) of a [shifted-plane](im2col) convolution, whose
-/// rows are all valid and contiguous on both sides, goes back as one run. Every image
-/// element therefore receives its additions in the order of Darknet's per-element
-/// loop, and the result is bit-identical to it.
+/// that at stride 1 with a centred kernel, where the output plane is the input plane's
+/// size, the centre column (`kw = pad`) has only whole rows and goes back as one run.
+/// Every image element therefore receives its additions in the order of Darknet's
+/// per-element loop, and the result is bit-identical to it.
 #[allow(clippy::too_many_arguments)]
 pub fn col2im(
     column: &[f32],
@@ -738,7 +726,6 @@ pub fn col2im(
         output.len() >= channels * plane_len,
         "col2im output too small"
     );
-    let shifted = shifts_whole_planes(height, width, ksize, stride, pad);
     for c_im in 0..channels {
         let plane = &mut output[c_im * plane_len..][..plane_len];
         for kh in 0..ksize {
@@ -747,9 +734,8 @@ pub fn col2im(
                 let (xs, x0) = valid_run(kw, stride, pad, width, out_w);
                 let c = (c_im * ksize + kh) * ksize + kw;
                 let rows = &column[c * n + ys.start * out_w..][..ys.len() * out_w];
-                if shifted && xs.len() == width {
-                    // The centre column's valid rows are whole rows, `width` apart on
-                    // both sides: they go back as one run.
+                if stride == 1 && out_w == width && xs.len() == width {
+                    // Whole rows, `width` apart on both sides: they go back as one run.
                     add_run(&mut plane[y0 * width..][..rows.len()], rows);
                     continue;
                 }
